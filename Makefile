@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check build vet lint test race tier-race serve-race prof-race dist-race whatif-race analysis-race bench bench-serve bench-prof bench-dist bench-whatif bench-all bench-compare bench-gate whatif-record cover reproduce observations examples clean
+.PHONY: all check build vet lint test race tier-race serve-race prof-race dist-race fuzz-smoke whatif-race analysis-race bench bench-serve bench-prof bench-dist bench-whatif bench-all bench-compare bench-gate whatif-record cover reproduce observations examples clean
 
 all: check
 
-check: build vet lint test race tier-race serve-race prof-race dist-race whatif-race analysis-race
+check: build vet lint test race tier-race serve-race prof-race dist-race fuzz-smoke whatif-race analysis-race
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,12 @@ prof-race:
 # dist tests spawn real worker OS processes over localhost TCP.
 dist-race:
 	$(GO) test -race ./internal/dist/... ./cmd/tbd/
+
+# Ten seconds of coverage-guided garbage against a live parameter-server
+# connection handler: no panic, no hang, no allocation sized from the wire.
+# `go test` alone replays the committed corpus; this mutates it.
+fuzz-smoke:
+	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzPSFrame -fuzztime 10s
 
 # Race detector over the what-if predictor: trace capture off the live
 # profiler (concurrent span emission), merge, replay, and the root-package

@@ -26,7 +26,7 @@ func cmdDist(args []string) error {
 	lr := fs.Float64("lr", 0.1, "SGD learning rate")
 	compress := fs.String("compress", "full", "gradient wire encoding: full, fp16, int8")
 	bwMBps := fs.Float64("bw", 0, "per-link bandwidth throttle in MB/s (0 = unthrottled; 125 = 1 GbE)")
-	staleness := fs.Int("staleness", 2, "SSP staleness bound for ps-async")
+	staleness := fs.Int("staleness", 2, "SSP staleness bound for ps-async (-1: unbounded)")
 	profile := fs.Bool("profile", false, "capture per-rank dependence-graph traces and print a comm summary")
 	traceOut := fs.String("trace-out", "", "write the merged cluster what-if trace to this file (implies -profile)")
 

@@ -26,7 +26,7 @@ type CoordConfig struct {
 	Model       string
 	Seed        uint64
 	LR          float32
-	// Staleness is the SSP bound for ps-async.
+	// Staleness is the SSP bound for ps-async (-1: unbounded).
 	Staleness int
 	// PSBytesPerSec throttles the parameter server's shared NIC (the
 	// central bottleneck; 0 = unthrottled). Ring runs ignore it — each
@@ -62,6 +62,9 @@ type Coordinator struct {
 func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("dist: coordinator needs at least one worker, got %d", cfg.Workers)
+	}
+	if cfg.Strategy == RunPSAsync && cfg.Staleness < -1 {
+		return nil, fmt.Errorf("dist: ps-async staleness %d, want >= -1 (-1: unbounded)", cfg.Staleness)
 	}
 	ctrl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -1,96 +1,161 @@
 package dist
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"sync"
 
 	"tbd/internal/layers"
 	"tbd/internal/optim"
 	"tbd/internal/prof"
-	"tbd/internal/tensor"
 )
 
-// A real parameter server over TCP (stdlib net + gob), the multi-machine
-// data-parallel scheme of §2.2/§4.5 (Li et al.): workers pull the current
-// weights, compute gradients on their shard, and push them back; the
-// server averages one push per worker, applies the optimizer, and
-// releases the next round. Ranked pushes are buffered per worker and
-// reduced in rank order, so a synchronous N-worker run is not only
-// numerically equivalent to one big-batch replica but reproducible
-// bit-for-bit run to run — the same determinism discipline the ring
-// all-reduce keeps via its fixed hop order.
+// A real parameter server over TCP, the multi-machine data-parallel
+// scheme of §2.2/§4.5 (Li et al.): workers pull the current weights,
+// compute gradients on their shard, and push them back; the server
+// averages one push per worker, applies the optimizer, and releases the
+// next round. Pushes are buffered per rank and reduced in rank order, so
+// a synchronous N-worker run is not only numerically equivalent to one
+// big-batch replica but reproducible bit-for-bit run to run — the same
+// determinism discipline the ring all-reduce keeps via its fixed hop
+// order.
+//
+// The server speaks the ring's codec: a fixed 16-byte little-endian
+// header, then the tensors in parameter order through the wireBuf
+// helpers of wire.go, with nothing per element but the element.
+//
+//	[0:3]   magic "TBD"
+//	[3]     kind (request) or status (reply)
+//	[4:8]   rank     int32   a push's sender
+//	[8:12]  version  int32   request: the version the client holds (-1: none)
+//	                         reply: the server's version
+//	[12:16] length   uint32  payload bytes that follow
+//
+// Both ends build the same model, so a push carries no shapes: the server
+// knows the one payload length each kind may have and refuses any other
+// before it reads or allocates anything. A weights reply starts with the
+// server's layout (tensor count, then each tensor's element count): the
+// client is handed no model, and cuts its retained copy by that table.
 
-// The parameter-server request vocabulary. Wirecheck holds every kind
-// to both sides of the protocol: a kind encoded by the client but
-// missing from the server's decode switch would be silently rejected as
-// unknown — the classic skew bug of hand-rolled protocols.
+// The parameter-server frame vocabulary. Wirecheck holds every kind to
+// both sides of the protocol: a kind encoded by one end but missing from
+// the other's decode switch would be refused as unknown — the classic
+// skew bug of hand-rolled protocols.
 //
 //tbd:wire-kinds
 const (
-	kindPull   = "pull"
-	kindPush   = "push"   // full-precision gradients
-	kindPush16 = "push16" // fp16-compressed gradients
-	kindPush8  = "push8"  // int8-quantized gradients
+	kindPull   byte = 1 + iota // no payload
+	kindPush                   // raw fp32 gradients
+	kindPush16                 // fp16 gradients
+	kindPush8                  // per tensor: fp32 scale, then int8 levels
+
+	statusWeights   // layout table, then raw fp32 weights
+	statusUnchanged // no payload: the client's retained copy is current
+	statusError     // a message of at most psMaxErr bytes; the server then hangs up
 )
 
-// psRequest is one worker->server message.
-type psRequest struct {
-	// Kind is kindPull, kindPush, kindPush16 (fp16 gradients), or
-	// kindPush8 (int8-quantized gradients).
-	Kind  string
-	Grads [][]float32
-	// HalfGrads carries fp16-compressed gradients for "push16" — half
-	// the wire bytes of a full-precision push (§4.5: reduce the data
-	// sent).
-	HalfGrads [][]uint16
-	// Int8Grads and Scales carry linearly quantized gradients for
-	// "push8" (one byte per scalar plus a per-tensor scale). The client
-	// keeps the quantization error as an error-feedback residual.
-	Int8Grads [][]byte
-	Scales    []float32
-	// Ranked pushes identify the sending worker; the server buffers one
-	// push per rank and reduces them in rank order, making synchronous
-	// rounds deterministic. Unranked pushes (Ranked false) accumulate in
-	// arrival order, the legacy behavior.
-	Ranked bool
-	Rank   int
+const (
+	psMagic     = "TBD"
+	psHeaderLen = 16
+	psMaxErr    = 256
+)
+
+// Frame errors either end raises on bytes it will not interpret. The
+// server names them in one statusError reply and closes the connection;
+// the client returns them and closes its own.
+var (
+	errBadMagic    = errors.New("bad frame magic")
+	errUnknownKind = errors.New("unknown frame kind")
+	errBadLength   = errors.New("payload length does not match the model")
+	errLongError   = errors.New("error reply over 256 bytes")
+
+	errServerClosed = errors.New("server closed")
+)
+
+type psHeader struct {
+	kind          byte
+	rank, version int
+	length        int64
 }
 
-// psResponse is one server->worker message.
-type psResponse struct {
-	Weights [][]float32
-	Version int
-	Err     string
+func putHeader(b []byte, kind byte, rank, version, length int) {
+	copy(b, psMagic)
+	b[3] = kind
+	binary.LittleEndian.PutUint32(b[4:], uint32(int32(rank)))
+	binary.LittleEndian.PutUint32(b[8:], uint32(int32(version)))
+	binary.LittleEndian.PutUint32(b[12:], uint32(length))
 }
+
+// readHeader returns io.EOF only when the stream ended between frames.
+func readHeader(r io.Reader) (psHeader, error) {
+	var b [psHeaderLen]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return psHeader{}, err
+	}
+	if string(b[:3]) != psMagic {
+		return psHeader{}, errBadMagic
+	}
+	return psHeader{
+		kind:    b[3],
+		rank:    int(int32(binary.LittleEndian.Uint32(b[4:]))),
+		version: int(int32(binary.LittleEndian.Uint32(b[8:]))),
+		length:  int64(binary.LittleEndian.Uint32(b[12:])),
+	}, nil
+}
+
+// pushPayloadLen is the one payload length a push of kind may have for a
+// model of elems scalars in tensors tensors.
+func pushPayloadLen(kind byte, elems, tensors int) int {
+	switch kind {
+	case kindPush16:
+		return 2 * elems
+	case kindPush8:
+		return elems + 4*tensors
+	}
+	return 4 * elems
+}
+
+// weightsPayloadLen is the payload length of a statusWeights reply.
+func weightsPayloadLen(elems, tensors int) int { return 4 + 4*tensors + 4*elems }
 
 // PSServer is the parameter-server endpoint.
 type PSServer struct {
 	params  []*layers.Param
 	opt     optim.Optimizer
 	workers int
+	sizes   []int // elements per parameter
+	elems   int   // their sum
 	// async applies each push immediately instead of waiting for a full
 	// synchronous round — the A3C-style update discipline (Hogwild over
 	// the network). Workers may then train on slightly stale weights.
 	async bool
 	// staleness bounds how far a worker may run ahead of the slowest
-	// worker in async mode (SSP, Ho et al.): a ranked push blocks while
+	// worker in async mode (SSP, Ho et al.): a push blocks while
 	// clock(rank) - min(clocks) exceeds it. Negative = unbounded.
 	staleness int
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	pending   [][]float32           // unranked accumulation; guarded by mu
-	rankGrads [][][]float32         // ranked round buffer [rank][tensor]; guarded by mu
-	rankSeen  int                   // distinct ranked pushes buffered; guarded by mu
-	pushes    int                   // unranked pushes this round; guarded by mu
-	version   int                   // applied update rounds; guarded by mu
-	clocks    []int                 // per-rank applied pushes (bounded async); guarded by mu
-	conns     map[net.Conn]struct{} // live connections, closed on shutdown; guarded by mu
-	linkIn    *tokenBucket          // shared ingress budget for accepted conns; guarded by mu
-	linkOut   *tokenBucket          // shared egress budget for accepted conns; guarded by mu
-	closed    bool                  // guarded by mu
+	mu   sync.Mutex
+	cond *sync.Cond
+	// rankGrads[r] is rank r's push of this round. It aliases the pushing
+	// connection's buffer, whose handler is parked on cond until the round
+	// is reduced.
+	rankGrads [][][]float32 // guarded by mu
+	rankSeen  int           // distinct pushes buffered; guarded by mu
+	version   int           // applied updates; guarded by mu
+	// reply is the statusWeights frame for version, encoded once when the
+	// version is applied and never written again, so handlers send it after
+	// they drop mu.
+	reply   []byte                // guarded by mu
+	clocks  []int                 // per-rank applied pushes (bounded async); guarded by mu
+	conns   map[net.Conn]struct{} // live connections, closed on shutdown; guarded by mu
+	linkIn  *tokenBucket          // shared ingress budget for accepted conns; guarded by mu
+	linkOut *tokenBucket          // shared egress budget for accepted conns; guarded by mu
+	closed  bool                  // guarded by mu
 
 	listener net.Listener
 	wg       sync.WaitGroup
@@ -98,12 +163,30 @@ type PSServer struct {
 
 // ServePS starts a parameter server on l managing params with opt,
 // expecting one gradient push per round from each of workers clients.
-// It returns immediately; Close shuts it down. The guarded fields are
-// initialized before the accept loop (the first other goroutine)
-// starts, so construction needs no lock.
+// It returns immediately; Close shuts it down.
+func ServePS(l net.Listener, params []*layers.Param, opt optim.Optimizer, workers int) *PSServer {
+	return servePS(l, params, opt, workers, false, -1)
+}
+
+// ServeBoundedAsyncPS starts an asynchronous parameter server: pushes
+// apply immediately with no round barrier, but a worker whose clock runs
+// more than staleness rounds ahead of the slowest worker blocks until
+// the stragglers catch up (stale synchronous parallel). staleness 0
+// degenerates to a synchronous barrier, large values approach fully
+// async, and -1 is unbounded — the update discipline the paper's A3C
+// benchmark uses.
+func ServeBoundedAsyncPS(l net.Listener, params []*layers.Param, opt optim.Optimizer, workers, staleness int) *PSServer {
+	if staleness < -1 {
+		panic("dist: bounded-async staleness must be >= -1")
+	}
+	return servePS(l, params, opt, workers, true, staleness)
+}
+
+// servePS initializes the guarded fields before the accept loop (the
+// first other goroutine) starts, so construction needs no lock.
 //
 //tbd:pre-publication guarded fields are written before the accept goroutine (the first concurrent observer) starts
-func ServePS(l net.Listener, params []*layers.Param, opt optim.Optimizer, workers int) *PSServer {
+func servePS(l net.Listener, params []*layers.Param, opt optim.Optimizer, workers int, async bool, staleness int) *PSServer {
 	if workers <= 0 {
 		panic("dist: parameter server needs at least one worker")
 	}
@@ -111,44 +194,25 @@ func ServePS(l net.Listener, params []*layers.Param, opt optim.Optimizer, worker
 		params:    params,
 		opt:       opt,
 		workers:   workers,
-		staleness: -1,
-		listener:  l,
+		sizes:     make([]int, len(params)),
+		async:     async,
+		staleness: staleness,
+		rankGrads: make([][][]float32, workers),
+		clocks:    make([]int, workers),
 		conns:     make(map[net.Conn]struct{}),
+		listener:  l,
+	}
+	for i, p := range params {
+		s.sizes[i] = p.Value.Numel()
+		s.elems += s.sizes[i]
+	}
+	if int64(weightsPayloadLen(s.elems, len(params))) > math.MaxUint32 {
+		panic("dist: model too large for one parameter-server frame")
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.pending = make([][]float32, len(params))
-	for i, p := range params {
-		s.pending[i] = make([]float32, p.Value.Numel())
-	}
-	s.rankGrads = make([][][]float32, workers)
-	s.clocks = make([]int, workers)
+	s.reply = s.encodeReplyLocked()
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s
-}
-
-// ServeAsyncPS starts an asynchronous parameter server: every push is
-// applied immediately with no round barrier and no staleness bound, the
-// update discipline the paper's A3C benchmark uses.
-func ServeAsyncPS(l net.Listener, params []*layers.Param, opt optim.Optimizer) *PSServer {
-	s := ServePS(l, params, opt, 1)
-	s.async = true
-	return s
-}
-
-// ServeBoundedAsyncPS starts an asynchronous parameter server with a
-// staleness bound: pushes apply immediately, but a ranked worker whose
-// clock runs more than staleness rounds ahead of the slowest worker
-// blocks until the stragglers catch up (stale synchronous parallel).
-// staleness 0 degenerates to a synchronous barrier; large values
-// approach fully async.
-func ServeBoundedAsyncPS(l net.Listener, params []*layers.Param, opt optim.Optimizer, workers, staleness int) *PSServer {
-	if staleness < 0 {
-		panic("dist: bounded-async staleness must be >= 0")
-	}
-	s := ServePS(l, params, opt, workers)
-	s.async = true
-	s.staleness = staleness
 	return s
 }
 
@@ -166,7 +230,7 @@ func (s *PSServer) ThrottleLink(bytesPerSec float64) {
 // Addr returns the listen address.
 func (s *PSServer) Addr() string { return s.listener.Addr().String() }
 
-// Version returns the number of applied update rounds.
+// Version returns the number of applied updates.
 func (s *PSServer) Version() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -176,7 +240,7 @@ func (s *PSServer) Version() int {
 // Close stops the accept loop, unblocks every in-flight pull and push
 // handler by closing the live connections, and waits for all handler
 // goroutines to exit. It is safe to call with workers mid-round: blocked
-// pushers observe closed and return an error response before their
+// pushers observe closed and return an error reply before their
 // connection drops.
 func (s *PSServer) Close() error {
 	s.mu.Lock()
@@ -188,7 +252,7 @@ func (s *PSServer) Close() error {
 	}
 	s.mu.Unlock()
 	err := s.listener.Close()
-	// Closing the connections unblocks handlers parked in dec.Decode —
+	// Closing the connections unblocks handlers parked in a header read —
 	// without this, Close would hang until every client hung up.
 	for _, c := range conns {
 		c.Close()
@@ -227,208 +291,193 @@ func (s *PSServer) acceptLoop() {
 	}
 }
 
+// psConn is one accepted connection's decode state.
+type psConn struct {
+	r  *bufio.Reader
+	wb wireBuf
+	// grads receives every push of this connection. It is sized from the
+	// server's own parameters at the first push and reused after: while a
+	// round holds it in rankGrads the handler is parked, not reading.
+	grads [][]float32
+	small [psHeaderLen + psMaxErr]byte // header-only and error replies
+}
+
+// serveConn answers frames until the client hangs up or sends one the
+// server refuses; a refusal is named in a single error reply and the
+// connection closed. No reply is written while mu is held.
 func (s *PSServer) serveConn(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	pc := &psConn{r: bufio.NewReaderSize(conn, 64<<10)}
 	for {
-		var req psRequest
-		if err := dec.Decode(&req); err != nil {
+		reply, err := s.serveFrame(pc)
+		if err == io.EOF {
 			return
 		}
-		var resp psResponse
-		switch req.Kind {
-		case kindPull:
-			resp = s.handlePull()
-		case kindPush, kindPush16, kindPush8:
-			grads, err := s.decodeGrads(&req)
-			if err != nil {
-				resp = psResponse{Err: err.Error()}
-			} else if req.Ranked {
-				resp = s.handleRankedPush(req.Rank, grads)
-			} else {
-				resp = s.handlePush(grads)
+		if err != nil {
+			msg := err.Error()
+			if len(msg) > psMaxErr {
+				msg = msg[:psMaxErr]
 			}
-		default:
-			resp = psResponse{Err: fmt.Sprintf("unknown request kind %q", req.Kind)}
+			putHeader(pc.small[:], statusError, 0, 0, len(msg))
+			n := psHeaderLen + copy(pc.small[psHeaderLen:], msg)
+			_, _ = conn.Write(pc.small[:n]) // the connection closes whether or not the refusal arrives
+			return
 		}
-		if err := enc.Encode(&resp); err != nil {
+		if _, err := conn.Write(reply); err != nil {
 			return
 		}
 	}
 }
 
-// decodeGrads expands a push payload to full-precision per-tensor slices.
-func (s *PSServer) decodeGrads(req *psRequest) ([][]float32, error) {
-	switch req.Kind {
-	case kindPush:
-		return req.Grads, nil
-	case kindPush16:
-		grads := make([][]float32, len(req.HalfGrads))
-		for i, hg := range req.HalfGrads {
-			grads[i] = tensor.DecodeHalf(hg)
-		}
-		return grads, nil
-	case kindPush8:
-		if len(req.Scales) != len(req.Int8Grads) {
-			return nil, fmt.Errorf("push8 with %d scales for %d tensors", len(req.Scales), len(req.Int8Grads))
-		}
-		grads := make([][]float32, len(req.Int8Grads))
-		for i, q := range req.Int8Grads {
-			grads[i] = make([]float32, len(q))
-			DequantInt8Slice(req.Scales[i], q, grads[i])
-		}
-		return grads, nil
+// serveFrame reads one request, validates its header against the server's
+// own model before touching the payload, and returns the reply frame.
+func (s *PSServer) serveFrame(pc *psConn) ([]byte, error) {
+	h, err := readHeader(pc.r)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("not a push kind %q", req.Kind)
+	switch h.kind {
+	case kindPull:
+		if h.length != 0 {
+			return nil, fmt.Errorf("%w: pull with %d payload bytes", errBadLength, h.length)
+		}
+		return s.handlePull(pc, h.version), nil
+	case kindPush, kindPush16, kindPush8:
+		if h.rank < 0 || h.rank >= s.workers {
+			return nil, fmt.Errorf("rank %d outside [0, %d)", h.rank, s.workers)
+		}
+		if want := pushPayloadLen(h.kind, s.elems, len(s.sizes)); h.length != int64(want) {
+			return nil, fmt.Errorf("%w: push kind %d with %d payload bytes, want %d", errBadLength, h.kind, h.length, want)
+		}
+		if pc.grads == nil {
+			pc.grads = splitFlat(make([]float32, s.elems), s.sizes)
+		}
+		for _, g := range pc.grads {
+			switch h.kind {
+			case kindPush16:
+				err = pc.wb.readF16(pc.r, g)
+			case kindPush8:
+				err = pc.wb.readInt8(pc.r, g)
+			default:
+				err = pc.wb.readF32(pc.r, g)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("read push payload: %w", err)
+			}
+		}
+		return s.handleRankedPush(h.rank, pc.grads)
+	}
+	return nil, fmt.Errorf("%w %d", errUnknownKind, h.kind)
 }
 
-func (s *PSServer) handlePull() psResponse {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return psResponse{Weights: s.snapshotLocked(), Version: s.version}
-}
-
-// snapshotLocked copies the current weights.
-func (s *PSServer) snapshotLocked() [][]float32 {
-	out := make([][]float32, len(s.params))
-	for i, p := range s.params {
-		out[i] = append([]float32(nil), p.Value.Data()...)
+// splitFlat cuts flat into consecutive tensors of the given sizes.
+func splitFlat(flat []float32, sizes []int) [][]float32 {
+	out := make([][]float32, len(sizes))
+	for i, n := range sizes {
+		out[i], flat = flat[:n:n], flat[n:]
 	}
 	return out
 }
 
-// checkShapeLocked validates one push payload against the parameters.
-//
-//tbd:locked-by-caller
-func (s *PSServer) checkShapeLocked(grads [][]float32) string {
-	if len(grads) != len(s.params) {
-		return fmt.Sprintf("push with %d tensors, want %d", len(grads), len(s.params))
+// handlePull returns the current weights frame, or a header-only reply
+// when the client already holds that version.
+func (s *PSServer) handlePull(pc *psConn, have int) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if have != s.version {
+		return s.reply
 	}
-	for i, g := range grads {
-		if len(g) != len(s.pending[i]) {
-			return fmt.Sprintf("tensor %d has %d elements, want %d", i, len(g), len(s.pending[i]))
-		}
-	}
-	return ""
+	putHeader(pc.small[:], statusUnchanged, 0, s.version, 0)
+	return pc.small[:psHeaderLen]
 }
 
-// applyLocked loads avg-ready gradient sums scaled by inv into the
-// parameter gradients and steps the optimizer.
+// encodeReplyLocked builds the statusWeights frame for the current
+// version in a fresh buffer: earlier frames may still be on their way
+// out of handlers that have dropped mu.
 //
 //tbd:locked-by-caller
-func (s *PSServer) applyLocked(sum [][]float32, inv float32) {
-	for i, p := range s.params {
-		dst := p.Grad.Data()
-		for j, v := range sum[i] {
-			dst[j] = v * inv
+func (s *PSServer) encodeReplyLocked() []byte {
+	frame := make([]byte, psHeaderLen+weightsPayloadLen(s.elems, len(s.sizes)))
+	putHeader(frame, statusWeights, 0, s.version, len(frame)-psHeaderLen)
+	b := frame[psHeaderLen:]
+	binary.LittleEndian.PutUint32(b, uint32(len(s.sizes)))
+	b = b[4:]
+	for _, n := range s.sizes {
+		binary.LittleEndian.PutUint32(b, uint32(n))
+		b = b[4:]
+	}
+	for _, p := range s.params {
+		for _, v := range p.Value.Data() {
+			binary.LittleEndian.PutUint32(b, math.Float32bits(v))
+			b = b[4:]
 		}
 	}
+	return frame
+}
+
+// applyLocked steps the optimizer on the gradients the caller loaded into
+// the parameters and publishes the new version's reply frame.
+//
+//tbd:locked-by-caller
+func (s *PSServer) applyLocked() {
 	s.opt.Step(s.params)
 	optim.ZeroGrads(s.params)
 	s.version++
+	s.reply = s.encodeReplyLocked()
 }
 
-func (s *PSServer) handlePush(grads [][]float32) psResponse {
+// handleRankedPush takes one rank's decoded push: buffered and reduced in rank
+// order when the round completes (sync), or applied immediately under the
+// staleness bound (bounded async). It returns the weights frame of the
+// version the push produced.
+func (s *PSServer) handleRankedPush(rank int, grads [][]float32) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if msg := s.checkShapeLocked(grads); msg != "" {
-		return psResponse{Err: msg}
-	}
-	for i, g := range grads {
-		for j, v := range g {
-			s.pending[i][j] += v
-		}
-	}
-	if s.async {
-		s.applyLocked(s.pending, 1)
-		for i := range s.pending {
-			clearF32(s.pending[i])
-		}
-		return psResponse{Weights: s.snapshotLocked(), Version: s.version}
-	}
-	s.pushes++
-	round := s.version
-	if s.pushes == s.workers {
-		s.applyLocked(s.pending, 1/float32(s.workers))
-		for i := range s.pending {
-			clearF32(s.pending[i])
-		}
-		s.pushes = 0
-		s.cond.Broadcast()
-	} else {
-		for s.version == round && !s.closed {
-			s.cond.Wait()
-		}
-		if s.closed {
-			return psResponse{Err: "server closed"}
-		}
-	}
-	return psResponse{Weights: s.snapshotLocked(), Version: s.version}
-}
-
-// handleRankedPush is the deterministic path: one buffered push per rank,
-// reduced in rank order when the round completes (sync) or applied
-// immediately under the staleness bound (bounded async).
-func (s *PSServer) handleRankedPush(rank int, grads [][]float32) psResponse {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rank < 0 || rank >= s.workers {
-		return psResponse{Err: fmt.Sprintf("rank %d outside [0, %d)", rank, s.workers)}
-	}
-	if msg := s.checkShapeLocked(grads); msg != "" {
-		return psResponse{Err: msg}
+	if s.closed {
+		return nil, errServerClosed
 	}
 
 	if s.async {
 		// Apply this worker's contribution immediately, then hold the
 		// worker while it is more than `staleness` rounds ahead of the
 		// slowest clock.
-		for i, g := range grads {
-			copy(s.pending[i], g)
+		for i, p := range s.params {
+			copy(p.Grad.Data(), grads[i])
 		}
-		s.applyLocked(s.pending, 1)
-		for i := range s.pending {
-			clearF32(s.pending[i])
-		}
+		s.applyLocked()
 		s.clocks[rank]++
 		s.cond.Broadcast()
-		if s.staleness >= 0 {
-			for s.clocks[rank]-minInt(s.clocks) > s.staleness && !s.closed {
-				s.cond.Wait()
-			}
-			if s.closed {
-				return psResponse{Err: "server closed"}
-			}
+		for s.staleness >= 0 && s.clocks[rank]-minInt(s.clocks) > s.staleness && !s.closed {
+			s.cond.Wait()
 		}
-		return psResponse{Weights: s.snapshotLocked(), Version: s.version}
+		if s.closed {
+			return nil, errServerClosed
+		}
+		return s.reply, nil
 	}
 
 	if s.rankGrads[rank] != nil {
-		return psResponse{Err: fmt.Sprintf("rank %d pushed twice in one round", rank)}
+		return nil, fmt.Errorf("rank %d pushed twice in one round", rank)
 	}
-	bufs := make([][]float32, len(grads))
-	for i, g := range grads {
-		bufs[i] = append([]float32(nil), g...)
-	}
-	s.rankGrads[rank] = bufs
+	s.rankGrads[rank] = grads
 	s.rankSeen++
 	round := s.version
 	if s.rankSeen == s.workers {
 		// Reduce in rank order 0..N-1: the accumulation order no longer
 		// depends on network arrival, so repeated runs are bit-identical.
-		for i := range s.pending {
-			sum := s.pending[i]
+		inv := 1 / float32(s.workers)
+		for i, p := range s.params {
+			sum := p.Grad.Data()
 			clearF32(sum)
-			for r := 0; r < s.workers; r++ {
-				for j, v := range s.rankGrads[r][i] {
+			for _, rg := range s.rankGrads {
+				for j, v := range rg[i] {
 					sum[j] += v
 				}
 			}
+			for j := range sum {
+				sum[j] *= inv
+			}
 		}
-		s.applyLocked(s.pending, 1/float32(s.workers))
-		for i := range s.pending {
-			clearF32(s.pending[i])
-		}
+		s.applyLocked()
 		for r := range s.rankGrads {
 			s.rankGrads[r] = nil
 		}
@@ -439,10 +488,10 @@ func (s *PSServer) handleRankedPush(rank int, grads [][]float32) psResponse {
 			s.cond.Wait()
 		}
 		if s.closed {
-			return psResponse{Err: "server closed"}
+			return nil, errServerClosed
 		}
 	}
-	return psResponse{Weights: s.snapshotLocked(), Version: s.version}
+	return s.reply, nil
 }
 
 func clearF32(s []float32) {
@@ -461,19 +510,24 @@ func minInt(xs []int) int {
 	return m
 }
 
-// PSClient is a worker's connection to the parameter server.
+// PSClient is a worker's connection to the parameter server. It is not
+// safe for concurrent use, and it owns the weights it returns: the slices
+// from Pull and PushRanked are the client's retained copy of the server's
+// parameters, overwritten in place by the next call that brings a newer
+// version. Copy them out first — LoadWeights does.
 type PSClient struct {
 	conn  net.Conn
 	count *countingConn
-	dec   *gob.Decoder
-	enc   *gob.Encoder
+	r     *bufio.Reader
+	w     *bufio.Writer
+	buf   wireBuf // a round trip encodes, then decodes
+
+	weights [][]float32 // laid out by the server's first weights reply
+	version int         // of weights; -1 before the first reply
+
 	quant *Int8Quantizer // error-feedback state for int8 pushes
 	offs  []int          // flat-stream offset of each tensor for the quantizer
-}
-
-// DialPS connects a worker to the server at addr.
-func DialPS(addr string) (*PSClient, error) {
-	return DialPSThrottled(addr, 0)
+	qbuf  []byte         // one tensor's int8 levels
 }
 
 // DialPSThrottled connects a worker to the server at addr over a link
@@ -486,7 +540,10 @@ func DialPSThrottled(addr string, bytesPerSec float64) (*PSClient, error) {
 	}
 	count := newCountingConn(conn)
 	wire := Throttle(count, bytesPerSec)
-	return &PSClient{conn: conn, count: count, dec: gob.NewDecoder(wire), enc: gob.NewEncoder(wire)}, nil
+	return &PSClient{
+		conn: conn, count: count, version: -1,
+		r: bufio.NewReaderSize(wire, 64<<10), w: bufio.NewWriterSize(wire, 64<<10),
+	}, nil
 }
 
 // Close terminates the connection.
@@ -495,92 +552,167 @@ func (c *PSClient) Close() error { return c.conn.Close() }
 // WireBytes returns cumulative (in, out) wire bytes this client moved.
 func (c *PSClient) WireBytes() (in, out int64) { return c.count.Bytes() }
 
-func (c *PSClient) roundTrip(req psRequest) (psResponse, error) {
+// Pull returns the server's current weights and version. The request
+// names the version the client holds, so when nothing changed the reply
+// is a bare header and the retained copy is returned as is.
+func (c *PSClient) Pull() ([][]float32, int, error) {
+	return c.roundTrip(kindPull, 0, nil)
+}
+
+// PushRanked submits this rank's gradients under the given compression
+// and blocks until the server has applied them (sync: the whole round),
+// returning the post-update weights. Pushes are reduced in rank order,
+// which makes synchronous rounds deterministic, and drive the
+// bounded-staleness clock in async mode. Int8 pushes keep an
+// error-feedback residual inside the client, so a client must push the
+// same tensor layout every round.
+func (c *PSClient) PushRanked(rank int, comp Compression, grads [][]float32) ([][]float32, int, error) {
+	kind := kindPush
+	switch comp {
+	case CompressFP16:
+		kind = kindPush16
+	case CompressInt8:
+		kind = kindPush8
+		if c.quant == nil {
+			c.offs = make([]int, len(grads)+1)
+			widest := 0
+			for i, g := range grads {
+				c.offs[i+1] = c.offs[i] + len(g)
+				widest = max(widest, len(g))
+			}
+			c.quant = NewInt8Quantizer(c.offs[len(grads)])
+			c.qbuf = make([]byte, widest)
+		}
+	}
+	return c.roundTrip(kind, rank, grads)
+}
+
+// roundTrip sends one request and decodes its reply into the retained
+// weights. A failure leaves the stream at an unknown offset, so it closes
+// the connection.
+func (c *PSClient) roundTrip(kind byte, rank int, grads [][]float32) ([][]float32, int, error) {
 	in0, out0 := c.count.Bytes()
 	sp := prof.Begin(prof.CatComm, "comm.ps.roundtrip")
-	if err := c.enc.Encode(&req); err != nil {
-		sp.End()
-		return psResponse{}, fmt.Errorf("dist: send %s: %w", req.Kind, err)
-	}
-	var resp psResponse
-	if err := c.dec.Decode(&resp); err != nil {
-		sp.End()
-		return psResponse{}, fmt.Errorf("dist: receive %s reply: %w", req.Kind, err)
+	err := c.send(kind, rank, grads)
+	if err == nil {
+		err = c.receive()
 	}
 	in1, out1 := c.count.Bytes()
 	sp.SetBytes((in1 - in0) + (out1 - out0))
 	sp.End()
-	if resp.Err != "" {
-		return psResponse{}, fmt.Errorf("dist: server: %s", resp.Err)
+	if err != nil {
+		c.conn.Close()
+		return nil, 0, err
 	}
-	return resp, nil
+	return c.weights, c.version, nil
 }
 
-// Pull fetches the current weights and version.
-func (c *PSClient) Pull() ([][]float32, int, error) {
-	resp, err := c.roundTrip(psRequest{Kind: kindPull})
-	return resp.Weights, resp.Version, err
-}
-
-// Push submits this worker's gradients and blocks until the synchronous
-// round is applied, returning the post-update weights.
-func (c *PSClient) Push(grads [][]float32) ([][]float32, int, error) {
-	resp, err := c.roundTrip(psRequest{Kind: kindPush, Grads: grads})
-	return resp.Weights, resp.Version, err
-}
-
-// PushHalf submits fp16-compressed gradients (half the wire volume; the
-// server expands them before aggregation). Weights still return in full
-// precision.
-func (c *PSClient) PushHalf(grads [][]float32) ([][]float32, int, error) {
-	resp, err := c.roundTrip(c.encodeHalf(grads, false, 0))
-	return resp.Weights, resp.Version, err
-}
-
-// PushRanked submits gradients tagged with this worker's rank under the
-// given compression. Ranked pushes make synchronous rounds deterministic
-// and enable the bounded-staleness clock in async mode. Int8 pushes keep
-// an error-feedback residual inside the client, so a client must push
-// the same tensor layout every round.
-func (c *PSClient) PushRanked(rank int, comp Compression, grads [][]float32) ([][]float32, int, error) {
-	var req psRequest
-	switch comp {
-	case CompressFP16:
-		req = c.encodeHalf(grads, true, rank)
-	case CompressInt8:
-		req = c.encodeInt8(grads, rank)
-	default:
-		req = psRequest{Kind: kindPush, Grads: grads, Ranked: true, Rank: rank}
+func (c *PSClient) send(kind byte, rank int, grads [][]float32) error {
+	elems := 0
+	for _, g := range grads {
+		elems += len(g)
 	}
-	resp, err := c.roundTrip(req)
-	return resp.Weights, resp.Version, err
-}
-
-func (c *PSClient) encodeHalf(grads [][]float32, ranked bool, rank int) psRequest {
-	hg := make([][]uint16, len(grads))
+	length := 0
+	if kind != kindPull {
+		length = pushPayloadLen(kind, elems, len(grads))
+	}
+	if int64(length) > math.MaxUint32 {
+		return fmt.Errorf("dist: push of %d bytes exceeds one frame", length)
+	}
+	var hdr [psHeaderLen]byte
+	putHeader(hdr[:], kind, rank, c.version, length)
+	_, err := c.w.Write(hdr[:])
 	for i, g := range grads {
-		hg[i] = tensor.EncodeHalf(g)
-	}
-	return psRequest{Kind: kindPush16, HalfGrads: hg, Ranked: ranked, Rank: rank}
-}
-
-func (c *PSClient) encodeInt8(grads [][]float32, rank int) psRequest {
-	if c.quant == nil {
-		total := 0
-		c.offs = make([]int, len(grads))
-		for i, g := range grads {
-			c.offs[i] = total
-			total += len(g)
+		if err != nil {
+			break
 		}
-		c.quant = NewInt8Quantizer(total)
+		switch kind {
+		case kindPush16:
+			err = c.buf.writeF16(c.w, g)
+		case kindPush8:
+			q := c.qbuf[:len(g)]
+			err = c.buf.writeInt8(c.w, c.quant.QuantizeAt(c.offs[i], g, q), q)
+		default:
+			err = c.buf.writeF32(c.w, g)
+		}
 	}
-	qs := make([][]byte, len(grads))
-	scales := make([]float32, len(grads))
-	for i, g := range grads {
-		qs[i] = make([]byte, len(g))
-		scales[i] = c.quant.QuantizeAt(c.offs[i], g, qs[i])
+	if err == nil {
+		err = c.w.Flush()
 	}
-	return psRequest{Kind: kindPush8, Int8Grads: qs, Scales: scales, Ranked: true, Rank: rank}
+	if err != nil {
+		return fmt.Errorf("dist: send frame kind %d: %w", kind, err)
+	}
+	return nil
+}
+
+func (c *PSClient) receive() error {
+	h, err := readHeader(c.r)
+	if err != nil {
+		return fmt.Errorf("dist: receive reply: %w", err)
+	}
+	switch h.kind {
+	case statusWeights:
+		if err := c.readWeights(h.length); err != nil {
+			return fmt.Errorf("dist: receive weights: %w", err)
+		}
+		c.version = h.version
+		return nil
+	case statusUnchanged:
+		if h.length != 0 || c.weights == nil || h.version != c.version {
+			return fmt.Errorf("dist: receive reply: unchanged at version %d with %d payload bytes, holding %d", h.version, h.length, c.version)
+		}
+		return nil
+	case statusError:
+		if h.length > psMaxErr {
+			return fmt.Errorf("dist: receive reply: %w", errLongError)
+		}
+		msg := c.buf.grow(int(h.length))
+		if _, err := io.ReadFull(c.r, msg); err != nil {
+			return fmt.Errorf("dist: receive error reply: %w", err)
+		}
+		return fmt.Errorf("dist: server: %s", msg)
+	}
+	return fmt.Errorf("dist: receive reply: %w %d", errUnknownKind, h.kind)
+}
+
+// readWeights decodes a statusWeights payload of length bytes. The layout
+// table must account for the length exactly; the retained copy is sized
+// from it on the first reply and reused while the layout holds.
+func (c *PSClient) readWeights(length int64) error {
+	var word [4]byte
+	if _, err := io.ReadFull(c.r, word[:]); err != nil {
+		return err
+	}
+	n := int64(binary.LittleEndian.Uint32(word[:]))
+	if 4+4*n > length {
+		return fmt.Errorf("%w: %d tensors in %d bytes", errBadLength, n, length)
+	}
+	table := c.buf.grow(int(4 * n))
+	if _, err := io.ReadFull(c.r, table); err != nil {
+		return err
+	}
+	size := func(i int) int { return int(binary.LittleEndian.Uint32(table[4*i:])) }
+	total, same := 4+4*n, int(n) == len(c.weights)
+	for i := 0; i < int(n); i++ {
+		total += 4 * int64(size(i))
+		same = same && size(i) == len(c.weights[i])
+	}
+	if total != length {
+		return fmt.Errorf("%w: layout accounts for %d of %d bytes", errBadLength, total, length)
+	}
+	if !same {
+		sizes := make([]int, n)
+		for i := range sizes {
+			sizes[i] = size(i)
+		}
+		c.weights = splitFlat(make([]float32, (total-4-4*n)/4), sizes)
+	}
+	for _, w := range c.weights {
+		if err := c.buf.readF32(c.r, w); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // LoadWeights copies pulled weights into a parameter list.

@@ -3,6 +3,7 @@ package dist
 import (
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ import (
 // TestPSCloseUnblocksInFlightHandlers is the shutdown contract, mirroring
 // the serve package's drain tests: Close must deterministically unblock
 // (a) handlers parked in a synchronous round barrier waiting for peers
-// that will never push, (b) handlers parked in dec.Decode on idle
+// that will never push, (b) handlers parked in a header read on idle
 // connections, and (c) the accept loop — and leave no goroutine behind.
 func TestPSCloseUnblocksInFlightHandlers(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -26,8 +27,8 @@ func TestPSCloseUnblocksInFlightHandlers(t *testing.T) {
 	master := mlpConstructor(20)()
 	s := ServePS(l, master.Params(), optim.NewSGD(0.1), 2) // 2 workers, only 1 will push
 
-	// An idle connection: its handler sits in dec.Decode.
-	idle, err := DialPS(s.Addr())
+	// An idle connection: its handler sits in a header read.
+	idle, err := DialPSThrottled(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,28 +38,18 @@ func TestPSCloseUnblocksInFlightHandlers(t *testing.T) {
 	}
 
 	// A push that can never complete: the round needs a second worker.
-	pusher, err := DialPS(s.Addr())
+	pusher, err := DialPSThrottled(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pusher.Close()
 	pushErr := make(chan error, 1)
 	go func() {
-		_, _, err := pusher.Push(GradSlices(master.Params()))
+		_, _, err := pusher.PushRanked(0, CompressNone, GradSlices(master.Params()))
 		pushErr <- err
 	}()
 
-	// Wait until the push is actually parked in the barrier.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		s.mu.Lock()
-		parked := s.pushes == 1
-		s.mu.Unlock()
-		if parked {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitRankSeen(t, s, 1)
 
 	done := make(chan struct{})
 	go func() {
@@ -77,7 +68,7 @@ func TestPSCloseUnblocksInFlightHandlers(t *testing.T) {
 	// Every server goroutine (accept loop + 2 handlers) must be gone.
 	idle.Close()
 	pusher.Close()
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
 		runtime.Gosched()
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -105,7 +96,7 @@ func psTrainRanked(t *testing.T, seed uint64, workers, rounds int, comp Compress
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := DialPS(s.Addr())
+			c, err := DialPSThrottled(s.Addr(), 0)
 			if err != nil {
 				errs[w] = err
 				return
@@ -160,17 +151,68 @@ func TestRankedSyncPSBitIdenticalAcrossRuns(t *testing.T) {
 
 func TestRankedPushValidatesRank(t *testing.T) {
 	s, master := startPS(t, 2, 25)
-	c, err := DialPS(s.Addr())
+	for _, rank := range []int{5, -1} {
+		c, err := DialPSThrottled(s.Addr(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		_, _, err = c.PushRanked(rank, CompressNone, GradSlices(master.Params()))
+		if err == nil || !strings.Contains(err.Error(), "outside [0, 2)") {
+			t.Fatalf("rank %d: got %v, want the server's range error", rank, err)
+		}
+	}
+}
+
+func TestDoublePushRejected(t *testing.T) {
+	// Two connections claiming one rank in the same round: the first parks
+	// in the barrier, the second is refused and the round stays open.
+	s, master := startPS(t, 2, 26)
+	grads := GradSlices(master.Params())
+	first, err := DialPSThrottled(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if _, _, err := c.PushRanked(5, CompressNone, GradSlices(master.Params())); err == nil {
-		t.Fatal("out-of-range rank must be rejected")
+	defer first.Close()
+	parked := make(chan error, 1)
+	go func() {
+		_, _, err := first.PushRanked(0, CompressNone, grads)
+		parked <- err
+	}()
+	waitRankSeen(t, s, 1)
+	second, err := DialPSThrottled(s.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := c.PushRanked(-1, CompressNone, GradSlices(master.Params())); err == nil {
-		t.Fatal("negative rank must be rejected")
+	defer second.Close()
+	if _, _, err := second.PushRanked(0, CompressNone, grads); err == nil || !strings.Contains(err.Error(), "pushed twice") {
+		t.Fatalf("second push of rank 0: got %v, want a double-push error", err)
 	}
+	other, err := DialPSThrottled(s.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if _, version, err := other.PushRanked(1, CompressNone, grads); err != nil || version != 1 {
+		t.Fatalf("rank 1 completing the round: version %d, err %v", version, err)
+	}
+	if err := <-parked; err != nil {
+		t.Fatalf("the parked push must complete with the round: %v", err)
+	}
+}
+
+// waitRankSeen blocks until n pushes are parked in the current round.
+func waitRankSeen(t *testing.T, s *PSServer, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		seen := s.rankSeen
+		s.mu.Unlock()
+		if seen == n {
+			return
+		}
+	}
+	t.Fatalf("%d pushes never parked", n)
 }
 
 func TestPushInt8RankedConverges(t *testing.T) {
@@ -184,7 +226,7 @@ func TestPushInt8RankedConverges(t *testing.T) {
 	s := ServePS(l, master.Params(), optim.NewSGD(0.1), 1)
 	defer s.Close()
 
-	c, err := DialPS(s.Addr())
+	c, err := DialPSThrottled(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,12 +273,12 @@ func TestBoundedStalenessHoldsFastWorker(t *testing.T) {
 	s := ServeBoundedAsyncPS(l, master.Params(), optim.NewSGD(0.01), 2, 1)
 	defer s.Close()
 
-	fast, err := DialPS(s.Addr())
+	fast, err := DialPSThrottled(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	slow, err := DialPS(s.Addr())
+	slow, err := DialPSThrottled(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +319,7 @@ func TestBoundedStalenessHoldsFastWorker(t *testing.T) {
 
 func TestPSClientCountsWireBytes(t *testing.T) {
 	s, _ := startPS(t, 1, 95)
-	c, err := DialPS(s.Addr())
+	c, err := DialPSThrottled(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

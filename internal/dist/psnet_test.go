@@ -2,6 +2,7 @@ package dist
 
 import (
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,7 +28,7 @@ func startPS(t *testing.T, workers int, seed uint64) (*PSServer, *graph.Network)
 
 func TestPSPullReturnsWeights(t *testing.T) {
 	s, master := startPS(t, 1, 1)
-	c, err := DialPS(s.Addr())
+	c, err := DialPSThrottled(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestPSTrainingMatchesSingleReplica(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := DialPS(s.Addr())
+			c, err := DialPSThrottled(s.Addr(), 0)
 			if err != nil {
 				errs[w] = err
 				return
@@ -92,7 +93,7 @@ func TestPSTrainingMatchesSingleReplica(t *testing.T) {
 			logits := local.Forward(xs[w], true)
 			_, grad := tensor.CrossEntropy(logits, ys[w])
 			local.Backward(grad)
-			_, _, err = c.Push(GradSlices(local.Params()))
+			_, _, err = c.PushRanked(w, CompressNone, GradSlices(local.Params()))
 			errs[w] = err
 		}(w)
 	}
@@ -106,7 +107,7 @@ func TestPSTrainingMatchesSingleReplica(t *testing.T) {
 		t.Fatalf("server applied %d rounds, want 1", s.Version())
 	}
 	// Server weights equal the reference update.
-	c, _ := DialPS(s.Addr())
+	c, _ := DialPSThrottled(s.Addr(), 0)
 	defer c.Close()
 	weights, _, err := c.Pull()
 	if err != nil {
@@ -146,7 +147,7 @@ func TestPSMultiRoundConvergence(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := DialPS(s.Addr())
+			c, err := DialPSThrottled(s.Addr(), 0)
 			if err != nil {
 				errs[w] = err
 				return
@@ -168,7 +169,7 @@ func TestPSMultiRoundConvergence(t *testing.T) {
 				loss, grad := tensor.CrossEntropy(logits, data[r].ys[w])
 				local.Backward(grad)
 				losses[w] = append(losses[w], loss)
-				weights, _, err = c.Push(GradSlices(local.Params()))
+				weights, _, err = c.PushRanked(w, CompressNone, GradSlices(local.Params()))
 				if err != nil {
 					errs[w] = err
 					return
@@ -195,17 +196,21 @@ func TestPSMultiRoundConvergence(t *testing.T) {
 
 func TestPSRejectsMalformedPush(t *testing.T) {
 	s, _ := startPS(t, 1, 6)
-	c, err := DialPS(s.Addr())
+	c, err := DialPSThrottled(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Push([][]float32{{1, 2}}); err == nil {
-		t.Fatal("wrong tensor count must be rejected")
+	_, _, err = c.PushRanked(0, CompressNone, [][]float32{{1, 2}})
+	if err == nil || !strings.Contains(err.Error(), errBadLength.Error()) {
+		t.Fatalf("shape-mismatched push: got %v, want the server's %q", err, errBadLength)
 	}
-	// The connection survives the error and still serves pulls.
-	if _, _, err := c.Pull(); err != nil {
-		t.Fatalf("connection unusable after rejected push: %v", err)
+	// The server hung up on the connection it refused a frame on.
+	if _, _, err := c.Pull(); err == nil {
+		t.Fatal("connection still usable after a refused push")
+	}
+	if s.Version() != 0 {
+		t.Fatalf("a refused push advanced the server to version %d", s.Version())
 	}
 }
 
@@ -230,10 +235,10 @@ func TestAsyncPSConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	master := mlpConstructor(50)()
-	s := ServeAsyncPS(l, master.Params(), optim.NewSGD(0.05))
+	const workers, rounds = 3, 40
+	s := ServeBoundedAsyncPS(l, master.Params(), optim.NewSGD(0.05), workers, -1)
 	defer s.Close()
 
-	const workers, rounds = 3, 40
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	finalLoss := make([]float32, workers)
@@ -241,7 +246,7 @@ func TestAsyncPSConverges(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := DialPS(s.Addr())
+			c, err := DialPSThrottled(s.Addr(), 0)
 			if err != nil {
 				errs[w] = err
 				return
@@ -266,7 +271,7 @@ func TestAsyncPSConverges(t *testing.T) {
 				local.Backward(grad)
 				finalLoss[w] = loss
 				// Async: push returns immediately with fresh weights.
-				weights, _, err = c.Push(GradSlices(local.Params()))
+				weights, _, err = c.PushRanked(w, CompressNone, GradSlices(local.Params()))
 				if err != nil {
 					errs[w] = err
 					return
@@ -295,7 +300,7 @@ func TestPushHalfTrainsAndConverges(t *testing.T) {
 	// fp16 gradient compression halves wire volume while training still
 	// converges (half's 2^-11 relative error is far below SGD noise).
 	s, _ := startPS(t, 1, 70)
-	c, err := DialPS(s.Addr())
+	c, err := DialPSThrottled(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +325,7 @@ func TestPushHalfTrainsAndConverges(t *testing.T) {
 			first = loss
 		}
 		last = loss
-		weights, _, err = c.PushHalf(GradSlices(local.Params()))
+		weights, _, err = c.PushRanked(0, CompressFP16, GradSlices(local.Params()))
 		if err != nil {
 			t.Fatal(err)
 		}

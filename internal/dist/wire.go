@@ -70,12 +70,11 @@ func (c Compression) WireBytesPerElem() int {
 	return 4
 }
 
-// wireBuf holds the reusable scratch buffers one endpoint needs to frame
+// wireBuf holds the reusable scratch buffer one endpoint needs to frame
 // and unframe payloads. Not safe for concurrent use; the ring keeps one
-// per direction.
+// per direction, a parameter-server connection one per end.
 type wireBuf struct {
 	bytes []byte
-	u16s  []uint16
 }
 
 func (b *wireBuf) grow(n int) []byte {
@@ -132,7 +131,7 @@ func (b *wireBuf) writeF16(w io.Writer, vals []float32) error {
 }
 
 // readF16Add reads half payloads and ADDS them into dst (the ring's
-// reduce step); readF16 overwrites.
+// reduce step); readF16 overwrites (the parameter server's push decode).
 func (b *wireBuf) readF16Add(r io.Reader, dst []float32) error {
 	buf := b.grow(2 * len(dst))
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -140,6 +139,17 @@ func (b *wireBuf) readF16Add(r io.Reader, dst []float32) error {
 	}
 	for i := range dst {
 		dst[i] += tensor.HalfToFloat32(binary.LittleEndian.Uint16(buf[2*i:]))
+	}
+	return nil
+}
+
+func (b *wireBuf) readF16(r io.Reader, dst []float32) error {
+	buf := b.grow(2 * len(dst))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return err
+	}
+	for i := range dst {
+		dst[i] = tensor.HalfToFloat32(binary.LittleEndian.Uint16(buf[2*i:]))
 	}
 	return nil
 }
@@ -157,7 +167,7 @@ func (b *wireBuf) writeInt8(w io.Writer, scale float32, q []byte) error {
 }
 
 // readInt8Add reads one int8 message and ADDS the dequantized values
-// into dst.
+// into dst; readInt8 overwrites.
 func (b *wireBuf) readInt8Add(r io.Reader, dst []float32) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -171,6 +181,20 @@ func (b *wireBuf) readInt8Add(r io.Reader, dst []float32) error {
 	for i := range dst {
 		dst[i] += DequantInt8(scale, buf[i])
 	}
+	return nil
+}
+
+func (b *wireBuf) readInt8(r io.Reader, dst []float32) error {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return err
+	}
+	scale := math.Float32frombits(binary.LittleEndian.Uint32(hdr[:]))
+	buf := b.grow(len(dst))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return err
+	}
+	DequantInt8Slice(scale, buf, dst)
 	return nil
 }
 

@@ -298,7 +298,9 @@ func RunWorker(cfg WorkerConfig) (WorkerResult, error) {
 
 	// Final barrier: tell the coordinator this rank finished, wait for
 	// every other rank, then (ps strategies) pull the settled weights so
-	// all ranks hold the same final state even under async updates.
+	// all ranks hold the same final state even under async updates. In a
+	// sync run the last push reply already carried them and the pull is a
+	// header each way.
 	if err := send(ctrlMsg{Kind: "done", Rank: cfg.Rank}); err != nil {
 		return WorkerResult{}, err
 	}
