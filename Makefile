@@ -36,10 +36,11 @@ tier-race:
 	TBD_GEMM_KERNEL=avx2 $(GO) test -race ./internal/tensor/
 	TBD_GEMM_KERNEL=ref $(GO) test -race ./internal/tensor/
 
-# Race detector over the serving path (batcher, admission control, drain)
-# and the data pipeline's prefetch/shutdown machinery.
+# Race detector over the serving path (router, replica batcher, admission
+# control, hot-swap, drain), the daemon's handler and load generators
+# driven in-process, and the data pipeline's prefetch/shutdown machinery.
 serve-race:
-	$(GO) test -race ./internal/serve/... ./internal/data/...
+	$(GO) test -race ./internal/serve/... ./cmd/tbdserve/ ./internal/data/...
 
 # Race detector over the live profiler (atomic gate, collector, pool
 # counter source), the trace writer it feeds, and the histogram
@@ -78,8 +79,9 @@ bench:
 	$(GO) test -run '^$$' -bench 'GEMM|ConvFwdBwd|TwinStep|DenseFused|OptimStep' -benchtime 3s -benchmem -json . > BENCH_numeric.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_numeric.json | sed 's/"Output":"//;s/\\t/\t/g' || true
 
-# Serving benchmarks: dynamically batched vs unbatched closed-loop
-# throughput across batch caps, machine-readable for regression tracking.
+# Serving benchmarks, all through serve.Fleet: one replica batched vs
+# unbatched across batch caps (Serve*), then the replica sweep (Fleet/*);
+# closed-loop throughput, machine-readable for regression tracking.
 bench-serve:
 	$(GO) test -run '^$$' -bench 'Serve|Fleet' -benchtime 2s -benchmem -json . > BENCH_serve.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_serve.json | sed 's/"Output":"//;s/\\t/\t/g' || true

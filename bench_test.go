@@ -442,61 +442,14 @@ func BenchmarkOptimStep(b *testing.B) {
 
 // --- serving benchmarks (BENCH_serve.json) ---
 
-// benchServeConfig drives one Service with a fixed closed-loop client
-// population and reports sustained request throughput. The b.N requests
-// are split across the clients so the measured steady state matches the
-// serving daemon's: many single-sample requests racing into the
-// admission queue, one runner batching them down onto the network.
-func benchServeConfig(b *testing.B, maxBatch, clients int) {
-	b.Helper()
-	net, shape, err := models.ServeTwin("mlp", tensor.NewRNG(42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	svc := serve.New(serve.NewSession(net, shape...), serve.Config{
-		MaxBatch:   maxBatch,
-		MaxWait:    500 * time.Microsecond,
-		QueueDepth: 4 * clients,
-	})
-	defer svc.Close()
-
-	rng := tensor.NewRNG(7)
-	samples := make([]*tensor.Tensor, clients)
-	for i := range samples {
-		samples[i] = tensor.RandNormal(rng, 0, 1, shape...)
-	}
-
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for w := 0; w < clients; w++ {
-		n := b.N / clients
-		if w < b.N%clients {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				if _, err := svc.Predict(samples[w]); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(w, n)
-	}
-	wg.Wait()
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/s")
-	b.ReportMetric(svc.Stats().MeanOccupancy, "batch-occupancy")
-}
+// The Serve* cells are the one-replica fleet — many single-sample requests
+// racing into one admission queue, one runner batching them down onto the
+// network: the serving daemon's steady state at -replicas 1.
 
 // BenchmarkServeUnbatched is the baseline: every request is its own
 // forward pass (batch cap 1) under the same 64-client closed-loop load
 // the batched configurations see.
-func BenchmarkServeUnbatched(b *testing.B) { benchServeConfig(b, 1, 64) }
+func BenchmarkServeUnbatched(b *testing.B) { benchFleetConfig(b, 1, 1, 64) }
 
 // BenchmarkServeBatched sweeps the dynamic batch cap at fixed offered
 // load. The cap-64 row is required to sustain >= 3x the unbatched
@@ -504,13 +457,14 @@ func BenchmarkServeUnbatched(b *testing.B) { benchServeConfig(b, 1, 64) }
 func BenchmarkServeBatched(b *testing.B) {
 	for _, cap := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("cap%d", cap), func(b *testing.B) {
-			benchServeConfig(b, cap, 64)
+			benchFleetConfig(b, 1, cap, 64)
 		})
 	}
 }
 
 // benchFleetConfig drives a Fleet with a fixed closed-loop client
-// population, reporting sustained throughput plus the router's spread.
+// population and reports sustained request throughput and mean batch
+// occupancy. The b.N requests are split across the clients.
 func benchFleetConfig(b *testing.B, replicas, maxBatch, clients int) {
 	b.Helper()
 	factory := func() (*serve.Session, error) {

@@ -17,7 +17,8 @@
 // "slo_ms" budget), GET /stats (fleet aggregate plus per-replica
 // detail), GET /healthz, and POST /swap, which hot-swaps a checkpoint
 // streamed in the request body into every replica with zero downtime.
-// Queue-full sheds are 429; SLO-infeasible sheds and drain are 503. With
+// Queue-full sheds are 429; SLO-infeasible sheds and drain are 503; a
+// body over the size a well-formed request could need is 413. With
 // -trace it writes the captured per-batch timeline as Chrome trace-event
 // JSON on shutdown.
 package main
@@ -65,6 +66,15 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// Connection deadlines of the daemon's http.Server. ReadTimeout covers a
+// whole request body, so it is sized for a /swap checkpoint upload, not
+// for a /predict sample.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
 
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
@@ -123,23 +133,13 @@ func cmdServe(args []string) error {
 		return err
 	}
 
-	handler := serve.NewFleetHandler(fleet, serve.FleetHandlerOptions{
-		Swap: func(body io.Reader) error {
-			return fleet.Swap(func(primary *serve.Session) error {
-				net, ok := primary.Model().(*graph.Network)
-				if !ok {
-					return fmt.Errorf("model %T does not accept checkpoints", primary.Model())
-				}
-				step, err := graph.LoadCheckpoint(body, net)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("tbdserve: hot-swapping checkpoint at step %d\n", step)
-				return nil
-			})
-		},
-	})
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           newHandler(fleet),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() {
 		cfg := fleet.Config()
@@ -197,6 +197,27 @@ func cmdServe(args []string) error {
 			*traceOut, len(tl.Events), fleet.TraceEventsDropped())
 	}
 	return <-errCh
+}
+
+// newHandler is the daemon's HTTP surface: the fleet handler with /swap
+// wired to load a checkpoint stream into every replica.
+func newHandler(fleet *serve.Fleet) http.Handler {
+	return serve.NewFleetHandler(fleet, serve.FleetHandlerOptions{
+		Swap: func(body io.Reader) error {
+			return fleet.Swap(func(primary *serve.Session) error {
+				net, ok := primary.Model().(*graph.Network)
+				if !ok {
+					return fmt.Errorf("model %T does not accept checkpoints", primary.Model())
+				}
+				step, err := graph.LoadCheckpoint(body, net)
+				if err != nil {
+					return err
+				}
+				fmt.Printf("tbdserve: hot-swapping checkpoint at step %d\n", step)
+				return nil
+			})
+		},
+	})
 }
 
 // parsePhases turns "200:2s,2000:500ms" into a schedule.
@@ -279,34 +300,6 @@ func cmdLoadgen(args []string) error {
 
 	client := &http.Client{Timeout: 30 * time.Second}
 	predictURL := *url + "/predict"
-	// post issues one predict, translating admission-control status codes
-	// back into the serve sentinels so the open-loop generator can class
-	// sheds apart from real errors.
-	post := func(body []byte) error {
-		r, err := client.Post(predictURL, "application/json", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		// Drain and close so the connection is reusable; either failure
-		// counts as a request error in the loadgen tally.
-		_, cpErr := io.Copy(io.Discard, r.Body)
-		if err := r.Body.Close(); err != nil {
-			return err
-		}
-		if cpErr != nil {
-			return cpErr
-		}
-		switch r.StatusCode {
-		case http.StatusOK:
-			return nil
-		case http.StatusTooManyRequests:
-			return serve.ErrOverloaded
-		case http.StatusServiceUnavailable:
-			return serve.ErrDeadline
-		default:
-			return fmt.Errorf("status %d", r.StatusCode)
-		}
-	}
 
 	if *phasesSpec != "" || *rate > 0 {
 		spec := *phasesSpec
@@ -325,7 +318,7 @@ func cmdLoadgen(args []string) error {
 			Seed:    *seed,
 		}.Run(func() error {
 			i := int(next.Add(1) % uint64(len(bodies)))
-			return post(bodies[i])
+			return post(client, predictURL, bodies[i])
 		})
 		fmt.Printf("open loop (%d workers, poisson=%t): offered %d, ok %d, shed %d, errors %d, dropped %d in %v\n",
 			*workers, *poisson, res.Offered, res.OK, res.Shed, res.Errors, res.Dropped,
@@ -339,10 +332,39 @@ func cmdLoadgen(args []string) error {
 	}
 
 	res := serve.LoadGen{Concurrency: *concurrency, Duration: *duration}.Run(func(w int) error {
-		return post(bodies[w])
+		return post(client, predictURL, bodies[w])
 	})
 	fmt.Printf("concurrency %d for %v: %d ok, %d errors, %.0f req/s, latency p50 %.2fms p95 %.2fms p99 %.2fms\n",
 		res.Concurrency, res.Elapsed.Round(time.Millisecond), res.Requests, res.Errors,
 		res.ThroughputRPS, res.P50Ms(), res.P95Ms(), res.P99Ms())
 	return nil
+}
+
+// post issues one predict, translating admission-control status codes
+// back into the serve sentinels so the open-loop generator can class
+// sheds apart from real errors.
+func post(client *http.Client, predictURL string, body []byte) error {
+	r, err := client.Post(predictURL, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	// Drain and close so the connection is reusable; either failure
+	// counts as a request error in the loadgen tally.
+	_, cpErr := io.Copy(io.Discard, r.Body)
+	if err := r.Body.Close(); err != nil {
+		return err
+	}
+	if cpErr != nil {
+		return cpErr
+	}
+	switch r.StatusCode {
+	case http.StatusOK:
+		return nil
+	case http.StatusTooManyRequests:
+		return serve.ErrOverloaded
+	case http.StatusServiceUnavailable:
+		return serve.ErrDeadline
+	default:
+		return fmt.Errorf("status %d", r.StatusCode)
+	}
 }

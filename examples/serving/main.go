@@ -1,9 +1,10 @@
-// Serving example: stand up the dynamic-batching inference service over
-// the dense serving twin and trace its throughput-vs-latency curve with
-// the closed-loop load generator — batched vs unbatched, rising offered
-// load. This is the serving-side mirror of the paper's batch-size sweep
-// (Figures 4-6): occupancy climbs with concurrency, per-sample GEMM cost
-// falls, and tail latency buys the difference.
+// Serving example: stand up a one-replica serving fleet (the dynamic
+// micro-batcher) over the dense serving twin and trace its
+// throughput-vs-latency curve with the closed-loop load generator —
+// batched vs unbatched, rising offered load. This is the serving-side
+// mirror of the paper's batch-size sweep (Figures 4-6): occupancy climbs
+// with concurrency, per-sample GEMM cost falls, and tail latency buys the
+// difference.
 package main
 
 import (
@@ -24,11 +25,17 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		svc := serve.New(serve.NewSession(net, shape...), serve.Config{
+		// One replica: the factory hands the fleet the model built above.
+		svc, err := serve.NewFleet(func() (*serve.Session, error) {
+			return serve.NewSession(net, shape...), nil
+		}, serve.FleetConfig{
 			MaxBatch:   maxBatch,
 			MaxWait:    500 * time.Microsecond,
 			QueueDepth: 4 * concurrency,
 		})
+		if err != nil {
+			panic(err)
+		}
 		defer svc.Close()
 
 		rng := tensor.NewRNG(7)

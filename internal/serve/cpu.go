@@ -7,21 +7,21 @@ import (
 	"tbd/internal/tensor"
 )
 
-// CPU budget guard: every Service runs batched forwards on the shared
-// tensor worker pool, so k concurrent services at parallelism p can put
-// k*p runnable worker goroutines on the scheduler. Oversubscribing
+// CPU budget guard: every replica runner puts batched forwards on the
+// shared tensor worker pool, so k runners at parallelism p can put k*p
+// runnable worker goroutines on the scheduler. Oversubscribing
 // GOMAXPROCS that way doesn't crash, but it trades throughput for
 // context-switching and wrecks tail latency — exactly what a serving
 // process must not do. The guard divides the machine between active
-// services: while k services are open, the worker-pool parallelism is
-// clamped to min(userSetting, max(1, GOMAXPROCS/k)), and the user's
-// setting is restored when the last service closes.
+// runners, across every open Fleet: while k are running, the worker-pool
+// parallelism is clamped to min(userSetting, max(1, GOMAXPROCS/k)), and
+// the user's setting is restored when the last one exits.
 var cpuBudget struct {
 	mu     sync.Mutex
 	active int
-	// saved is the tensor parallelism observed when the first service
-	// opened; user calls to SetParallelism while services are running
-	// are overridden at the next open/close and otherwise ignored.
+	// saved is the tensor parallelism observed when the first runner
+	// started; user calls to SetParallelism while runners are live are
+	// overridden at the next start/exit and otherwise ignored.
 	saved int
 }
 
@@ -58,8 +58,8 @@ func applyCPUBudgetLocked() {
 	tensor.SetParallelism(per)
 }
 
-// ActiveServices reports how many services currently share the CPU
-// budget (test and observability hook).
+// ActiveServices reports how many replica runners currently share the
+// CPU budget (test and observability hook).
 func ActiveServices() int {
 	cpuBudget.mu.Lock()
 	defer cpuBudget.mu.Unlock()

@@ -16,19 +16,13 @@ import (
 	"tbd/internal/trace"
 )
 
-// Fleet is a replicated serving front end: N batch runners (one Session
-// and one goroutine each) behind a router. The replicas share one
-// read-only weight snapshot (Session.ShareWeightsFrom aliases every
-// parameter's backing storage), so N replicas cost the resident weights
-// of one model; what stays per-replica is exactly what concurrency
-// needs — the layer output buffers, a batch-assembly workspace, and the
-// admission queue.
-//
-//	clients ──PredictSLO──▶ router ──▶ replica 0: queue ─▶ runner ─▶ Session ┐
-//	   ▲                      │        replica 1: queue ─▶ runner ─▶ Session ├─ shared
-//	   │                      │            ⋮                                 │  weights
-//	   └── results            └─▶ shed: ErrOverloaded (queues full)          ┘
-//	                              or ErrDeadline (SLO infeasible)
+// Fleet is the serving front end: N batch runners (one Session and one
+// goroutine each) behind a router; see the package comment for the
+// picture. The replicas share one read-only weight snapshot
+// (Session.ShareWeightsFrom aliases every parameter's backing storage),
+// so N replicas cost the resident weights of one model; what stays
+// per-replica is exactly what concurrency needs — the layer output
+// buffers, a batch-assembly workspace, and the admission queue.
 //
 // The router picks the replica with the smallest estimated completion
 // time, computed from live queue depth and each replica's recent median
@@ -75,17 +69,72 @@ type Fleet struct {
 	traceDropped uint64      // guarded by traceMu
 }
 
-// FleetConfig tunes a Fleet. MaxBatch, MaxWait, and QueueDepth have the
-// same meaning as Config but apply per replica.
+// Sentinel errors of the admission path.
+var (
+	// ErrOverloaded is returned when the admission queue is full; the
+	// request was shed without queueing (backpressure to the caller).
+	ErrOverloaded = errors.New("serve: overloaded, request shed")
+	// ErrShuttingDown is returned for requests arriving after Close
+	// began; already-admitted requests still complete (graceful drain).
+	ErrShuttingDown = errors.New("serve: shutting down")
+	// ErrDeadline is returned when a request's SLO budget cannot be met:
+	// either the router judged every replica infeasible at admission, or
+	// the deadline had already passed when the request was dequeued.
+	// Distinct from ErrOverloaded so clients can tell "queue full, retry
+	// now elsewhere" (429-class) from "deadline infeasible, back off"
+	// (503-class).
+	ErrDeadline = errors.New("serve: SLO deadline infeasible, request shed")
+	// ErrNoWeightSharing is returned by Session.ShareWeightsFrom when the
+	// model does not implement ShareParamsFrom; a fleet then keeps
+	// per-replica weight copies instead of one shared snapshot.
+	ErrNoWeightSharing = errors.New("serve: model does not support weight sharing")
+)
+
+// Result is one completed request.
+type Result struct {
+	// Output is the request's slice of the network output, copied out of
+	// the layer-owned batch result (safe to retain).
+	Output []float32
+	// Latency is the full request residence time: queue wait + batch
+	// formation wait + forward compute.
+	Latency time.Duration
+	// BatchSize is the occupancy of the batch this request rode in.
+	BatchSize int
+	// Replica is the index of the replica that served the request.
+	Replica int
+}
+
+// request is one item on a replica queue: a sample awaiting a forward
+// pass, or (swap non-nil) a hot-swap control message riding the same
+// FIFO.
+type request struct {
+	x        *tensor.Tensor
+	enq      time.Time
+	deadline time.Time  // zero means no SLO budget attached
+	swap     *swapOrder // non-nil marks a control message, not work
+	resp     chan response
+}
+
+type response struct {
+	res Result
+	err error
+}
+
+// FleetConfig tunes a Fleet. MaxBatch, MaxWait, and QueueDepth apply per
+// replica.
 type FleetConfig struct {
 	// Replicas is the number of batch runners. Defaults to 1.
 	Replicas int
-	// MaxBatch caps how many requests one forward pass coalesces.
+	// MaxBatch caps how many requests one forward pass coalesces. 1
+	// disables batching (every request is its own forward).
 	MaxBatch int
-	// MaxWait bounds the batching delay of a batch's first request.
+	// MaxWait bounds how long the first request of a batch waits for
+	// company before the batch is flushed anyway. 0 means flush
+	// immediately with whatever is already queued (no deadline timer).
 	MaxWait time.Duration
-	// QueueDepth bounds each replica's admission queue. Defaults to
-	// 4*MaxBatch.
+	// QueueDepth bounds each replica's admission queue. Predict calls that
+	// find every feasible queue full are shed with ErrOverloaded instead
+	// of piling up unbounded latency. Defaults to 4*MaxBatch.
 	QueueDepth int
 	// SLO is the default latency budget attached to requests that do not
 	// carry one, and the router's p99 steering target: replicas whose
@@ -234,7 +283,7 @@ func NewFleet(factory func() (*Session, error), cfg FleetConfig) (*Fleet, error)
 		f.replicas[i] = r
 	}
 	for _, r := range f.replicas {
-		acquireCPUBudget() // each runner is one service's worth of GEMM parallelism
+		acquireCPUBudget() // each runner takes one share of the GEMM parallelism
 		r.runnerWG.Add(1)
 		go r.run()
 	}
@@ -385,10 +434,12 @@ func inferSessionSafe(s *Session, x *tensor.Tensor) (out *tensor.Tensor, err err
 	return s.InferBatch(x), nil
 }
 
-// run is the replica's batcher loop: identical batching policy to
-// Service.run, plus swap-order handling. A swap order seen mid-collect
-// closes the batch early; the batch is flushed through the old session
-// and the flip happens after (FIFO drain).
+// run is the replica's batcher loop: block for the first item, then
+// collect until the batch is full or the queue has nothing more to give
+// — MaxWait elapsed, or with no deadline timer nothing already queued —
+// flush, repeat. Exits when the queue is closed and drained. A swap
+// order closes the batch it arrives behind; the batch is flushed through
+// the old session and the flip happens after (FIFO drain).
 func (r *replica) run() {
 	defer r.runnerWG.Done()
 	cfg := r.fleet.cfg
@@ -401,57 +452,44 @@ func (r *replica) run() {
 		}
 		defer timer.Stop()
 	}
-	for first := range r.queue {
-		if first.swap != nil {
-			r.applySwap(first.swap)
-			continue
-		}
-		batch = append(batch[:0], first)
-		var pending *swapOrder
-		if timer != nil {
+	for q := range r.queue {
+		batch = batch[:0]
+		// The deadline runs from the arrival of the batch's first
+		// request: it bounds that request's batching delay.
+		armed := timer != nil && q.swap == nil
+		if armed {
 			timer.Reset(cfg.MaxWait)
-			fired := false
-		collect:
-			for len(batch) < cfg.MaxBatch {
-				select {
-				case q, ok := <-r.queue:
-					if !ok {
-						break collect
-					}
-					if q.swap != nil {
-						pending = q.swap
-						break collect
-					}
-					batch = append(batch, q)
-				case <-timer.C:
-					fired = true
-					break collect
-				}
+		}
+		// q leaves this loop nil (batch closed: full, timed out, queue
+		// empty or closed — a closed queue yields the nil zero value) or
+		// holding the swap order that cut the batch short.
+		for q != nil && q.swap == nil {
+			batch = append(batch, q)
+			q = nil
+			if len(batch) == cfg.MaxBatch {
+				break
 			}
-			if !fired && !timer.Stop() {
-				<-timer.C
-			}
-		} else {
-		greedy:
-			for len(batch) < cfg.MaxBatch {
+			if timer == nil {
 				select {
-				case q, ok := <-r.queue:
-					if !ok {
-						break greedy
-					}
-					if q.swap != nil {
-						pending = q.swap
-						break greedy
-					}
-					batch = append(batch, q)
+				case q = <-r.queue:
 				default:
-					break greedy
+				}
+			} else {
+				select {
+				case q = <-r.queue:
+				case <-timer.C:
+					armed = false
 				}
 			}
 		}
-		r.flush(batch)
-		if pending != nil {
-			r.applySwap(pending)
+		if armed && !timer.Stop() {
+			<-timer.C
+		}
+		if len(batch) > 0 {
+			r.flush(batch)
+		}
+		if q != nil {
+			r.applySwap(q.swap)
 		}
 	}
 }
@@ -464,7 +502,9 @@ func (r *replica) applySwap(ord *swapOrder) {
 }
 
 // flush sheds expired requests, assembles the rest in the replica-owned
-// workspace, runs the forward, and fans rows back out.
+// workspace, runs the forward, and fans rows back out in submission
+// order. A panicking forward (e.g. an out-of-vocabulary token id reaching
+// an embedding layer) fails the batch's requests, not the runner.
 func (r *replica) flush(batch []*request) {
 	f := r.fleet
 	now := time.Now()
@@ -488,10 +528,7 @@ func (r *replica) flush(batch []*request) {
 	}
 
 	sess := r.sess.Load()
-	L := sess.sampleLen
-	if cap(r.buf) < n*L {
-		r.buf = make([]float32, f.cfg.MaxBatch*L)
-	}
+	L := sess.sampleLen // NewFleet and Swap pin it fleet-wide, so buf always fits
 	buf := r.buf[:n*L]
 	for i, q := range live {
 		copy(buf[i*L:(i+1)*L], q.x.Data())
@@ -509,6 +546,10 @@ func (r *replica) flush(batch []*request) {
 	dur := time.Since(t0)
 	sp.End()
 
+	// Feed the profiler's memory watermark with the serving-side liveness
+	// peak: resident weights (halved under HalfWeights) plus the pool's
+	// pack workspace. No gradients, stash, or optimizer state exist on the
+	// inference path.
 	if prof.Enabled() {
 		_, packBytes := tensor.PoolRetainedBytes()
 		prof.SampleMemory(f.residentWeightBytes(), 0, 0, packBytes, 0)

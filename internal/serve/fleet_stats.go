@@ -7,8 +7,8 @@ import (
 	"tbd/internal/tensor"
 )
 
-// ReplicaSnapshot is one replica's view inside a FleetSnapshot: the
-// standard service counters plus the live router signals.
+// ReplicaSnapshot is one replica's view inside a FleetSnapshot: its
+// request counters plus the live router signals.
 type ReplicaSnapshot struct {
 	Replica int `json:"replica"`
 	StatsSnapshot
@@ -65,9 +65,9 @@ func (f *Fleet) Stats() FleetSnapshot {
 	// Router-side sheds happen before a replica is chosen; fold them into
 	// the aggregate (replica stats only ever count dequeue-time deadline
 	// sheds, so there is no double counting).
-	agg.RejectedOverload += f.rejOverload.Load()
+	agg.RejectedOverload = f.rejOverload.Load()
 	agg.RejectedDeadline += f.rejDeadline.Load()
-	agg.RejectedShutdown += f.rejShutdown.Load()
+	agg.RejectedShutdown = f.rejShutdown.Load()
 	agg.GemmTier = tensor.GemmKernelTier()
 	agg.WeightBytes = f.residentWeightBytes()
 	return FleetSnapshot{

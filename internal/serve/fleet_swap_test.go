@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,10 +50,24 @@ func trainedCheckpoint(t *testing.T, seed uint64) ([]byte, *graph.Network, []int
 // checkpoint into the shared weights. Requirements pinned here:
 //   - zero failed requests across the whole run (only clean results or
 //     admission sheds);
+//   - every output served during the run is bit-identical to the old
+//     weights' answer or the new weights' — never a half-swapped mix;
 //   - after Swap returns, every served output is bit-identical to a
 //     fresh session loaded from the same checkpoint (BitExactGemmTier);
 //   - the fleet still shares one weight snapshot afterwards.
+//
+// It runs once per collect mode of replica.run: with a MaxWait timer, and
+// greedy (MaxWait 0). Under this load most orders reach a runner between
+// batches; TestFleetSwapOrderCutsGreedyBatch stages the mid-collect case.
 func TestFleetSwapUnderLoad(t *testing.T) {
+	for _, wait := range []time.Duration{time.Millisecond, 0} {
+		t.Run(fmt.Sprintf("wait=%v", wait), func(t *testing.T) {
+			checkSwapUnderLoad(t, wait)
+		})
+	}
+}
+
+func checkSwapUnderLoad(t *testing.T, maxWait time.Duration) {
 	prevTier, err := tensor.SetGemmKernelTier(tensor.BitExactGemmTier())
 	if err != nil {
 		t.Fatal(err)
@@ -61,18 +77,26 @@ func TestFleetSwapUnderLoad(t *testing.T) {
 	ckpt, trained, shape := trainedCheckpoint(t, 5)
 	factory, _ := twinFleetFactory(t, "mlp", 99)
 	f, err := NewFleet(factory, FleetConfig{
-		Replicas: 4, MaxBatch: 8, MaxWait: time.Millisecond, QueueDepth: 128,
+		Replicas: 4, MaxBatch: 8, MaxWait: maxWait, QueueDepth: 128,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 
+	sample := tensor.RandNormal(tensor.NewRNG(11), 0, 1, shape...)
+	one := sample.Reshape(append([]int{1}, shape...)...)
+	old, _, err := models.ServeTwin("mlp", tensor.NewRNG(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOld := append([]float32(nil), old.Infer(one).Data()...)
+	wantNew := append([]float32(nil), trained.Infer(one).Data()...)
+
 	// Background load across the swap.
-	var failed atomic.Uint64
+	var failed, mixed atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	sample := tensor.RandNormal(tensor.NewRNG(11), 0, 1, shape...)
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
@@ -83,8 +107,13 @@ func TestFleetSwapUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := f.Predict(sample); err != nil && !errors.Is(err, ErrOverloaded) {
+				res, err := f.Predict(sample)
+				switch {
+				case errors.Is(err, ErrOverloaded):
+				case err != nil:
 					failed.Add(1)
+				case !slices.Equal(res.Output, wantOld) && !slices.Equal(res.Output, wantNew):
+					mixed.Add(1)
 				}
 			}
 		}()
@@ -104,6 +133,9 @@ func TestFleetSwapUnderLoad(t *testing.T) {
 
 	if n := failed.Load(); n != 0 {
 		t.Fatalf("%d requests failed across the hot-swap; want 0", n)
+	}
+	if n := mixed.Load(); n != 0 {
+		t.Fatalf("%d outputs matched neither the old nor the new weights", n)
 	}
 	snap := f.Stats()
 	if snap.Failed != 0 {
@@ -133,6 +165,97 @@ func TestFleetSwapUnderLoad(t *testing.T) {
 					i, j, res.Replica, res.Output[j], want[j])
 			}
 		}
+	}
+}
+
+// gatedModel adds tag to every input element, so an output says which
+// weights produced it. With a gate, each forward announces itself and
+// then blocks until the gate is closed.
+type gatedModel struct {
+	tag     float32
+	gate    chan struct{}
+	entered atomic.Int32
+}
+
+func (m *gatedModel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if m.gate != nil {
+		m.entered.Add(1)
+		<-m.gate
+	}
+	out := tensor.New(x.Shape()...)
+	for i, v := range x.Data() {
+		out.Data()[i] = v + m.tag
+	}
+	return out
+}
+
+// TestFleetSwapOrderCutsGreedyBatch stages the one interleaving the load
+// test reaches only by luck: a greedy runner (MaxWait 0) that is already
+// collecting a batch when it pulls the swap order off the queue. The
+// requests ahead of the order must ride one batch on the old weights, the
+// flip must follow that flush, and the next request sees the new weights.
+func TestFleetSwapOrderCutsGreedyBatch(t *testing.T) {
+	old := &gatedModel{tag: 100, gate: make(chan struct{})}
+	built := 0
+	f, err := NewFleet(func() (*Session, error) {
+		built++
+		if built == 1 {
+			return NewSession(old, 1), nil
+		}
+		return NewSession(&gatedModel{tag: 200}, 1), nil
+	}, FleetConfig{MaxBatch: 8, QueueDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	queue := f.replicas[0].queue
+
+	type reply struct {
+		res Result
+		err error
+	}
+	send := func(v float32) <-chan reply {
+		ch := make(chan reply, 1)
+		go func() {
+			res, err := f.Predict(tensor.Full(v, 1))
+			ch <- reply{res, err}
+		}()
+		return ch
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	a := send(1)
+	waitFor("the first forward to block in the old model", func() bool { return old.entered.Load() == 1 })
+	b, c := send(2), send(3)
+	waitFor("two requests queued behind it", func() bool { return len(queue) == 2 })
+	swapped := make(chan error, 1)
+	go func() { swapped <- f.Swap(nil) }()
+	waitFor("the swap order queued behind them", func() bool { return len(queue) == 3 })
+	close(old.gate)
+
+	for i, ch := range []<-chan reply{a, b, c} {
+		r := <-ch
+		wantBatch := 2 // b and c: collected together, cut short by the order
+		if i == 0 {
+			wantBatch = 1
+		}
+		if r.err != nil || r.res.Output[0] != float32(i+1)+100 || r.res.BatchSize != wantBatch {
+			t.Fatalf("request %d ahead of the swap order: %+v, %v; want old weights in a batch of %d",
+				i, r.res, r.err, wantBatch)
+		}
+	}
+	if err := <-swapped; err != nil {
+		t.Fatal(err)
+	}
+	if r := <-send(4); r.err != nil || r.res.Output[0] != 204 {
+		t.Fatalf("request after the swap: %+v, %v; want new weights", r.res, r.err)
 	}
 }
 

@@ -30,68 +30,13 @@ func twinFleetFactory(t *testing.T, name string, seed uint64) (func() (*Session,
 	}, shape
 }
 
-// TestFleetBitIdenticalToSingleSample is the fleet's zero-tolerance
-// equality acceptance test: with weights shared across 4 replicas, every
-// routed result must be bit-identical to a single-sample forward on an
-// identically seeded reference network, whichever replica served it.
+// TestFleetBitIdenticalToSingleSample: the equality check holds for the
+// degenerate one-replica fleet and with weights shared across four.
 func TestFleetBitIdenticalToSingleSample(t *testing.T) {
-	prevTier, err := tensor.SetGemmKernelTier(tensor.BitExactGemmTier())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tensor.SetGemmKernelTier(prevTier)
-
-	refNet, shape, err := models.ServeTwin("mlp", tensor.NewRNG(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	factory, _ := twinFleetFactory(t, "mlp", 99)
-	f, err := NewFleet(factory, FleetConfig{
-		Replicas: 4, MaxBatch: 8, MaxWait: time.Millisecond, QueueDepth: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if !f.SharedWeights() {
-		t.Fatal("graph-backed fleet did not share weights")
-	}
-
-	const nReq = 64
-	rng := tensor.NewRNG(7)
-	samples := make([]*tensor.Tensor, nReq)
-	want := make([][]float32, nReq)
-	for i := range samples {
-		samples[i] = tensor.RandNormal(rng, 0, 1, shape...)
-		out := refNet.Infer(samples[i].Reshape(append([]int{1}, shape...)...))
-		want[i] = append([]float32(nil), out.Data()...)
-	}
-
-	results := make([]Result, nReq)
-	errs := make([]error, nReq)
-	var wg sync.WaitGroup
-	for i := 0; i < nReq; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = f.Predict(samples[i])
-		}(i)
-	}
-	wg.Wait()
-
-	for i := 0; i < nReq; i++ {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		if results[i].Replica < 0 || results[i].Replica >= 4 {
-			t.Fatalf("request %d served by out-of-range replica %d", i, results[i].Replica)
-		}
-		for j := range want[i] {
-			if results[i].Output[j] != want[i][j] {
-				t.Fatalf("request %d elem %d (replica %d): served %g, single-sample %g (must be bit-identical)",
-					i, j, results[i].Replica, results[i].Output[j], want[i][j])
-			}
-		}
+	for _, replicas := range []int{1, 4} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			checkBitIdentical(t, "mlp", replicas)
+		})
 	}
 }
 
@@ -386,23 +331,33 @@ func TestFleetStatsAggregate(t *testing.T) {
 	}
 }
 
-// TestFleetGracefulDrain: the shutdown contract at fleet scale — every
-// admitted request completes, late arrivals get ErrShuttingDown, and all
-// runner goroutines exit.
+// TestFleetGracefulDrain: the shutdown contract, for one runner and for
+// several — every admitted request completes, late arrivals get
+// ErrShuttingDown, and all runner goroutines exit.
 func TestFleetGracefulDrain(t *testing.T) {
+	for _, replicas := range []int{1, 4} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			checkGracefulDrain(t, replicas)
+		})
+	}
+}
+
+func checkGracefulDrain(t *testing.T, replicas int) {
 	before := runtime.NumGoroutine()
 
 	factory := func() (*Session, error) {
 		return NewSession(&slowModel{delay: 2 * time.Millisecond}, 4), nil
 	}
+	// Every queue can hold the whole burst, so closing is the only reason
+	// a request may be refused.
+	const nReq = 48
 	f, err := NewFleet(factory, FleetConfig{
-		Replicas: 4, MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 32,
+		Replicas: replicas, MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: nReq,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	const nReq = 48
 	var wg sync.WaitGroup
 	errc := make(chan error, nReq)
 	for i := 0; i < nReq; i++ {
@@ -413,6 +368,8 @@ func TestFleetGracefulDrain(t *testing.T) {
 			errc <- err
 		}()
 	}
+	// Let some requests get admitted, then close concurrently with the
+	// rest still arriving.
 	time.Sleep(time.Millisecond)
 	f.Close()
 	wg.Wait()
@@ -423,7 +380,7 @@ func TestFleetGracefulDrain(t *testing.T) {
 		switch {
 		case err == nil:
 			served++
-		case errors.Is(err, ErrShuttingDown), errors.Is(err, ErrOverloaded):
+		case errors.Is(err, ErrShuttingDown):
 			refused++
 		default:
 			t.Fatalf("unexpected error during drain: %v", err)
@@ -431,6 +388,9 @@ func TestFleetGracefulDrain(t *testing.T) {
 	}
 	if served == 0 {
 		t.Fatal("no admitted request drained to completion")
+	}
+	if served+refused != nReq {
+		t.Fatalf("served %d + refused %d != %d", served, refused, nReq)
 	}
 	if _, err := f.Predict(tensor.New(4)); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("Predict after Close = %v, want ErrShuttingDown", err)
@@ -447,22 +407,57 @@ func TestFleetGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestFleetConfigValidation: nil factories and shape-drifting factories
-// are refused at construction.
+// TestFleetConfigValidation: nil and failing factories are refused at
+// construction.
 func TestFleetConfigValidation(t *testing.T) {
 	if _, err := NewFleet(nil, FleetConfig{}); err == nil {
 		t.Fatal("nil factory accepted")
 	}
-	calls := 0
-	drifting := func() (*Session, error) {
-		calls++
-		return NewSession(identityModel{}, 4+calls), nil // different shape every call
-	}
-	if _, err := NewFleet(drifting, FleetConfig{Replicas: 2}); err == nil {
-		t.Fatal("shape-drifting factory accepted")
-	}
 	failing := func() (*Session, error) { return nil, fmt.Errorf("no weights on disk") }
 	if _, err := NewFleet(failing, FleetConfig{Replicas: 2}); err == nil {
 		t.Fatal("failing factory accepted")
+	}
+}
+
+// TestFleetSampleLengthPinned proves the guard replica.flush relies on to
+// size its workspace once: no session whose sample length differs from
+// replica 0's ever reaches a runner, at construction or through Swap.
+func TestFleetSampleLengthPinned(t *testing.T) {
+	length := 4
+	var calls int
+	factory := func() (*Session, error) {
+		calls++
+		if calls == 2 {
+			return NewSession(identityModel{}, length+1), nil
+		}
+		return NewSession(identityModel{}, length), nil
+	}
+	if _, err := NewFleet(factory, FleetConfig{Replicas: 2, MaxBatch: 2}); err == nil {
+		t.Fatal("NewFleet accepted a second replica with a different sample length")
+	}
+
+	f, err := NewFleet(factory, FleetConfig{Replicas: 2, MaxBatch: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	length = 6 // the factory drifts after construction
+	if err := f.Swap(nil); err == nil {
+		t.Fatal("Swap accepted sessions with a different sample length")
+	}
+	if snap := f.Stats(); snap.Swaps != 0 {
+		t.Fatalf("refused swap counted: swaps=%d", snap.Swaps)
+	}
+	for i := 0; i < 4; i++ { // both replicas still serve the old shape
+		res, err := f.Predict(tensor.Full(float32(i), 4))
+		if err != nil {
+			t.Fatalf("request %d after refused swap: %v", i, err)
+		}
+		if len(res.Output) != 4 || res.Output[0] != float32(i) {
+			t.Fatalf("request %d after refused swap: output %v", i, res.Output)
+		}
+	}
+	if _, err := f.Predict(tensor.New(6)); err == nil {
+		t.Fatal("fleet adopted the drifted sample length")
 	}
 }

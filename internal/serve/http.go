@@ -2,20 +2,16 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
-
-	"tbd/internal/prof"
-	"tbd/internal/tensor"
 )
 
 // PredictRequest is the JSON body of POST /predict: one flat sample in
 // row-major order (the daemon publishes the expected shape on /healthz).
 type PredictRequest struct {
 	Input []float32 `json:"input"`
-	// SLOMs is this request's latency budget in milliseconds (fleet
-	// endpoints only; 0 inherits the fleet default). A request whose
-	// budget cannot be met is shed with 503.
+	// SLOMs is this request's latency budget in milliseconds (0 inherits
+	// the fleet default). A request whose budget cannot be met is shed
+	// with 503.
 	SLOMs float64 `json:"slo_ms,omitempty"`
 }
 
@@ -24,69 +20,8 @@ type PredictResponse struct {
 	Output    []float32 `json:"output"`
 	LatencyMs float64   `json:"latency_ms"`
 	BatchSize int       `json:"batch_size"`
-	// Replica is the fleet replica that served the request (always 0 for
-	// a single-Service handler).
+	// Replica is the replica that served the request.
 	Replica int `json:"replica"`
-}
-
-// NewHandler exposes a Service over HTTP/JSON:
-//
-//	POST /predict     {"input": [...]}  -> {"output": [...], "latency_ms": m, "batch_size": b}
-//	GET  /stats       -> StatsSnapshot JSON
-//	GET  /healthz     -> {"status": "ok", "sample_shape": [...]}
-//	GET  /debug/prof  -> live profiler snapshot (per-kernel stats + memory watermark)
-//
-// Admission-control outcomes map onto status codes: a shed request is
-// 429 Too Many Requests, a request during drain is 503 Service
-// Unavailable, and a malformed body or wrong-size sample is 400.
-func NewHandler(s *Service) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		var req PredictRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if len(req.Input) != s.sess.SampleLen() {
-			http.Error(w, "wrong sample size", http.StatusBadRequest)
-			return
-		}
-		x := tensor.FromSlice(req.Input, s.sess.SampleShape()...)
-		res, err := s.Predict(x)
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-			return
-		case errors.Is(err, ErrShuttingDown):
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		case err != nil:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, PredictResponse{
-			Output:    res.Output,
-			LatencyMs: 1e3 * res.Latency.Seconds(),
-			BatchSize: res.BatchSize,
-		})
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Stats())
-	})
-	mux.HandleFunc("/debug/prof", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, prof.Stats())
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, struct {
-			Status      string `json:"status"`
-			SampleShape []int  `json:"sample_shape"`
-		}{"ok", s.sess.SampleShape()})
-	})
-	return mux
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

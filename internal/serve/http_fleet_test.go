@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +15,7 @@ import (
 	"tbd/internal/tensor"
 )
 
-func postFleetPredict(t *testing.T, srv *httptest.Server, req PredictRequest) *http.Response {
+func postPredict(t *testing.T, srv *httptest.Server, req PredictRequest) *http.Response {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(srv.URL+"/predict", "application/json", bytes.NewReader(body))
@@ -25,9 +26,17 @@ func postFleetPredict(t *testing.T, srv *httptest.Server, req PredictRequest) *h
 }
 
 func TestHTTPFleetHandler(t *testing.T) {
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			checkHTTPHandler(t, replicas)
+		})
+	}
+}
+
+func checkHTTPHandler(t *testing.T, replicas int) {
 	factory := func() (*Session, error) { return NewSession(identityModel{}, 4), nil }
 	f, err := NewFleet(factory, FleetConfig{
-		Replicas: 2, MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 32,
+		Replicas: replicas, MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +45,8 @@ func TestHTTPFleetHandler(t *testing.T) {
 	srv := httptest.NewServer(NewFleetHandler(f, FleetHandlerOptions{}))
 	defer srv.Close()
 
-	resp := postFleetPredict(t, srv, PredictRequest{Input: []float32{1, 2, 3, 4}})
+	// Happy path echoes the input.
+	resp := postPredict(t, srv, PredictRequest{Input: []float32{1, 2, 3, 4}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict status = %d", resp.StatusCode)
 	}
@@ -48,18 +58,38 @@ func TestHTTPFleetHandler(t *testing.T) {
 	if len(pr.Output) != 4 || pr.Output[2] != 3 {
 		t.Fatalf("predict output = %v", pr.Output)
 	}
-	if pr.Replica < 0 || pr.Replica > 1 {
+	if pr.BatchSize < 1 || pr.LatencyMs < 0 {
+		t.Fatalf("predict metadata = %+v", pr)
+	}
+	if pr.Replica < 0 || pr.Replica >= replicas {
 		t.Fatalf("replica = %d out of range", pr.Replica)
 	}
 
+	// Wrong sample size is a 400.
+	resp = postPredict(t, srv, PredictRequest{Input: []float32{1, 2}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("short input status = %d, want 400", resp.StatusCode)
+	}
+
+	// GET on /predict is a 405.
+	getResp, err := http.Get(srv.URL + "/predict")
+	if err != nil {
+		t.Fatal(err)
+	}
+	getResp.Body.Close()
+	if getResp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /predict status = %d, want 405", getResp.StatusCode)
+	}
+
 	// Per-request SLO rides the body; a generous budget still succeeds.
-	resp = postFleetPredict(t, srv, PredictRequest{Input: []float32{1, 2, 3, 4}, SLOMs: 5000})
+	resp = postPredict(t, srv, PredictRequest{Input: []float32{1, 2, 3, 4}, SLOMs: 5000})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict with slo_ms status = %d", resp.StatusCode)
 	}
 	// Negative budgets are malformed.
-	resp = postFleetPredict(t, srv, PredictRequest{Input: []float32{1, 2, 3, 4}, SLOMs: -1})
+	resp = postPredict(t, srv, PredictRequest{Input: []float32{1, 2, 3, 4}, SLOMs: -1})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative slo_ms status = %d, want 400", resp.StatusCode)
@@ -75,24 +105,25 @@ func TestHTTPFleetHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	stResp.Body.Close()
-	if snap.Replicas != 2 || len(snap.PerReplica) != 2 || snap.Completed == 0 {
+	if snap.Replicas != replicas || len(snap.PerReplica) != replicas || snap.Completed == 0 {
 		t.Fatalf("fleet stats = %+v", snap)
 	}
 
-	// /healthz carries the replica count.
+	// /healthz reports the sample shape and the replica count.
 	hResp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var health struct {
-		Status   string `json:"status"`
-		Replicas int    `json:"replicas"`
+		Status      string `json:"status"`
+		SampleShape []int  `json:"sample_shape"`
+		Replicas    int    `json:"replicas"`
 	}
 	if err := json.NewDecoder(hResp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
 	hResp.Body.Close()
-	if health.Status != "ok" || health.Replicas != 2 {
+	if health.Status != "ok" || health.Replicas != replicas || len(health.SampleShape) != 1 || health.SampleShape[0] != 4 {
 		t.Fatalf("healthz = %+v", health)
 	}
 
@@ -104,6 +135,61 @@ func TestHTTPFleetHandler(t *testing.T) {
 	swResp.Body.Close()
 	if swResp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unwired /swap status = %d, want 404", swResp.StatusCode)
+	}
+}
+
+// TestHTTPBodyLimits: a body over the limit computed for its endpoint is
+// refused with 413 and reaches neither the batcher nor the swap path; the
+// next well-formed request is served as if nothing happened.
+func TestHTTPBodyLimits(t *testing.T) {
+	factory := func() (*Session, error) { return NewSession(identityModel{}, 4), nil }
+	f, err := NewFleet(factory, FleetConfig{MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	srv := httptest.NewServer(NewFleetHandler(f, FleetHandlerOptions{
+		Swap: func(body io.Reader) error {
+			if _, err := io.Copy(io.Discard, body); err != nil {
+				return fmt.Errorf("read checkpoint: %w", err)
+			}
+			return f.Swap(nil)
+		},
+	}))
+	defer srv.Close()
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// Each body is one byte past its limit, so the server has consumed
+	// everything the client sent by the time it refuses.
+	big, _ := json.Marshal(PredictRequest{Input: make([]float32, 4096)})
+	if got := post("/predict", big[:4*jsonFloatBytes+predictBodySlack+1]); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /predict status = %d, want 413", got)
+	}
+	// identityModel reports no weight bytes: the swap limit is the slack.
+	if got := post("/swap", make([]byte, swapBodySlack+1)); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /swap status = %d, want 413", got)
+	}
+	if snap := f.Stats(); snap.Accepted != 0 || snap.Swaps != 0 {
+		t.Fatalf("oversized bodies reached the fleet: accepted=%d swaps=%d", snap.Accepted, snap.Swaps)
+	}
+
+	ok, _ := json.Marshal(PredictRequest{Input: []float32{1, 2, 3, 4}})
+	if got := post("/predict", ok); got != http.StatusOK {
+		t.Fatalf("well-formed /predict after a refusal: status = %d", got)
+	}
+	if got := post("/swap", make([]byte, swapBodySlack)); got != http.StatusOK {
+		t.Fatalf("at-limit /swap after a refusal: status = %d", got)
+	}
+	if snap := f.Stats(); snap.Completed != 1 || snap.Swaps != 1 {
+		t.Fatalf("after the well-formed requests: completed=%d swaps=%d, want 1 and 1", snap.Completed, snap.Swaps)
 	}
 }
 
@@ -160,7 +246,7 @@ func TestHTTPFleetSwapEndpoint(t *testing.T) {
 	// happened over the wire).
 	x := tensor.RandNormal(tensor.NewRNG(41), 0, 1, shape...)
 	want := trained.Infer(x.Reshape(append([]int{1}, shape...)...)).Data()
-	presp := postFleetPredict(t, srv, PredictRequest{Input: append([]float32(nil), x.Data()...)})
+	presp := postPredict(t, srv, PredictRequest{Input: append([]float32(nil), x.Data()...)})
 	var pr PredictResponse
 	if err := json.NewDecoder(presp.Body).Decode(&pr); err != nil {
 		t.Fatal(err)

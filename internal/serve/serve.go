@@ -9,20 +9,28 @@
 // histograms behind, so the throughput-vs-latency trade can be measured
 // rather than guessed.
 //
-// Architecture (one Service):
+// Architecture (one Fleet; a single replica is the degenerate case, not
+// a separate code path):
 //
-//	clients ──Predict──▶ bounded queue ──▶ runner goroutine ──▶ Session.InferBatch
-//	   ▲                  (admission         (dynamic               (frozen network,
-//	   └──── per-request   control:           micro-batcher:         fused kernels,
-//	         results       shed load          coalesce ≤ MaxBatch    pooled buffers)
-//	         in order)     when full)         or flush at MaxWait)
+//	clients ──PredictSLO──▶ router ──▶ replica 0: queue ─▶ runner ─▶ Session ┐
+//	   ▲                      │        replica 1: queue ─▶ runner ─▶ Session ├─ shared
+//	   │                      │            ⋮                                 │  weights
+//	   └── results            └─▶ shed: ErrOverloaded (queues full)          ┘
+//	                              or ErrDeadline (SLO infeasible)
+//
+// The router (router.go) places each request on the replica with the
+// smallest estimated completion time and sheds what cannot be served:
+// bounded queues are the admission control. Each replica's runner
+// goroutine is the dynamic micro-batcher — coalesce up to MaxBatch, or
+// flush at MaxWait — over its own Session (frozen network, fused kernels,
+// replica-owned batch workspace).
 //
 // Layers recycle their output buffers across forward calls, so a network
-// is single-goroutine property; the Service owns one Session and one
-// runner goroutine, and concurrency comes from batching, not from racing
-// forwards. Multiple Services may run side by side (one network each);
-// the package clamps the shared GEMM worker pool so the combined
-// parallelism never oversubscribes GOMAXPROCS.
+// is single-goroutine property; each replica owns one Session and one
+// runner goroutine, and concurrency comes from batching and from
+// replicas, not from racing forwards. The package clamps the shared GEMM
+// worker pool (cpu.go) so the combined parallelism of all runners never
+// oversubscribes GOMAXPROCS.
 package serve
 
 import (
@@ -40,7 +48,7 @@ type Model interface {
 // Session is a frozen, forward-only inference session over a network.
 // It carries no optimizer state and never stashes feature maps (all
 // forwards run with train=false). A Session is not safe for concurrent
-// use — the owning Service serializes batches onto it.
+// use — the owning replica's runner serializes batches onto it.
 type Session struct {
 	model       Model
 	sampleShape []int

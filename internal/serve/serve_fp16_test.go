@@ -12,11 +12,11 @@ import (
 	"tbd/internal/tensor"
 )
 
-// serveAll pushes the samples through a fresh service over sess with the
-// profiler capturing, and returns the per-request outputs (indexed like
-// samples) plus the memory watermark of the run. The shared pool is
-// drained first so the workspace watermark reflects only this run's pack
-// scratch.
+// serveAll pushes the samples through a fresh one-replica fleet over sess
+// with the profiler capturing, and returns the per-request outputs
+// (indexed like samples) plus the memory watermark of the run. The shared
+// pool is drained first so the workspace watermark reflects only this
+// run's pack scratch.
 func serveAll(t *testing.T, sess *Session, samples []*tensor.Tensor) ([][]float32, prof.MemWatermark) {
 	t.Helper()
 	tensor.SetPooling(false)
@@ -24,7 +24,7 @@ func serveAll(t *testing.T, sess *Session, samples []*tensor.Tensor) ([][]float3
 	prof.Enable()
 	defer prof.Disable()
 
-	svc := New(sess, Config{
+	svc := oneReplica(t, sess, FleetConfig{
 		MaxBatch:   16,
 		MaxWait:    2 * time.Millisecond,
 		QueueDepth: len(samples),

@@ -39,91 +39,105 @@ func (panicModel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	panic("bad input")
 }
 
-// TestServeBitIdenticalToSingleSample is the zero-tolerance equality
-// acceptance test: every result served through the dynamic batcher must
-// be bit-identical to a single-sample forward pass on an identically
-// seeded network, for both a dense and a conv twin, serial and parallel.
-// Bit-identity across batch sizes holds on the bit-exact kernel tier
-// (the avx2/FMA tier routes wide batches through 8x8 tiles and single
-// samples through scalar code, which agree only to ULP), so the test
-// pins that tier; see gemm_tier_test.go in internal/tensor for the FMA
-// tier's own equivalence bounds.
-func TestServeBitIdenticalToSingleSample(t *testing.T) {
+// oneReplica stands up the degenerate fleet over a ready session: the
+// factory is a closure over it, and cfg.Replicas stays at its default.
+func oneReplica(t testing.TB, sess *Session, cfg FleetConfig) *Fleet {
+	t.Helper()
+	f, err := NewFleet(func() (*Session, error) { return sess, nil }, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// checkBitIdentical is the zero-tolerance equality check: every result
+// served through the router and a dynamic batcher must be bit-identical
+// to a single-sample forward pass on an identically seeded network,
+// whichever replica served it. Bit-identity across batch sizes holds on
+// the bit-exact kernel tier (the avx2/FMA tier routes wide batches
+// through 8x8 tiles and single samples through scalar code, which agree
+// only to ULP), so the check pins that tier; see gemm_tier_test.go in
+// internal/tensor for the FMA tier's own equivalence bounds.
+func checkBitIdentical(t *testing.T, twin string, replicas int) {
 	prevTier, err := tensor.SetGemmKernelTier(tensor.BitExactGemmTier())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tensor.SetGemmKernelTier(prevTier)
-	type twin struct {
-		name  string
-		shape []int
+
+	refNet, shape, err := models.ServeTwin(twin, tensor.NewRNG(99))
+	if err != nil {
+		t.Fatal(err)
 	}
+	const nReq = 64
+	rng := tensor.NewRNG(7)
+	samples := make([]*tensor.Tensor, nReq)
+	want := make([][]float32, nReq)
+	for i := range samples {
+		samples[i] = tensor.RandNormal(rng, 0, 1, shape...)
+		out := refNet.Infer(samples[i].Reshape(append([]int{1}, shape...)...))
+		want[i] = append([]float32(nil), out.Data()...)
+	}
+
+	factory, _ := twinFleetFactory(t, twin, 99)
+	f, err := NewFleet(factory, FleetConfig{
+		Replicas: replicas, MaxBatch: 16, MaxWait: 2 * time.Millisecond, QueueDepth: nReq,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if f.SharedWeights() != (replicas > 1) {
+		t.Fatalf("SharedWeights = %t with %d graph-backed replica(s)", f.SharedWeights(), replicas)
+	}
+
+	var wg sync.WaitGroup
+	results := make([]Result, nReq)
+	errs := make([]error, nReq)
+	for i := 0; i < nReq; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = f.Predict(samples[i])
+		}(i)
+	}
+	wg.Wait()
+
+	var batched bool
+	for i := 0; i < nReq; i++ {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if results[i].Replica < 0 || results[i].Replica >= replicas {
+			t.Fatalf("request %d served by out-of-range replica %d", i, results[i].Replica)
+		}
+		if len(results[i].Output) != len(want[i]) {
+			t.Fatalf("request %d: output len %d, want %d", i, len(results[i].Output), len(want[i]))
+		}
+		for j := range want[i] {
+			if results[i].Output[j] != want[i][j] {
+				t.Fatalf("request %d elem %d (replica %d): served %g, single-sample %g (must be bit-identical)",
+					i, j, results[i].Replica, results[i].Output[j], want[i][j])
+			}
+		}
+		if results[i].BatchSize > 1 {
+			batched = true
+		}
+	}
+	if !batched {
+		t.Fatal("no request rode in a batch > 1; the batched path was not exercised")
+	}
+}
+
+// TestServeBitIdenticalToSingleSample sweeps the one-replica batcher over
+// a dense and a conv twin, serial and parallel.
+func TestServeBitIdenticalToSingleSample(t *testing.T) {
 	for _, par := range []int{1, 4} {
-		for _, tw := range []twin{{"mlp", []int{256}}, {"resnet", []int{3, 16, 16}}} {
-			t.Run(fmt.Sprintf("%s/par=%d", tw.name, par), func(t *testing.T) {
+		for _, twin := range []string{"mlp", "resnet"} {
+			t.Run(fmt.Sprintf("%s/par=%d", twin, par), func(t *testing.T) {
 				prev := tensor.SetParallelism(par)
 				defer tensor.SetParallelism(prev)
-
-				refNet, _, err := models.ServeTwin(tw.name, tensor.NewRNG(99))
-				if err != nil {
-					t.Fatal(err)
-				}
-				srvNet, shape, err := models.ServeTwin(tw.name, tensor.NewRNG(99))
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				const nReq = 48
-				rng := tensor.NewRNG(7)
-				samples := make([]*tensor.Tensor, nReq)
-				want := make([][]float32, nReq)
-				for i := range samples {
-					samples[i] = tensor.RandNormal(rng, 0, 1, shape...)
-					one := samples[i].Reshape(append([]int{1}, shape...)...)
-					out := refNet.Infer(one)
-					want[i] = append([]float32(nil), out.Data()...)
-				}
-
-				svc := New(NewSession(srvNet, shape...), Config{
-					MaxBatch:   16,
-					MaxWait:    2 * time.Millisecond,
-					QueueDepth: nReq,
-				})
-				defer svc.Close()
-
-				var wg sync.WaitGroup
-				results := make([]Result, nReq)
-				errs := make([]error, nReq)
-				for i := 0; i < nReq; i++ {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						results[i], errs[i] = svc.Predict(samples[i])
-					}(i)
-				}
-				wg.Wait()
-
-				var batched bool
-				for i := 0; i < nReq; i++ {
-					if errs[i] != nil {
-						t.Fatalf("request %d: %v", i, errs[i])
-					}
-					if len(results[i].Output) != len(want[i]) {
-						t.Fatalf("request %d: output len %d, want %d", i, len(results[i].Output), len(want[i]))
-					}
-					for j := range want[i] {
-						if results[i].Output[j] != want[i][j] {
-							t.Fatalf("request %d elem %d: served %g, single-sample %g (must be bit-identical)",
-								i, j, results[i].Output[j], want[i][j])
-						}
-					}
-					if results[i].BatchSize > 1 {
-						batched = true
-					}
-				}
-				if !batched {
-					t.Fatal("no request rode in a batch > 1; the batched path was not exercised")
-				}
+				checkBitIdentical(t, twin, 1)
 			})
 		}
 	}
@@ -134,7 +148,7 @@ func TestServeBitIdenticalToSingleSample(t *testing.T) {
 // request's payload regardless of how requests interleave into batches.
 func TestServeResultsMatchRequests(t *testing.T) {
 	const nReq = 128
-	svc := New(NewSession(identityModel{}, 8), Config{
+	svc := oneReplica(t, NewSession(identityModel{}, 8), FleetConfig{
 		MaxBatch: 8, MaxWait: time.Millisecond, QueueDepth: nReq,
 	})
 	defer svc.Close()
@@ -164,7 +178,7 @@ func TestServeResultsMatchRequests(t *testing.T) {
 // and checks that excess load is shed with ErrOverloaded rather than
 // queued without bound.
 func TestServeAdmissionControl(t *testing.T) {
-	svc := New(NewSession(&slowModel{delay: 5 * time.Millisecond}, 4), Config{
+	svc := oneReplica(t, NewSession(&slowModel{delay: 5 * time.Millisecond}, 4), FleetConfig{
 		MaxBatch: 1, QueueDepth: 1,
 	})
 	defer svc.Close()
@@ -203,73 +217,10 @@ func TestServeAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestServeGracefulDrain checks the shutdown contract: every admitted
-// request completes, later requests get ErrShuttingDown, and the runner
-// goroutine exits (no leak).
-func TestServeGracefulDrain(t *testing.T) {
-	before := runtime.NumGoroutine()
-
-	m := &slowModel{delay: 2 * time.Millisecond}
-	svc := New(NewSession(m, 4), Config{MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 64})
-
-	const nReq = 24
-	var wg sync.WaitGroup
-	errc := make(chan error, nReq)
-	for i := 0; i < nReq; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := svc.Predict(tensor.New(4))
-			errc <- err
-		}()
-	}
-	// Let some requests get admitted, then close concurrently with the
-	// rest still arriving.
-	time.Sleep(time.Millisecond)
-	svc.Close()
-	wg.Wait()
-	close(errc)
-
-	var served, refused int
-	for err := range errc {
-		switch {
-		case err == nil:
-			served++
-		case errors.Is(err, ErrShuttingDown):
-			refused++
-		default:
-			t.Fatalf("unexpected error during drain: %v", err)
-		}
-	}
-	if served == 0 {
-		t.Fatal("no admitted request was drained to completion")
-	}
-	if served+refused != nReq {
-		t.Fatalf("served %d + refused %d != %d", served, refused, nReq)
-	}
-
-	// Post-close requests are refused outright.
-	if _, err := svc.Predict(tensor.New(4)); !errors.Is(err, ErrShuttingDown) {
-		t.Fatalf("Predict after Close = %v, want ErrShuttingDown", err)
-	}
-	// Close is idempotent.
-	svc.Close()
-
-	// The runner goroutine must be gone. Allow the scheduler a moment.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(5 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > before {
-		t.Fatalf("goroutines leaked: %d before, %d after drain", before, g)
-	}
-}
-
 // TestServeMaxWaitFlushesPartialBatch: a lone request must not wait for
 // a full batch — the deadline flushes it.
 func TestServeMaxWaitFlushesPartialBatch(t *testing.T) {
-	svc := New(NewSession(identityModel{}, 2), Config{
+	svc := oneReplica(t, NewSession(identityModel{}, 2), FleetConfig{
 		MaxBatch: 64, MaxWait: 5 * time.Millisecond, QueueDepth: 64,
 	})
 	defer svc.Close()
@@ -289,7 +240,7 @@ func TestServeMaxWaitFlushesPartialBatch(t *testing.T) {
 
 // TestServeShapeValidation rejects wrong-size samples before queueing.
 func TestServeShapeValidation(t *testing.T) {
-	svc := New(NewSession(identityModel{}, 4), Config{MaxBatch: 4})
+	svc := oneReplica(t, NewSession(identityModel{}, 4), FleetConfig{MaxBatch: 4})
 	defer svc.Close()
 	if _, err := svc.Predict(tensor.New(5)); err == nil {
 		t.Fatal("wrong-size sample must be rejected")
@@ -300,14 +251,14 @@ func TestServeShapeValidation(t *testing.T) {
 }
 
 // TestServeForwardPanicFailsBatch: a panicking forward pass must fail
-// the batch's requests with an error, not kill the service.
+// the batch's requests with an error, not kill the runner.
 func TestServeForwardPanicFailsBatch(t *testing.T) {
-	svc := New(NewSession(panicModel{}, 2), Config{MaxBatch: 4, QueueDepth: 8})
+	svc := oneReplica(t, NewSession(panicModel{}, 2), FleetConfig{MaxBatch: 4, QueueDepth: 8})
 	defer svc.Close()
 	if _, err := svc.Predict(tensor.New(2)); err == nil {
 		t.Fatal("panicking forward must surface as an error")
 	}
-	// The service survives and keeps answering.
+	// The runner survives and keeps answering.
 	if _, err := svc.Predict(tensor.New(2)); err == nil {
 		t.Fatal("second request should also error, not hang")
 	}
@@ -318,10 +269,11 @@ func TestServeForwardPanicFailsBatch(t *testing.T) {
 
 // TestServeStatsAndTrace checks the observability wiring: counters add
 // up, latency quantiles are populated, occupancy reflects batching, and
-// batch trace events are exported.
+// batch trace events are exported up to the buffer and counted past it.
 func TestServeStatsAndTrace(t *testing.T) {
-	svc := New(NewSession(identityModel{}, 4), Config{
-		MaxBatch: 8, MaxWait: time.Millisecond, QueueDepth: 128, TraceEvents: 1024,
+	const traceCap = 4
+	svc := oneReplica(t, NewSession(identityModel{}, 4), FleetConfig{
+		MaxBatch: 8, MaxWait: time.Millisecond, QueueDepth: 128, TraceEvents: traceCap,
 	})
 	defer svc.Close()
 
@@ -355,21 +307,23 @@ func TestServeStatsAndTrace(t *testing.T) {
 		t.Fatalf("latency histogram count=%d, want %d", h.Count(), nReq)
 	}
 
+	// 96 requests at cap 8 are at least 12 batches: the trace keeps the
+	// first traceCap and counts the rest as dropped.
 	tl := svc.Timeline()
-	if len(tl.Events) == 0 {
-		t.Fatal("no trace events captured")
+	if len(tl.Events) != traceCap {
+		t.Fatalf("trace events %d, want the buffer's %d", len(tl.Events), traceCap)
 	}
-	if uint64(len(tl.Events)) != snap.Batches {
-		t.Fatalf("trace events %d != batches %d", len(tl.Events), snap.Batches)
+	if got := uint64(len(tl.Events)) + svc.TraceEventsDropped(); got != snap.Batches {
+		t.Fatalf("trace events %d + dropped %d != batches %d", len(tl.Events), svc.TraceEventsDropped(), snap.Batches)
 	}
 	if tl.BusyTime() <= 0 {
 		t.Fatal("trace events carry no durations")
 	}
 }
 
-// TestServeCPUBudgetClamp: concurrent services must divide GOMAXPROCS
-// between them instead of multiplying the worker pool, and the user's
-// parallelism setting must come back when the last service closes.
+// TestServeCPUBudgetClamp: concurrent fleets must divide GOMAXPROCS
+// between their runners instead of multiplying the worker pool, and the
+// user's parallelism setting must come back when the last fleet closes.
 func TestServeCPUBudgetClamp(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	want := 8
@@ -380,9 +334,9 @@ func TestServeCPUBudgetClamp(t *testing.T) {
 	defer tensor.SetParallelism(prev)
 	base := tensor.Parallelism()
 
-	var svcs []*Service
+	var svcs []*Fleet
 	for i := 1; i <= 4; i++ {
-		svcs = append(svcs, New(NewSession(identityModel{}, 2), Config{MaxBatch: 2}))
+		svcs = append(svcs, oneReplica(t, NewSession(identityModel{}, 2), FleetConfig{MaxBatch: 2}))
 		got := tensor.Parallelism()
 		limit := procs / i
 		if limit < 1 {
@@ -392,7 +346,7 @@ func TestServeCPUBudgetClamp(t *testing.T) {
 			limit = base
 		}
 		if got > limit {
-			t.Fatalf("with %d services, parallelism=%d exceeds budget %d (GOMAXPROCS=%d)", i, got, limit, procs)
+			t.Fatalf("with %d runners, parallelism=%d exceeds budget %d (GOMAXPROCS=%d)", i, got, limit, procs)
 		}
 	}
 	if ActiveServices() != 4 {
@@ -410,9 +364,9 @@ func TestServeCPUBudgetClamp(t *testing.T) {
 }
 
 // TestServeLoadGen drives the closed-loop generator against a real
-// service and checks its accounting.
+// batcher and checks its accounting.
 func TestServeLoadGen(t *testing.T) {
-	svc := New(NewSession(identityModel{}, 4), Config{
+	svc := oneReplica(t, NewSession(identityModel{}, 4), FleetConfig{
 		MaxBatch: 8, MaxWait: 500 * time.Microsecond, QueueDepth: 64,
 	})
 	defer svc.Close()

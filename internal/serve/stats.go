@@ -7,7 +7,7 @@ import (
 	"tbd/internal/metrics"
 )
 
-// Stats aggregates the service's observability state: request counters
+// Stats aggregates one replica's observability state: request counters
 // plus fixed-bucket histograms (metrics.Histogram) of request latency and
 // batch occupancy. All methods are safe for concurrent use; the
 // histograms themselves are unsynchronized and guarded by the mutex here.
@@ -16,9 +16,7 @@ type Stats struct {
 
 	// Request counters. Guarded by mu.
 	accepted         uint64 // guarded by mu
-	rejectedOverload uint64 // guarded by mu
-	rejectedShutdown uint64 // guarded by mu
-	rejectedDeadline uint64 // admission- or dequeue-time SLO sheds; guarded by mu
+	rejectedDeadline uint64 // dequeue-time SLO sheds; guarded by mu
 	completed        uint64 // guarded by mu
 	failed           uint64 // guarded by mu
 	batches          uint64 // guarded by mu
@@ -43,18 +41,6 @@ func newStats(maxBatch int) *Stats {
 func (st *Stats) accept() {
 	st.mu.Lock()
 	st.accepted++
-	st.mu.Unlock()
-}
-
-func (st *Stats) rejectOverload() {
-	st.mu.Lock()
-	st.rejectedOverload++
-	st.mu.Unlock()
-}
-
-func (st *Stats) rejectShutdown() {
-	st.mu.Lock()
-	st.rejectedShutdown++
 	st.mu.Unlock()
 }
 
@@ -83,8 +69,13 @@ func (st *Stats) failBatch(n int) {
 	st.mu.Unlock()
 }
 
-// StatsSnapshot is a point-in-time copy of the service counters and
-// distribution summaries, JSON-ready for the /stats endpoint.
+// StatsSnapshot is a point-in-time copy of the request counters and
+// distribution summaries, JSON-ready for the /stats endpoint. Queue-full
+// and shutdown rejections happen in the router, before a replica is
+// chosen, so RejectedOverload and RejectedShutdown are nonzero only in
+// the fleet-wide aggregate (Fleet.Stats adds them); RejectedDeadline
+// counts dequeue-time sheds per replica plus, in the aggregate, the
+// router's admission-time ones.
 type StatsSnapshot struct {
 	Accepted         uint64 `json:"accepted"`
 	RejectedOverload uint64 `json:"rejected_overload"`
@@ -107,16 +98,17 @@ type StatsSnapshot struct {
 	// MeanOccupancy is the average number of requests per flushed batch.
 	MeanOccupancy float64 `json:"mean_occupancy"`
 
-	// UptimeSec is seconds since the service started; ThroughputRPS is
+	// UptimeSec is seconds since the fleet started; ThroughputRPS is
 	// completed requests over uptime.
 	UptimeSec     float64 `json:"uptime_sec"`
 	ThroughputRPS float64 `json:"throughput_rps"`
 
 	// GemmTier is the active GEMM micro-kernel tier (ref, sse, avx2),
-	// filled in by Service.Stats.
+	// filled in by Fleet.Stats on the aggregate.
 	GemmTier string `json:"gemm_tier,omitempty"`
-	// WeightBytes is the model's resident weight footprint (0 when the
-	// model does not expose one), filled in by Service.Stats.
+	// WeightBytes is the resident weight footprint (0 when the model does
+	// not expose one), filled in by Fleet.Stats: per replica, and for the
+	// aggregate one snapshot when the replicas share storage.
 	WeightBytes int64 `json:"weight_bytes,omitempty"`
 }
 
@@ -126,8 +118,6 @@ func (st *Stats) snapshot(start time.Time) StatsSnapshot {
 	up := time.Since(start).Seconds()
 	snap := StatsSnapshot{
 		Accepted:         st.accepted,
-		RejectedOverload: st.rejectedOverload,
-		RejectedShutdown: st.rejectedShutdown,
 		RejectedDeadline: st.rejectedDeadline,
 		Completed:        st.completed,
 		Failed:           st.failed,
@@ -161,8 +151,6 @@ func aggregateStats(parts []*Stats) *Stats {
 		if agg == nil {
 			agg = &Stats{
 				accepted:         p.accepted,
-				rejectedOverload: p.rejectedOverload,
-				rejectedShutdown: p.rejectedShutdown,
 				rejectedDeadline: p.rejectedDeadline,
 				completed:        p.completed,
 				failed:           p.failed,
@@ -173,8 +161,6 @@ func aggregateStats(parts []*Stats) *Stats {
 			}
 		} else {
 			agg.accepted += p.accepted
-			agg.rejectedOverload += p.rejectedOverload
-			agg.rejectedShutdown += p.rejectedShutdown
 			agg.rejectedDeadline += p.rejectedDeadline
 			agg.completed += p.completed
 			agg.failed += p.failed
@@ -189,7 +175,7 @@ func aggregateStats(parts []*Stats) *Stats {
 }
 
 // LatencyHistogram returns a copy of the request-latency histogram for
-// callers that want full bucket detail (merging across services, trace
+// callers that want full bucket detail (merging across replicas, trace
 // annotation).
 func (st *Stats) LatencyHistogram() *metrics.Histogram {
 	st.mu.Lock()
