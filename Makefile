@@ -56,9 +56,12 @@ dist-race:
 
 # Ten seconds of coverage-guided garbage against a live parameter-server
 # connection handler: no panic, no hang, no allocation sized from the wire.
-# `go test` alone replays the committed corpus; this mutates it.
+# Then ten seconds of shapes, layouts and write modes through the k-blocked
+# wide GEMM driver against its single-pass reference, bit for bit.
+# `go test` alone replays the committed seeds; this mutates them.
 fuzz-smoke:
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzPSFrame -fuzztime 10s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzGemmBlockedShapes -fuzztime 10s
 
 # Race detector over the what-if predictor: trace capture off the live
 # profiler (concurrent span emission), merge, replay, and the root-package

@@ -57,6 +57,12 @@ var whatifGroundTruthCells = []struct {
 		b64 := loadGoldenTrace(tb, "twin_avx2_b64.json")
 		return float64(pred.MemAfter.PeakTotal), float64(b64.Mem.PeakTotal)
 	}},
+	{"gemm-blocking", func(tb testing.TB) (float64, float64) {
+		unblocked := loadGoldenTrace(tb, "mlp1024_unblocked.json")
+		pred := replayGolden(tb, unblocked, gemmBlockingSpec(unblocked))
+		meas := replayGolden(tb, loadGoldenTrace(tb, mlp1024TraceName), "")
+		return pred.PredictedStepUs, meas.BaselineStepUs
+	}},
 	{"ps-10gbe", func(tb testing.TB) (float64, float64) {
 		pred := replayGolden(tb, loadGoldenTrace(tb, "dist_ps_1gbe.json"), "bw=10gbe")
 		meas := replayGolden(tb, loadGoldenTrace(tb, "dist_ps_10gbe.json"), "")

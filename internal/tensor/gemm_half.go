@@ -14,11 +14,12 @@ import "fmt"
 //
 //	fast      avx2 tier with F16C: B strips are packed as uint16 halves
 //	          (pooled uint16 scratch — half the workspace bytes of the
-//	          fp32 pack) and fed to the 8x8 half-widening kernel. Row
-//	          tails, down to a single serving sample, run the same kernel
-//	          on a zero-padded A tile, so the whole n range takes one code
-//	          path; ragged columns are widened once into fp32 scratch and
-//	          reduced with dotOne's fixed order.
+//	          fp32 pack) and fed to the 8x8 half-widening kernel through
+//	          the k-blocked nest of gemm_wide.go. Row tails, down to a
+//	          single serving sample, run the same nest on zero-padded
+//	          rows, so the whole n range takes one code path; ragged
+//	          columns are widened once into fp32 scratch and reduced with
+//	          dotOne's fixed order.
 //	fallback  any other tier (or m < 8): the whole weight matrix is
 //	          widened into pooled fp32 scratch and the ordinary fp32 GEMM
 //	          runs. Bit-different from the fast path (FMA vs two
@@ -112,17 +113,18 @@ func gemmHalfWiden(dst, a []float32, w []uint16, n, k, m int, ep *epilogue) {
 	putPackBuf(wb)
 }
 
-// gemmHalfPacked is the F16C path: pack B as uint16 strips once, widen
-// the ragged columns once, then split output rows on 8-row boundaries.
+// gemmHalfPacked is the F16C path: pack B as uint16 strips once (the
+// block-major panel of gemm_wide.go, half the bytes), widen the ragged
+// columns once, then split output rows on 8-row boundaries.
 func gemmHalfPacked(dst, a []float32, w []uint16, n, k, m int, ep *epilogue) {
 	m8 := m &^ 7
 	bp := getHalfPackBuf(k * m8)
 	packMin := 1 + minElemsPerWorker/(8*k+1)
 	if rowWorkers(m8/8, packMin) <= 1 {
-		packBHalfRange(bp, w, k, m, 0, m8)
+		packBStripsWide(bp, w, k, m, gemmKC, 0, m8)
 	} else {
 		parallelRows(m8/8, packMin, func(slo, shi int) {
-			packBHalfRange(bp, w, k, m, slo*8, shi*8)
+			packBStripsWide(bp, w, k, m, gemmKC, slo*8, shi*8)
 		})
 	}
 	var eb []float32
@@ -147,36 +149,34 @@ func gemmHalfPacked(dst, a []float32, w []uint16, n, k, m int, ep *epilogue) {
 }
 
 // gemmHalfRows computes output rows [lo, hi) against the packed half
-// panel. Full 8-row tiles use the half-widening kernel directly; the row
-// tail (including n < 8 single-sample serving) runs the same kernel on a
-// zero-padded A tile into stack scratch, so every output element's
-// reduction order is identical regardless of where it falls in n.
+// panel, through the same k-blocked nest as the fp32 wide path
+// (kernelHalf8x8 has the tree contract, so the k-split is as exact there).
+// The row tail (including n < 8 single-sample serving) runs that nest as
+// an 8-row problem on a zero-padded copy of its rows, so every output
+// element's reduction order is identical regardless of where it falls in
+// n.
 func gemmHalfRows(dst, a []float32, bp []uint16, eb []float32, n, k, m, lo, hi int, ep *epilogue) {
 	m8 := m &^ 7
-	ap := getPackBuf(microMW * k)
-	i0 := lo
-	for ; i0+microMW <= hi; i0 += microMW {
-		packATileWide(ap, a, n, k, i0, layPlain)
-		for j0 := 0; j0 < m8; j0 += microNW {
-			kernelHalf8x8(dst[i0*m+j0:], m, ap, bp[j0*k:], k, false)
-		}
+	hi8 := lo + (hi-lo)&^7
+	gemmWideTiles(dst, a, bp, n, k, m, gemmKC, lo, hi8, layPlain, false, kernelHalf8x8, kernelHalf8x8, func(i0 int) {
 		gemmHalfEdgeCols(dst, a, eb, k, m, i0, i0+microMW)
 		applyEpilogueRows(dst, m, i0, i0+microMW, ep)
-	}
-	if i0 < hi {
-		rows := hi - i0
-		packATileWidePad(ap, a, k, i0, rows)
-		var tile [microMW * microNW]float32
-		for j0 := 0; j0 < m8; j0 += microNW {
-			kernelHalf8x8(tile[:], microNW, ap, bp[j0*k:], k, false)
-			for r := 0; r < rows; r++ {
-				copy(dst[(i0+r)*m+j0:(i0+r)*m+j0+microNW], tile[r*microNW:r*microNW+microNW])
-			}
+	})
+	if hi8 < hi {
+		rows := hi - hi8
+		pa := getPackBuf(microMW * k)
+		copy(pa, a[hi8*k:hi*k])
+		clear(pa[rows*k:])
+		pd := getPackBuf(microMW * m8)
+		gemmWideTiles(pd, pa, bp, microMW, k, m8, gemmKC, 0, microMW, layPlain, false, kernelHalf8x8, kernelHalf8x8, nil)
+		for r := 0; r < rows; r++ {
+			copy(dst[(hi8+r)*m:(hi8+r)*m+m8], pd[r*m8:(r+1)*m8])
 		}
-		gemmHalfEdgeCols(dst, a, eb, k, m, i0, hi)
-		applyEpilogueRows(dst, m, i0, hi, ep)
+		putPackBuf(pd)
+		putPackBuf(pa)
+		gemmHalfEdgeCols(dst, a, eb, k, m, hi8, hi)
+		applyEpilogueRows(dst, m, hi8, hi, ep)
 	}
-	putPackBuf(ap)
 }
 
 // gemmHalfEdgeCols reduces the ragged columns [m&^7, m) for rows
@@ -191,32 +191,6 @@ func gemmHalfEdgeCols(dst, a, eb []float32, k, m, ilo, ihi int) {
 		arow := a[i*k : (i+1)*k]
 		for j := 0; j < me; j++ {
 			dst[i*m+m8+j] = dotOne(arow, eb[j*k:(j+1)*k])
-		}
-	}
-}
-
-// packATileWidePad packs rows < microMW of a into a wide A tile, zeroing
-// the unused trailing rows so the 8x8 kernel computes garbage-free
-// (ignored) values for them.
-func packATileWidePad(ap, a []float32, k, i0, rows int) {
-	for p := 0; p < k; p++ {
-		q := ap[p*8 : p*8+8]
-		for r := 0; r < rows; r++ {
-			q[r] = a[(i0+r)*k+p]
-		}
-		for r := rows; r < microMW; r++ {
-			q[r] = 0
-		}
-	}
-}
-
-// packBHalfRange packs half B column strips [jlo, jhi) (multiples of 8)
-// into bp with the wide-strip layout: bp[j0*k + p*8 + c] = w(p, j0+c).
-func packBHalfRange(bp, w []uint16, k, m, jlo, jhi int) {
-	for j0 := jlo; j0 < jhi; j0 += 8 {
-		q := bp[j0*k : (j0+8)*k]
-		for p := 0; p < k; p++ {
-			copy(q[p*8:p*8+8], w[p*m+j0:p*m+j0+8])
 		}
 	}
 }

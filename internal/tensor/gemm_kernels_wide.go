@@ -5,11 +5,15 @@ import "math"
 // 8x8 register-tiled micro-kernels for the AVX2+FMA tier, over the wide
 // packed layout built by packATileWide/packBRangeWide (see gemm_wide.go):
 //
-//	A tile:  ap[p*8 + r] = a(i0+r, p) — plain scalars; the assembly
+//	A tile:  ap[p*8 + r] = a(i0+r, pc+p) — plain scalars; the assembly
 //	         broadcasts them with VBROADCASTSS, a pure load-port µop, so
 //	         unlike the 4x4 SSE layout no lane replication is needed.
-//	B strip: bp[j0*k + p*8 + c] = b(p, j0+c) — one 8-float vector per
+//	B strip: bp[p*8 + c] = b(pc+p, j0+c) — one 8-float vector per
 //	         reduction step.
+//
+// A kernel call covers kc reduction steps from pc on: the whole of k, or
+// one k-block of the driver's loop, which chains blocks through dst in
+// accumulate mode.
 //
 // Reduction order: every output element is one strictly sequential chain
 // of fused multiply-adds over k. The tree/seq split mirrors the 4x4

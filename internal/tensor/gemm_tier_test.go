@@ -71,11 +71,13 @@ func absInt64(v int64) int64 {
 	return v
 }
 
-// tierEquivShapes exercises full tiles, row tails, ragged columns, and
-// the narrow-shape fallback onto the 4x4 path.
+// tierEquivShapes exercises full tiles, row tails, ragged columns, the
+// narrow-shape fallback onto the 4x4 path, and (the last two) reductions
+// that cross the wide driver's k-block boundary.
 var tierEquivShapes = [][3]int{
 	{8, 8, 16}, {8, 2, 8}, {9, 9, 9}, {16, 64, 16}, {17, 31, 23},
 	{37, 53, 41}, {64, 128, 96}, {8, 515, 8}, {33, 129, 65}, {40, 7, 40},
+	{64, 600, 72}, {256, 1024, 264},
 }
 
 // TestAVX2TierMatchesRefULP holds the FMA tier to the documented

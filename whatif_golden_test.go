@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"tbd/internal/data"
+	"tbd/internal/dist"
 	"tbd/internal/graph"
 	"tbd/internal/models"
 	"tbd/internal/optim"
@@ -25,6 +26,10 @@ import (
 )
 
 const whatifTraceDir = "testdata/whatif"
+
+// mlp1024TraceName is the train_gemm trace the recorder writes at this
+// commit's GEMM driver.
+const mlp1024TraceName = "mlp1024_blocked.json"
 
 // Committed per-tier GEMM throughput at 256x256 from BENCH_numeric.json
 // (BenchmarkGEMMTier) — the measured micro-kernel ratios the tier
@@ -39,13 +44,13 @@ const (
 // truth (ISSUE: >= 3 ground truths within <= 20%).
 const whatifErrBound = 0.20
 
-// recordTwinWhatifTrace captures the BenchmarkTwinStep/pooled workload
-// (the numeric ResNet twin, Adam, clip 5) under the given GEMM kernel
-// tier and batch size. Two warm-up steps run unprofiled so the buffer
-// pools and pack caches reach steady state before the recorded window.
-func recordTwinWhatifTrace(tier string, steps, batch int) (*whatif.Trace, error) {
+// recordWhatifTrace captures steps calls of step under the given GEMM
+// kernel tier, serial and pooled. Two warm-up calls run unprofiled so the
+// buffer pools and pack caches reach steady state before the recorded
+// window.
+func recordWhatifTrace(meta whatif.Meta, step func()) (*whatif.Trace, error) {
 	orig := tensor.GemmKernelTier()
-	if _, err := tensor.SetGemmKernelTier(tier); err != nil {
+	if _, err := tensor.SetGemmKernelTier(meta.KernelTier); err != nil {
 		return nil, err
 	}
 	prevPool := tensor.SetPooling(true)
@@ -56,26 +61,53 @@ func recordTwinWhatifTrace(tier string, steps, batch int) (*whatif.Trace, error)
 			panic(err)
 		}
 	}()
+	for i := 0; i < 2; i++ {
+		step()
+	}
+	prof.EnableWithMaxRecords(1 << 20)
+	for i := 0; i < meta.Steps; i++ {
+		step()
+	}
+	prof.Disable()
+	meta.Parallel = 1
+	return whatif.Capture(meta)
+}
+
+// recordTwinWhatifTrace captures the BenchmarkTwinStep/pooled workload
+// (the numeric ResNet twin, Adam, clip 5) under the given GEMM kernel
+// tier and batch size.
+func recordTwinWhatifTrace(tier string, steps, batch int) (*whatif.Trace, error) {
 	rng := tensor.NewRNG(10)
 	src := data.NewImageSource(rng, 3, 16, 16, 10, 0.3)
 	net := models.NumericResNet(rng, 3, 16, 10)
 	opt := optim.NewAdam(0.01)
 	b := src.Batch(batch)
-	for i := 0; i < 2; i++ {
-		graph.TrainClassifierStep(net, opt, b.X, b.Labels, 5)
-	}
-	prof.EnableWithMaxRecords(1 << 20)
-	for i := 0; i < steps; i++ {
-		graph.TrainClassifierStep(net, opt, b.X, b.Labels, 5)
-	}
-	prof.Disable()
-	return whatif.Capture(whatif.Meta{Model: "numeric-resnet", Steps: steps, Batch: batch, Parallel: 1, KernelTier: tier})
+	return recordWhatifTrace(whatif.Meta{Model: "numeric-resnet", Steps: steps, Batch: batch, KernelTier: tier},
+		func() { graph.TrainClassifierStep(net, opt, b.X, b.Labels, 5) })
+}
+
+// recordMLP1024WhatifTrace captures bench/'s train_gemm step: the
+// 1024-1024-1024-10 MLP at batch 256, momentum SGD, clip 5, avx2 tier —
+// three 256x1024x1024 GEMM layouts a step, two of them with k = 1024.
+func recordMLP1024WhatifTrace(steps int) (*whatif.Trace, error) {
+	const batch = 256
+	rng := tensor.NewRNG(10)
+	net := models.NumericServeMLP(rng, 1024, 1024, 10)
+	opt := optim.NewMomentum(0.01, 0.9)
+	x, labels := dist.SyntheticBatch(rng, []int{1024}, 10, batch)
+	return recordWhatifTrace(whatif.Meta{Model: "serve-mlp-1024", Steps: steps, Batch: batch, KernelTier: "avx2"},
+		func() { graph.TrainClassifierStep(net, opt, x, labels, 5) })
 }
 
 // TestRecordWhatifGoldenTraces re-records the committed twin traces.
 // Gated behind TBD_WHATIF_RECORD=1 because the captures are only
 // meaningful on the benchmark machine the BENCH_*.json baselines came
 // from; `make whatif-record` runs it (and the dist trace recording).
+//
+// mlp1024_unblocked.json is the one committed trace this cannot
+// re-record: it is recordMLP1024WhatifTrace run on the commit before the
+// wide GEMM driver got its k-loop (e621355), the "before" of
+// TestWhatifGroundTruthGemmBlocking.
 func TestRecordWhatifGoldenTraces(t *testing.T) {
 	if os.Getenv("TBD_WHATIF_RECORD") == "" {
 		t.Skip("set TBD_WHATIF_RECORD=1 (make whatif-record) to re-record golden traces")
@@ -83,8 +115,7 @@ func TestRecordWhatifGoldenTraces(t *testing.T) {
 	if err := os.MkdirAll(whatifTraceDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	record := func(name, tier string, batch int) {
-		tr, err := recordTwinWhatifTrace(tier, 10, batch)
+	write := func(name string, tr *whatif.Trace, err error) {
 		if err != nil {
 			t.Fatalf("record %s: %v", name, err)
 		}
@@ -94,10 +125,16 @@ func TestRecordWhatifGoldenTraces(t *testing.T) {
 		}
 		t.Logf("recorded %s: %d spans, wall %.1f ms", path, len(tr.Spans), tr.WallUs/1e3)
 	}
+	record := func(name, tier string, batch int) {
+		tr, err := recordTwinWhatifTrace(tier, 10, batch)
+		write(name, tr, err)
+	}
 	for _, tier := range tensor.GemmKernelTiers() {
 		record("twin_"+tier+".json", tier, 32)
 	}
 	record("twin_avx2_b64.json", "avx2", 64)
+	tr, err := recordMLP1024WhatifTrace(10)
+	write(mlp1024TraceName, tr, err)
 }
 
 // loadGoldenTrace reads a committed golden trace, failing with the
@@ -211,6 +248,34 @@ func TestWhatifGroundTruthBatchScaling(t *testing.T) {
 	checkGroundTruth(t, "batch 32->64 step time (batch=64)", pred.PredictedStepUs, measured.BaselineStepUs)
 	checkGroundTruthUnit(t, "batch 32->64 peak memory (batch=64)", "MB",
 		float64(pred.MemAfter.PeakTotal)/(1<<20), float64(b64.Mem.PeakTotal)/(1<<20))
+}
+
+// gemmBlockingSpec is the prediction committed before the wide GEMM
+// driver got its k-loop: "the k = 1024 GEMMs (forward and dX) run at the
+// rate the k = 256 ones (dW, whose packed B panel already fits L2) reach
+// in the same trace" — FLOPs ÷ time over the trace's gemm.dW spans.
+func gemmBlockingSpec(tr *whatif.Trace) string {
+	var flops, us float64
+	for _, s := range tr.Spans {
+		if s.Name == "gemm.dW" {
+			flops += s.FLOPs
+			us += s.DurUs
+		}
+	}
+	g := flops / us / 1e3
+	return fmt.Sprintf("kernelmodel=gemm.bias_act:%.2f,kernelmodel=gemm.dX:%.2f", g, g)
+}
+
+// TestWhatifGroundTruthGemmBlocking replays the train_gemm step recorded
+// on the unblocked driver under that scenario against the same step
+// recorded after the k-loop landed. The model has no term for pack-B
+// time, which blocking does not speed up (EXPERIMENTS.md has the split).
+func TestWhatifGroundTruthGemmBlocking(t *testing.T) {
+	unblocked := loadGoldenTrace(t, "mlp1024_unblocked.json")
+	spec := gemmBlockingSpec(unblocked)
+	pred := replayGolden(t, unblocked, spec)
+	measured := replayGolden(t, loadGoldenTrace(t, mlp1024TraceName), "")
+	checkGroundTruth(t, "unblocked->k-blocked GEMM ("+spec+")", pred.PredictedStepUs, measured.BaselineStepUs)
 }
 
 // TestWhatifGroundTruthPSBandwidth is the strongest bandwidth cell: the
