@@ -11,6 +11,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 # Repo-specific static analysis (see internal/analysis): pool lifetimes
 # (interprocedural), profiler span balance, kernel determinism, lock
@@ -57,11 +58,16 @@ dist-race:
 # Ten seconds of coverage-guided garbage against a live parameter-server
 # connection handler: no panic, no hang, no allocation sized from the wire.
 # Then ten seconds of shapes, layouts and write modes through the k-blocked
-# wide GEMM driver against its single-pass reference, bit for bit.
+# wide GEMM driver against its single-pass reference, bit for bit. Then ten
+# seconds of arbitrary float32 bit patterns (every NaN payload) through the
+# vector ReLU kernels against the scalar loops they replaced (without
+# minimizing each input that reaches new coverage: shrinking a byte string
+# one byte at a time would use up the ten seconds).
 # `go test` alone replays the committed seeds; this mutates them.
 fuzz-smoke:
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzPSFrame -fuzztime 10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzGemmBlockedShapes -fuzztime 10s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzReLUKernels -fuzztime 10s -fuzzminimizetime 0
 
 # Race detector over the what-if predictor: trace capture off the live
 # profiler (concurrent span emission), merge, replay, and the root-package

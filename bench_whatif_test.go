@@ -58,10 +58,15 @@ var whatifGroundTruthCells = []struct {
 		return float64(pred.MemAfter.PeakTotal), float64(b64.Mem.PeakTotal)
 	}},
 	{"gemm-blocking", func(tb testing.TB) (float64, float64) {
-		unblocked := loadGoldenTrace(tb, "mlp1024_unblocked.json")
+		unblocked := loadGoldenTrace(tb, mlp1024UnblockedTrace)
 		pred := replayGolden(tb, unblocked, gemmBlockingSpec(unblocked))
-		meas := replayGolden(tb, loadGoldenTrace(tb, mlp1024TraceName), "")
+		meas := replayGolden(tb, loadGoldenTrace(tb, mlp1024BlockedTrace), "")
 		return pred.PredictedStepUs, meas.BaselineStepUs
+	}},
+	{"vec-relu", func(tb testing.TB) (float64, float64) {
+		pred, _ := predictVecReLU(tb)
+		meas := replayGolden(tb, loadGoldenTrace(tb, mlp1024TraceName), "")
+		return pred, meas.BaselineStepUs
 	}},
 	{"ps-10gbe", func(tb testing.TB) (float64, float64) {
 		pred := replayGolden(tb, loadGoldenTrace(tb, "dist_ps_1gbe.json"), "bw=10gbe")

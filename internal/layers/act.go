@@ -1,64 +1,57 @@
 package layers
 
 import (
+	"math"
+
 	"tbd/internal/tensor"
 )
 
-// ReLU applies max(0, x) elementwise.
-type ReLU struct {
+// activation is the one pointwise activation layer, parametrised by kind:
+// Forward is tensor.ActForward and Backward is tensor.ActBackward, the
+// definitions the fused Dense and Conv2D epilogues use, so a fused layer
+// and its "layer, then activation" spelling train bit-identically. All
+// three kinds have a derivative in terms of the output, so the stash is an
+// alias of the returned buffer and costs no second tensor.
+type activation struct {
 	name    string
-	mask    *tensor.Tensor
+	kind    tensor.ActKind
+	y       *tensor.Tensor // train-mode alias of out; nil after an eval Forward
 	out, gx *tensor.Tensor // previously returned buffers
 }
 
-// NewReLU constructs a ReLU activation.
-func NewReLU(name string) *ReLU { return &ReLU{name: name} }
+// NewReLU constructs a ReLU activation, max(0, x) elementwise.
+func NewReLU(name string) Layer { return &activation{name: name, kind: tensor.ActReLU} }
 
-func (l *ReLU) Name() string { return l.name }
+// NewSigmoid constructs a sigmoid activation (the logistic function).
+func NewSigmoid(name string) Layer { return &activation{name: name, kind: tensor.ActSigmoid} }
 
-func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.mask.Release()
+// NewTanh constructs a tanh activation.
+func NewTanh(name string) Layer { return &activation{name: name, kind: tensor.ActTanh} }
+
+func (l *activation) Name() string { return l.name }
+
+func (l *activation) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.out.Release()
-	// Dirty buffers: both branches of the loop store every element.
-	out := tensor.AcquireDirty(x.Shape()...)
+	y := tensor.ActForward(l.kind, x)
+	l.out = y
 	if train {
-		mask := tensor.AcquireDirty(x.Shape()...)
-		ov, mv := out.Data(), mask.Data()
-		for i, v := range x.Data() {
-			if v > 0 {
-				ov[i] = v
-				mv[i] = 1
-			} else {
-				ov[i] = 0
-				mv[i] = 0
-			}
-		}
-		l.mask = mask
+		l.y = y //tbd:retain alias of l.out, which the next Forward releases
 	} else {
-		ov := out.Data()
-		for i, v := range x.Data() {
-			if v > 0 {
-				ov[i] = v
-			} else {
-				ov[i] = 0
-			}
-		}
-		l.mask = nil
+		l.y = nil
 	}
-	l.out = out
-	return out
+	return y
 }
 
-func (l *ReLU) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	requireForward(l.name, l.mask)
+func (l *activation) Backward(gy *tensor.Tensor) *tensor.Tensor {
+	requireForward(l.name, l.y)
 	l.gx.Release()
-	gx := tensor.Mul(gy, l.mask)
+	gx := tensor.ActBackward(l.kind, gy, l.y)
 	l.gx = gx
 	return gx
 }
 
-func (l *ReLU) Params() []*Param  { return nil }
-func (l *ReLU) StashBytes() int64 { return bytesOf(l.mask) }
+func (l *activation) Params() []*Param  { return nil }
+func (l *activation) StashBytes() int64 { return bytesOf(l.y) }
 
 // LeakyReLU applies x if x>0 else alpha*x (used by WGAN critics).
 type LeakyReLU struct {
@@ -75,6 +68,18 @@ func NewLeakyReLU(name string, alpha float32) *LeakyReLU {
 
 func (l *LeakyReLU) Name() string { return l.name }
 
+// pickPositive returns pos where x > 0 and rest elsewhere (x <= 0, -0,
+// NaN). Like tensor's ReLU it decides on x's bit pattern — subtracting one
+// wraps +0 past +Inf, the last pattern kept — which compiles to a
+// conditional move where `x > 0` compiles to a branch taken half the time.
+func pickPositive(x, pos, rest float32) float32 {
+	r := math.Float32bits(rest)
+	if math.Float32bits(x)-1 < 0x7f800000 {
+		r = math.Float32bits(pos)
+	}
+	return math.Float32frombits(r)
+}
+
 func (l *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.out.Release()
 	if train {
@@ -82,12 +87,11 @@ func (l *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		l.x = nil
 	}
-	y := tensor.Apply(x, func(v float32) float32 {
-		if v > 0 {
-			return v
-		}
-		return l.Alpha * v
-	})
+	y := tensor.AcquireDirty(x.Shape()...)
+	yv := y.Data()
+	for i, v := range x.Data() {
+		yv[i] = pickPositive(v, v, l.Alpha*v)
+	}
 	l.out = y
 	return y
 }
@@ -97,99 +101,15 @@ func (l *LeakyReLU) Backward(gy *tensor.Tensor) *tensor.Tensor {
 	l.gx.Release()
 	out := tensor.AcquireDirty(gy.Shape()...)
 	l.gx = out
+	ov, gv := out.Data(), gy.Data()
 	for i, v := range l.x.Data() {
-		if v > 0 {
-			out.Data()[i] = gy.Data()[i]
-		} else {
-			out.Data()[i] = l.Alpha * gy.Data()[i]
-		}
+		ov[i] = pickPositive(v, gv[i], l.Alpha*gv[i])
 	}
 	return out
 }
 
 func (l *LeakyReLU) Params() []*Param  { return nil }
 func (l *LeakyReLU) StashBytes() int64 { return bytesOf(l.x) }
-
-// Sigmoid applies the logistic function elementwise.
-type Sigmoid struct {
-	name    string
-	y       *tensor.Tensor
-	out, gx *tensor.Tensor
-}
-
-// NewSigmoid constructs a sigmoid activation.
-func NewSigmoid(name string) *Sigmoid { return &Sigmoid{name: name} }
-
-func (l *Sigmoid) Name() string { return l.name }
-
-// sigmoid delegates to the tensor package's definition — the same one the
-// fused GEMM epilogue applies, so fused and standalone sigmoid layers are
-// bit-identical by construction.
-func sigmoid(v float32) float32 { return tensor.Sigmoid32(v) }
-
-func (l *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.out.Release()
-	y := tensor.Apply(x, sigmoid)
-	l.out = y
-	if train {
-		l.y = y //tbd:retain alias of l.out, which the next Forward releases
-	} else {
-		l.y = nil
-	}
-	return y
-}
-
-func (l *Sigmoid) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	requireForward(l.name, l.y)
-	l.gx.Release()
-	out := tensor.AcquireDirty(gy.Shape()...)
-	l.gx = out
-	for i, y := range l.y.Data() {
-		out.Data()[i] = gy.Data()[i] * y * (1 - y)
-	}
-	return out
-}
-
-func (l *Sigmoid) Params() []*Param  { return nil }
-func (l *Sigmoid) StashBytes() int64 { return bytesOf(l.y) }
-
-// Tanh applies the hyperbolic tangent elementwise.
-type Tanh struct {
-	name    string
-	y       *tensor.Tensor
-	out, gx *tensor.Tensor
-}
-
-// NewTanh constructs a tanh activation.
-func NewTanh(name string) *Tanh { return &Tanh{name: name} }
-
-func (l *Tanh) Name() string { return l.name }
-
-func (l *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.out.Release()
-	y := tensor.Apply(x, tensor.Tanh32)
-	l.out = y
-	if train {
-		l.y = y //tbd:retain alias of l.out, which the next Forward releases
-	} else {
-		l.y = nil
-	}
-	return y
-}
-
-func (l *Tanh) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	requireForward(l.name, l.y)
-	l.gx.Release()
-	out := tensor.AcquireDirty(gy.Shape()...)
-	l.gx = out
-	for i, y := range l.y.Data() {
-		out.Data()[i] = gy.Data()[i] * (1 - y*y)
-	}
-	return out
-}
-
-func (l *Tanh) Params() []*Param  { return nil }
-func (l *Tanh) StashBytes() int64 { return bytesOf(l.y) }
 
 // Dropout zeroes activations with probability P during training and scales
 // the survivors by 1/(1-P) (inverted dropout), becoming identity at

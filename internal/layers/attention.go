@@ -122,7 +122,7 @@ func (l *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 		}
 	}
 	att := tensor.SoftmaxRows(scores.Reshape(scores.Dim(0)*T, T)).Reshape(n*l.Heads, T, T)
-	scores.Release() // SoftmaxRows copied; the raw scores are dead
+	scores.Release()                    // SoftmaxRows copied; the raw scores are dead
 	ctxH := tensor.BatchMatMul(att, vh) // [NH, T, dh]
 	ctx := fromHeads(ctxH, n, l.Heads)  // [N, T, D]
 	ctxH.Release()                      // fromHeads copied

@@ -62,8 +62,8 @@ func (l *GRU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			zxr := zx.Data()[b*3*H : (b+1)*3*H]
 			zhr := zh.Data()[b*3*H : (b+1)*3*H]
 			for j := 0; j < H; j++ {
-				zv := sigmoid(zxr[j] + zhr[j] + l.B.Value.Data()[j])
-				rv := sigmoid(zxr[H+j] + zhr[H+j] + l.B.Value.Data()[H+j])
+				zv := tensor.Sigmoid32(zxr[j] + zhr[j] + l.B.Value.Data()[j])
+				rv := tensor.Sigmoid32(zxr[H+j] + zhr[H+j] + l.B.Value.Data()[H+j])
 				hn := zhr[2*H+j]
 				nv := float32(math.Tanh(float64(zxr[2*H+j] + rv*hn + l.B.Value.Data()[2*H+j])))
 				k := b*H + j

@@ -207,10 +207,10 @@ func (l *LSTM) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		for b := 0; b < n; b++ {
 			zr := z.Data()[b*4*H : (b+1)*4*H]
 			for j := 0; j < H; j++ {
-				iv := sigmoid(zr[j])
-				fv := sigmoid(zr[H+j])
+				iv := tensor.Sigmoid32(zr[j])
+				fv := tensor.Sigmoid32(zr[H+j])
 				gv := float32(math.Tanh(float64(zr[2*H+j])))
-				ov := sigmoid(zr[3*H+j])
+				ov := tensor.Sigmoid32(zr[3*H+j])
 				cv := fv*c.Data()[b*H+j] + iv*gv
 				tcv := float32(math.Tanh(float64(cv)))
 				ig.Data()[b*H+j] = iv

@@ -26,10 +26,13 @@ package tensor
 // the reference kernels, and the serial path all produce identical bits.
 //
 // Fused epilogues: an optional bias-add + activation is applied to each
-// 4-row block as soon as its columns are complete — after the full k
-// reduction, matching the unfused "GEMM, then bias pass, then activation
-// pass" composition element for element while the block is still hot in
-// registers/L1.
+// block of output rows (4 here, 8 in the wide and fp16 drivers) as soon as
+// its columns are complete — after the full k reduction, matching the
+// unfused "GEMM, then bias pass, then activation pass" composition element
+// for element while the block is still hot in L1. Every driver reaches the
+// one function below, applyEpilogueRows, which runs the pointwise kernels
+// of elem.go a row at a time: vector bodies on the avx2 tier, portable
+// ones elsewhere, the same bits from both.
 
 const (
 	// microM x microN is the register tile: 4 output rows x 4 output
@@ -62,40 +65,24 @@ type epilogue struct {
 }
 
 // applyEpilogueRows applies ep to dst rows [lo, hi) of an [n, m] matrix.
-// Bias precedes activation, matching the unfused layer composition.
+// Bias precedes activation, matching the unfused layer composition: the
+// column bias and the row bias are two separately rounded adds, in that
+// order, and the activation is activation.go's one forward definition.
 func applyEpilogueRows(dst []float32, m, lo, hi int, ep *epilogue) {
 	if ep == nil {
 		return
 	}
+	k := elemKernelsFor(currentGemmTier())
 	for i := lo; i < hi; i++ {
 		row := dst[i*m : (i+1)*m]
 		if ep.colBias != nil {
-			cb := ep.colBias[:len(row)]
-			for j := range row {
-				row[j] += cb[j]
-			}
+			k.addVec(row, ep.colBias)
 		}
 		if ep.rowBias != nil {
-			rb := ep.rowBias[i]
-			for j := range row {
-				row[j] += rb
-			}
+			k.addConst(row, ep.rowBias[i])
 		}
-		switch ep.act {
-		case ActReLU:
-			for j, v := range row {
-				if !(v > 0) {
-					row[j] = 0
-				}
-			}
-		case ActSigmoid:
-			for j, v := range row {
-				row[j] = Sigmoid32(v)
-			}
-		case ActTanh:
-			for j, v := range row {
-				row[j] = Tanh32(v)
-			}
+		if ep.act != ActNone {
+			actForwardRange(ep.act, row, row, k)
 		}
 	}
 }

@@ -48,6 +48,7 @@ func init() {
 	if feat.avx2fma {
 		kernelTree8x8 = microTree8x8Asm
 		kernelSeq8x8 = microSeq8x8Asm
+		elemVec = elemKernels{addVec: addVecAsm, addConst: addConstAsm, relu: reluAsm, reluBwd: reluBwdAsm}
 		haveAVX2Kernels = true
 	}
 	if feat.f16c {

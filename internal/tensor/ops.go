@@ -121,6 +121,7 @@ func Div(a, b *Tensor) *Tensor {
 }
 
 func accumRange(av, bv []float32) {
+	bv = bv[:len(av)]
 	for i := range av {
 		av[i] += bv[i]
 	}

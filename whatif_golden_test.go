@@ -27,9 +27,15 @@ import (
 
 const whatifTraceDir = "testdata/whatif"
 
-// mlp1024TraceName is the train_gemm trace the recorder writes at this
-// commit's GEMM driver.
-const mlp1024TraceName = "mlp1024_blocked.json"
+// The train_gemm traces. The recorder writes mlp1024TraceName on this
+// commit; the other two are the same recorder run on earlier commits and
+// cannot be re-recorded: unblocked on e621355, before the wide GEMM driver
+// got its k-loop, and blocked on 7cfdd68, before ReLU went branch-free.
+const (
+	mlp1024UnblockedTrace = "mlp1024_unblocked.json"
+	mlp1024BlockedTrace   = "mlp1024_blocked.json"
+	mlp1024TraceName      = "mlp1024_vecrelu.json"
+)
 
 // Committed per-tier GEMM throughput at 256x256 from BENCH_numeric.json
 // (BenchmarkGEMMTier) — the measured micro-kernel ratios the tier
@@ -104,10 +110,9 @@ func recordMLP1024WhatifTrace(steps int) (*whatif.Trace, error) {
 // meaningful on the benchmark machine the BENCH_*.json baselines came
 // from; `make whatif-record` runs it (and the dist trace recording).
 //
-// mlp1024_unblocked.json is the one committed trace this cannot
-// re-record: it is recordMLP1024WhatifTrace run on the commit before the
-// wide GEMM driver got its k-loop (e621355), the "before" of
-// TestWhatifGroundTruthGemmBlocking.
+// The two earlier mlp1024 traces (see the constants above) are the
+// "before" sides of TestWhatifGroundTruthGemmBlocking and
+// TestWhatifGroundTruthVecReLU and are not re-recorded here.
 func TestRecordWhatifGoldenTraces(t *testing.T) {
 	if os.Getenv("TBD_WHATIF_RECORD") == "" {
 		t.Skip("set TBD_WHATIF_RECORD=1 (make whatif-record) to re-record golden traces")
@@ -250,19 +255,25 @@ func TestWhatifGroundTruthBatchScaling(t *testing.T) {
 		float64(pred.MemAfter.PeakTotal)/(1<<20), float64(b64.Mem.PeakTotal)/(1<<20))
 }
 
-// gemmBlockingSpec is the prediction committed before the wide GEMM
-// driver got its k-loop: "the k = 1024 GEMMs (forward and dX) run at the
-// rate the k = 256 ones (dW, whose packed B panel already fits L2) reach
-// in the same trace" — FLOPs ÷ time over the trace's gemm.dW spans.
-func gemmBlockingSpec(tr *whatif.Trace) string {
+// spanGFLOPs is the rate a trace's spans of one name reach together:
+// their FLOPs ÷ their time.
+func spanGFLOPs(tr *whatif.Trace, name string) float64 {
 	var flops, us float64
 	for _, s := range tr.Spans {
-		if s.Name == "gemm.dW" {
+		if s.Name == name {
 			flops += s.FLOPs
 			us += s.DurUs
 		}
 	}
-	g := flops / us / 1e3
+	return flops / us / 1e3
+}
+
+// gemmBlockingSpec is the prediction committed before the wide GEMM
+// driver got its k-loop: "the k = 1024 GEMMs (forward and dX) run at the
+// rate the k = 256 ones (dW, whose packed B panel already fits L2) reach
+// in the same trace".
+func gemmBlockingSpec(tr *whatif.Trace) string {
+	g := spanGFLOPs(tr, "gemm.dW")
 	return fmt.Sprintf("kernelmodel=gemm.bias_act:%.2f,kernelmodel=gemm.dX:%.2f", g, g)
 }
 
@@ -271,11 +282,44 @@ func gemmBlockingSpec(tr *whatif.Trace) string {
 // recorded after the k-loop landed. The model has no term for pack-B
 // time, which blocking does not speed up (EXPERIMENTS.md has the split).
 func TestWhatifGroundTruthGemmBlocking(t *testing.T) {
-	unblocked := loadGoldenTrace(t, "mlp1024_unblocked.json")
+	unblocked := loadGoldenTrace(t, mlp1024UnblockedTrace)
 	spec := gemmBlockingSpec(unblocked)
 	pred := replayGolden(t, unblocked, spec)
-	measured := replayGolden(t, loadGoldenTrace(t, mlp1024TraceName), "")
+	measured := replayGolden(t, loadGoldenTrace(t, mlp1024BlockedTrace), "")
 	checkGroundTruth(t, "unblocked->k-blocked GEMM ("+spec+")", pred.PredictedStepUs, measured.BaselineStepUs)
+}
+
+// vecReLUSpec is the prediction committed before ReLU went branch-free:
+// "the forward GEMMs, which carry the bias + ReLU epilogue, run at the rate
+// the dX GEMMs of the same trace reach" — same 256x1024x1024 shape, no
+// epilogue, so the gap between the two rates is the epilogue.
+func vecReLUSpec(tr *whatif.Trace) string {
+	return fmt.Sprintf("kernelmodel=gemm.bias_act:%.2f", spanGFLOPs(tr, "gemm.dX"))
+}
+
+// vecReLUBackwardSavingUs is the half of that prediction the blocked trace
+// cannot express, added by hand: ActBackward had no span of its own (its
+// time hides in fc*.bwd self time), and it runs twice a step on 262 144
+// elements. Measured on the parent with BenchmarkActBackwardReLU/256x1024:
+// 6.15 ns an element; predicted after: the rate of the bias add beside it,
+// 0.6 ns. 2 * 262144 * (6.15 - 0.6) ns.
+const vecReLUBackwardSavingUs = 2910
+
+// predictVecReLU is the whole committed prediction for the train_gemm
+// step: the replayed forward saving plus the hand-added backward one.
+func predictVecReLU(t testing.TB) (predictedUs float64, spec string) {
+	blocked := loadGoldenTrace(t, mlp1024BlockedTrace)
+	spec = vecReLUSpec(blocked)
+	return replayGolden(t, blocked, spec).PredictedStepUs - vecReLUBackwardSavingUs, spec
+}
+
+// TestWhatifGroundTruthVecReLU holds that prediction against the same step
+// recorded with the vector kernels in place.
+func TestWhatifGroundTruthVecReLU(t *testing.T) {
+	predicted, spec := predictVecReLU(t)
+	measured := replayGolden(t, loadGoldenTrace(t, mlp1024TraceName), "")
+	checkGroundTruth(t, fmt.Sprintf("branchy->vector ReLU (%s, backward -%d us by hand)", spec, vecReLUBackwardSavingUs),
+		predicted, measured.BaselineStepUs)
 }
 
 // TestWhatifGroundTruthPSBandwidth is the strongest bandwidth cell: the
