@@ -51,9 +51,12 @@ prof-race:
 
 # Race detector over the distributed runtime (ring all-reduce, parameter
 # server, throttled transport, coordinator) and the CLI package, whose
-# dist tests spawn real worker OS processes over localhost TCP.
+# dist tests spawn real worker OS processes over localhost TCP; then the
+# example that trains on that runtime in-process, run rather than only
+# compiled.
 dist-race:
 	$(GO) test -race ./internal/dist/... ./cmd/tbd/
+	$(GO) run ./examples/distributed
 
 # Ten seconds of coverage-guided garbage against a live parameter-server
 # connection handler: no panic, no hang, no allocation sized from the wire.

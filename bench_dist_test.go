@@ -12,7 +12,6 @@ package tbd
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"tbd/internal/dist"
@@ -22,7 +21,7 @@ import (
 // cluster throughput in samples/s.
 func benchDistRun(b *testing.B, workers int, strat dist.RunStrategy, comp dist.Compression, bytesPerSec float64, steps, batch int) float64 {
 	b.Helper()
-	coord, err := dist.NewCoordinator(dist.CoordConfig{
+	summary, err := dist.RunLocal(dist.CoordConfig{
 		Workers:       workers,
 		Strategy:      strat,
 		Compression:   comp,
@@ -31,45 +30,9 @@ func benchDistRun(b *testing.B, workers int, strat dist.RunStrategy, comp dist.C
 		LR:            0.05,
 		Staleness:     2,
 		PSBytesPerSec: bytesPerSec,
-	})
+	}, steps, batch, bytesPerSec)
 	if err != nil {
 		b.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			_, errs[w] = dist.RunWorker(dist.WorkerConfig{
-				Rank:        w,
-				Workers:     workers,
-				Strategy:    strat,
-				Compression: comp,
-				BytesPerSec: bytesPerSec,
-				Staleness:   2,
-				Model:       "mlp-wide",
-				Seed:        42,
-				Steps:       steps,
-				GlobalBatch: batch,
-				LR:          0.05,
-				CoordAddr:   coord.Addr(),
-				PSAddr:      coord.PSAddr(),
-			})
-		}(w)
-	}
-	summary, werr := coord.Wait()
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			b.Fatalf("worker %d: %v", w, err)
-		}
-	}
-	if werr != nil {
-		b.Fatal(werr)
-	}
-	if !summary.Identical {
-		b.Fatal("workers finished with diverging weights")
 	}
 	return summary.Cluster.Throughput
 }

@@ -18,7 +18,6 @@ import (
 
 	"tbd/internal/data"
 	"tbd/internal/device"
-	"tbd/internal/dist"
 	"tbd/internal/graph"
 	"tbd/internal/kernels"
 	"tbd/internal/layers"
@@ -123,13 +122,13 @@ func BenchmarkAblationRNNSyncPoints(b *testing.B) {
 func BenchmarkAblationAggregation(b *testing.B) {
 	m, _ := models.Lookup("ResNet-50")
 	cfg := sim.Config{GPU: device.QuadroP4000, LaunchOverheadSec: 6e-6, SyncOverheadSec: 180e-6, IterOverheadSec: 3e-3}
-	ps := dist.Cluster{Name: "ps", Machines: 1, GPUsPerMachine: 4, IntraLink: device.PCIe3, Strategy: dist.ParameterServer, OverlapFraction: 0.5}
+	ps := sim.Cluster{Name: "ps", Machines: 1, GPUsPerMachine: 4, IntraLink: device.PCIe3, Strategy: sim.ParameterServer, OverlapFraction: 0.5}
 	ring := ps
-	ring.Strategy = dist.RingAllReduce
-	var rp, rr dist.Result
+	ring.Strategy = sim.RingAllReduce
+	var rp, rr sim.ScaleResult
 	for i := 0; i < b.N; i++ {
-		rp = dist.Scale(m.Ops(), 16, kernels.StyleMXNet, cfg, ps)
-		rr = dist.Scale(m.Ops(), 16, kernels.StyleMXNet, cfg, ring)
+		rp = sim.Scale(m.Ops(), 16, kernels.StyleMXNet, cfg, ps)
+		rr = sim.Scale(m.Ops(), 16, kernels.StyleMXNet, cfg, ring)
 	}
 	b.ReportMetric(rp.Throughput, "ps-samples/s")
 	b.ReportMetric(rr.Throughput, "ring-samples/s")
@@ -140,13 +139,13 @@ func BenchmarkAblationAggregation(b *testing.B) {
 func BenchmarkAblationInterconnect(b *testing.B) {
 	m, _ := models.Lookup("ResNet-50")
 	cfg := sim.Config{GPU: device.QuadroP4000, LaunchOverheadSec: 6e-6, SyncOverheadSec: 180e-6, IterOverheadSec: 3e-3}
-	mk := func(link *device.Interconnect) dist.Cluster {
-		return dist.Cluster{Name: link.Name, Machines: 2, GPUsPerMachine: 1, IntraLink: device.PCIe3, InterLink: link, Strategy: dist.ParameterServer, OverlapFraction: 0.5}
+	mk := func(link *device.Interconnect) sim.Cluster {
+		return sim.Cluster{Name: link.Name, Machines: 2, GPUsPerMachine: 1, IntraLink: device.PCIe3, InterLink: link, Strategy: sim.ParameterServer, OverlapFraction: 0.5}
 	}
-	var eth, ib dist.Result
+	var eth, ib sim.ScaleResult
 	for i := 0; i < b.N; i++ {
-		eth = dist.Scale(m.Ops(), 16, kernels.StyleMXNet, cfg, mk(device.Ethernet))
-		ib = dist.Scale(m.Ops(), 16, kernels.StyleMXNet, cfg, mk(device.InfiniBand))
+		eth = sim.Scale(m.Ops(), 16, kernels.StyleMXNet, cfg, mk(device.Ethernet))
+		ib = sim.Scale(m.Ops(), 16, kernels.StyleMXNet, cfg, mk(device.InfiniBand))
 	}
 	b.ReportMetric(eth.Throughput, "ethernet-samples/s")
 	b.ReportMetric(ib.Throughput, "infiniband-samples/s")
@@ -246,29 +245,6 @@ func BenchmarkTrainStepCNN(b *testing.B) {
 		graph.TrainClassifierStep(net, opt, batch.X, batch.Labels, 5)
 	}
 	b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "samples/s(real)")
-}
-
-func BenchmarkDataParallelStep(b *testing.B) {
-	mk := func() *graph.Network {
-		rng := tensor.NewRNG(6)
-		return graph.New("mlp", layers.NewSequential("mlp",
-			layers.NewDense("fc1", 8, 64, rng),
-			layers.NewReLU("relu"),
-			layers.NewDense("fc2", 64, 4, rng),
-		))
-	}
-	dp := dist.NewDataParallel(optim.NewSGD(0.1), mk(), mk(), mk(), mk())
-	rng := tensor.NewRNG(7)
-	x := tensor.RandNormal(rng, 0, 1, 64, 8)
-	labels := make([]int, 64)
-	for i := range labels {
-		labels[i] = rng.Intn(4)
-	}
-	xs, ys := dist.SplitBatch(x, labels, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dp.Step(xs, ys)
-	}
 }
 
 // BenchmarkKernelEmission measures the analytic layer: expanding

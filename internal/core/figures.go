@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tbd/internal/device"
-	"tbd/internal/dist"
 	"tbd/internal/framework"
 	"tbd/internal/kernels"
 	"tbd/internal/memprof"
@@ -230,10 +229,10 @@ func runFig10(o Options) (*Result, error) {
 		XLabel: "mini-batch size per GPU",
 		YLabel: "throughput (samples/s)",
 	}
-	for _, cluster := range dist.Figure10Configs() {
+	for _, cluster := range sim.Figure10Configs() {
 		s := report.Series{Name: cluster.Name}
 		for _, b := range []int{8, 16, 32} {
-			r := dist.Scale(m.Ops(), b, kernels.StyleMXNet, cfg, cluster)
+			r := sim.Scale(m.Ops(), b, kernels.StyleMXNet, cfg, cluster)
 			s.X = append(s.X, float64(b))
 			s.Y = append(s.Y, r.Throughput)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tbd/internal/device"
-	"tbd/internal/dist"
 	"tbd/internal/framework"
 	"tbd/internal/kernels"
 	"tbd/internal/memprof"
@@ -249,9 +248,9 @@ func Observations() []Observation {
 			m, _ := models.Lookup("ResNet-50")
 			fw, _ := framework.Lookup("MXNet")
 			cfg := models.SimConfigFor(m, fw, o.GPU)
-			results := map[string]dist.Result{}
-			for _, c := range dist.Figure10Configs() {
-				results[c.Name] = dist.Scale(m.Ops(), 16, kernels.StyleMXNet, cfg, c)
+			results := map[string]sim.ScaleResult{}
+			for _, c := range sim.Figure10Configs() {
+				results[c.Name] = sim.Scale(m.Ops(), 16, kernels.StyleMXNet, cfg, c)
 			}
 			if results["2M1G (ethernet)"].Throughput >= results["1M1G"].Throughput {
 				return false, "ethernet did not degrade two-machine training"

@@ -1,10 +1,11 @@
 package dist
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
+	"sync"
 	"time"
 
 	"tbd/internal/graph"
@@ -93,6 +94,43 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	return c, nil
 }
 
+// RunLocal runs one whole job inside this process: a coordinator plus
+// one RunWorker goroutine per rank, every socket real — the path `tbd
+// dist` gives OS processes. steps, globalBatch and each rank's link rate
+// (bytesPerSec, 0 = unthrottled) are what CoordConfig does not carry.
+func RunLocal(cfg CoordConfig, steps, globalBatch int, bytesPerSec float64) (*RunSummary, error) {
+	coord, err := NewCoordinator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, cfg.Workers, cfg.Workers+1)
+	for rank := 0; rank < cfg.Workers; rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			_, errs[rank] = RunWorker(WorkerConfig{
+				Rank:        rank,
+				Workers:     cfg.Workers,
+				Strategy:    cfg.Strategy,
+				Compression: cfg.Compression,
+				BytesPerSec: bytesPerSec,
+				Staleness:   cfg.Staleness,
+				Model:       cfg.Model,
+				Seed:        cfg.Seed,
+				Steps:       steps,
+				GlobalBatch: globalBatch,
+				LR:          cfg.LR,
+				CoordAddr:   coord.Addr(),
+				PSAddr:      coord.PSAddr(),
+			})
+		}(rank)
+	}
+	summary, err := coord.Wait() // closes the coordinator
+	wg.Wait()
+	return summary, errors.Join(append(errs, err)...)
+}
+
 // Addr returns the control address workers dial.
 func (c *Coordinator) Addr() string { return c.ctrl.Addr().String() }
 
@@ -115,38 +153,6 @@ func (c *Coordinator) Close() error {
 	return err
 }
 
-// coordConn is one rank's control connection.
-type coordConn struct {
-	conn net.Conn
-	dec  *gob.Decoder
-	enc  *gob.Encoder
-	rank int
-	// ringAddr is the ring listener address the rank advertised in its
-	// hello ("" for parameter-server strategies).
-	ringAddr string
-}
-
-func (cc *coordConn) send(m ctrlMsg) error {
-	if err := cc.conn.SetWriteDeadline(time.Now().Add(ctrlTimeout)); err != nil {
-		return err
-	}
-	return cc.enc.Encode(&m)
-}
-
-func (cc *coordConn) recv(wantKind string) (ctrlMsg, error) {
-	if err := cc.conn.SetReadDeadline(time.Now().Add(ctrlTimeout)); err != nil {
-		return ctrlMsg{}, err
-	}
-	var m ctrlMsg
-	if err := cc.dec.Decode(&m); err != nil {
-		return ctrlMsg{}, fmt.Errorf("dist: coordinator await %s from rank %d: %w", wantKind, cc.rank, err)
-	}
-	if m.Kind != wantKind {
-		return ctrlMsg{}, fmt.Errorf("dist: coordinator got %q from rank %d, want %q", m.Kind, cc.rank, wantKind)
-	}
-	return m, nil
-}
-
 // Wait runs the control protocol to completion: collect hellos, publish
 // the rank-ordered peer list, wait for every rank's done, release the
 // final barrier, and gather results. It closes the coordinator before
@@ -156,7 +162,10 @@ func (c *Coordinator) Wait() (*RunSummary, error) {
 	n := c.cfg.Workers
 
 	// Phase 1: one hello per rank.
-	conns := make([]*coordConn, n)
+	conns := make([]*ctrlConn, n)
+	// peers holds the ring listener address each rank advertised in its
+	// hello ("" for parameter-server strategies).
+	peers := make([]string, n)
 	if tl, ok := c.ctrl.(*net.TCPListener); ok {
 		if err := tl.SetDeadline(time.Now().Add(ctrlTimeout)); err != nil {
 			return nil, err
@@ -167,7 +176,7 @@ func (c *Coordinator) Wait() (*RunSummary, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dist: coordinator accept (%d of %d workers arrived): %w", i, n, err)
 		}
-		cc := &coordConn{conn: conn, dec: gob.NewDecoder(conn), enc: gob.NewEncoder(conn)}
+		cc := newCtrlConn(conn, "coordinator")
 		hello, err := cc.recv("hello")
 		if err != nil {
 			return nil, err
@@ -178,9 +187,8 @@ func (c *Coordinator) Wait() (*RunSummary, error) {
 		if conns[hello.Rank] != nil {
 			return nil, fmt.Errorf("dist: two workers claimed rank %d", hello.Rank)
 		}
-		cc.rank = hello.Rank
-		cc.ringAddr = hello.Addr
-		conns[hello.Rank] = cc
+		cc.who = fmt.Sprintf("coordinator (rank %d)", hello.Rank)
+		conns[hello.Rank], peers[hello.Rank] = cc, hello.Addr
 	}
 	defer func() {
 		for _, cc := range conns {
@@ -190,7 +198,6 @@ func (c *Coordinator) Wait() (*RunSummary, error) {
 
 	// Phase 2: publish the rank-ordered ring addresses. PS workers get a
 	// list of empty strings — the message is still their start barrier.
-	peers := c.peerList(conns)
 	for _, cc := range conns {
 		if err := cc.send(ctrlMsg{Kind: "peers", Peers: peers}); err != nil {
 			return nil, err
@@ -236,13 +243,4 @@ func (c *Coordinator) Wait() (*RunSummary, error) {
 		return summary, fmt.Errorf("dist: workers finished with diverging weights")
 	}
 	return summary, nil
-}
-
-// peerList returns the rank-ordered ring addresses from the hellos.
-func (c *Coordinator) peerList(conns []*coordConn) []string {
-	peers := make([]string, len(conns))
-	for i, cc := range conns {
-		peers[i] = cc.ringAddr
-	}
-	return peers
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"sync"
 	"testing"
 
 	"tbd/internal/tensor"
@@ -11,42 +10,9 @@ import (
 // over real TCP: the exact path `tbd dist` exercises with OS processes.
 func runCoordinated(t *testing.T, cfg CoordConfig, steps, batch int, bytesPerSec float64) *RunSummary {
 	t.Helper()
-	coord, err := NewCoordinator(cfg)
+	summary, err := RunLocal(cfg, steps, batch, bytesPerSec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			_, errs[w] = RunWorker(WorkerConfig{
-				Rank:        w,
-				Workers:     cfg.Workers,
-				Strategy:    cfg.Strategy,
-				Compression: cfg.Compression,
-				BytesPerSec: bytesPerSec,
-				Staleness:   cfg.Staleness,
-				Model:       cfg.Model,
-				Seed:        cfg.Seed,
-				Steps:       steps,
-				GlobalBatch: batch,
-				LR:          0.1,
-				CoordAddr:   coord.Addr(),
-				PSAddr:      coord.PSAddr(),
-			})
-		}(w)
-	}
-	summary, werr := coord.Wait()
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
-		}
-	}
-	if werr != nil {
-		t.Fatal(werr)
 	}
 	return summary
 }
@@ -163,4 +129,14 @@ func TestSyntheticBatchShapes(t *testing.T) {
 			t.Fatal("identically seeded labels differ")
 		}
 	}
+}
+
+func TestSplitBatchValidates(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("want panic on indivisible batch")
+		}
+	}()
+	x := tensor.New(10, 2)
+	SplitBatch(x, make([]int, 10), 3)
 }

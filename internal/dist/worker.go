@@ -1,3 +1,12 @@
+// Package dist is the data-parallel training runtime (§2.2, §4.5), sockets
+// and processes only. One RunWorker call is one rank — an OS process
+// spawned by `tbd dist`, or a goroutine under RunLocal — and either way the
+// gradients move over real TCP: a ring all-reduce (ring.go) or a
+// synchronous / bounded-staleness parameter server (psnet.go), both on
+// wire.go's frames and optionally throttled (throttle.go). Ranks meet
+// through a tiny gob control protocol (hello -> peers -> done -> all-done
+// -> result) owned by the Coordinator in coord.go. The simulated cluster
+// model of Figure 10 lives in internal/sim.
 package dist
 
 import (
@@ -15,13 +24,6 @@ import (
 	"tbd/internal/tensor"
 	"tbd/internal/whatif"
 )
-
-// The distributed worker runtime: one RunWorker call is one rank of a
-// real data-parallel training job — an OS process spawned by `tbd dist`,
-// or a goroutine in the in-process benchmarks; either way the gradients
-// move over real TCP sockets. Workers coordinate through a tiny gob
-// control protocol (hello -> peers -> done -> all-done -> result) owned
-// by the Coordinator in coord.go.
 
 // RunStrategy selects the gradient-exchange runtime.
 type RunStrategy int
@@ -113,35 +115,6 @@ func RunModelByName(name string) (RunModel, error) {
 	return RunModel{}, fmt.Errorf("dist: unknown model %q (have mlp, mlp-wide, cnn)", name)
 }
 
-// SyntheticBatch generates n labeled samples: gaussian noise with a
-// class-dependent offset on one feature, the same separable-classes
-// construction the in-process data-parallel tests train on. Every worker
-// draws the identical global batch from an identically seeded RNG and
-// takes its own shard, so the data pipeline is deterministic with no
-// coordinator involvement.
-func SyntheticBatch(rng *tensor.RNG, shape []int, classes, n int) (*tensor.Tensor, []int) {
-	inner := 1
-	for _, d := range shape {
-		inner *= d
-	}
-	x := tensor.New(append([]int{n}, shape...)...)
-	data := x.Data()
-	labels := make([]int, n)
-	for i := 0; i < n; i++ {
-		c := rng.Intn(classes)
-		labels[i] = c
-		base := i * inner
-		for j := 0; j < inner; j++ {
-			v := float32(rng.Norm()) * 0.3
-			if j == c%inner {
-				v += 2
-			}
-			data[base+j] = v
-		}
-	}
-	return x, labels
-}
-
 // WorkerConfig is everything one rank needs to join a run.
 type WorkerConfig struct {
 	Rank    int
@@ -207,6 +180,42 @@ type ctrlMsg struct {
 	Res   WorkerResult
 }
 
+// ctrlConn is one end of a rank's control connection, the same on the
+// coordinator and the worker: every message under ctrlTimeout, every
+// receive checked against the kind the protocol expects next.
+type ctrlConn struct {
+	conn net.Conn
+	dec  *gob.Decoder
+	enc  *gob.Encoder
+	// who names this end in errors: "rank 2", "coordinator (rank 2)".
+	who string
+}
+
+func newCtrlConn(conn net.Conn, who string) *ctrlConn {
+	return &ctrlConn{conn: conn, dec: gob.NewDecoder(conn), enc: gob.NewEncoder(conn), who: who}
+}
+
+func (c *ctrlConn) send(m ctrlMsg) error {
+	if err := c.conn.SetWriteDeadline(time.Now().Add(ctrlTimeout)); err != nil {
+		return err
+	}
+	return c.enc.Encode(&m)
+}
+
+func (c *ctrlConn) recv(wantKind string) (ctrlMsg, error) {
+	if err := c.conn.SetReadDeadline(time.Now().Add(ctrlTimeout)); err != nil {
+		return ctrlMsg{}, err
+	}
+	var m ctrlMsg
+	if err := c.dec.Decode(&m); err != nil {
+		return ctrlMsg{}, fmt.Errorf("dist: %s await %s: %w", c.who, wantKind, err)
+	}
+	if m.Kind != wantKind {
+		return ctrlMsg{}, fmt.Errorf("dist: %s got %q, want %q", c.who, m.Kind, wantKind)
+	}
+	return m, nil
+}
+
 // RunWorker joins the run described by cfg, trains for cfg.Steps, and
 // returns this rank's result after the coordinator confirms every rank
 // finished. The final model state is identical across ranks (the
@@ -223,31 +232,12 @@ func RunWorker(cfg WorkerConfig) (WorkerResult, error) {
 		return WorkerResult{}, fmt.Errorf("dist: global batch %d not divisible by %d workers", cfg.GlobalBatch, cfg.Workers)
 	}
 
-	ctrl, err := net.Dial("tcp", cfg.CoordAddr)
+	conn, err := net.Dial("tcp", cfg.CoordAddr)
 	if err != nil {
 		return WorkerResult{}, fmt.Errorf("dist: rank %d dial coordinator: %w", cfg.Rank, err)
 	}
-	defer ctrl.Close()
-	dec, enc := gob.NewDecoder(ctrl), gob.NewEncoder(ctrl)
-	send := func(m ctrlMsg) error {
-		if err := ctrl.SetWriteDeadline(time.Now().Add(ctrlTimeout)); err != nil {
-			return err
-		}
-		return enc.Encode(&m)
-	}
-	recv := func(wantKind string) (ctrlMsg, error) {
-		if err := ctrl.SetReadDeadline(time.Now().Add(ctrlTimeout)); err != nil {
-			return ctrlMsg{}, err
-		}
-		var m ctrlMsg
-		if err := dec.Decode(&m); err != nil {
-			return ctrlMsg{}, fmt.Errorf("dist: rank %d await %s: %w", cfg.Rank, wantKind, err)
-		}
-		if m.Kind != wantKind {
-			return ctrlMsg{}, fmt.Errorf("dist: rank %d got %q, want %q", cfg.Rank, m.Kind, wantKind)
-		}
-		return m, nil
-	}
+	defer conn.Close()
+	ctrl := newCtrlConn(conn, fmt.Sprintf("rank %d", cfg.Rank))
 
 	// Transport setup: a ring listener or a parameter-server client.
 	var ring *Ring
@@ -260,10 +250,10 @@ func RunWorker(cfg WorkerConfig) (WorkerResult, error) {
 		}
 		defer l.Close()
 		hello.Addr = l.Addr().String()
-		if err := send(hello); err != nil {
+		if err := ctrl.send(hello); err != nil {
 			return WorkerResult{}, err
 		}
-		peers, err := recv("peers")
+		peers, err := ctrl.recv("peers")
 		if err != nil {
 			return WorkerResult{}, err
 		}
@@ -278,10 +268,10 @@ func RunWorker(cfg WorkerConfig) (WorkerResult, error) {
 		}
 		defer ring.Close()
 	} else {
-		if err := send(hello); err != nil {
+		if err := ctrl.send(hello); err != nil {
 			return WorkerResult{}, err
 		}
-		if _, err := recv("peers"); err != nil {
+		if _, err := ctrl.recv("peers"); err != nil {
 			return WorkerResult{}, err
 		}
 		ps, err = DialPSThrottled(cfg.PSAddr, cfg.BytesPerSec)
@@ -301,10 +291,10 @@ func RunWorker(cfg WorkerConfig) (WorkerResult, error) {
 	// all ranks hold the same final state even under async updates. In a
 	// sync run the last push reply already carried them and the pull is a
 	// header each way.
-	if err := send(ctrlMsg{Kind: "done", Rank: cfg.Rank}); err != nil {
+	if err := ctrl.send(ctrlMsg{Kind: "done", Rank: cfg.Rank}); err != nil {
 		return WorkerResult{}, err
 	}
-	if _, err := recv("all-done"); err != nil {
+	if _, err := ctrl.recv("all-done"); err != nil {
 		return WorkerResult{}, err
 	}
 	if ps != nil {
@@ -319,7 +309,7 @@ func RunWorker(cfg WorkerConfig) (WorkerResult, error) {
 		res.result.WireIn, res.result.WireOut = in, out
 	}
 	res.result.Hash = res.net.WeightsHash()
-	if err := send(ctrlMsg{Kind: "result", Rank: cfg.Rank, Res: res.result}); err != nil {
+	if err := ctrl.send(ctrlMsg{Kind: "result", Rank: cfg.Rank, Res: res.result}); err != nil {
 		return WorkerResult{}, err
 	}
 	return res.result, nil
@@ -341,6 +331,9 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 	meter := metrics.NewMeter(shard)
 	res := WorkerResult{Rank: cfg.Rank, Steps: cfg.Steps}
 
+	// grads views the live gradient buffers: a push encodes straight onto
+	// the wire before it returns, so it needs no per-step copy.
+	var grads [][]float32
 	if ps != nil {
 		// Adopt the server's initial weights (same seed, but explicit
 		// sync keeps the contract obvious and covers future drift).
@@ -351,66 +344,67 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 		if err := LoadWeights(net.Params(), weights); err != nil {
 			return nil, err
 		}
+		for _, p := range net.Params() {
+			grads = append(grads, p.Grad.Data())
+		}
 	}
 
-	// The phase spans below are no-ops unless the profiler is on; with
+	// exchange is the apply half of every step: the gradients leave this
+	// rank and the parameters come back updated.
+	var flat []float32
+	exchange := func(params []*layers.Param) error {
+		start := time.Now()
+		defer func() { res.CommSec += time.Since(start).Seconds() }()
+		if ring != nil {
+			flat = net.GradVector(flat)
+			if err := ring.AllReduce(flat); err != nil {
+				return err
+			}
+			net.SetGradVector(flat)
+			opt.Step(params)
+			return nil
+		}
+		weights, _, err := ps.PushRanked(cfg.Rank, cfg.Compression, grads)
+		if err != nil {
+			return err
+		}
+		return LoadWeights(params, weights)
+	}
+
+	// The step's phase spans are no-ops unless the profiler is on; with
 	// cfg.Profile they give every kernel and comm span a phase lineage
 	// for the what-if dependence graph.
 	if cfg.Profile {
 		prof.EnableWithMaxRecords(distProfileMaxRecords)
 	}
-
-	var flat []float32
+	var err error
+	shardShape := append([]int{shard}, model.Shape...)
 	wallStart := time.Now()
 	for step := 0; step < cfg.Steps; step++ {
 		stepStart := time.Now()
-		st := prof.Begin(prof.CatPhase, "step")
-		// Every rank draws the same global batch and takes its shard.
+		// Every rank draws the same global batch and trains on a view of
+		// its own rows.
 		x, labels := SyntheticBatch(dataRNG, model.Shape, model.Classes, cfg.GlobalBatch)
-		xs, ys := SplitBatch(x, labels, cfg.Workers)
-		optim.ZeroGrads(net.Params())
-		fw := prof.BeginChild(&st, prof.CatPhase, "phase.forward")
-		logits := net.Forward(xs[cfg.Rank], true)
-		fw.End()
-		ls := prof.BeginChild(&st, prof.CatPhase, "phase.loss")
-		loss, grad := tensor.CrossEntropy(logits, ys[cfg.Rank])
-		ls.End()
-		bw := prof.BeginChild(&st, prof.CatPhase, "phase.backward")
-		net.Backward(grad)
-		bw.End()
+		per := x.Numel() / cfg.Workers
+		xs := tensor.FromSlice(x.Data()[cfg.Rank*per:(cfg.Rank+1)*per], shardShape...)
+		ys := labels[cfg.Rank*shard : (cfg.Rank+1)*shard]
+		var sr graph.StepResult
+		if sr, err = graph.TrainClassifierExchanged(net, opt, xs, ys, exchange); err != nil {
+			break
+		}
 		if step == 0 {
-			res.FirstLoss = loss
+			res.FirstLoss = sr.Loss
 		}
-		res.LastLoss = loss
-
-		commStart := time.Now()
-		sync := prof.BeginChild(&st, prof.CatPhase, "phase.sync")
-		if ring != nil {
-			flat = net.GradVector(flat)
-			if err := ring.AllReduce(flat); err != nil {
-				sync.End()
-				st.End()
-				return nil, err
-			}
-			net.SetGradVector(flat)
-			opt.Step(net.Params())
-		} else {
-			weights, _, err := ps.PushRanked(cfg.Rank, cfg.Compression, GradSlices(net.Params()))
-			if err != nil {
-				sync.End()
-				st.End()
-				return nil, err
-			}
-			if err := LoadWeights(net.Params(), weights); err != nil {
-				sync.End()
-				st.End()
-				return nil, err
-			}
-		}
-		sync.End()
-		res.CommSec += time.Since(commStart).Seconds()
-		st.End()
+		res.LastLoss = sr.Loss
 		meter.Record(time.Since(stepStart).Seconds())
+	}
+	if cfg.Profile {
+		// The collector is process-global: a rank that failed mid-run must
+		// not leave it recording.
+		prof.Disable()
+	}
+	if err != nil {
+		return nil, err
 	}
 	res.WallSec = time.Since(wallStart).Seconds()
 	res.Window = meter.Sample(0.25, cfg.Steps)
@@ -418,8 +412,7 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 		res.WireIn, res.WireOut = ring.WireBytes()
 	}
 	if cfg.Profile {
-		prof.Disable()
-		tr, err := whatif.Capture(whatif.Meta{
+		res.Trace, err = whatif.Capture(whatif.Meta{
 			Model:         cfg.Model,
 			Steps:         cfg.Steps,
 			Batch:         cfg.GlobalBatch,
@@ -432,7 +425,6 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 		if err != nil {
 			return nil, err
 		}
-		res.Trace = tr
 	}
 	return &trainResult{net: net, result: res}, nil
 }

@@ -122,34 +122,7 @@ type StepResult struct {
 // cross-entropy against labels, backward, optional gradient clipping
 // (clip <= 0 disables), and an optimizer update.
 func TrainClassifierStep(n *Network, opt optim.Optimizer, x *tensor.Tensor, labels []int, clip float32) StepResult {
-	step := prof.Begin(prof.CatPhase, "step")
-	params := n.Params()
-	optim.ZeroGrads(params)
-	sp := prof.BeginChild(&step, prof.CatPhase, "phase.forward")
-	logits := n.Forward(x, true)
-	sp.End()
-	sp = prof.BeginChild(&step, prof.CatPhase, "phase.loss")
-	loss, grad := tensor.CrossEntropy(logits, labels)
-	sp.End()
-	sp = prof.BeginChild(&step, prof.CatPhase, "phase.backward")
-	n.Backward(grad)
-	sp.End()
-	// The loss gradient is this step's own buffer and dead after backward;
-	// the logits and input gradient belong to the layers that produced
-	// them and are recycled on the next step.
-	grad.Release()
-	// Post-backward is the step's liveness peak: stashed feature maps are
-	// still held, gradients are full, and optimizer state exists.
-	sampleStepMemory(n, opt)
-	var norm float32
-	if clip > 0 {
-		norm = optim.ClipGradNorm(params, clip)
-	}
-	sp = prof.BeginChild(&step, prof.CatPhase, "phase.update")
-	opt.Step(params)
-	sp.End()
-	step.End()
-	return StepResult{Loss: loss, Accuracy: tensor.Accuracy(logits, labels), GradNorm: norm}
+	return TrainClassifierAccumulated(n, opt, []*tensor.Tensor{x}, [][]int{labels}, clip)
 }
 
 // EvalClassifier computes loss and accuracy without updating weights.
@@ -166,85 +139,92 @@ func EvalClassifier(n *Network, x *tensor.Tensor, labels []int) StepResult {
 // behind the paper's Observation 12. microX/microLabels hold the k
 // shards; their sizes must be equal.
 func TrainClassifierAccumulated(n *Network, opt optim.Optimizer, microX []*tensor.Tensor, microLabels [][]int, clip float32) StepResult {
-	k := len(microX)
-	if k == 0 || len(microLabels) != k {
-		panic(fmt.Sprintf("graph: %d micro-batches with %d label sets", k, len(microLabels)))
+	res, _ := trainStep(n, opt, microX, microLabels, clip, "phase.update", func(params []*layers.Param) error {
+		opt.Step(params)
+		return nil
+	})
+	return res
+}
+
+// TrainSequenceStep runs one step of per-token classification for sequence
+// models: an output of N*T*V scalars against N*T flat labels.
+func TrainSequenceStep(n *Network, opt optim.Optimizer, x *tensor.Tensor, labels []int, clip float32) StepResult {
+	return TrainClassifierStep(n, opt, x, labels, clip)
+}
+
+// TrainClassifierExchanged is the step of one data-parallel rank: the
+// gradient half of TrainClassifierStep on this rank's shard, then exchange
+// in place of the local update. exchange leaves the parameters updated
+// (all-reduce then step, or push then load); its error ends the step.
+func TrainClassifierExchanged(n *Network, opt optim.Optimizer, x *tensor.Tensor, labels []int, exchange func(params []*layers.Param) error) (StepResult, error) {
+	return trainStep(n, opt, []*tensor.Tensor{x}, [][]int{labels}, 0, "phase.sync", exchange)
+}
+
+// trainStep is the one supervised training step in the tree. It owns the
+// gradient reset, the span tree the what-if replay keys on (step ›
+// phase.forward, phase.loss, phase.backward per micro-batch, then the
+// apply phase), the loss-gradient release and the memory-watermark
+// sample; apply decides what becomes of the finished gradients. xs and
+// labels hold k equal-sized micro-batches whose gradients are averaged.
+// An output that is not one row per label (a sequence model's [N, T, V])
+// is viewed as [len(labels), V] for the loss.
+func trainStep(n *Network, opt optim.Optimizer, xs []*tensor.Tensor, labels [][]int, clip float32,
+	phase string, apply func(params []*layers.Param) error) (StepResult, error) {
+	k := len(xs)
+	if k == 0 || len(labels) != k {
+		panic(fmt.Sprintf("graph: %d micro-batches with %d label sets", k, len(labels)))
 	}
 	step := prof.Begin(prof.CatPhase, "step")
 	params := n.Params()
 	optim.ZeroGrads(params)
-	var lossSum float64
-	var correct, total int
-	inv := 1 / float32(k)
-	for i := 0; i < k; i++ {
+	var lossSum, accSum float64
+	for i, x := range xs {
 		sp := prof.BeginChild(&step, prof.CatPhase, "phase.forward")
-		logits := n.Forward(microX[i], true)
+		out := n.Forward(x, true)
 		sp.End()
+		logits, rows := out, len(labels[i])
+		if out.Rank() != 2 || out.Dim(0) != rows {
+			if rows == 0 || out.Numel()%rows != 0 {
+				panic(fmt.Sprintf("graph: output %v incompatible with %d labels", out.Shape(), rows))
+			}
+			logits = out.Reshape(rows, out.Numel()/rows)
+		}
 		sp = prof.BeginChild(&step, prof.CatPhase, "phase.loss")
-		loss, grad := tensor.CrossEntropy(logits, microLabels[i])
+		loss, grad := tensor.CrossEntropy(logits, labels[i])
 		sp.End()
-		// CrossEntropy already averages within the micro-batch; scale by
-		// 1/k so the accumulated gradient averages over the full batch.
-		grad.ScaleInPlace(inv)
+		if k > 1 {
+			// CrossEntropy already averages within the micro-batch; scale by
+			// 1/k so the accumulated gradient averages over the full batch.
+			grad.ScaleInPlace(1 / float32(k))
+		}
+		gy := grad
+		if logits != out {
+			gy = grad.Reshape(out.Shape()...)
+		}
 		sp = prof.BeginChild(&step, prof.CatPhase, "phase.backward")
-		n.Backward(grad)
+		n.Backward(gy)
 		sp.End()
+		// The loss gradient is this step's own buffer and dead after backward;
+		// the logits and input gradient belong to the layers that produced
+		// them and are recycled on the next forward.
 		grad.Release()
+		// Post-backward is the step's liveness peak: stashed feature maps are
+		// still held, gradients are full, and optimizer state exists.
 		sampleStepMemory(n, opt)
 		lossSum += float64(loss)
-		pred := tensor.ArgmaxRows(logits)
-		for j, p := range pred {
-			if p == microLabels[i][j] {
-				correct++
-			}
-			total++
-			_ = j
-		}
+		accSum += tensor.Accuracy(logits, labels[i])
 	}
 	var norm float32
 	if clip > 0 {
 		norm = optim.ClipGradNorm(params, clip)
 	}
-	sp := prof.BeginChild(&step, prof.CatPhase, "phase.update")
-	opt.Step(params)
+	sp := prof.BeginChild(&step, prof.CatPhase, phase)
+	err := apply(params)
 	sp.End()
 	step.End()
 	return StepResult{
 		Loss:     float32(lossSum / float64(k)),
-		Accuracy: float64(correct) / float64(total),
+		Accuracy: accSum / float64(k),
 		GradNorm: norm,
-	}
-}
-
-// TrainSequenceStep runs one step of per-token classification for sequence
-// models: logits [N*T, V] against flat labels.
-func TrainSequenceStep(n *Network, opt optim.Optimizer, x *tensor.Tensor, labels []int, clip float32) StepResult {
-	step := prof.Begin(prof.CatPhase, "step")
-	params := n.Params()
-	optim.ZeroGrads(params)
-	sp := prof.BeginChild(&step, prof.CatPhase, "phase.forward")
-	out := n.Forward(x, true)
-	sp.End()
-	rows := len(labels)
-	if out.Numel()%rows != 0 {
-		panic(fmt.Sprintf("graph: output %v incompatible with %d labels", out.Shape(), rows))
-	}
-	logits := out.Reshape(rows, out.Numel()/rows)
-	sp = prof.BeginChild(&step, prof.CatPhase, "phase.loss")
-	loss, grad := tensor.CrossEntropy(logits, labels)
-	sp.End()
-	sp = prof.BeginChild(&step, prof.CatPhase, "phase.backward")
-	n.Backward(grad.Reshape(out.Shape()...))
-	sp.End()
-	grad.Release()
-	sampleStepMemory(n, opt)
-	var norm float32
-	if clip > 0 {
-		norm = optim.ClipGradNorm(params, clip)
-	}
-	sp = prof.BeginChild(&step, prof.CatPhase, "phase.update")
-	opt.Step(params)
-	sp.End()
-	step.End()
-	return StepResult{Loss: loss, Accuracy: tensor.Accuracy(logits, labels), GradNorm: norm}
+	}, err
 }

@@ -1,18 +1,17 @@
-// Package dist implements distributed data-parallel training (§2.2,
-// §4.5): a cluster-level performance model that reproduces Figure 10's
-// multi-GPU / multi-machine scaling study (parameter-server and ring
-// all-reduce aggregation over PCIe, Ethernet, or InfiniBand), and a real
-// in-process data-parallel trainer for the numeric engine that splits
-// mini-batches across replica networks and averages gradients.
-package dist
+package sim
 
 import (
 	"fmt"
 
 	"tbd/internal/device"
 	"tbd/internal/kernels"
-	"tbd/internal/sim"
 )
+
+// The cluster model of §2.2 / §4.5: data-parallel scaling of a simulated
+// iteration across GPUs and machines, reproducing Figure 10 (parameter-
+// server and ring all-reduce aggregation over PCIe, Ethernet, or
+// InfiniBand). The runtime that moves real gradients over sockets is
+// internal/dist; the two share no code.
 
 // Strategy selects the gradient-aggregation scheme.
 type Strategy int
@@ -68,8 +67,8 @@ func Figure10Configs() []Cluster {
 	}
 }
 
-// Result is the simulated performance of one cluster configuration.
-type Result struct {
+// ScaleResult is the simulated performance of one cluster configuration.
+type ScaleResult struct {
 	Cluster     Cluster
 	PerGPUBatch int
 	TotalBatch  int
@@ -129,12 +128,11 @@ func commTime(c Cluster, gradBytes int64) float64 {
 }
 
 // Scale simulates data-parallel training of an op graph: every worker
-// runs perGPUBatch samples per iteration under simCfg, then gradients are
-// exchanged per the cluster configuration. singleGPUIter is used as the
-// scaling baseline (pass the 1M1G iteration time; zero lets Scale compute
-// it).
-func Scale(ops []*kernels.Op, perGPUBatch int, style kernels.NameStyle, simCfg sim.Config, c Cluster) Result {
-	compute := sim.Simulate(ops, perGPUBatch, style, simCfg).IterTimeSec
+// runs perGPUBatch samples per iteration under cfg, then gradients are
+// exchanged per the cluster configuration; scaling efficiency is relative
+// to that same iteration on one worker.
+func Scale(ops []*kernels.Op, perGPUBatch int, style kernels.NameStyle, cfg Config, c Cluster) ScaleResult {
+	compute := Simulate(ops, perGPUBatch, style, cfg).IterTimeSec
 	raw := commTime(c, GradientBytes(ops))
 	exposed := raw * (1 - c.OverlapFraction)
 	// Overlap can only hide communication behind compute that exists.
@@ -146,7 +144,7 @@ func Scale(ops []*kernels.Op, perGPUBatch int, style kernels.NameStyle, simCfg s
 	total := perGPUBatch * w
 	thr := float64(total) / iter
 	single := float64(perGPUBatch) / compute
-	return Result{
+	return ScaleResult{
 		Cluster:           c,
 		PerGPUBatch:       perGPUBatch,
 		TotalBatch:        total,
@@ -160,7 +158,7 @@ func Scale(ops []*kernels.Op, perGPUBatch int, style kernels.NameStyle, simCfg s
 }
 
 // String implements fmt.Stringer.
-func (r Result) String() string {
+func (r ScaleResult) String() string {
 	return fmt.Sprintf("%s batch %d/GPU: %.1f samples/s (%.0f%% scaling efficiency)",
 		r.Cluster.Name, r.PerGPUBatch, r.Throughput, 100*r.ScalingEfficiency)
 }

@@ -11,6 +11,9 @@
 // host to drain the device before continuing (the per-timestep control
 // flow of unfused RNN loops), which is the mechanism that keeps LSTM
 // models from saturating the GPU.
+//
+// cluster.go scales one simulated iteration across GPUs and machines
+// (Cluster, Scale): the data-parallel study of Figure 10.
 package sim
 
 import (

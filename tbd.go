@@ -18,7 +18,6 @@ import (
 
 	"tbd/internal/core"
 	"tbd/internal/device"
-	"tbd/internal/dist"
 	"tbd/internal/framework"
 	"tbd/internal/kernels"
 	"tbd/internal/memprof"
@@ -240,9 +239,9 @@ func ScalingStudy(model, fw string, perGPUBatches []int) ([]ScalingResult, error
 	}
 	cfg := models.SimConfigFor(m, f, g)
 	var out []ScalingResult
-	for _, cluster := range dist.Figure10Configs() {
+	for _, cluster := range sim.Figure10Configs() {
 		for _, b := range perGPUBatches {
-			r := dist.Scale(m.Ops(), b, f.Style, cfg, cluster)
+			r := sim.Scale(m.Ops(), b, f.Style, cfg, cluster)
 			out = append(out, ScalingResult{
 				Config:            cluster.Name,
 				PerGPUBatch:       b,
