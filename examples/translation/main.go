@@ -34,7 +34,7 @@ func trainTwin(name string, net *graph.Network, src *data.TranslationSource, ste
 	var acc float64
 	for i := 0; i < steps; i++ {
 		b := src.Batch(16)
-		acc = graph.TrainSequenceStep(net, opt, b.Src, b.Targets, 5).Accuracy
+		acc = graph.TrainClassifierStep(net, opt, b.Src, b.Targets, 5).Accuracy
 		if (i+1)%(steps/4) == 0 {
 			fmt.Printf("  %-18s step %4d: token accuracy %.2f\n", name, i+1, acc)
 		}

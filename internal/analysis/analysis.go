@@ -25,7 +25,8 @@
 //     contract — including acquisitions that flow through callees
 //     (a helper that returns a fresh buffer obligates its caller; a
 //     helper that merely borrows a buffer does not discharge the
-//     caller's obligation; a helper that releases its argument counts
+//     caller's obligation, so an acquisition passed to it inline can
+//     never be released; a helper that releases its argument counts
 //     as a release, and releasing again is a double release).
 //   - spancheck: every prof span Begin must reach End in the same
 //     function, so the profiler's phase accounting stays balanced.

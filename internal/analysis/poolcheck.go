@@ -35,10 +35,14 @@ import (
 // RELEASES its parameter counts as a release at the call site (and
 // releasing again afterwards is a double release); a call to a function
 // that merely BORROWS its parameter leaves the obligation with the
-// caller. Only buffers passed to functions outside the analyzed program
-// — or to summarized sinks (stores, returns, captures) — transfer
-// ownership conservatively, as does storing in a container or capturing
-// in a closure locally.
+// caller — so an acquisition written inline as the argument of a borrower
+// is a finding outright: no variable is left to release. Only buffers
+// passed to functions outside the analyzed program — or to summarized
+// sinks (stores, returns, captures) — transfer ownership conservatively,
+// as does storing in a container or capturing in a closure locally. A
+// closure handed to a function whose doc carries //tbd:sync-callback has
+// finished when that call returns and is summarized as part of the
+// function that wrote it.
 var Poolcheck = &Analyzer{
 	Name: "poolcheck",
 	Doc:  "pooled tensor/pack buffers must be released, returned, or stashed with recycle on every path",
@@ -179,15 +183,40 @@ func (pc *poolChecker) findAcquires(body *ast.BlockStmt) []acquireSite {
 		case *ast.CallExpr:
 			// Any acquisition not bound by a statement above flows
 			// directly (return value, call argument, composite literal
-			// element): ownership transfers and no tracking is needed.
+			// element): ownership transfers and no tracking is needed —
+			// unless the receiving parameter only borrows.
 			if pc.pass.isPoolAcquire(n) && !seen[n] {
 				seen[n] = true
 			}
+			pc.checkInlineArgs(n)
 		}
 		return true
 	}
 	ast.Inspect(body, walk)
 	return sites
+}
+
+// checkInlineArgs reports pool acquisitions written inline as arguments
+// of call where the callee's summary only borrows that parameter.
+func (pc *poolChecker) checkInlineArgs(call *ast.CallExpr) {
+	if pc.pass.Prog == nil {
+		return
+	}
+	callee := pc.pass.calleeName(call)
+	for i, arg := range call.Args {
+		inner, ok := ast.Unparen(arg).(*ast.CallExpr)
+		if !ok || !pc.pass.isPoolAcquire(inner) {
+			continue
+		}
+		if eff, known := pc.pass.Prog.ParamEffect(callee, i); !known || eff != ParamBorrows {
+			continue
+		}
+		if pc.retained(inner.Pos()) {
+			continue
+		}
+		pc.pass.Reportf(inner.Pos(), "pooled result of %s is passed inline to %s, which only borrows it: nothing is left to release (bind it to a variable and Release it)",
+			shortName(pc.pass.calleeName(inner)), shortName(callee))
+	}
 }
 
 // checkSite reports the site's defects: discarded results, stash without
@@ -225,20 +254,21 @@ func (pc *poolChecker) checkStash(lhs ast.Expr, pos token.Pos) {
 			return
 		}
 	}
-	if _, ok := pc.pass.Escape(pos, "retain"); ok {
-		return
-	}
-	if FuncEscape(pc.decl, "retain") {
+	if pc.retained(pos) {
 		return
 	}
 	pc.pass.Reportf(pos, "pooled buffer stashed into %s without releasing the previous one (call %s.Release() first, or annotate //tbd:retain if it is released elsewhere)", chain, chain)
 }
 
+// retained reports whether the site at pos, or its whole function,
+// carries //tbd:retain.
+func (pc *poolChecker) retained(pos token.Pos) bool {
+	_, ok := pc.pass.Escape(pos, "retain")
+	return ok || FuncEscape(pc.decl, "retain")
+}
+
 func (pc *poolChecker) leakReport(site acquireSite, what string) {
-	if _, ok := pc.pass.Escape(site.call.Pos(), "retain"); ok {
-		return
-	}
-	if FuncEscape(pc.decl, "retain") {
+	if pc.retained(site.call.Pos()) {
 		return
 	}
 	name := "buffer"

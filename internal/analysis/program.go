@@ -214,10 +214,17 @@ func (prog *Program) summarizeFunc(fi *FuncInfo, sum *PoolSummary) bool {
 	// acquired tracks locals bound to fresh pool acquisitions, for the
 	// ReturnsAcquired scan.
 	acquired := map[types.Object]bool{}
+	// inline holds function literals passed straight to a //tbd:sync-callback
+	// callee: they have run to completion when the call returns, so what
+	// they do with a parameter is what this function does with it.
+	inline := map[*ast.FuncLit]bool{}
 
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
+			if inline[n] {
+				return true
+			}
 			// A parameter captured by a closure escapes.
 			for i, obj := range params {
 				if obj != nil && fi.Pkg.mentions(n, obj) {
@@ -276,6 +283,13 @@ func (prog *Program) summarizeFunc(fi *FuncInfo, sum *PoolSummary) bool {
 			return true
 		case *ast.CallExpr:
 			name := fi.Pkg.calleeName(n)
+			if callee := prog.Funcs[name]; callee != nil && FuncEscape(callee.Decl, "sync-callback") {
+				for _, arg := range n.Args {
+					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+						inline[lit] = true
+					}
+				}
+			}
 			// Direct release of a parameter: v.Release() / putPackBuf(v).
 			if poolReleaseMethods[name] {
 				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {

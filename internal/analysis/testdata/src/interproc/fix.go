@@ -109,3 +109,59 @@ func retainedWrapped(cond bool) {
 	}
 	t.Release()
 }
+
+// inlineToBorrower writes the acquisition as the argument of a borrower:
+// no variable is left to release it, through wrappers or not.
+func inlineToBorrower(n int) {
+	borrow(tensor.Acquire(n)) // want "pooled result of tensor.Acquire is passed inline to interproc.borrow, which only borrows it"
+	borrow(acquireDeep(n))    // want "pooled result of interproc.acquireDeep is passed inline to interproc.borrow"
+}
+
+// inlineElsewhere is clean: a releaser frees the inline buffer and a sink
+// takes ownership of it.
+func inlineElsewhere(h *holder, n int) {
+	releaseIt(tensor.Acquire(n))
+	sinkIt(h, acquireWrapped(n))
+}
+
+// inlineRetained documents a deliberate inline hand-off: clean.
+func inlineRetained(n int) {
+	borrow(tensor.Acquire(n)) //tbd:retain the buffer is left to the garbage collector on purpose
+}
+
+// each runs fn to completion before it returns.
+//
+//tbd:sync-callback plain loop, fn is never stored
+func each(n int, fn func(i int)) {
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
+}
+
+// pending holds closures for a later caller to run.
+var pending []func()
+
+// later keeps fn: a closure handed to it escapes.
+func later(fn func()) {
+	pending = append(pending, fn)
+}
+
+// sumInCallback only reads t, inside a closure that has finished when
+// each returns: still a borrow.
+func sumInCallback(t *tensor.Tensor) float32 {
+	var s float32
+	each(t.Numel(), func(i int) { s += t.Data()[i] })
+	return s
+}
+
+// readLater captures t in a closure nothing vouches for: a sink.
+func readLater(t *tensor.Tensor) {
+	later(func() { _ = t.Numel() })
+}
+
+// inlineThroughCallbacks: the sync-callback borrower is a finding, the
+// capturing one is not.
+func inlineThroughCallbacks(n int) {
+	sumInCallback(tensor.Acquire(n)) // want "passed inline to interproc.sumInCallback, which only borrows it"
+	readLater(tensor.Acquire(n))
+}

@@ -78,6 +78,13 @@ func (v *Var) accumulate(g *tensor.Tensor) {
 	tensor.AddInPlace(v.Grad, g)
 }
 
+// accumulateTemp is accumulate for a gradient computed only to be added:
+// the temporary goes back to the pool.
+func (v *Var) accumulateTemp(g *tensor.Tensor) {
+	v.accumulate(g)
+	g.Release()
+}
+
 // ZeroGrad clears the variable's gradient.
 func (v *Var) ZeroGrad() {
 	if v.Grad != nil {
@@ -130,7 +137,7 @@ func Sub(a, b *Var) *Var {
 	out := tensor.Sub(a.Value, b.Value)
 	return a.tape.node(out, binaryRequires(a, b), func(g *tensor.Tensor) {
 		a.accumulate(g)
-		b.accumulate(tensor.Scale(g, -1))
+		b.accumulateTemp(tensor.Scale(g, -1))
 	})
 }
 
@@ -138,15 +145,15 @@ func Sub(a, b *Var) *Var {
 func Mul(a, b *Var) *Var {
 	out := tensor.Mul(a.Value, b.Value)
 	return a.tape.node(out, binaryRequires(a, b), func(g *tensor.Tensor) {
-		a.accumulate(tensor.Mul(g, b.Value))
-		b.accumulate(tensor.Mul(g, a.Value))
+		a.accumulateTemp(tensor.Mul(g, b.Value))
+		b.accumulateTemp(tensor.Mul(g, a.Value))
 	})
 }
 
 // Scale returns alpha * a.
 func Scale(a *Var, alpha float32) *Var {
 	return a.tape.node(tensor.Scale(a.Value, alpha), a.requires, func(g *tensor.Tensor) {
-		a.accumulate(tensor.Scale(g, alpha))
+		a.accumulateTemp(tensor.Scale(g, alpha))
 	})
 }
 
@@ -155,10 +162,10 @@ func MatMul(a, b *Var) *Var {
 	out := tensor.MatMul(a.Value, b.Value)
 	return a.tape.node(out, binaryRequires(a, b), func(g *tensor.Tensor) {
 		if a.requires {
-			a.accumulate(tensor.MatMulTransB(g, b.Value))
+			a.accumulateTemp(tensor.MatMulTransB(g, b.Value))
 		}
 		if b.requires {
-			b.accumulate(tensor.MatMulTransA(a.Value, g))
+			b.accumulateTemp(tensor.MatMulTransA(a.Value, g))
 		}
 	})
 }
@@ -169,7 +176,7 @@ func AddBias(m, bias *Var) *Var {
 	return m.tape.node(out, binaryRequires(m, bias), func(g *tensor.Tensor) {
 		m.accumulate(g)
 		if bias.requires {
-			bias.accumulate(tensor.SumRows(g))
+			bias.accumulateTemp(tensor.SumRows(g))
 		}
 	})
 }
@@ -250,7 +257,7 @@ func CrossEntropy(logits *Var, labels []int) *Var {
 	loss, grad := tensor.CrossEntropy(logits.Value, labels)
 	out := tensor.FromSlice([]float32{loss}, 1)
 	return logits.tape.node(out, logits.requires, func(g *tensor.Tensor) {
-		logits.accumulate(tensor.Scale(grad, g.Data()[0]))
+		logits.accumulateTemp(tensor.Scale(grad, g.Data()[0]))
 	})
 }
 

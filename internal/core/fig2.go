@@ -44,7 +44,7 @@ type curvePoint struct {
 }
 
 // accuracyCurve trains a classifier twin and records smoothed accuracy.
-func accuracyCurve(net *graph.Network, batchFn func() (*tensor.Tensor, []int), seq bool, steps int) []curvePoint {
+func accuracyCurve(net *graph.Network, batchFn func() (*tensor.Tensor, []int), steps int) []curvePoint {
 	opt := optim.NewAdam(0.01)
 	every := steps / 24
 	if every == 0 {
@@ -55,13 +55,7 @@ func accuracyCurve(net *graph.Network, batchFn func() (*tensor.Tensor, []int), s
 	var count int
 	for i := 0; i < steps; i++ {
 		x, labels := batchFn()
-		var acc float64
-		if seq {
-			acc = graph.TrainSequenceStep(net, opt, x, labels, 5).Accuracy
-		} else {
-			acc = graph.TrainClassifierStep(net, opt, x, labels, 5).Accuracy
-		}
-		window += acc
+		window += graph.TrainClassifierStep(net, opt, x, labels, 5).Accuracy
 		count++
 		if (i+1)%every == 0 {
 			pts = append(pts, curvePoint{frac: float64(i+1) / float64(steps), value: window / float64(count)})
@@ -109,7 +103,7 @@ func runFig2(o Options) (*Result, error) {
 		pts := accuracyCurve(net, func() (*tensor.Tensor, []int) {
 			b := src.Batch(16)
 			return b.X, b.Labels
-		}, false, steps)
+		}, steps)
 		fig := &report.Figure{Title: "Accuracy during training: " + modelName, XLabel: "training time (days)", YLabel: "top-1 accuracy"}
 		m, _ := models.Lookup(modelName)
 		for _, fwName := range m.Frameworks {
@@ -135,7 +129,7 @@ func runFig2(o Options) (*Result, error) {
 		pts := accuracyCurve(twin, func() (*tensor.Tensor, []int) {
 			b := src.Batch(16)
 			return b.Src, b.Targets
-		}, true, steps*2)
+		}, steps*2)
 		fig := &report.Figure{Title: "Translation quality during training: " + modelName, XLabel: "training time (hours)", YLabel: "BLEU proxy (token accuracy x 28)"}
 		m, _ := models.Lookup(modelName)
 		for _, fwName := range m.Frameworks {

@@ -72,7 +72,7 @@ func TrainTwin(modelName string, steps int, seed uint64) (TwinRun, error) {
 		run.Points = toTwinPoints(accuracyCurve(net, func() (*tensor.Tensor, []int) {
 			b := src.Batch(16)
 			return b.X, b.Labels
-		}, false, steps))
+		}, steps))
 	case "Seq2Seq", "Transformer":
 		src := data.NewTranslationSource(rng, 12, 6)
 		var net = models.NumericSeq2Seq(rng, 12, 12, 24)
@@ -83,7 +83,7 @@ func TrainTwin(modelName string, steps int, seed uint64) (TwinRun, error) {
 		run.Points = toTwinPoints(accuracyCurve(net, func() (*tensor.Tensor, []int) {
 			b := src.Batch(16)
 			return b.Src, b.Targets
-		}, true, steps))
+		}, steps))
 	case "Deep Speech 2":
 		run.Metric = "ctc loss"
 		run.HigherIsBetter = false

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"tbd/internal/optim"
 )
@@ -34,9 +35,8 @@ type checkpointParam struct {
 	Data  []float32
 }
 
-// SaveCheckpoint writes the network's parameters (and a step counter) to
-// w.
-func SaveCheckpoint(w io.Writer, n *Network, step int64) error {
+// snapshot copies n's parameters into a checkpoint.
+func snapshot(n *Network, step int64) checkpointFile {
 	file := checkpointFile{Magic: checkpointMagic, Name: n.Name, Step: step}
 	for _, p := range n.Params() {
 		file.Params = append(file.Params, checkpointParam{
@@ -45,105 +45,85 @@ func SaveCheckpoint(w io.Writer, n *Network, step int64) error {
 			Data:  append([]float32(nil), p.Value.Data()...),
 		})
 	}
-	return gob.NewEncoder(w).Encode(&file)
+	return file
 }
 
-// LoadCheckpoint restores parameters saved by SaveCheckpoint into n and
-// returns the stored step counter. Every parameter must match by name,
-// order, and shape.
-func LoadCheckpoint(r io.Reader, n *Network) (int64, error) {
-	var file checkpointFile
-	if err := gob.NewDecoder(r).Decode(&file); err != nil {
-		return 0, fmt.Errorf("graph: decode checkpoint: %w", err)
-	}
-	if file.Magic != checkpointMagic {
-		return 0, fmt.Errorf("graph: not a tbd checkpoint (magic %q)", file.Magic)
-	}
-	params := n.Params()
-	if len(file.Params) != len(params) {
-		return 0, fmt.Errorf("graph: checkpoint has %d parameters, network has %d", len(file.Params), len(params))
-	}
-	for i, cp := range file.Params {
-		p := params[i]
-		if cp.Name != p.Name {
-			return 0, fmt.Errorf("graph: parameter %d is %q in checkpoint but %q in network", i, cp.Name, p.Name)
-		}
-		if len(cp.Data) != p.Value.Numel() {
-			return 0, fmt.Errorf("graph: parameter %q has %d elements in checkpoint, %d in network", cp.Name, len(cp.Data), p.Value.Numel())
-		}
-		shape := p.Value.Shape()
-		if len(cp.Shape) != len(shape) {
-			return 0, fmt.Errorf("graph: parameter %q rank mismatch", cp.Name)
-		}
-		for d := range shape {
-			if cp.Shape[d] != shape[d] {
-				return 0, fmt.Errorf("graph: parameter %q shape %v in checkpoint, %v in network", cp.Name, cp.Shape, shape)
-			}
-		}
-	}
-	// Validate fully before mutating anything.
-	for i, cp := range file.Params {
-		copy(params[i].Value.Data(), cp.Data)
-	}
-	return file.Step, nil
+// SaveCheckpoint writes the network's parameters (and a step counter) to
+// w.
+func SaveCheckpoint(w io.Writer, n *Network, step int64) error {
+	file := snapshot(n, step)
+	return gob.NewEncoder(w).Encode(&file)
 }
 
 // SaveCheckpointWithOptimizer writes the network and a stateful
 // optimizer's slots together, so stateful training (Momentum, Adam,
 // RMSProp) resumes on the exact trajectory.
 func SaveCheckpointWithOptimizer(w io.Writer, n *Network, opt optim.Stateful, step int64) error {
-	file := checkpointFile{Magic: checkpointMagic, Name: n.Name, Step: step, Optimizer: opt.Snapshot(n.Params())}
-	for _, p := range n.Params() {
-		file.Params = append(file.Params, checkpointParam{
-			Name:  p.Name,
-			Shape: append([]int(nil), p.Value.Shape()...),
-			Data:  append([]float32(nil), p.Value.Data()...),
-		})
-	}
+	file := snapshot(n, step)
+	file.Optimizer = opt.Snapshot(n.Params())
 	return gob.NewEncoder(w).Encode(&file)
+}
+
+// readCheckpoint decodes a checkpoint and checks it against n without
+// touching n: every parameter must match by name, order and shape.
+func readCheckpoint(r io.Reader, n *Network) (*checkpointFile, error) {
+	var file checkpointFile
+	if err := gob.NewDecoder(r).Decode(&file); err != nil {
+		return nil, fmt.Errorf("graph: decode checkpoint: %w", err)
+	}
+	if file.Magic != checkpointMagic {
+		return nil, fmt.Errorf("graph: not a tbd checkpoint (magic %q)", file.Magic)
+	}
+	params := n.Params()
+	if len(file.Params) != len(params) {
+		return nil, fmt.Errorf("graph: checkpoint has %d parameters, network has %d", len(file.Params), len(params))
+	}
+	for i, cp := range file.Params {
+		p := params[i]
+		if cp.Name != p.Name {
+			return nil, fmt.Errorf("graph: parameter %d is %q in checkpoint but %q in network", i, cp.Name, p.Name)
+		}
+		if !slices.Equal(cp.Shape, p.Value.Shape()) {
+			return nil, fmt.Errorf("graph: parameter %q shape %v in checkpoint, %v in network", cp.Name, cp.Shape, p.Value.Shape())
+		}
+		if len(cp.Data) != p.Value.Numel() {
+			return nil, fmt.Errorf("graph: parameter %q has %d elements in checkpoint, %d in network", cp.Name, len(cp.Data), p.Value.Numel())
+		}
+	}
+	return &file, nil
+}
+
+// install copies a checkpoint readCheckpoint has accepted into n.
+func (file *checkpointFile) install(n *Network) {
+	for i, p := range n.Params() {
+		copy(p.Value.Data(), file.Params[i].Data)
+	}
+}
+
+// LoadCheckpoint restores parameters saved by SaveCheckpoint into n and
+// returns the stored step counter.
+func LoadCheckpoint(r io.Reader, n *Network) (int64, error) {
+	file, err := readCheckpoint(r, n)
+	if err != nil {
+		return 0, err
+	}
+	file.install(n)
+	return file.Step, nil
 }
 
 // LoadCheckpointWithOptimizer restores both network weights and optimizer
 // state written by SaveCheckpointWithOptimizer.
 func LoadCheckpointWithOptimizer(r io.Reader, n *Network, opt optim.Stateful) (int64, error) {
-	// Decode once into the shared loader by re-encoding is wasteful;
-	// decode directly here with the same validation.
-	var file checkpointFile
-	if err := gob.NewDecoder(r).Decode(&file); err != nil {
-		return 0, fmt.Errorf("graph: decode checkpoint: %w", err)
-	}
-	if file.Magic != checkpointMagic {
-		return 0, fmt.Errorf("graph: not a tbd checkpoint (magic %q)", file.Magic)
-	}
-	if err := installParams(n, file.Params); err != nil {
+	file, err := readCheckpoint(r, n)
+	if err != nil {
 		return 0, err
 	}
 	if file.Optimizer.Kind == "" {
 		return 0, fmt.Errorf("graph: checkpoint has no optimizer state")
 	}
+	file.install(n)
 	if err := opt.Restore(n.Params(), file.Optimizer); err != nil {
 		return 0, err
 	}
 	return file.Step, nil
-}
-
-// installParams validates and copies checkpointed parameters into n.
-func installParams(n *Network, cps []checkpointParam) error {
-	params := n.Params()
-	if len(cps) != len(params) {
-		return fmt.Errorf("graph: checkpoint has %d parameters, network has %d", len(cps), len(params))
-	}
-	for i, cp := range cps {
-		p := params[i]
-		if cp.Name != p.Name {
-			return fmt.Errorf("graph: parameter %d is %q in checkpoint but %q in network", i, cp.Name, p.Name)
-		}
-		if len(cp.Data) != p.Value.Numel() {
-			return fmt.Errorf("graph: parameter %q has %d elements in checkpoint, %d in network", cp.Name, len(cp.Data), p.Value.Numel())
-		}
-	}
-	for i, cp := range cps {
-		copy(params[i].Value.Data(), cp.Data)
-	}
-	return nil
 }

@@ -146,12 +146,6 @@ func TrainClassifierAccumulated(n *Network, opt optim.Optimizer, microX []*tenso
 	return res
 }
 
-// TrainSequenceStep runs one step of per-token classification for sequence
-// models: an output of N*T*V scalars against N*T flat labels.
-func TrainSequenceStep(n *Network, opt optim.Optimizer, x *tensor.Tensor, labels []int, clip float32) StepResult {
-	return TrainClassifierStep(n, opt, x, labels, clip)
-}
-
 // TrainClassifierExchanged is the step of one data-parallel rank: the
 // gradient half of TrainClassifierStep on this rank's shard, then exchange
 // in place of the local update. exchange leaves the parameters updated

@@ -104,7 +104,7 @@ func TestTrainSequenceStepCopiesTask(t *testing.T) {
 	var acc float64
 	for i := 0; i < 300; i++ {
 		x, y := makeBatch()
-		acc = TrainSequenceStep(net, opt, x, y, 5).Accuracy
+		acc = TrainClassifierStep(net, opt, x, y, 5).Accuracy
 	}
 	if acc < 0.9 {
 		t.Fatalf("copy-task accuracy %.2f, want >= 0.9", acc)
@@ -220,6 +220,29 @@ func TestCheckpointRejectsMismatchedNetwork(t *testing.T) {
 	// And garbage input must fail cleanly.
 	if _, err := LoadCheckpoint(bytes.NewBufferString("not a checkpoint"), net); err == nil {
 		t.Fatal("garbage must be rejected")
+	}
+}
+
+func TestCheckpointRejectsReshapedParameter(t *testing.T) {
+	// Same name, same element count, different shape: both loaders must
+	// refuse it and leave the network as it was.
+	rng := tensor.NewRNG(13)
+	wide := New("net", layers.NewDenseNoBias("fc", 2, 8, rng))
+	square := New("net", layers.NewDenseNoBias("fc", 4, 4, rng))
+	before := square.WeightsHash()
+	opt := optim.NewAdam(0.01)
+	var buf bytes.Buffer
+	if err := SaveCheckpointWithOptimizer(&buf, wide, opt, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), square); err == nil {
+		t.Error("LoadCheckpoint restored a [2 8] tensor into a [4 4] parameter")
+	}
+	if _, err := LoadCheckpointWithOptimizer(bytes.NewReader(buf.Bytes()), square, opt); err == nil {
+		t.Error("LoadCheckpointWithOptimizer restored a [2 8] tensor into a [4 4] parameter")
+	}
+	if square.WeightsHash() != before {
+		t.Error("a refused checkpoint changed the network")
 	}
 }
 

@@ -12,17 +12,14 @@ import (
 )
 
 func TestStepDriversEndOnTheSameWeights(t *testing.T) {
-	// On [N, C] logits the three drivers are one step: k = 1 accumulation
-	// scales nothing and the sequence view is the identity.
+	// On [N, C] logits the two drivers are one step: k = 1 accumulation
+	// scales nothing.
 	drivers := map[string]func(*Network, optim.Optimizer, *tensor.Tensor, []int) StepResult{
 		"classifier": func(n *Network, o optim.Optimizer, x *tensor.Tensor, y []int) StepResult {
 			return TrainClassifierStep(n, o, x, y, 5)
 		},
 		"accumulated": func(n *Network, o optim.Optimizer, x *tensor.Tensor, y []int) StepResult {
 			return TrainClassifierAccumulated(n, o, []*tensor.Tensor{x}, [][]int{y}, 5)
-		},
-		"sequence": func(n *Network, o optim.Optimizer, x *tensor.Tensor, y []int) StepResult {
-			return TrainSequenceStep(n, o, x, y, 5)
 		},
 	}
 	type end struct {
@@ -97,7 +94,7 @@ func TestStepSpanShape(t *testing.T) {
 		{"accumulated", 3, "phase.update", func() {
 			TrainClassifierAccumulated(mlp(rng), optim.NewSGD(0.1), []*tensor.Tensor{x, x, x}, [][]int{y, y, y}, 0)
 		}},
-		{"sequence", 1, "phase.update", func() { TrainSequenceStep(seqNet, optim.NewSGD(0.1), seqX, make([]int, 12), 5) }},
+		{"sequence", 1, "phase.update", func() { TrainClassifierStep(seqNet, optim.NewSGD(0.1), seqX, make([]int, 12), 5) }},
 		{"exchanged", 1, "phase.sync", func() {
 			_, err := TrainClassifierExchanged(mlp(rng), optim.NewSGD(0.1), x, y, func([]*layers.Param) error { return nil })
 			if err != nil {

@@ -7,33 +7,34 @@ import (
 	"tbd/internal/tensor"
 )
 
-// MultiHeadAttention implements self-attention over [N, T, D] inputs —
-// the layer the paper highlights as the non-recurrent alternative that
-// keeps GPUs busy where LSTMs cannot (Observation 5, Transformer panel).
-//
-// The implementation is single-tensor QKV projection followed by per-head
-// scaled dot-product attention and an output projection.
-type MultiHeadAttention struct {
-	name   string
-	D      int // model dimension
-	Heads  int
-	Wq, Wk *Param
-	Wv, Wo *Param
-	// Cached forward state.
-	x       *tensor.Tensor
-	q, k, v *tensor.Tensor // [N, T, D]
-	att     *tensor.Tensor // [N*heads, T, T] softmax weights
-	ctx     *tensor.Tensor // [N, T, D] pre-output-projection context
-	causal  bool
+// attention is the one scaled-dot-product core under MultiHeadAttention
+// (the memory is the input itself) and CrossAttention (the memory is set
+// by the caller): project queries from x and keys and values from the
+// memory, split into heads, scale the scores, mask, softmax, mix the
+// values and project the result.
+type attention struct {
+	name           string
+	D              int // model dimension
+	Heads          int
+	Wq, Wk, Wv, Wo *Param
+	causal         bool
+	attnStash
+	out, gx *tensor.Tensor // previously returned buffers, recycled next call
 }
 
-// NewMultiHeadAttention constructs an attention layer; d must be divisible
-// by heads.
-func NewMultiHeadAttention(name string, d, heads int, causal bool, rng *tensor.RNG) *MultiHeadAttention {
+// attnStash is what a train-mode forward keeps for backward.
+type attnStash struct {
+	x, mem     *tensor.Tensor // inputs [N, Tq, D] and [N, Tk, D]; their producers own them
+	qh, kh, vh *tensor.Tensor // projections split into heads, [N·Heads, T, D/Heads]
+	att        *tensor.Tensor // [N·Heads, Tq, Tk] softmax weights
+	ctx        *tensor.Tensor // [N·Tq, D] context before the output projection
+}
+
+func newAttention(name string, d, heads int, causal bool, rng *tensor.RNG) attention {
 	if d%heads != 0 {
 		panic(fmt.Sprintf("layers: %s model dim %d not divisible by %d heads", name, d, heads))
 	}
-	return &MultiHeadAttention{
+	return attention{
 		name: name, D: d, Heads: heads, causal: causal,
 		Wq: NewParam(name+".Wq", tensor.XavierInit(rng, d, d, d, d)),
 		Wk: NewParam(name+".Wk", tensor.XavierInit(rng, d, d, d, d)),
@@ -42,41 +43,30 @@ func NewMultiHeadAttention(name string, d, heads int, causal bool, rng *tensor.R
 	}
 }
 
-func (l *MultiHeadAttention) Name() string { return l.name }
+func (l *attention) Name() string { return l.name }
 
-// project computes x2 @ W for x flattened to [N*T, D].
-func project(x *tensor.Tensor, w *Param) *tensor.Tensor {
-	n, T, d := x.Dim(0), x.Dim(1), x.Dim(2)
-	return tensor.MatMulParallel(x.Reshape(n*T, d), w.Value).Reshape(n, T, d)
-}
+func (l *attention) Params() []*Param { return []*Param{l.Wq, l.Wk, l.Wv, l.Wo} }
 
-// toHeads reorders [N, T, D] into [N*heads, T, Dh].
-func toHeads(x *tensor.Tensor, heads int) *tensor.Tensor {
-	n, T, d := x.Dim(0), x.Dim(1), x.Dim(2)
-	dh := d / heads
-	out := tensor.New(n*heads, T, dh)
-	for b := 0; b < n; b++ {
-		for t := 0; t < T; t++ {
-			row := x.Data()[(b*T+t)*d : (b*T+t+1)*d]
-			for h := 0; h < heads; h++ {
-				copy(out.Data()[((b*heads+h)*T+t)*dh:((b*heads+h)*T+t+1)*dh], row[h*dh:(h+1)*dh])
-			}
-		}
+// StashBytes counts the stashed input once when it is also the memory.
+func (l *attention) StashBytes() int64 {
+	n := bytesOf(l.x, l.qh, l.kh, l.vh, l.att, l.ctx)
+	if l.mem != l.x {
+		n += bytesOf(l.mem)
 	}
-	return out
+	return n
 }
 
-// fromHeads inverts toHeads.
-func fromHeads(x *tensor.Tensor, n, heads int) *tensor.Tensor {
-	T := x.Dim(1)
-	dh := x.Dim(2)
-	d := heads * dh
-	out := tensor.New(n, T, d)
-	for b := 0; b < n; b++ {
-		for t := 0; t < T; t++ {
-			dst := out.Data()[(b*T+t)*d : (b*T+t+1)*d]
-			for h := 0; h < heads; h++ {
-				copy(dst[h*dh:(h+1)*dh], x.Data()[((b*heads+h)*T+t)*dh:((b*heads+h)*T+t+1)*dh])
+// swapAxes copies x, read as [n, a, b, w], into a new tensor of the given
+// shape read as [n, b, a, w]: with a = T and b = heads it splits [N·T, D]
+// into heads [N·heads, T, D/heads], the other way round it merges them.
+func swapAxes(x *tensor.Tensor, n, a, b int, shape ...int) *tensor.Tensor {
+	w := x.Numel() / (n * a * b)
+	out := tensor.AcquireDirty(shape...)
+	for i := 0; i < n; i++ {
+		for p := 0; p < a; p++ {
+			for q := 0; q < b; q++ {
+				s, d := ((i*a+p)*b+q)*w, ((i*b+q)*a+p)*w
+				copy(out.Data()[d:d+w], x.Data()[s:s+w])
 			}
 		}
 	}
@@ -86,7 +76,7 @@ func fromHeads(x *tensor.Tensor, n, heads int) *tensor.Tensor {
 // transposeLast swaps the last two axes of a rank-3 tensor.
 func transposeLast(x *tensor.Tensor) *tensor.Tensor {
 	b, n, m := x.Dim(0), x.Dim(1), x.Dim(2)
-	out := tensor.New(b, m, n)
+	out := tensor.AcquireDirty(b, m, n)
 	for i := 0; i < b; i++ {
 		for r := 0; r < n; r++ {
 			for c := 0; c < m; c++ {
@@ -97,109 +87,172 @@ func transposeLast(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-func (l *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+// heads projects x [N, T, D] through w and splits the result into heads.
+func (l *attention) heads(x *tensor.Tensor, w *Param) *tensor.Tensor {
+	n, T, dh := x.Dim(0), x.Dim(1), l.D/l.Heads
+	p := tensor.MatMul(x.Reshape(n*T, l.D), w.Value)
+	xh := swapAxes(p, n, T, l.Heads, n*l.Heads, T, dh)
+	p.Release()
+	return xh
+}
+
+// merge undoes the split into heads: [N·Heads, T, D/Heads] to [N·T, D].
+func (l *attention) merge(xh *tensor.Tensor) *tensor.Tensor {
+	n, T := xh.Dim(0)/l.Heads, xh.Dim(1)
+	return swapAxes(xh, n, l.Heads, T, n*T, l.D)
+}
+
+// forward attends from x [N, Tq, D] over mem [N, Tk, D].
+func (l *attention) forward(x, mem *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 3 || x.Dim(2) != l.D {
 		panic(fmt.Sprintf("layers: %s expects [N,T,%d], got %v", l.name, l.D, x.Shape()))
 	}
-	n, T := x.Dim(0), x.Dim(1)
-	q := project(x, l.Wq)
-	k := project(x, l.Wk)
-	v := project(x, l.Wv)
-	dh := l.D / l.Heads
-	qh := toHeads(q, l.Heads) // [NH, T, dh]
-	kh := toHeads(k, l.Heads)
-	vh := toHeads(v, l.Heads)
-	scores := tensor.BatchMatMul(qh, transposeLast(kh)) // [NH, T, T]
-	scores.ScaleInPlace(1 / float32(math.Sqrt(float64(dh))))
+	tq, tk := x.Dim(1), mem.Dim(1)
+	release(l.qh, l.kh, l.vh, l.att, l.ctx)
+	l.attnStash = attnStash{}
+	qh, kh, vh := l.heads(x, l.Wq), l.heads(mem, l.Wk), l.heads(mem, l.Wv)
+	khT := transposeLast(kh)
+	scores := tensor.BatchMatMul(qh, khT) // [N·Heads, Tq, Tk]
+	scores.ScaleInPlace(1 / float32(math.Sqrt(float64(l.D/l.Heads))))
 	if l.causal {
-		neg := float32(-1e9)
-		for b := 0; b < scores.Dim(0); b++ {
-			for r := 0; r < T; r++ {
-				for c := r + 1; c < T; c++ {
-					scores.Data()[b*T*T+r*T+c] = neg
-				}
+		for r := 0; r < scores.Dim(0)*tq; r++ {
+			for c := r%tq + 1; c < tk; c++ {
+				scores.Data()[r*tk+c] = -1e9
 			}
 		}
 	}
-	att := tensor.SoftmaxRows(scores.Reshape(scores.Dim(0)*T, T)).Reshape(n*l.Heads, T, T)
-	scores.Release()                    // SoftmaxRows copied; the raw scores are dead
-	ctxH := tensor.BatchMatMul(att, vh) // [NH, T, dh]
-	ctx := fromHeads(ctxH, n, l.Heads)  // [N, T, D]
-	ctxH.Release()                      // fromHeads copied
-	out := project(ctx, l.Wo)
+	att := tensor.SoftmaxRows(scores)
+	ctxH := tensor.BatchMatMul(att, vh) // [N·Heads, Tq, D/Heads]
+	ctx := l.merge(ctxH)
+	l.out.Release()
+	l.out = tensor.MatMul(ctx, l.Wo.Value)
+	release(khT, scores, ctxH)
 	if train {
-		l.x, l.q, l.k, l.v, l.att, l.ctx = x, q, k, v, att, ctx
+		l.attnStash = attnStash{x: x, mem: mem, qh: qh, kh: kh, vh: vh, att: att, ctx: ctx}
 	} else {
-		l.x, l.q, l.k, l.v, l.att, l.ctx = nil, nil, nil, nil, nil, nil
+		release(qh, kh, vh, att, ctx)
 	}
-	return out
+	return l.out.Reshape(x.Shape()...)
+}
+
+// backward takes gy = dL/dout back through the output projection, the
+// value mix, the softmax, the scores and the three input projections,
+// writes all four weight gradients, and returns what reaches the inputs:
+// gxq [N·Tq, D] for x through the queries, gmk and gmv [N·Tk, D] for the
+// memory through keys and values. The caller sums and releases them.
+func (l *attention) backward(gy *tensor.Tensor) (gxq, gmk, gmv *tensor.Tensor) {
+	requireForward(l.name, l.x)
+	n, tq, tk := l.x.Dim(0), l.x.Dim(1), l.mem.Dim(1)
+	g2 := gy.Reshape(n*tq, l.D)
+	l.Wo.AddGradTransA(l.ctx, g2)
+	gctx := tensor.MatMulTransB(g2, l.Wo.Value)
+	gctxH := swapAxes(gctx, n, tq, l.Heads, l.qh.Shape()...)
+
+	// ctxH = att @ vh.
+	vhT, attT := transposeLast(l.vh), transposeLast(l.att)
+	gs := tensor.BatchMatMul(gctxH, vhT)   // dL/datt [N·Heads, Tq, Tk]
+	gvh := tensor.BatchMatMul(attT, gctxH) // [N·Heads, Tk, D/Heads]
+
+	// Softmax backward per row, in place: ds = att * (datt - sum(datt*att)).
+	for r := 0; r < gs.Numel()/tk; r++ {
+		arow, grow := l.att.Data()[r*tk:(r+1)*tk], gs.Data()[r*tk:(r+1)*tk]
+		var dot float64
+		for i := range arow {
+			dot += float64(arow[i]) * float64(grow[i])
+		}
+		for i := range arow {
+			grow[i] = arow[i] * (grow[i] - float32(dot))
+		}
+	}
+	gs.ScaleInPlace(1 / float32(math.Sqrt(float64(l.D/l.Heads))))
+
+	// scores = qh @ khᵀ.
+	gsT := transposeLast(gs)
+	gqh := tensor.BatchMatMul(gs, l.kh)  // [N·Heads, Tq, D/Heads]
+	gkh := tensor.BatchMatMul(gsT, l.qh) // [N·Heads, Tk, D/Heads]
+
+	gq, gk, gv := l.merge(gqh), l.merge(gkh), l.merge(gvh)
+	x2, mem2 := l.x.Reshape(n*tq, l.D), l.mem.Reshape(n*tk, l.D)
+	l.Wq.AddGradTransA(x2, gq)
+	l.Wk.AddGradTransA(mem2, gk)
+	l.Wv.AddGradTransA(mem2, gv)
+	gxq, gmk, gmv = tensor.MatMulTransB(gq, l.Wq.Value), tensor.MatMulTransB(gk, l.Wk.Value), tensor.MatMulTransB(gv, l.Wv.Value)
+	release(gctx, gctxH, vhT, attT, gs, gvh, gsT, gqh, gkh, gq, gk, gv)
+	return gxq, gmk, gmv
+}
+
+// MultiHeadAttention implements self-attention over [N, T, D] inputs —
+// the layer the paper highlights as the non-recurrent alternative that
+// keeps GPUs busy where LSTMs cannot (Observation 5, Transformer panel).
+type MultiHeadAttention struct{ attention }
+
+// NewMultiHeadAttention constructs an attention layer; d must be divisible
+// by heads.
+func NewMultiHeadAttention(name string, d, heads int, causal bool, rng *tensor.RNG) *MultiHeadAttention {
+	return &MultiHeadAttention{newAttention(name, d, heads, causal, rng)}
+}
+
+func (l *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return l.forward(x, x, train)
 }
 
 func (l *MultiHeadAttention) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	requireForward(l.name, l.x)
-	n, T, d := l.x.Dim(0), l.x.Dim(1), l.D
-	heads, dh := l.Heads, l.D/l.Heads
+	l.gx.Release()
+	gx, gmk, gmv := l.backward(gy)
+	tensor.AddInPlace(gx, gmk)
+	tensor.AddInPlace(gx, gmv)
+	release(gmk, gmv)
+	l.gx = gx
+	return gx.Reshape(l.x.Shape()...)
+}
 
-	// Output projection.
-	g2 := gy.Reshape(n*T, d)
-	ctx2 := l.ctx.Reshape(n*T, d)
-	tensor.AddInPlace(l.Wo.Grad, tensor.MatMulTransA(ctx2, g2))
-	gctx := tensor.MatMulTransB(g2, l.Wo.Value).Reshape(n, T, d)
+// CrossAttention attends from a query sequence (decoder states) over a
+// separately supplied memory sequence (encoder outputs) — the
+// encoder-decoder attention of NMT and the Transformer decoder. Set the
+// memory with SetMemory before Forward; after Backward, MemoryGrad
+// returns the gradient flowing back into the encoder.
+type CrossAttention struct {
+	attention
+	memory  *tensor.Tensor // [N, Te, D], what the next Forward attends over
+	gmem    *tensor.Tensor // previously returned memory gradient [N·Te, D], recycled next call
+	memGrad *tensor.Tensor // gmem as [N, Te, D]
+}
 
-	gctxH := toHeads(gctx, heads) // [NH, T, dh]
-	qh := toHeads(l.q, heads)
-	kh := toHeads(l.k, heads)
-	vh := toHeads(l.v, heads)
+// NewCrossAttention constructs the layer; d must divide by heads.
+func NewCrossAttention(name string, d, heads int, rng *tensor.RNG) *CrossAttention {
+	return &CrossAttention{attention: newAttention(name, d, heads, false, rng)}
+}
 
-	// ctxH = att @ vh.
-	gatt := tensor.BatchMatMul(gctxH, transposeLast(vh))   // [NH, T, T]
-	gvh := tensor.BatchMatMul(transposeLast(l.att), gctxH) // [NH, T, dh]
-
-	// Softmax backward per row: ds = att * (gatt - sum(gatt*att)).
-	gscores := tensor.New(n*heads, T, T)
-	for b := 0; b < n*heads; b++ {
-		for r := 0; r < T; r++ {
-			arow := l.att.Data()[b*T*T+r*T : b*T*T+(r+1)*T]
-			grow := gatt.Data()[b*T*T+r*T : b*T*T+(r+1)*T]
-			var dot float64
-			for i := range arow {
-				dot += float64(arow[i]) * float64(grow[i])
-			}
-			dst := gscores.Data()[b*T*T+r*T : b*T*T+(r+1)*T]
-			for i := range arow {
-				dst[i] = arow[i] * (grow[i] - float32(dot))
-			}
-		}
+// SetMemory installs the encoder outputs the next Forward attends over.
+func (l *CrossAttention) SetMemory(mem *tensor.Tensor) {
+	if mem.Rank() != 3 || mem.Dim(2) != l.D {
+		panic(fmt.Sprintf("layers: %s memory must be [N,Te,%d], got %v", l.name, l.D, mem.Shape()))
 	}
-	gscores.ScaleInPlace(1 / float32(math.Sqrt(float64(dh))))
-	gatt.Release() // consumed by the softmax-backward loop above
-
-	// scores = qh @ khᵀ.
-	gqh := tensor.BatchMatMul(gscores, kh)                // [NH, T, dh]
-	gkh := tensor.BatchMatMul(transposeLast(gscores), qh) // [NH, T, dh]
-
-	gq := fromHeads(gqh, n, heads).Reshape(n*T, d)
-	gk := fromHeads(gkh, n, heads).Reshape(n*T, d)
-	gv := fromHeads(gvh, n, heads).Reshape(n*T, d)
-	gqh.Release() // fromHeads copied all three
-	gkh.Release()
-	gvh.Release()
-	x2 := l.x.Reshape(n*T, d)
-	tensor.AddInPlace(l.Wq.Grad, tensor.MatMulTransA(x2, gq))
-	tensor.AddInPlace(l.Wk.Grad, tensor.MatMulTransA(x2, gk))
-	tensor.AddInPlace(l.Wv.Grad, tensor.MatMulTransA(x2, gv))
-	gx := tensor.MatMulTransB(gq, l.Wq.Value)
-	tensor.AddInPlace(gx, tensor.MatMulTransB(gk, l.Wk.Value))
-	tensor.AddInPlace(gx, tensor.MatMulTransB(gv, l.Wv.Value))
-	return gx.Reshape(n, T, d)
+	l.memory = mem
 }
 
-func (l *MultiHeadAttention) Params() []*Param {
-	return []*Param{l.Wq, l.Wk, l.Wv, l.Wo}
+// MemoryGrad returns the gradient w.r.t. the memory from the most recent
+// Backward.
+func (l *CrossAttention) MemoryGrad() *tensor.Tensor { return l.memGrad }
+
+func (l *CrossAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if l.memory == nil {
+		panic(fmt.Sprintf("layers: %s.Forward before SetMemory", l.name))
+	}
+	if x.Dim(0) != l.memory.Dim(0) {
+		panic(fmt.Sprintf("layers: %s batch mismatch: queries %d vs memory %d", l.name, x.Dim(0), l.memory.Dim(0)))
+	}
+	return l.forward(x, l.memory, train)
 }
 
-func (l *MultiHeadAttention) StashBytes() int64 {
-	return bytesOf(l.x, l.q, l.k, l.v, l.att, l.ctx)
+func (l *CrossAttention) Backward(gy *tensor.Tensor) *tensor.Tensor {
+	l.gx.Release()
+	l.gmem.Release()
+	gx, gmem, gmv := l.backward(gy)
+	tensor.AddInPlace(gmem, gmv)
+	gmv.Release()
+	l.gx, l.gmem, l.memGrad = gx, gmem, gmem.Reshape(l.mem.Shape()...)
+	return gx.Reshape(l.x.Shape()...)
 }
 
 // PositionalEncoding adds fixed sinusoidal position signals to [N, T, D]

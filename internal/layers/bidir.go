@@ -6,164 +6,85 @@ import (
 	"tbd/internal/tensor"
 )
 
-// Bidirectional runs two recurrent layers over a sequence — one forward,
-// one on the time-reversed input — and concatenates their outputs along
-// the feature axis, producing [N, T, 2H]. Deep Speech 2 and GNMT-style
-// encoders use exactly this structure.
-type Bidirectional struct {
+// concat runs parallel branches on one input and joins their outputs
+// along one axis; the branches' input gradients are summed.
+type concat struct {
 	name     string
-	Fwd, Bwd Layer
-	h        int // per-direction hidden size
-}
-
-// NewBidirectional wraps forward and backward recurrent layers that both
-// map [N, T, In] -> [N, T, h].
-func NewBidirectional(name string, fwd, bwd Layer, hidden int) *Bidirectional {
-	return &Bidirectional{name: name, Fwd: fwd, Bwd: bwd, h: hidden}
-}
-
-// NewBiLSTM builds a bidirectional LSTM with fresh weights per direction.
-func NewBiLSTM(name string, in, hidden int, rng *tensor.RNG) *Bidirectional {
-	return NewBidirectional(name,
-		NewLSTM(name+".fwd", in, hidden, rng),
-		NewLSTM(name+".bwd", in, hidden, rng),
-		hidden)
-}
-
-// NewBiRNN builds a bidirectional vanilla RNN (the Deep Speech 2 layer).
-func NewBiRNN(name string, in, hidden int, rng *tensor.RNG) *Bidirectional {
-	return NewBidirectional(name,
-		NewRNN(name+".fwd", in, hidden, rng),
-		NewRNN(name+".bwd", in, hidden, rng),
-		hidden)
-}
-
-func (l *Bidirectional) Name() string { return l.name }
-
-// reverseTime returns x [N, T, F] with the time axis flipped.
-func reverseTime(x *tensor.Tensor) *tensor.Tensor {
-	n, T, f := x.Dim(0), x.Dim(1), x.Dim(2)
-	out := tensor.New(n, T, f)
-	for b := 0; b < n; b++ {
-		for t := 0; t < T; t++ {
-			src := x.Data()[(b*T+t)*f : (b*T+t+1)*f]
-			copy(out.Data()[(b*T+(T-1-t))*f:(b*T+(T-t))*f], src)
-		}
-	}
-	return out
-}
-
-func (l *Bidirectional) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 3 {
-		panic(fmt.Sprintf("layers: %s expects [N,T,F], got %v", l.name, x.Shape()))
-	}
-	yf := l.Fwd.Forward(x, train)
-	yb := reverseTime(l.Bwd.Forward(reverseTime(x), train))
-	n, T := x.Dim(0), x.Dim(1)
-	out := tensor.New(n, T, 2*l.h)
-	for b := 0; b < n; b++ {
-		for t := 0; t < T; t++ {
-			dst := out.Data()[(b*T+t)*2*l.h : (b*T+t+1)*2*l.h]
-			copy(dst[:l.h], yf.Data()[(b*T+t)*l.h:(b*T+t+1)*l.h])
-			copy(dst[l.h:], yb.Data()[(b*T+t)*l.h:(b*T+t+1)*l.h])
-		}
-	}
-	return out
-}
-
-func (l *Bidirectional) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	n, T := gy.Dim(0), gy.Dim(1)
-	gf := tensor.New(n, T, l.h)
-	gb := tensor.New(n, T, l.h)
-	for b := 0; b < n; b++ {
-		for t := 0; t < T; t++ {
-			src := gy.Data()[(b*T+t)*2*l.h : (b*T+t+1)*2*l.h]
-			copy(gf.Data()[(b*T+t)*l.h:(b*T+t+1)*l.h], src[:l.h])
-			copy(gb.Data()[(b*T+t)*l.h:(b*T+t+1)*l.h], src[l.h:])
-		}
-	}
-	gx := l.Fwd.Backward(gf)
-	gxb := reverseTime(l.Bwd.Backward(reverseTime(gb)))
-	tensor.AddInPlace(gx, gxb)
-	return gx
-}
-
-func (l *Bidirectional) Params() []*Param {
-	return append(l.Fwd.Params(), l.Bwd.Params()...)
-}
-
-func (l *Bidirectional) StashBytes() int64 {
-	return l.Fwd.StashBytes() + l.Bwd.StashBytes()
-}
-
-// ConcatChannels merges parallel branches along the channel axis of NCHW
-// tensors — the join of an Inception mixed block. Each branch consumes
-// the same input; gradients to the input are summed.
-type ConcatChannels struct {
-	name     string
+	axis     int
 	Branches []Layer
-	outC     []int // channels contributed per branch (recorded at forward)
+	dims     []int            // each branch's size along axis, recorded at forward
+	out      *tensor.Tensor   // previously returned buffer, recycled next call
+	parts    []*tensor.Tensor // gradient slices handed to the branches, recycled next call
 }
 
-// NewConcatChannels builds the block from parallel branches.
-func NewConcatChannels(name string, branches ...Layer) *ConcatChannels {
-	if len(branches) == 0 {
-		panic("layers: ConcatChannels needs at least one branch")
+func (l *concat) Name() string { return l.name }
+
+// rowsInner splits shape around the join axis: the number of rows before
+// it and the number of elements per unit of it.
+func (l *concat) rowsInner(shape []int) (rows, inner int) {
+	rows, inner = 1, 1
+	for _, d := range shape[:l.axis] {
+		rows *= d
 	}
-	return &ConcatChannels{name: name, Branches: branches}
+	for _, d := range shape[l.axis+1:] {
+		inner *= d
+	}
+	return rows, inner
 }
 
-func (l *ConcatChannels) Name() string { return l.name }
-
-func (l *ConcatChannels) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (l *concat) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	outs := make([]*tensor.Tensor, len(l.Branches))
-	l.outC = l.outC[:0]
-	totalC := 0
-	var n, h, w int
+	l.dims = l.dims[:0]
+	var shape []int
 	for i, br := range l.Branches {
 		y := br.Forward(x, train)
-		if y.Rank() != 4 {
+		if y.Rank() <= l.axis {
 			panic(fmt.Sprintf("layers: %s branch %d produced rank %d", l.name, i, y.Rank()))
 		}
 		if i == 0 {
-			n, h, w = y.Dim(0), y.Dim(2), y.Dim(3)
-		} else if y.Dim(2) != h || y.Dim(3) != w {
-			panic(fmt.Sprintf("layers: %s branch %d spatial mismatch %v", l.name, i, y.Shape()))
+			shape = append(shape, y.Shape()...)
+			shape[l.axis] = 0
+		}
+		for d, size := range y.Shape() {
+			if d != l.axis && (y.Rank() != len(shape) || size != shape[d]) {
+				panic(fmt.Sprintf("layers: %s branch %d shape mismatch %v", l.name, i, y.Shape()))
+			}
 		}
 		outs[i] = y
-		l.outC = append(l.outC, y.Dim(1))
-		totalC += y.Dim(1)
+		l.dims = append(l.dims, y.Dim(l.axis))
+		shape[l.axis] += y.Dim(l.axis)
 	}
-	out := tensor.New(n, totalC, h, w)
-	plane := h * w
-	for b := 0; b < n; b++ {
-		off := 0
-		for i, y := range outs {
-			c := l.outC[i]
-			copy(out.Data()[(b*totalC+off)*plane:(b*totalC+off+c)*plane],
-				y.Data()[b*c*plane:(b+1)*c*plane])
-			off += c
+	l.out.Release()
+	l.out = tensor.AcquireDirty(shape...)
+	rows, inner := l.rowsInner(shape)
+	width, off := shape[l.axis]*inner, 0
+	for i, y := range outs {
+		w := l.dims[i] * inner
+		for r := 0; r < rows; r++ {
+			copy(l.out.Data()[r*width+off:r*width+off+w], y.Data()[r*w:(r+1)*w])
 		}
+		off += w
 	}
-	return out
+	return l.out
 }
 
-func (l *ConcatChannels) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	n, h, w := gy.Dim(0), gy.Dim(2), gy.Dim(3)
-	totalC := gy.Dim(1)
-	plane := h * w
+func (l *concat) Backward(gy *tensor.Tensor) *tensor.Tensor {
+	release(l.parts...)
+	l.parts = l.parts[:0]
+	shape := append([]int(nil), gy.Shape()...)
+	rows, inner := l.rowsInner(shape)
+	width, off := shape[l.axis]*inner, 0
 	var gx *tensor.Tensor
-	off := 0
 	for i, br := range l.Branches {
-		c := l.outC[i]
-		g := tensor.New(n, c, h, w)
-		for b := 0; b < n; b++ {
-			copy(g.Data()[b*c*plane:(b+1)*c*plane],
-				gy.Data()[(b*totalC+off)*plane:(b*totalC+off+c)*plane])
+		shape[l.axis] = l.dims[i]
+		w := l.dims[i] * inner
+		g := tensor.AcquireDirty(shape...)
+		for r := 0; r < rows; r++ {
+			copy(g.Data()[r*w:(r+1)*w], gy.Data()[r*width+off:r*width+off+w])
 		}
-		off += c
-		bg := br.Backward(g)
-		if gx == nil {
+		off += w
+		l.parts = append(l.parts, g)
+		if bg := br.Backward(g); gx == nil {
 			gx = bg
 		} else {
 			tensor.AddInPlace(gx, bg)
@@ -172,7 +93,7 @@ func (l *ConcatChannels) Backward(gy *tensor.Tensor) *tensor.Tensor {
 	return gx
 }
 
-func (l *ConcatChannels) Params() []*Param {
+func (l *concat) Params() []*Param {
 	var ps []*Param
 	for _, br := range l.Branches {
 		ps = append(ps, br.Params()...)
@@ -180,10 +101,47 @@ func (l *ConcatChannels) Params() []*Param {
 	return ps
 }
 
-func (l *ConcatChannels) StashBytes() int64 {
+func (l *concat) StashBytes() int64 {
 	var s int64
 	for _, br := range l.Branches {
 		s += br.StashBytes()
 	}
 	return s
+}
+
+// ConcatChannels merges parallel branches along the channel axis of NCHW
+// tensors — the join of an Inception mixed block.
+type ConcatChannels struct{ concat }
+
+// NewConcatChannels builds the block from parallel branches.
+func NewConcatChannels(name string, branches ...Layer) *ConcatChannels {
+	if len(branches) == 0 {
+		panic("layers: ConcatChannels needs at least one branch")
+	}
+	return &ConcatChannels{concat{name: name, axis: 1, Branches: branches}}
+}
+
+// Bidirectional runs two recurrent layers over a sequence — one walking it
+// forward, one backward — and concatenates their outputs along the
+// feature axis, producing [N, T, 2H]. Deep Speech 2 and GNMT-style
+// encoders use exactly this structure.
+type Bidirectional struct{ concat }
+
+func newBidirectional(name string, fwd, bwd *recurrent) *Bidirectional {
+	bwd.reverse = true
+	return &Bidirectional{concat{name: name, axis: 2, Branches: []Layer{fwd, bwd}}}
+}
+
+// NewBiLSTM builds a bidirectional LSTM with fresh weights per direction.
+func NewBiLSTM(name string, in, hidden int, rng *tensor.RNG) *Bidirectional {
+	return newBidirectional(name,
+		&NewLSTM(name+".fwd", in, hidden, rng).recurrent,
+		&NewLSTM(name+".bwd", in, hidden, rng).recurrent)
+}
+
+// NewBiRNN builds a bidirectional vanilla RNN (the Deep Speech 2 layer).
+func NewBiRNN(name string, in, hidden int, rng *tensor.RNG) *Bidirectional {
+	return newBidirectional(name,
+		&NewRNN(name+".fwd", in, hidden, rng).recurrent,
+		&NewRNN(name+".bwd", in, hidden, rng).recurrent)
 }

@@ -59,18 +59,6 @@ func TestBidirectionalSeesTheFuture(t *testing.T) {
 	}
 }
 
-func TestReverseTimeInvolution(t *testing.T) {
-	rng := tensor.NewRNG(5)
-	x := tensor.RandNormal(rng, 0, 1, 2, 5, 3)
-	if !tensor.Equal(reverseTime(reverseTime(x)), x, 0) {
-		t.Fatal("reverseTime is not an involution")
-	}
-	r := reverseTime(x)
-	if r.At(0, 0, 1) != x.At(0, 4, 1) {
-		t.Fatal("reverseTime mapped the wrong frame")
-	}
-}
-
 func TestConcatChannelsForward(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	b1 := NewConv2DNoBias("b1", 2, 3, 1, 1, 0, rng)

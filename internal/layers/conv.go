@@ -93,8 +93,7 @@ func (c *Conv2D) Backward(gy *tensor.Tensor) *tensor.Tensor {
 		gz = gzOwned
 	}
 	gx, gw := tensor.Conv2DBackwardCols(c.cols, c.x.Shape(), c.W.Value, gz, c.Stride, c.Pad)
-	tensor.AddInPlace(c.W.Grad, gw)
-	gw.Release()
+	c.W.AddGrad(gw)
 	if c.useBias {
 		n, f, oh, ow := gz.Dim(0), gz.Dim(1), gz.Dim(2), gz.Dim(3)
 		for b := 0; b < n; b++ {

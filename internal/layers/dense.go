@@ -106,13 +106,9 @@ func (d *Dense) Backward(gy *tensor.Tensor) *tensor.Tensor {
 		gzOwned = tensor.ActBackward(d.Act, gz, d.out)
 		gz = gzOwned
 	}
-	gw := tensor.MatMulTransA(d.x, gz)
-	tensor.AddInPlace(d.W.Grad, gw)
-	gw.Release()
+	d.W.AddGradTransA(d.x, gz)
 	if d.useBias {
-		gb := tensor.SumRows(gz)
-		tensor.AddInPlace(d.B.Grad, gb)
-		gb.Release()
+		d.B.AddGrad(tensor.SumRows(gz))
 	}
 	gx := tensor.MatMulTransB(gz, d.W.Value)
 	gzOwned.Release()

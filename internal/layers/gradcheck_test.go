@@ -266,32 +266,6 @@ func TestGRUGradients(t *testing.T) {
 	gradCheck(t, l, x, 5e-2)
 }
 
-func TestLSTMStatePlumbing(t *testing.T) {
-	rng := tensor.NewRNG(18)
-	l := NewLSTM("lstm", 2, 3, rng)
-	x := tensor.RandNormal(rng, 0, 1, 1, 4, 2)
-	y := l.Forward(x, true)
-	h, c := l.LastState()
-	if h == nil || c == nil {
-		t.Fatal("LastState nil")
-	}
-	// Last timestep of output equals last hidden state.
-	for j := 0; j < 3; j++ {
-		if y.At(0, 3, j) != h.At(0, j) {
-			t.Fatal("last output != last hidden")
-		}
-	}
-	// Seeding a second LSTM with the state changes its output.
-	l2 := NewLSTM("lstm2", 2, 3, rng)
-	x2 := tensor.RandNormal(rng, 0, 1, 1, 2, 2)
-	base := l2.Forward(x2, false).Clone()
-	l2.SetInitialState(h, c)
-	seeded := l2.Forward(x2, false)
-	if tensor.Equal(base, seeded, 1e-9) {
-		t.Fatal("initial state had no effect")
-	}
-}
-
 func TestMultiHeadAttentionGradients(t *testing.T) {
 	rng := tensor.NewRNG(19)
 	l := NewMultiHeadAttention("mha", 8, 2, false, rng)

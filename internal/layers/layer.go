@@ -32,6 +32,20 @@ func NewParam(name string, value *tensor.Tensor) *Param {
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
+// AddGrad accumulates a finished gradient g into p.Grad and releases g.
+// Every tensor-shaped weight gradient in the package is written here, so
+// the temporary is returned to the pool in one place.
+func (p *Param) AddGrad(g *tensor.Tensor) {
+	tensor.AddInPlace(p.Grad, g)
+	g.Release()
+}
+
+// AddGradTransA accumulates aᵀ·b into p.Grad: the gradient of a weight W
+// used as y = a·W, given b = dL/dy.
+func (p *Param) AddGradTransA(a, b *tensor.Tensor) {
+	p.AddGrad(tensor.MatMulTransA(a, b))
+}
+
 // Layer is a differentiable network stage. Forward may cache activations
 // when train is true; Backward consumes the most recent cached forward
 // state and returns the gradient with respect to the layer input.
@@ -47,7 +61,9 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // iterations, activations stashed for later inspection — must Clone it.
 // Retaining a stale reference yields silently corrupted data, not an
 // error. tensor.SetDebugPoisonReleased(true) makes such use-after-release
-// bugs loud in tests by filling released buffers with NaN.
+// bugs loud in tests by filling released buffers with NaN. A weight
+// gradient computed into a temporary goes through Param.AddGrad, which
+// releases it.
 type Layer interface {
 	// Name returns a stable human-readable identifier.
 	Name() string
@@ -100,6 +116,13 @@ func bytesOf(ts ...*tensor.Tensor) int64 {
 		}
 	}
 	return n
+}
+
+// release returns finished temporaries to the pool.
+func release(ts ...*tensor.Tensor) {
+	for _, t := range ts {
+		t.Release()
+	}
 }
 
 // requireForward panics with a uniform message when Backward runs before

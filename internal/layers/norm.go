@@ -75,7 +75,7 @@ func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				}
 			}
 		}
-		l.xhat = nil
+		l.xhat, l.invStd = nil, l.invStd[:0]
 		return out
 	}
 

@@ -419,7 +419,7 @@ func trainStep(net *graph.Network, opt optim.Optimizer, x *tensor.Tensor, labels
 }
 
 func seqStep(net *graph.Network, opt optim.Optimizer, x *tensor.Tensor, labels []int) float64 {
-	return graph.TrainSequenceStep(net, opt, x, labels, 5).Accuracy
+	return graph.TrainClassifierStep(net, opt, x, labels, 5).Accuracy
 }
 
 func TestNumericDeepSpeechCTCLearns(t *testing.T) {

@@ -104,6 +104,8 @@ func rowWorkers(n, minRowsPerWorker int) int {
 // The first block always runs on the calling goroutine, and submission is
 // non-blocking (a full queue degrades to inline execution), so nested
 // parallel ops cannot deadlock the pool.
+//
+//tbd:sync-callback wg.Wait: every fn call has returned before parallelRows does
 func parallelRows(n int, minRowsPerWorker int, fn func(lo, hi int)) {
 	workers := rowWorkers(n, minRowsPerWorker)
 	if workers <= 1 {
@@ -133,6 +135,8 @@ func parallelRows(n int, minRowsPerWorker int, fn func(lo, hi int)) {
 // of one per worker. Alignment only moves the split points; each row's
 // reduction is self-contained, so results are bit-identical to any other
 // split.
+//
+//tbd:sync-callback wg.Wait: every fn call has returned before parallelRowsAligned does
 func parallelRowsAligned(n, align, minRowsPerWorker int, fn func(lo, hi int)) {
 	workers := rowWorkers(n, minRowsPerWorker)
 	if workers <= 1 {
@@ -157,15 +161,4 @@ func parallelRowsAligned(n, align, minRowsPerWorker int, fn func(lo, hi int)) {
 	}
 	fn(0, min(block, n))
 	wg.Wait()
-}
-
-// MatMulParallel is MatMul with row-block parallelism. MatMul itself now
-// dispatches through the worker pool, so this is an alias kept for
-// callers that want the intent in the name.
-func MatMulParallel(a, b *Tensor) *Tensor { return MatMul(a, b) }
-
-// Conv2DParallel is Conv2D, which now splits its im2col lowering and
-// output reordering across the worker pool. Kept for API compatibility.
-func Conv2DParallel(x, w *Tensor, stride, pad int) *Tensor {
-	return Conv2D(x, w, stride, pad)
 }

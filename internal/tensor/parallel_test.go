@@ -29,7 +29,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	want := MatMul(a, b)
 	for _, workers := range []int{1, 2, 4} {
 		SetParallelism(workers)
-		got := MatMulParallel(a, b)
+		got := MatMul(a, b)
 		if !Equal(got, want, 0) {
 			t.Fatalf("parallel (%d workers) differs from serial", workers)
 		}
@@ -41,15 +41,15 @@ func TestConv2DParallelMatchesSerial(t *testing.T) {
 	rng := NewRNG(2)
 	x := RandNormal(rng, 0, 1, 7, 3, 9, 9)
 	w := RandNormal(rng, 0, 0.5, 5, 3, 3, 3)
-	want := Conv2D(x, w, 2, 1)
+	x1 := RandNormal(rng, 0, 1, 1, 3, 9, 9)
+	want, want1 := Conv2D(x, w, 2, 1), Conv2D(x1, w, 2, 1)
 	SetParallelism(4)
-	got := Conv2DParallel(x, w, 2, 1)
+	got := Conv2D(x, w, 2, 1)
 	if !Equal(got, want, 0) {
 		t.Fatal("parallel conv differs from serial")
 	}
 	// Batch of one falls back to serial.
-	x1 := RandNormal(rng, 0, 1, 1, 3, 9, 9)
-	if !Equal(Conv2DParallel(x1, w, 2, 1), Conv2D(x1, w, 2, 1), 0) {
+	if !Equal(Conv2D(x1, w, 2, 1), want1, 0) {
 		t.Fatal("single-sample fallback differs")
 	}
 }
@@ -301,7 +301,7 @@ func TestSetParallelismConcurrentWithOps(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		if got := MatMulParallel(a, b); !Equal(got, want, 0) {
+		if got := MatMul(a, b); !Equal(got, want, 0) {
 			close(stop)
 			<-done
 			t.Fatalf("MatMul under concurrent SetParallelism differs at iter %d", i)
@@ -318,14 +318,14 @@ func BenchmarkMatMulParallelSpeedup(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		SetParallelism(1)
 		for i := 0; i < b.N; i++ {
-			MatMulParallel(a, c)
+			MatMul(a, c)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		SetParallelism(runtime.NumCPU())
 		defer SetParallelism(1)
 		for i := 0; i < b.N; i++ {
-			MatMulParallel(a, c)
+			MatMul(a, c)
 		}
 	})
 }

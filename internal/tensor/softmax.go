@@ -7,14 +7,14 @@ import (
 	"tbd/internal/prof"
 )
 
-// SoftmaxRows computes a numerically stable softmax over the last axis,
-// treating t as [N, F].
+// SoftmaxRows computes a numerically stable softmax over the last axis;
+// every leading axis is a batch of rows.
 func SoftmaxRows(t *Tensor) *Tensor {
 	if t.Rank() < 2 {
 		panic(fmt.Sprintf("tensor: SoftmaxRows needs rank >= 2, got %v", t.shape))
 	}
-	n := t.shape[0]
-	f := t.Numel() / n
+	f := t.shape[len(t.shape)-1]
+	n := t.Numel() / f
 	out := acquireDirty(t.shape...)
 	minRows := 1 + minElemsPerWorker/(f+1)
 	if rowWorkers(n, minRows) <= 1 {
