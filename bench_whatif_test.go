@@ -65,8 +65,11 @@ var whatifGroundTruthCells = []struct {
 	}},
 	{"vec-relu", func(tb testing.TB) (float64, float64) {
 		pred, _ := predictVecReLU(tb)
-		meas := replayGolden(tb, loadGoldenTrace(tb, mlp1024TraceName), "")
+		meas := replayGolden(tb, loadGoldenTrace(tb, mlp1024VecReLUTrace), "")
 		return pred, meas.BaselineStepUs
+	}},
+	{"drop-dx", func(tb testing.TB) (float64, float64) {
+		return predictDropDX(tb), measuredDropDX(tb)
 	}},
 	{"ps-10gbe", func(tb testing.TB) (float64, float64) {
 		pred := replayGolden(tb, loadGoldenTrace(tb, "dist_ps_1gbe.json"), "bw=10gbe")

@@ -101,7 +101,7 @@ Commands:
                          -steps, -batch, -seed, -lr, -compress full|fp16|int8, -bw MB/s, -staleness,
                          -profile, -trace-out FILE
   whatif          Daydream-style replay of a recorded trace under a transformation
-                  flags: -trace FILE, -scenario 'speedup=gemm*:2,bw=10gbe,...', -json, -top N
+                  flags: -trace FILE, -scenario 'speedup=gemm*:2,bw=10gbe,drop=step/phase.backward/fc1/gemm.dX,...', -json, -top N
   analyze         full Figure-3 pipeline report for one config (-model, -framework, -batch)
   observations    check the paper's Observations 1-13`)
 }

@@ -27,7 +27,7 @@ func cmdWhatif(args []string) error {
 		return fmt.Errorf("whatif: -trace is required (record one with: tbd twin -whatif-record trace.json)")
 	}
 	if *spec == "" {
-		return fmt.Errorf("whatif: -scenario is required, e.g. -scenario 'speedup=gemm*:2' (transforms: speedup=GLOB:K, kernelmodel=GLOB:GFLOPS, parallel=N, batch=N, fp16, fused=on|off, bw=MBPS|1gbe|10gbe|40gbe|unlimited, compress=full|fp16|int8, offload=SIZE)")
+		return fmt.Errorf("whatif: -scenario is required, e.g. -scenario 'speedup=gemm*:2' (transforms: speedup=GLOB:K, kernelmodel=GLOB:GFLOPS, parallel=N, batch=N, fp16, fused=on|off, bw=MBPS|1gbe|10gbe|40gbe|unlimited, compress=full|fp16|int8, offload=SIZE, drop=SPAN/PATH/GLOB)")
 	}
 
 	tr, err := whatif.ReadFile(*tracePath)

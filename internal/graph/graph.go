@@ -52,6 +52,10 @@ func (n *Network) Backward(gy *tensor.Tensor) *tensor.Tensor {
 	return n.Root.Backward(gy)
 }
 
+// BackwardParams is Backward for a caller that wants only the parameter
+// gradients: the network's first layer computes no input gradient.
+func (n *Network) BackwardParams(gy *tensor.Tensor) { layers.BackwardParams(n.Root, gy) }
+
 // Infer runs a forward pass in evaluation mode: no feature maps are
 // stashed for backward (StashBytes stays zero), batch-norm layers use
 // their running statistics, and no optimizer state is touched — the
@@ -196,7 +200,7 @@ func trainStep(n *Network, opt optim.Optimizer, xs []*tensor.Tensor, labels [][]
 			gy = grad.Reshape(out.Shape()...)
 		}
 		sp = prof.BeginChild(&step, prof.CatPhase, "phase.backward")
-		n.Backward(gy)
+		n.BackwardParams(gy)
 		sp.End()
 		// The loss gradient is this step's own buffer and dead after backward;
 		// the logits and input gradient belong to the layers that produced

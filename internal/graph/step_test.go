@@ -2,6 +2,7 @@ package graph
 
 import (
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -110,5 +111,106 @@ func TestStepSpanShape(t *testing.T) {
 		if got := stepShape(t, c.run); !reflect.DeepEqual(got, [][]string{want}) {
 			t.Errorf("%s: step children %v, want one step of %v", c.name, got, want)
 		}
+	}
+}
+
+// trainGemmShaped is bench's train_gemm model scaled down: two square
+// ReLU layers and a head, at a batch small enough that every activation is
+// a fraction of a weight matrix.
+func trainGemmShaped(rng *tensor.RNG, h, batch int) (*Network, *tensor.Tensor, []int) {
+	net := New("mlp", layers.NewSequential("mlp",
+		layers.NewDenseAct("fc1", h, h, tensor.ActReLU, rng),
+		layers.NewDenseAct("fc2", h, h, tensor.ActReLU, rng),
+		layers.NewDense("fc3", h, 10, rng),
+	))
+	labels := make([]int, batch)
+	for i := range labels {
+		labels[i] = rng.Intn(10)
+	}
+	return net, tensor.RandNormal(rng, 0, 1, batch, h), labels
+}
+
+func TestStepComputesNoUnreadInputGradient(t *testing.T) {
+	// Nobody reads the first layer's input gradient, so the step asks for
+	// none; the layer span stays, for traces that key on its path.
+	net, x, labels := trainGemmShaped(tensor.NewRNG(34), 32, 8)
+	prof.Enable()
+	TrainClassifierStep(net, optim.NewSGD(0.1), x, labels, 5)
+	prof.Disable()
+	recs := prof.Records()
+	dX := map[string]int{}
+	for _, layer := range recs {
+		if layer.Cat != prof.CatBackward {
+			continue
+		}
+		n := 0
+		for _, r := range recs {
+			if r.Parent == layer.ID && r.Name == "gemm.dX" {
+				n++
+			}
+		}
+		dX[layer.Name] += n
+	}
+	if want := map[string]int{"fc1": 0, "fc2": 1, "fc3": 1}; !reflect.DeepEqual(dX, want) {
+		t.Errorf("gemm.dX spans per backward layer span %v, want %v", dX, want)
+	}
+}
+
+func TestZeroGradsLeavesZerosBehindUntouchedParams(t *testing.T) {
+	// ZeroGrads zeroes eagerly: a parameter no layer writes in a step reads
+	// zero straight after it and after the step, not last step's gradient.
+	net, x, labels := trainGemmShaped(tensor.NewRNG(35), 16, 4)
+	idle := layers.NewParam("idle", tensor.New(3))
+	params := append(net.Params(), idle)
+	for _, p := range params {
+		p.Grad.Fill(3)
+	}
+	optim.ZeroGrads(params)
+	for _, p := range params {
+		for i, v := range p.Grad.Data() {
+			if v != 0 {
+				t.Fatalf("%s.Grad[%d] = %v straight after ZeroGrads", p.Name, i, v)
+			}
+		}
+	}
+	TrainClassifierStep(net, optim.NewSGD(0.1), x, labels, 0)
+	if g := idle.Grad.Data(); g[0] != 0 || g[1] != 0 || g[2] != 0 {
+		t.Fatalf("untouched parameter's gradient %v, want zeros", g)
+	}
+}
+
+// TestStepSteadyStateTakesNoWeightSizedTemporary pins what a step takes
+// from the tensor pool at train_gemm's shape. The first gradient write of a
+// step is computed in Grad, so the step never asks for an In x Out buffer:
+// starting from an empty pool, whole steps allocate less than one beyond the
+// GEMM pack scratch, and a warmed step makes 11 requests, all served from
+// the free list — 15 before, the four gone being three dW temporaries and
+// fc1's input gradient.
+func TestStepSteadyStateTakesNoWeightSizedTemporary(t *testing.T) {
+	const h, batch = 512, 16
+	prev := tensor.SetPooling(false) // drops every buffer earlier tests parked
+	tensor.SetPooling(true)
+	defer tensor.SetPooling(prev)
+	net, x, labels := trainGemmShaped(tensor.NewRNG(36), h, batch)
+	opt := optim.NewSGD(0.01) // no state to allocate
+	step := func() { TrainClassifierStep(net, opt, x, labels, 5) }
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	parked, pack := tensor.PoolRetainedBytes()
+	const weightBytes = 4 * h * h
+	if got := int64(after.TotalAlloc-before.TotalAlloc) - pack; got >= weightBytes {
+		t.Errorf("three steps from an empty pool allocated %d bytes beside pack scratch, want less than one %d-byte weight-sized buffer", got, weightBytes)
+	}
+	if parked >= weightBytes {
+		t.Errorf("pool holds %d bytes between steps, want less than one %d-byte weight-sized buffer", parked, weightBytes)
+	}
+	start := tensor.PoolStatsSnapshot()
+	step()
+	if d := tensor.PoolStatsSnapshot().Sub(start); d.Gets != 11 || d.Hits != d.Gets {
+		t.Errorf("warmed step: %d pool requests, %d served from the free list; want 11, all served", d.Gets, d.Hits)
 	}
 }

@@ -85,7 +85,7 @@ func (c *Conv2D) Backward(gy *tensor.Tensor) *tensor.Tensor {
 	requireForward(c.name, c.x)
 	c.gx.Release()
 	gz := gy
-	// See Dense.Backward: the fused activation backprops from the stashed
+	// See Dense.backward: the fused activation backprops from the stashed
 	// post-activation output.
 	var gzOwned *tensor.Tensor
 	if c.Act != tensor.ActNone {
@@ -103,7 +103,7 @@ func (c *Conv2D) Backward(gy *tensor.Tensor) *tensor.Tensor {
 				for _, v := range plane {
 					s += v
 				}
-				c.B.Grad.Data()[ch] += s
+				c.B.gradAccum()[ch] += s
 			}
 		}
 	}

@@ -94,8 +94,17 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 func (d *Dense) Backward(gy *tensor.Tensor) *tensor.Tensor {
+	d.backward(gy, true)
+	return d.gx.Reshape(d.origDims...)
+}
+
+// BackwardParams is Backward without the input-gradient GEMM.
+func (d *Dense) BackwardParams(gy *tensor.Tensor) { d.backward(gy, false) }
+
+func (d *Dense) backward(gy *tensor.Tensor, needGX bool) {
 	requireForward(d.name, d.x)
 	d.gx.Release()
+	d.gx = nil
 	n := d.x.Dim(0)
 	gz := gy.Reshape(n, d.Out)
 	// With a fused activation the stashed output is post-activation, and
@@ -110,10 +119,10 @@ func (d *Dense) Backward(gy *tensor.Tensor) *tensor.Tensor {
 	if d.useBias {
 		d.B.AddGrad(tensor.SumRows(gz))
 	}
-	gx := tensor.MatMulTransB(gz, d.W.Value)
+	if needGX {
+		d.gx = tensor.MatMulTransB(gz, d.W.Value)
+	}
 	gzOwned.Release()
-	d.gx = gx
-	return gx.Reshape(d.origDims...)
 }
 
 func (d *Dense) Params() []*Param {

@@ -51,17 +51,22 @@ func (l *Embedding) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-func (l *Embedding) Backward(gy *tensor.Tensor) *tensor.Tensor {
+// BackwardParams is Backward without the all-zero input gradient.
+func (l *Embedding) BackwardParams(gy *tensor.Tensor) {
 	if l.ids == nil {
 		panic(fmt.Sprintf("layers: %s.Backward called before Forward(train=true)", l.name))
 	}
 	for i, id := range l.ids {
 		g := gy.Data()[i*l.Dim : (i+1)*l.Dim]
-		dst := l.W.Grad.Data()[id*l.Dim : (id+1)*l.Dim]
+		dst := l.W.gradAccum()[id*l.Dim : (id+1)*l.Dim]
 		for j, v := range g {
 			dst[j] += v
 		}
 	}
+}
+
+func (l *Embedding) Backward(gy *tensor.Tensor) *tensor.Tensor {
+	l.BackwardParams(gy)
 	// Token ids are not differentiable; return a zero gradient of the input
 	// shape so graph plumbing stays uniform.
 	return tensor.New(l.inShape...)

@@ -45,7 +45,7 @@ func gruForward(n, H int, zx, zh, bias, prev, cur []float32) {
 
 func gruBackward(n, H int, g, prev, cur []float32, dzx, dzh *tensor.Tensor, b *Param, ghPrev, _ []float32) {
 	_, act, hWhn := gruState(cur, n*H)
-	bg := b.Grad.Data()
+	bg := b.gradAccum()
 	for bi := 0; bi < n; bi++ {
 		zxr, zhr, ar := dzx.Data()[bi*3*H:(bi+1)*3*H], dzh.Data()[bi*3*H:(bi+1)*3*H], act[bi*3*H:(bi+1)*3*H]
 		for j := 0; j < H; j++ {

@@ -18,10 +18,16 @@ import (
 // Param is one trainable parameter tensor together with its gradient
 // accumulator. Optimizers consume Params; the memory profiler counts Value
 // as "weights" and Grad as "weight gradients".
+//
+// ZeroGrad marks Grad untouched: the first layer write after it lands in
+// Grad itself, later ones add. Code outside the package that fills Grad
+// writes and then steps, never writes and then calls AddGrad (an overwrite).
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+
+	untouched bool // Grad is all zeros since ZeroGrad: a write may replace it
 }
 
 // NewParam allocates a parameter around an initialized value tensor.
@@ -30,20 +36,51 @@ func NewParam(name string, value *tensor.Tensor) *Param {
 }
 
 // ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+func (p *Param) ZeroGrad() {
+	p.Grad.Zero()
+	p.untouched = true
+}
 
 // AddGrad accumulates a finished gradient g into p.Grad and releases g.
 // Every tensor-shaped weight gradient in the package is written here, so
-// the temporary is returned to the pool in one place.
+// the temporary is returned to the pool in one place. A first write copies
+// where it once added to zeros: the same bits, but a -0 in g stays -0.
 func (p *Param) AddGrad(g *tensor.Tensor) {
-	tensor.AddInPlace(p.Grad, g)
+	if p.untouched {
+		p.Grad.CopyFrom(g)
+	} else {
+		tensor.AddInPlace(p.Grad, g)
+	}
+	p.untouched = false
 	g.Release()
 }
 
 // AddGradTransA accumulates aᵀ·b into p.Grad: the gradient of a weight W
-// used as y = a·W, given b = dL/dy.
+// used as y = a·W, given b = dL/dy. A first write is one GEMM into Grad.
 func (p *Param) AddGradTransA(a, b *tensor.Tensor) {
+	if p.untouched {
+		p.untouched = false
+		tensor.MatMulTransAInto(p.Grad, a, b)
+		return
+	}
 	p.AddGrad(tensor.MatMulTransA(a, b))
+}
+
+// gradAccum returns Grad's elements for a layer that adds into them one at
+// a time; Grad then counts as written.
+func (p *Param) gradAccum() []float32 {
+	p.untouched = false
+	return p.Grad.Data()
+}
+
+// BackwardParams runs l's backward pass for a caller that will not read the
+// input gradient: layers that can skip computing it do, the rest run Backward.
+func BackwardParams(l Layer, gy *tensor.Tensor) {
+	if pb, ok := l.(interface{ BackwardParams(*tensor.Tensor) }); ok {
+		pb.BackwardParams(gy)
+	} else {
+		l.Backward(gy)
+	}
 }
 
 // Layer is a differentiable network stage. Forward may cache activations
@@ -63,7 +100,10 @@ func (p *Param) AddGradTransA(a, b *tensor.Tensor) {
 // error. tensor.SetDebugPoisonReleased(true) makes such use-after-release
 // bugs loud in tests by filling released buffers with NaN. A weight
 // gradient computed into a temporary goes through Param.AddGrad, which
-// releases it.
+// releases it; a step's first is computed in Grad itself (see Param). A
+// caller that drops Backward's result calls BackwardParams: a Dense or
+// Embedding first layer then computes no input gradient, and still releases
+// its previous one.
 type Layer interface {
 	// Name returns a stable human-readable identifier.
 	Name() string

@@ -129,6 +129,7 @@ func (l *BatchNorm2D) Backward(gy *tensor.Tensor) *tensor.Tensor {
 	m := float32(l.n)
 	gx := tensor.AcquireDirty(gy.Shape()...)
 	l.gx = gx
+	gBeta, gGamma := l.Beta.gradAccum(), l.Gamma.gradAccum()
 	for ch := 0; ch < c; ch++ {
 		var sumG, sumGX float64
 		for bi := 0; bi < n; bi++ {
@@ -139,8 +140,8 @@ func (l *BatchNorm2D) Backward(gy *tensor.Tensor) *tensor.Tensor {
 				sumGX += float64(v) * float64(xh[i])
 			}
 		}
-		l.Beta.Grad.Data()[ch] += float32(sumG)
-		l.Gamma.Grad.Data()[ch] += float32(sumGX)
+		gBeta[ch] += float32(sumG)
+		gGamma[ch] += float32(sumGX)
 		gamma := l.Gamma.Value.Data()[ch]
 		inv := l.invStd[ch]
 		for bi := 0; bi < n; bi++ {
@@ -239,6 +240,7 @@ func (l *LayerNorm) Backward(gy *tensor.Tensor) *tensor.Tensor {
 	rows := gy.Numel() / f
 	gx := tensor.AcquireDirty(gy.Shape()...)
 	l.gx = gx
+	gBeta, gGamma := l.Beta.gradAccum(), l.Gamma.gradAccum()
 	for r := 0; r < rows; r++ {
 		g := gy.Data()[r*f : (r+1)*f]
 		xh := l.xhat.Data()[r*f : (r+1)*f]
@@ -247,8 +249,8 @@ func (l *LayerNorm) Backward(gy *tensor.Tensor) *tensor.Tensor {
 			gg := float64(v) * float64(l.Gamma.Value.Data()[i])
 			sumG += gg
 			sumGX += gg * float64(xh[i])
-			l.Gamma.Grad.Data()[i] += v * xh[i]
-			l.Beta.Grad.Data()[i] += v
+			gGamma[i] += v * xh[i]
+			gBeta[i] += v
 		}
 		inv := l.invStd[r]
 		fm := float32(f)

@@ -33,13 +33,23 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-func (s *Sequential) Backward(gy *tensor.Tensor) *tensor.Tensor {
+func (s *Sequential) Backward(gy *tensor.Tensor) *tensor.Tensor { return s.backward(gy, true) }
+
+// BackwardParams is Backward for a caller that drops the result: the first
+// child, whose input gradient would be that result, is asked for none.
+func (s *Sequential) BackwardParams(gy *tensor.Tensor) { s.backward(gy, false) }
+
+func (s *Sequential) backward(gy *tensor.Tensor, needGX bool) *tensor.Tensor {
 	// Intermediate gradients are recycled by the layers that produced
 	// them, each on its own next Backward call.
 	g := gy
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		sp := prof.Begin(prof.CatBackward, s.Layers[i].Name())
-		g = s.Layers[i].Backward(g)
+		if i == 0 && !needGX {
+			BackwardParams(s.Layers[i], g)
+		} else {
+			g = s.Layers[i].Backward(g)
+		}
 		sp.End()
 	}
 	return g

@@ -84,7 +84,7 @@ func (m *EncoderDecoder) Backward(gy *tensor.Tensor) {
 	// Residual: gradient reaches both the context and the decoder.
 	gdec := m.Cross.Backward(gfused) // query-path gradient
 	tensor.AddInPlace(gdec, gfused)  // plus the residual path
-	m.TgtEmb.Backward(m.DecPE.Backward(m.Dec.Backward(gdec)))
+	m.TgtEmb.BackwardParams(m.DecPE.Backward(m.Dec.Backward(gdec)))
 	genc := m.Cross.MemoryGrad()
-	m.SrcEmb.Backward(m.EncPE.Backward(m.Enc.Backward(genc)))
+	m.SrcEmb.BackwardParams(m.EncPE.Backward(m.Enc.Backward(genc)))
 }

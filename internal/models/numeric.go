@@ -236,7 +236,7 @@ func (d *NumericDetector) Backward(gCls, gBox *tensor.Tensor) {
 	gf := d.ClsHead.Backward(gCls)
 	gf2 := d.BoxHead.Backward(gBox)
 	tensor.AddInPlace(gf, gf2)
-	d.Trunk.Backward(gf)
+	d.Trunk.BackwardParams(gf)
 }
 
 // MSELoss computes mean squared error and its gradient for the box head.

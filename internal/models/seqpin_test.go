@@ -138,6 +138,19 @@ func TestSequenceTwinTrajectoriesPinned(t *testing.T) {
 	// Released buffers are filled with NaN, so a layer that reads a
 	// temporary after releasing it, or trusts a dirty buffer it has not
 	// fully written, moves a hash too.
+	eachGemmTierPoisoned(t, func(t *testing.T, tier string) {
+		for name, run := range seqTwins() {
+			if got, want := run(), seqPins[tier][name]; got != want {
+				t.Errorf("%s/%s: weights %#x forward %#x, pinned %#x / %#x",
+					tier, name, got.weights, got.forward, want.weights, want.forward)
+			}
+		}
+	})
+}
+
+// eachGemmTierPoisoned runs check as a subtest under every GEMM tier the
+// host has, with released buffers filled with NaN.
+func eachGemmTierPoisoned(t *testing.T, check func(t *testing.T, tier string)) {
 	defer tensor.SetDebugPoisonReleased(tensor.SetDebugPoisonReleased(true))
 	for _, tier := range []string{"ref", "sse", "avx2"} {
 		t.Run(tier, func(t *testing.T) {
@@ -146,12 +159,7 @@ func TestSequenceTwinTrajectoriesPinned(t *testing.T) {
 				t.Skipf("tier %s: %v", tier, err)
 			}
 			defer func() { _, _ = tensor.SetGemmKernelTier(prev) }()
-			for name, run := range seqTwins() {
-				if got, want := run(), seqPins[tier][name]; got != want {
-					t.Errorf("%s/%s: weights %#x forward %#x, pinned %#x / %#x",
-						tier, name, got.weights, got.forward, want.weights, want.forward)
-				}
-			}
+			check(t, tier)
 		})
 	}
 }

@@ -27,13 +27,13 @@ func WGANStep(gen, critic *graph.Network, optG, optC optim.Optimizer,
 	optim.ZeroGrads(critic.Params())
 	realScores := critic.Forward(real.Reshape(n, -1), true)
 	wReal := realScores.Mean()
-	critic.Backward(tensor.Full(-inv, realScores.Shape()...)) // ascend on real
+	critic.BackwardParams(tensor.Full(-inv, realScores.Shape()...)) // ascend on real
 
 	z := tensor.RandNormal(rng, 0, 1, n, latent)
 	fake := gen.Forward(z, false)
 	fakeScores := critic.Forward(fake.Reshape(n, -1), true)
 	wFake := fakeScores.Mean()
-	critic.Backward(tensor.Full(inv, fakeScores.Shape()...)) // descend on fake
+	critic.BackwardParams(tensor.Full(inv, fakeScores.Shape()...)) // descend on fake
 	optC.Step(critic.Params())
 	for _, p := range critic.Params() {
 		for i, v := range p.Value.Data() {
@@ -52,7 +52,7 @@ func WGANStep(gen, critic *graph.Network, optG, optC optim.Optimizer,
 	fake = gen.Forward(z, true)
 	scores := critic.Forward(fake.Reshape(n, -1), true)
 	gx := critic.Backward(tensor.Full(-inv, scores.Shape()...))
-	gen.Backward(gx.Reshape(fake.Shape()...))
+	gen.BackwardParams(gx.Reshape(fake.Shape()...))
 	optG.Step(gen.Params())
 
 	return wReal - wFake
@@ -66,7 +66,7 @@ func DeepSpeechCTCStep(net *graph.Network, opt optim.Optimizer, x *tensor.Tensor
 	optim.ZeroGrads(params)
 	logits := net.Forward(x, true) // [N, T, V]
 	loss, grad := layers.CTCLossBatch(logits, labels)
-	net.Backward(grad)
+	net.BackwardParams(grad)
 	if clip > 0 {
 		optim.ClipGradNorm(params, clip)
 	}
@@ -370,7 +370,7 @@ func a3cGradients(local *graph.Network, states *tensor.Tensor, actions []int, re
 		// Value loss 0.5*(R - V)²: dV = (V - R).
 		gout.Set(0.5*(v-returns[t])*invT, t, 3)
 	}
-	local.Backward(gout)
+	local.BackwardParams(gout)
 
 	grads := make([]*tensor.Tensor, 0, len(local.Params()))
 	for _, p := range local.Params() {

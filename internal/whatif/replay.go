@@ -48,6 +48,7 @@ func Replay(t *Trace, sc *Scenario) (*Prediction, error) {
 
 	transferUsPerStep := applyMemory(p, t, sc)
 	applyTime(g, t, sc, peakBWBps, peakFLOPs)
+	applyDrop(g, sc)
 
 	// Re-sum the tree bottom-up; spans are start-sorted so children
 	// always carry a larger index... not guaranteed (ID order within same
@@ -309,6 +310,45 @@ func applyTime(g *graph, t *Trace, sc *Scenario, peakBWBps, peakFLOPs float64) {
 	if commNote {
 		g.notes = append(g.notes, commModelNote(t, sc))
 	}
+}
+
+// applyDrop is the remove transformation: a span whose path over parent
+// edges matches a drop glob loses its self time and its descendants'. Its
+// siblings keep theirs and the parent its own residue, so what depended on
+// the span now follows whatever preceded it. Runs last, so no earlier
+// clause can price a removed span back in.
+func applyDrop(g *graph, sc *Scenario) {
+	if len(sc.Drops) == 0 {
+		return
+	}
+	var drop func(i int)
+	drop = func(i int) {
+		g.nodes[i].newSelfUs = 0
+		for _, c := range g.nodes[i].children {
+			drop(c)
+		}
+	}
+	matched := 0
+	var walk func(i int, prefix string)
+	walk = func(i int, prefix string) {
+		p := prefix + g.nodes[i].s.Name
+		for _, glob := range sc.Drops {
+			if matchClass(glob, p) {
+				matched++
+				drop(i)
+				return
+			}
+		}
+		for _, c := range g.nodes[i].children {
+			walk(c, p+"/")
+		}
+	}
+	for i := range g.nodes {
+		if g.nodes[i].s.Parent == 0 {
+			walk(i, "")
+		}
+	}
+	g.notes = append(g.notes, fmt.Sprintf("drop model: %d spans removed with their subtrees; the buffers they wrote and the cache lines they evicted are not modelled", matched))
 }
 
 // scalesWithBatch reports whether a span's work is proportional to the

@@ -11,8 +11,8 @@ import (
 // A Scenario is one proposed transformation of a recorded run: the
 // "what if" the replay engine answers. Scenarios compose — a spec is a
 // comma-separated list of clauses, applied in a fixed documented order
-// (batch → kernelmodel → speedup → parallel → fp16 → fused → network),
-// so "batch=64,fp16,bw=10gbe" asks one combined question.
+// (batch → kernelmodel → speedup → parallel → fp16 → fused → network →
+// drop), so "batch=64,fp16,bw=10gbe" asks one combined question.
 //
 // Clause grammar (ParseScenario):
 //
@@ -33,9 +33,15 @@ import (
 //	                    bytes rescale by the wire-format blend
 //	offload=V           vDNN feature-map offload to fit V (e.g. 0.5gb,
 //	                    256mb): frees memory, charges PCIe transfers
+//	drop=PATHGLOB       remove the spans whose path matches, with their
+//	                    subtrees (Daydream's remove: work nobody reads)
 //
 // Glob matching uses path.Match where '*' also crosses dots, so "gemm*"
-// covers gemm, gemm.dW, gemm.bias_act.
+// covers gemm, gemm.dW, gemm.bias_act. A drop selector is matched against
+// the span's path over parent edges, names joined by '/' (which '*' does
+// not cross): every layer's kernel span is named gemm.dX and both
+// directions of a layer carry its name, so only the path
+// step/phase.backward/fc1/gemm.dX picks one.
 type Scenario struct {
 	Spec string
 
@@ -52,6 +58,8 @@ type Scenario struct {
 	Compression   string
 	// OffloadTargetBytes: 0 = no offload what-if.
 	OffloadTargetBytes int64
+	// Drops are path globs of the spans to remove.
+	Drops []string
 }
 
 // ClassFactor binds a span-name glob to a numeric factor (a speedup
@@ -158,8 +166,16 @@ func ParseScenario(spec string) (*Scenario, error) {
 				return nil, err
 			}
 			sc.OffloadTargetBytes = n
+		case "drop":
+			if val == "" {
+				return nil, fmt.Errorf("whatif: drop needs a span path glob (e.g. drop=step/phase.backward/fc1/gemm.dX)")
+			}
+			if _, err := path.Match(val, "x"); err != nil {
+				return nil, fmt.Errorf("whatif: bad glob %q: %v", val, err)
+			}
+			sc.Drops = append(sc.Drops, val)
 		default:
-			return nil, fmt.Errorf("whatif: unknown clause %q (have speedup, kernelmodel, parallel, batch, fp16, fused, bw, compress, offload)", key)
+			return nil, fmt.Errorf("whatif: unknown clause %q (have speedup, kernelmodel, parallel, batch, fp16, fused, bw, compress, offload, drop)", key)
 		}
 	}
 	return sc, nil
@@ -231,6 +247,9 @@ func (sc *Scenario) Describe() []string {
 	}
 	if sc.OffloadTargetBytes > 0 {
 		out = append(out, fmt.Sprintf("offload feature maps to fit %.2f MB (vDNN)", float64(sc.OffloadTargetBytes)/(1<<20)))
+	}
+	for _, glob := range sc.Drops {
+		out = append(out, fmt.Sprintf("drop %s and everything under it", glob))
 	}
 	if len(out) == 0 {
 		out = append(out, "no transformation (baseline replay self-check)")

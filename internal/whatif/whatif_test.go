@@ -256,6 +256,43 @@ func TestReplayKernelModelUsesFLOPs(t *testing.T) {
 	approx(t, "step", p.PredictedStepUs, 300-150+30000, 1e-6)
 }
 
+func TestReplayDropRemovesMatchingPaths(t *testing.T) {
+	// Forward and backward both run a layer named fc1 over a kernel named
+	// gemm, so only the path tells the four spans apart.
+	tr := mkTrace(t, Meta{Model: "m", Batch: 32, Parallel: 1, Steps: 1}, 1000,
+		mkSpan(1, 0, "step", "phase", 0, 600, 0, 0),
+		mkSpan(2, 1, "phase.forward", "phase", 10, 200, 0, 0),
+		mkSpan(3, 2, "fc1", "forward", 20, 150, 0, 0),
+		mkSpan(4, 3, "gemm", "kernel", 30, 100, 3e8, 0),
+		mkSpan(5, 1, "phase.backward", "phase", 220, 350, 0, 0),
+		mkSpan(6, 5, "fc1", "backward", 230, 300, 0, 0),
+		mkSpan(7, 6, "gemm", "kernel", 240, 100, 3e8, 0),
+		mkSpan(8, 6, "gemm.dX", "kernel", 350, 150, 3e8, 0),
+	)
+	for _, c := range []struct {
+		spec         string
+		step, gemmUs float64
+	}{
+		{"drop=step/phase.backward/fc1/gemm.dX", 450, 200},                 // a leaf
+		{"drop=step/phase.backward/fc1", 300, 100},                         // a subtree, self time included
+		{"drop=step/phase.*/fc1/gemm", 400, 0},                             // '*' stays inside one path element
+		{"drop=fc1/gemm,drop=step/*/gemm,drop=gemm.dX", 600, 200},          // no match: a path starts at a root
+		{"drop=step/phase.backward/fc1/gemm.dX,speedup=gemm*:2", 350, 100}, // composes, dropped span stays dropped
+		{"kernelmodel=gemm*:1,drop=step/phase.backward/fc1/gemm.dX", 600 - 2*100 - 150 + 2*3e5, 6e5},
+	} {
+		p := replaySpec(t, tr, c.spec)
+		approx(t, c.spec+": step", p.PredictedStepUs, c.step, 1e-9)
+		approx(t, c.spec+": wall", p.PredictedWallUs, 1000-600+c.step, 1e-9)
+		var gemm float64
+		for _, d := range p.Kernels {
+			if d.Name == "gemm" {
+				gemm = d.PredictedUs
+			}
+		}
+		approx(t, c.spec+": gemm rows", gemm, c.gemmUs, 1e-9)
+	}
+}
+
 func TestReplayBatchScalesComputePhasesOnly(t *testing.T) {
 	tr := twoStepTrace(t)
 	p := replaySpec(t, tr, "batch=64")
@@ -413,6 +450,9 @@ func TestParseScenarioRejectsBadSpecs(t *testing.T) {
 		"offload=lots",    // not a size
 		"turbo=1",         // unknown clause
 		"speedup=[gemm:2", // malformed glob
+		"drop",            // no path
+		"drop=",           // empty path
+		"drop=step/[x",    // malformed glob
 	}
 	for _, spec := range bad {
 		if _, err := ParseScenario(spec); err == nil {
@@ -422,7 +462,7 @@ func TestParseScenarioRejectsBadSpecs(t *testing.T) {
 }
 
 func TestParseScenarioComposes(t *testing.T) {
-	sc, err := ParseScenario("speedup=gemm*:2.5, batch=64, fp16, bw=1gbe, compress=int8, offload=0.5gb, parallel=8, fused=off, kernelmodel=conv*:50")
+	sc, err := ParseScenario("speedup=gemm*:2.5, batch=64, fp16, bw=1gbe, compress=int8, offload=0.5gb, parallel=8, fused=off, kernelmodel=conv*:50, drop=step/*/gemm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,8 +481,11 @@ func TestParseScenarioComposes(t *testing.T) {
 	if len(sc.KernelModels) != 1 || sc.KernelModels[0].Glob != "conv*" {
 		t.Fatal("kernelmodel clause lost")
 	}
-	if len(sc.Describe()) != 9 {
-		t.Fatalf("Describe listed %d transforms, want 9: %v", len(sc.Describe()), sc.Describe())
+	if len(sc.Drops) != 1 || sc.Drops[0] != "step/*/gemm" {
+		t.Fatalf("drop clause lost: %v", sc.Drops)
+	}
+	if len(sc.Describe()) != 10 {
+		t.Fatalf("Describe listed %d transforms, want 10: %v", len(sc.Describe()), sc.Describe())
 	}
 }
 

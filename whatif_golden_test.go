@@ -28,13 +28,16 @@ import (
 const whatifTraceDir = "testdata/whatif"
 
 // The train_gemm traces. The recorder writes mlp1024TraceName on this
-// commit; the other two are the same recorder run on earlier commits and
+// commit; the other three are the same recorder run on earlier commits and
 // cannot be re-recorded: unblocked on e621355, before the wide GEMM driver
-// got its k-loop, and blocked on 7cfdd68, before ReLU went branch-free.
+// got its k-loop, blocked on 7cfdd68, before ReLU went branch-free, and
+// vecrelu on 21f7e8e, while the training step still asked its first layer
+// for an input gradient.
 const (
 	mlp1024UnblockedTrace = "mlp1024_unblocked.json"
 	mlp1024BlockedTrace   = "mlp1024_blocked.json"
-	mlp1024TraceName      = "mlp1024_vecrelu.json"
+	mlp1024VecReLUTrace   = "mlp1024_vecrelu.json"
+	mlp1024TraceName      = "mlp1024_nodx.json"
 )
 
 // Committed per-tier GEMM throughput at 256x256 from BENCH_numeric.json
@@ -110,9 +113,9 @@ func recordMLP1024WhatifTrace(steps int) (*whatif.Trace, error) {
 // meaningful on the benchmark machine the BENCH_*.json baselines came
 // from; `make whatif-record` runs it (and the dist trace recording).
 //
-// The two earlier mlp1024 traces (see the constants above) are the
-// "before" sides of TestWhatifGroundTruthGemmBlocking and
-// TestWhatifGroundTruthVecReLU and are not re-recorded here.
+// The three earlier mlp1024 traces (see the constants above) are the
+// "before" sides of TestWhatifGroundTruthGemmBlocking, ...VecReLU and
+// ...DropDX and are not re-recorded here.
 func TestRecordWhatifGoldenTraces(t *testing.T) {
 	if os.Getenv("TBD_WHATIF_RECORD") == "" {
 		t.Skip("set TBD_WHATIF_RECORD=1 (make whatif-record) to re-record golden traces")
@@ -317,9 +320,60 @@ func predictVecReLU(t testing.TB) (predictedUs float64, spec string) {
 // recorded with the vector kernels in place.
 func TestWhatifGroundTruthVecReLU(t *testing.T) {
 	predicted, spec := predictVecReLU(t)
-	measured := replayGolden(t, loadGoldenTrace(t, mlp1024TraceName), "")
+	measured := replayGolden(t, loadGoldenTrace(t, mlp1024VecReLUTrace), "")
 	checkGroundTruth(t, fmt.Sprintf("branchy->vector ReLU (%s, backward -%d us by hand)", spec, vecReLUBackwardSavingUs),
 		predicted, measured.BaselineStepUs)
+}
+
+// dropDXSpec is the prediction committed before the training step stopped
+// asking its first layer for an input gradient: that layer's dX GEMM, which
+// nobody reads, is removed. The selector is a path because every layer's
+// kernel span has the same name.
+const dropDXSpec = "drop=step/phase.backward/fc1/gemm.dX"
+
+// firstTouchSavingUs is the half of that prediction added by hand, the
+// first gradient write of a step landing in Grad: fc1's and fc2's backward
+// self time in the vecrelu trace (span minus kernel children, 1183 + 1098 us
+// a step) is Param.AddGrad adding a 4 MB dW temporary into a Grad that was
+// just zeroed, less 90 us a layer kept for what stays (SumRows over the
+// 256x1024 gz).
+const firstTouchSavingUs = 2100
+
+// predictDropDX is the whole committed prediction for the train_gemm step.
+func predictDropDX(t testing.TB) float64 {
+	return replayGolden(t, loadGoldenTrace(t, mlp1024VecReLUTrace), dropDXSpec).PredictedStepUs - firstTouchSavingUs
+}
+
+// pathStepUs is what the spans at one path over parent edges take per step,
+// read the way drop= selects them: the step as recorded against the step
+// without them. Zero when the trace has no span there.
+func pathStepUs(t testing.TB, tr *whatif.Trace, path string) float64 {
+	p := replayGolden(t, tr, "drop="+path)
+	return p.BaselineStepUs - p.PredictedStepUs
+}
+
+// measuredDropDX is the step of the trace recorded with both changes in
+// place, with host drift divided out by a span that runs the same code in
+// both recordings: fc2's weight-gradient GEMM (a second write in neither).
+func measuredDropDX(t testing.TB) float64 {
+	const control = "step/phase.backward/fc2/gemm.dW"
+	before, after := loadGoldenTrace(t, mlp1024VecReLUTrace), loadGoldenTrace(t, mlp1024TraceName)
+	return replayGolden(t, after, "").BaselineStepUs * pathStepUs(t, before, control) / pathStepUs(t, after, control)
+}
+
+// TestWhatifGroundTruthDropDX holds that prediction against the recording,
+// and the recording to what the change is: the dropped span is gone from
+// fc1 alone.
+func TestWhatifGroundTruthDropDX(t *testing.T) {
+	after := loadGoldenTrace(t, mlp1024TraceName)
+	for _, layer := range []string{"fc1", "fc2", "fc3"} {
+		path := "step/phase.backward/" + layer + "/gemm.dX"
+		if us := pathStepUs(t, after, path); (us > 0) != (layer != "fc1") {
+			t.Errorf("%s: spans at %s take %.0f us a step; only fc1 should have none", mlp1024TraceName, path, us)
+		}
+	}
+	checkGroundTruth(t, fmt.Sprintf("first-layer dX dropped (%s, first-touch -%d us by hand)", dropDXSpec, firstTouchSavingUs),
+		predictDropDX(t), measuredDropDX(t))
 }
 
 // TestWhatifGroundTruthPSBandwidth is the strongest bandwidth cell: the
