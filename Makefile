@@ -9,9 +9,14 @@ check: build vet lint test race tier-race serve-race prof-race dist-race fuzz-sm
 build:
 	$(GO) build ./...
 
+# The cross builds keep the portable bodies compiling beside the amd64
+# asm, and keep internal/dist's little-endian fp32 codec building on a
+# 64-bit and a 32-bit GOARCH other than the host's.
 vet:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) build ./...
 
 # Repo-specific static analysis (see internal/analysis): pool lifetimes
 # (interprocedural), profiler span balance, kernel determinism, lock
@@ -135,6 +140,7 @@ whatif-record:
 	/tmp/tbd-whatif-record dist -workers 4 -strategy ring -model mlp-wide -steps 3 -batch 16 -seed 42 -lr 0.05 -bw 0 -trace-out testdata/whatif/dist_ring_nolimit.json
 	/tmp/tbd-whatif-record dist -workers 4 -strategy ps-sync -model mlp-wide -steps 3 -batch 16 -seed 42 -lr 0.05 -bw 125 -trace-out testdata/whatif/dist_ps_1gbe.json
 	/tmp/tbd-whatif-record dist -workers 4 -strategy ps-sync -model mlp-wide -steps 3 -batch 16 -seed 42 -lr 0.05 -bw 1250 -trace-out testdata/whatif/dist_ps_10gbe.json
+	/tmp/tbd-whatif-record dist -workers 2 -strategy ring -model mlp-wide -steps 50 -batch 32 -seed 1 -lr 0.05 -bw 1250 -trace-out testdata/whatif/dist_ring2_shard.json
 	rm -f /tmp/tbd-whatif-record
 
 # Re-run the tracked micro-benchmarks and print old-vs-new deltas against

@@ -71,6 +71,9 @@ var whatifGroundTruthCells = []struct {
 	{"drop-dx", func(tb testing.TB) (float64, float64) {
 		return predictDropDX(tb), measuredDropDX(tb)
 	}},
+	{"ring-shard", func(tb testing.TB) (float64, float64) {
+		return predictRingShard(tb), measuredRingShard(tb)
+	}},
 	{"ps-10gbe", func(tb testing.TB) (float64, float64) {
 		pred := replayGolden(tb, loadGoldenTrace(tb, "dist_ps_1gbe.json"), "bw=10gbe")
 		meas := replayGolden(tb, loadGoldenTrace(tb, "dist_ps_10gbe.json"), "")

@@ -8,30 +8,38 @@ import (
 
 // SyntheticBatch generates n labeled samples: gaussian noise with a
 // class-dependent offset on one feature, so the classes are separable.
-// Every worker draws the identical global batch from an identically
-// seeded RNG and takes its own shard, so the data pipeline is
-// deterministic with no coordinator involvement.
+// Every worker draws from an identically seeded RNG, so the data pipeline
+// is deterministic with no coordinator involvement.
 func SyntheticBatch(rng *tensor.RNG, shape []int, classes, n int) (*tensor.Tensor, []int) {
-	inner := 1
-	for _, d := range shape {
-		inner *= d
-	}
 	x := tensor.New(append([]int{n}, shape...)...)
-	data := x.Data()
 	labels := make([]int, n)
+	syntheticRows(rng, classes, n, 0, x.Data(), labels)
+	return x, labels
+}
+
+// syntheticRows draws rows [lo, lo+len(labels)) of a SyntheticBatch of n
+// samples into x and labels, and advances rng past the other rows exactly
+// as drawing them would: a rank fills its own shard and its RNG stays in
+// step with every other rank's.
+func syntheticRows(rng *tensor.RNG, classes, n, lo int, x []float32, labels []int) {
+	inner := len(x) / len(labels)
 	for i := 0; i < n; i++ {
 		c := rng.Intn(classes)
-		labels[i] = c
-		base := i * inner
-		for j := 0; j < inner; j++ {
+		r := i - lo
+		if r < 0 || r >= len(labels) {
+			rng.SkipNorm(inner)
+			continue
+		}
+		labels[r] = c
+		row := x[r*inner : (r+1)*inner]
+		for j := range row {
 			v := float32(rng.Norm()) * 0.3
 			if j == c%inner {
 				v += 2
 			}
-			data[base+j] = v
+			row[j] = v
 		}
 	}
-	return x, labels
 }
 
 // SplitBatch shards a batch across n workers (equal shards; the batch

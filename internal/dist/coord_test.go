@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"testing"
 
 	"tbd/internal/tensor"
@@ -127,6 +128,35 @@ func TestSyntheticBatchShapes(t *testing.T) {
 	for i, l := range labels {
 		if ylabels[i] != l {
 			t.Fatal("identically seeded labels differ")
+		}
+	}
+}
+
+func TestSyntheticRowsAreTheBatchShard(t *testing.T) {
+	// A rank drawing only its rows gets SyntheticBatch's rows and leaves
+	// its RNG where drawing the whole batch would. The 3-scalar samples
+	// make the skipped Norm counts odd.
+	const classes, n, workers = 4, 6, 3
+	next := func(rng tensor.RNG) (float64, uint64) { return rng.Norm(), rng.Uint64() }
+	for _, shape := range [][]int{{3}, {16}, {3, 2, 2}} {
+		whole, shard := tensor.NewRNG(9), tensor.NewRNG(9)
+		rows := n / workers
+		for batch := 0; batch < 2; batch++ {
+			x, labels := SyntheticBatch(whole, shape, classes, n)
+			inner := x.Numel() / n
+			for rank := 0; rank < workers; rank++ {
+				rng := *shard // every rank draws from the same state
+				xs, ys := make([]float32, rows*inner), make([]int, rows)
+				syntheticRows(&rng, classes, n, rank*rows, xs, ys)
+				if !slices.Equal(xs, x.Data()[rank*rows*inner:(rank+1)*rows*inner]) || !slices.Equal(ys, labels[rank*rows:(rank+1)*rows]) {
+					t.Fatalf("shape %v, batch %d: rank %d's rows differ from the whole batch's", shape, batch, rank)
+				}
+				gotN, gotU := next(rng)
+				if wantN, wantU := next(*whole); gotN != wantN || gotU != wantU {
+					t.Fatalf("shape %v, batch %d: rank %d's RNG is not where the whole batch left it", shape, batch, rank)
+				}
+			}
+			*shard = *whole
 		}
 	}
 }

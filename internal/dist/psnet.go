@@ -406,10 +406,7 @@ func (s *PSServer) encodeReplyLocked() []byte {
 		b = b[4:]
 	}
 	for _, p := range s.params {
-		for _, v := range p.Value.Data() {
-			binary.LittleEndian.PutUint32(b, math.Float32bits(v))
-			b = b[4:]
-		}
+		b = b[copy(b, f32Bytes(p.Value.Data())):]
 	}
 	return frame
 }

@@ -32,6 +32,10 @@ import (
 // they broadcast the *result*, and re-quantizing it per hop would give
 // each worker a different number of rounding passes and break the
 // cross-worker bit-identity the verification hash relies on.
+//
+// A training rank (worker.go) runs the phases apart: ReduceScatter of the
+// flat gradients, SGD on its Owned chunk, AllGather of the flat weights —
+// ZeRO stage 1's sharded update, exact because SGD is elementwise.
 
 // ringHandshakeTimeout bounds connection setup.
 const ringHandshakeTimeout = 10 * time.Second
@@ -48,7 +52,9 @@ type RingConfig struct {
 	BytesPerSec float64
 }
 
-// Ring is one rank's endpoint pair in an N-worker ring.
+// Ring is one rank's endpoint pair in an N-worker ring. Between
+// ReduceScatter and AllGather only the rank's Owned chunk is fully
+// reduced; every other chunk holds a partial sum.
 type Ring struct {
 	rank, n int
 	comp    Compression
@@ -60,7 +66,7 @@ type Ring struct {
 	next      *bufio.Writer
 	prev      *bufio.Reader
 
-	quant   *Int8Quantizer // lazily sized at the first AllReduce
+	quant   *Int8Quantizer // lazily sized at the first ReduceScatter
 	sendBuf wireBuf        // used only by the per-step send goroutine
 	recvBuf wireBuf        // used only by the receive side
 	qbuf    []byte         // int8 scratch, send side
@@ -190,75 +196,94 @@ func ringMod(i, n int) int { return ((i % n) + n) % n }
 // split into n near-equal chunks.
 func chunkOff(c, l, n int) int { return c * l / n }
 
+// Owned returns the range [lo, hi) of a flat vector of l scalars that
+// this rank holds fully reduced after ReduceScatter: chunk rank+1, the one
+// its last reduce-scatter hop completes and its first all-gather hop
+// sends. The range is empty when l < Workers leaves that chunk empty.
+func (r *Ring) Owned(l int) (lo, hi int) {
+	c := ringMod(r.rank+1, r.n)
+	return chunkOff(c, l, r.n), chunkOff(c+1, l, r.n)
+}
+
 // AllReduce replaces flat with the element-wise average over all N
-// workers. Every worker must call it with the same length each round;
-// all workers return with byte-identical contents. The reduction order
-// is fixed by the ring topology, so repeated runs are bit-identical too.
+// workers: ReduceScatter, the owned chunk scaled by 1/N, AllGather. Every
+// worker must call it with the same length each round; all workers return
+// with byte-identical contents. The reduction order is fixed by the ring
+// topology, so repeated runs are bit-identical too.
 func (r *Ring) AllReduce(flat []float32) error {
+	if err := r.ReduceScatter(flat); err != nil {
+		return err
+	}
+	r.averageOwned(flat)
+	return r.AllGather(flat)
+}
+
+// averageOwned scales the owned chunk of a reduce-scattered vector by
+// 1/N. Only the owner multiplies; the all-gather ships its bytes to
+// everyone else.
+func (r *Ring) averageOwned(flat []float32) {
+	if r.n == 1 {
+		return
+	}
+	lo, hi := r.Owned(len(flat))
+	inv := 1 / float32(r.n)
+	owned := flat[lo:hi]
+	for i := range owned {
+		owned[i] *= inv
+	}
+}
+
+// ReduceScatter sums flat across the ring in N-1 compressed hops. At hop s
+// this rank sends chunk rank-s and adds the received chunk rank-s-1 into
+// its local partial sum, so it returns with its Owned chunk holding the
+// full sum and every other chunk a partial one.
+func (r *Ring) ReduceScatter(flat []float32) error {
 	if r.n == 1 {
 		return nil
 	}
-	in0, out0 := r.WireBytes()
-	sp := prof.Begin(prof.CatComm, "comm.ring.allreduce")
-
-	l := len(flat)
 	if r.comp == CompressInt8 {
 		if r.quant == nil {
-			r.quant = NewInt8Quantizer(l)
-		} else if len(r.quant.residual) != l {
-			return fmt.Errorf("dist: all-reduce length changed from %d to %d", len(r.quant.residual), l)
+			r.quant = NewInt8Quantizer(len(flat))
+		} else if len(r.quant.residual) != len(flat) {
+			return fmt.Errorf("dist: reduce-scatter length changed from %d to %d", len(r.quant.residual), len(flat))
 		}
 	}
+	return r.hops("comm.ring.reduce_scatter", flat, r.rank, r.sendReduce, r.recvReduceAdd)
+}
 
-	// Phase 1 — reduce-scatter: N-1 compressed hops. At step s this rank
-	// sends chunk (rank-s) and folds received chunk (rank-s-1) into its
-	// local partial sum. Send and receive run concurrently (a blocking
-	// write around a full ring would deadlock once chunks outgrow socket
-	// buffers).
+// AllGather circulates every rank's Owned chunk in N-1 exact fp32 hops: at
+// hop s this rank sends chunk rank+1-s and overwrites chunk rank-s with the
+// received bytes, so every rank returns holding each owner's bytes.
+func (r *Ring) AllGather(flat []float32) error {
+	if r.n == 1 {
+		return nil
+	}
+	return r.hops("comm.ring.all_gather", flat, r.rank+1, r.sendRaw, r.recvRaw)
+}
+
+// hops runs the N-1 hops of one ring phase under one comm span: at hop s
+// this rank sends chunk first-s and receives chunk first-s-1. Send and
+// receive run concurrently (a blocking write around a full ring would
+// deadlock once chunks outgrow socket buffers). Every return ends the span.
+func (r *Ring) hops(name string, flat []float32, first int, send func(vals []float32, off int) error, recv func(dst []float32) error) error {
+	in0, out0 := r.WireBytes()
+	sp := prof.Begin(prof.CatComm, name)
+	defer sp.End()
+	l := len(flat)
 	for s := 0; s < r.n-1; s++ {
-		sc := ringMod(r.rank-s, r.n)
-		rc := ringMod(r.rank-s-1, r.n)
+		sc, rc := ringMod(first-s, r.n), ringMod(first-s-1, r.n)
 		so, se := chunkOff(sc, l, r.n), chunkOff(sc+1, l, r.n)
 		errc := make(chan error, 1)
 		go func(vals []float32, off int) {
-			errc <- r.sendReduce(vals, off)
+			errc <- send(vals, off)
 		}(flat[so:se], so)
-		recvErr := r.recvReduceAdd(flat[chunkOff(rc, l, r.n):chunkOff(rc+1, l, r.n)])
-		sendErr := <-errc
-		if sendErr != nil || recvErr != nil {
-			sp.End()
-			return fmt.Errorf("dist: rank %d reduce-scatter step %d: send %v, recv %v", r.rank, s, sendErr, recvErr)
+		recvErr := recv(flat[chunkOff(rc, l, r.n):chunkOff(rc+1, l, r.n)])
+		if sendErr := <-errc; sendErr != nil || recvErr != nil {
+			return fmt.Errorf("dist: rank %d %s hop %d: send %v, recv %v", r.rank, name, s, sendErr, recvErr)
 		}
 	}
-
-	// Phase 2 — all-gather: N-1 exact fp32 hops circulating the reduced
-	// chunks. At step s this rank sends chunk (rank+1-s) and overwrites
-	// chunk (rank-s) with the received bytes.
-	for s := 0; s < r.n-1; s++ {
-		sc := ringMod(r.rank+1-s, r.n)
-		rc := ringMod(r.rank-s, r.n)
-		so, se := chunkOff(sc, l, r.n), chunkOff(sc+1, l, r.n)
-		errc := make(chan error, 1)
-		go func(vals []float32) {
-			errc <- r.sendRaw(vals)
-		}(flat[so:se])
-		recvErr := r.recvBuf.readF32(r.prev, flat[chunkOff(rc, l, r.n):chunkOff(rc+1, l, r.n)])
-		sendErr := <-errc
-		if sendErr != nil || recvErr != nil {
-			sp.End()
-			return fmt.Errorf("dist: rank %d all-gather step %d: send %v, recv %v", r.rank, s, sendErr, recvErr)
-		}
-	}
-
-	// Average locally — same scalar, same order, on identical bytes.
-	inv := 1 / float32(r.n)
-	for i := range flat {
-		flat[i] *= inv
-	}
-
 	in1, out1 := r.WireBytes()
 	sp.SetBytes((in1 - in0) + (out1 - out0))
-	sp.End()
 	return nil
 }
 
@@ -299,12 +324,15 @@ func (r *Ring) recvReduceAdd(dst []float32) error {
 }
 
 // sendRaw frames one all-gather chunk (always fp32) and flushes it.
-func (r *Ring) sendRaw(vals []float32) error {
+func (r *Ring) sendRaw(vals []float32, _ int) error {
 	if err := r.sendBuf.writeF32(r.next, vals); err != nil {
 		return err
 	}
 	return r.next.Flush()
 }
+
+// recvRaw reads one all-gather chunk over dst.
+func (r *Ring) recvRaw(dst []float32) error { return r.recvBuf.readF32(r.prev, dst) }
 
 // NewLocalRings wires an n-worker ring inside one process over real
 // localhost TCP — the builder tests, benchmarks, and the throttled

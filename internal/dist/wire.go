@@ -11,7 +11,8 @@ import (
 
 // Wire encoding for real-network gradient exchange: a hand-rolled
 // little-endian binary format (stdlib only, no reflection on the hot
-// path) plus the two compression levers of §4.5's "reduce the data sent"
+// path; fp32 payloads are the tensors' own bytes, see wire_le.go) plus
+// the two compression levers of §4.5's "reduce the data sent"
 // recommendation — fp16 payloads and int8 quantization with
 // error-feedback residuals.
 
@@ -70,11 +71,12 @@ func (c Compression) WireBytesPerElem() int {
 	return 4
 }
 
-// wireBuf holds the reusable scratch buffer one endpoint needs to frame
+// wireBuf holds the reusable scratch buffers one endpoint needs to frame
 // and unframe payloads. Not safe for concurrent use; the ring keeps one
 // per direction, a parameter-server connection one per end.
 type wireBuf struct {
 	bytes []byte
+	f32   []float32 // readF32Add's landing buffer
 }
 
 func (b *wireBuf) grow(n int) []byte {
@@ -85,37 +87,31 @@ func (b *wireBuf) grow(n int) []byte {
 	return b.bytes
 }
 
-// writeF32 frames vals as little-endian float32s.
+// writeF32 frames vals as little-endian float32s: their own bytes.
 func (b *wireBuf) writeF32(w io.Writer, vals []float32) error {
-	buf := b.grow(4 * len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	_, err := w.Write(buf)
+	_, err := w.Write(f32Bytes(vals))
 	return err
 }
 
-// readF32 fills dst from little-endian float32s.
+// readF32 fills dst from little-endian float32s, reading straight into it.
 func (b *wireBuf) readF32(r io.Reader, dst []float32) error {
-	buf := b.grow(4 * len(dst))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return nil
+	_, err := io.ReadFull(r, f32Bytes(dst))
+	return err
 }
 
 // readF32Add reads little-endian float32s and ADDS them into dst (the
 // ring's reduce step).
 func (b *wireBuf) readF32Add(r io.Reader, dst []float32) error {
-	buf := b.grow(4 * len(dst))
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if cap(b.f32) < len(dst) {
+		b.f32 = make([]float32, len(dst))
+	}
+	src := b.f32[:len(dst)]
+	if _, err := io.ReadFull(r, f32Bytes(src)); err != nil {
 		return err
 	}
-	for i := range dst {
-		dst[i] += math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] += v
 	}
 	return nil
 }

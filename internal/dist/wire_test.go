@@ -2,7 +2,12 @@ package dist
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"tbd/internal/graph"
@@ -58,6 +63,61 @@ func TestWireF32RoundTripAndAdd(t *testing.T) {
 	for i := range vals {
 		if acc[i] != 2*vals[i] {
 			t.Fatalf("readF32Add: acc[%d] = %g, want %g", i, acc[i], 2*vals[i])
+		}
+	}
+}
+
+func TestWireF32EmptyChunks(t *testing.T) {
+	// A ring over fewer scalars than ranks sends and receives empty chunks.
+	var b wireBuf
+	var buf bytes.Buffer
+	if err := b.writeF32(&buf, nil); err != nil || buf.Len() != 0 {
+		t.Fatalf("empty write: %d bytes, %v", buf.Len(), err)
+	}
+	if err := b.readF32(&buf, []float32{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.readF32Add(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFP32CodecIsTheTensorMemory(t *testing.T) {
+	// The only unsafe in the package is the codec's view, and no fp32 path
+	// converts element by element any more.
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); path == "unsafe" && name != "wire_le.go" {
+					t.Errorf("%s imports unsafe; only the codec's wire_le.go may", name)
+				}
+			}
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				var body *ast.BlockStmt
+				switch loop := n.(type) {
+				case *ast.ForStmt:
+					body = loop.Body
+				case *ast.RangeStmt:
+					body = loop.Body
+				default:
+					return true
+				}
+				ast.Inspect(body, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Float32bits" || sel.Sel.Name == "Float32frombits") {
+						t.Errorf("%s: %s inside a loop — fp32 frames are the tensors' own bytes (f32Bytes)", fset.Position(sel.Pos()), sel.Sel.Name)
+					}
+					return true
+				})
+				return false
+			})
 		}
 	}
 }

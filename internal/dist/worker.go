@@ -327,8 +327,8 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 	net := model.Build(cfg.Seed)
 	opt := optim.NewSGD(cfg.LR)
 	dataRNG := tensor.NewRNG(cfg.Seed + 1000)
-	shard := cfg.GlobalBatch / cfg.Workers
-	meter := metrics.NewMeter(shard)
+	rows := cfg.GlobalBatch / cfg.Workers
+	meter := metrics.NewMeter(rows)
 	res := WorkerResult{Rank: cfg.Rank, Steps: cfg.Steps}
 
 	// grads views the live gradient buffers: a push encodes straight onto
@@ -349,20 +349,30 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 		}
 	}
 
+	// A ring rank exchanges the network's flat buffers in place and steps
+	// the optimizer on its own chunk of them only (none when it is empty).
+	var values, flat []float32
+	var shard []*layers.Param
+	if ring != nil {
+		values, flat = net.FlatParams()
+		if lo, hi := ring.Owned(len(flat)); hi > lo {
+			shard = []*layers.Param{{Name: "ring.shard",
+				Value: tensor.FromSlice(values[lo:hi], hi-lo), Grad: tensor.FromSlice(flat[lo:hi], hi-lo)}}
+		}
+	}
+
 	// exchange is the apply half of every step: the gradients leave this
 	// rank and the parameters come back updated.
-	var flat []float32
 	exchange := func(params []*layers.Param) error {
 		start := time.Now()
 		defer func() { res.CommSec += time.Since(start).Seconds() }()
 		if ring != nil {
-			flat = net.GradVector(flat)
-			if err := ring.AllReduce(flat); err != nil {
+			if err := ring.ReduceScatter(flat); err != nil {
 				return err
 			}
-			net.SetGradVector(flat)
-			opt.Step(params)
-			return nil
+			ring.averageOwned(flat)
+			opt.Step(shard)
+			return ring.AllGather(values)
 		}
 		weights, _, err := ps.PushRanked(cfg.Rank, cfg.Compression, grads)
 		if err != nil {
@@ -378,16 +388,14 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 		prof.EnableWithMaxRecords(distProfileMaxRecords)
 	}
 	var err error
-	shardShape := append([]int{shard}, model.Shape...)
+	// Every rank draws its own rows of the same global batch into one
+	// buffer for the run.
+	xs := tensor.New(append([]int{rows}, model.Shape...)...)
+	ys := make([]int, rows)
 	wallStart := time.Now()
 	for step := 0; step < cfg.Steps; step++ {
 		stepStart := time.Now()
-		// Every rank draws the same global batch and trains on a view of
-		// its own rows.
-		x, labels := SyntheticBatch(dataRNG, model.Shape, model.Classes, cfg.GlobalBatch)
-		per := x.Numel() / cfg.Workers
-		xs := tensor.FromSlice(x.Data()[cfg.Rank*per:(cfg.Rank+1)*per], shardShape...)
-		ys := labels[cfg.Rank*shard : (cfg.Rank+1)*shard]
+		syntheticRows(dataRNG, model.Classes, cfg.GlobalBatch, cfg.Rank*rows, xs.Data(), ys)
 		var sr graph.StepResult
 		if sr, err = graph.TrainClassifierExchanged(net, opt, xs, ys, exchange); err != nil {
 			break

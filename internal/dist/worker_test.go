@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"tbd/internal/optim"
@@ -171,5 +172,60 @@ func TestPSRankStepAllocatesNoGradientCopy(t *testing.T) {
 	// far below a second one.
 	if limit := grads + grads/2; perStep > limit {
 		t.Errorf("%d bytes per step, want at most %d: the rank is copying its gradients again", perStep, limit)
+	}
+}
+
+func TestRingStepSteadyStateAllocs(t *testing.T) {
+	const name, workers, batch = "mlp-wide", 2, 32
+	model, err := RunModelByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run returns what the process allocated during a two-rank ring run:
+	// bytes and allocations.
+	run := func(steps int) (bytes, allocs uint64) {
+		rings, err := NewLocalRings(workers, CompressNone, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			for _, r := range rings {
+				r.Close()
+			}
+		}()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var wg sync.WaitGroup
+		errs := make([]error, workers)
+		for rank, r := range rings {
+			wg.Add(1)
+			go func(rank int, r *Ring) {
+				defer wg.Done()
+				_, errs[rank] = trainWorker(WorkerConfig{
+					Rank: rank, Workers: workers, Strategy: RunRing, Model: name, Seed: 3, Steps: steps, GlobalBatch: batch, LR: 0.05,
+				}, model, r, nil)
+			}(rank, r)
+		}
+		wg.Wait()
+		runtime.ReadMemStats(&after)
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+	}
+	const n = 25
+	run(2) // the tensor pool's first fill
+	b1, a1 := run(n)
+	b2, a2 := run(3 * n)
+	perBytes, perAllocs := (int64(b2)-int64(b1))/(2*workers*n), (int64(a2)-int64(a1))/(2*workers*n) // set-up cancels
+	grads := uint64(4 * model.Build(3).GradElems())
+	t.Logf("%d bytes in %d allocations per rank-step; the gradients are %d bytes, a rank's rows of the batch %d", perBytes, perAllocs, grads, 4*batch/workers*model.Shape[0])
+	// Neither the flat buffers, the codec nor the batch are allocated per
+	// step; what is left is span-free bookkeeping (the hop goroutines and
+	// their result channels).
+	if limit := int64(8 << 10); perBytes > limit {
+		t.Errorf("%d bytes per rank-step, want at most %d: a warmed ring step is allocating buffers again", perBytes, limit)
 	}
 }

@@ -2,15 +2,55 @@ package graph
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
+
+	"tbd/internal/layers"
+	"tbd/internal/tensor"
 )
 
 // Parameter flattening and fingerprinting for the distributed runtime
-// (internal/dist): the ring all-reduce exchanges one contiguous gradient
-// vector instead of dozens of ragged per-layer slices, and multi-process
-// training proves replica consistency by hashing weight bytes.
+// (internal/dist): the ring exchanges one contiguous gradient vector and
+// one contiguous weight vector instead of dozens of ragged per-layer
+// slices, and multi-process training proves replica consistency by
+// hashing weight bytes.
+
+// ErrRepeatedParam is FlatParams' panic value when Params() lists one
+// *Param twice: two slots of the flat buffers cannot back one tensor.
+var ErrRepeatedParam = errors.New("graph: FlatParams: a parameter appears twice in Params()")
+
+// FlatParams returns one contiguous buffer holding every parameter value
+// and one holding every gradient, in Params() order. The first call copies
+// them in and rebinds each Param's Value and Grad as a view of its slot (a
+// tensor kept from before is stale); later calls return the same buffers.
+func (n *Network) FlatParams() (values, grads []float32) {
+	if n.flatValues != nil {
+		return n.flatValues, n.flatGrads
+	}
+	params := n.Params()
+	seen := make(map[*layers.Param]bool, len(params))
+	for _, p := range params {
+		if seen[p] {
+			panic(fmt.Errorf("%w: %s", ErrRepeatedParam, p.Name))
+		}
+		seen[p] = true
+	}
+	total := n.GradElems()
+	values, grads = make([]float32, total), make([]float32, total)
+	off := 0
+	for _, p := range params {
+		end := off + p.Value.Numel()
+		copy(values[off:end], p.Value.Data())
+		copy(grads[off:end], p.Grad.Data())
+		p.Value = tensor.FromSlice(values[off:end:end], p.Value.Shape()...)
+		p.Grad = tensor.FromSlice(grads[off:end:end], p.Grad.Shape()...)
+		off = end
+	}
+	n.flatValues, n.flatGrads = values, grads
+	return values, grads
+}
 
 // GradElems returns the total number of gradient scalars across all
 // trainable parameters — the flat-vector length GradVector produces.

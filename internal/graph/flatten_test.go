@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"tbd/internal/layers"
@@ -97,4 +99,49 @@ func TestWeightsHashDiffersAcrossSeeds(t *testing.T) {
 	if flattenNet(1).WeightsHash() == flattenNet(2).WeightsHash() {
 		t.Fatal("different initializations should not collide")
 	}
+}
+
+func TestFlatParamsBacksEveryParam(t *testing.T) {
+	x := tensor.RandNormal(tensor.NewRNG(2), 0, 1, 6, 4)
+	labels := []int{0, 1, 2, 0, 1, 2}
+	plain, flat := flattenNet(4), flattenNet(4)
+	TrainClassifierStep(flat, optim.NewSGD(0.1), x, labels, 0) // gradients to copy in
+	TrainClassifierStep(plain, optim.NewSGD(0.1), x, labels, 0)
+	grads := flat.GradVector(nil)
+	values, g := flat.FlatParams()
+	if !slices.Equal(g, grads) || len(values) != flat.GradElems() {
+		t.Fatal("FlatParams did not copy the gradients in, in Params() order")
+	}
+	// Every Value and Grad is now a view of its slot.
+	off := 0
+	for _, p := range flat.Params() {
+		k := p.Value.Numel()
+		if &p.Value.Data()[0] != &values[off] || &p.Grad.Data()[0] != &g[off] || cap(p.Value.Data()) != k {
+			t.Fatalf("%s is not a view of slot [%d, %d)", p.Name, off, off+k)
+		}
+		off += k
+	}
+	if v2, g2 := flat.FlatParams(); &v2[0] != &values[0] || &g2[0] != &g[0] {
+		t.Fatal("a second FlatParams call built new buffers")
+	}
+	// Training on the views is training on the network.
+	for i := 0; i < 3; i++ {
+		TrainClassifierStep(flat, optim.NewSGD(0.1), x, labels, 0)
+		TrainClassifierStep(plain, optim.NewSGD(0.1), x, labels, 0)
+	}
+	if flat.WeightsHash() != plain.WeightsHash() {
+		t.Fatal("flattened network trained to other weights")
+	}
+}
+
+func TestFlatParamsRejectsRepeatedParam(t *testing.T) {
+	fc := layers.NewDense("fc", 3, 3, tensor.NewRNG(1))
+	n := New("tied", layers.NewSequential("seq", fc, fc))
+	defer func() {
+		err, ok := recover().(error)
+		if !ok || !errors.Is(err, ErrRepeatedParam) {
+			t.Fatalf("want a panic with ErrRepeatedParam, got %v", err)
+		}
+	}()
+	n.FlatParams()
 }

@@ -35,6 +35,8 @@ type Network struct {
 	// for the list every iteration; networks are assembled before training
 	// starts, so caching after the first walk is safe.
 	params []*layers.Param
+	// flatValues and flatGrads back every Param once FlatParams has run.
+	flatValues, flatGrads []float32
 }
 
 // New wraps a root layer as a network.

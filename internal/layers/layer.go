@@ -22,6 +22,9 @@ import (
 // ZeroGrad marks Grad untouched: the first layer write after it lands in
 // Grad itself, later ones add. Code outside the package that fills Grad
 // writes and then steps, never writes and then calls AddGrad (an overwrite).
+//
+// After a ring rank's exchange (internal/dist) Grad holds the averaged
+// gradient only inside the rank's own shard, partial sums elsewhere.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor

@@ -68,19 +68,39 @@ func (r *RNG) Norm() float64 {
 		r.hasSpare = false
 		return r.spare
 	}
-	var u, v, s float64
+	u, v, s := r.polarPair()
+	m := math.Sqrt(-2 * math.Log(s) / s)
+	r.spare = v * m
+	r.hasSpare = true
+	return u * m
+}
+
+// polarPair draws the uniform pair one Norm pair is made from: a point
+// inside the unit circle, and s = u² + v².
+func (r *RNG) polarPair() (u, v, s float64) {
 	for {
 		u = 2*r.Float64() - 1
 		v = 2*r.Float64() - 1
 		s = u*u + v*v
 		if s > 0 && s < 1 {
-			break
+			return u, v, s
 		}
 	}
-	m := math.Sqrt(-2 * math.Log(s) / s)
-	r.spare = v * m
-	r.hasSpare = true
-	return u * m
+}
+
+// SkipNorm advances r exactly as k calls to Norm would, without the
+// logarithm and square root of the pairs it discards.
+func (r *RNG) SkipNorm(k int) {
+	if k > 0 && r.hasSpare {
+		r.hasSpare = false
+		k--
+	}
+	for ; k > 1; k -= 2 {
+		r.polarPair()
+	}
+	if k == 1 {
+		r.Norm()
+	}
 }
 
 // Perm returns a random permutation of [0, n).

@@ -58,7 +58,7 @@ func checkShape(shape []int) int {
 		if d <= 0 {
 			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", shape))
 		}
-		if n > (1<<31)/d {
+		if int64(n) > (1<<31)/int64(d) {
 			panic(fmt.Sprintf("tensor: shape %v overflows element count", shape))
 		}
 		n *= d

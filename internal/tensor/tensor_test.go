@@ -617,3 +617,28 @@ func TestCrossEntropyLSFiniteDifference(t *testing.T) {
 		}
 	}
 }
+
+func TestSkipNormMatchesNormCalls(t *testing.T) {
+	for _, pre := range []int{0, 1} { // with and without a cached spare
+		for _, k := range []int{0, 1, 2, 3, 4, 7, 256, 257} {
+			skip, draw := NewRNG(7), NewRNG(7)
+			for i := 0; i < pre; i++ {
+				skip.Norm()
+				draw.Norm()
+			}
+			skip.SkipNorm(k)
+			for i := 0; i < k; i++ {
+				draw.Norm()
+			}
+			if skip.s0 != draw.s0 || skip.s1 != draw.s1 || skip.hasSpare != draw.hasSpare ||
+				(draw.hasSpare && skip.spare != draw.spare) {
+				t.Fatalf("pre %d, k %d: SkipNorm left %+v, %d Norm calls %+v", pre, k, *skip, k, *draw)
+			}
+			for i := 0; i < 5; i++ {
+				if a, b := skip.Norm(), draw.Norm(); a != b {
+					t.Fatalf("pre %d, k %d: draw %d after the skip %g, want %g", pre, k, i, a, b)
+				}
+			}
+		}
+	}
+}

@@ -376,6 +376,74 @@ func TestWhatifGroundTruthDropDX(t *testing.T) {
 		predictDropDX(t), measuredDropDX(t))
 }
 
+// The dist_ring workload's shape, `tbd dist -model mlp-wide -workers 2
+// -batch 32 -lr 0.05 -bw 1250 -steps 50 -trace-out`: ringAllReduceTrace was
+// recorded on f7c3891, where a ring rank flattened its gradients, all-reduced
+// them and stepped SGD over every weight, and cannot be re-recorded;
+// `make whatif-record` writes ringShardTrace, the step as reduce-scatter,
+// an SGD step on the rank's own shard and an all-gather of the weights.
+const (
+	ringAllReduceTrace = "dist_ring2_allreduce.json"
+	ringShardTrace     = "dist_ring2_shard.json"
+)
+
+// ringShardSpec is the prediction committed before the ring step changed:
+// each of the two ranks runs SGD over half of the weights.
+const ringShardSpec = "speedup=optim.sgd:2"
+
+// ringCodecSavingUs is the codec half of that prediction, stated by hand
+// because no scenario prices it: the per-element loops the zero-copy fp32
+// frames remove from a rank's step, timed at f7c3891 over mlp-wide's
+// 399 370 floats (one core, median of five): encoding l floats 481 us,
+// decoding l/2 244 us and decoding-and-adding l/2 296 us (each less the
+// 24 us memcpy that stays), and the half of the 172 us averaging pass that
+// only the owner still runs (86 us), less the 128 us add loop that stays.
+const ringCodecSavingUs = 481 + 244 + 296 + 86 - 128
+
+// predictRingShard is the whole committed prediction for the ring step:
+// the replayed SGD saving, the step's flatten copies (phase.sync's self
+// time in the trace, GradVector and SetGradVector), and the codec term.
+func predictRingShard(t testing.TB) float64 {
+	before := loadGoldenTrace(t, ringAllReduceTrace)
+	flatten := pathStepUs(t, before, "step/phase.sync") -
+		pathStepUs(t, before, "step/phase.sync/comm.ring.allreduce") - pathStepUs(t, before, "step/phase.sync/optim.sgd")
+	return replayGolden(t, before, ringShardSpec).PredictedStepUs - flatten - ringCodecSavingUs
+}
+
+// measuredRingShard is the step of the trace recorded after the change,
+// with host drift divided out by the forward GEMMs, which run the same
+// code in both recordings.
+func measuredRingShard(t testing.TB) float64 {
+	const control = "step/phase.forward/*/gemm.bias_act"
+	before, after := loadGoldenTrace(t, ringAllReduceTrace), loadGoldenTrace(t, ringShardTrace)
+	return replayGolden(t, after, "").BaselineStepUs * pathStepUs(t, before, control) / pathStepUs(t, after, control)
+}
+
+// TestWhatifGroundTruthRingShard holds that prediction against the
+// recording, and the recording to what the change is: the all-reduce span
+// gave way to a reduce-scatter and an all-gather, and the bytes each rank
+// moves did not change.
+func TestWhatifGroundTruthRingShard(t *testing.T) {
+	before, after := loadGoldenTrace(t, ringAllReduceTrace), loadGoldenTrace(t, ringShardTrace)
+	commBytes := func(tr *whatif.Trace) (bytes int64, names map[string]bool) {
+		names = map[string]bool{}
+		for _, s := range tr.Spans {
+			if s.Cat == "comm" {
+				bytes += s.Bytes
+				names[s.Name] = true
+			}
+		}
+		return bytes, names
+	}
+	bb, bn := commBytes(before)
+	ab, an := commBytes(after)
+	if bb != ab || !bn["comm.ring.allreduce"] || len(bn) != 1 || !an["comm.ring.reduce_scatter"] || !an["comm.ring.all_gather"] || len(an) != 2 {
+		t.Errorf("comm spans %v carry %d bytes before, %v carry %d after; want one all-reduce, then a reduce-scatter and an all-gather, same bytes", bn, bb, an, ab)
+	}
+	checkGroundTruth(t, fmt.Sprintf("ring RS -> shard SGD -> AG (%s, flatten from the trace, codec -%d us by hand)", ringShardSpec, ringCodecSavingUs),
+		predictRingShard(t), measuredRingShard(t))
+}
+
 // TestWhatifGroundTruthPSBandwidth is the strongest bandwidth cell: the
 // synchronous parameter server pushes every rank's full gradient vector
 // through one shared server NIC, so the 1 GbE run is wire-dominated and
