@@ -1,281 +1,37 @@
 package tbd
 
-// The benchmark harness: one testing.B benchmark per table and figure of
-// the paper (regenerating the artifact each iteration and reporting its
-// headline metric), plus ablation benchmarks for the design choices
-// DESIGN.md calls out (RNN sync points, aggregation strategy, interconnect
-// choice) and micro-benchmarks of the numeric engine.
+// The root benchmarks. Each is recorded into one committed BENCH_*.json
+// baseline, and `go run ./cmd/benchcompare -suite X` runs exactly the
+// benchmarks BENCH_X.json names and compares them against it:
 //
-// Run with: go test -bench=. -benchmem
+//	make bench         BENCH_numeric.json  GEMM tiers, conv, dense, optimizer, twin step
+//	make bench-serve   BENCH_serve.json    serve.Fleet batch-cap and replica sweeps
+//	make bench-prof    BENCH_prof.json     profiler span and step overhead
+//	make bench-dist    BENCH_dist.json     distributed matrix (bench_dist_test.go)
+//	make bench-whatif  BENCH_whatif.json   what-if prediction error (bench_whatif_test.go)
+//
+// cmd/benchcompare's tests fail on a benchmark no baseline names. The
+// paper's tables, figures and observations are checked by internal/core's
+// tests, not timed here.
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"tbd/internal/data"
-	"tbd/internal/device"
 	"tbd/internal/graph"
-	"tbd/internal/kernels"
 	"tbd/internal/layers"
-	"tbd/internal/metrics"
 	"tbd/internal/models"
 	"tbd/internal/optim"
 	"tbd/internal/prof"
 	"tbd/internal/serve"
-	"tbd/internal/sim"
 	"tbd/internal/tensor"
 )
 
-// benchExperiment regenerates one paper artifact per iteration.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if err := RunExperiment(id, io.Discard, RunOptions{Fig2Steps: 40}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
-func BenchmarkTable2(b *testing.B) { benchExperiment(b, "table2") }
-func BenchmarkTable3(b *testing.B) { benchExperiment(b, "table3") }
-func BenchmarkTable4(b *testing.B) { benchExperiment(b, "table4") }
-func BenchmarkTable5(b *testing.B) { benchExperiment(b, "table5") }
-func BenchmarkTable6(b *testing.B) { benchExperiment(b, "table6") }
-func BenchmarkFig2(b *testing.B)   { benchExperiment(b, "fig2") }
-func BenchmarkFig4(b *testing.B)   { benchExperiment(b, "fig4") }
-func BenchmarkFig5(b *testing.B)   { benchExperiment(b, "fig5") }
-func BenchmarkFig6(b *testing.B)   { benchExperiment(b, "fig6") }
-func BenchmarkFig7(b *testing.B)   { benchExperiment(b, "fig7") }
-func BenchmarkFig8(b *testing.B)   { benchExperiment(b, "fig8") }
-func BenchmarkFig9(b *testing.B)   { benchExperiment(b, "fig9") }
-func BenchmarkFig10(b *testing.B)  { benchExperiment(b, "fig10") }
-
-// BenchmarkObservations checks all 13 findings per iteration.
-func BenchmarkObservations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, o := range CheckObservations() {
-			if !o.Holds {
-				b.Fatalf("observation %d failed", o.ID)
-			}
-		}
-	}
-}
-
-// --- headline metric benchmarks: simulated throughput per model ---
-
-func benchSimThroughput(b *testing.B, model, fw string, batch int) {
-	b.Helper()
-	var thr float64
-	for i := 0; i < b.N; i++ {
-		p, err := ProfileTraining(model, fw, "", batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		thr = p.Throughput
-	}
-	b.ReportMetric(thr, "samples/s(simulated)")
-}
-
-func BenchmarkSimResNet50(b *testing.B)    { benchSimThroughput(b, "ResNet-50", "MXNet", 32) }
-func BenchmarkSimInceptionV3(b *testing.B) { benchSimThroughput(b, "Inception-v3", "MXNet", 32) }
-func BenchmarkSimNMT(b *testing.B)         { benchSimThroughput(b, "Seq2Seq", "TensorFlow", 128) }
-func BenchmarkSimSockeye(b *testing.B)     { benchSimThroughput(b, "Seq2Seq", "MXNet", 64) }
-func BenchmarkSimTransformer(b *testing.B) { benchSimThroughput(b, "Transformer", "TensorFlow", 2048) }
-func BenchmarkSimFasterRCNN(b *testing.B)  { benchSimThroughput(b, "Faster R-CNN", "TensorFlow", 1) }
-func BenchmarkSimDeepSpeech2(b *testing.B) { benchSimThroughput(b, "Deep Speech 2", "MXNet", 4) }
-func BenchmarkSimWGAN(b *testing.B)        { benchSimThroughput(b, "WGAN", "TensorFlow", 64) }
-func BenchmarkSimA3C(b *testing.B)         { benchSimThroughput(b, "A3C", "MXNet", 128) }
-
-// --- ablation benchmarks ---
-
-// BenchmarkAblationRNNSyncPoints quantifies the cost of the host sync
-// points in unfused LSTM loops (the mechanism behind Observation 5): the
-// same kernel stream with syncs stripped.
-func BenchmarkAblationRNNSyncPoints(b *testing.B) {
-	m, err := models.Lookup("Seq2Seq")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.Config{GPU: device.QuadroP4000, LaunchOverheadSec: 8e-6, SyncOverheadSec: 150e-6, IterOverheadSec: 5e-3}
-	stream := kernels.IterationKernels(m.Ops(), 64, kernels.StyleTF)
-	stripped := append([]kernels.Kernel(nil), stream...)
-	for i := range stripped {
-		stripped[i].Sync = false
-	}
-	var synced, unsynced sim.Result
-	for i := 0; i < b.N; i++ {
-		synced = sim.Replay(stream, 64, cfg)
-		unsynced = sim.Replay(stripped, 64, cfg)
-	}
-	b.ReportMetric(synced.Throughput, "synced-samples/s")
-	b.ReportMetric(unsynced.Throughput, "fused-samples/s")
-	b.ReportMetric(unsynced.Throughput/synced.Throughput, "fusion-speedup")
-}
-
-// BenchmarkAblationAggregation compares parameter-server and ring
-// all-reduce gradient aggregation at 4 GPUs.
-func BenchmarkAblationAggregation(b *testing.B) {
-	m, _ := models.Lookup("ResNet-50")
-	cfg := sim.Config{GPU: device.QuadroP4000, LaunchOverheadSec: 6e-6, SyncOverheadSec: 180e-6, IterOverheadSec: 3e-3}
-	ps := sim.Cluster{Name: "ps", Machines: 1, GPUsPerMachine: 4, IntraLink: device.PCIe3, Strategy: sim.ParameterServer, OverlapFraction: 0.5}
-	ring := ps
-	ring.Strategy = sim.RingAllReduce
-	var rp, rr sim.ScaleResult
-	for i := 0; i < b.N; i++ {
-		rp = sim.Scale(m.Ops(), 16, kernels.StyleMXNet, cfg, ps)
-		rr = sim.Scale(m.Ops(), 16, kernels.StyleMXNet, cfg, ring)
-	}
-	b.ReportMetric(rp.Throughput, "ps-samples/s")
-	b.ReportMetric(rr.Throughput, "ring-samples/s")
-}
-
-// BenchmarkAblationInterconnect isolates the link technology at fixed
-// topology (2 machines).
-func BenchmarkAblationInterconnect(b *testing.B) {
-	m, _ := models.Lookup("ResNet-50")
-	cfg := sim.Config{GPU: device.QuadroP4000, LaunchOverheadSec: 6e-6, SyncOverheadSec: 180e-6, IterOverheadSec: 3e-3}
-	mk := func(link *device.Interconnect) sim.Cluster {
-		return sim.Cluster{Name: link.Name, Machines: 2, GPUsPerMachine: 1, IntraLink: device.PCIe3, InterLink: link, Strategy: sim.ParameterServer, OverlapFraction: 0.5}
-	}
-	var eth, ib sim.ScaleResult
-	for i := 0; i < b.N; i++ {
-		eth = sim.Scale(m.Ops(), 16, kernels.StyleMXNet, cfg, mk(device.Ethernet))
-		ib = sim.Scale(m.Ops(), 16, kernels.StyleMXNet, cfg, mk(device.InfiniBand))
-	}
-	b.ReportMetric(eth.Throughput, "ethernet-samples/s")
-	b.ReportMetric(ib.Throughput, "infiniband-samples/s")
-}
-
-// BenchmarkAblationBatchNormShare measures the share of simulated GPU
-// time in batch-norm kernels for ResNet-50 (the Table 5/6 optimization
-// target).
-func BenchmarkAblationBatchNormShare(b *testing.B) {
-	m, _ := models.Lookup("ResNet-50")
-	cfg := sim.Config{GPU: device.QuadroP4000, LaunchOverheadSec: 8e-6, SyncOverheadSec: 150e-6, IterOverheadSec: 5e-3}
-	var share float64
-	for i := 0; i < b.N; i++ {
-		r := sim.Simulate(m.Ops(), 32, kernels.StyleTF, cfg)
-		share = 0
-		for _, st := range r.PerKernel {
-			if st.Class == kernels.BatchNorm {
-				share += st.DurationShare
-			}
-		}
-	}
-	b.ReportMetric(100*share, "bn-time-%")
-}
-
-// BenchmarkAblationWorkspaceBudget reports the throughput of ResNet-50
-// under a tight vs generous convolution-workspace budget — the paper's
-// Observation 12 recommendation quantified.
-func BenchmarkAblationWorkspaceBudget(b *testing.B) {
-	var tight, generous float64
-	for i := 0; i < b.N; i++ {
-		rows, err := WorkspaceTradeoff("ResNet-50", "MXNet", 32, []int64{8 << 20, 1 << 30})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tight, generous = rows[0].Throughput, rows[1].Throughput
-	}
-	b.ReportMetric(tight, "tight-samples/s")
-	b.ReportMetric(generous, "generous-samples/s")
-	b.ReportMetric(generous/tight, "workspace-speedup")
-}
-
-// --- numeric engine micro-benchmarks ---
-
-func BenchmarkTensorMatMul128(b *testing.B) {
-	rng := tensor.NewRNG(1)
-	x := tensor.RandNormal(rng, 0, 1, 128, 128)
-	y := tensor.RandNormal(rng, 0, 1, 128, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMul(x, y)
-	}
-	b.SetBytes(128 * 128 * 4 * 3)
-}
-
-func BenchmarkConv2DForward(b *testing.B) {
-	rng := tensor.NewRNG(2)
-	x := tensor.RandNormal(rng, 0, 1, 4, 8, 16, 16)
-	w := tensor.RandNormal(rng, 0, 0.1, 16, 8, 3, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Conv2D(x, w, 1, 1)
-	}
-}
-
-func BenchmarkLSTMForwardBackward(b *testing.B) {
-	rng := tensor.NewRNG(3)
-	l := layers.NewLSTM("lstm", 32, 64, rng)
-	x := tensor.RandNormal(rng, 0, 1, 8, 16, 32)
-	gy := tensor.RandNormal(rng, 0, 1, 8, 16, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Forward(x, true)
-		l.Backward(gy)
-	}
-}
-
-func BenchmarkAttentionForwardBackward(b *testing.B) {
-	rng := tensor.NewRNG(4)
-	l := layers.NewMultiHeadAttention("mha", 64, 4, false, rng)
-	x := tensor.RandNormal(rng, 0, 1, 8, 16, 64)
-	gy := tensor.RandNormal(rng, 0, 1, 8, 16, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Forward(x, true)
-		l.Backward(gy)
-	}
-}
-
-func BenchmarkTrainStepCNN(b *testing.B) {
-	rng := tensor.NewRNG(5)
-	src := data.NewImageSource(rng, 1, 8, 8, 4, 0.3)
-	net := models.NumericResNet(rng, 1, 8, 4)
-	opt := optim.NewAdam(0.01)
-	batch := src.Batch(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		graph.TrainClassifierStep(net, opt, batch.X, batch.Labels, 5)
-	}
-	b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "samples/s(real)")
-}
-
-// BenchmarkKernelEmission measures the analytic layer: expanding
-// ResNet-50 into its full per-iteration kernel stream.
-func BenchmarkKernelEmission(b *testing.B) {
-	m, _ := models.Lookup("ResNet-50")
-	ops := m.Ops()
-	b.ResetTimer()
-	var n int
-	for i := 0; i < b.N; i++ {
-		n = len(kernels.IterationKernels(ops, 32, kernels.StyleTF))
-	}
-	b.ReportMetric(float64(n), "kernels/iter")
-}
-
-// BenchmarkWarmupDetection measures the §3.4.2 stable-phase detector.
-func BenchmarkWarmupDetection(b *testing.B) {
-	trace := sim.WarmupTrace(0.1, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := metrics.NewMeter(32)
-		for _, d := range trace {
-			m.Record(d)
-		}
-		if m.StableStart(0.1) == 0 {
-			b.Fatal("warm-up not detected")
-		}
-	}
-}
-
-// --- blocked-GEMM / pooled-training benchmarks (BENCH_numeric.json) ---
+// --- numeric-backend benchmarks (BENCH_numeric.json) ---
 
 func benchGEMM(b *testing.B, f func(a, c *tensor.Tensor) *tensor.Tensor) {
 	b.Helper()
@@ -418,18 +174,12 @@ func BenchmarkOptimStep(b *testing.B) {
 
 // --- serving benchmarks (BENCH_serve.json) ---
 
-// The Serve* cells are the one-replica fleet — many single-sample requests
-// racing into one admission queue, one runner batching them down onto the
-// network: the serving daemon's steady state at -replicas 1.
-
-// BenchmarkServeUnbatched is the baseline: every request is its own
-// forward pass (batch cap 1) under the same 64-client closed-loop load
-// the batched configurations see.
-func BenchmarkServeUnbatched(b *testing.B) { benchFleetConfig(b, 1, 1, 64) }
-
-// BenchmarkServeBatched sweeps the dynamic batch cap at fixed offered
-// load. The cap-64 row is required to sustain >= 3x the unbatched
-// baseline (see ISSUE 3 / EXPERIMENTS.md).
+// BenchmarkServeBatched is the one-replica fleet — many single-sample
+// requests racing into one admission queue, one runner batching them down
+// onto the network: the serving daemon's steady state at -replicas 1. It
+// sweeps the dynamic batch cap at a fixed 64-client closed-loop load. cap1
+// is the unbatched baseline, every request its own forward pass; cap64 is
+// expected to serve at least 3x its throughput.
 func BenchmarkServeBatched(b *testing.B) {
 	for _, cap := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("cap%d", cap), func(b *testing.B) {
@@ -510,6 +260,8 @@ func BenchmarkFleet(b *testing.B) {
 		})
 	}
 }
+
+// --- twin step (BENCH_numeric.json) and profiler overhead (BENCH_prof.json) ---
 
 // BenchmarkTwinStep measures one full training step of the numeric ResNet
 // twin under the engine configurations the backend work targets: the

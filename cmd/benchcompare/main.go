@@ -1,42 +1,26 @@
-// Command benchcompare re-runs a tracked benchmark suite and prints
-// old-vs-new deltas against a committed `go test -json` baseline.
+// Command benchcompare re-runs one tracked benchmark suite and prints
+// old-vs-new deltas against its committed `go test -json` baseline.
 // Plain stdlib only.
 //
-// Four suites are tracked:
-//
-//	-suite numeric   numeric-backend micro-benchmarks vs BENCH_numeric.json
-//	                 (the default; baseline from `make bench`)
-//	-suite serve     dynamic-batching serving benchmarks vs BENCH_serve.json
-//	                 (baseline from `make bench-serve`)
-//	-suite prof      live-profiler overhead benchmarks vs BENCH_prof.json
-//	                 (baseline from `make bench-prof`)
-//	-suite dist      distributed-training scaling matrix vs BENCH_dist.json
-//	                 (baseline from `make bench-dist`; use -benchtime 1x —
-//	                 each cell is a full multi-worker run over throttled TCP)
-//	-suite whatif    what-if predictor validation vs BENCH_whatif.json
-//	                 (baseline from `make bench-whatif`; gate with -errbound,
-//	                 which bounds prediction error instead of wall time)
+// A suite is its baseline file: -suite X reads BENCH_X.json and runs
+// exactly the top-level benchmarks named in it, so that file is the only
+// list of what the suite tracks. The suites are numeric (the default),
+// serve, prof, dist and whatif, recorded by `make bench`, `bench-serve`,
+// `bench-prof`, `bench-dist` and `bench-whatif`.
 //
 // Usage:
 //
-//	go run ./cmd/benchcompare [-suite numeric|serve|prof|dist|whatif] [-benchtime 1s]
-//	go run ./cmd/benchcompare -old file.json -bench regexp   # explicit override
-//	go run ./cmd/benchcompare -new other.json                # compare two saved files
+//	go run ./cmd/benchcompare [-suite numeric] [-benchtime 1s]
+//	go run ./cmd/benchcompare -suite serve -new saved.json   # compare a saved run
 //	go run ./cmd/benchcompare -tol 0.2                       # CI gate: exit 1 on regression
 //	go run ./cmd/benchcompare -suite whatif -errbound 20     # CI gate: prediction quality
 //
-// With -tol the comparison becomes a noise-aware regression gate (see
-// `make bench-gate`): the run exits nonzero when any tracked benchmark's
-// ns/op worsens — or any throughput metric drops — by more than the given
-// fraction, or when a baseline benchmark disappeared from the fresh run.
-// Improvements and new benchmarks never fail the gate.
-//
-// -errbound gates on accuracy rather than speed: any benchmark reporting
-// a pred-err-pct metric (the what-if ground-truth cells) fails when the
-// fresh error exceeds the bound, regardless of what the baseline said.
-// Replay is deterministic, so this gate is noise-free; it is the right
-// one for the whatif suite, whose wall time is load-and-replay trivia
-// but whose error metric is the predictor's contract.
+// -tol fails the run when any benchmark's ns/op rises, or any throughput
+// metric falls, by more than the given fraction, or when a baseline
+// benchmark is gone from the fresh run. Improvements and new benchmarks
+// never fail it. -errbound fails any pred-err-pct metric (the what-if
+// ground-truth cells) above the bound, whatever the baseline said; replay
+// is deterministic, so that gate has no noise.
 package main
 
 import (
@@ -49,6 +33,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,9 +59,10 @@ type testEvent struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
 // parseBenchOutput extracts benchmark results from a `go test -json`
-// stream. Output events are concatenated before line-splitting: the test
-// runner may emit one logical result line as several events.
-func parseBenchOutput(r io.Reader) (map[string]benchResult, error) {
+// stream read from src. Output events are concatenated before
+// line-splitting: the test runner may emit one logical result line as
+// several events.
+func parseBenchOutput(r io.Reader, src string) (map[string]benchResult, error) {
 	var text strings.Builder
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -90,7 +76,7 @@ func parseBenchOutput(r io.Reader) (map[string]benchResult, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", src, err)
 	}
 	out := make(map[string]benchResult)
 	for _, line := range strings.Split(text.String(), "\n") {
@@ -113,6 +99,9 @@ func parseBenchOutput(r io.Reader) (map[string]benchResult, error) {
 		}
 		out[res.name] = res
 	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%s: no benchmark lines found", src)
+	}
 	return out, nil
 }
 
@@ -122,22 +111,11 @@ func parseBenchFile(path string) (map[string]benchResult, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return parseBenchStream(f, path)
+	return parseBenchOutput(f, path)
 }
 
-func parseBenchStream(f io.Reader, path string) (map[string]benchResult, error) {
-	res, err := parseBenchOutput(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(res) == 0 {
-		return nil, fmt.Errorf("%s: no benchmark lines found", path)
-	}
-	return res, nil
-}
-
-// runBenches executes the benchmarks fresh and returns both the parsed
-// results and the raw JSON stream (so callers can save it).
+// runBenches runs the root benchmarks matching pattern and parses their
+// results.
 func runBenches(pattern, benchtime string) (map[string]benchResult, error) {
 	cmd := exec.Command("go", "test", "-run", "^$", "-bench", pattern,
 		"-benchtime", benchtime, "-benchmem", "-json", ".")
@@ -148,7 +126,7 @@ func runBenches(pattern, benchtime string) (map[string]benchResult, error) {
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("go test: %w", err)
 	}
-	return parseBenchStream(&stdout, "go test output")
+	return parseBenchOutput(&stdout, "go test output")
 }
 
 // delta formats a percentage change, signed.
@@ -173,59 +151,23 @@ func fmtMetric(v float64, unit string) string {
 // own columns after ns/op.
 var rateUnits = []string{"GFLOP/s", "samples/s", "Melem/s", "MB/s"}
 
-// suites maps a -suite name to its default baseline file and benchmark
-// pattern. Explicit -old/-bench flags override the suite defaults.
-var suites = map[string]struct{ oldPath, pattern string }{
-	"numeric": {"BENCH_numeric.json", "GEMM|ConvFwdBwd|TwinStep|DenseFused|OptimStep"},
-	"serve":   {"BENCH_serve.json", "Serve|Fleet"},
-	"prof":    {"BENCH_prof.json", "Prof"},
-	"dist":    {"BENCH_dist.json", "Dist"},
-	"whatif":  {"BENCH_whatif.json", "Whatif"},
+// benchPattern is the -bench regexp that runs exactly the top-level
+// benchmarks a baseline names, with all of their sub-benchmarks.
+func benchPattern(baseline map[string]benchResult) string {
+	var names []string
+	for name := range baseline {
+		top, _, _ := strings.Cut(name, "/")
+		names = append(names, regexp.QuoteMeta(top))
+	}
+	sort.Strings(names)
+	return "^(" + strings.Join(slices.Compact(names), "|") + ")$"
 }
 
-func main() {
-	suite := flag.String("suite", "numeric", "tracked `suite` to compare (numeric, serve, prof, dist, or whatif)")
-	oldPath := flag.String("old", "", "baseline `file` (go test -json stream; default from -suite)")
-	newPath := flag.String("new", "", "compare this saved `file` instead of re-running benchmarks")
-	pattern := flag.String("bench", "", "benchmark `regexp` to run (default from -suite)")
-	benchtime := flag.String("benchtime", "1s", "benchtime for the fresh run")
-	tol := flag.Float64("tol", 0, "regression `fraction` the gate allows before failing; 0 disables the gate")
-	errBound := flag.Float64("errbound", 0, "absolute `bound` on pred-err-pct metrics; any cell above it fails the gate; 0 disables")
-	flag.Parse()
-	if *tol < 0 || *errBound < 0 {
-		fmt.Fprintln(os.Stderr, "benchcompare: -tol and -errbound must be >= 0")
-		os.Exit(1)
-	}
-	gated := *tol > 0 || *errBound > 0
-
-	defaults, ok := suites[*suite]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "benchcompare: unknown suite %q (have numeric, serve, prof, dist, whatif)\n", *suite)
-		os.Exit(1)
-	}
-	if *oldPath == "" {
-		*oldPath = defaults.oldPath
-	}
-	if *pattern == "" {
-		*pattern = defaults.pattern
-	}
-
-	old, err := parseBenchFile(*oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcompare:", err)
-		os.Exit(1)
-	}
-	var cur map[string]benchResult
-	if *newPath != "" {
-		cur, err = parseBenchFile(*newPath)
-	} else {
-		cur, err = runBenches(*pattern, *benchtime)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcompare:", err)
-		os.Exit(1)
-	}
-
+// compare writes the old-vs-new table to w and returns one line per
+// benchmark that fails the gate. A tol or errBound of 0 disables that
+// check; a baseline benchmark missing from cur is reported as gone, and
+// fails when either check is on.
+func compare(w io.Writer, old, cur map[string]benchResult, tol, errBound float64) []string {
 	names := make([]string, 0, len(cur))
 	for name := range cur {
 		names = append(names, name)
@@ -233,21 +175,19 @@ func main() {
 	sort.Strings(names)
 
 	var failures []string
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
 	fmt.Fprintf(w, "%-44s %14s %14s %8s   %s\n", "benchmark", "old ns/op", "new ns/op", "delta", "rates (old -> new)")
 	for _, name := range names {
 		n := cur[name]
 		o, haveOld := old[name]
 		nsNew := n.metrics["ns/op"]
 		var bad []string
-		if *tol > 0 && haveOld {
-			bad = regressions(o, n, *tol)
+		if tol > 0 && haveOld {
+			bad = regressions(o, n, tol)
 		}
 		// The error bound is absolute, so it applies to new cells too.
-		if *errBound > 0 {
-			if ep, ok := n.metrics["pred-err-pct"]; ok && ep > *errBound {
-				bad = append(bad, fmt.Sprintf("pred-err-pct %.1f exceeds bound %.1f", ep, *errBound))
+		if errBound > 0 {
+			if ep, ok := n.metrics["pred-err-pct"]; ok && ep > errBound {
+				bad = append(bad, fmt.Sprintf("pred-err-pct %.1f exceeds bound %.1f", ep, errBound))
 			}
 		}
 		mark := ""
@@ -263,37 +203,78 @@ func main() {
 		fmt.Fprintf(w, "%-44s %14s %14s %8s   %s%s\n",
 			name, fmtMetric(nsOld, "ns/op"), fmtMetric(nsNew, "ns/op"), delta(nsOld, nsNew), rateCols(o, n), mark)
 	}
-	// Baseline-only benchmarks (renamed or removed) are worth flagging —
-	// silent disappearance would otherwise read as "still tracked", and
-	// under the gate it is a failure outright.
+	// A baseline benchmark that vanished (renamed or removed) would
+	// otherwise read as "still tracked".
+	var gone []string
 	for name := range old {
 		if _, ok := cur[name]; !ok {
-			fmt.Fprintf(w, "%-44s %14s %14s %8s\n", name, fmtMetric(old[name].metrics["ns/op"], "ns/op"), "-", "gone")
-			if gated {
-				failures = append(failures, name+": missing from the fresh run")
-			}
+			gone = append(gone, name)
 		}
 	}
-	if gated {
-		// The table must land before the verdict; the deferred Flush
-		// would come too late for the os.Exit path anyway.
-		_ = w.Flush()
-		if len(failures) > 0 {
-			fmt.Fprintf(os.Stderr, "benchcompare: %d benchmark(s) failed the gate:\n", len(failures))
-			for _, f := range failures {
-				fmt.Fprintln(os.Stderr, " ", f)
-			}
-			os.Exit(1)
+	sort.Strings(gone)
+	for _, name := range gone {
+		fmt.Fprintf(w, "%-44s %14s %14s %8s\n", name, fmtMetric(old[name].metrics["ns/op"], "ns/op"), "-", "gone")
+		if tol > 0 || errBound > 0 {
+			failures = append(failures, name+": missing from the fresh run")
 		}
-		fmt.Fprintf(os.Stderr, "benchcompare: gate passed across %d benchmarks", len(names))
-		if *tol > 0 {
-			fmt.Fprintf(os.Stderr, " (within %.0f%% of baseline)", *tol*100)
-		}
-		if *errBound > 0 {
-			fmt.Fprintf(os.Stderr, " (prediction error within %.0f%%)", *errBound)
-		}
-		fmt.Fprintln(os.Stderr)
 	}
+	return failures
+}
+
+func main() {
+	suite := flag.String("suite", "numeric", "tracked `suite`: run the benchmarks BENCH_<suite>.json names and compare against it")
+	newPath := flag.String("new", "", "compare this saved `file` instead of re-running benchmarks")
+	benchtime := flag.String("benchtime", "1s", "benchtime for the fresh run")
+	tol := flag.Float64("tol", 0, "regression `fraction` the gate allows before failing; 0 disables the gate")
+	errBound := flag.Float64("errbound", 0, "absolute `bound` on pred-err-pct metrics; any cell above it fails the gate; 0 disables")
+	flag.Parse()
+	if *tol < 0 || *errBound < 0 {
+		fatal(fmt.Errorf("-tol and -errbound must be >= 0"))
+	}
+
+	old, err := parseBenchFile("BENCH_" + *suite + ".json")
+	if err != nil {
+		fatal(err)
+	}
+	var cur map[string]benchResult
+	if *newPath != "" {
+		cur, err = parseBenchFile(*newPath)
+	} else {
+		cur, err = runBenches(benchPattern(old), *benchtime)
+	}
+	if err != nil {
+		fatal(err)
+	}
+
+	w := bufio.NewWriter(os.Stdout)
+	failures := compare(w, old, cur, *tol, *errBound)
+	// The table must land before the verdict.
+	if err := w.Flush(); err != nil {
+		fatal(err)
+	}
+	if *tol == 0 && *errBound == 0 {
+		return
+	}
+	if len(failures) > 0 {
+		fmt.Fprintf(os.Stderr, "benchcompare: %d benchmark(s) failed the gate:\n", len(failures))
+		for _, f := range failures {
+			fmt.Fprintln(os.Stderr, " ", f)
+		}
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "benchcompare: gate passed across %d benchmarks", len(cur))
+	if *tol > 0 {
+		fmt.Fprintf(os.Stderr, " (within %.0f%% of baseline)", *tol*100)
+	}
+	if *errBound > 0 {
+		fmt.Fprintf(os.Stderr, " (prediction error within %.0f%%)", *errBound)
+	}
+	fmt.Fprintln(os.Stderr)
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "benchcompare:", err)
+	os.Exit(1)
 }
 
 // regressions reports which of a benchmark's metrics moved the wrong way

@@ -41,7 +41,7 @@ type Analysis struct {
 
 	// Kernel-level view.
 	KernelsPerIteration int
-	TopKernels          []trace.KernelSummary
+	TopKernels          []sim.KernelStat
 	LowUtilKernels      []sim.KernelStat
 	GapTimeSec          float64
 
@@ -86,7 +86,7 @@ func AnalyzeEndToEnd(modelName, fwName, gpuName string, batch int) (*Analysis, e
 	summary := meter.Summarize(0.10, 200)
 	window := summary.Window
 
-	// Kernel timeline for gap and top-kernel analysis.
+	// Kernel timeline for gap analysis.
 	stream := kernels.IterationKernels(m.Ops(), n, fw.Style)
 	_, events := sim.ReplayWithTrace(stream, n, cfg)
 	tl := trace.New(events)
@@ -108,7 +108,7 @@ func AnalyzeEndToEnd(modelName, fwName, gpuName string, batch int) (*Analysis, e
 		CPUUtil:             r.CPUUtil,
 		Phases:              sim.Phases(m.Ops(), n, fw.Style, cfg),
 		KernelsPerIteration: r.KernelCount,
-		TopKernels:          tl.TopKernels(5),
+		TopKernels:          r.PerKernel[:min(5, len(r.PerKernel))],
 		LowUtilKernels:      sim.LongLowUtilKernels(r, 5),
 		GapTimeSec:          tl.TotalGapTime(),
 		Memory:              memprof.ProfileOps(m.Ops(), n, fw.MemPolicy),

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"tbd/internal/device"
 	"tbd/internal/kernels"
 	"tbd/internal/models"
+	"tbd/internal/sim"
 )
 
 func TestAnalyzeEndToEnd(t *testing.T) {
@@ -55,6 +58,27 @@ func TestAnalyzeLSTMShowsGaps(t *testing.T) {
 	lstmRel := lstm.GapTimeSec / lstm.Phases.TotalSec()
 	if lstmRel <= cnnRel {
 		t.Fatalf("LSTM relative gap %.3f should exceed CNN %.3f", lstmRel, cnnRel)
+	}
+}
+
+// TestRNNSyncPointsStrippedSpeedup pins the RNN-fusion ablation behind
+// Observation 5: the Seq2Seq/TensorFlow kernel stream at batch 64 with its
+// host sync points stripped runs ≈ 1.3× faster, the gap a fused cuDNN RNN
+// path closes.
+func TestRNNSyncPointsStrippedSpeedup(t *testing.T) {
+	m, err := models.Lookup("Seq2Seq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Config{GPU: device.QuadroP4000, LaunchOverheadSec: 8e-6, SyncOverheadSec: 150e-6, IterOverheadSec: 5e-3}
+	stream := kernels.IterationKernels(m.Ops(), 64, kernels.StyleTF)
+	synced := sim.Replay(stream, 64, cfg)
+	for i := range stream {
+		stream[i].Sync = false
+	}
+	fused := sim.Replay(stream, 64, cfg)
+	if speedup := fused.Throughput / synced.Throughput; math.Abs(speedup-1.326) > 0.005 {
+		t.Fatalf("stripping sync points speeds Seq2Seq up %.3fx, want 1.326x", speedup)
 	}
 }
 

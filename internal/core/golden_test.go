@@ -4,7 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"tbd/internal/device"
+	"tbd/internal/framework"
+	"tbd/internal/models"
+	"tbd/internal/sim"
 )
 
 // Golden-file tests pin the rendered form of the static paper artifacts
@@ -41,8 +47,28 @@ func TestGoldenTables(t *testing.T) {
 
 // TestSimulationDeterministic pins that repeated simulation of the same
 // configuration is bit-identical (the memo cache and the model itself are
-// pure).
+// pure), down to the order of the per-kernel rows: on ResNet-50/TF/b32
+// dgrad_engine, implicit_convolve_sgemm and wgrad_alg0_engine take exactly
+// the same time, as do pooling_fw and pooling_bw.
 func TestSimulationDeterministic(t *testing.T) {
+	m, err := models.Lookup("ResNet-50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := models.SimConfigFor(m, framework.TensorFlow, device.QuadroP4000)
+	var first []string
+	for i := 0; i < 10; i++ {
+		var names []string
+		for _, st := range sim.Simulate(m.Ops(), 32, framework.TensorFlow.Style, cfg).PerKernel {
+			names = append(names, st.Name)
+		}
+		if i == 0 {
+			first = names
+		} else if !slices.Equal(names, first) {
+			t.Fatalf("replay %d orders PerKernel differently:\n%v\nvs\n%v", i, names, first)
+		}
+	}
+
 	run := func() (float64, float64) {
 		r, err := AnalyzeEndToEnd("Seq2Seq", "TensorFlow", "", 64)
 		if err != nil {

@@ -65,31 +65,41 @@ func TestStashFollowsTrainMode(t *testing.T) {
 	}
 }
 
-// TestLSTMSteadyStateAllocation pins what a warmed LSTM step takes from the
-// Go allocator at BenchmarkLSTMForwardBackward's shape. The timestep loop
-// works out of pooled buffers it releases, so what remains is view headers,
-// about 4 KB; before the shared driver the same step allocated 2.5 MB, and
-// one [N, 4H] temporary leaked per timestep would be 128 KB.
-func TestLSTMSteadyStateAllocation(t *testing.T) {
+// TestSequenceLayersSteadyStateAllocation pins what a warmed forward +
+// backward takes from the Go allocator for the recurrent driver and the
+// attention core. Both work out of pooled buffers they release, so what
+// remains is view headers: about 4 KB for the LSTM (2.5 MB before the
+// shared driver) and 1.3 KB for attention (0.9 MB before the shared core).
+// Each bound sits below one leaked temporary: an [N, 4H] buffer leaked per
+// timestep is 128 KB, an [N, T, d/heads] buffer leaked per head 32 KB.
+func TestSequenceLayersSteadyStateAllocation(t *testing.T) {
 	rng := tensor.NewRNG(51)
-	l := NewLSTM("lstm", 32, 64, rng)
-	x := tensor.RandNormal(rng, 0, 1, 8, 16, 32)
-	gy := tensor.Ones(8, 16, 64)
-	step := func() {
-		l.Forward(x, true)
-		l.Backward(gy)
-	}
-	for i := 0; i < 3; i++ {
-		step()
-	}
-	const iters = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < iters; i++ {
-		step()
-	}
-	runtime.ReadMemStats(&after)
-	if perIter := (after.TotalAlloc - before.TotalAlloc) / iters; perIter > 64<<10 {
-		t.Errorf("LSTM forward+backward allocates %d KB per iteration, want at most 64", perIter>>10)
+	for _, c := range []struct {
+		l        Layer
+		in, out  int
+		maxBytes uint64
+	}{
+		{NewLSTM("lstm", 32, 64, rng), 32, 64, 64 << 10},
+		{NewMultiHeadAttention("mha", 64, 4, false, rng), 64, 64, 16 << 10},
+	} {
+		x := tensor.RandNormal(rng, 0, 1, 8, 16, c.in)
+		gy := tensor.Ones(8, 16, c.out)
+		step := func() {
+			c.l.Forward(x, true)
+			c.l.Backward(gy)
+		}
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		const iters = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < iters; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		if perIter := (after.TotalAlloc - before.TotalAlloc) / iters; perIter > c.maxBytes {
+			t.Errorf("%s forward+backward allocates %d B per iteration, want at most %d", c.l.Name(), perIter, c.maxBytes)
+		}
 	}
 }

@@ -2,8 +2,9 @@
 // model's per-iteration kernel stream on a modeled GPU and host CPU,
 // producing the metrics the paper's toolchain measures: iteration time,
 // training throughput, GPU compute utilization (Eq. 1), FP32 utilization
-// (Eq. 2), CPU utilization (Eq. 3), and per-kernel aggregates for the
-// low-utilization kernel tables (Tables 5 and 6).
+// (Eq. 2) and CPU utilization (Eq. 3) as package metrics defines them, and
+// per-kernel aggregates for the low-utilization kernel tables (Tables 5
+// and 6).
 //
 // The execution model is a two-agent pipeline. The host dispatch thread
 // issues kernels in order, paying a per-kernel launch overhead; the GPU
@@ -22,6 +23,7 @@ import (
 
 	"tbd/internal/device"
 	"tbd/internal/kernels"
+	"tbd/internal/metrics"
 )
 
 // Config describes one training setup to simulate.
@@ -104,6 +106,7 @@ type Result struct {
 	// CPUUtil is Eq. 3: host busy time / (elapsed * cores).
 	CPUUtil float64
 
+	// PerKernel is ordered by TotalSec, longest first, ties by name.
 	PerKernel []KernelStat
 }
 
@@ -119,11 +122,12 @@ func Simulate(ops []*kernels.Op, batch int, style kernels.NameStyle, cfg Config)
 		stream = append(stream, kernels.InputTransfer(batch, cfg.SampleBytes))
 	}
 	stream = append(stream, kernels.IterationKernels(ops, batch, style)...)
-	return replay(stream, batch, cfg)
+	return replay(stream, batch, cfg, nil)
 }
 
-// replay runs the two-agent pipeline over an explicit kernel stream.
-func replay(stream []kernels.Kernel, batch int, cfg Config) Result {
+// replay runs the two-agent pipeline over an explicit kernel stream. When
+// events is non-nil, each kernel's execution is appended to it.
+func replay(stream []kernels.Kernel, batch int, cfg Config, events *[]Event) Result {
 	cfg = cfg.withDefaults()
 	var (
 		cpuClock float64 // host dispatch thread position
@@ -155,6 +159,9 @@ func replay(stream []kernels.Kernel, batch int, cfg Config) Result {
 		gpuFree = start + dur
 		busy += dur
 		flops += k.FLOPs
+		if events != nil {
+			*events = append(*events, Event{Name: k.Name, Class: k.Class, StartSec: start, DurSec: dur, FLOPs: k.FLOPs, Sync: k.Sync})
+		}
 
 		st, ok := agg[k.Name]
 		if !ok {
@@ -179,6 +186,7 @@ func replay(stream []kernels.Kernel, batch int, cfg Config) Result {
 		iter = pipelineWall
 	}
 
+	peak := cfg.GPU.PeakFLOPS()
 	res := Result{
 		Batch:       batch,
 		IterTimeSec: iter,
@@ -187,29 +195,25 @@ func replay(stream []kernels.Kernel, batch int, cfg Config) Result {
 		FLOPs:       flops,
 		KernelCount: len(stream),
 		Throughput:  float64(batch) / iter,
-		GPUUtil:     busy / iter,
-		CPUUtil:     cpuBusy / (iter * float64(cfg.CPU.Cores)),
-	}
-	if busy > 0 {
-		res.FP32Util = flops / (cfg.GPU.PeakFLOPS() * busy)
-	}
-	if res.GPUUtil > 1 {
-		res.GPUUtil = 1
-	}
-	if res.FP32Util > 1 {
-		res.FP32Util = 1
+		GPUUtil:     metrics.GPUUtilization(busy, iter),
+		FP32Util:    metrics.FP32Utilization(flops, peak, busy),
+		CPUUtil:     metrics.CPUUtilization(cpuBusy, cfg.CPU.Cores, iter),
 	}
 	for _, st := range agg {
-		if st.TotalSec > 0 {
-			st.Util = st.FLOPs / (cfg.GPU.PeakFLOPS() * st.TotalSec)
-		}
+		st.Util = metrics.FP32Utilization(st.FLOPs, peak, st.TotalSec)
 		if busy > 0 {
 			st.DurationShare = st.TotalSec / busy
 		}
 		res.PerKernel = append(res.PerKernel, *st)
 	}
+	// Equal totals are common (a conv's dgrad and wgrad, pooling forward
+	// and backward), so ties go by name rather than by map order.
 	sort.Slice(res.PerKernel, func(i, j int) bool {
-		return res.PerKernel[i].TotalSec > res.PerKernel[j].TotalSec
+		a, b := res.PerKernel[i], res.PerKernel[j]
+		if a.TotalSec != b.TotalSec {
+			return a.TotalSec > b.TotalSec
+		}
+		return a.Name < b.Name
 	})
 	return res
 }
@@ -217,7 +221,7 @@ func replay(stream []kernels.Kernel, batch int, cfg Config) Result {
 // Replay exposes the raw-stream simulator for callers that transform the
 // kernel stream first (framework fusion passes, trace capture).
 func Replay(stream []kernels.Kernel, batch int, cfg Config) Result {
-	return replay(stream, batch, cfg)
+	return replay(stream, batch, cfg, nil)
 }
 
 // Event is one kernel execution on the simulated timeline.
@@ -233,32 +237,15 @@ type Event struct {
 // ReplayWithTrace is Replay plus a full kernel timeline, the analogue of
 // an nvprof .nvvp capture.
 func ReplayWithTrace(stream []kernels.Kernel, batch int, cfg Config) (Result, []Event) {
-	cfg = cfg.withDefaults()
 	events := make([]Event, 0, len(stream))
-	var cpuClock, gpuFree float64
-	cpuClock = cfg.IterOverheadSec / 2
-	for _, k := range stream {
-		if k.Sync {
-			if gpuFree > cpuClock {
-				cpuClock = gpuFree
-			}
-			cpuClock += cfg.SyncOverheadSec
-		}
-		cpuClock += cfg.LaunchOverheadSec
-		dur := k.Duration(cfg.GPU) / cfg.SpeedFactor
-		start := cpuClock
-		if gpuFree > start {
-			start = gpuFree
-		}
-		gpuFree = start + dur
-		events = append(events, Event{Name: k.Name, Class: k.Class, StartSec: start, DurSec: dur, FLOPs: k.FLOPs, Sync: k.Sync})
-	}
-	return replay(stream, batch, cfg), events
+	res := replay(stream, batch, cfg, &events)
+	return res, events
 }
 
 // LongLowUtilKernels returns the top-n kernels by total duration whose
 // FP32 utilization is below the iteration average — the paper's Tables 5
-// and 6 ("longest kernels with utilization below the average").
+// and 6 ("longest kernels with utilization below the average"). It keeps
+// PerKernel's order.
 func LongLowUtilKernels(r Result, n int) []KernelStat {
 	avg := r.FP32Util
 	var out []KernelStat
@@ -267,7 +254,6 @@ func LongLowUtilKernels(r Result, n int) []KernelStat {
 			out = append(out, st)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TotalSec > out[j].TotalSec })
 	if len(out) > n {
 		out = out[:n]
 	}

@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"tbd/internal/sim"
 )
@@ -75,48 +74,6 @@ func (t *Timeline) TotalGapTime() float64 {
 		s += g.DurSec
 	}
 	return s
-}
-
-// ByClass aggregates busy time per kernel class.
-func (t *Timeline) ByClass() map[string]float64 {
-	out := make(map[string]float64)
-	for _, e := range t.Events {
-		out[e.Class.String()] += e.DurSec
-	}
-	return out
-}
-
-// TopKernels returns the n distinct kernel names with the largest total
-// duration, descending.
-func (t *Timeline) TopKernels(n int) []KernelSummary {
-	agg := map[string]*KernelSummary{}
-	for _, e := range t.Events {
-		s, ok := agg[e.Name]
-		if !ok {
-			s = &KernelSummary{Name: e.Name}
-			agg[e.Name] = s
-		}
-		s.Count++
-		s.TotalSec += e.DurSec
-		s.FLOPs += e.FLOPs
-	}
-	var out []KernelSummary
-	for _, s := range agg {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TotalSec > out[j].TotalSec })
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-// KernelSummary aggregates one kernel name across a timeline.
-type KernelSummary struct {
-	Name     string
-	Count    int
-	TotalSec float64
-	FLOPs    float64
 }
 
 // WriteCSV renders the timeline as nvprof-style CSV.

@@ -74,23 +74,6 @@ func TestLSTMTimelineHasSyncGaps(t *testing.T) {
 	}
 }
 
-func TestByClassAndTopKernels(t *testing.T) {
-	tl, _ := capture(t, convOps(), 16)
-	classes := tl.ByClass()
-	if classes["conv"] <= 0 || classes["batchnorm"] <= 0 {
-		t.Fatalf("class aggregation missing entries: %v", classes)
-	}
-	top := tl.TopKernels(3)
-	if len(top) == 0 || top[0].TotalSec <= 0 {
-		t.Fatal("TopKernels empty")
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].TotalSec > top[i-1].TotalSec {
-			t.Fatal("TopKernels not sorted descending")
-		}
-	}
-}
-
 func TestCSVExport(t *testing.T) {
 	tl, _ := capture(t, convOps(), 4)
 	var buf bytes.Buffer
