@@ -38,7 +38,8 @@ func encodePush(t *testing.T, comp Compression, rank int, grads [][]float32) []b
 	var buf bytes.Buffer
 	srv, cli := net.Pipe()
 	srv.Close()
-	c := &PSClient{conn: cli, count: newCountingConn(cli), w: bufio.NewWriter(&buf), r: bufio.NewReader(cli), version: -1}
+	c := newPSClient(cli, newCountingConn(cli), cli, &buf)
+	defer c.Close()
 	if _, _, err := c.PushRanked(rank, comp, grads); !errors.Is(err, io.EOF) {
 		t.Fatalf("push into a closed pipe: %v", err)
 	}
@@ -77,24 +78,38 @@ func TestPSFrameRoundTripPreservesBits(t *testing.T) {
 				off += len(g)
 			}
 
-			pc := &psConn{r: bufio.NewReader(bytes.NewReader(encodePush(t, comp, 0, grads)))}
-			reply, err := s.serveFrame(pc)
-			if err != nil {
+			srv, cli := net.Pipe()
+			pc := newPSConn(srv)
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				s.serveConn(pc)
+			}()
+			push := encodePush(t, comp, 0, grads)
+			sent := make(chan error, 1)
+			go func() {
+				_, err := cli.Write(push)
+				sent <- err
+			}()
+			// The reply carries the server's weights — by now full of the
+			// NaNs the optimizer was just fed — bit for bit as well.
+			c := &PSClient{r: bufio.NewReader(cli), version: -1}
+			if err := c.receive(); err != nil {
 				t.Fatal(err)
 			}
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+			cli.Close()
+			<-served
+			off = 0
 			for i := range want {
 				for j := range want[i] {
-					if got, w := math.Float32bits(pc.grads[i][j]), math.Float32bits(want[i][j]); got != w {
+					if got, w := math.Float32bits(pc.push[off+j]), math.Float32bits(want[i][j]); got != w {
 						t.Fatalf("tensor %d[%d]: decoded %#08x, want %#08x", i, j, got, w)
 					}
 				}
-			}
-
-			// The reply carries the server's weights — by now full of the
-			// NaNs the optimizer was just fed — bit for bit as well.
-			c := &PSClient{r: bufio.NewReader(bytes.NewReader(reply)), version: -1}
-			if err := c.receive(); err != nil {
-				t.Fatal(err)
+				off += len(want[i])
 			}
 			if c.version != 1 {
 				t.Fatalf("reply version %d, want 1", c.version)
@@ -151,6 +166,43 @@ func TestPSSyncTrajectoryMatchesParentCommit(t *testing.T) {
 	}
 }
 
+func TestPSSyncRangesMatchParentCommit(t *testing.T) {
+	// Final hashes of these runs on the commit before the round was reduced,
+	// applied and sent range by range, bit-exact GEMM tier. Three workers on
+	// mlp-wide: 25 ranges, whose boundaries cut through both hidden weight
+	// matrices, one range holding a whole bias and the head of the next
+	// matrix, and int8 tensors whose levels span up to 17 ranges behind one
+	// scale. Two on mlp, smaller than one range.
+	prev, err := tensor.SetGemmKernelTier(tensor.BitExactGemmTier())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tensor.SetGemmKernelTier(prev)
+	for _, c := range []struct {
+		model          string
+		workers, batch int
+		want           map[Compression]uint64
+	}{
+		{"mlp-wide", 3, 48, map[Compression]uint64{
+			CompressNone: 0xe1d5ab2b29e36cc6,
+			CompressFP16: 0x6f824fb26681f702,
+			CompressInt8: 0x04f5db555e51360e,
+		}},
+		{"mlp", 2, 32, map[Compression]uint64{
+			CompressNone: 0x5c42643ec2275c3a,
+			CompressFP16: 0x4eb18c697e537441,
+			CompressInt8: 0xee14cccfc02f8a9b,
+		}},
+	} {
+		for comp, want := range c.want {
+			cfg := CoordConfig{Workers: c.workers, Strategy: RunPSSync, Compression: comp, Model: c.model, Seed: 1, LR: 0.05}
+			if s := runCoordinated(t, cfg, 10, c.batch, 0); s.Hash != want {
+				t.Errorf("%s, %d workers, %s: final weights hash %#x, parent commit had %#x", c.model, c.workers, comp, s.Hash, want)
+			}
+		}
+	}
+}
+
 func TestPushRankedSteadyStateAllocs(t *testing.T) {
 	perPush := func(modelName string) (allocs float64, bytes, model uint64) {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -182,15 +234,15 @@ func TestPushRankedSteadyStateAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return allocs, (after.TotalAlloc - before.TotalAlloc) / (runs + 1), uint64(4 * master.GradElems())
 	}
-	// The server's once-per-version reply frame is the one allocation that
-	// grows with the model; neither end copies or re-encodes beyond it.
+	// Nothing grows with the model: the server streams each version from a
+	// recycled reply frame, and neither end copies or re-encodes a tensor.
 	for _, name := range []string{"mlp", "mlp-wide"} {
 		allocs, bytes, model := perPush(name)
 		t.Logf("%s: %.0f allocations, %d bytes per round trip (model %d bytes)", name, allocs, bytes, model)
 		if allocs > 8 {
 			t.Errorf("%s: %.0f allocations per round trip, want at most 8", name, allocs)
 		}
-		if limit := model + model/4 + 16<<10; bytes > limit {
+		if limit := uint64(16 << 10); bytes > limit {
 			t.Errorf("%s: %d bytes allocated per round trip for a %d-byte model, want at most %d", name, bytes, model, limit)
 		}
 	}
@@ -335,7 +387,8 @@ func TestPSClientFailsClosedOnHostileReplies(t *testing.T) {
 			srv, cli := net.Pipe()
 			defer srv.Close()
 			count := newCountingConn(cli)
-			client := &PSClient{conn: cli, count: count, version: -1, r: bufio.NewReader(count), w: bufio.NewWriter(count)}
+			client := newPSClient(cli, count, count, count)
+			defer client.Close()
 			go func() {
 				// Swallow the push, answer with the hostile reply.
 				_, _ = io.CopyN(io.Discard, srv, psHeaderLen+4*3)
@@ -351,39 +404,53 @@ func TestPSClientFailsClosedOnHostileReplies(t *testing.T) {
 	}
 }
 
+// fuzzGrain is FuzzPSFrame's range size: the 131-scalar test model (fc1
+// 64 + 16, fc2 48 + 3) cut every 32 scalars, so ranges end on a tensor
+// boundary (64, 128), inside one (32, 96) and short (128..131).
+const fuzzGrain = 32
+
 // FuzzPSFrame throws byte streams at a live serveConn: whatever arrives,
 // the handler must return once the client hangs up — no panic, no hang —
 // having allocated no more than the model and the input account for.
-// The seeds added below are single frames; testdata/fuzz/FuzzPSFrame holds
-// multi-frame streams (valid exchanges, and valid frames followed by a
-// truncated, misaddressed or foreign one).
+// Every input meets a fresh one-worker server whose pushes are decoded in
+// fuzzGrain ranges, so a push that breaks off after a range was applied
+// fails that server and no other input. The seeds added below are single
+// frames; testdata/fuzz/FuzzPSFrame holds multi-frame streams (valid
+// exchanges, and valid frames followed by a truncated, misaddressed or
+// foreign one).
 func FuzzPSFrame(f *testing.F) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		f.Fatal(err)
-	}
-	master := mlpConstructor(14)()
 	// One worker: a well-formed push completes its round alone, so no
 	// handler parks waiting for a peer the fuzzer will never send.
-	s := ServePS(l, master.Params(), optim.NewSGD(0.1), 1)
-	f.Cleanup(func() { s.Close() })
+	newServer := func() *PSServer {
+		params := mlpConstructor(14)().Params()
+		s := newPSServer(params, optim.NewSGD(0.1), 1, false, -1)
+		s.ranges = cutRanges(params, fuzzGrain)
+		return s
+	}
+	s := newServer()
 	model := 4 * s.elems
 
 	f.Add(rawFrame(kindPull, 0, -1, nil))
-	f.Add(rawFrame(kindPush, 0, 0, make([]byte, model)))
-	f.Add(rawFrame(kindPush8, 0, 0, make([]byte, s.elems+4*len(s.sizes))))
+	push := rawFrame(kindPush, 0, 0, make([]byte, model))
+	f.Add(push)
+	push8 := rawFrame(kindPush8, 0, 0, make([]byte, s.elems+4*len(s.sizes)))
+	f.Add(push8)
 	for _, c := range hostileFrames() {
 		f.Add(c.frame)
 	}
+	f.Add(push[:psHeaderLen+4*(fuzzGrain+fuzzGrain/2)]) // truncated mid-range
+	f.Add(push[:psHeaderLen+4*3*fuzzGrain])             // truncated on a range boundary inside fc2's weights
+	f.Add(push8[:psHeaderLen+4+s.sizes[0]+2])           // cut inside the second tensor's scale
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
+		s := newServer()
 		srv, cli := net.Pipe()
 		served, drained := make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(served)
-			s.serveConn(srv)
+			s.serveConn(newPSConn(srv))
 			srv.Close()
 		}()
 		go func() {
@@ -406,10 +473,10 @@ func FuzzPSFrame(f *testing.F) {
 		}
 		<-drained
 		runtime.ReadMemStats(&after)
-		// Connection state (64 KB reader, one push buffer, decode scratch),
-		// one reply frame per well-formed push in the input, and slack for
-		// what the fuzzing engine itself allocates meanwhile. A buffer sized
-		// from a mutated length field would be gigabytes.
+		// The server and its model, connection state (64 KB reader, one push
+		// buffer, decode scratch), two reply frames, and slack for what the
+		// fuzzing engine itself allocates meanwhile. A buffer sized from a
+		// mutated length field would be gigabytes.
 		limit := uint64(4<<20 + 4*model + 8*len(data))
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > limit {
 			t.Fatalf("%d input bytes made the server allocate %d, limit %d", len(data), grew, limit)

@@ -13,17 +13,17 @@ import (
 	"tbd/internal/layers"
 	"tbd/internal/optim"
 	"tbd/internal/prof"
+	"tbd/internal/tensor"
 )
 
 // A real parameter server over TCP, the multi-machine data-parallel
 // scheme of §2.2/§4.5 (Li et al.): workers pull the current weights,
 // compute gradients on their shard, and push them back; the server
 // averages one push per worker, applies the optimizer, and releases the
-// next round. Pushes are buffered per rank and reduced in rank order, so
-// a synchronous N-worker run is not only numerically equivalent to one
-// big-batch replica but reproducible bit-for-bit run to run — the same
-// determinism discipline the ring all-reduce keeps via its fixed hop
-// order.
+// next round. Pushes are reduced in rank order, so a synchronous N-worker
+// run is not only numerically equivalent to one big-batch replica but
+// reproducible bit-for-bit run to run — the same determinism discipline
+// the ring all-reduce keeps via its fixed hop order.
 //
 // The server speaks the ring's codec: a fixed 16-byte little-endian
 // header, then the tensors in parameter order through the wireBuf
@@ -41,6 +41,19 @@ import (
 // before it reads or allocates anything. A weights reply starts with the
 // server's layout (tensor count, then each tensor's element count): the
 // client is handed no model, and cuts its retained copy by that table.
+//
+// A synchronous round is pipelined so the server's link carries the reply
+// while the pushes are still arriving. The flat parameter stream is cut
+// into fixed ranges of psRangeElems (one throttle chunk of fp32), set by
+// the model alone. A push is decoded range by range; the handler that
+// delivers the last rank's copy of a range reduces it in rank order
+// (sum += v, then sum *= 1/N), steps the optimizer on that range only,
+// copies the new weights into the round's reply frame and moves the
+// frame's published mark. Each connection's one writer streams the frame
+// up to the mark as it moves. The reply is the same statusWeights frame,
+// byte for byte, and every weight the same bits, as when the round was
+// reduced, applied and encoded whole. Reply frames are recycled: a frame
+// goes back on a free list once the last writer streaming it is done.
 
 // The parameter-server frame vocabulary. Wirecheck holds every kind to
 // both sides of the protocol: a kind encoded by one end but missing from
@@ -63,6 +76,12 @@ const (
 	psMagic     = "TBD"
 	psHeaderLen = 16
 	psMaxErr    = 256
+	// psRangeElems is the synchronous round's grain: one throttle chunk of
+	// fp32 gradients.
+	psRangeElems = throttleChunk / 4
+	// psFreeFrames bounds the recycled reply frames kept for reuse; a sync
+	// server runs on two.
+	psFreeFrames = 2
 )
 
 // Frame errors either end raises on bytes it will not interpret. The
@@ -75,6 +94,18 @@ var (
 	errLongError   = errors.New("error reply over 256 bytes")
 
 	errServerClosed = errors.New("server closed")
+	// errRoundFailed: a push broke off after part of its round was applied,
+	// so the weights match no version; the server refuses everything after.
+	errRoundFailed = errors.New("round failed")
+	// errRefused marks a statusError reply on the client: the server named
+	// why it hung up.
+	errRefused = errors.New("server")
+	// errReplyCut marks a weights reply the stream ended inside — a server
+	// that failed or closed mid-stream, as EOF or reset alike.
+	errReplyCut = errors.New("reply cut short")
+
+	errStopped       = errors.New("reply abandoned")
+	errWriterStopped = errors.New("reply writer stopped")
 )
 
 type psHeader struct {
@@ -123,13 +154,80 @@ func pushPayloadLen(kind byte, elems, tensors int) int {
 // weightsPayloadLen is the payload length of a statusWeights reply.
 func weightsPayloadLen(elems, tensors int) int { return 4 + 4*tensors + 4*elems }
 
+// psRange is one grain of the flat parameter stream, cut by tensor into
+// pieces; params views the pieces' weights and gradients for the
+// optimizer. hi is where the range ends in the stream.
+type psRange struct {
+	pieces []psPiece
+	params []*layers.Param
+	hi     int
+}
+
+// psPiece is elements [off, off+n) of tensor, which start at flat in the
+// stream.
+type psPiece struct {
+	tensor, off, n, flat int
+}
+
+// cutRanges cuts params' flat stream into ranges of grain elements (the
+// last may be shorter). A piece that is a whole tensor is stepped as that
+// tensor's own Param, so a grain of the whole model steps params itself.
+func cutRanges(params []*layers.Param, grain int) []psRange {
+	var out []psRange
+	var cur psRange
+	flat := 0
+	for t, p := range params {
+		n := p.Value.Numel()
+		for off := 0; ; {
+			take := min(n-off, (len(out)+1)*grain-flat)
+			cur.pieces = append(cur.pieces, psPiece{tensor: t, off: off, n: take, flat: flat})
+			switch {
+			case take == n:
+				cur.params = append(cur.params, p)
+			case take > 0:
+				cur.params = append(cur.params, &layers.Param{Name: p.Name,
+					Value: tensor.FromSlice(p.Value.Data()[off:off+take], take),
+					Grad:  tensor.FromSlice(p.Grad.Data()[off:off+take], take)})
+			}
+			off += take
+			flat += take
+			if flat == (len(out)+1)*grain {
+				cur.hi = flat
+				out, cur = append(out, cur), psRange{}
+			}
+			if off == n {
+				break
+			}
+		}
+	}
+	if len(cur.pieces) > 0 || len(out) == 0 {
+		cur.hi = flat
+		out = append(out, cur)
+	}
+	return out
+}
+
+// psFrame is one statusWeights reply. A writer may send buf[:mark], and
+// no byte below mark changes while refs > 0. mark and refs are read and
+// written under PSServer.mu.
+type psFrame struct {
+	buf  []byte
+	mark int // bytes published
+	refs int // PSServer.reply, the open round, each queued or streaming writer
+}
+
 // PSServer is the parameter-server endpoint.
 type PSServer struct {
-	params  []*layers.Param
-	opt     optim.Optimizer
+	params []*layers.Param
+	// opt is SGD because a round is stepped range by range: an update that
+	// is elementwise and keeps no state between calls steps the same bits
+	// one range at a time as over the whole model.
+	opt     *optim.SGD
 	workers int
-	sizes   []int // elements per parameter
-	elems   int   // their sum
+	sizes   []int     // elements per parameter
+	elems   int       // their sum
+	ranges  []psRange // the stream's grains, fixed by the model
+	base    int       // offset of the weights in a reply frame
 	// async applies each push immediately instead of waiting for a full
 	// synchronous round — the A3C-style update discipline (Hogwild over
 	// the network). Workers may then train on slightly stale weights.
@@ -141,21 +239,23 @@ type PSServer struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// rankGrads[r] is rank r's push of this round. It aliases the pushing
-	// connection's buffer, whose handler is parked on cond until the round
-	// is reduced.
-	rankGrads [][][]float32 // guarded by mu
-	rankSeen  int           // distinct pushes buffered; guarded by mu
-	version   int           // applied updates; guarded by mu
-	// reply is the statusWeights frame for version, encoded once when the
-	// version is applied and never written again, so handlers send it after
-	// they drop mu.
-	reply   []byte                // guarded by mu
-	clocks  []int                 // per-rank applied pushes (bounded async); guarded by mu
-	conns   map[net.Conn]struct{} // live connections, closed on shutdown; guarded by mu
-	linkIn  *tokenBucket          // shared ingress budget for accepted conns; guarded by mu
-	linkOut *tokenBucket          // shared egress budget for accepted conns; guarded by mu
-	closed  bool                  // guarded by mu
+	// The open synchronous round: rankConn[r] is the connection rank r
+	// pushed on, whose push buffer it decodes into; delivered[r] counts the
+	// ranges it has decoded; done counts the ranges reduced, stepped and
+	// published in next, the frame of version+1.
+	rankConn  []*psConn             // guarded by mu
+	delivered []int                 // guarded by mu
+	done      int                   // guarded by mu
+	next      *psFrame              // guarded by mu
+	version   int                   // applied updates; guarded by mu
+	reply     *psFrame              // version's frame, wholly published; guarded by mu
+	free      []*psFrame            // recycled reply frames; guarded by mu
+	failed    error                 // why the server refuses everything; guarded by mu
+	clocks    []int                 // per-rank applied pushes (bounded async); guarded by mu
+	conns     map[net.Conn]struct{} // live connections, closed on shutdown; guarded by mu
+	linkIn    *tokenBucket          // shared ingress budget for accepted conns; guarded by mu
+	linkOut   *tokenBucket          // shared egress budget for accepted conns; guarded by mu
+	closed    bool                  // guarded by mu
 
 	listener net.Listener
 	wg       sync.WaitGroup
@@ -164,8 +264,8 @@ type PSServer struct {
 // ServePS starts a parameter server on l managing params with opt,
 // expecting one gradient push per round from each of workers clients.
 // It returns immediately; Close shuts it down.
-func ServePS(l net.Listener, params []*layers.Param, opt optim.Optimizer, workers int) *PSServer {
-	return servePS(l, params, opt, workers, false, -1)
+func ServePS(l net.Listener, params []*layers.Param, opt *optim.SGD, workers int) *PSServer {
+	return servePS(l, newPSServer(params, opt, workers, false, -1))
 }
 
 // ServeBoundedAsyncPS starts an asynchronous parameter server: pushes
@@ -175,18 +275,25 @@ func ServePS(l net.Listener, params []*layers.Param, opt optim.Optimizer, worker
 // degenerates to a synchronous barrier, large values approach fully
 // async, and -1 is unbounded — the update discipline the paper's A3C
 // benchmark uses.
-func ServeBoundedAsyncPS(l net.Listener, params []*layers.Param, opt optim.Optimizer, workers, staleness int) *PSServer {
+func ServeBoundedAsyncPS(l net.Listener, params []*layers.Param, opt *optim.SGD, workers, staleness int) *PSServer {
 	if staleness < -1 {
 		panic("dist: bounded-async staleness must be >= -1")
 	}
-	return servePS(l, params, opt, workers, true, staleness)
+	return servePS(l, newPSServer(params, opt, workers, true, staleness))
 }
 
-// servePS initializes the guarded fields before the accept loop (the
-// first other goroutine) starts, so construction needs no lock.
+func servePS(l net.Listener, s *PSServer) *PSServer {
+	s.listener = l
+	s.wg.Add(1)
+	go s.acceptLoop()
+	return s
+}
+
+// newPSServer builds a server with no listener; servePS starts its accept
+// loop.
 //
 //tbd:pre-publication guarded fields are written before the accept goroutine (the first concurrent observer) starts
-func servePS(l net.Listener, params []*layers.Param, opt optim.Optimizer, workers int, async bool, staleness int) *PSServer {
+func newPSServer(params []*layers.Param, opt *optim.SGD, workers int, async bool, staleness int) *PSServer {
 	if workers <= 0 {
 		panic("dist: parameter server needs at least one worker")
 	}
@@ -195,12 +302,13 @@ func servePS(l net.Listener, params []*layers.Param, opt optim.Optimizer, worker
 		opt:       opt,
 		workers:   workers,
 		sizes:     make([]int, len(params)),
+		base:      psHeaderLen + 4 + 4*len(params),
 		async:     async,
 		staleness: staleness,
-		rankGrads: make([][][]float32, workers),
+		rankConn:  make([]*psConn, workers),
+		delivered: make([]int, workers),
 		clocks:    make([]int, workers),
 		conns:     make(map[net.Conn]struct{}),
-		listener:  l,
 	}
 	for i, p := range params {
 		s.sizes[i] = p.Value.Numel()
@@ -209,10 +317,10 @@ func servePS(l net.Listener, params []*layers.Param, opt optim.Optimizer, worker
 	if int64(weightsPayloadLen(s.elems, len(params))) > math.MaxUint32 {
 		panic("dist: model too large for one parameter-server frame")
 	}
+	s.ranges = cutRanges(params, psRangeElems)
 	s.cond = sync.NewCond(&s.mu)
-	s.reply = s.encodeReplyLocked()
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.reply = s.frameLocked(0)
+	s.publishAllLocked(s.reply)
 	return s
 }
 
@@ -237,11 +345,9 @@ func (s *PSServer) Version() int {
 	return s.version
 }
 
-// Close stops the accept loop, unblocks every in-flight pull and push
-// handler by closing the live connections, and waits for all handler
-// goroutines to exit. It is safe to call with workers mid-round: blocked
-// pushers observe closed and return an error reply before their
-// connection drops.
+// Close stops the accept loop, unblocks every in-flight handler and
+// writer by closing the live connections, and waits for all of them to
+// exit. It is safe to call with workers mid-round.
 func (s *PSServer) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -286,209 +392,447 @@ func (s *PSServer) acceptLoop() {
 				delete(s.conns, conn)
 				s.mu.Unlock()
 			}()
-			s.serveConn(ThrottleShared(conn, in, out))
+			s.serveConn(newPSConn(ThrottleShared(conn, in, out)))
 		}()
 	}
 }
 
-// psConn is one accepted connection's decode state.
+// psReply is one reply queued for a connection's writer: a weights frame,
+// streamed as far as it is published, or a bare header.
+type psReply struct {
+	f   *psFrame
+	hdr [psHeaderLen]byte
+}
+
+// psConn is one accepted connection: its handler's decode state and the
+// queue to its writer.
 type psConn struct {
-	r  *bufio.Reader
-	wb wireBuf
-	// grads receives every push of this connection. It is sized from the
-	// server's own parameters at the first push and reused after: while a
-	// round holds it in rankGrads the handler is parked, not reading.
-	grads [][]float32
-	small [psHeaderLen + psMaxErr]byte // header-only and error replies
+	conn net.Conn
+	r    *bufio.Reader
+	wb   wireBuf
+	// push receives every push of this connection, flat. It is sized from
+	// the server's own model at the first push and reused after: a
+	// connection has at most one push in an open round.
+	push  []float32
+	scale float32 // the int8 scale of the tensor being decoded
+
+	replies chan psReply  // handler to writer, in request order
+	wrote   chan struct{} // closed when the writer exits
+	// cut is set by the writer before wrote closes: the stream stopped
+	// inside a reply or on a failed write, so no error reply may follow.
+	cut bool
+	// stop asks the writer to give up on a reply that is not wholly
+	// published; written under PSServer.mu.
+	stop bool
+}
+
+func newPSConn(conn net.Conn) *psConn {
+	return &psConn{
+		conn:    conn,
+		r:       bufio.NewReaderSize(conn, 64<<10),
+		replies: make(chan psReply, 1),
+		wrote:   make(chan struct{}),
+	}
 }
 
 // serveConn answers frames until the client hangs up or sends one the
-// server refuses; a refusal is named in a single error reply and the
-// connection closed. No reply is written while mu is held.
-func (s *PSServer) serveConn(conn net.Conn) {
-	pc := &psConn{r: bufio.NewReaderSize(conn, 64<<10)}
-	for {
-		reply, err := s.serveFrame(pc)
-		if err == io.EOF {
-			return
+// server refuses; a refusal is named in a single error reply, unless the
+// writer has already cut a reply short, and the connection closed.
+func (s *PSServer) serveConn(pc *psConn) {
+	go s.writeReplies(pc)
+	var err error
+	for err == nil {
+		err = s.serveFrame(pc)
+	}
+	if err != io.EOF {
+		s.mu.Lock()
+		pc.stop = true
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	}
+	close(pc.replies)
+	<-pc.wrote
+	for r := range pc.replies { // what a writer that quit early left queued
+		s.release(r.f)
+	}
+	if err == io.EOF || pc.cut {
+		return
+	}
+	msg := err.Error()
+	if len(msg) > psMaxErr {
+		msg = msg[:psMaxErr]
+	}
+	var b [psHeaderLen + psMaxErr]byte
+	putHeader(b[:], statusError, 0, 0, len(msg))
+	n := psHeaderLen + copy(b[psHeaderLen:], msg)
+	_, _ = pc.conn.Write(b[:n]) // the connection closes whether or not the refusal arrives
+}
+
+// writeReplies is a connection's one writer: it sends the replies the
+// handler queues, in order, each weights frame as far as it is published.
+// Unless the handler stopped it, a writer that gives up closes the
+// connection, which ends the handler's read and the client's.
+func (s *PSServer) writeReplies(pc *psConn) {
+	defer close(pc.wrote)
+	for r := range pc.replies {
+		var sent int
+		var err error
+		if r.f == nil {
+			_, err = pc.conn.Write(r.hdr[:])
+		} else {
+			sent, err = s.stream(pc, r.f)
+			s.release(r.f)
 		}
 		if err != nil {
-			msg := err.Error()
-			if len(msg) > psMaxErr {
-				msg = msg[:psMaxErr]
+			pc.cut = sent > 0 || err != errStopped
+			if err != errStopped {
+				pc.conn.Close()
 			}
-			putHeader(pc.small[:], statusError, 0, 0, len(msg))
-			n := psHeaderLen + copy(pc.small[psHeaderLen:], msg)
-			_, _ = conn.Write(pc.small[:n]) // the connection closes whether or not the refusal arrives
 			return
 		}
-		if _, err := conn.Write(reply); err != nil {
-			return
+	}
+}
+
+// stream sends f's bytes as they are published and returns how many it
+// sent and, if it gave up short of the end, why.
+func (s *PSServer) stream(pc *psConn, f *psFrame) (int, error) {
+	sent := 0
+	for sent < len(f.buf) {
+		s.mu.Lock()
+		for f.mark == sent && s.abandonedLocked(pc) == nil {
+			s.cond.Wait()
 		}
+		mark, err := f.mark, s.abandonedLocked(pc)
+		s.mu.Unlock()
+		if mark == sent {
+			return sent, err
+		}
+		if _, err := pc.conn.Write(f.buf[sent:mark]); err != nil {
+			return sent, err
+		}
+		sent = mark
+	}
+	return sent, nil
+}
+
+// abandonedLocked says why a writer waiting on pc's behalf should give
+// up, or nil.
+//
+//tbd:locked-by-caller
+func (s *PSServer) abandonedLocked(pc *psConn) error {
+	if pc.stop {
+		return errStopped
+	}
+	return s.refusedLocked()
+}
+
+// refusedLocked says why the server takes no more requests, or nil.
+//
+//tbd:locked-by-caller
+func (s *PSServer) refusedLocked() error {
+	if s.closed {
+		return errServerClosed
+	}
+	return s.failed
+}
+
+// queue hands r to pc's writer, or drops it once the writer has quit.
+func (s *PSServer) queue(pc *psConn, r psReply) error {
+	select {
+	case pc.replies <- r:
+		return nil
+	case <-pc.wrote:
+		s.release(r.f)
+		return errWriterStopped
 	}
 }
 
 // serveFrame reads one request, validates its header against the server's
-// own model before touching the payload, and returns the reply frame.
-func (s *PSServer) serveFrame(pc *psConn) ([]byte, error) {
+// own model before touching the payload, and queues its reply.
+func (s *PSServer) serveFrame(pc *psConn) error {
 	h, err := readHeader(pc.r)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch h.kind {
 	case kindPull:
 		if h.length != 0 {
-			return nil, fmt.Errorf("%w: pull with %d payload bytes", errBadLength, h.length)
+			return fmt.Errorf("%w: pull with %d payload bytes", errBadLength, h.length)
 		}
-		return s.handlePull(pc, h.version), nil
+		return s.handlePull(pc, h.version)
 	case kindPush, kindPush16, kindPush8:
 		if h.rank < 0 || h.rank >= s.workers {
-			return nil, fmt.Errorf("rank %d outside [0, %d)", h.rank, s.workers)
+			return fmt.Errorf("rank %d outside [0, %d)", h.rank, s.workers)
 		}
 		if want := pushPayloadLen(h.kind, s.elems, len(s.sizes)); h.length != int64(want) {
-			return nil, fmt.Errorf("%w: push kind %d with %d payload bytes, want %d", errBadLength, h.kind, h.length, want)
+			return fmt.Errorf("%w: push kind %d with %d payload bytes, want %d", errBadLength, h.kind, h.length, want)
 		}
-		if pc.grads == nil {
-			pc.grads = splitFlat(make([]float32, s.elems), s.sizes)
+		if pc.push == nil {
+			pc.push = make([]float32, s.elems)
 		}
-		for _, g := range pc.grads {
-			switch h.kind {
-			case kindPush16:
-				err = pc.wb.readF16(pc.r, g)
-			case kindPush8:
-				err = pc.wb.readInt8(pc.r, g)
-			default:
-				err = pc.wb.readF32(pc.r, g)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("read push payload: %w", err)
-			}
+		if s.async {
+			return s.handleAsyncPush(pc, h)
 		}
-		return s.handleRankedPush(h.rank, pc.grads)
+		return s.handleSyncPush(pc, h)
 	}
-	return nil, fmt.Errorf("%w %d", errUnknownKind, h.kind)
+	return fmt.Errorf("%w %d", errUnknownKind, h.kind)
 }
 
-// splitFlat cuts flat into consecutive tensors of the given sizes.
-func splitFlat(flat []float32, sizes []int) [][]float32 {
-	out := make([][]float32, len(sizes))
-	for i, n := range sizes {
-		out[i], flat = flat[:n:n], flat[n:]
+// readRange decodes rg of a push of kind into pc.push. An int8 tensor's
+// scale comes before its first level, so a piece that starts a tensor
+// reads it; a tensor a range boundary cuts keeps its scale in pc.
+func (s *PSServer) readRange(pc *psConn, kind byte, rg *psRange) error {
+	for _, p := range rg.pieces {
+		dst := pc.push[p.flat : p.flat+p.n]
+		var err error
+		switch kind {
+		case kindPush16:
+			err = pc.wb.readF16(pc.r, dst)
+		case kindPush8:
+			if p.off == 0 {
+				pc.scale, err = pc.wb.readScale(pc.r)
+			}
+			if err == nil {
+				err = pc.wb.readLevels(pc.r, pc.scale, dst)
+			}
+		default:
+			err = pc.wb.readF32(pc.r, dst)
+		}
+		if err != nil {
+			return fmt.Errorf("read push payload: %w", err)
+		}
 	}
-	return out
+	return nil
 }
 
-// handlePull returns the current weights frame, or a header-only reply
-// when the client already holds that version.
-func (s *PSServer) handlePull(pc *psConn, have int) []byte {
+// handlePull queues the current weights frame, or a bare header when the
+// client already holds that version.
+func (s *PSServer) handlePull(pc *psConn, have int) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if have != s.version {
-		return s.reply
+	if err := s.refusedLocked(); err != nil {
+		s.mu.Unlock()
+		return err
 	}
-	putHeader(pc.small[:], statusUnchanged, 0, s.version, 0)
-	return pc.small[:psHeaderLen]
+	var r psReply
+	if have != s.version {
+		r.f = s.reply
+		r.f.refs++
+	} else {
+		putHeader(r.hdr[:], statusUnchanged, 0, s.version, 0)
+	}
+	s.mu.Unlock()
+	return s.queue(pc, r)
 }
 
-// encodeReplyLocked builds the statusWeights frame for the current
-// version in a fresh buffer: earlier frames may still be on their way
-// out of handlers that have dropped mu.
+// handleSyncPush joins pc's push to the open round, queues the round's
+// reply to stream while the push is still arriving, and decodes the push
+// range by range.
+func (s *PSServer) handleSyncPush(pc *psConn, h psHeader) error {
+	s.mu.Lock()
+	f, err := s.claimLocked(pc, h.rank)
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	err = s.queue(pc, psReply{f: f})
+	for i := 0; err == nil && i < len(s.ranges); i++ {
+		if err = s.readRange(pc, h.kind, &s.ranges[i]); err == nil {
+			s.mu.Lock()
+			s.deliverLocked(h.rank)
+			s.mu.Unlock()
+		}
+	}
+	if err != nil {
+		s.mu.Lock()
+		s.abandonLocked(h.rank)
+		s.mu.Unlock()
+	}
+	return err
+}
+
+// claimLocked enters pc's push as rank's in the open round and returns
+// the round's reply frame, one reference taken for pc's writer.
 //
 //tbd:locked-by-caller
-func (s *PSServer) encodeReplyLocked() []byte {
-	frame := make([]byte, psHeaderLen+weightsPayloadLen(s.elems, len(s.sizes)))
-	putHeader(frame, statusWeights, 0, s.version, len(frame)-psHeaderLen)
-	b := frame[psHeaderLen:]
-	binary.LittleEndian.PutUint32(b, uint32(len(s.sizes)))
-	b = b[4:]
-	for _, n := range s.sizes {
-		binary.LittleEndian.PutUint32(b, uint32(n))
-		b = b[4:]
+func (s *PSServer) claimLocked(pc *psConn, rank int) (*psFrame, error) {
+	if err := s.refusedLocked(); err != nil {
+		return nil, err
 	}
+	if s.rankConn[rank] != nil {
+		return nil, fmt.Errorf("rank %d pushed twice in one round", rank)
+	}
+	for r, c := range s.rankConn {
+		if c == pc {
+			return nil, fmt.Errorf("rank %d pushed on a connection whose rank %d push is still in the round", rank, r)
+		}
+	}
+	if s.next == nil {
+		s.next = s.frameLocked(s.version + 1)
+	}
+	s.rankConn[rank] = pc
+	s.next.refs++
+	return s.next, nil
+}
+
+// deliverLocked records one more range of rank's push and applies every
+// range all ranks now hold. Ranges complete in stream order because every
+// push is decoded in that order.
+//
+//tbd:locked-by-caller
+func (s *PSServer) deliverLocked(rank int) {
+	s.delivered[rank]++
+	ready := minInt(s.delivered)
+	if s.done == ready {
+		return // a peer still owes this range
+	}
+	for ; s.done < ready; s.done++ {
+		s.applyRangeLocked(&s.ranges[s.done])
+	}
+	if s.done == len(s.ranges) {
+		s.version++
+		s.releaseLocked(s.reply)
+		s.reply, s.next = s.next, nil
+		for r := range s.rankConn {
+			s.rankConn[r], s.delivered[r] = nil, 0
+		}
+		s.done = 0
+	}
+	s.cond.Broadcast()
+}
+
+// applyRangeLocked reduces rg in rank order 0..N-1 — the accumulation
+// order never depends on network arrival, so repeated runs are
+// bit-identical — steps the optimizer on it and publishes its new weights.
+//
+//tbd:locked-by-caller
+func (s *PSServer) applyRangeLocked(rg *psRange) {
+	inv := 1 / float32(s.workers)
+	for _, p := range rg.pieces {
+		sum := s.params[p.tensor].Grad.Data()[p.off : p.off+p.n]
+		clearF32(sum)
+		for _, c := range s.rankConn {
+			for j, v := range c.push[p.flat : p.flat+p.n] {
+				sum[j] += v
+			}
+		}
+		for j := range sum {
+			sum[j] *= inv
+		}
+	}
+	s.opt.Step(rg.params)
+	for _, p := range rg.pieces {
+		copy(s.next.buf[s.base+4*p.flat:], f32Bytes(s.params[p.tensor].Value.Data()[p.off:p.off+p.n]))
+	}
+	s.next.mark = s.base + 4*rg.hi
+}
+
+// abandonLocked withdraws rank's push after its payload broke off. Before
+// any range is applied the round just waits for that rank again; after,
+// the weights are part of the way to the next version, and the server
+// fails closed.
+//
+//tbd:locked-by-caller
+func (s *PSServer) abandonLocked(rank int) {
+	if s.done == 0 {
+		s.rankConn[rank], s.delivered[rank] = nil, 0
+		return
+	}
+	if s.failed == nil {
+		s.failed = fmt.Errorf("%w: rank %d's push broke off with %d of %d ranges applied", errRoundFailed, rank, s.done, len(s.ranges))
+	}
+	s.cond.Broadcast()
+}
+
+// handleAsyncPush decodes a whole push and applies it at once, then holds
+// the worker while it is more than `staleness` rounds ahead of the
+// slowest clock, and queues the newest weights.
+func (s *PSServer) handleAsyncPush(pc *psConn, h psHeader) error {
+	for i := range s.ranges {
+		if err := s.readRange(pc, h.kind, &s.ranges[i]); err != nil {
+			return err
+		}
+	}
+	s.mu.Lock()
+	if err := s.refusedLocked(); err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	for _, rg := range s.ranges {
+		for _, p := range rg.pieces {
+			copy(s.params[p.tensor].Grad.Data()[p.off:p.off+p.n], pc.push[p.flat:p.flat+p.n])
+		}
+	}
+	s.opt.Step(s.params)
+	s.version++
+	f := s.frameLocked(s.version)
+	s.publishAllLocked(f)
+	s.releaseLocked(s.reply)
+	s.reply = f
+	s.clocks[h.rank]++
+	s.cond.Broadcast()
+	for s.staleness >= 0 && s.clocks[h.rank]-minInt(s.clocks) > s.staleness && !s.closed {
+		s.cond.Wait()
+	}
+	if s.closed {
+		s.mu.Unlock()
+		return errServerClosed
+	}
+	f = s.reply
+	f.refs++
+	s.mu.Unlock()
+	return s.queue(pc, psReply{f: f})
+}
+
+// frameLocked returns a reply frame for version with nothing published
+// and one reference held: a recycled one, or a new one with the layout
+// table written.
+//
+//tbd:locked-by-caller
+func (s *PSServer) frameLocked(version int) *psFrame {
+	var f *psFrame
+	if n := len(s.free); n > 0 {
+		f, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		f = &psFrame{buf: make([]byte, s.base+4*s.elems)}
+		b := f.buf[psHeaderLen:]
+		binary.LittleEndian.PutUint32(b, uint32(len(s.sizes)))
+		for i, n := range s.sizes {
+			binary.LittleEndian.PutUint32(b[4+4*i:], uint32(n))
+		}
+	}
+	putHeader(f.buf, statusWeights, 0, version, len(f.buf)-psHeaderLen)
+	f.mark, f.refs = 0, 1
+	return f
+}
+
+// publishAllLocked copies every weight into f and publishes all of it.
+//
+//tbd:locked-by-caller
+func (s *PSServer) publishAllLocked(f *psFrame) {
+	b := f.buf[s.base:]
 	for _, p := range s.params {
 		b = b[copy(b, f32Bytes(p.Value.Data())):]
 	}
-	return frame
+	f.mark = len(f.buf)
 }
 
-// applyLocked steps the optimizer on the gradients the caller loaded into
-// the parameters and publishes the new version's reply frame.
+// releaseLocked drops one reference to f; the last one recycles it.
 //
 //tbd:locked-by-caller
-func (s *PSServer) applyLocked() {
-	s.opt.Step(s.params)
-	optim.ZeroGrads(s.params)
-	s.version++
-	s.reply = s.encodeReplyLocked()
+func (s *PSServer) releaseLocked(f *psFrame) {
+	if f.refs--; f.refs == 0 && len(s.free) < psFreeFrames {
+		s.free = append(s.free, f)
+	}
 }
 
-// handleRankedPush takes one rank's decoded push: buffered and reduced in rank
-// order when the round completes (sync), or applied immediately under the
-// staleness bound (bounded async). It returns the weights frame of the
-// version the push produced.
-func (s *PSServer) handleRankedPush(rank int, grads [][]float32) ([]byte, error) {
+// release drops a writer's reference to f, if it holds one (f != nil).
+func (s *PSServer) release(f *psFrame) {
+	if f == nil {
+		return
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errServerClosed
-	}
-
-	if s.async {
-		// Apply this worker's contribution immediately, then hold the
-		// worker while it is more than `staleness` rounds ahead of the
-		// slowest clock.
-		for i, p := range s.params {
-			copy(p.Grad.Data(), grads[i])
-		}
-		s.applyLocked()
-		s.clocks[rank]++
-		s.cond.Broadcast()
-		for s.staleness >= 0 && s.clocks[rank]-minInt(s.clocks) > s.staleness && !s.closed {
-			s.cond.Wait()
-		}
-		if s.closed {
-			return nil, errServerClosed
-		}
-		return s.reply, nil
-	}
-
-	if s.rankGrads[rank] != nil {
-		return nil, fmt.Errorf("rank %d pushed twice in one round", rank)
-	}
-	s.rankGrads[rank] = grads
-	s.rankSeen++
-	round := s.version
-	if s.rankSeen == s.workers {
-		// Reduce in rank order 0..N-1: the accumulation order no longer
-		// depends on network arrival, so repeated runs are bit-identical.
-		inv := 1 / float32(s.workers)
-		for i, p := range s.params {
-			sum := p.Grad.Data()
-			clearF32(sum)
-			for _, rg := range s.rankGrads {
-				for j, v := range rg[i] {
-					sum[j] += v
-				}
-			}
-			for j := range sum {
-				sum[j] *= inv
-			}
-		}
-		s.applyLocked()
-		for r := range s.rankGrads {
-			s.rankGrads[r] = nil
-		}
-		s.rankSeen = 0
-		s.cond.Broadcast()
-	} else {
-		for s.version == round && !s.closed {
-			s.cond.Wait()
-		}
-		if s.closed {
-			return nil, errServerClosed
-		}
-	}
-	return s.reply, nil
+	s.releaseLocked(f)
+	s.mu.Unlock()
 }
 
 func clearF32(s []float32) {
@@ -515,9 +859,19 @@ func minInt(xs []int) int {
 type PSClient struct {
 	conn  net.Conn
 	count *countingConn
-	r     *bufio.Reader
 	w     *bufio.Writer
-	buf   wireBuf // a round trip encodes, then decodes
+	sbuf  wireBuf // encodes requests
+
+	// One reader goroutine, for the client's life, decodes each reply while
+	// the request is still going out, so the server can stream a reply
+	// before it has the whole push. It owns r, rbuf, weights and version
+	// from a start until the matching got.
+	r         *bufio.Reader
+	rbuf      wireBuf
+	start     chan struct{} // a request is going out: decode its reply
+	got       chan error    // how that decode ended
+	quit      chan struct{} // closed by Close
+	closeOnce sync.Once
 
 	weights [][]float32 // laid out by the server's first weights reply
 	version int         // of weights; -1 before the first reply
@@ -537,14 +891,37 @@ func DialPSThrottled(addr string, bytesPerSec float64) (*PSClient, error) {
 	}
 	count := newCountingConn(conn)
 	wire := Throttle(count, bytesPerSec)
-	return &PSClient{
-		conn: conn, count: count, version: -1,
-		r: bufio.NewReaderSize(wire, 64<<10), w: bufio.NewWriterSize(wire, 64<<10),
-	}, nil
+	return newPSClient(conn, count, wire, wire), nil
 }
 
-// Close terminates the connection.
-func (c *PSClient) Close() error { return c.conn.Close() }
+// newPSClient starts a client that reads replies from r and writes
+// requests to w, both of which end at conn.
+func newPSClient(conn net.Conn, count *countingConn, r io.Reader, w io.Writer) *PSClient {
+	c := &PSClient{
+		conn: conn, count: count, version: -1,
+		r: bufio.NewReaderSize(r, 64<<10), w: bufio.NewWriterSize(w, 64<<10),
+		start: make(chan struct{}), got: make(chan error, 1), quit: make(chan struct{}),
+	}
+	go c.readReplies()
+	return c
+}
+
+func (c *PSClient) readReplies() {
+	for {
+		select {
+		case <-c.start:
+			c.got <- c.receive()
+		case <-c.quit:
+			return
+		}
+	}
+}
+
+// Close terminates the connection and the reader.
+func (c *PSClient) Close() error {
+	c.closeOnce.Do(func() { close(c.quit) })
+	return c.conn.Close()
+}
 
 // WireBytes returns cumulative (in, out) wire bytes this client moved.
 func (c *PSClient) WireBytes() (in, out int64) { return c.count.Bytes() }
@@ -562,7 +939,9 @@ func (c *PSClient) Pull() ([][]float32, int, error) {
 // which makes synchronous rounds deterministic, and drive the
 // bounded-staleness clock in async mode. Int8 pushes keep an
 // error-feedback residual inside the client, so a client must push the
-// same tensor layout every round.
+// same tensor layout every round. grads must not alias the weights an
+// earlier call returned: the reply is decoded into them while the push is
+// still being sent.
 func (c *PSClient) PushRanked(rank int, comp Compression, grads [][]float32) ([][]float32, int, error) {
 	kind := kindPush
 	switch comp {
@@ -584,15 +963,41 @@ func (c *PSClient) PushRanked(rank int, comp Compression, grads [][]float32) ([]
 	return c.roundTrip(kind, rank, grads)
 }
 
-// roundTrip sends one request and decodes its reply into the retained
-// weights. A failure leaves the stream at an unknown offset, so it closes
-// the connection.
+// roundTrip sends one request while the reader decodes its reply into the
+// retained weights. A failure leaves the stream at an unknown offset, so
+// it closes the connection.
 func (c *PSClient) roundTrip(kind byte, rank int, grads [][]float32) ([][]float32, int, error) {
+	elems := 0
+	for _, g := range grads {
+		elems += len(g)
+	}
+	length := 0
+	if kind != kindPull {
+		length = pushPayloadLen(kind, elems, len(grads))
+	}
+	if int64(length) > math.MaxUint32 {
+		c.conn.Close()
+		return nil, 0, fmt.Errorf("dist: push of %d bytes exceeds one frame", length)
+	}
+	var hdr [psHeaderLen]byte
+	putHeader(hdr[:], kind, rank, c.version, length) // before the reader may move c.version
+
 	in0, out0 := c.count.Bytes()
 	sp := prof.Begin(prof.CatComm, "comm.ps.roundtrip")
-	err := c.send(kind, rank, grads)
-	if err == nil {
-		err = c.receive()
+	var err error
+	select {
+	case c.start <- struct{}{}:
+		if sendErr := c.send(hdr[:], kind, grads); sendErr != nil {
+			c.conn.Close() // no reply is coming: end the reader's wait
+			// The server's own refusal, if it got one out, says more.
+			if err = <-c.got; !errors.Is(err, errRefused) {
+				err = sendErr
+			}
+		} else {
+			err = <-c.got
+		}
+	case <-c.quit:
+		err = fmt.Errorf("dist: round trip on a closed client: %w", net.ErrClosed)
 	}
 	in1, out1 := c.count.Bytes()
 	sp.SetBytes((in1 - in0) + (out1 - out0))
@@ -604,33 +1009,20 @@ func (c *PSClient) roundTrip(kind byte, rank int, grads [][]float32) ([][]float3
 	return c.weights, c.version, nil
 }
 
-func (c *PSClient) send(kind byte, rank int, grads [][]float32) error {
-	elems := 0
-	for _, g := range grads {
-		elems += len(g)
-	}
-	length := 0
-	if kind != kindPull {
-		length = pushPayloadLen(kind, elems, len(grads))
-	}
-	if int64(length) > math.MaxUint32 {
-		return fmt.Errorf("dist: push of %d bytes exceeds one frame", length)
-	}
-	var hdr [psHeaderLen]byte
-	putHeader(hdr[:], kind, rank, c.version, length)
-	_, err := c.w.Write(hdr[:])
+func (c *PSClient) send(hdr []byte, kind byte, grads [][]float32) error {
+	_, err := c.w.Write(hdr)
 	for i, g := range grads {
 		if err != nil {
 			break
 		}
 		switch kind {
 		case kindPush16:
-			err = c.buf.writeF16(c.w, g)
+			err = c.sbuf.writeF16(c.w, g)
 		case kindPush8:
 			q := c.qbuf[:len(g)]
-			err = c.buf.writeInt8(c.w, c.quant.QuantizeAt(c.offs[i], g, q), q)
+			err = c.sbuf.writeInt8(c.w, c.quant.QuantizeAt(c.offs[i], g, q), q)
 		default:
-			err = c.buf.writeF32(c.w, g)
+			err = c.sbuf.writeF32(c.w, g)
 		}
 	}
 	if err == nil {
@@ -650,6 +1042,9 @@ func (c *PSClient) receive() error {
 	switch h.kind {
 	case statusWeights:
 		if err := c.readWeights(h.length); err != nil {
+			if !errors.Is(err, errBadLength) {
+				err = fmt.Errorf("%w: %w", errReplyCut, err)
+			}
 			return fmt.Errorf("dist: receive weights: %w", err)
 		}
 		c.version = h.version
@@ -663,11 +1058,11 @@ func (c *PSClient) receive() error {
 		if h.length > psMaxErr {
 			return fmt.Errorf("dist: receive reply: %w", errLongError)
 		}
-		msg := c.buf.grow(int(h.length))
+		msg := c.rbuf.grow(int(h.length))
 		if _, err := io.ReadFull(c.r, msg); err != nil {
 			return fmt.Errorf("dist: receive error reply: %w", err)
 		}
-		return fmt.Errorf("dist: server: %s", msg)
+		return fmt.Errorf("dist: %w: %s", errRefused, msg)
 	}
 	return fmt.Errorf("dist: receive reply: %w %d", errUnknownKind, h.kind)
 }
@@ -684,7 +1079,7 @@ func (c *PSClient) readWeights(length int64) error {
 	if 4+4*n > length {
 		return fmt.Errorf("%w: %d tensors in %d bytes", errBadLength, n, length)
 	}
-	table := c.buf.grow(int(4 * n))
+	table := c.rbuf.grow(int(4 * n))
 	if _, err := io.ReadFull(c.r, table); err != nil {
 		return err
 	}
@@ -705,11 +1100,20 @@ func (c *PSClient) readWeights(length int64) error {
 		c.weights = splitFlat(make([]float32, (total-4-4*n)/4), sizes)
 	}
 	for _, w := range c.weights {
-		if err := c.buf.readF32(c.r, w); err != nil {
+		if err := c.rbuf.readF32(c.r, w); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// splitFlat cuts flat into consecutive tensors of the given sizes.
+func splitFlat(flat []float32, sizes []int) [][]float32 {
+	out := make([][]float32, len(sizes))
+	for i, n := range sizes {
+		out[i], flat = flat[:n:n], flat[n:]
+	}
+	return out
 }
 
 // LoadWeights copies pulled weights into a parameter list.

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"net"
 	"runtime"
 	"strings"
@@ -65,9 +66,16 @@ func TestPSCloseUnblocksInFlightHandlers(t *testing.T) {
 		t.Fatal("blocked push must fail when the server closes")
 	}
 
-	// Every server goroutine (accept loop + 2 handlers) must be gone.
+	// Every server goroutine (accept loop, 2 handlers and their writers)
+	// and both client readers must be gone.
 	idle.Close()
 	pusher.Close()
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails unless the goroutine count falls back to before.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
 		runtime.Gosched()
 		time.Sleep(5 * time.Millisecond)
@@ -75,6 +83,119 @@ func TestPSCloseUnblocksInFlightHandlers(t *testing.T) {
 	if g := runtime.NumGoroutine(); g > before {
 		t.Fatalf("goroutines leaked: %d before, %d after Close", before, g)
 	}
+}
+
+// midStream is a two-worker mlp-wide round caught half-way: rank 0 has
+// sent its whole push on a client, rank 1 half of its push on a raw
+// connection, and part of rank 0's reply has already arrived.
+type midStream struct {
+	s       *PSServer
+	rank0   *PSClient
+	pushErr chan error
+	rank1   net.Conn
+}
+
+func startMidStream(t *testing.T) *midStream {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, params, err := BuildMasterParams("mlp-wide", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &midStream{s: ServePS(l, params, optim.NewSGD(0.1), 2), pushErr: make(chan error, 1)}
+	if m.rank0, err = DialPSThrottled(m.s.Addr(), 0); err != nil {
+		t.Fatal(err)
+	}
+	grads := GradSlices(params)
+	go func() {
+		_, _, err := m.rank0.PushRanked(0, CompressNone, grads)
+		m.pushErr <- err
+	}()
+	if m.rank1, err = net.Dial("tcp", m.s.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	push := rawFrame(kindPush, 1, -1, make([]byte, 4*m.s.elems))
+	if _, err := m.rank1.Write(push[:psHeaderLen+2*m.s.elems]); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if in, _ := m.rank0.WireBytes(); in > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no reply byte reached rank 0 while rank 1's push was half in")
+		}
+	}
+	return m
+}
+
+// awaitPush returns rank 0's push error, failing the test after 5 s.
+func (m *midStream) awaitPush(t *testing.T) error {
+	t.Helper()
+	select {
+	case err := <-m.pushErr:
+		if err == nil {
+			t.Fatal("rank 0's push succeeded in a round that never completed")
+		}
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("rank 0's push still blocked after 5 s")
+	}
+	return nil
+}
+
+// closeWithin closes the server, failing the test if Close hangs.
+func closeWithin(t *testing.T, s *PSServer) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		s.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung")
+	}
+}
+
+func TestPSRankDyingMidPushFailsTheRound(t *testing.T) {
+	// Rank 1 dies half-way through its push after part of the round was
+	// applied and streamed: no version describes the server's weights any
+	// more, so rank 0's push fails at once, every later request is refused
+	// by name, and nothing is left running.
+	before := runtime.NumGoroutine()
+	m := startMidStream(t)
+	m.rank1.Close()
+	if err := m.awaitPush(t); !errors.Is(err, errReplyCut) {
+		t.Fatalf("rank 0's push: got %v, want %v", err, errReplyCut)
+	}
+	late, err := DialPSThrottled(m.s.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := late.Pull(); !errors.Is(err, errRefused) || !strings.Contains(err.Error(), errRoundFailed.Error()) {
+		t.Fatalf("pull after the failed round: got %v, want the server's %q", err, errRoundFailed)
+	}
+	late.Close()
+	m.rank0.Close()
+	closeWithin(t, m.s)
+	waitGoroutines(t, before)
+}
+
+func TestPSCloseMidRound(t *testing.T) {
+	// Close with a round half reduced: rank 1 is still connected with half
+	// its push in, rank 0 is reading a reply that will never be finished.
+	before := runtime.NumGoroutine()
+	m := startMidStream(t)
+	closeWithin(t, m.s)
+	m.awaitPush(t)
+	m.rank1.Close()
+	m.rank0.Close()
+	waitGoroutines(t, before)
 }
 
 // psTrainRanked trains `rounds` steps with `workers` ranked TCP clients
@@ -206,7 +327,12 @@ func waitRankSeen(t *testing.T, s *PSServer, n int) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		s.mu.Lock()
-		seen := s.rankSeen
+		seen := 0
+		for _, c := range s.rankConn {
+			if c != nil {
+				seen++
+			}
+		}
 		s.mu.Unlock()
 		if seen == n {
 			return

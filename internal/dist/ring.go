@@ -228,6 +228,13 @@ func (r *Ring) averageOwned(flat []float32) {
 	lo, hi := r.Owned(len(flat))
 	inv := 1 / float32(r.n)
 	owned := flat[lo:hi]
+	for ; len(owned) >= 4; owned = owned[4:] { // unrolled: see readF32Add
+		o := owned[:4:4]
+		o[0] *= inv
+		o[1] *= inv
+		o[2] *= inv
+		o[3] *= inv
+	}
 	for i := range owned {
 		owned[i] *= inv
 	}

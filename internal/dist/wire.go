@@ -100,7 +100,9 @@ func (b *wireBuf) readF32(r io.Reader, dst []float32) error {
 }
 
 // readF32Add reads little-endian float32s and ADDS them into dst (the
-// ring's reduce step).
+// ring's reduce step). The add is unrolled by four, as in averageOwned:
+// the one-element loop ran 40–80 % slower when a change elsewhere in the
+// package moved it 32 bytes off a 64-byte line.
 func (b *wireBuf) readF32Add(r io.Reader, dst []float32) error {
 	if cap(b.f32) < len(dst) {
 		b.f32 = make([]float32, len(dst))
@@ -110,6 +112,13 @@ func (b *wireBuf) readF32Add(r io.Reader, dst []float32) error {
 		return err
 	}
 	dst = dst[:len(src)]
+	for ; len(src) >= 4; src, dst = src[4:], dst[4:] {
+		s, d := src[:4:4], dst[:4:4]
+		d[0] += s[0]
+		d[1] += s[1]
+		d[2] += s[2]
+		d[3] += s[3]
+	}
 	for i, v := range src {
 		dst[i] += v
 	}
@@ -163,13 +172,12 @@ func (b *wireBuf) writeInt8(w io.Writer, scale float32, q []byte) error {
 }
 
 // readInt8Add reads one int8 message and ADDS the dequantized values
-// into dst; readInt8 overwrites.
+// into dst (the ring's reduce step).
 func (b *wireBuf) readInt8Add(r io.Reader, dst []float32) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	scale, err := b.readScale(r)
+	if err != nil {
 		return err
 	}
-	scale := math.Float32frombits(binary.LittleEndian.Uint32(hdr[:]))
 	buf := b.grow(len(dst))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return err
@@ -180,12 +188,19 @@ func (b *wireBuf) readInt8Add(r io.Reader, dst []float32) error {
 	return nil
 }
 
-func (b *wireBuf) readInt8(r io.Reader, dst []float32) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+// readScale reads the float32 scale an int8 message starts with.
+func (b *wireBuf) readScale(r io.Reader) (float32, error) {
+	buf := b.grow(4)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return 0, err
 	}
-	scale := math.Float32frombits(binary.LittleEndian.Uint32(hdr[:]))
+	return math.Float32frombits(binary.LittleEndian.Uint32(buf)), nil
+}
+
+// readLevels reads len(dst) int8 levels of a message whose scale was read
+// before them and overwrites dst with their values (the parameter server's
+// push decode, which may take one message in several pieces).
+func (b *wireBuf) readLevels(r io.Reader, scale float32, dst []float32) error {
 	buf := b.grow(len(dst))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return err
