@@ -424,18 +424,11 @@ func printTwinProfile(topK int, asJSON bool, traceOut string) error {
 			mb(bd.FeatureMaps), mb(bd.Weights), mb(bd.WeightGradients), mb(bd.Dynamic), mb(bd.Workspace), mb(bd.Total()), 100*bd.FeatureMapShare())
 	}
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
+		n, err := trace.WriteProfChromeFile(traceOut)
 		if err != nil {
 			return err
 		}
-		if err := trace.WriteProfChrome(f, prof.Records()); err != nil {
-			_ = f.Close() // the write error is the one worth reporting
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("Chrome trace (%d events) written to %s — load in chrome://tracing or Perfetto\n", len(prof.Records()), traceOut)
+		fmt.Printf("Chrome trace (%d events) written to %s — load in chrome://tracing or Perfetto\n", n, traceOut)
 	}
 	return nil
 }

@@ -19,8 +19,9 @@
 // streamed in the request body into every replica with zero downtime.
 // Queue-full sheds are 429; SLO-infeasible sheds and drain are 503; a
 // body over the size a well-formed request could need is 413. With
-// -trace it writes the captured per-batch timeline as Chrome trace-event
-// JSON on shutdown.
+// -trace it runs the live profiler and on shutdown writes its span
+// timeline — one serve.rK.batch slice per flushed batch, with the batch's
+// input bytes in the slice's args — as Chrome trace-event JSON.
 package main
 
 import (
@@ -46,6 +47,7 @@ import (
 	"tbd/internal/prof"
 	"tbd/internal/serve"
 	"tbd/internal/tensor"
+	"tbd/internal/trace"
 )
 
 func main() {
@@ -87,7 +89,7 @@ func cmdServe(args []string) error {
 	queue := fs.Int("queue", 256, "admission queue depth per replica (0 = 4*batch)")
 	parallel := fs.Int("parallel", 0, "tensor worker parallelism before the per-replica clamp (0 = GOMAXPROCS)")
 	seed := fs.Uint64("seed", 42, "weight init seed")
-	traceOut := fs.String("trace", "", "write per-batch Chrome trace JSON to this `file` on shutdown")
+	traceOut := fs.String("trace", "", "enable the live profiler and write its span timeline (one serve.rK.batch slice per batch) as Chrome trace JSON to this `file` on shutdown")
 	profile := fs.Bool("profile", false, "enable the live profiler; snapshot at GET /debug/prof, summary on shutdown")
 	fp16 := fs.Bool("fp16", false, "freeze weights to fp16 storage (halves resident weight bytes; outputs shift within quantization error)")
 	if err := fs.Parse(args); err != nil {
@@ -106,7 +108,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *profile {
+	if *profile || *traceOut != "" {
 		prof.Enable()
 	}
 	factory := func() (*serve.Session, error) {
@@ -116,10 +118,6 @@ func cmdServe(args []string) error {
 		}
 		return serve.NewSession(net, shp...), nil
 	}
-	traceCap := 0
-	if *traceOut != "" {
-		traceCap = 1 << 16
-	}
 	fleet, err := serve.NewFleet(factory, serve.FleetConfig{
 		Replicas:    *replicas,
 		MaxBatch:    *batch,
@@ -127,7 +125,6 @@ func cmdServe(args []string) error {
 		QueueDepth:  *queue,
 		SLO:         *slo,
 		HalfWeights: *fp16,
-		TraceEvents: traceCap,
 	})
 	if err != nil {
 		return err
@@ -170,33 +167,35 @@ func cmdServe(args []string) error {
 		return err
 	}
 	fleet.Close()
+	if err := report(os.Stdout, fleet, *profile, *traceOut); err != nil {
+		return err
+	}
+	return <-errCh
+}
 
-	snap := fleet.Stats()
-	out, _ := json.MarshalIndent(snap, "", "  ")
-	fmt.Printf("tbdserve: final stats\n%s\n", out)
-
-	if *profile {
-		prof.Disable()
-		fmt.Println()
-		if err := prof.Stats().Table(10).Render(os.Stdout); err != nil {
+// report prints what a drained fleet measured: the final /stats
+// snapshot; with -profile the profiler's span table; with -trace the
+// profiler's span timeline written as a Chrome trace file, one
+// serve.rK.batch slice per flushed batch up to the profiler's record cap.
+func report(w io.Writer, fleet *serve.Fleet, profile bool, traceOut string) error {
+	out, _ := json.MarshalIndent(fleet.Stats(), "", "  ")
+	fmt.Fprintf(w, "tbdserve: final stats\n%s\n", out)
+	prof.Disable()
+	if profile {
+		fmt.Fprintln(w)
+		if err := prof.Stats().Table(10).Render(w); err != nil {
 			return err
 		}
 	}
-
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+	if traceOut != "" {
+		n, err := trace.WriteProfChromeFile(traceOut)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		tl := fleet.Timeline()
-		if err := tl.WriteChromeTrace(f); err != nil {
-			return err
-		}
-		fmt.Printf("tbdserve: wrote batch trace to %s (%d events, %d dropped)\n",
-			*traceOut, len(tl.Events), fleet.TraceEventsDropped())
+		fmt.Fprintf(w, "tbdserve: wrote span trace to %s (%d spans, %d dropped past the record cap)\n",
+			traceOut, n, prof.Dropped())
 	}
-	return <-errCh
+	return nil
 }
 
 // newHandler is the daemon's HTTP surface: the fleet handler with /swap

@@ -1,17 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"tbd/internal/models"
+	"tbd/internal/prof"
 	"tbd/internal/serve"
 	"tbd/internal/tensor"
 )
@@ -85,16 +90,7 @@ func TestPostStatusMapping(t *testing.T) {
 // cmdServe mounts, over a real twin, driven by both generators through
 // post exactly as cmdLoadgen drives them.
 func TestLoadgenAgainstDaemonHandler(t *testing.T) {
-	fleet, err := serve.NewFleet(func() (*serve.Session, error) {
-		net, shape, err := models.ServeTwin("mlp", tensor.NewRNG(42))
-		if err != nil {
-			return nil, err
-		}
-		return serve.NewSession(net, shape...), nil
-	}, serve.FleetConfig{MaxBatch: 8, MaxWait: time.Millisecond, QueueDepth: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fleet := mlpFleet(t, serve.FleetConfig{MaxBatch: 8, MaxWait: time.Millisecond, QueueDepth: 64})
 	defer fleet.Close()
 	srv := httptest.NewServer(newHandler(fleet))
 	defer srv.Close()
@@ -140,5 +136,96 @@ func TestLoadgenAgainstDaemonHandler(t *testing.T) {
 	fleet.Close()
 	if err := call(); !errors.Is(err, serve.ErrDeadline) {
 		t.Fatalf("predict during drain: %v, want ErrDeadline", err)
+	}
+}
+
+// mlpFleet serves the mlp twin the way cmdServe builds it.
+func mlpFleet(t *testing.T, cfg serve.FleetConfig) *serve.Fleet {
+	t.Helper()
+	fleet, err := serve.NewFleet(func() (*serve.Session, error) {
+		net, shape, err := models.ServeTwin("mlp", tensor.NewRNG(42))
+		if err != nil {
+			return nil, err
+		}
+		return serve.NewSession(net, shape...), nil
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fleet
+}
+
+// TestTraceFileFromDaemon runs the daemon's handler with the profiler on,
+// as -trace does, writes the trace the way cmdServe does on shutdown, and
+// parses the file back: one serve.rK.batch slice per flushed batch from
+// both replicas, each showing the batch's input bytes.
+func TestTraceFileFromDaemon(t *testing.T) {
+	prof.Enable()
+	defer prof.Disable()
+	const maxBatch = 8
+	fleet := mlpFleet(t, serve.FleetConfig{Replicas: 2, MaxBatch: maxBatch, MaxWait: time.Millisecond, QueueDepth: 64})
+	defer fleet.Close()
+	srv := httptest.NewServer(newHandler(fleet))
+	defer srv.Close()
+
+	_, shape, err := models.ServeTwin("mlp", tensor.NewRNG(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(serve.PredictRequest{Input: make([]float32, shape[0])})
+	res := serve.LoadGen{Concurrency: 8, Duration: 100 * time.Millisecond}.Run(func(int) error {
+		return post(srv.Client(), srv.URL+"/predict", body)
+	})
+	if res.Requests == 0 || res.Errors != 0 {
+		t.Fatalf("load: %d ok, %d errors", res.Requests, res.Errors)
+	}
+	fleet.Close()
+
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var out bytes.Buffer
+	if err := report(&out, fleet, false, path); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), path) {
+		t.Fatalf("report does not name the trace file:\n%s", out.String())
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Args struct {
+				Bytes int64 `json:"bytes"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("trace file is not Chrome trace JSON: %v", err)
+	}
+	rowBytes := 4 * int64(shape[0])
+	perReplica := map[string]uint64{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph != "X" || !strings.HasPrefix(e.Name, "serve.r") {
+			continue
+		}
+		if e.Args.Bytes <= 0 || e.Args.Bytes%rowBytes != 0 || e.Args.Bytes/rowBytes > maxBatch {
+			t.Fatalf("%s slice shows %d bytes, want 1 to %d rows of %d", e.Name, e.Args.Bytes, maxBatch, rowBytes)
+		}
+		perReplica[e.Name]++
+	}
+	snap := fleet.Stats()
+	if prof.Dropped() != 0 {
+		t.Fatalf("%d spans dropped below the default record cap", prof.Dropped())
+	}
+	for i, rs := range snap.PerReplica {
+		if name := fmt.Sprintf("serve.r%d.batch", i); perReplica[name] != rs.Batches {
+			t.Errorf("%s: %d slices, replica flushed %d batches", name, perReplica[name], rs.Batches)
+		}
+	}
+	if len(perReplica) != 2 {
+		t.Fatalf("batch slices from %d replicas, want 2: %v", len(perReplica), perReplica)
 	}
 }

@@ -1,43 +1,16 @@
 package dist
 
 import (
-	"go/parser"
-	"go/token"
 	"net"
 	"reflect"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
 	"tbd/internal/optim"
 	"tbd/internal/prof"
 )
-
-func TestDistImportsNoSimulatedPlane(t *testing.T) {
-	// internal/dist is sockets and processes: the cluster model, the
-	// kernel cost model and the device tables live on the other plane.
-	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", nil, parser.ImportsOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range pkgs {
-		for name, f := range pkg.Files {
-			if strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			for _, imp := range f.Imports {
-				path, _ := strconv.Unquote(imp.Path.Value)
-				switch path {
-				case "tbd/internal/sim", "tbd/internal/kernels", "tbd/internal/device", "tbd/internal/framework":
-					t.Errorf("%s imports %s", name, path)
-				}
-			}
-		}
-	}
-}
 
 // soloRing trains one single-rank ring run of the mlp model through
 // trainWorker and returns what the rank would report.

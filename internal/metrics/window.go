@@ -25,7 +25,6 @@ type RollingHistogram struct {
 	curEpoch   int64        // absolute slice number held by slices[cur]; guarded by mu
 
 	sliceDur time.Duration
-	span     time.Duration
 	start    time.Time
 }
 
@@ -49,7 +48,6 @@ func NewRollingHistogram(proto *Histogram, sliceDur time.Duration, slices int) *
 		slices:     ring,
 		cumulative: cum,
 		sliceDur:   sliceDur,
-		span:       sliceDur * time.Duration(slices),
 		start:      time.Now(),
 	}
 }
@@ -120,42 +118,12 @@ func (w *RollingHistogram) SnapshotAt(now time.Time) *Histogram {
 	return out
 }
 
-// SnapshotSince merges only the slices younger than age, bounding the
-// lookback tighter than the full window (age is rounded up to whole
-// slices; at least the active slice is always included).
-func (w *RollingHistogram) SnapshotSince(age time.Duration) *Histogram {
-	return w.snapshotSinceAt(age, time.Now())
-}
-
-func (w *RollingHistogram) snapshotSinceAt(age time.Duration, now time.Time) *Histogram {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.rotate(now)
-	keep := int64(1)
-	if age > 0 {
-		keep = int64((age + w.sliceDur - 1) / w.sliceDur)
-	}
-	if keep > int64(len(w.slices)) {
-		keep = int64(len(w.slices))
-	}
-	out := w.slices[w.cur].Clone()
-	for i := 1; int64(i) < keep; i++ {
-		idx := (w.cur - i) % len(w.slices)
-		if idx < 0 {
-			idx += len(w.slices)
-		}
-		out.Merge(w.slices[idx])
-	}
-	return out
-}
-
 // Cumulative returns a copy of the lifetime histogram (every observation
-// since the window was created, regardless of rotation).
+// since the window was created, regardless of rotation). It is what the
+// serving /stats endpoint reports, per replica and merged bucket-wise
+// across the fleet.
 func (w *RollingHistogram) Cumulative() *Histogram {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.cumulative.Clone()
 }
-
-// Span returns the wall-clock width of the full window.
-func (w *RollingHistogram) Span() time.Duration { return w.span }

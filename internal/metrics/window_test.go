@@ -73,28 +73,6 @@ func TestWindowFullExpiry(t *testing.T) {
 	}
 }
 
-// TestWindowSnapshotSince bounds the lookback to whole slices: only
-// observations younger than the given age (rounded up to a slice) are
-// merged.
-func TestWindowSnapshotSince(t *testing.T) {
-	w := NewRollingHistogram(NewLatencyHistogram(), 100*time.Millisecond, 8)
-	t0 := w.start
-	w.ObserveAt(1.0, t0.Add(10*time.Millisecond))   // epoch 0
-	w.ObserveAt(1.0, t0.Add(310*time.Millisecond))  // epoch 3
-	w.ObserveAt(1e-3, t0.Add(510*time.Millisecond)) // epoch 5
-
-	now := t0.Add(520 * time.Millisecond)
-	if got := w.snapshotSinceAt(100*time.Millisecond, now).Count(); got != 1 {
-		t.Fatalf("since 100ms: count = %d, want 1 (active slice only)", got)
-	}
-	if got := w.snapshotSinceAt(300*time.Millisecond, now).Count(); got != 2 {
-		t.Fatalf("since 300ms: count = %d, want 2", got)
-	}
-	if got := w.snapshotSinceAt(10*time.Second, now).Count(); got != 3 {
-		t.Fatalf("since 10s (clamped to window): count = %d, want 3", got)
-	}
-}
-
 // TestWindowObserveOutOfOrderClock: an Observe carrying a timestamp older
 // than the active slice must not rewind the ring.
 func TestWindowObserveOutOfOrderClock(t *testing.T) {
@@ -164,7 +142,6 @@ func TestWindowConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 2000; j++ {
 				_ = w.Snapshot().Quantile(0.99)
-				_ = w.SnapshotSince(50 * time.Millisecond).Count()
 				_ = w.Cumulative().Mean()
 			}
 		}()

@@ -8,12 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tbd/internal/kernels"
-	"tbd/internal/metrics"
 	"tbd/internal/prof"
-	"tbd/internal/sim"
 	"tbd/internal/tensor"
-	"tbd/internal/trace"
 )
 
 // Fleet is the serving front end: N batch runners (one Session and one
@@ -63,10 +59,6 @@ type Fleet struct {
 	// rr rotates the router's tie-break so equally-idle replicas take
 	// turns instead of piling onto replica 0.
 	rr atomic.Uint64
-
-	traceMu      sync.Mutex
-	traceEvents  []sim.Event // guarded by traceMu
-	traceDropped uint64      // guarded by traceMu
 }
 
 // Sentinel errors of the admission path.
@@ -140,16 +132,9 @@ type FleetConfig struct {
 	// carry one, and the router's p99 steering target: replicas whose
 	// recent p99 exceeds it are deprioritized. 0 disables both.
 	SLO time.Duration
-	// Window is the span of the rotating histograms behind the router's
-	// control signals (recent batch-time p50, recent latency p99).
-	// Defaults to 2s.
-	Window time.Duration
 	// HalfWeights freezes every replica's weights to fp16 storage after
 	// sharing. NewFleet fails if the model does not support it.
 	HalfWeights bool
-	// TraceEvents, when positive, retains up to that many per-batch trace
-	// events across the whole fleet for Timeline export.
-	TraceEvents int
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
@@ -164,9 +149,6 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.MaxBatch
-	}
-	if c.Window <= 0 {
-		c.Window = 2 * time.Second
 	}
 	if c.SLO < 0 {
 		c.SLO = 0
@@ -188,14 +170,12 @@ type replica struct {
 	// plus the in-flight batch); the router's queue-depth signal.
 	queued atomic.Int64
 
-	// Router control signals, refreshed by the runner after every flush:
-	// float64 bits of the recent median batch time and recent p99 request
-	// latency in seconds. Atomics so the router reads them lock-free.
+	// Router control signals, refreshed by the runner after every flush
+	// from the windows of stats' rolling histograms: float64 bits of the
+	// recent median batch time and recent p99 request latency in seconds.
+	// Atomics so the router reads them lock-free.
 	batchP50  atomic.Uint64
 	recentP99 atomic.Uint64
-
-	batchWin *metrics.RollingHistogram // recent per-batch forward seconds
-	latWin   *metrics.RollingHistogram // recent request latency seconds
 
 	// buf is the replica-owned batch workspace (capacity MaxBatch x
 	// sampleLen), touched only by the runner goroutine. Assembling batches
@@ -274,8 +254,6 @@ func NewFleet(factory func() (*Session, error), cfg FleetConfig) (*Fleet, error)
 			fleet:    f,
 			queue:    make(chan *request, cfg.QueueDepth),
 			stats:    newStats(cfg.MaxBatch),
-			batchWin: metrics.NewRollingLatencyHistogram(cfg.Window),
-			latWin:   metrics.NewRollingLatencyHistogram(cfg.Window),
 			buf:      make([]float32, cfg.MaxBatch*s.sampleLen),
 			spanName: fmt.Sprintf("serve.r%d.batch", i),
 		}
@@ -566,29 +544,20 @@ func (r *replica) flush(batch []*request) {
 
 	rowLen := out.Numel() / n
 	done := time.Now()
-	latencies := make([]float64, n)
 	for i, q := range live {
-		res := Result{
+		q.resp <- response{res: Result{
 			Output:    append([]float32(nil), out.Data()[i*rowLen:(i+1)*rowLen]...),
 			Latency:   done.Sub(q.enq),
 			BatchSize: n,
 			Replica:   r.id,
-		}
-		latencies[i] = res.Latency.Seconds()
-		q.resp <- response{res: res}
+		}}
 	}
 	r.queued.Add(-int64(n))
-	r.stats.recordBatch(n, dur.Seconds(), latencies)
+	r.stats.recordBatch(live, dur, done)
 
-	// Refresh the router's control signals from the rotating windows.
-	r.batchWin.Observe(dur.Seconds())
-	for _, l := range latencies {
-		r.latWin.Observe(l)
-	}
-	r.batchP50.Store(math.Float64bits(r.batchWin.Snapshot().Quantile(0.50)))
-	r.recentP99.Store(math.Float64bits(r.latWin.Snapshot().Quantile(0.99)))
-
-	f.recordTrace(r.id, n, t0, dur)
+	// Refresh the router's control signals from the rolling windows.
+	r.batchP50.Store(math.Float64bits(r.stats.batchTime.Snapshot().Quantile(0.50)))
+	r.recentP99.Store(math.Float64bits(r.stats.latency.Snapshot().Quantile(0.99)))
 }
 
 // residentWeightBytes is the fleet's actual weight footprint: one
@@ -604,40 +573,4 @@ func (f *Fleet) residentWeightBytes() int64 {
 		total += r.sess.Load().WeightBytes()
 	}
 	return total
-}
-
-// recordTrace appends one per-batch event to the fleet-wide trace
-// buffer, dropping once full.
-func (f *Fleet) recordTrace(id, n int, t0 time.Time, dur time.Duration) {
-	if f.cfg.TraceEvents <= 0 {
-		return
-	}
-	f.traceMu.Lock()
-	defer f.traceMu.Unlock()
-	if len(f.traceEvents) >= f.cfg.TraceEvents {
-		f.traceDropped++
-		return
-	}
-	f.traceEvents = append(f.traceEvents, sim.Event{
-		Name:     fmt.Sprintf("serve.r%d.batch[n=%d]", id, n),
-		Class:    kernels.GEMM,
-		StartSec: t0.Sub(f.start).Seconds(),
-		DurSec:   dur.Seconds(),
-	})
-}
-
-// Timeline exports the fleet-wide per-batch trace events (empty when
-// FleetConfig.TraceEvents is 0).
-func (f *Fleet) Timeline() *trace.Timeline {
-	f.traceMu.Lock()
-	defer f.traceMu.Unlock()
-	return trace.New(append([]sim.Event(nil), f.traceEvents...))
-}
-
-// TraceEventsDropped reports how many batch events were discarded after
-// the trace buffer filled.
-func (f *Fleet) TraceEventsDropped() uint64 {
-	f.traceMu.Lock()
-	defer f.traceMu.Unlock()
-	return f.traceDropped
 }

@@ -45,23 +45,24 @@ type FleetSnapshot struct {
 
 // Stats returns a point-in-time fleet snapshot.
 func (f *Fleet) Stats() FleetSnapshot {
-	parts := make([]*Stats, len(f.replicas))
+	var all statsView
 	per := make([]ReplicaSnapshot, len(f.replicas))
 	recent := metrics.NewLatencyHistogram()
 	for i, r := range f.replicas {
-		parts[i] = r.stats
+		v := r.stats.view()
 		rs := ReplicaSnapshot{
 			Replica:          i,
-			StatsSnapshot:    r.stats.snapshot(f.start),
+			StatsSnapshot:    v.snapshot(f.start),
 			QueueDepth:       int(r.queued.Load()),
 			RecentP99Ms:      1e3 * math.Float64frombits(r.recentP99.Load()),
 			RecentBatchP50Ms: 1e3 * math.Float64frombits(r.batchP50.Load()),
 		}
 		rs.WeightBytes = r.sess.Load().WeightBytes()
 		per[i] = rs
-		recent.Merge(r.latWin.Snapshot())
+		all.merge(v)
+		recent.Merge(r.stats.latency.Snapshot())
 	}
-	agg := aggregateStats(parts).snapshot(f.start)
+	agg := all.snapshot(f.start)
 	// Router-side sheds happen before a replica is chosen; fold them into
 	// the aggregate (replica stats only ever count dequeue-time deadline
 	// sheds, so there is no double counting).
@@ -81,14 +82,4 @@ func (f *Fleet) Stats() FleetSnapshot {
 		LastSwapMs:    float64(f.lastSwapNs.Load()) / 1e6,
 		PerReplica:    per,
 	}
-}
-
-// LatencyHistogram returns the fleet-wide request-latency histogram
-// (bucket-exact merge across replicas).
-func (f *Fleet) LatencyHistogram() *metrics.Histogram {
-	h := metrics.NewLatencyHistogram()
-	for _, r := range f.replicas {
-		h.Merge(r.stats.LatencyHistogram())
-	}
-	return h
 }

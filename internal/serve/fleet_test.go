@@ -278,12 +278,13 @@ func TestFleetStatsAggregate(t *testing.T) {
 		return NewSession(identityModel{}, 4), nil
 	}
 	f, err := NewFleet(factory, FleetConfig{
-		Replicas: 3, MaxBatch: 8, MaxWait: 500 * time.Microsecond, QueueDepth: 64, TraceEvents: 256,
+		Replicas: 3, MaxBatch: 8, MaxWait: 500 * time.Microsecond, QueueDepth: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	capture(t, 256)
 
 	const nReq = 90
 	var wg sync.WaitGroup
@@ -315,19 +316,13 @@ func TestFleetStatsAggregate(t *testing.T) {
 	if snap.LatencyP50Ms <= 0 {
 		t.Fatal("aggregate latency quantiles empty")
 	}
-	if h := f.LatencyHistogram(); h.Count() != snap.Completed {
-		t.Fatalf("fleet latency histogram count=%d, want %d", h.Count(), snap.Completed)
-	}
-	tl := f.Timeline()
-	if len(tl.Events) == 0 {
-		t.Fatal("no fleet trace events captured")
-	}
+	checkLatencyCount(t, f, snap.Completed)
 	seen := map[string]bool{}
-	for _, e := range tl.Events {
-		seen[e.Name[:len("serve.rX")]] = true
+	for _, s := range batchSpans(t, snap.Batches) {
+		seen[s.Name] = true
 	}
 	if len(seen) < 2 {
-		t.Fatalf("trace events name only %d replica(s): %v", len(seen), seen)
+		t.Fatalf("batch spans name only %d replica(s): %v", len(seen), seen)
 	}
 }
 

@@ -117,14 +117,8 @@ func (s *Session) InferBatch(x *tensor.Tensor) *tensor.Tensor {
 // deliberately given up. Duck-typed so serve stays decoupled from the
 // graph package; *graph.Network implements the method.
 func (s *Session) FreezeHalfWeights() bool {
-	if f, ok := s.model.(interface{ FreezeHalfWeights() bool }); ok {
-		return f.FreezeHalfWeights()
-	}
-	if f, ok := s.model.(interface{ FreezeHalfWeights() }); ok {
-		f.FreezeHalfWeights()
-		return true
-	}
-	return false
+	f, ok := s.model.(interface{ FreezeHalfWeights() bool })
+	return ok && f.FreezeHalfWeights()
 }
 
 // WeightBytes reports the model's resident weight footprint, or 0 when

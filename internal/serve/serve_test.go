@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"tbd/internal/models"
+	"tbd/internal/prof"
 	"tbd/internal/tensor"
 )
 
@@ -268,14 +270,17 @@ func TestServeForwardPanicFailsBatch(t *testing.T) {
 }
 
 // TestServeStatsAndTrace checks the observability wiring: counters add
-// up, latency quantiles are populated, occupancy reflects batching, and
-// batch trace events are exported up to the buffer and counted past it.
+// up, latency quantiles are populated, occupancy reflects batching, the
+// lifetime latency histogram counts every completed request once, and
+// the profiler keeps one batch span up to its record cap and counts the
+// rest as dropped.
 func TestServeStatsAndTrace(t *testing.T) {
 	const traceCap = 4
 	svc := oneReplica(t, NewSession(identityModel{}, 4), FleetConfig{
-		MaxBatch: 8, MaxWait: time.Millisecond, QueueDepth: 128, TraceEvents: traceCap,
+		MaxBatch: 8, MaxWait: time.Millisecond, QueueDepth: 128,
 	})
 	defer svc.Close()
+	capture(t, traceCap)
 
 	const nReq = 96
 	var wg sync.WaitGroup
@@ -303,21 +308,62 @@ func TestServeStatsAndTrace(t *testing.T) {
 	if snap.LatencyP50Ms <= 0 || snap.LatencyP99Ms < snap.LatencyP50Ms {
 		t.Fatalf("latency quantiles inconsistent: p50=%g p99=%g", snap.LatencyP50Ms, snap.LatencyP99Ms)
 	}
-	if h := svc.LatencyHistogram(); h.Count() != nReq {
-		t.Fatalf("latency histogram count=%d, want %d", h.Count(), nReq)
-	}
+	checkLatencyCount(t, svc, snap.Completed)
 
-	// 96 requests at cap 8 are at least 12 batches: the trace keeps the
-	// first traceCap and counts the rest as dropped.
-	tl := svc.Timeline()
-	if len(tl.Events) != traceCap {
-		t.Fatalf("trace events %d, want the buffer's %d", len(tl.Events), traceCap)
+	// 96 requests at cap 8 are at least 12 batches: the profiler keeps the
+	// first traceCap batch spans and counts the rest as dropped.
+	spans := batchSpans(t, snap.Batches)
+	if len(spans) != traceCap {
+		t.Fatalf("batch spans %d, want the record cap's %d", len(spans), traceCap)
 	}
-	if got := uint64(len(tl.Events)) + svc.TraceEventsDropped(); got != snap.Batches {
-		t.Fatalf("trace events %d + dropped %d != batches %d", len(tl.Events), svc.TraceEventsDropped(), snap.Batches)
+}
+
+// capture starts a fresh profiler capture holding at most maxRecords
+// spans, undone when the test ends.
+func capture(t *testing.T, maxRecords int) {
+	t.Helper()
+	prof.EnableWithMaxRecords(maxRecords)
+	t.Cleanup(func() {
+		prof.Disable()
+		prof.SetMaxRecords(0)
+	})
+}
+
+// batchSpans returns the captured serve.rK.batch spans and checks that,
+// with the ones past the record cap, there is one per flushed batch, and
+// that each carries its input bytes and a duration. The test models open
+// no spans of their own, so every dropped span was a batch.
+func batchSpans(t *testing.T, batches uint64) []prof.Record {
+	t.Helper()
+	var spans []prof.Record
+	for _, rec := range prof.Records() {
+		if rec.Cat != prof.CatServe {
+			continue
+		}
+		if !strings.HasPrefix(rec.Name, "serve.r") || !strings.HasSuffix(rec.Name, ".batch") {
+			t.Fatalf("serve span named %q", rec.Name)
+		}
+		if rec.Bytes <= 0 || rec.Dur <= 0 {
+			t.Fatalf("batch span %q: %d bytes over %v", rec.Name, rec.Bytes, rec.Dur)
+		}
+		spans = append(spans, rec)
 	}
-	if tl.BusyTime() <= 0 {
-		t.Fatal("trace events carry no durations")
+	if got := uint64(len(spans)) + prof.Dropped(); got != batches {
+		t.Fatalf("batch spans %d + dropped %d != batches %d", len(spans), prof.Dropped(), batches)
+	}
+	return spans
+}
+
+// checkLatencyCount: the replicas' rolling latency histograms hold each
+// completed request exactly once over their lifetime.
+func checkLatencyCount(t *testing.T, f *Fleet, completed uint64) {
+	t.Helper()
+	var n uint64
+	for _, r := range f.replicas {
+		n += r.stats.latency.Cumulative().Count()
+	}
+	if n != completed {
+		t.Fatalf("lifetime latency count %d, want completed %d", n, completed)
 	}
 }
 

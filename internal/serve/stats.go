@@ -7,10 +7,17 @@ import (
 	"tbd/internal/metrics"
 )
 
-// Stats aggregates one replica's observability state: request counters
-// plus fixed-bucket histograms (metrics.Histogram) of request latency and
-// batch occupancy. All methods are safe for concurrent use; the
-// histograms themselves are unsynchronized and guarded by the mutex here.
+// statsWindow is the span of each replica's rolling histograms: the
+// router's control signals (recent batch-time p50, recent latency p99)
+// cover roughly this much of the latest traffic.
+const statsWindow = 2 * time.Second
+
+// Stats aggregates one replica's observability state: request counters,
+// a fixed-bucket histogram (metrics.Histogram) of batch occupancy, and
+// one metrics.RollingHistogram per timed signal — request latency and
+// per-batch forward time. Each rolling histogram's window feeds the
+// router; its lifetime view (Cumulative) feeds /stats. All methods are
+// safe for concurrent use.
 type Stats struct {
 	mu sync.Mutex
 
@@ -21,9 +28,13 @@ type Stats struct {
 	failed           uint64 // guarded by mu
 	batches          uint64 // guarded by mu
 
-	latency   *metrics.Histogram // request residence time, seconds; guarded by mu
-	batchTime *metrics.Histogram // per-batch forward time, seconds; guarded by mu
 	occupancy *metrics.Histogram // requests per flushed batch; guarded by mu
+
+	// The rolling histograms lock themselves, so the router reads their
+	// windows without mu. They are observed and read for /stats only under
+	// mu, so one snapshot's counters and quantiles cover the same batches.
+	latency   *metrics.RollingHistogram // request residence time, seconds
+	batchTime *metrics.RollingHistogram // per-batch forward time, seconds
 }
 
 func newStats(maxBatch int) *Stats {
@@ -32,9 +43,9 @@ func newStats(maxBatch int) *Stats {
 		buckets = 64
 	}
 	return &Stats{
-		latency:   metrics.NewLatencyHistogram(),
-		batchTime: metrics.NewLatencyHistogram(),
 		occupancy: metrics.NewLinearHistogram(0, float64(maxBatch), buckets),
+		latency:   metrics.NewRollingLatencyHistogram(statsWindow),
+		batchTime: metrics.NewRollingLatencyHistogram(statsWindow),
 	}
 }
 
@@ -50,14 +61,16 @@ func (st *Stats) rejectDeadline() {
 	st.mu.Unlock()
 }
 
-func (st *Stats) recordBatch(n int, forwardSec float64, latenciesSec []float64) {
+// recordBatch counts one served batch that finished at done: its forward
+// time, and each request's latency from its enqueue to done.
+func (st *Stats) recordBatch(live []*request, forward time.Duration, done time.Time) {
 	st.mu.Lock()
-	st.completed += uint64(n)
+	st.completed += uint64(len(live))
 	st.batches++
-	st.occupancy.Observe(float64(n))
-	st.batchTime.Observe(forwardSec)
-	for _, l := range latenciesSec {
-		st.latency.Observe(l)
+	st.occupancy.Observe(float64(len(live)))
+	st.batchTime.ObserveAt(forward.Seconds(), done)
+	for _, q := range live {
+		st.latency.ObserveAt(done.Sub(q.enq).Seconds(), done)
 	}
 	st.mu.Unlock()
 }
@@ -112,75 +125,66 @@ type StatsSnapshot struct {
 	WeightBytes int64 `json:"weight_bytes,omitempty"`
 }
 
-func (st *Stats) snapshot(start time.Time) StatsSnapshot {
+// statsView is a detached copy of a Stats' lifetime state, or the merge
+// of several: what one StatsSnapshot is computed from.
+type statsView struct {
+	accepted, rejectedDeadline, completed, failed, batches uint64
+	latency, batchTime, occupancy                          *metrics.Histogram
+}
+
+func (st *Stats) view() statsView {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	return statsView{
+		accepted:         st.accepted,
+		rejectedDeadline: st.rejectedDeadline,
+		completed:        st.completed,
+		failed:           st.failed,
+		batches:          st.batches,
+		latency:          st.latency.Cumulative(),
+		batchTime:        st.batchTime.Cumulative(),
+		occupancy:        st.occupancy.Clone(),
+	}
+}
+
+// merge folds o into v; the zero view takes o over. Counters sum and
+// histograms merge bucket-wise (all replicas share one bucket layout, so
+// fleet quantiles are exact, not averages of quantiles). o's histograms
+// may become v's, so o must not be read afterwards.
+func (v *statsView) merge(o statsView) {
+	if v.latency == nil {
+		*v = o
+		return
+	}
+	v.accepted += o.accepted
+	v.rejectedDeadline += o.rejectedDeadline
+	v.completed += o.completed
+	v.failed += o.failed
+	v.batches += o.batches
+	v.latency.Merge(o.latency)
+	v.batchTime.Merge(o.batchTime)
+	v.occupancy.Merge(o.occupancy)
+}
+
+func (v statsView) snapshot(start time.Time) StatsSnapshot {
 	up := time.Since(start).Seconds()
 	snap := StatsSnapshot{
-		Accepted:         st.accepted,
-		RejectedDeadline: st.rejectedDeadline,
-		Completed:        st.completed,
-		Failed:           st.failed,
-		Batches:          st.batches,
-		LatencyP50Ms:     1e3 * st.latency.Quantile(0.50),
-		LatencyP95Ms:     1e3 * st.latency.Quantile(0.95),
-		LatencyP99Ms:     1e3 * st.latency.Quantile(0.99),
-		LatencyMeanMs:    1e3 * st.latency.Mean(),
-		LatencyMaxMs:     1e3 * st.latency.Max(),
-		BatchP50Ms:       1e3 * st.batchTime.Quantile(0.50),
-		MeanOccupancy:    st.occupancy.Mean(),
+		Accepted:         v.accepted,
+		RejectedDeadline: v.rejectedDeadline,
+		Completed:        v.completed,
+		Failed:           v.failed,
+		Batches:          v.batches,
+		LatencyP50Ms:     1e3 * v.latency.Quantile(0.50),
+		LatencyP95Ms:     1e3 * v.latency.Quantile(0.95),
+		LatencyP99Ms:     1e3 * v.latency.Quantile(0.99),
+		LatencyMeanMs:    1e3 * v.latency.Mean(),
+		LatencyMaxMs:     1e3 * v.latency.Max(),
+		BatchP50Ms:       1e3 * v.batchTime.Quantile(0.50),
+		MeanOccupancy:    v.occupancy.Mean(),
 		UptimeSec:        up,
 	}
 	if up > 0 {
-		snap.ThroughputRPS = float64(st.completed) / up
+		snap.ThroughputRPS = float64(v.completed) / up
 	}
 	return snap
-}
-
-// aggregateStats merges several replicas' Stats into one detached Stats
-// whose snapshot spans the whole fleet: counters sum, histograms merge
-// bucket-wise (all replicas share one bucket layout, so fleet quantiles
-// are exact, not averages of quantiles).
-func aggregateStats(parts []*Stats) *Stats {
-	if len(parts) == 0 {
-		return newStats(1)
-	}
-	var agg *Stats
-	for _, p := range parts {
-		p.mu.Lock()
-		if agg == nil {
-			agg = &Stats{
-				accepted:         p.accepted,
-				rejectedDeadline: p.rejectedDeadline,
-				completed:        p.completed,
-				failed:           p.failed,
-				batches:          p.batches,
-				latency:          p.latency.Clone(),
-				batchTime:        p.batchTime.Clone(),
-				occupancy:        p.occupancy.Clone(),
-			}
-		} else {
-			agg.accepted += p.accepted
-			agg.rejectedDeadline += p.rejectedDeadline
-			agg.completed += p.completed
-			agg.failed += p.failed
-			agg.batches += p.batches
-			agg.latency.Merge(p.latency)
-			agg.batchTime.Merge(p.batchTime)
-			agg.occupancy.Merge(p.occupancy)
-		}
-		p.mu.Unlock()
-	}
-	return agg
-}
-
-// LatencyHistogram returns a copy of the request-latency histogram for
-// callers that want full bucket detail (merging across replicas, trace
-// annotation).
-func (st *Stats) LatencyHistogram() *metrics.Histogram {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	h := metrics.NewLatencyHistogram()
-	h.Merge(st.latency)
-	return h
 }

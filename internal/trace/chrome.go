@@ -3,16 +3,17 @@ package trace
 import (
 	"encoding/json"
 	"io"
+	"os"
 
 	"tbd/internal/prof"
 )
 
 // ChromeWriter accumulates Chrome trace-event ("catapult") complete
 // events and renders the single-object JSON that chrome://tracing and
-// Perfetto load. It is the one exporter behind every timeline the repo
-// produces — simulated kernel streams (Timeline.WriteChromeTrace),
-// serving batch windows, and live training profiles (WriteProfChrome) —
-// so captures from all three open side by side in the same viewer.
+// Perfetto load — the closest open equivalent of opening an .nvvp file in
+// the NVIDIA Visual Profiler. WriteProfChrome drives it with the live
+// profiler's span records, so a training step, a distributed rank and a
+// serving batch all open in the same viewer.
 type ChromeWriter struct {
 	events []chromeEvent
 }
@@ -20,7 +21,7 @@ type ChromeWriter struct {
 // chromeEvent is one trace_event record. Field order is part of the
 // golden-file contract in chrome_test.go; the optional tail fields
 // (id, bp, args) serialize only for events that carry dependence
-// information, so producers without span edges emit the legacy bytes.
+// information or bytes, so plain events emit the legacy bytes.
 type chromeEvent struct {
 	Name string  `json:"name"`
 	Cat  string  `json:"cat"`
@@ -36,11 +37,12 @@ type chromeEvent struct {
 	Args *chromeArgs `json:"args,omitempty"`
 }
 
-// chromeArgs carries the span's dependence edge into the viewer's
-// event-detail pane.
+// chromeArgs carries the span's dependence edge and bytes moved into the
+// viewer's event-detail pane.
 type chromeArgs struct {
-	Span   uint64 `json:"span"`
+	Span   uint64 `json:"span,omitempty"`
 	Parent uint64 `json:"parent,omitempty"`
+	Bytes  int64  `json:"bytes,omitempty"`
 }
 
 // Complete appends one complete ("ph":"X") event. Times are in seconds;
@@ -54,12 +56,13 @@ func (cw *ChromeWriter) Complete(name, cat string, startSec, durSec float64, pid
 }
 
 // CompleteSpan appends a complete event annotated with its dependence
-// edge (the live profiler's span id and parent id), shown in the
-// viewer's args pane. id 0 falls back to a plain Complete.
-func (cw *ChromeWriter) CompleteSpan(name, cat string, startSec, durSec float64, pid, tid int, id, parent uint64) {
+// edge (the live profiler's span id and parent id) and the bytes the span
+// moved, shown in the viewer's args pane. With id and bytes both 0 it is
+// a plain Complete.
+func (cw *ChromeWriter) CompleteSpan(name, cat string, startSec, durSec float64, pid, tid int, id, parent uint64, bytes int64) {
 	cw.Complete(name, cat, startSec, durSec, pid, tid)
-	if id != 0 {
-		cw.events[len(cw.events)-1].Args = &chromeArgs{Span: id, Parent: parent}
+	if id != 0 || bytes != 0 {
+		cw.events[len(cw.events)-1].Args = &chromeArgs{Span: id, Parent: parent, Bytes: bytes}
 	}
 }
 
@@ -93,11 +96,11 @@ func (cw *ChromeWriter) Write(w io.Writer) error {
 // WriteProfChrome renders live-profiler span records (a real training or
 // serving run captured by internal/prof) as a Chrome trace. Spans from
 // one goroutine nest by time containment exactly as the viewer expects;
-// concurrent trainers interleave on the single track. Records that carry
-// dependence edges (span IDs from the what-if recorder) annotate each
-// slice with its span/parent pair, and communication spans additionally
-// get flow arrows from their parent phase — the cross-rank dependence
-// the cluster traces exist to show.
+// concurrent trainers interleave on the single track. Each slice's args
+// carry its span/parent pair and its bytes (a serving batch's input
+// bytes, so its size stays readable), and communication spans
+// additionally get flow arrows from their parent phase — the cross-rank
+// dependence the cluster traces exist to show.
 func WriteProfChrome(w io.Writer, recs []prof.Record) error {
 	var cw ChromeWriter
 	startOf := make(map[uint64]float64, len(recs))
@@ -107,7 +110,7 @@ func WriteProfChrome(w io.Writer, recs []prof.Record) error {
 		}
 	}
 	for _, r := range recs {
-		cw.CompleteSpan(r.Name, r.Cat.String(), r.Start.Seconds(), r.Dur.Seconds(), 0, 0, r.ID, r.Parent)
+		cw.CompleteSpan(r.Name, r.Cat.String(), r.Start.Seconds(), r.Dur.Seconds(), 0, 0, r.ID, r.Parent, r.Bytes)
 		if r.Cat == prof.CatComm && r.Parent != 0 {
 			if ps, ok := startOf[r.Parent]; ok {
 				cw.Flow("dep", "flow", ps, r.Start.Seconds(), 0, 0, r.ID)
@@ -115,4 +118,24 @@ func WriteProfChrome(w io.Writer, recs []prof.Record) error {
 		}
 	}
 	return cw.Write(w)
+}
+
+// WriteProfChromeFile writes the profiler's retained span timeline
+// (prof.Records) to a new file at path as a Chrome trace and returns the
+// number of spans written. Spans past the record cap are not in it;
+// prof.Dropped counts them.
+func WriteProfChromeFile(path string) (int, error) {
+	recs := prof.Records()
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	if err := WriteProfChrome(f, recs); err != nil {
+		_ = f.Close() // the write error is the one worth reporting
+		return 0, err
+	}
+	if err := f.Close(); err != nil {
+		return 0, err
+	}
+	return len(recs), nil
 }

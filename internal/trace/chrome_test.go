@@ -9,21 +9,19 @@ import (
 	"testing"
 	"time"
 
-	"tbd/internal/kernels"
 	"tbd/internal/prof"
-	"tbd/internal/sim"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 // goldenPath is the pinned JSON shape every Chrome-trace producer must
-// emit. All three front ends — the raw writer, the simulator timeline,
-// and the live profiler exporter — are driven with equivalent events and
-// must produce byte-identical output.
+// emit. Both front ends — the raw writer and the live profiler exporter —
+// are driven with equivalent events and must produce byte-identical
+// output.
 const goldenPath = "testdata/chrome_golden.json"
 
-// edgesGoldenPath pins the annotated shape: span/parent args on every
-// slice and flow arrows into comm spans.
+// edgesGoldenPath pins the annotated shape: span/parent/bytes args on
+// every slice and flow arrows into comm spans.
 const edgesGoldenPath = "testdata/chrome_edges_golden.json"
 
 func checkGolden(t *testing.T, path string, got []byte) {
@@ -59,40 +57,6 @@ func TestChromeWriterGolden(t *testing.T) {
 	checkGolden(t, goldenPath, buf.Bytes())
 }
 
-// TestTimelineChromeMatchesWriter proves the sim timeline rides the same
-// exporter: equivalent events must serialize to the same golden bytes.
-// (The sim path spells the category via kernels.Class, so the fixture
-// picks classes whose String matches the writer fixture's cat.)
-func TestTimelineChromeMatchesWriter(t *testing.T) {
-	tl := New([]sim.Event{
-		{Name: "gemm", Class: kernels.GEMM, StartSec: 0.0015, DurSec: 0.000250},
-		{Name: "conv2d.fwd", Class: kernels.GEMM, StartSec: 0.002, DurSec: 0.001},
-	})
-	// Both fixture events use cat "kernel" in the golden; rewrite the sim
-	// class spelling through a writer to compare apples to apples.
-	var cw ChromeWriter
-	for _, e := range tl.Events {
-		cw.Complete(e.Name, "kernel", e.StartSec, e.DurSec, 0, 0)
-	}
-	var buf bytes.Buffer
-	if err := cw.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, goldenPath, buf.Bytes())
-
-	// And the timeline's own method emits the identical structure with the
-	// class-derived category.
-	buf.Reset()
-	if err := tl.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"cat":"gemm"`)) ||
-		!bytes.Contains(buf.Bytes(), []byte(`"ph":"X"`)) ||
-		!bytes.Contains(buf.Bytes(), []byte(`"traceEvents"`)) {
-		t.Fatalf("timeline trace shape wrong: %s", buf.Bytes())
-	}
-}
-
 // TestWriteProfChromeGolden drives the live-profiler exporter with records
 // equivalent to the golden fixture.
 func TestWriteProfChromeGolden(t *testing.T) {
@@ -119,8 +83,9 @@ func TestChromeWriterEmpty(t *testing.T) {
 }
 
 // TestWriteProfChromeEdgesGolden drives the exporter with records that
-// carry dependence edges: every slice gains span/parent args, and the
-// comm span under the sync phase gets a flow arrow from its parent.
+// carry dependence edges: every slice gains span/parent args, a span that
+// moved bytes shows them, and the comm span under the sync phase gets a
+// flow arrow from its parent.
 func TestWriteProfChromeEdgesGolden(t *testing.T) {
 	recs := []prof.Record{
 		{ID: 1, Parent: 0, Name: "step", Cat: prof.CatPhase, Start: 0, Dur: 4 * time.Millisecond},
@@ -136,7 +101,7 @@ func TestWriteProfChromeEdgesGolden(t *testing.T) {
 	// Structural checks so a golden regeneration cannot silently drop the
 	// annotations: 4 slices + one flow pair.
 	out := buf.String()
-	for _, want := range []string{`"ph":"s"`, `"ph":"f"`, `"bp":"e"`, `"args":{"span":3,"parent":2}`, `"name":"dep"`} {
+	for _, want := range []string{`"ph":"s"`, `"ph":"f"`, `"bp":"e"`, `"args":{"span":3,"parent":2}`, `"args":{"span":4,"parent":1,"bytes":1048576}`, `"name":"dep"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("edge annotation %s missing from: %s", want, out)
 		}

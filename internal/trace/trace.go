@@ -2,7 +2,9 @@
 // analysis pipeline (Figure 3): capture of per-kernel execution records
 // from the simulator, gap analysis, and CSV/JSON export of the ".nvvp
 // file" equivalent that the toolchain merges with framework-level
-// measurements.
+// measurements. Real runs — training, distributed ranks, the serving
+// batcher — are timed by the live profiler (internal/prof), whose span
+// records WriteProfChrome renders as a Chrome trace.
 package trace
 
 import (
@@ -88,19 +90,6 @@ func (t *Timeline) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteChromeTrace renders the timeline in the Chrome trace-event format
-// (catapult JSON), loadable in chrome://tracing or Perfetto — the closest
-// open equivalent of opening an .nvvp file in the NVIDIA Visual Profiler.
-// It shares ChromeWriter with the serving batcher and the live training
-// profiler, so simulated and real timelines open in the same viewer.
-func (t *Timeline) WriteChromeTrace(w io.Writer) error {
-	var cw ChromeWriter
-	for _, e := range t.Events {
-		cw.Complete(e.Name, e.Class.String(), e.StartSec, e.DurSec, 0, 0)
-	}
-	return cw.Write(w)
 }
 
 // WriteJSON renders the timeline as a JSON array.

@@ -116,35 +116,3 @@ func TestEmptyTimeline(t *testing.T) {
 		t.Fatal("empty timeline must have zero times")
 	}
 }
-
-func TestChromeTraceExport(t *testing.T) {
-	tl, _ := capture(t, convOps(), 4)
-	var buf bytes.Buffer
-	if err := tl.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			TS   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid chrome trace: %v", err)
-	}
-	if len(doc.TraceEvents) != len(tl.Events) {
-		t.Fatalf("chrome trace has %d events, want %d", len(doc.TraceEvents), len(tl.Events))
-	}
-	for _, e := range doc.TraceEvents {
-		if e.Ph != "X" || e.Dur <= 0 || e.Name == "" {
-			t.Fatalf("malformed event %+v", e)
-		}
-	}
-	// Timestamps are microseconds.
-	first := doc.TraceEvents[0]
-	if first.TS != tl.Events[0].StartSec*1e6 {
-		t.Fatal("timestamps not in microseconds")
-	}
-}
