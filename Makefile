@@ -72,12 +72,16 @@ dist-race:
 # seconds of arbitrary float32 bit patterns (every NaN payload) through the
 # vector ReLU kernels against the scalar loops they replaced (without
 # minimizing each input that reaches new coverage: shrinking a byte string
-# one byte at a time would use up the ten seconds).
+# one byte at a time would use up the ten seconds). Then ten seconds of
+# arbitrary fp32, fp16 and int8 bytes into a ring rank's receive loop from
+# a peer that hangs up anywhere: a named error, one piece of scratch, no
+# hang.
 # `go test` alone replays the committed seeds; this mutates them.
 fuzz-smoke:
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzPSFrame -fuzztime 10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzGemmBlockedShapes -fuzztime 10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzReLUKernels -fuzztime 10s -fuzzminimizetime 0
+	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzRingRecv -fuzztime 10s
 
 # Race detector over the what-if predictor: trace capture off the live
 # profiler (concurrent span emission), merge, replay, and the root-package
@@ -142,7 +146,7 @@ whatif-record:
 	/tmp/tbd-whatif-record dist -workers 4 -strategy ring -model mlp-wide -steps 3 -batch 16 -seed 42 -lr 0.05 -bw 0 -trace-out testdata/whatif/dist_ring_nolimit.json
 	/tmp/tbd-whatif-record dist -workers 4 -strategy ps-sync -model mlp-wide -steps 3 -batch 16 -seed 42 -lr 0.05 -bw 125 -trace-out testdata/whatif/dist_ps_1gbe.json
 	/tmp/tbd-whatif-record dist -workers 4 -strategy ps-sync -model mlp-wide -steps 3 -batch 16 -seed 42 -lr 0.05 -bw 1250 -trace-out testdata/whatif/dist_ps_10gbe.json
-	/tmp/tbd-whatif-record dist -workers 2 -strategy ring -model mlp-wide -steps 50 -batch 32 -seed 1 -lr 0.05 -bw 1250 -trace-out testdata/whatif/dist_ring2_shard.json
+	/tmp/tbd-whatif-record dist -workers 2 -strategy ring -model mlp-wide -steps 50 -batch 32 -seed 1 -lr 0.05 -bw 1250 -trace-out testdata/whatif/dist_ring2_stream.json
 	rm -f /tmp/tbd-whatif-record
 
 # Re-run the tracked benchmarks and print old-vs-new deltas against the

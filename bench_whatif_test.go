@@ -74,6 +74,9 @@ var whatifGroundTruthCells = []struct {
 	{"ring-shard", func(tb testing.TB) (float64, float64) {
 		return predictRingShard(tb), measuredRingShard(tb)
 	}},
+	{"ring-stream", func(tb testing.TB) (float64, float64) {
+		return predictRingStream(tb), measuredRingStream(tb)
+	}},
 	{"ps-10gbe", func(tb testing.TB) (float64, float64) {
 		pred := replayGolden(tb, loadGoldenTrace(tb, "dist_ps_1gbe.json"), "bw=10gbe")
 		meas := replayGolden(tb, loadGoldenTrace(tb, "dist_ps_10gbe.json"), "")

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"math"
 	"slices"
@@ -240,17 +241,25 @@ func TestRingWireBytesReflectCompression(t *testing.T) {
 	}
 }
 
+// smallLengths never fill a second piece, and l < n leaves chunks empty.
+func smallLengths(int) []int { return []int{0, 1, 3, 7, 1000} }
+
+// pieceLengths put a chunk boundary, or n of them, next to a piece
+// boundary.
+func pieceLengths(n int) []int {
+	return []int{ringPiece - 1, ringPiece, ringPiece + 1, n*ringPiece + 5}
+}
+
 // ringRoundsHash runs two rounds of reduce on a fresh n-rank ring for
-// n = 1…5 and lengths 0, 1, 3, 7 and 1000 (l < n leaves chunks empty),
-// with fresh inputs each round so the int8 residuals carry over, and folds
-// every rank's results into one FNV-1a hash. Ranks must end every round on
-// the same bytes.
-func ringRoundsHash(t *testing.T, comp Compression, reduce func(r *Ring, flat []float32) error) uint64 {
+// n = 1…5 and each of lengths(n), with fresh inputs each round so the int8
+// residuals carry over, and folds every rank's results into one FNV-1a
+// hash. Ranks must end every round on the same bytes.
+func ringRoundsHash(t *testing.T, comp Compression, lengths func(n int) []int, reduce func(r *Ring, flat []float32) error) uint64 {
 	t.Helper()
 	h := fnv.New64a()
 	var b [4]byte
 	for n := 1; n <= 5; n++ {
-		for _, l := range []int{0, 1, 3, 7, 1000} {
+		for _, l := range lengths(n) {
 			out := make([][]float32, n)
 			runRing(t, n, comp, 0, func(r *Ring) {
 				rng := tensor.NewRNG(uint64(100*n + r.Rank()))
@@ -279,32 +288,101 @@ func ringRoundsHash(t *testing.T, comp Compression, reduce func(r *Ring, flat []
 	return h.Sum64()
 }
 
+func allReduce(r *Ring, flat []float32) error { return r.AllReduce(flat) }
+
 func TestRingSplitMatchesParentAllReduce(t *testing.T) {
-	// ringRoundsHash over AllReduce on the commit before it split into
-	// ReduceScatter, the owner's 1/N and AllGather: the owner scaling its
-	// chunk once must give the bytes every rank computed for itself.
+	// ringRoundsHash over AllReduce on the commit before it split into a
+	// reduce-scatter, the owner's 1/N and an all-gather: the owner scaling
+	// its chunk once, piece by piece as it is reduced, must give the bytes
+	// every rank computed for itself.
 	want := map[Compression]uint64{
 		CompressNone: 0x379d454aa3112bde,
 		CompressFP16: 0xdc59fcf033540fcf,
 		CompressInt8: 0xc242b7352774d592,
 	}
-	split := func(r *Ring, flat []float32) error {
-		if err := r.ReduceScatter(flat); err != nil {
-			return err
-		}
-		r.averageOwned(flat)
-		return r.AllGather(flat)
-	}
 	for _, comp := range []Compression{CompressNone, CompressFP16, CompressInt8} {
-		if got := ringRoundsHash(t, comp, split); got != want[comp] {
+		if got := ringRoundsHash(t, comp, smallLengths, allReduce); got != want[comp] {
 			t.Errorf("%s: results hash %#x, the parent's AllReduce gave %#x", comp, got, want[comp])
 		}
 	}
 }
 
+func TestRingPiecesMatchParentAllReduce(t *testing.T) {
+	// ringRoundsHash over AllReduce at lengths whose chunks end next to a
+	// piece boundary or span several pieces, recorded on 1e331d5, where a
+	// hop moved its chunk whole.
+	want := map[Compression]uint64{
+		CompressNone: 0x89e06a345b8deb4e,
+		CompressFP16: 0x257730f58ffad627,
+		CompressInt8: 0xc49522531a46f67d,
+	}
+	for _, comp := range []Compression{CompressNone, CompressFP16, CompressInt8} {
+		if got := ringRoundsHash(t, comp, pieceLengths, allReduce); got != want[comp] {
+			t.Errorf("%s: results hash %#x, 1e331d5 gave %#x", comp, got, want[comp])
+		}
+	}
+}
+
+func TestRingStepMatchesParentCommit(t *testing.T) {
+	// A training rank's round — gradients reduce-scattered, the Owned chunk
+	// averaged and stepped by SGD, the weights all-gathered — for n = 1…5
+	// over the small and piece-boundary lengths, l < n included (ranks
+	// whose Owned chunk is empty step nothing), two rounds each. Every
+	// rank's weights and gradients after the rounds fold into one hash,
+	// recorded on 1e331d5, where the rank ran a whole reduce-scatter, the
+	// 1/N pass, SGD on its shard and a whole all-gather in turn.
+	want := map[Compression]uint64{
+		CompressNone: 0xae5fdc1d759b420e,
+		CompressFP16: 0xedfaeebe341f9263,
+		CompressInt8: 0x5697c7a9bd01eea1,
+	}
+	all := func(n int) []int { return append(smallLengths(n), pieceLengths(n)...) }
+	for _, comp := range []Compression{CompressNone, CompressFP16, CompressInt8} {
+		h := fnv.New64a()
+		var b [4]byte
+		for n := 1; n <= 5; n++ {
+			for _, l := range all(n) {
+				weights, grads := make([][]float32, n), make([][]float32, n)
+				runRing(t, n, comp, 0, func(r *Ring) {
+					rng := tensor.NewRNG(uint64(100*n + r.Rank()))
+					values := make([]float32, l)
+					for i := range values {
+						values[i] = float32(rng.Norm())
+					}
+					var flat []float32
+					for round := 0; round < 2; round++ {
+						flat = make([]float32, l)
+						for i := range flat {
+							flat[i] = float32(rng.Norm())
+						}
+						if err := r.round(flat, values, r.newShard(values, flat, optim.NewSGD(0.1))); err != nil {
+							t.Errorf("%d ranks, length %d, rank %d: %v", n, l, r.Rank(), err)
+						}
+						grads[r.Rank()] = append(grads[r.Rank()], flat...)
+					}
+					weights[r.Rank()] = values
+				})
+				for rank := range weights {
+					if !slices.Equal(weights[rank], weights[0]) {
+						t.Errorf("%s, %d ranks, length %d: rank %d ended on other weights than rank 0", comp, n, l, rank)
+					}
+					for _, v := range append(weights[rank], grads[rank]...) {
+						binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+						_, _ = h.Write(b[:])
+					}
+				}
+			}
+		}
+		if got := h.Sum64(); got != want[comp] {
+			t.Errorf("%s: weights and gradients hash %#x, 1e331d5 gave %#x", comp, got, want[comp])
+		}
+	}
+}
+
 func TestRingOwnedIsWhatReduceScatterCompletes(t *testing.T) {
-	// Every element lies in exactly one rank's Owned range, and after
-	// ReduceScatter that range holds the full sum.
+	// Every element lies in exactly one rank's Owned range, and a round
+	// that gathers into another buffer leaves that range of the reduced
+	// vector holding the average of the full sum.
 	const n, l = 3, 10
 	owners := make([]int, l)
 	runRing(t, n, CompressNone, 0, func(r *Ring) {
@@ -312,15 +390,15 @@ func TestRingOwnedIsWhatReduceScatterCompletes(t *testing.T) {
 		for i := range flat {
 			flat[i] = float32(r.Rank() + 1)
 		}
-		if err := r.ReduceScatter(flat); err != nil {
+		if err := r.round(flat, make([]float32, l), nil); err != nil {
 			t.Error(err)
 			return
 		}
 		lo, hi := r.Owned(l)
 		for i := lo; i < hi; i++ {
 			owners[i]++
-			if flat[i] != 6 {
-				t.Errorf("rank %d owns element %d but holds %g, want the sum 6", r.Rank(), i, flat[i])
+			if flat[i] != 2 {
+				t.Errorf("rank %d owns element %d but holds %g, want the sum 6 over 3 ranks", r.Rank(), i, flat[i])
 			}
 		}
 	})
@@ -399,7 +477,7 @@ func TestRingErrorPathsEndTheirSpans(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	runOn(func(r *Ring) error { return r.ReduceScatter(make([]float32, 8)) })
+	runOn(func(r *Ring) error { return r.AllReduce(make([]float32, 8)) })
 
 	prof.EnableWithMaxRecords(1 << 10)
 	defer prof.Disable()
@@ -426,8 +504,15 @@ func TestRingErrorPathsEndTheirSpans(t *testing.T) {
 			t.Errorf("%s: left a span open (a later span's parent is %d, want %d)", what, probeParent, outerID)
 		}
 	}
-	fail("int8 length change", func() error { return rings[0].ReduceScatter(make([]float32, 9)) })
+	fail("int8 length change", func() error { return rings[0].AllReduce(make([]float32, 9)) })
 	rings[1].Close()
-	fail("reduce-scatter from a closed peer", func() error { return rings[0].ReduceScatter(make([]float32, 8)) })
-	fail("all-gather from a closed peer", func() error { return rings[0].AllGather(make([]float32, 8)) })
+	fail("all-reduce from a closed peer", func() error { return rings[0].AllReduce(make([]float32, 8)) })
+	fail("rank step from a closed peer", func() error {
+		values, grads := make([]float32, 8), make([]float32, 8)
+		err := rings[0].round(grads, values, rings[0].newShard(values, grads, optim.NewSGD(0.1)))
+		if !errors.Is(err, errRingCut) {
+			t.Errorf("rank step from a closed peer: %v, want it named %q", err, errRingCut)
+		}
+		return err
+	})
 }

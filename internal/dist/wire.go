@@ -100,8 +100,8 @@ func (b *wireBuf) readF32(r io.Reader, dst []float32) error {
 }
 
 // readF32Add reads little-endian float32s and ADDS them into dst (the
-// ring's reduce step). The add is unrolled by four, as in averageOwned:
-// the one-element loop ran 40–80 % slower when a change elsewhere in the
+// ring's reduce step). The add is unrolled by four, as in scaleF32: the
+// one-element loop ran 40–80 % slower when a change elsewhere in the
 // package moved it 32 bytes off a 64-byte line.
 func (b *wireBuf) readF32Add(r io.Reader, dst []float32) error {
 	if cap(b.f32) < len(dst) {
@@ -171,13 +171,10 @@ func (b *wireBuf) writeInt8(w io.Writer, scale float32, q []byte) error {
 	return err
 }
 
-// readInt8Add reads one int8 message and ADDS the dequantized values
-// into dst (the ring's reduce step).
-func (b *wireBuf) readInt8Add(r io.Reader, dst []float32) error {
-	scale, err := b.readScale(r)
-	if err != nil {
-		return err
-	}
+// readLevelsAdd reads len(dst) int8 levels of a message whose scale was
+// read before them and ADDS their values into dst (the ring's reduce step,
+// which takes one message in pieces).
+func (b *wireBuf) readLevelsAdd(r io.Reader, scale float32, dst []float32) error {
 	buf := b.grow(len(dst))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return err

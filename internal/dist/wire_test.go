@@ -201,7 +201,16 @@ func TestInt8WireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc := make([]float32, len(vals))
-	if err := b.readInt8Add(bytes.NewReader(buf.Bytes()), acc); err != nil {
+	rd := bytes.NewReader(buf.Bytes())
+	got, err := b.readScale(rd)
+	if err != nil || got != scale {
+		t.Fatalf("int8 wire: scale %g, %v; want %g", got, err, scale)
+	}
+	// The ring reads one message's levels in pieces.
+	if err := b.readLevelsAdd(rd, got, acc[:4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.readLevelsAdd(rd, got, acc[4:]); err != nil {
 		t.Fatal(err)
 	}
 	for i := range vals {

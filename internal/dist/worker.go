@@ -350,15 +350,13 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 	}
 
 	// A ring rank exchanges the network's flat buffers in place and steps
-	// the optimizer on its own chunk of them only (none when it is empty).
+	// the optimizer on its own chunk of them only (none when it is empty),
+	// piece by piece as the round reduces them.
 	var values, flat []float32
-	var shard []*layers.Param
+	var shard *ringShard
 	if ring != nil {
 		values, flat = net.FlatParams()
-		if lo, hi := ring.Owned(len(flat)); hi > lo {
-			shard = []*layers.Param{{Name: "ring.shard",
-				Value: tensor.FromSlice(values[lo:hi], hi-lo), Grad: tensor.FromSlice(flat[lo:hi], hi-lo)}}
-		}
+		shard = ring.newShard(values, flat, opt)
 	}
 
 	// exchange is the apply half of every step: the gradients leave this
@@ -367,12 +365,7 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 		start := time.Now()
 		defer func() { res.CommSec += time.Since(start).Seconds() }()
 		if ring != nil {
-			if err := ring.ReduceScatter(flat); err != nil {
-				return err
-			}
-			ring.averageOwned(flat)
-			opt.Step(shard)
-			return ring.AllGather(values)
+			return ring.round(flat, values, shard)
 		}
 		weights, _, err := ps.PushRanked(cfg.Rank, cfg.Compression, grads)
 		if err != nil {

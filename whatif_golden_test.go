@@ -10,6 +10,7 @@ package tbd
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -379,12 +380,15 @@ func TestWhatifGroundTruthDropDX(t *testing.T) {
 // The dist_ring workload's shape, `tbd dist -model mlp-wide -workers 2
 // -batch 32 -lr 0.05 -bw 1250 -steps 50 -trace-out`: ringAllReduceTrace was
 // recorded on f7c3891, where a ring rank flattened its gradients, all-reduced
-// them and stepped SGD over every weight, and cannot be re-recorded;
-// `make whatif-record` writes ringShardTrace, the step as reduce-scatter,
-// an SGD step on the rank's own shard and an all-gather of the weights.
+// them and stepped SGD over every weight, and ringShardTrace on 1e331d5,
+// where the step ran a whole reduce-scatter, an SGD step on the rank's own
+// shard and a whole all-gather of the weights in turn; neither can be
+// re-recorded. `make whatif-record` writes ringStreamTrace, the step as one
+// round streamed in pieces.
 const (
 	ringAllReduceTrace = "dist_ring2_allreduce.json"
 	ringShardTrace     = "dist_ring2_shard.json"
+	ringStreamTrace    = "dist_ring2_stream.json"
 )
 
 // ringShardSpec is the prediction committed before the ring step changed:
@@ -410,13 +414,30 @@ func predictRingShard(t testing.TB) float64 {
 	return replayGolden(t, before, ringShardSpec).PredictedStepUs - flatten - ringCodecSavingUs
 }
 
-// measuredRingShard is the step of the trace recorded after the change,
-// with host drift divided out by the forward GEMMs, which run the same
-// code in both recordings.
-func measuredRingShard(t testing.TB) float64 {
+// measuredRingStep is the ring step recorded in after, with host drift
+// divided out by the forward GEMMs, which run the same code in every ring
+// recording: after's step at before's host speed.
+func measuredRingStep(t testing.TB, before, after string) float64 {
 	const control = "step/phase.forward/*/gemm.bias_act"
-	before, after := loadGoldenTrace(t, ringAllReduceTrace), loadGoldenTrace(t, ringShardTrace)
-	return replayGolden(t, after, "").BaselineStepUs * pathStepUs(t, before, control) / pathStepUs(t, after, control)
+	b, a := loadGoldenTrace(t, before), loadGoldenTrace(t, after)
+	return replayGolden(t, a, "").BaselineStepUs * pathStepUs(t, b, control) / pathStepUs(t, a, control)
+}
+
+// measuredRingShard is the step of the trace recorded after the change.
+func measuredRingShard(t testing.TB) float64 {
+	return measuredRingStep(t, ringAllReduceTrace, ringShardTrace)
+}
+
+// commBytes totals a trace's comm spans and names them.
+func commBytes(tr *whatif.Trace) (bytes int64, names map[string]bool) {
+	names = map[string]bool{}
+	for _, s := range tr.Spans {
+		if s.Cat == "comm" {
+			bytes += s.Bytes
+			names[s.Name] = true
+		}
+	}
+	return bytes, names
 }
 
 // TestWhatifGroundTruthRingShard holds that prediction against the
@@ -425,16 +446,6 @@ func measuredRingShard(t testing.TB) float64 {
 // moves did not change.
 func TestWhatifGroundTruthRingShard(t *testing.T) {
 	before, after := loadGoldenTrace(t, ringAllReduceTrace), loadGoldenTrace(t, ringShardTrace)
-	commBytes := func(tr *whatif.Trace) (bytes int64, names map[string]bool) {
-		names = map[string]bool{}
-		for _, s := range tr.Spans {
-			if s.Cat == "comm" {
-				bytes += s.Bytes
-				names[s.Name] = true
-			}
-		}
-		return bytes, names
-	}
 	bb, bn := commBytes(before)
 	ab, an := commBytes(after)
 	if bb != ab || !bn["comm.ring.allreduce"] || len(bn) != 1 || !an["comm.ring.reduce_scatter"] || !an["comm.ring.all_gather"] || len(an) != 2 {
@@ -442,6 +453,52 @@ func TestWhatifGroundTruthRingShard(t *testing.T) {
 	}
 	checkGroundTruth(t, fmt.Sprintf("ring RS -> shard SGD -> AG (%s, flatten from the trace, codec -%d us by hand)", ringShardSpec, ringCodecSavingUs),
 		predictRingShard(t), measuredRingShard(t))
+}
+
+// ringStreamSpec is the prediction committed before the ring round was
+// streamed, Daydream's remove: the shard's SGD runs on each piece of the
+// Owned chunk while the rest of the chunk is still arriving, off the step's
+// critical path.
+const (
+	ringShardSGD   = "step/phase.sync/optim.sgd"
+	ringStreamSpec = "drop=" + ringShardSGD
+)
+
+// ringStreamGatherUs is the reschedule half of that prediction, stated by
+// hand because no scenario moves one span under another: the all-gather
+// now streams under the reduce-scatter, and only its last piece still
+// follows it. Its own cost is the shard trace's fastest
+// comm.ring.all_gather span, 169.6 us (a rank whose peer was already
+// waiting, so no barrier wait is in it), of which 12 of the 13 pieces a
+// 199 685-element chunk is cut into hide.
+const ringStreamGatherUs = 170 * 12 / 13
+
+// predictRingStream is the whole committed prediction for the ring step.
+func predictRingStream(t testing.TB) float64 {
+	return replayGolden(t, loadGoldenTrace(t, ringShardTrace), ringStreamSpec).PredictedStepUs - ringStreamGatherUs
+}
+
+// measuredRingStream is the step of the trace recorded after the change.
+func measuredRingStream(t testing.TB) float64 {
+	return measuredRingStep(t, ringShardTrace, ringStreamTrace)
+}
+
+// TestWhatifGroundTruthRingStream holds that prediction against the
+// recording, and the recording to what the change is: the same two comm
+// spans carry the same bytes, and the shard's SGD now runs inside the
+// reduce-scatter instead of after it.
+func TestWhatifGroundTruthRingStream(t *testing.T) {
+	before, after := loadGoldenTrace(t, ringShardTrace), loadGoldenTrace(t, ringStreamTrace)
+	bb, bn := commBytes(before)
+	ab, an := commBytes(after)
+	if bb != ab || !maps.Equal(bn, an) {
+		t.Errorf("comm spans %v carry %d bytes before, %v carry %d after; want the same spans and bytes", bn, bb, an, ab)
+	}
+	if pathStepUs(t, after, ringShardSGD) != 0 || pathStepUs(t, after, "step/phase.sync/comm.ring.reduce_scatter/optim.sgd") == 0 {
+		t.Errorf("%s: want optim.sgd under comm.ring.reduce_scatter, not beside it", ringStreamTrace)
+	}
+	checkGroundTruth(t, fmt.Sprintf("ring step streamed (%s, all-gather -%d us by hand)", ringStreamSpec, ringStreamGatherUs),
+		predictRingStream(t), measuredRingStream(t))
 }
 
 // TestWhatifGroundTruthPSBandwidth is the strongest bandwidth cell: the
