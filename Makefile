@@ -51,8 +51,8 @@ serve-race:
 	$(GO) test -race ./internal/serve/... ./cmd/tbdserve/ ./internal/data/...
 
 # Race detector over the live profiler (atomic gate, collector, pool
-# counter source), the trace writer it feeds, and the histogram
-# shard-merge pattern the serving stats rely on.
+# counter source, span tree, trace file), the simulator's timeline, and
+# the histogram shard-merge pattern the serving stats rely on.
 prof-race:
 	$(GO) test -race ./internal/prof/... ./internal/trace/... ./internal/memprof/... ./internal/metrics/...
 
@@ -75,13 +75,16 @@ dist-race:
 # one byte at a time would use up the ten seconds). Then ten seconds of
 # arbitrary fp32, fp16 and int8 bytes into a ring rank's receive loop from
 # a peer that hangs up anywhere: a named error, one piece of scratch, no
-# hang.
+# hang. Then ten seconds of arbitrary bytes into the span-trace reader
+# (unminimized, like the ReLU line): a trace or a named error, no panic,
+# allocation bounded by a constant times the input.
 # `go test` alone replays the committed seeds; this mutates them.
 fuzz-smoke:
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzPSFrame -fuzztime 10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzGemmBlockedShapes -fuzztime 10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzReLUKernels -fuzztime 10s -fuzzminimizetime 0
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzRingRecv -fuzztime 10s
+	$(GO) test ./internal/prof -run '^$$' -fuzz FuzzTraceRead -fuzztime 10s -fuzzminimizetime 0
 
 # Race detector over the what-if predictor: trace capture off the live
 # profiler (concurrent span emission), merge, replay, and the root-package

@@ -114,7 +114,7 @@ func BenchmarkWhatifReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(tr.Spans))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
+	b.ReportMetric(float64(tr.Spans())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
 }
 
 // BenchmarkWhatifRecordTwin is BenchmarkTwinStep/pooled with what-if
@@ -136,7 +136,7 @@ func BenchmarkWhatifRecordTwin(b *testing.B) {
 	batch := src.Batch(32)
 	graph.TrainClassifierStep(net, opt, batch.X, batch.Labels, 5) // warm the pools
 	// The twin emits ~64 spans per step; cap the timeline well above the
-	// run so Capture's dropped-span check stays meaningful.
+	// run so the capture drops nothing and stays replayable.
 	prof.EnableWithMaxRecords(128*b.N + 1024)
 	defer func() {
 		prof.Disable()
@@ -153,7 +153,7 @@ func BenchmarkWhatifRecordTwin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if len(tr.Spans) == 0 {
+	if tr.Spans() == 0 {
 		b.Fatal("recording produced no spans")
 	}
 	b.ReportMetric(32*float64(b.N)/b.Elapsed().Seconds(), "samples/s")

@@ -6,8 +6,10 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
+	"time"
 
 	"tbd/internal/dist"
+	"tbd/internal/prof"
 	"tbd/internal/whatif"
 )
 
@@ -168,9 +170,10 @@ func cmdDist(args []string) error {
 	return werr
 }
 
-// distTraces merges the per-rank what-if captures that rode the result
-// messages into one cluster trace, prints a per-rank span summary, and
-// (with -trace-out) writes the merged trace for `tbd whatif` replay.
+// distTraces merges the per-rank captures that rode the result messages
+// into one cluster trace, prints each rank's time budget from its span
+// tree, and (with -trace-out) writes the merged trace for `tbd whatif`
+// replay.
 func distTraces(summary *dist.RunSummary, traceOut string) error {
 	traces := make([]*whatif.Trace, 0, len(summary.Results))
 	for _, r := range summary.Results {
@@ -183,31 +186,29 @@ func distTraces(summary *dist.RunSummary, traceOut string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("profile: %d spans across %d ranks (cluster wall %.1f ms)\n",
-		len(merged.Spans), len(merged.Ranks), merged.WallUs/1e3)
-	fmt.Printf("%-5s %-8s %-10s %-12s %s\n", "rank", "spans", "wall(ms)", "comm(ms)", "top comm span")
-	for i, tr := range traces {
-		var commUs float64
-		topName, topUs := "-", 0.0
-		perName := map[string]float64{}
-		for _, s := range tr.Spans {
-			if s.Cat != "comm" {
-				continue
+	fmt.Printf("profile: %d spans across %d ranks (cluster wall %.1f ms)\n", merged.Spans(), len(merged.Ranks), ms(merged.Wall()))
+	if trees, err := merged.Trees(); err != nil {
+		fmt.Printf("no per-rank budget: %v\n", err)
+	} else {
+		fmt.Printf("%-5s %-8s %-10s %-14s %-18s %s\n", "rank", "spans", "wall(ms)", "comm-self(ms)", "unattributed(ms)", "concurrent(ms)")
+		for i, tree := range trees {
+			var comm time.Duration
+			for _, n := range tree.Nodes {
+				if n.Cat == prof.CatComm {
+					comm += n.Self
+				}
 			}
-			commUs += s.DurUs
-			perName[s.Name] += s.DurUs
-			if perName[s.Name] > topUs {
-				topName, topUs = s.Name, perName[s.Name]
-			}
+			fmt.Printf("%-5d %-8d %-10.1f %-14.1f %-18.1f %.1f\n", merged.Ranks[i].Rank, len(tree.Nodes), ms(tree.Wall),
+				ms(comm), ms(tree.Unattributed), ms(tree.Concurrent))
 		}
-		fmt.Printf("%-5d %-8d %-10.1f %-12.1f %s\n",
-			summary.Results[i].Rank, len(tr.Spans), tr.WallUs/1e3, commUs/1e3, topName)
 	}
 	if traceOut != "" {
 		if err := merged.WriteFile(traceOut); err != nil {
 			return fmt.Errorf("dist: write cluster trace: %w", err)
 		}
-		fmt.Printf("cluster trace written to %s — replay with: tbd whatif -trace %s -scenario <spec>\n", traceOut, traceOut)
+		fmt.Printf("cluster trace written to %s — open it in Perfetto, or replay it with: tbd whatif -trace %s -scenario <spec>\n", traceOut, traceOut)
 	}
 	return nil
 }
+
+func ms(d time.Duration) float64 { return float64(d) / 1e6 }

@@ -24,8 +24,6 @@ import (
 	"tbd"
 	"tbd/internal/memprof"
 	"tbd/internal/prof"
-	"tbd/internal/trace"
-	"tbd/internal/whatif"
 )
 
 func main() {
@@ -95,7 +93,7 @@ Commands:
   workspace       workspace-budget vs conv-algorithm tradeoff (-model, -framework, -batch)
   trace           export an nvprof-style kernel timeline (-model, -framework, -batch, -json)
   twin            train a benchmark's numeric twin for real (-model, -steps, -seed)
-                  flags: -profile, -prof-top N, -prof-json, -trace-out FILE, -whatif-record FILE
+                  flags: -profile, -prof-top N, -prof-json, -trace-out FILE
   dist            real multi-process distributed training over TCP
                   flags: -workers N, -strategy ring|ps-sync|ps-async, -model mlp|mlp-wide|cnn,
                          -steps, -batch, -seed, -lr, -compress full|fp16|int8, -bw MB/s, -staleness,
@@ -342,24 +340,17 @@ func cmdTwin(args []string) error {
 	profile := fs.Bool("profile", false, "capture a live per-kernel profile and memory watermark of the run")
 	profTop := fs.Int("prof-top", 12, "profile rows to print (0 = all)")
 	profJSON := fs.Bool("prof-json", false, "emit the profile as JSON instead of a table")
-	traceOut := fs.String("trace-out", "", "write a Chrome trace (chrome://tracing) of the run to this file (implies -profile)")
-	whatifOut := fs.String("whatif-record", "", "write a what-if dependence-graph trace of the run to this file (implies -profile)")
-	whatifCap := fs.Int("whatif-cap", 1<<20, "span-timeline capacity for -whatif-record (a truncated capture is an error)")
+	traceOut := fs.String("trace-out", "", "write the run's span trace (Chrome trace JSON: Perfetto opens it, tbd whatif replays it) to this file (implies -profile)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	tbd.SetEngineParallelism(*workers)
-	if *traceOut != "" || *whatifOut != "" {
+	if *traceOut != "" {
 		*profile = true
 	}
 	if *profile {
-		if *whatifOut != "" {
-			// What-if replay needs every span edge; size the timeline so
-			// nothing drops (whatif.Capture rejects truncated captures).
-			prof.EnableWithMaxRecords(*whatifCap)
-		} else {
-			prof.Enable()
-		}
+		// Every span kept: the budget closes and the trace replays.
+		prof.EnableWithMaxRecords(traceRecordCap)
 	}
 	run, err := tbd.TrainTwin(*model, *steps, *seed)
 	if *profile {
@@ -367,19 +358,6 @@ func cmdTwin(args []string) error {
 	}
 	if err != nil {
 		return err
-	}
-	if *whatifOut != "" {
-		// Batch mirrors the twin training loops, which all draw batches
-		// of 16 (internal/core/twins.go).
-		tr, err := whatif.Capture(whatif.Meta{Model: run.Model, Steps: *steps, Batch: 16, Parallel: *workers})
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteFile(*whatifOut); err != nil {
-			return err
-		}
-		fmt.Printf("what-if trace (%d spans) written to %s — replay with: tbd whatif -trace %s -scenario <spec>\n",
-			len(tr.Spans), *whatifOut, *whatifOut)
 	}
 	fmt.Printf("Numeric twin of %s: %d steps, metric %q\n", run.Model, *steps, run.Metric)
 	for _, p := range run.Points {
@@ -392,30 +370,18 @@ func cmdTwin(args []string) error {
 	} else {
 		fmt.Println("twin did NOT improve — try more steps")
 	}
-	if *profile {
-		if err := printTwinProfile(*profTop, *profJSON, *traceOut); err != nil {
-			return err
-		}
+	if !*profile {
+		return nil
 	}
-	return nil
-}
-
-// printTwinProfile renders the live capture accumulated during cmdTwin:
-// the per-kernel table (or JSON snapshot), the five-category memory
-// watermark, and optionally a Chrome trace file.
-func printTwinProfile(topK int, asJSON bool, traceOut string) error {
 	snap := prof.Stats()
 	fmt.Println()
-	if asJSON {
+	if *profJSON {
 		if err := snap.WriteJSON(os.Stdout); err != nil {
 			return err
 		}
 	} else {
-		if err := snap.Table(topK).Render(os.Stdout); err != nil {
+		if err := snap.Table(*profTop).Render(os.Stdout); err != nil {
 			return err
-		}
-		if snap.DroppedEvents > 0 {
-			fmt.Printf("(timeline window full: %d spans dropped from the trace; stats above include them)\n", snap.DroppedEvents)
 		}
 		bd := memprof.ProfileLive(snap.Mem)
 		mb := func(v int64) float64 { return float64(v) / (1 << 20) }
@@ -423,15 +389,21 @@ func printTwinProfile(topK int, asJSON bool, traceOut string) error {
 		fmt.Printf("  feature maps %8.2f MB\n  weights      %8.2f MB\n  gradients    %8.2f MB\n  dynamic      %8.2f MB\n  workspace    %8.2f MB\n  total        %8.2f MB (feature maps %.0f%%)\n",
 			mb(bd.FeatureMaps), mb(bd.Weights), mb(bd.WeightGradients), mb(bd.Dynamic), mb(bd.Workspace), mb(bd.Total()), 100*bd.FeatureMapShare())
 	}
-	if traceOut != "" {
-		n, err := trace.WriteProfChromeFile(traceOut)
-		if err != nil {
+	if *traceOut != "" {
+		// Batch mirrors the twin training loops, which all draw batches
+		// of 16 (internal/core/twins.go).
+		tr := prof.Current(prof.Meta{Model: run.Model, Steps: *steps, Batch: 16, Parallel: *workers})
+		if err := tr.WriteFile(*traceOut); err != nil {
 			return err
 		}
-		fmt.Printf("Chrome trace (%d events) written to %s — load in chrome://tracing or Perfetto\n", n, traceOut)
+		fmt.Printf("trace (%d spans) written to %s — open it in Perfetto, or replay it with: tbd whatif -trace %s -scenario <spec>\n",
+			tr.Spans(), *traceOut, *traceOut)
 	}
 	return nil
 }
+
+// traceRecordCap is a profiled twin run's timeline cap: past any twin.
+const traceRecordCap = 1 << 20
 
 func cmdAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)

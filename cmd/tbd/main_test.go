@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tbd/internal/prof"
+	"tbd/internal/whatif"
 )
 
 // The CLI is tested end to end against a compiled binary: TestMain builds
@@ -101,4 +104,36 @@ func TestCLIErrors(t *testing.T) {
 	run(t, true, "definitely-not-a-command")
 	// Flags after the experiment id are rejected with guidance.
 	run(t, true, "run", "table4", "-csv")
+}
+
+// TestCLITwinTraceReplaysToIdentity reads the file `tbd twin -trace-out`
+// writes with the one trace reader and replays it under a scenario with
+// no clauses: the prediction is the recording, to the last bit.
+func TestCLITwinTraceReplaysToIdentity(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "twin.json")
+	out := run(t, false, "twin", "-model", "ResNet-50", "-steps", "3", "-parallel", "2", "-trace-out", path)
+	for _, want := range []string{"Self ms", "unattributed", "trace ("} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("twin -trace-out output missing %q:\n%s", want, out)
+		}
+	}
+	tr, err := prof.ReadTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Meta.Model != "ResNet-50" || tr.Meta.Steps != 3 || tr.Meta.KernelTier == "" {
+		t.Fatalf("trace meta %+v", tr.Meta)
+	}
+	sc, err := whatif.ParseScenario("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := whatif.Replay(tr, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Steps != 3 || p.PredictedStepUs != p.BaselineStepUs || p.PredictedWallUs != p.BaselineWallUs {
+		t.Fatalf("identity replay: %d steps, step %v -> %v us, wall %v -> %v us",
+			p.Steps, p.BaselineStepUs, p.PredictedStepUs, p.BaselineWallUs, p.PredictedWallUs)
+	}
 }

@@ -4,19 +4,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
+	"tbd/internal/prof"
 	"tbd/internal/whatif"
 )
 
-// cmdWhatif replays a recorded dependence-graph trace under a proposed
-// transformation and prints the predicted step time and memory. The
-// trace comes from a real run: `tbd twin -whatif-record FILE` for
-// single-process training, `tbd dist -trace-out FILE` for a merged
-// cluster capture.
+// cmdWhatif replays a recorded span trace under a proposed transformation
+// and prints the predicted step time and memory. The trace comes from a
+// real run: `tbd twin -trace-out FILE` for single-process training,
+// `tbd dist -trace-out FILE` for a merged cluster capture.
 func cmdWhatif(args []string) error {
 	fs := flag.NewFlagSet("whatif", flag.ExitOnError)
-	tracePath := fs.String("trace", "", "recorded trace file (from twin -whatif-record or dist -trace-out)")
+	tracePath := fs.String("trace", "", "recorded trace file (from twin -trace-out or dist -trace-out)")
 	spec := fs.String("scenario", "", "comma-separated transforms, e.g. 'speedup=gemm*:2,bw=10gbe,fp16'")
 	asJSON := fs.Bool("json", false, "emit the full prediction as JSON")
 	topK := fs.Int("top", 12, "kernel rows to print (0 = all)")
@@ -24,13 +23,13 @@ func cmdWhatif(args []string) error {
 		return err
 	}
 	if *tracePath == "" {
-		return fmt.Errorf("whatif: -trace is required (record one with: tbd twin -whatif-record trace.json)")
+		return fmt.Errorf("whatif: -trace is required (record one with: tbd twin -trace-out trace.json)")
 	}
 	if *spec == "" {
 		return fmt.Errorf("whatif: -scenario is required, e.g. -scenario 'speedup=gemm*:2' (transforms: speedup=GLOB:K, kernelmodel=GLOB:GFLOPS, parallel=N, batch=N, fp16, fused=on|off, bw=MBPS|1gbe|10gbe|40gbe|unlimited, compress=full|fp16|int8, offload=SIZE, drop=SPAN/PATH/GLOB)")
 	}
 
-	tr, err := whatif.ReadFile(*tracePath)
+	tr, err := prof.ReadTraceFile(*tracePath)
 	if err != nil {
 		return err
 	}
@@ -51,7 +50,7 @@ func cmdWhatif(args []string) error {
 		desc = fmt.Sprintf("%s, %d ranks, %s/%s", desc, tr.Meta.Workers, tr.Meta.Strategy, tr.Meta.Compression)
 	}
 	fmt.Printf("What-if replay of %s (%d spans, %d steps, kernel tier %s)\n",
-		desc, len(tr.Spans), pred.Steps, tierOrDash(tr.Meta.KernelTier))
+		desc, tr.Spans(), pred.Steps, tr.Meta.KernelTier)
 	fmt.Printf("scenario: %s\n", *spec)
 	for _, t := range pred.Transforms {
 		fmt.Printf("  - %s\n", t)
@@ -78,13 +77,4 @@ func cmdWhatif(args []string) error {
 		}
 	}
 	return nil
-}
-
-// tierOrDash keeps the header readable for traces recorded before the
-// profiler knew its kernel tier.
-func tierOrDash(tier string) string {
-	if strings.TrimSpace(tier) == "" {
-		return "-"
-	}
-	return tier
 }

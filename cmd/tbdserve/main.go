@@ -19,9 +19,10 @@
 // streamed in the request body into every replica with zero downtime.
 // Queue-full sheds are 429; SLO-infeasible sheds and drain are 503; a
 // body over the size a well-formed request could need is 413. With
-// -trace it runs the live profiler and on shutdown writes its span
-// timeline — one serve.rK.batch slice per flushed batch, with the batch's
-// input bytes in the slice's args — as Chrome trace-event JSON.
+// -trace it runs the live profiler and on shutdown writes its span trace
+// — one serve.rK.batch slice per flushed batch, with the batch's input
+// bytes in the slice's args — in the one trace format every tool here
+// writes (Chrome trace-event JSON).
 package main
 
 import (
@@ -47,7 +48,6 @@ import (
 	"tbd/internal/prof"
 	"tbd/internal/serve"
 	"tbd/internal/tensor"
-	"tbd/internal/trace"
 )
 
 func main() {
@@ -89,7 +89,7 @@ func cmdServe(args []string) error {
 	queue := fs.Int("queue", 256, "admission queue depth per replica (0 = 4*batch)")
 	parallel := fs.Int("parallel", 0, "tensor worker parallelism before the per-replica clamp (0 = GOMAXPROCS)")
 	seed := fs.Uint64("seed", 42, "weight init seed")
-	traceOut := fs.String("trace", "", "enable the live profiler and write its span timeline (one serve.rK.batch slice per batch) as Chrome trace JSON to this `file` on shutdown")
+	traceOut := fs.String("trace", "", "enable the live profiler and write its span trace (one serve.rK.batch slice per batch, Chrome trace JSON) to this `file` on shutdown")
 	profile := fs.Bool("profile", false, "enable the live profiler; snapshot at GET /debug/prof, summary on shutdown")
 	fp16 := fs.Bool("fp16", false, "freeze weights to fp16 storage (halves resident weight bytes; outputs shift within quantization error)")
 	if err := fs.Parse(args); err != nil {
@@ -174,8 +174,8 @@ func cmdServe(args []string) error {
 }
 
 // report prints what a drained fleet measured: the final /stats
-// snapshot; with -profile the profiler's span table; with -trace the
-// profiler's span timeline written as a Chrome trace file, one
+// snapshot; with -profile the profiler's span table and its self-time
+// budget; with -trace the profiler's span trace written to a file, one
 // serve.rK.batch slice per flushed batch up to the profiler's record cap.
 func report(w io.Writer, fleet *serve.Fleet, profile bool, traceOut string) error {
 	out, _ := json.MarshalIndent(fleet.Stats(), "", "  ")
@@ -188,12 +188,12 @@ func report(w io.Writer, fleet *serve.Fleet, profile bool, traceOut string) erro
 		}
 	}
 	if traceOut != "" {
-		n, err := trace.WriteProfChromeFile(traceOut)
-		if err != nil {
+		tr := prof.Current(prof.Meta{})
+		if err := tr.WriteFile(traceOut); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "tbdserve: wrote span trace to %s (%d spans, %d dropped past the record cap)\n",
-			traceOut, n, prof.Dropped())
+			traceOut, tr.Spans(), tr.Dropped)
 	}
 	return nil
 }

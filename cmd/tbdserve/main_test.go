@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
@@ -157,8 +156,8 @@ func mlpFleet(t *testing.T, cfg serve.FleetConfig) *serve.Fleet {
 
 // TestTraceFileFromDaemon runs the daemon's handler with the profiler on,
 // as -trace does, writes the trace the way cmdServe does on shutdown, and
-// parses the file back: one serve.rK.batch slice per flushed batch from
-// both replicas, each showing the batch's input bytes.
+// reads the file back with the trace reader: one serve.rK.batch span per
+// flushed batch from both replicas, each showing the batch's input bytes.
 func TestTraceFileFromDaemon(t *testing.T) {
 	prof.Enable()
 	defer prof.Disable()
@@ -189,43 +188,27 @@ func TestTraceFileFromDaemon(t *testing.T) {
 	if !strings.Contains(out.String(), path) {
 		t.Fatalf("report does not name the trace file:\n%s", out.String())
 	}
-	raw, err := os.ReadFile(path)
+	tr, err := prof.ReadTraceFile(path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			Args struct {
-				Bytes int64 `json:"bytes"`
-			} `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("trace file is not Chrome trace JSON: %v", err)
+		t.Fatalf("trace file does not read back (nothing should drop below the default record cap): %v", err)
 	}
 	rowBytes := 4 * int64(shape[0])
 	perReplica := map[string]uint64{}
-	for _, e := range doc.TraceEvents {
-		if e.Ph != "X" || !strings.HasPrefix(e.Name, "serve.r") {
+	for _, r := range tr.Ranks[0].Records {
+		if r.Cat != prof.CatServe {
 			continue
 		}
-		if e.Args.Bytes <= 0 || e.Args.Bytes%rowBytes != 0 || e.Args.Bytes/rowBytes > maxBatch {
-			t.Fatalf("%s slice shows %d bytes, want 1 to %d rows of %d", e.Name, e.Args.Bytes, maxBatch, rowBytes)
+		if r.Bytes <= 0 || r.Bytes%rowBytes != 0 || r.Bytes/rowBytes > maxBatch {
+			t.Fatalf("%s span shows %d bytes, want 1 to %d rows of %d", r.Name, r.Bytes, maxBatch, rowBytes)
 		}
-		perReplica[e.Name]++
+		perReplica[r.Name]++
 	}
-	snap := fleet.Stats()
-	if prof.Dropped() != 0 {
-		t.Fatalf("%d spans dropped below the default record cap", prof.Dropped())
-	}
-	for i, rs := range snap.PerReplica {
+	for i, rs := range fleet.Stats().PerReplica {
 		if name := fmt.Sprintf("serve.r%d.batch", i); perReplica[name] != rs.Batches {
-			t.Errorf("%s: %d slices, replica flushed %d batches", name, perReplica[name], rs.Batches)
+			t.Errorf("%s: %d spans, replica flushed %d batches", name, perReplica[name], rs.Batches)
 		}
 	}
 	if len(perReplica) != 2 {
-		t.Fatalf("batch slices from %d replicas, want 2: %v", len(perReplica), perReplica)
+		t.Fatalf("batch spans from %d replicas, want 2: %v", len(perReplica), perReplica)
 	}
 }

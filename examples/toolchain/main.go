@@ -14,7 +14,6 @@ import (
 	"tbd"
 	"tbd/internal/memprof"
 	"tbd/internal/prof"
-	"tbd/internal/trace"
 )
 
 func main() {
@@ -117,13 +116,14 @@ func run() error {
 		return err
 	}
 	defer os.Remove(tf.Name())
-	if err := trace.WriteProfChrome(tf, prof.Records()); err != nil {
+	tr := prof.Current(prof.Meta{Model: model, Steps: 20})
+	if err := tr.Write(tf); err != nil {
 		return err
 	}
 	if err := tf.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("  Chrome trace of the real run: %s (%d events)\n", tf.Name(), len(prof.Records()))
+	fmt.Printf("  trace of the real run (Perfetto opens it, tbd whatif replays it): %s (%d spans)\n", tf.Name(), tr.Spans())
 
 	fmt.Println("\ntoolchain: OK")
 	return nil

@@ -432,7 +432,8 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 
 // distProfileMaxRecords sizes the profiled-run timeline: a few steps of
 // a deep model emit thousands of spans per step, and a truncated capture
-// is a hard error in whatif.Capture, so leave generous headroom.
+// cannot be replayed, so leave generous headroom. The trace reader's
+// bounds (internal/prof) are derived from this cap.
 const distProfileMaxRecords = 1 << 20
 
 // BuildMasterParams builds the parameter-server master network for a

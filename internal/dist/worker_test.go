@@ -43,18 +43,18 @@ func TestProfiledRankSpanShapeAndTrajectory(t *testing.T) {
 	}
 	// The capture carries the step tree whatif.Replay keys on, with the
 	// gradient exchange as the apply phase.
-	spans := res.result.Trace.Spans
-	sort.Slice(spans, func(i, j int) bool { return spans[i].StartUs < spans[j].StartUs })
+	spans := res.result.Trace.Ranks[0].Records
+	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
 	want := []string{"phase.forward", "phase.loss", "phase.backward", "phase.sync"}
 	got := 0
 	for _, step := range spans {
-		if step.Name != "step" || step.Cat != "phase" {
+		if step.Name != "step" || step.Cat != prof.CatPhase {
 			continue
 		}
 		got++
 		var children []string
 		for _, s := range spans {
-			if s.Parent == step.ID && s.Cat == "phase" {
+			if s.Parent == step.ID && s.Cat == prof.CatPhase {
 				children = append(children, s.Name)
 			}
 		}

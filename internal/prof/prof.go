@@ -49,23 +49,14 @@ const (
 	CatComm
 )
 
-// String returns the category label used in stats tables and trace files.
+// catNames are the category labels of stats tables and trace files.
+var catNames = [...]string{CatKernel: "kernel", CatForward: "fwd", CatBackward: "bwd", CatPhase: "phase",
+	CatOptim: "optim", CatServe: "serve", CatComm: "comm"}
+
+// String returns the category's label.
 func (c Cat) String() string {
-	switch c {
-	case CatKernel:
-		return "kernel"
-	case CatForward:
-		return "fwd"
-	case CatBackward:
-		return "bwd"
-	case CatPhase:
-		return "phase"
-	case CatOptim:
-		return "optim"
-	case CatServe:
-		return "serve"
-	case CatComm:
-		return "comm"
+	if int(c) < len(catNames) {
+		return catNames[c]
 	}
 	return "other"
 }
@@ -386,11 +377,11 @@ func SampleMemory(weights, grads, featureMaps, workspace, dynamic int64) {
 	collector.mu.Lock()
 	defer collector.mu.Unlock()
 	m := &collector.mem
-	m.Weights = max64(m.Weights, weights)
-	m.WeightGradients = max64(m.WeightGradients, grads)
-	m.FeatureMaps = max64(m.FeatureMaps, featureMaps)
-	m.Workspace = max64(m.Workspace, workspace)
-	m.Dynamic = max64(m.Dynamic, dynamic)
+	m.Weights = max(m.Weights, weights)
+	m.WeightGradients = max(m.WeightGradients, grads)
+	m.FeatureMaps = max(m.FeatureMaps, featureMaps)
+	m.Workspace = max(m.Workspace, workspace)
+	m.Dynamic = max(m.Dynamic, dynamic)
 	if total > collector.memTotal {
 		collector.memTotal = total
 		m.PeakTotal = total
@@ -403,11 +394,4 @@ func Watermark() MemWatermark {
 	collector.mu.Lock()
 	defer collector.mu.Unlock()
 	return collector.mem
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

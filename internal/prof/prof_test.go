@@ -210,25 +210,27 @@ func TestSnapshotTableAndJSON(t *testing.T) {
 	if err := tbl.Render(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "optim.sgd") {
-		t.Fatalf("table missing row:\n%s", sb.String())
+	for _, want := range []string{"optim.sgd", "Self ms", "unattributed"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("table missing %q:\n%s", want, sb.String())
+		}
 	}
 
 	sb.Reset()
 	if err := snap.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"kernels"`, `"memory_watermark"`, `"optim.sgd"`, `"wall_sec"`} {
+	for _, want := range []string{`"kernels"`, `"memory_watermark"`, `"optim.sgd"`, `"wall_sec"`, `"self_ms"`, `"unattributed_ms"`} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("snapshot JSON missing %s:\n%s", want, sb.String())
 		}
 	}
 
-	// Table truncation keeps the top rows only.
-	if rows := snap.Table(0).Rows; len(rows) != 1 {
-		t.Fatalf("full table has %d rows", len(rows))
+	// Table truncation keeps the top kernel rows, then the budget rows.
+	if rows := snap.Table(0).Rows; len(rows) != 2 {
+		t.Fatalf("full table has %d rows, want the kernel and unattributed", len(rows))
 	}
-	if rows := (Snapshot{Kernels: make([]KernelStat, 5)}).Table(2).Rows; len(rows) != 2 {
-		t.Fatalf("topK table has %d rows, want 2", len(rows))
+	if rows := (Snapshot{Kernels: make([]KernelStat, 5), ConcurrentMs: 1}).Table(2).Rows; len(rows) != 4 {
+		t.Fatalf("topK table has %d rows, want 2 kernels, unattributed and concurrent", len(rows))
 	}
 }

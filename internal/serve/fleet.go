@@ -533,17 +533,21 @@ func (r *replica) flush(batch []*request) {
 		prof.SampleMemory(f.residentWeightBytes(), 0, 0, packBytes, 0)
 	}
 
+	// Count a batch before answering it, so a caller that has its result
+	// never reads stats that miss it.
 	if err != nil {
+		r.queued.Add(-int64(n))
+		r.stats.failBatch(n)
 		for _, q := range live {
 			q.resp <- response{err: err}
 		}
-		r.queued.Add(-int64(n))
-		r.stats.failBatch(n)
 		return
 	}
 
 	rowLen := out.Numel() / n
 	done := time.Now()
+	r.queued.Add(-int64(n))
+	r.stats.recordBatch(live, dur, done)
 	for i, q := range live {
 		q.resp <- response{res: Result{
 			Output:    append([]float32(nil), out.Data()[i*rowLen:(i+1)*rowLen]...),
@@ -552,8 +556,6 @@ func (r *replica) flush(batch []*request) {
 			Replica:   r.id,
 		}}
 	}
-	r.queued.Add(-int64(n))
-	r.stats.recordBatch(live, dur, done)
 
 	// Refresh the router's control signals from the rolling windows.
 	r.batchP50.Store(math.Float64bits(r.stats.batchTime.Snapshot().Quantile(0.50)))

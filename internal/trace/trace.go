@@ -2,9 +2,8 @@
 // analysis pipeline (Figure 3): capture of per-kernel execution records
 // from the simulator, gap analysis, and CSV/JSON export of the ".nvvp
 // file" equivalent that the toolchain merges with framework-level
-// measurements. Real runs — training, distributed ranks, the serving
-// batcher — are timed by the live profiler (internal/prof), whose span
-// records WriteProfChrome renders as a Chrome trace.
+// measurements. Real runs are timed by the live profiler (internal/prof),
+// which writes its own trace files.
 package trace
 
 import (
@@ -22,32 +21,6 @@ type Timeline struct {
 
 // New wraps captured events as a timeline.
 func New(events []sim.Event) *Timeline { return &Timeline{Events: events} }
-
-// Span returns the start of the first event and end of the last.
-func (t *Timeline) Span() (start, end float64) {
-	if len(t.Events) == 0 {
-		return 0, 0
-	}
-	start = t.Events[0].StartSec
-	for _, e := range t.Events {
-		if e.StartSec < start {
-			start = e.StartSec
-		}
-		if fin := e.StartSec + e.DurSec; fin > end {
-			end = fin
-		}
-	}
-	return start, end
-}
-
-// BusyTime returns the summed kernel durations.
-func (t *Timeline) BusyTime() float64 {
-	var s float64
-	for _, e := range t.Events {
-		s += e.DurSec
-	}
-	return s
-}
 
 // Gap is an idle interval between consecutive kernels.
 type Gap struct {

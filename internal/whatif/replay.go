@@ -1,10 +1,12 @@
 package whatif
 
 import (
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"tbd/internal/device"
@@ -12,13 +14,13 @@ import (
 	"tbd/internal/report"
 )
 
-// Replay is the prediction engine: it walks the recorded dependence
-// graph bottom-up, transforms each span's self time (the part not
-// covered by its children) according to the scenario, and re-sums the
-// tree. Sequence edges are implicit — siblings under one parent ran
-// sequentially in the recording, so a parent's predicted duration is its
-// transformed self time plus its children's predicted durations, and the
-// gaps between root spans (untraced glue) carry over unchanged.
+// Replay is the prediction engine: it walks each rank's span tree,
+// transforms each span's self time (the part its children do not cover)
+// according to the scenario, and re-sums the tree bottom-up. Sequence
+// edges are implicit — siblings under one parent ran sequentially in the
+// recording — so a span's predicted duration is its recorded one plus
+// the change in its own self time and in its children's durations, and
+// the gaps between root spans (untraced glue) carry over unchanged.
 //
 // The model is deliberately Daydream's: span durations are ground truth
 // from a real run; only the deltas are simulated. Anything the trace
@@ -26,100 +28,75 @@ import (
 // residue) is held constant, and every such assumption lands in
 // Prediction.Notes.
 func Replay(t *Trace, sc *Scenario) (*Prediction, error) {
-	if len(t.Spans) == 0 {
-		return nil, fmt.Errorf("whatif: empty trace")
-	}
-	g, err := buildGraph(t)
+	trees, err := t.Trees()
 	if err != nil {
 		return nil, err
 	}
+	g := buildGraph(trees)
+	if len(g.nodes) == 0 {
+		return nil, fmt.Errorf("whatif: empty trace")
+	}
 	p := &Prediction{
-		Scenario:       sc.Spec,
-		Transforms:     sc.Describe(),
-		BaselineWallUs: t.WallUs,
-		MemBefore:      t.Mem,
-		MemAfter:       t.Mem,
+		Scenario:   sc.Spec,
+		Transforms: sc.Describe(),
+		MemBefore:  t.Mem,
+		MemAfter:   t.Mem,
 	}
 
 	// Roofline calibration from the trace itself: the best achieved
 	// bandwidth and FLOP rate bound what "memory-bound" means on the
 	// machine that produced the recording.
-	peakBWBps, peakFLOPs := calibrate(t)
+	peakBWBps, peakFLOPs := calibrate(g)
 
 	transferUsPerStep := applyMemory(p, t, sc)
 	applyTime(g, t, sc, peakBWBps, peakFLOPs)
-	applyDrop(g, sc)
+	applyDrop(g, trees, sc)
 
-	// Re-sum the tree bottom-up; spans are start-sorted so children
-	// always carry a larger index... not guaranteed (ID order within same
-	// start). Compute via recursion with memoization instead.
+	// Re-sum bottom-up: each tree is in pre-order, so walking backwards
+	// meets every child before its parent. A span keeps its recorded
+	// duration except for what the scenario changed, so an empty scenario
+	// predicts the recording back exactly, concurrent children included.
+	// Dropping a span whose children overlapped would take that overlap
+	// twice, hence the floor at 0.
 	newDur := make([]float64, len(g.nodes))
-	for i := range newDur {
-		newDur[i] = -1
-	}
-	var sum func(i int) float64
-	sum = func(i int) float64 {
-		if newDur[i] >= 0 {
-			return newDur[i]
+	for i := len(g.nodes) - 1; i >= 0; i-- {
+		n := &g.nodes[i]
+		d := n.durUs + (n.newSelfUs - n.selfUs)
+		for _, c := range n.Children {
+			d += newDur[n.base+c] - g.nodes[n.base+c].durUs
 		}
-		d := g.nodes[i].newSelfUs
-		for _, c := range g.nodes[i].children {
-			d += sum(c)
-		}
-		newDur[i] = d
-		return d
-	}
-	for i := range g.nodes {
-		sum(i)
+		newDur[i] = math.Max(d, 0)
 	}
 
 	// Wall time per rank: the recorded wall minus what the roots took,
 	// plus what they are predicted to take (root-to-root gaps carry over).
-	rankBase := map[int]float64{}
-	rankPred := map[int]float64{}
-	rankSteps := map[int]int{}
-	for _, ri := range t.Ranks {
-		rankBase[ri.Rank] = ri.WallUs
-	}
-	if len(t.Ranks) == 0 {
-		rankBase[0] = t.WallUs
-	}
-	//tbd:nondeterministic-ok copies map entries key-by-key; each key written once, order-free
-	for r, w := range rankBase {
-		rankPred[r] = w
-	}
-	for i, n := range g.nodes {
-		if n.s.Name == "step" && n.s.Cat == "phase" {
-			p.Steps++
-			rankSteps[n.s.Rank]++
-			p.BaselineStepUs += n.s.DurUs
-			p.PredictedStepUs += newDur[i] + transferUsPerStep
+	// The cluster wall is the slowest rank's, before and after.
+	for r, c := range t.Ranks {
+		wall := float64(c.Wall) / 1e3
+		pred := wall
+		for i := g.rankBase[r]; i < g.rankBase[r+1]; i++ {
+			n := &g.nodes[i]
+			if n.Name == "step" && n.Cat == prof.CatPhase {
+				p.Steps++
+				p.BaselineStepUs += n.durUs
+				p.PredictedStepUs += newDur[i] + transferUsPerStep
+				pred += transferUsPerStep
+			}
+			if n.Up < 0 {
+				pred += newDur[i] - n.durUs
+			}
 		}
-		if n.s.Parent == 0 {
-			rankPred[n.s.Rank] += newDur[i] - n.s.DurUs
-		}
+		p.BaselineWallUs = math.Max(p.BaselineWallUs, wall)
+		p.PredictedWallUs = math.Max(p.PredictedWallUs, pred)
 	}
 	if p.Steps > 0 {
 		p.BaselineStepUs /= float64(p.Steps)
 		p.PredictedStepUs /= float64(p.Steps)
 	}
-	//tbd:nondeterministic-ok per-key increment of distinct entries; order-free
-	for r, n := range rankSteps {
-		rankPred[r] += float64(n) * transferUsPerStep
-	}
-	// Cluster wall = slowest rank, before and after.
-	//tbd:nondeterministic-ok max over map values is order-independent
-	for _, w := range rankBase {
-		p.BaselineWallUs = math.Max(p.BaselineWallUs, w)
-	}
-	//tbd:nondeterministic-ok max over map values is order-independent
-	for _, w := range rankPred {
-		p.PredictedWallUs = math.Max(p.PredictedWallUs, w)
-	}
 
-	p.Phases = aggregate(g, newDur, func(s *Span) bool { return s.Cat == "phase" || s.Cat == "comm" }, false)
-	p.Kernels = aggregate(g, newDur, func(s *Span) bool {
-		return s.Cat == "kernel" || s.Cat == "optim" || s.Cat == "comm"
+	p.Phases = aggregate(g, newDur, func(n *gnode) bool { return n.Cat == prof.CatPhase || n.Cat == prof.CatComm }, false)
+	p.Kernels = aggregate(g, newDur, func(n *gnode) bool {
+		return n.Cat == prof.CatKernel || n.Cat == prof.CatOptim || n.Cat == prof.CatComm
 	}, true)
 	if transferUsPerStep > 0 {
 		p.Notes = append(p.Notes, fmt.Sprintf("offload adds %.2f ms of PCIe traffic per step (charged to step and wall time)", transferUsPerStep/1e3))
@@ -128,65 +105,54 @@ func Replay(t *Trace, sc *Scenario) (*Prediction, error) {
 	return p, nil
 }
 
-// graph is the parsed dependence graph: one node per span, children in
-// start order, self time split out.
+// graph is every rank's tree laid end to end: one node per span, with
+// the scenario's working values beside the recorded ones.
 type graph struct {
 	nodes []gnode
-	notes []string
+	// rankBase[r] is where rank r's nodes start; rankBase[len] = len(nodes).
+	rankBase []int
+	notes    []string
 }
 
+// gnode is one span: base offsets its tree-local indices (Children, Up)
+// into graph.nodes, and effFLOPs/effBytes are its work after batch
+// rescaling, which later clauses (kernelmodel, fp16) consume.
 type gnode struct {
-	s         *Span
-	children  []int
-	selfUs    float64
-	newSelfUs float64
-	// effFLOPs/effBytes are the span's work after batch rescaling, which
-	// later clauses (kernelmodel, fp16) consume.
-	effFLOPs float64
-	effBytes float64
+	*prof.Node
+	base                     int
+	durUs, selfUs, newSelfUs float64
+	effFLOPs, effBytes       float64
 }
 
-func buildGraph(t *Trace) (*graph, error) {
-	g := &graph{nodes: make([]gnode, len(t.Spans))}
-	byID := make(map[uint64]int, len(t.Spans))
-	for i := range t.Spans {
-		s := &t.Spans[i]
-		g.nodes[i] = gnode{s: s, selfUs: s.DurUs, effFLOPs: s.FLOPs, effBytes: float64(s.Bytes)}
-		byID[s.ID] = i
-	}
-	for i := range t.Spans {
-		s := &t.Spans[i]
-		if s.Parent == 0 {
-			continue
+func buildGraph(trees []*prof.Tree) *graph {
+	g := &graph{}
+	for _, tree := range trees {
+		base := len(g.nodes)
+		g.rankBase = append(g.rankBase, base)
+		for i := range tree.Nodes {
+			n := &tree.Nodes[i]
+			self := float64(n.Self) / 1e3
+			g.nodes = append(g.nodes, gnode{
+				Node: n, base: base,
+				durUs: float64(n.Dur) / 1e3, selfUs: self, newSelfUs: self,
+				effFLOPs: n.FLOPs, effBytes: float64(n.Bytes),
+			})
 		}
-		pi, ok := byID[s.Parent]
-		if !ok {
-			return nil, fmt.Errorf("whatif: span %d (%q) has unrecorded parent %d", s.ID, s.Name, s.Parent)
-		}
-		g.nodes[pi].children = append(g.nodes[pi].children, i)
-		g.nodes[pi].selfUs -= s.DurUs
 	}
-	for i := range g.nodes {
-		if g.nodes[i].selfUs < 0 {
-			// Concurrent children (overlapping spans) can exceed the
-			// parent's span; the parent's own work is then fully hidden.
-			g.nodes[i].selfUs = 0
-		}
-		g.nodes[i].newSelfUs = g.nodes[i].selfUs
-	}
-	return g, nil
+	g.rankBase = append(g.rankBase, len(g.nodes))
+	return g
 }
 
 // calibrate extracts the machine's best achieved memory bandwidth (B/s)
 // and FLOP rate (FLOP/s) from the recording, the two roofline anchors
 // the fp16 and fused models price memory passes against.
-func calibrate(t *Trace) (peakBWBps, peakFLOPs float64) {
-	for i := range t.Spans {
-		s := &t.Spans[i]
-		if s.DurUs <= 0 {
+func calibrate(g *graph) (peakBWBps, peakFLOPs float64) {
+	for i := range g.nodes {
+		s := &g.nodes[i]
+		if s.durUs <= 0 {
 			continue
 		}
-		sec := s.DurUs / 1e6
+		sec := s.durUs / 1e6
 		if s.Bytes > 0 {
 			peakBWBps = math.Max(peakBWBps, float64(s.Bytes)/sec)
 		}
@@ -228,10 +194,9 @@ func applyTime(g *graph, t *Trace, sc *Scenario, peakBWBps, peakFLOPs float64) {
 	commNote := false
 	for i := range g.nodes {
 		n := &g.nodes[i]
-		s := n.s
 
 		// 1. batch rescaling of the compute phases.
-		if batchRatio != 1 && scalesWithBatch(s) {
+		if batchRatio != 1 && scalesWithBatch(n) {
 			n.newSelfUs *= batchRatio
 			n.effFLOPs *= batchRatio
 			n.effBytes *= batchRatio
@@ -240,7 +205,7 @@ func applyTime(g *graph, t *Trace, sc *Scenario, peakBWBps, peakFLOPs float64) {
 		// 2. analytical kernel model: replace matching spans' self time
 		// with FLOPs at the given rate.
 		for _, km := range sc.KernelModels {
-			if n.effFLOPs > 0 && len(n.children) == 0 && matchClass(km.Glob, s.Name) {
+			if n.effFLOPs > 0 && len(n.Children) == 0 && matchClass(km.Glob, n.Name) {
 				n.newSelfUs = n.effFLOPs / (km.Factor * 1e9) * 1e6
 			}
 		}
@@ -251,7 +216,7 @@ func applyTime(g *graph, t *Trace, sc *Scenario, peakBWBps, peakFLOPs float64) {
 		// the memory-time floor (bytes at the trace-calibrated peak) is
 		// held invariant. Spans with no byte attribution scale wholesale.
 		for _, sp := range sc.Speedups {
-			if !matchClass(sp.Glob, s.Name) {
+			if !matchClass(sp.Glob, n.Name) {
 				continue
 			}
 			tMemUs := 0.0
@@ -262,9 +227,9 @@ func applyTime(g *graph, t *Trace, sc *Scenario, peakBWBps, peakFLOPs float64) {
 		}
 
 		// 4. engine parallelism on the parallel kernel classes.
-		if sc.Parallel > 0 && sc.Parallel != oldPar && s.Cat == "kernel" {
+		if sc.Parallel > 0 && sc.Parallel != oldPar && n.Cat == prof.CatKernel {
 			for _, class := range parallelKernelClasses {
-				if matchClass(class, s.Name) {
+				if matchClass(class, n.Name) {
 					n.newSelfUs *= float64(oldPar) / float64(sc.Parallel)
 					break
 				}
@@ -273,7 +238,7 @@ func applyTime(g *graph, t *Trace, sc *Scenario, peakBWBps, peakFLOPs float64) {
 
 		// 5. fp16 storage: the memory-bound share of each kernel span
 		// halves (roofline blend against trace-calibrated peaks).
-		if sc.FP16 && s.Cat == "kernel" && n.effBytes > 0 && peakBWBps > 0 {
+		if sc.FP16 && n.Cat == prof.CatKernel && n.effBytes > 0 && peakBWBps > 0 {
 			tMem := n.effBytes / peakBWBps
 			tCompute := 0.0
 			if peakFLOPs > 0 {
@@ -290,7 +255,7 @@ func applyTime(g *graph, t *Trace, sc *Scenario, peakBWBps, peakFLOPs float64) {
 		// activation) over the output, each a read+write sweep priced at
 		// the calibrated bandwidth. The output share of a GEMM's traffic
 		// is estimated at one third (A, B, and C move comparable volumes).
-		if sc.Fused != nil && s.Name == "gemm.bias_act" && peakBWBps > 0 {
+		if sc.Fused != nil && n.Name == "gemm.bias_act" && peakBWBps > 0 {
 			if !*sc.Fused {
 				outBytes := n.effBytes / 3
 				n.newSelfUs += 4 * outBytes / peakBWBps * 1e6
@@ -299,8 +264,8 @@ func applyTime(g *graph, t *Trace, sc *Scenario, peakBWBps, peakFLOPs float64) {
 		}
 
 		// 7. network: bandwidth and wire-encoding changes on comm spans.
-		if s.Cat == "comm" && (sc.BandwidthMBps != 0 || sc.Compression != "") {
-			n.newSelfUs = replayComm(t, sc, s, n.newSelfUs)
+		if n.Cat == prof.CatComm && (sc.BandwidthMBps != 0 || sc.Compression != "") {
+			n.newSelfUs = replayComm(t, sc, n, n.newSelfUs)
 			commNote = true
 		}
 	}
@@ -317,35 +282,28 @@ func applyTime(g *graph, t *Trace, sc *Scenario, peakBWBps, peakFLOPs float64) {
 // siblings keep theirs and the parent its own residue, so what depended on
 // the span now follows whatever preceded it. Runs last, so no earlier
 // clause can price a removed span back in.
-func applyDrop(g *graph, sc *Scenario) {
+func applyDrop(g *graph, trees []*prof.Tree, sc *Scenario) {
 	if len(sc.Drops) == 0 {
 		return
 	}
-	var drop func(i int)
-	drop = func(i int) {
-		g.nodes[i].newSelfUs = 0
-		for _, c := range g.nodes[i].children {
-			drop(c)
-		}
-	}
 	matched := 0
-	var walk func(i int, prefix string)
-	walk = func(i int, prefix string) {
-		p := prefix + g.nodes[i].s.Name
-		for _, glob := range sc.Drops {
-			if matchClass(glob, p) {
-				matched++
-				drop(i)
-				return
+	dropped := make([]bool, len(g.nodes))
+	for r, tree := range trees {
+		for i := range tree.Nodes {
+			// Pre-order: a parent's verdict is in before its children's.
+			at, up := g.rankBase[r]+i, tree.Nodes[i].Up
+			if dropped[at] = up >= 0 && dropped[g.rankBase[r]+up]; !dropped[at] {
+				for _, glob := range sc.Drops {
+					if matchClass(glob, tree.Path(i)) {
+						matched++
+						dropped[at] = true
+						break
+					}
+				}
 			}
-		}
-		for _, c := range g.nodes[i].children {
-			walk(c, p+"/")
-		}
-	}
-	for i := range g.nodes {
-		if g.nodes[i].s.Parent == 0 {
-			walk(i, "")
+			if dropped[at] {
+				g.nodes[at].newSelfUs = 0
+			}
 		}
 	}
 	g.notes = append(g.notes, fmt.Sprintf("drop model: %d spans removed with their subtrees; the buffers they wrote and the cache lines they evicted are not modelled", matched))
@@ -355,19 +313,11 @@ func applyDrop(g *graph, sc *Scenario) {
 // per-step sample count: everything inside the forward, loss, and
 // backward phases (and those phase spans' own residue). The optimizer
 // touches weights, not samples; comm volume is gradient-sized.
-func scalesWithBatch(s *Span) bool {
-	if s.Cat == "comm" || s.Cat == "optim" {
-		return false
+func scalesWithBatch(s *gnode) bool {
+	compute := func(name string) bool {
+		return name == "phase.forward" || name == "phase.loss" || name == "phase.backward"
 	}
-	switch s.Name {
-	case "phase.forward", "phase.loss", "phase.backward":
-		return true
-	}
-	switch s.Phase {
-	case "phase.forward", "phase.loss", "phase.backward":
-		return true
-	}
-	return false
+	return s.Cat != prof.CatComm && s.Cat != prof.CatOptim && (compute(s.Name) || compute(s.Phase))
 }
 
 // wireBytesPerElem mirrors dist.Compression's wire encoding (4-byte
@@ -392,7 +342,7 @@ func commBlend(compression string) float64 {
 // The recorded duration splits into wire time (volume / link bandwidth,
 // capped by the observed duration) and overhead (framing, reduction
 // arithmetic, peer waits); only wire time rescales.
-func replayComm(t *Trace, sc *Scenario, s *Span, selfUs float64) float64 {
+func replayComm(t *Trace, sc *Scenario, s *gnode, selfUs float64) float64 {
 	shareBytes := float64(s.Bytes)
 	if strings.HasPrefix(s.Name, "comm.ring") {
 		// In+out are concurrent on a ring hop; the serial wire time is
@@ -533,30 +483,28 @@ type Prediction struct {
 }
 
 // aggregate groups spans by name and sums baseline vs predicted
-// durations. bySelf aggregates leaf work only for kernel rows (a comm
-// span nested under a phase would otherwise double-count).
-func aggregate(g *graph, newDur []float64, keep func(*Span) bool, leavesOnly bool) []Delta {
+// durations. leavesOnly keeps kernel rows to leaf work (a comm span
+// nested under a phase would otherwise double-count).
+func aggregate(g *graph, newDur []float64, keep func(*gnode) bool, leavesOnly bool) []Delta {
 	idx := map[string]int{}
 	var out []Delta
-	for i, n := range g.nodes {
-		if !keep(n.s) || (leavesOnly && len(n.children) > 0) {
+	for i := range g.nodes {
+		n := &g.nodes[i]
+		if !keep(n) || (leavesOnly && len(n.Children) > 0) {
 			continue
 		}
-		j, ok := idx[n.s.Name]
+		j, ok := idx[n.Name]
 		if !ok {
 			j = len(out)
-			idx[n.s.Name] = j
-			out = append(out, Delta{Name: n.s.Name, Cat: n.s.Cat})
+			idx[n.Name] = j
+			out = append(out, Delta{Name: n.Name, Cat: n.Cat.String()})
 		}
 		out[j].Count++
-		out[j].BaselineUs += n.s.DurUs
+		out[j].BaselineUs += n.durUs
 		out[j].PredictedUs += newDur[i]
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].BaselineUs != out[j].BaselineUs {
-			return out[i].BaselineUs > out[j].BaselineUs
-		}
-		return out[i].Name < out[j].Name
+	slices.SortFunc(out, func(a, b Delta) int {
+		return cmp.Or(cmp.Compare(b.BaselineUs, a.BaselineUs), strings.Compare(a.Name, b.Name))
 	})
 	return out
 }
@@ -572,23 +520,16 @@ func (p *Prediction) StepSpeedup() float64 {
 
 // Table renders the per-phase deltas.
 func (p *Prediction) Table() *report.Table {
-	t := &report.Table{
-		Title:   "What-if prediction by phase",
-		Columns: []string{"Phase", "Cat", "Count", "Baseline ms", "Predicted ms", "Delta %"},
-	}
-	for _, d := range p.Phases {
-		t.AddRow(d.Name, d.Cat, d.Count, d.BaselineUs/1e3, d.PredictedUs/1e3, pctDelta(d.BaselineUs, d.PredictedUs))
-	}
-	return t
+	return deltaTable("What-if prediction by phase", "Phase", p.Phases, 0)
 }
 
 // KernelTable renders the per-kernel deltas (topK <= 0 keeps all rows).
 func (p *Prediction) KernelTable(topK int) *report.Table {
-	t := &report.Table{
-		Title:   "What-if prediction by kernel",
-		Columns: []string{"Kernel", "Cat", "Count", "Baseline ms", "Predicted ms", "Delta %"},
-	}
-	rows := p.Kernels
+	return deltaTable("What-if prediction by kernel", "Kernel", p.Kernels, topK)
+}
+
+func deltaTable(title, first string, rows []Delta, topK int) *report.Table {
+	t := &report.Table{Title: title, Columns: []string{first, "Cat", "Count", "Baseline ms", "Predicted ms", "Delta %"}}
 	if topK > 0 && len(rows) > topK {
 		rows = rows[:topK]
 	}
@@ -619,7 +560,9 @@ func (p *Prediction) MemTable() *report.Table {
 
 // WriteJSON emits the full prediction as indented JSON.
 func (p *Prediction) WriteJSON(w io.Writer) error {
-	return writeJSON(w, p)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(p)
 }
 
 func pctDelta(base, pred float64) string {

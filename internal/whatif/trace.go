@@ -1,14 +1,13 @@
-// Package whatif is the Daydream-style what-if predictor: it captures a
-// dependence-graph trace of a real profiled run (every prof span plus its
-// parent edge and phase lineage), then replays the graph under a proposed
-// transformation — kernel speedups, a different worker count, batch-size
-// scaling, fp16 storage, fused vs unfused epilogues, network bandwidth or
-// gradient-compression changes — to predict the step time and peak memory
-// of a configuration that was never run. The approach follows Daydream
-// (Zhu et al., ATC 2020), the companion to the TBD paper this repo
-// reproduces: record the dependency structure once from real execution,
-// then simulate optimizations by transforming and replaying the graph
-// instead of re-implementing them.
+// Package whatif is the Daydream-style what-if predictor: it replays the
+// span tree of a real profiled run (prof's trace file: every span with
+// its parent edge) under a proposed transformation — kernel speedups, a
+// different worker count, batch-size scaling, fp16 storage, fused vs
+// unfused epilogues, network bandwidth or gradient-compression changes —
+// to predict the step time and peak memory of a configuration that was
+// never run. The approach follows Daydream (Zhu et al., ATC 2020), the
+// companion to the TBD paper this repo reproduces: record the dependency
+// structure once from real execution, then simulate optimizations by
+// transforming and replaying the graph instead of re-implementing them.
 //
 // The package also owns the op-level memory what-ifs that used to live in
 // memprof (vDNN-style feature-map offload planning), so one entry point —
@@ -16,281 +15,51 @@
 package whatif
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"sort"
-	"time"
 
 	"tbd/internal/prof"
 )
 
-// Version is the trace file format version. Readers reject files from a
-// different major layout so a stale golden trace fails loudly.
-const Version = 1
+// Trace is what replay reads: the profiler's trace, one capture per rank.
+type Trace = prof.Trace
 
-// Span is one recorded profiler span with its dependence edge. IDs are
-// unique within one rank's capture; Merge renumbers them so a cluster
-// trace keeps edges intact across ranks.
-type Span struct {
-	ID     uint64 `json:"id"`
-	Parent uint64 `json:"parent,omitempty"`
-	// Rank is the worker rank this span ran on (0 for single-process
-	// traces; meaningful after Merge).
-	Rank    int     `json:"rank,omitempty"`
-	Name    string  `json:"name"`
-	Cat     string  `json:"cat"`
-	StartUs float64 `json:"start_us"`
-	DurUs   float64 `json:"dur_us"`
-	FLOPs   float64 `json:"flops,omitempty"`
-	Bytes   int64   `json:"bytes,omitempty"`
-	// Phase is the derived lineage: the name of the nearest enclosing
-	// CatPhase ancestor ("step", "phase.forward", ...), "" for roots and
-	// for the step spans themselves.
-	Phase string `json:"phase,omitempty"`
-}
+// Meta pins the configuration a trace was recorded under.
+type Meta = prof.Meta
 
-// Meta pins the configuration the trace was recorded under, so replay
-// transformations know the baseline they are perturbing.
-type Meta struct {
-	Model      string `json:"model,omitempty"`
-	Steps      int    `json:"steps,omitempty"`
-	Batch      int    `json:"batch,omitempty"`
-	Parallel   int    `json:"parallel,omitempty"`
-	KernelTier string `json:"kernel_tier,omitempty"`
-	// Distributed-run fields (zero for single-process traces).
-	Workers       int     `json:"workers,omitempty"`
-	Strategy      string  `json:"strategy,omitempty"`
-	Compression   string  `json:"compression,omitempty"`
-	BandwidthMBps float64 `json:"bandwidth_mbps,omitempty"`
-	Rank          int     `json:"rank,omitempty"`
-}
-
-// RankInfo carries per-rank wall time through a Merge (each rank's
-// capture has its own clock).
-type RankInfo struct {
-	Rank   int     `json:"rank"`
-	WallUs float64 `json:"wall_us"`
-}
-
-// Trace is one recorded dependence graph: the full span timeline with
-// parent edges, the memory watermark, and the run configuration.
-type Trace struct {
-	Version int               `json:"version"`
-	Meta    Meta              `json:"meta"`
-	WallUs  float64           `json:"wall_us"`
-	Mem     prof.MemWatermark `json:"mem"`
-	// Ranks is present on merged cluster traces: one entry per source
-	// trace, in merge order.
-	Ranks []RankInfo `json:"ranks,omitempty"`
-	Spans []Span     `json:"spans"`
-}
-
-// FromRecords builds a validated trace from a finished profiler capture.
-// It fails if the record set is empty or structurally broken (a span
-// whose parent was never recorded, or a parent cycle) — the cases where
-// replay would silently mispredict.
-func FromRecords(recs []prof.Record, wall time.Duration, mem prof.MemWatermark, meta Meta) (*Trace, error) {
-	if len(recs) == 0 {
+// Capture snapshots the finished live capture as a one-rank trace. It
+// fails on an empty capture; spans dropped past the record cap ride along
+// in Dropped, which replay refuses.
+func Capture(meta Meta) (*Trace, error) {
+	t := prof.Current(meta)
+	if t.Spans() == 0 {
 		return nil, fmt.Errorf("whatif: no profiler records captured (was prof.Enable called before the run?)")
 	}
-	t := &Trace{Version: Version, Meta: meta, WallUs: wall.Seconds() * 1e6, Mem: mem}
-	t.Spans = make([]Span, 0, len(recs))
-	for _, r := range recs {
-		t.Spans = append(t.Spans, Span{
-			ID:      r.ID,
-			Parent:  r.Parent,
-			Name:    r.Name,
-			Cat:     r.Cat.String(),
-			StartUs: r.Start.Seconds() * 1e6,
-			DurUs:   r.Dur.Seconds() * 1e6,
-			FLOPs:   r.FLOPs,
-			Bytes:   r.Bytes,
-		})
-	}
-	sort.Slice(t.Spans, func(i, j int) bool {
-		if t.Spans[i].StartUs != t.Spans[j].StartUs {
-			return t.Spans[i].StartUs < t.Spans[j].StartUs
-		}
-		return t.Spans[i].ID < t.Spans[j].ID
-	})
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	t.derivePhases()
 	return t, nil
 }
 
-// Capture snapshots the current profiler state as a trace. It must be
-// called after prof.Disable; a capture that overflowed its timeline cap
-// is an explicit error (the dropped records are exactly the dependence
-// edges replay needs), with the remedy in the message.
-func Capture(meta Meta) (*Trace, error) {
-	if dropped := prof.Dropped(); dropped > 0 {
-		return nil, fmt.Errorf("whatif: capture dropped %d spans after the timeline cap — re-record with a larger cap (prof.EnableWithMaxRecords, or fewer steps)", dropped)
-	}
-	snap := prof.Stats()
-	if meta.KernelTier == "" {
-		meta.KernelTier = snap.KernelTier
-	}
-	return FromRecords(prof.Records(), time.Duration(snap.WallSec*float64(time.Second)), snap.Mem, meta)
-}
-
-// Validate checks edge integrity: every non-root span's parent must be a
-// recorded span, and parent chains must terminate (no cycles).
-func (t *Trace) Validate() error {
-	if t.Version != Version {
-		return fmt.Errorf("whatif: trace version %d, this build reads %d — re-record the trace", t.Version, Version)
-	}
-	byID := make(map[uint64]int, len(t.Spans))
-	for i, s := range t.Spans {
-		if s.ID == 0 {
-			return fmt.Errorf("whatif: span %q has id 0 (reserved for the root)", s.Name)
-		}
-		if prev, dup := byID[s.ID]; dup {
-			return fmt.Errorf("whatif: duplicate span id %d (%q and %q) — merge traces with Merge, not concatenation", s.ID, t.Spans[prev].Name, s.Name)
-		}
-		byID[s.ID] = i
-	}
-	for _, s := range t.Spans {
-		if s.Parent == 0 {
-			continue
-		}
-		if _, ok := byID[s.Parent]; !ok {
-			return fmt.Errorf("whatif: span %d (%q) references parent %d which was never recorded — the capture truncated; re-record with a larger cap", s.ID, s.Name, s.Parent)
-		}
-	}
-	// Cycle check: follow parents; a chain longer than the span count
-	// must have revisited a node.
-	for _, s := range t.Spans {
-		id, hops := s.Parent, 0
-		for id != 0 {
-			if hops++; hops > len(t.Spans) {
-				return fmt.Errorf("whatif: parent cycle through span %d (%q)", s.ID, s.Name)
-			}
-			id = t.Spans[byID[id]].Parent
-		}
-	}
-	return nil
-}
-
-// derivePhases stamps each span with the name of its nearest enclosing
-// phase-category ancestor. Root phase spans (the steps) keep "".
-func (t *Trace) derivePhases() {
-	byID := make(map[uint64]*Span, len(t.Spans))
-	for i := range t.Spans {
-		byID[t.Spans[i].ID] = &t.Spans[i]
-	}
-	for i := range t.Spans {
-		id := t.Spans[i].Parent
-		for id != 0 {
-			p := byID[id]
-			if p.Cat == prof.CatPhase.String() {
-				t.Spans[i].Phase = p.Name
-				break
-			}
-			id = p.Parent
-		}
-	}
-}
-
-// Merge combines per-rank traces into one cluster trace: span IDs are
-// renumbered into disjoint ranges, Rank is stamped on every span, and
-// each source's wall time is preserved in Ranks. Meta comes from the
-// first trace with Rank cleared.
+// Merge combines per-rank traces into one cluster trace. Captures stay
+// keyed by rank (the file's pid), so span IDs need no renumbering. Meta
+// comes from the first trace with Rank cleared, and the watermarks add,
+// since ranks are separate processes.
 func Merge(traces ...*Trace) (*Trace, error) {
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("whatif: nothing to merge")
 	}
-	out := &Trace{Version: Version, Meta: traces[0].Meta, Mem: traces[0].Mem}
+	out := &Trace{Meta: traces[0].Meta}
 	out.Meta.Rank = 0
-	var offset uint64
 	for _, tr := range traces {
 		if tr == nil {
 			return nil, fmt.Errorf("whatif: merge input missing a rank trace")
 		}
-		if err := tr.Validate(); err != nil {
-			return nil, err
-		}
-		var maxID uint64
-		for _, s := range tr.Spans {
-			s.ID += offset
-			if s.Parent != 0 {
-				s.Parent += offset
-			}
-			s.Rank = tr.Meta.Rank
-			out.Spans = append(out.Spans, s)
-			if s.ID > maxID {
-				maxID = s.ID
-			}
-		}
-		out.Ranks = append(out.Ranks, RankInfo{Rank: tr.Meta.Rank, WallUs: tr.WallUs})
-		if tr.WallUs > out.WallUs {
-			out.WallUs = tr.WallUs // cluster wall = slowest rank
-		}
-		// Cluster watermark: ranks are separate processes, so footprints add.
-		if tr != traces[0] {
-			out.Mem.Weights += tr.Mem.Weights
-			out.Mem.WeightGradients += tr.Mem.WeightGradients
-			out.Mem.FeatureMaps += tr.Mem.FeatureMaps
-			out.Mem.Workspace += tr.Mem.Workspace
-			out.Mem.Dynamic += tr.Mem.Dynamic
-			out.Mem.PeakTotal += tr.Mem.PeakTotal
-		}
-		offset = maxID
+		out.Ranks = append(out.Ranks, tr.Ranks...)
+		out.Dropped += tr.Dropped
+		out.Mem.Weights += tr.Mem.Weights
+		out.Mem.WeightGradients += tr.Mem.WeightGradients
+		out.Mem.FeatureMaps += tr.Mem.FeatureMaps
+		out.Mem.Workspace += tr.Mem.Workspace
+		out.Mem.Dynamic += tr.Mem.Dynamic
+		out.Mem.PeakTotal += tr.Mem.PeakTotal
 	}
+	out.Mem.Samples = traces[0].Mem.Samples
 	return out, nil
-}
-
-// Write renders the trace as indented JSON.
-func (t *Trace) Write(w io.Writer) error {
-	return writeJSON(w, t)
-}
-
-// writeJSON indents consistently across the package's JSON emitters.
-func writeJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(v)
-}
-
-// WriteFile writes the trace to path.
-func (t *Trace) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.Write(f); err != nil {
-		_ = f.Close() // the write error is the one worth reporting
-		return err
-	}
-	return f.Close()
-}
-
-// Read parses and validates a trace.
-func Read(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("whatif: parse trace: %w", err)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	t.derivePhases()
-	return &t, nil
-}
-
-// ReadFile loads a trace from path.
-func ReadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	t, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return t, nil
 }

@@ -2,7 +2,9 @@ package whatif
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,19 +12,22 @@ import (
 	"tbd/internal/prof"
 )
 
-// mkSpan builds one trace span for synthetic-graph tests.
-func mkSpan(id, parent uint64, name, cat string, startUs, durUs, flops float64, byteCount int64) Span {
-	return Span{ID: id, Parent: parent, Name: name, Cat: cat, StartUs: startUs, DurUs: durUs, FLOPs: flops, Bytes: byteCount}
+// mkSpan builds one span record for synthetic-graph tests, times in µs.
+func mkSpan(id, parent uint64, name, cat string, startUs, durUs, flops float64, byteCount int64) prof.Record {
+	cats := map[string]prof.Cat{"kernel": prof.CatKernel, "forward": prof.CatForward, "backward": prof.CatBackward,
+		"phase": prof.CatPhase, "optim": prof.CatOptim, "comm": prof.CatComm}
+	return prof.Record{ID: id, Parent: parent, Name: name, Cat: cats[cat], Start: usDur(startUs), Dur: usDur(durUs), FLOPs: flops, Bytes: byteCount}
 }
 
-// mkTrace assembles and finalizes a synthetic trace.
-func mkTrace(t *testing.T, meta Meta, wallUs float64, spans ...Span) *Trace {
+func usDur(us float64) time.Duration { return time.Duration(math.Round(us * 1e3)) }
+
+// mkTrace assembles a synthetic one-rank trace and checks its edges.
+func mkTrace(t *testing.T, meta Meta, wallUs float64, spans ...prof.Record) *Trace {
 	t.Helper()
-	tr := &Trace{Version: Version, Meta: meta, WallUs: wallUs, Spans: spans}
-	if err := tr.Validate(); err != nil {
+	tr := &Trace{Meta: meta, Ranks: []prof.Capture{{Rank: meta.Rank, Wall: usDur(wallUs), Records: spans}}}
+	if _, err := tr.Trees(); err != nil {
 		t.Fatalf("synthetic trace invalid: %v", err)
 	}
-	tr.derivePhases()
 	return tr
 }
 
@@ -69,6 +74,9 @@ func approx(t *testing.T, what string, got, want, tolFrac float64) {
 
 // --- trace construction from the live profiler ---
 
+// TestFromRecordsDerivesEdgesAndPhases captures real profiler records and
+// checks the tree replay derives from them: parent edges, phase lineage
+// and span paths.
 func TestFromRecordsDerivesEdgesAndPhases(t *testing.T) {
 	prof.Enable()
 	step := prof.Begin(prof.CatPhase, "step")
@@ -86,31 +94,30 @@ func TestFromRecordsDerivesEdgesAndPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]Span{}
-	for _, s := range tr.Spans {
-		byName[s.Name] = s
+	trees, err := tr.Trees()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(tr.Spans) != 4 {
-		t.Fatalf("got %d spans, want 4", len(tr.Spans))
+	nodes := trees[0].Nodes
+	if len(nodes) != 4 {
+		t.Fatalf("got %d spans, want 4", len(nodes))
 	}
-	if byName["step"].Parent != 0 {
-		t.Fatalf("step should be a root, has parent %d", byName["step"].Parent)
+	// Pre-order: step, phase.forward, gemm, phase.update.
+	want := []struct {
+		name, phase string
+		up          int
+	}{{"step", "", -1}, {"phase.forward", "step", 0}, {"gemm", "phase.forward", 1}, {"phase.update", "step", 0}}
+	for i, w := range want {
+		if n := nodes[i]; n.Name != w.name || n.Phase != w.phase || n.Up != w.up {
+			t.Fatalf("node %d = %s (phase %q, up %d), want %s (phase %q, up %d)", i, n.Name, n.Phase, n.Up, w.name, w.phase, w.up)
+		}
 	}
-	if byName["phase.forward"].Parent != byName["step"].ID {
-		t.Fatal("phase.forward must hang off step")
-	}
-	if byName["gemm"].Parent != byName["phase.forward"].ID {
-		t.Fatal("ambient parent edge broken: gemm must hang off phase.forward")
-	}
-	if byName["gemm"].Phase != "phase.forward" {
-		t.Fatalf("gemm phase lineage %q, want phase.forward", byName["gemm"].Phase)
-	}
-	if byName["phase.update"].Phase != "step" {
-		t.Fatalf("phase.update lineage %q, want step", byName["phase.update"].Phase)
+	if got := trees[0].Path(2); got != "step/phase.forward/gemm" {
+		t.Fatalf("gemm path %q", got)
 	}
 }
 
-func TestCaptureRefusesDroppedSpans(t *testing.T) {
+func TestReplayRefusesDroppedSpans(t *testing.T) {
 	prof.EnableWithMaxRecords(2)
 	defer prof.SetMaxRecords(0) // restore the default for later tests
 	for i := 0; i < 5; i++ {
@@ -118,34 +125,35 @@ func TestCaptureRefusesDroppedSpans(t *testing.T) {
 		sp.End()
 	}
 	prof.Disable()
-	_, err := Capture(Meta{})
-	if err == nil || !strings.Contains(err.Error(), "dropped") {
-		t.Fatalf("capture after overflow must fail loudly, got %v", err)
+	tr, err := Capture(Meta{})
+	if err != nil {
+		t.Fatalf("a truncated capture must still be writable: %v", err)
+	}
+	if tr.Dropped != 3 {
+		t.Fatalf("dropped = %d, want 3", tr.Dropped)
+	}
+	sc, _ := ParseScenario("")
+	_, err = Replay(tr, sc)
+	if !errors.Is(err, prof.ErrTraceDropped) || !strings.Contains(err.Error(), "3 fell past") {
+		t.Fatalf("replay of a truncated capture must name the drop count, got %v", err)
 	}
 }
 
 func TestValidateRejectsBrokenEdges(t *testing.T) {
-	missing := &Trace{Version: Version, Spans: []Span{mkSpan(2, 7, "x", "kernel", 0, 1, 0, 0)}}
-	if err := missing.Validate(); err == nil || !strings.Contains(err.Error(), "parent") {
-		t.Fatalf("missing parent must fail, got %v", err)
-	}
-	cycle := &Trace{Version: Version, Spans: []Span{
-		mkSpan(1, 2, "a", "kernel", 0, 1, 0, 0),
-		mkSpan(2, 1, "b", "kernel", 0, 1, 0, 0),
-	}}
-	if err := cycle.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("cycle must fail, got %v", err)
-	}
-	dup := &Trace{Version: Version, Spans: []Span{
-		mkSpan(1, 0, "a", "kernel", 0, 1, 0, 0),
-		mkSpan(1, 0, "b", "kernel", 0, 1, 0, 0),
-	}}
-	if err := dup.Validate(); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("duplicate id must fail, got %v", err)
-	}
-	wrongVer := &Trace{Version: Version + 1}
-	if err := wrongVer.Validate(); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("version mismatch must fail, got %v", err)
+	for _, c := range []struct {
+		name  string
+		spans []prof.Record
+		want  error
+	}{
+		{"missing parent", []prof.Record{mkSpan(2, 7, "x", "kernel", 0, 1, 0, 0)}, prof.ErrMissingParent},
+		{"cycle", []prof.Record{mkSpan(1, 2, "a", "kernel", 0, 1, 0, 0), mkSpan(2, 1, "b", "kernel", 0, 1, 0, 0)}, prof.ErrCycle},
+		{"duplicate", []prof.Record{mkSpan(1, 0, "a", "kernel", 0, 1, 0, 0), mkSpan(1, 0, "b", "kernel", 0, 1, 0, 0)}, prof.ErrDuplicateSpan},
+	} {
+		tr := &Trace{Ranks: []prof.Capture{{Wall: time.Millisecond, Records: c.spans}}}
+		sc, _ := ParseScenario("")
+		if _, err := Replay(tr, sc); !errors.Is(err, c.want) {
+			t.Errorf("%s: replay error %v, want %v", c.name, err, c.want)
+		}
 	}
 }
 
@@ -155,19 +163,20 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	back, err := prof.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Spans) != len(tr.Spans) || back.WallUs != tr.WallUs || back.Meta != tr.Meta {
-		t.Fatal("trace did not round-trip")
+	if !reflect.DeepEqual(back, tr) {
+		t.Fatalf("trace did not round-trip:\n got %+v\nwant %+v", back, tr)
 	}
-	if back.Spans[2].Phase != "phase.forward" {
-		t.Fatal("phase lineage lost in round trip")
+	want := replaySpec(t, tr, "speedup=gemm*:2")
+	if got := replaySpec(t, back, "speedup=gemm*:2"); !reflect.DeepEqual(got, want) {
+		t.Fatal("replay of the round-tripped trace differs")
 	}
 }
 
-func TestMergeRenumbersAcrossRanks(t *testing.T) {
+func TestMergeKeysRanksByPID(t *testing.T) {
 	r0 := mkTrace(t, Meta{Rank: 0, Workers: 2, Strategy: "ring"}, 500,
 		mkSpan(1, 0, "step", "phase", 0, 400, 0, 0),
 		mkSpan(2, 1, "comm.ring.allreduce", "comm", 100, 100, 0, 1e6),
@@ -180,24 +189,30 @@ func TestMergeRenumbersAcrossRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Validate(); err != nil {
+	// Both ranks keep span IDs 1 and 2: the rank tells them apart.
+	if _, err := m.Trees(); err != nil {
 		t.Fatalf("merged trace invalid: %v", err)
 	}
-	if len(m.Spans) != 4 {
-		t.Fatalf("got %d spans, want 4", len(m.Spans))
+	if m.Spans() != 4 || len(m.Ranks) != 2 || m.Ranks[1].Rank != 1 {
+		t.Fatalf("got %d spans over %d ranks, want 4 over ranks 0 and 1", m.Spans(), len(m.Ranks))
 	}
-	if m.WallUs != 600 {
-		t.Fatalf("cluster wall %g, want slowest rank 600", m.WallUs)
+	if m.Wall() != 600*time.Microsecond || m.Ranks[0].Wall != 500*time.Microsecond {
+		t.Fatalf("cluster wall %v, want slowest rank 600µs; rank 0 %v", m.Wall(), m.Ranks[0].Wall)
 	}
-	if len(m.Ranks) != 2 || m.Ranks[1].WallUs != 600 {
-		t.Fatal("per-rank wall times lost")
+	if m.Meta.Rank != 0 {
+		t.Fatal("merged meta keeps a rank")
 	}
-	ranks := map[int]int{}
-	for _, s := range m.Spans {
-		ranks[s.Rank]++
+	var buf bytes.Buffer
+	if err := m.Write(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if ranks[0] != 2 || ranks[1] != 2 {
-		t.Fatalf("rank stamps wrong: %v", ranks)
+	if strings.Count(buf.String(), `"pid":1,"tid":0,"args"`) != 2 {
+		t.Fatalf("rank 1's spans are not on pid 1:\n%s", buf.String())
+	}
+	if twice, err := Merge(r0, r0); err != nil {
+		t.Fatal(err)
+	} else if _, err := twice.Trees(); err == nil {
+		t.Fatal("a trace with one rank twice must not build")
 	}
 }
 
@@ -516,8 +531,11 @@ func TestRecordingPreservesTrajectory(t *testing.T) {
 	}
 }
 
+// TestFromRecordsRejectsEmpty: a capture with no records is an error.
 func TestFromRecordsRejectsEmpty(t *testing.T) {
-	if _, err := FromRecords(nil, time.Second, prof.MemWatermark{}, Meta{}); err == nil {
-		t.Fatal("empty record set must fail")
+	prof.Enable()
+	prof.Disable()
+	if _, err := Capture(Meta{}); err == nil {
+		t.Fatal("an empty capture must fail")
 	}
 }

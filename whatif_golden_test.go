@@ -132,7 +132,7 @@ func TestRecordWhatifGoldenTraces(t *testing.T) {
 		if err := tr.WriteFile(path); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("recorded %s: %d spans, wall %.1f ms", path, len(tr.Spans), tr.WallUs/1e3)
+		t.Logf("recorded %s: %d spans, wall %v", path, tr.Spans(), tr.Wall())
 	}
 	record := func(name, tier string, batch int) {
 		tr, err := recordTwinWhatifTrace(tier, 10, batch)
@@ -150,7 +150,7 @@ func TestRecordWhatifGoldenTraces(t *testing.T) {
 // re-record recipe if it is missing.
 func loadGoldenTrace(t testing.TB, name string) *whatif.Trace {
 	t.Helper()
-	tr, err := whatif.ReadFile(filepath.Join(whatifTraceDir, name))
+	tr, err := prof.ReadTraceFile(filepath.Join(whatifTraceDir, name))
 	if err != nil {
 		t.Fatalf("golden trace %s: %v (re-record with: make whatif-record)", name, err)
 	}
@@ -263,10 +263,12 @@ func TestWhatifGroundTruthBatchScaling(t *testing.T) {
 // their FLOPs ÷ their time.
 func spanGFLOPs(tr *whatif.Trace, name string) float64 {
 	var flops, us float64
-	for _, s := range tr.Spans {
-		if s.Name == name {
-			flops += s.FLOPs
-			us += s.DurUs
+	for _, c := range tr.Ranks {
+		for _, r := range c.Records {
+			if r.Name == name {
+				flops += r.FLOPs
+				us += float64(r.Dur) / 1e3
+			}
 		}
 	}
 	return flops / us / 1e3
@@ -431,10 +433,12 @@ func measuredRingShard(t testing.TB) float64 {
 // commBytes totals a trace's comm spans and names them.
 func commBytes(tr *whatif.Trace) (bytes int64, names map[string]bool) {
 	names = map[string]bool{}
-	for _, s := range tr.Spans {
-		if s.Cat == "comm" {
-			bytes += s.Bytes
-			names[s.Name] = true
+	for _, c := range tr.Ranks {
+		for _, r := range c.Records {
+			if r.Cat == prof.CatComm {
+				bytes += r.Bytes
+				names[r.Name] = true
+			}
 		}
 	}
 	return bytes, names
