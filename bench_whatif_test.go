@@ -149,11 +149,7 @@ func BenchmarkWhatifRecordTwin(b *testing.B) {
 	}
 	b.StopTimer()
 	prof.Disable()
-	tr, err := whatif.Capture(whatif.Meta{Model: "numeric-resnet", Steps: b.N, Batch: 32, Parallel: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if tr.Spans() == 0 {
+	if tr := prof.Current(prof.Meta{Model: "numeric-resnet", Steps: b.N, Batch: 32, Parallel: 1}); tr.Spans() == 0 {
 		b.Fatal("recording produced no spans")
 	}
 	b.ReportMetric(32*float64(b.N)/b.Elapsed().Seconds(), "samples/s")

@@ -10,7 +10,6 @@ import (
 
 	"tbd/internal/dist"
 	"tbd/internal/prof"
-	"tbd/internal/whatif"
 )
 
 // cmdDist orchestrates real multi-process distributed training: the
@@ -175,14 +174,14 @@ func cmdDist(args []string) error {
 // tree, and (with -trace-out) writes the merged trace for `tbd whatif`
 // replay.
 func distTraces(summary *dist.RunSummary, traceOut string) error {
-	traces := make([]*whatif.Trace, 0, len(summary.Results))
+	traces := make([]*prof.Trace, 0, len(summary.Results))
 	for _, r := range summary.Results {
 		if r.Trace == nil {
 			return fmt.Errorf("dist: rank %d returned no trace despite -profile", r.Rank)
 		}
 		traces = append(traces, r.Trace)
 	}
-	merged, err := whatif.Merge(traces...)
+	merged, err := prof.Merge(traces...)
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,12 @@
 // Command tbdvet is the repo's custom static analyzer: it loads every
 // package named by the patterns (default ./...) with go/parser and
-// go/types and runs the eight invariant checks in internal/analysis —
+// go/types and runs the nine invariant checks in internal/analysis —
 // poolcheck, spancheck, determinism, lockcheck, errcheck-lite,
-// atomiccheck, goleak, and wirecheck — over the phase-1 interprocedural
-// summaries.
+// atomiccheck, goleak, wirecheck, and unused — over the phase-1
+// interprocedural summaries and reachability graph. unused takes the
+// loaded packages as the whole program (mains, inits, the root
+// package's API, and the _test.go files as test roots), so run it over
+// ./...; test-only code it accepts carries //tbd:api <why>.
 //
 //	tbdvet ./...                      # human-readable findings
 //	tbdvet -json ./...                # machine-readable (report.Table JSON)

@@ -1,4 +1,4 @@
-// Package analysis is tbd's custom lint engine: eight repo-specific
+// Package analysis is tbd's custom lint engine: nine repo-specific
 // analyzers, built on nothing but the standard library's go/parser,
 // go/ast, and go/types, that enforce the engine invariants the Go
 // compiler cannot see.
@@ -10,7 +10,9 @@
 // name plus per-function effect summaries — which parameters a function
 // releases, borrows, or sinks (pooled-buffer flow), whether it hands a
 // fresh pool acquisition back to its caller, and (per package) which
-// mutexes a function locks or requires held at entry. Summaries are
+// mutexes a function locks or requires held at entry — and a
+// reachability graph over every package-level declaration, with the
+// _test.go files attached as test roots (see unused.go). Summaries are
 // computed to a fixpoint, so wrappers of wrappers summarize correctly.
 // Phase 2 (check) runs the analyzers; because the summaries are frozen
 // after phase 1, packages are checked concurrently (see RunParallel)
@@ -48,11 +50,15 @@
 //   - wirecheck: every constant of a //tbd:wire-kinds vocabulary appears
 //     on both the encode and the decode side of its hand-rolled
 //     protocol.
+//   - unused: every package-level declaration is reached from a main,
+//     an init, a var initializer or the root package's API; what only
+//     tests reach is deleted, moved into the test file, or escaped with
+//     //tbd:api <why> as a test oracle or knob.
 //
 // Deliberate exceptions are annotated in source with //tbd: escape
 // comments (see the per-analyzer docs); escapes that can hide real bugs
 // (nondeterministic-ok, fire-and-forget, atomic-ok, wire-ok,
-// pre-publication) require a justification string — an empty one is
+// pre-publication, api) require a justification string — an empty one is
 // itself a finding.
 package analysis
 
@@ -89,7 +95,7 @@ type Analyzer struct {
 }
 
 // All is the full analyzer suite in reporting order.
-var All = []*Analyzer{Poolcheck, Spancheck, Determinism, Lockcheck, ErrcheckLite, Atomiccheck, Goleak, Wirecheck}
+var All = []*Analyzer{Poolcheck, Spancheck, Determinism, Lockcheck, ErrcheckLite, Atomiccheck, Goleak, Wirecheck, Unused}
 
 // Pass carries one (analyzer, package) run and collects its findings.
 type Pass struct {
@@ -119,15 +125,9 @@ type Stats struct {
 	Wall      time.Duration
 }
 
-// Run executes the given analyzers over the packages serially and
-// returns the findings sorted by position.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunParallel(pkgs, analyzers, 1)
-	return diags
-}
-
-// RunParallel is Run with the phase-2 checks fanned out over a bounded
-// worker pool, one package at a time per worker. Phase 1 (the Program
+// RunParallel executes the given analyzers over the packages and returns
+// the findings sorted by position. The phase-2 checks fan out over a
+// bounded worker pool, one package at a time per worker (1 is serial). Phase 1 (the Program
 // build) stays serial — summaries must be complete before any check
 // reads them. The merged findings are re-sorted under a total order, so
 // the output is byte-identical to the serial run.
@@ -212,12 +212,24 @@ func FuncEscape(fn *ast.FuncDecl, tag string) bool {
 // FuncEscapeArg is FuncEscape returning the text after the tag (the
 // justification, possibly empty).
 func FuncEscapeArg(fn *ast.FuncDecl, tag string) (arg string, ok bool) {
-	if fn == nil || fn.Doc == nil {
+	if fn == nil {
 		return "", false
 	}
-	for _, c := range fn.Doc.List {
-		if m := escapeRe.FindStringSubmatch(c.Text); m != nil && m[1] == tag {
-			return strings.TrimSpace(m[2]), true
+	return docEscape(tag, fn.Doc)
+}
+
+// docEscape looks for a comment line that is //tbd:<tag> in the comment
+// groups and returns its justification; prose that mentions an escape
+// mid-line is not one.
+func docEscape(tag string, groups ...*ast.CommentGroup) (arg string, ok bool) {
+	for _, g := range groups {
+		if g == nil {
+			continue
+		}
+		for _, c := range g.List {
+			if m := escapeRe.FindStringSubmatch(c.Text); m != nil && m[1] == tag && strings.HasPrefix(c.Text, m[0]) {
+				return strings.TrimSpace(m[2]), true
+			}
 		}
 	}
 	return "", false

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/build"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -56,7 +57,7 @@ func runFixture(t *testing.T, a *Analyzer, subdir, importPath string, deps ...st
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", subdir, err)
 	}
-	diags := Run([]*Package{pkg}, []*Analyzer{a})
+	diags, _ := RunParallel([]*Package{pkg}, []*Analyzer{a}, 1)
 	wants := collectWants(t, pkg)
 	if len(wants) == 0 {
 		t.Fatalf("fixture %s has no want comments", subdir)
@@ -105,7 +106,7 @@ func TestDeterminismIgnoresColdPaths(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
 	}
-	if diags := Run([]*Package{pkg}, []*Analyzer{Determinism}); len(diags) != 0 {
+	if diags, _ := RunParallel([]*Package{pkg}, []*Analyzer{Determinism}, 1); len(diags) != 0 {
 		t.Errorf("determinism fired outside hot-path packages: %v", diags)
 	}
 }
@@ -134,7 +135,7 @@ func TestGoleakIgnoresOutOfScope(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
 	}
-	if diags := Run([]*Package{pkg}, []*Analyzer{Goleak}); len(diags) != 0 {
+	if diags, _ := RunParallel([]*Package{pkg}, []*Analyzer{Goleak}, 1); len(diags) != 0 {
 		t.Errorf("goleak fired outside dist/serve/data/prof: %v", diags)
 	}
 }
@@ -149,6 +150,10 @@ func TestInterprocPoolcheckFixture(t *testing.T) {
 
 func TestErrcheckFixture(t *testing.T) {
 	runFixture(t, ErrcheckLite, "errcheck", "tbd/cmd/fix", "errors", "fmt", "os", "strings")
+}
+
+func TestUnusedFixture(t *testing.T) {
+	runFixture(t, Unused, "unused", "fix/unused", "fmt", "io")
 }
 
 // TestTreeIsClean is the in-tree lint gate: the full analyzer suite over
@@ -169,7 +174,7 @@ func TestTreeIsClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages, expected the whole module", len(pkgs))
 	}
-	diags := Run(pkgs, All)
+	diags, _ := RunParallel(pkgs, All, 1)
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
@@ -220,7 +225,7 @@ func TestDiagnosticOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
 	}
-	diags := Run([]*Package{pkg}, []*Analyzer{Poolcheck})
+	diags, _ := RunParallel([]*Package{pkg}, []*Analyzer{Poolcheck}, 1)
 	for i := 1; i < len(diags); i++ {
 		a, b := diags[i-1].Pos, diags[i].Pos
 		if a.Filename > b.Filename || (a.Filename == b.Filename && a.Line > b.Line) {
@@ -228,4 +233,30 @@ func TestDiagnosticOrdering(t *testing.T) {
 				fmt.Sprintf("%s:%d", a.Filename, a.Line), fmt.Sprintf("%s:%d", b.Filename, b.Line))
 		}
 	}
+}
+
+// LoadDir parses and typechecks a single directory of Go files outside
+// the module build graph (analyzer test fixtures under testdata) under
+// the given synthetic import path. deps lists the module packages the
+// fixture files import; their export data — and the standard library's —
+// is resolved first.
+func (l *Loader) LoadDir(dir, importPath string, deps ...string) (*Package, error) {
+	if len(deps) > 0 {
+		if _, err := l.list(deps); err != nil {
+			return nil, err
+		}
+	}
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: %v", err)
+	}
+	e := listEntry{
+		ImportPath: importPath, Dir: dir, GoFiles: bp.GoFiles,
+		TestGoFiles: bp.TestGoFiles, XTestGoFiles: bp.XTestGoFiles, IgnoredGoFiles: bp.IgnoredGoFiles,
+		TestImports: bp.TestImports, XTestImports: bp.XTestImports,
+	}
+	if err := l.listTestImports([]listEntry{e}); err != nil {
+		return nil, err
+	}
+	return l.check(e)
 }

@@ -27,17 +27,36 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
+	// tests are the package's _test.go files, in-package and external,
+	// each set typechecked on its own. Only phase 1 reads them, for the
+	// unused analyzer's test roots; every analyzer checks Files.
+	tests []testFiles
+	// excluded are the files build constraints leave out on this host,
+	// parsed but not typechecked: the names they mention stay reachable.
+	excluded []*ast.File
+
 	escapes map[string]map[int]escapeComment
+}
+
+// testFiles is one typechecked set of _test.go files.
+type testFiles struct {
+	files []*ast.File
+	info  *types.Info
 }
 
 // listEntry is the subset of `go list -json` output the loader consumes.
 type listEntry struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	DepOnly    bool
-	Error      *struct{ Err string }
+	ImportPath     string
+	Dir            string
+	Export         string
+	GoFiles        []string
+	TestGoFiles    []string
+	XTestGoFiles   []string
+	IgnoredGoFiles []string
+	TestImports    []string
+	XTestImports   []string
+	DepOnly        bool
+	Error          *struct{ Err string }
 }
 
 // Loader typechecks module packages using only the standard library:
@@ -120,8 +139,8 @@ func findModRoot(dir string) (string, error) {
 
 // Load resolves the package patterns (e.g. "./...") and returns the
 // matched module packages, parsed with comments and fully typechecked.
-// Test files are not loaded; the analyzers enforce invariants on the
-// shipped code.
+// The analyzers enforce invariants on the shipped code; test files are
+// attached beside it for phase 1's reachability roots only.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	entries, err := l.list(patterns)
 	if err != nil {
@@ -132,6 +151,9 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		if !e.DepOnly {
 			targets = append(targets, e)
 		}
+	}
+	if err := l.listTestImports(targets); err != nil {
+		return nil, err
 	}
 	workers := l.Workers
 	if workers < 1 {
@@ -149,7 +171,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				pkgs[i], errs[i] = l.check(targets[i].ImportPath, targets[i].Dir, targets[i].GoFiles)
+				pkgs[i], errs[i] = l.check(targets[i])
 			}
 		}()
 	}
@@ -167,22 +189,22 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and typechecks a single directory of Go files outside
-// the module build graph (analyzer test fixtures under testdata) under
-// the given synthetic import path. deps lists the module packages the
-// fixture files import; their export data — and the standard library's —
-// is resolved first.
-func (l *Loader) LoadDir(dir, importPath string, deps ...string) (*Package, error) {
-	if len(deps) > 0 {
-		if _, err := l.list(deps); err != nil {
-			return nil, err
+// listTestImports resolves the export data of the packages only the
+// entries' _test.go files import (testing and the like).
+func (l *Loader) listTestImports(entries []listEntry) error {
+	var missing []string
+	for _, e := range entries {
+		for _, path := range append(e.TestImports, e.XTestImports...) {
+			if _, ok := l.exports[path]; !ok {
+				missing = append(missing, path)
+			}
 		}
 	}
-	names, err := goFilesIn(dir)
-	if err != nil {
-		return nil, err
+	if len(missing) == 0 {
+		return nil
 	}
-	return l.check(importPath, dir, names)
+	_, err := l.list(missing)
+	return err
 }
 
 // list runs `go list -e -deps -export` over the patterns, records every
@@ -190,7 +212,7 @@ func (l *Loader) LoadDir(dir, importPath string, deps ...string) (*Package, erro
 func (l *Loader) list(patterns []string) ([]listEntry, error) {
 	args := append([]string{
 		"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Dir,Export,GoFiles,DepOnly,Error",
+		"-json=ImportPath,Dir,Export,GoFiles,TestGoFiles,XTestGoFiles,IgnoredGoFiles,TestImports,XTestImports,DepOnly,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = l.ModRoot
@@ -220,8 +242,43 @@ func (l *Loader) list(patterns []string) ([]listEntry, error) {
 	return entries, nil
 }
 
-// check parses the named files and typechecks them as one package.
-func (l *Loader) check(importPath, dir string, names []string) (*Package, error) {
+// check parses the entry's files and typechecks them as one package,
+// then its _test.go files: in-package tests beside the package's own
+// files, external tests as their own package.
+func (l *Loader) check(e listEntry) (*Package, error) {
+	files, err := l.parse(e.Dir, e.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	pkg := &Package{Path: e.ImportPath, Dir: e.Dir, Fset: l.fset, Files: files}
+	if pkg.Types, pkg.Info, err = l.typecheck(e.ImportPath, files); err != nil {
+		return nil, err
+	}
+	for i, names := range [][]string{e.TestGoFiles, e.XTestGoFiles} {
+		if len(names) == 0 {
+			continue
+		}
+		tfiles, err := l.parse(e.Dir, names)
+		if err != nil {
+			return nil, err
+		}
+		path, all := e.ImportPath, append(files[:len(files):len(files)], tfiles...)
+		if i == 1 {
+			path, all = e.ImportPath+"_test", tfiles
+		}
+		_, info, err := l.typecheck(path, all)
+		if err != nil {
+			return nil, err
+		}
+		pkg.tests = append(pkg.tests, testFiles{files: tfiles, info: info})
+	}
+	if pkg.excluded, err = l.parse(e.Dir, e.IgnoredGoFiles); err != nil {
+		return nil, err
+	}
+	return pkg, nil
+}
+
+func (l *Loader) parse(dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -230,6 +287,10 @@ func (l *Loader) check(importPath, dir string, names []string) (*Package, error)
 		}
 		files = append(files, f)
 	}
+	return files, nil
+}
+
+func (l *Loader) typecheck(importPath string, files []*ast.File) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -239,32 +300,7 @@ func (l *Loader) check(importPath, dir string, names []string) (*Package, error)
 	conf := types.Config{Importer: l.imp}
 	tpkg, err := conf.Check(importPath, l.fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: typechecking %s: %v", importPath, err)
+		return nil, nil, fmt.Errorf("analysis: typechecking %s: %v", importPath, err)
 	}
-	return &Package{
-		Path:  importPath,
-		Dir:   dir,
-		Fset:  l.fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}, nil
-}
-
-// goFilesIn lists the non-test .go files of dir, sorted.
-func goFilesIn(dir string) ([]string, error) {
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, de := range des {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
+	return tpkg, info, nil
 }

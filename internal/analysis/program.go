@@ -63,6 +63,9 @@ type Program struct {
 	Funcs map[string]*FuncInfo
 	Pool  map[string]*PoolSummary
 
+	// unused holds the unused analyzer's findings per package path.
+	unused map[string][]unusedFinding
+
 	// names holds Funcs' keys sorted, for deterministic iteration.
 	names []string
 }
@@ -73,6 +76,8 @@ func NewProgram(pkgs []*Package) *Program {
 		Pkgs:  pkgs,
 		Funcs: map[string]*FuncInfo{},
 		Pool:  map[string]*PoolSummary{},
+
+		unused: map[string][]unusedFinding{},
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -99,6 +104,7 @@ func NewProgram(pkgs []*Package) *Program {
 	}
 	sort.Strings(prog.names)
 	prog.computePoolSummaries()
+	prog.computeUnused()
 	return prog
 }
 

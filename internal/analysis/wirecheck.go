@@ -33,7 +33,10 @@ func runWirecheck(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		for _, d := range f.Decls {
 			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.CONST || !hasWireKindsMarker(gd.Doc) {
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			if _, marked := docEscape("wire-kinds", gd.Doc); !marked {
 				continue
 			}
 			for _, spec := range gd.Specs {
@@ -122,18 +125,4 @@ func runWirecheck(p *Pass) {
 			p.Reportf(k.pos, "wire kind %s is decoded but never encoded; dead protocol surface or a missing sender", k.obj.Name())
 		}
 	}
-}
-
-// hasWireKindsMarker reports whether the const group's doc comment
-// carries //tbd:wire-kinds.
-func hasWireKindsMarker(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if m := escapeRe.FindStringSubmatch(c.Text); m != nil && m[1] == "wire-kinds" {
-			return true
-		}
-	}
-	return false
 }

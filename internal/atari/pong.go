@@ -15,13 +15,10 @@ type Action int
 
 // Pong actions.
 const (
-	Stay Action = iota
+	Stay Action = iota //tbd:api the passive policy the pong tests score the tracking agent against
 	Up
 	Down
 )
-
-// NumActions is the action-space size.
-const NumActions = 3
 
 // Pong is a two-paddle Pong game. The agent controls the right paddle;
 // a tracking bot with bounded speed controls the left.

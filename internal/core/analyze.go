@@ -113,7 +113,7 @@ func AnalyzeEndToEnd(modelName, fwName, gpuName string, batch int) (*Analysis, e
 		GapTimeSec:          tl.TotalGapTime(),
 		Memory:              memprof.ProfileOps(m.Ops(), n, fw.MemPolicy),
 	}
-	a.FitsP4000 = a.Memory.Total() <= device.QuadroP4000.MemoryBytes
+	a.FitsP4000 = memprof.FitsDevice(a.Memory, device.QuadroP4000.MemoryBytes)
 	return a, nil
 }
 

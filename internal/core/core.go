@@ -85,19 +85,6 @@ func Lookup(id string) (*Experiment, error) {
 	return nil, fmt.Errorf("core: unknown experiment %q", id)
 }
 
-// RunAll executes every experiment in order.
-func RunAll(o Options) ([]*Result, error) {
-	var out []*Result
-	for _, e := range Experiments() {
-		r, err := e.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", e.ID, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // --- shared simulation cache ---
 
 type simKey struct {

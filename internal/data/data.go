@@ -7,8 +7,6 @@
 // actually converge on it (Figure 2).
 package data
 
-import "fmt"
-
 // Dataset describes one corpus from Table 3.
 type Dataset struct {
 	Name       string
@@ -72,16 +70,6 @@ var (
 // All lists the built-in datasets in Table 3 order.
 func All() []*Dataset {
 	return []*Dataset{ImageNet1K, IWSLT15, PascalVOC2007, LibriSpeech, DownsampledImageNet, Atari2600}
-}
-
-// Lookup resolves a dataset by name.
-func Lookup(name string) (*Dataset, error) {
-	for _, d := range All() {
-		if d.Name == name {
-			return d, nil
-		}
-	}
-	return nil, fmt.Errorf("data: unknown dataset %q", name)
 }
 
 // SampleElems returns the per-sample element count for fixed-shape

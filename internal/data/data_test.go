@@ -26,13 +26,6 @@ func TestTable3Registry(t *testing.T) {
 	if Atari2600.SampleShape[0] != 4 || Atari2600.SampleShape[1] != 84 {
 		t.Fatal("Atari frame-stack shape wrong")
 	}
-	d, err := Lookup("LibriSpeech")
-	if err != nil || d != LibriSpeech {
-		t.Fatal("Lookup failed")
-	}
-	if _, err := Lookup("MNIST"); err == nil {
-		t.Fatal("unknown dataset must fail")
-	}
 }
 
 func TestSampleElems(t *testing.T) {

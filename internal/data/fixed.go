@@ -10,6 +10,8 @@ import (
 // with deterministic train/validation splitting and per-epoch shuffled
 // iteration — the epoch regime of real training runs (the generators in
 // synthetic.go model infinite streams instead).
+//
+//tbd:api a finite train/held-out split: TestFixedSetOverfittingDetected measures the generalization gap on it
 type FixedImageSet struct {
 	X       *tensor.Tensor // [N, C, H, W]
 	Labels  []int
@@ -17,6 +19,8 @@ type FixedImageSet struct {
 }
 
 // NewFixedImageSet materializes n samples from an image source.
+//
+//tbd:api see FixedImageSet
 func NewFixedImageSet(src *ImageSource, n int) *FixedImageSet {
 	b := src.Batch(n)
 	return &FixedImageSet{X: b.X, Labels: b.Labels, Classes: src.classes}

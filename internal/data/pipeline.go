@@ -2,8 +2,6 @@ package data
 
 import (
 	"sync"
-
-	"tbd/internal/tensor"
 )
 
 // Pipeline is a real concurrent input pipeline: decode workers prepare
@@ -65,89 +63,4 @@ func (p *Pipeline) Close() {
 		for range p.batches {
 		}
 	})
-}
-
-// Bucket groups variable-length sequences of similar length so padding
-// waste stays low — the batching strategy behind the paper's note that
-// sequence-model throughput is measured despite length variation
-// (§3.4.3). Lengths are assigned to the smallest boundary that fits.
-type Bucket struct {
-	// Boundary is the padded length of every sequence in the bucket.
-	Boundary int
-	// Seqs holds token sequences (each at most Boundary long).
-	Seqs [][]int
-}
-
-// BucketByLength partitions sequences across the ascending boundaries.
-// Sequences longer than the last boundary are truncated to it.
-func BucketByLength(seqs [][]int, boundaries []int) []Bucket {
-	if len(boundaries) == 0 {
-		panic("data: BucketByLength needs boundaries")
-	}
-	for i := 1; i < len(boundaries); i++ {
-		if boundaries[i] <= boundaries[i-1] {
-			panic("data: bucket boundaries must be strictly increasing")
-		}
-	}
-	buckets := make([]Bucket, len(boundaries))
-	for i, b := range boundaries {
-		buckets[i].Boundary = b
-	}
-	last := len(boundaries) - 1
-	for _, s := range seqs {
-		placed := false
-		for i, b := range boundaries {
-			if len(s) <= b {
-				buckets[i].Seqs = append(buckets[i].Seqs, s)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			buckets[last].Seqs = append(buckets[last].Seqs, s[:boundaries[last]])
-		}
-	}
-	return buckets
-}
-
-// PadBatch packs a bucket's sequences into a dense [N, Boundary] tensor
-// of token ids (padded with padToken) plus a parallel mask of real
-// tokens.
-func (b Bucket) PadBatch(padToken int) (x *tensor.Tensor, mask []bool) {
-	n := len(b.Seqs)
-	if n == 0 {
-		return tensor.New(1, b.Boundary), make([]bool, b.Boundary)
-	}
-	x = tensor.New(n, b.Boundary)
-	mask = make([]bool, n*b.Boundary)
-	for i, s := range b.Seqs {
-		for t := 0; t < b.Boundary; t++ {
-			if t < len(s) {
-				x.Set(float32(s[t]), i, t)
-				mask[i*b.Boundary+t] = true
-			} else {
-				x.Set(float32(padToken), i, t)
-			}
-		}
-	}
-	return x, mask
-}
-
-// PaddingWaste returns the fraction of padded positions across buckets —
-// the quantity bucketing exists to minimize.
-func PaddingWaste(buckets []Bucket) float64 {
-	var total, pad int
-	for _, b := range buckets {
-		for _, s := range b.Seqs {
-			total += b.Boundary
-			pad += b.Boundary - len(s)
-			if len(s) > b.Boundary {
-				pad += len(s) - b.Boundary // defensive; truncation removes this
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(pad) / float64(total)
 }

@@ -67,72 +67,6 @@ func TestPipelineValidates(t *testing.T) {
 	NewImagePipeline(0, 1, 1, nil)
 }
 
-func TestBucketByLength(t *testing.T) {
-	seqs := [][]int{
-		{1, 2},                          // -> 4
-		{1, 2, 3, 4},                    // -> 4
-		{1, 2, 3, 4, 5},                 // -> 8
-		{1},                             // -> 4
-		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, // > 8 -> truncated into 8
-	}
-	buckets := BucketByLength(seqs, []int{4, 8})
-	if len(buckets[0].Seqs) != 3 {
-		t.Fatalf("bucket 4 holds %d seqs, want 3", len(buckets[0].Seqs))
-	}
-	if len(buckets[1].Seqs) != 2 {
-		t.Fatalf("bucket 8 holds %d seqs, want 2", len(buckets[1].Seqs))
-	}
-	for _, s := range buckets[1].Seqs {
-		if len(s) > 8 {
-			t.Fatal("overlong sequence not truncated")
-		}
-	}
-}
-
-func TestBucketBoundariesValidated(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-increasing boundaries must panic")
-		}
-	}()
-	BucketByLength(nil, []int{4, 4})
-}
-
-func TestPadBatch(t *testing.T) {
-	b := Bucket{Boundary: 4, Seqs: [][]int{{7, 8}, {1, 2, 3, 4}}}
-	x, mask := b.PadBatch(0)
-	if x.Dim(0) != 2 || x.Dim(1) != 4 {
-		t.Fatalf("padded shape %v", x.Shape())
-	}
-	if x.At(0, 0) != 7 || x.At(0, 2) != 0 || x.At(1, 3) != 4 {
-		t.Fatalf("padding wrong: %v", x.Data())
-	}
-	if !mask[0] || mask[2] || !mask[7] {
-		t.Fatalf("mask wrong: %v", mask)
-	}
-}
-
-func TestBucketingReducesPaddingWaste(t *testing.T) {
-	rng := tensor.NewRNG(11)
-	var seqs [][]int
-	for i := 0; i < 400; i++ {
-		l := 3 + rng.Intn(28) // lengths 3..30 like IWSLT15
-		s := make([]int, l)
-		seqs = append(seqs, s)
-	}
-	fine := PaddingWaste(BucketByLength(seqs, []int{5, 10, 15, 20, 25, 30}))
-	single := PaddingWaste(BucketByLength(seqs, []int{30}))
-	if fine >= single {
-		t.Fatalf("bucketing did not help: fine %.3f vs single %.3f", fine, single)
-	}
-	if single < 0.3 {
-		t.Fatalf("single-bucket waste %.3f suspiciously low", single)
-	}
-	if fine > 0.25 {
-		t.Fatalf("fine-bucket waste %.3f too high", fine)
-	}
-}
-
 func TestPipelineCloseWithFullPrefetchQueue(t *testing.T) {
 	// The shutdown race the quit channel exists for: every worker blocked
 	// on a send into a full prefetch queue, with no consumer to make room.

@@ -104,6 +104,8 @@ type AudioBatch struct {
 // AudioSource generates spectrogram-like sequences where each frame's
 // dominant frequency bin encodes its symbol, matching LibriSpeech's
 // variable-length clip profile.
+//
+//tbd:api the input of the CTC twin trajectory pinned in models seqpin_test
 type AudioSource struct {
 	rng      *tensor.RNG
 	features int
@@ -113,6 +115,8 @@ type AudioSource struct {
 }
 
 // NewAudioSource builds a source of feature×T clips over the symbol set.
+//
+//tbd:api see AudioSource
 func NewAudioSource(rng *tensor.RNG, features, symbols, meanT int, noise float32) *AudioSource {
 	if symbols > features {
 		panic("data: audio symbols cannot exceed feature bins")

@@ -338,13 +338,6 @@ func (s *PSServer) ThrottleLink(bytesPerSec float64) {
 // Addr returns the listen address.
 func (s *PSServer) Addr() string { return s.listener.Addr().String() }
 
-// Version returns the number of applied updates.
-func (s *PSServer) Version() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.version
-}
-
 // Close stops the accept loop, unblocks every in-flight handler and
 // writer by closing the live connections, and waits for all of them to
 // exit. It is safe to call with workers mid-round.

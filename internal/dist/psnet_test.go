@@ -364,3 +364,10 @@ func TestPushHalfTrainsAndConverges(t *testing.T) {
 		t.Fatalf("fp16-gradient training did not converge: %.4f -> %.4f", first, last)
 	}
 }
+
+// Version returns the number of applied updates.
+func (s *PSServer) Version() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.version
+}

@@ -219,12 +219,6 @@ func (r *Ring) setPrev(conn net.Conn) {
 	r.prev = bufio.NewReaderSize(r.prevCount, 64<<10)
 }
 
-// Rank returns this endpoint's ring position.
-func (r *Ring) Rank() int { return r.rank }
-
-// Workers returns the ring size.
-func (r *Ring) Workers() int { return r.n }
-
 // WireBytes returns cumulative (in, out) payload bytes this rank moved.
 func (r *Ring) WireBytes() (in, out int64) {
 	if r.n == 1 {

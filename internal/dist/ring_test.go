@@ -58,12 +58,12 @@ func TestRingAllReduceAverages(t *testing.T) {
 
 	results := make([][]float32, n)
 	runRing(t, n, CompressNone, 0, func(r *Ring) {
-		flat := append([]float32(nil), inputs[r.Rank()]...)
+		flat := append([]float32(nil), inputs[r.rank]...)
 		if err := r.AllReduce(flat); err != nil {
-			t.Errorf("rank %d: %v", r.Rank(), err)
+			t.Errorf("rank %d: %v", r.rank, err)
 			return
 		}
-		results[r.Rank()] = flat
+		results[r.rank] = flat
 	})
 
 	for i := 0; i < l; i++ {
@@ -120,14 +120,14 @@ func ringTrain(t *testing.T, r *Ring, seed uint64, steps, globalBatch int) uint6
 	var flat []float32
 	for s := 0; s < steps; s++ {
 		x, labels := makeBatch(dataRNG, globalBatch)
-		xs, ys := SplitBatch(x, labels, r.Workers())
+		xs, ys := SplitBatch(x, labels, r.n)
 		optim.ZeroGrads(net.Params())
-		logits := net.Forward(xs[r.Rank()], true)
-		_, grad := tensor.CrossEntropy(logits, ys[r.Rank()])
+		logits := net.Forward(xs[r.rank], true)
+		_, grad := tensor.CrossEntropy(logits, ys[r.rank])
 		net.Backward(grad)
 		flat = net.GradVector(flat)
 		if err := r.AllReduce(flat); err != nil {
-			t.Errorf("rank %d step %d: %v", r.Rank(), s, err)
+			t.Errorf("rank %d step %d: %v", r.rank, s, err)
 			return 0
 		}
 		net.SetGradVector(flat)
@@ -157,18 +157,18 @@ func TestRingTrainingMatchesSingleReplica(t *testing.T) {
 			x, labels := makeBatch(wrng, batch)
 			xs, ys := SplitBatch(x, labels, 4)
 			optim.ZeroGrads(net.Params())
-			logits := net.Forward(xs[r.Rank()], true)
-			_, grad := tensor.CrossEntropy(logits, ys[r.Rank()])
+			logits := net.Forward(xs[r.rank], true)
+			_, grad := tensor.CrossEntropy(logits, ys[r.rank])
 			net.Backward(grad)
 			flat = net.GradVector(flat)
 			if err := r.AllReduce(flat); err != nil {
-				t.Errorf("rank %d: %v", r.Rank(), err)
+				t.Errorf("rank %d: %v", r.rank, err)
 				return
 			}
 			net.SetGradVector(flat)
 			wopt.Step(net.Params())
 		}
-		nets[r.Rank()] = net
+		nets[r.rank] = net
 	})
 
 	sp := nets[0].Params()
@@ -185,7 +185,7 @@ func TestRingTrainingBitIdentical(t *testing.T) {
 			run := func() []uint64 {
 				hashes := make([]uint64, 3)
 				runRing(t, 3, comp, 0, func(r *Ring) {
-					hashes[r.Rank()] = ringTrain(t, r, 7, 6, 12)
+					hashes[r.rank] = ringTrain(t, r, 7, 6, 12)
 				})
 				return hashes
 			}
@@ -218,9 +218,9 @@ func TestRingWireBytesReflectCompression(t *testing.T) {
 				flat[i] = float32(i%13) - 6
 			}
 			if err := r.AllReduce(flat); err != nil {
-				t.Errorf("rank %d: %v", r.Rank(), err)
+				t.Errorf("rank %d: %v", r.rank, err)
 			}
-			if r.Rank() == 0 {
+			if r.rank == 0 {
 				_, out = r.WireBytes()
 			}
 		})
@@ -262,16 +262,16 @@ func ringRoundsHash(t *testing.T, comp Compression, lengths func(n int) []int, r
 		for _, l := range lengths(n) {
 			out := make([][]float32, n)
 			runRing(t, n, comp, 0, func(r *Ring) {
-				rng := tensor.NewRNG(uint64(100*n + r.Rank()))
+				rng := tensor.NewRNG(uint64(100*n + r.rank))
 				for round := 0; round < 2; round++ {
 					flat := make([]float32, l)
 					for i := range flat {
 						flat[i] = float32(rng.Norm())
 					}
 					if err := reduce(r, flat); err != nil {
-						t.Errorf("%d ranks, length %d, rank %d: %v", n, l, r.Rank(), err)
+						t.Errorf("%d ranks, length %d, rank %d: %v", n, l, r.rank, err)
 					}
-					out[r.Rank()] = append(out[r.Rank()], flat...)
+					out[r.rank] = append(out[r.rank], flat...)
 				}
 			})
 			for rank, o := range out {
@@ -344,7 +344,7 @@ func TestRingStepMatchesParentCommit(t *testing.T) {
 			for _, l := range all(n) {
 				weights, grads := make([][]float32, n), make([][]float32, n)
 				runRing(t, n, comp, 0, func(r *Ring) {
-					rng := tensor.NewRNG(uint64(100*n + r.Rank()))
+					rng := tensor.NewRNG(uint64(100*n + r.rank))
 					values := make([]float32, l)
 					for i := range values {
 						values[i] = float32(rng.Norm())
@@ -356,11 +356,11 @@ func TestRingStepMatchesParentCommit(t *testing.T) {
 							flat[i] = float32(rng.Norm())
 						}
 						if err := r.round(flat, values, r.newShard(values, flat, optim.NewSGD(0.1))); err != nil {
-							t.Errorf("%d ranks, length %d, rank %d: %v", n, l, r.Rank(), err)
+							t.Errorf("%d ranks, length %d, rank %d: %v", n, l, r.rank, err)
 						}
-						grads[r.Rank()] = append(grads[r.Rank()], flat...)
+						grads[r.rank] = append(grads[r.rank], flat...)
 					}
-					weights[r.Rank()] = values
+					weights[r.rank] = values
 				})
 				for rank := range weights {
 					if !slices.Equal(weights[rank], weights[0]) {
@@ -388,7 +388,7 @@ func TestRingOwnedIsWhatReduceScatterCompletes(t *testing.T) {
 	runRing(t, n, CompressNone, 0, func(r *Ring) {
 		flat := make([]float32, l)
 		for i := range flat {
-			flat[i] = float32(r.Rank() + 1)
+			flat[i] = float32(r.rank + 1)
 		}
 		if err := r.round(flat, make([]float32, l), nil); err != nil {
 			t.Error(err)
@@ -398,7 +398,7 @@ func TestRingOwnedIsWhatReduceScatterCompletes(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			owners[i]++
 			if flat[i] != 2 {
-				t.Errorf("rank %d owns element %d but holds %g, want the sum 6 over 3 ranks", r.Rank(), i, flat[i])
+				t.Errorf("rank %d owns element %d but holds %g, want the sum 6 over 3 ranks", r.rank, i, flat[i])
 			}
 		}
 	})
@@ -492,7 +492,7 @@ func TestRingErrorPathsEndTheirSpans(t *testing.T) {
 		probe.End()
 		outer.End()
 		var outerID, probeParent uint64
-		for _, rec := range prof.Records() {
+		for _, rec := range prof.Current(prof.Meta{}).Ranks[0].Records {
 			switch rec.Name {
 			case "test.outer":
 				outerID = rec.ID

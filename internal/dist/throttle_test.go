@@ -167,9 +167,9 @@ func TestRingAllReduceTimeScalesWithBandwidth(t *testing.T) {
 			flat := make([]float32, elems)
 			start := time.Now()
 			if err := r.AllReduce(flat); err != nil {
-				t.Errorf("rank %d: %v", r.Rank(), err)
+				t.Errorf("rank %d: %v", r.rank, err)
 			}
-			if r.Rank() == 0 {
+			if r.rank == 0 {
 				dur = time.Since(start)
 			}
 		})

@@ -59,18 +59,6 @@ func ParseCompression(s string) (Compression, error) {
 	return CompressNone, fmt.Errorf("dist: unknown compression %q (have full, fp16, int8)", s)
 }
 
-// WireBytesPerElem returns the payload bytes one gradient scalar costs
-// under this encoding (excluding the constant per-message scale header).
-func (c Compression) WireBytesPerElem() int {
-	switch c {
-	case CompressFP16:
-		return 2
-	case CompressInt8:
-		return 1
-	}
-	return 4
-}
-
 // wireBuf holds the reusable scratch buffers one endpoint needs to frame
 // and unframe payloads. Not safe for concurrent use; the ring keeps one
 // per direction, a parameter-server connection one per end.

@@ -315,3 +315,15 @@ func TestInt8TrajectoryTracksFullPrecision(t *testing.T) {
 		t.Fatalf("int8 final loss %.4f vs full %.4f: drift %.4f exceeds 0.05", int8Loss, fullLoss, diff)
 	}
 }
+
+// WireBytesPerElem returns the payload bytes one gradient scalar costs
+// under this encoding (excluding the constant per-message scale header).
+func (c Compression) WireBytesPerElem() int {
+	switch c {
+	case CompressFP16:
+		return 2
+	case CompressInt8:
+		return 1
+	}
+	return 4
+}

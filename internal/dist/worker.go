@@ -22,7 +22,6 @@ import (
 	"tbd/internal/optim"
 	"tbd/internal/prof"
 	"tbd/internal/tensor"
-	"tbd/internal/whatif"
 )
 
 // RunStrategy selects the gradient-exchange runtime.
@@ -164,7 +163,7 @@ type WorkerResult struct {
 	// Trace is this rank's dependence-graph capture (nil unless the run
 	// profiled). It rides the gob result message so the coordinator can
 	// merge every rank into one cluster trace.
-	Trace *whatif.Trace
+	Trace *prof.Trace
 }
 
 // ctrlTimeout bounds every control-protocol read and write.
@@ -413,7 +412,7 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 		res.WireIn, res.WireOut = ring.WireBytes()
 	}
 	if cfg.Profile {
-		res.Trace, err = whatif.Capture(whatif.Meta{
+		res.Trace = prof.Current(prof.Meta{
 			Model:         cfg.Model,
 			Steps:         cfg.Steps,
 			Batch:         cfg.GlobalBatch,
@@ -423,9 +422,6 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 			BandwidthMBps: cfg.BytesPerSec / 1e6,
 			Rank:          cfg.Rank,
 		})
-		if err != nil {
-			return nil, err
-		}
 	}
 	return &trainResult{net: net, result: res}, nil
 }

@@ -50,6 +50,8 @@ func snapshot(n *Network, step int64) checkpointFile {
 
 // SaveCheckpoint writes the network's parameters (and a step counter) to
 // w.
+//
+//tbd:api the writer of the format LoadCheckpoint (tbdserve /swap) reads; TestCheckpointRoundTrip pins the pair
 func SaveCheckpoint(w io.Writer, n *Network, step int64) error {
 	file := snapshot(n, step)
 	return gob.NewEncoder(w).Encode(&file)
@@ -58,6 +60,8 @@ func SaveCheckpoint(w io.Writer, n *Network, step int64) error {
 // SaveCheckpointWithOptimizer writes the network and a stateful
 // optimizer's slots together, so stateful training (Momentum, Adam,
 // RMSProp) resumes on the exact trajectory.
+//
+//tbd:api exact resume: TestCheckpointWithOptimizerExactAdamResume pins a restored Adam to the uninterrupted trajectory
 func SaveCheckpointWithOptimizer(w io.Writer, n *Network, opt optim.Stateful, step int64) error {
 	file := snapshot(n, step)
 	file.Optimizer = opt.Snapshot(n.Params())
@@ -113,6 +117,8 @@ func LoadCheckpoint(r io.Reader, n *Network) (int64, error) {
 
 // LoadCheckpointWithOptimizer restores both network weights and optimizer
 // state written by SaveCheckpointWithOptimizer.
+//
+//tbd:api see SaveCheckpointWithOptimizer
 func LoadCheckpointWithOptimizer(r io.Reader, n *Network, opt optim.Stateful) (int64, error) {
 	file, err := readCheckpoint(r, n)
 	if err != nil {

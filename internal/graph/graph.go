@@ -44,7 +44,12 @@ func New(name string, root layers.Layer) *Network {
 	return &Network{Name: name, Root: root}
 }
 
-// Forward runs the network.
+// Forward runs the network. With train false it runs in evaluation
+// mode: no feature maps are stashed for backward (StashBytes stays zero)
+// and batch-norm layers use their running statistics, the frozen path
+// the serving layer builds on. The result is owned by the network's
+// layers and valid only until the next forward call, and Forward is not
+// safe for concurrent use.
 func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return n.Root.Forward(x, train)
 }
@@ -57,21 +62,6 @@ func (n *Network) Backward(gy *tensor.Tensor) *tensor.Tensor {
 // BackwardParams is Backward for a caller that wants only the parameter
 // gradients: the network's first layer computes no input gradient.
 func (n *Network) BackwardParams(gy *tensor.Tensor) { layers.BackwardParams(n.Root, gy) }
-
-// Infer runs a forward pass in evaluation mode: no feature maps are
-// stashed for backward (StashBytes stays zero), batch-norm layers use
-// their running statistics, and no optimizer state is touched — the
-// frozen execution path the serving layer builds on. The returned tensor
-// is owned by the network's layers and is valid only until the next
-// forward call; callers that keep results must copy them out first.
-//
-// Like Forward, Infer is not safe for concurrent use: layers recycle
-// their output buffers across calls, so each goroutine needs its own
-// Network (see internal/serve for the batching front end that serializes
-// concurrent requests onto one network).
-func (n *Network) Infer(x *tensor.Tensor) *tensor.Tensor {
-	return n.Forward(x, false)
-}
 
 // Params returns all trainable parameters. The list is computed on the
 // first call and cached; layers must not be added to the network after
@@ -129,14 +119,6 @@ type StepResult struct {
 // (clip <= 0 disables), and an optimizer update.
 func TrainClassifierStep(n *Network, opt optim.Optimizer, x *tensor.Tensor, labels []int, clip float32) StepResult {
 	return TrainClassifierAccumulated(n, opt, []*tensor.Tensor{x}, [][]int{labels}, clip)
-}
-
-// EvalClassifier computes loss and accuracy without updating weights.
-func EvalClassifier(n *Network, x *tensor.Tensor, labels []int) StepResult {
-	logits := n.Forward(x, false)
-	loss, grad := tensor.CrossEntropy(logits, labels)
-	grad.Release()
-	return StepResult{Loss: loss, Accuracy: tensor.Accuracy(logits, labels)}
 }
 
 // TrainClassifierAccumulated runs one effective training step as k

@@ -357,12 +357,12 @@ func TestLinearScalingRuleRecoversLargeBatchTraining(t *testing.T) {
 		x, y := twoClusterBatch(rng, 256)
 		return EvalClassifier(net, x, y).Loss
 	}
-	train := func(batch, steps int, sched optim.Schedule) *Network {
+	train := func(batch, steps int, lr func(step int) float32) *Network {
 		rng := tensor.NewRNG(30)
 		net := mlp(tensor.NewRNG(2))
 		opt := optim.NewSGD(0)
 		for i := 0; i < steps; i++ {
-			opt.LR = sched.LR(i)
+			opt.LR = lr(i)
 			x, y := twoClusterBatch(rng, batch)
 			TrainClassifierStep(net, opt, x, y, 0)
 		}
@@ -370,10 +370,11 @@ func TestLinearScalingRuleRecoversLargeBatchTraining(t *testing.T) {
 	}
 	evalRNG := tensor.NewRNG(31)
 	// Baseline: small batch, 160 updates at lr 0.05.
-	small := evalLoss(train(8, 160, optim.ConstSchedule(0.05)), evalRNG)
+	small := evalLoss(train(8, 160, func(int) float32 { return 0.05 }), evalRNG)
 	// Large batch sees 8x fewer updates for the same samples.
-	naive := evalLoss(train(64, 20, optim.ConstSchedule(0.05)), evalRNG)
-	scaled := evalLoss(train(64, 20, optim.Warmup{Base: 0.4, WarmupSteps: 5, After: optim.ConstSchedule(0.4)}), evalRNG)
+	naive := evalLoss(train(64, 20, func(int) float32 { return 0.05 }), evalRNG)
+	// The scaled rate, ramped linearly over the first 5 steps.
+	scaled := evalLoss(train(64, 20, func(step int) float32 { return 0.4 * float32(min(step+1, 5)) / 5 }), evalRNG)
 	if scaled >= naive {
 		t.Fatalf("linear scaling (%.4f) should beat the naive small LR (%.4f)", scaled, naive)
 	}
@@ -457,4 +458,12 @@ func TestTrainingPooledMatchesUnpooled(t *testing.T) {
 			t.Fatalf("param %s differs between pooled and unpooled training", wantParams[i].Name)
 		}
 	}
+}
+
+// EvalClassifier computes loss and accuracy without updating weights.
+func EvalClassifier(n *Network, x *tensor.Tensor, labels []int) StepResult {
+	logits := n.Forward(x, false)
+	loss, grad := tensor.CrossEntropy(logits, labels)
+	grad.Release()
+	return StepResult{Loss: loss, Accuracy: tensor.Accuracy(logits, labels)}
 }

@@ -57,19 +57,3 @@ func (n *Network) ShareParamsFrom(src any) error {
 	}
 	return nil
 }
-
-// SharesParamsWith reports whether every parameter of n aliases the
-// corresponding parameter storage of o (the post-ShareParamsFrom state).
-func (n *Network) SharesParamsWith(o *Network) bool {
-	a, b := n.Params(), o.Params()
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		av, bv := a[i].Value.Data(), b[i].Value.Data()
-		if len(av) == 0 || len(bv) == 0 || &av[0] != &bv[0] {
-			return false
-		}
-	}
-	return true
-}

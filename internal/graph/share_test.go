@@ -25,8 +25,8 @@ func TestShareParamsFrom(t *testing.T) {
 	replica := shareTestNet(2) // different seed: provably different weights
 
 	x := tensor.RandNormal(tensor.NewRNG(7), 0, 1, 3, 8)
-	before := append([]float32(nil), replica.Infer(x).Data()...)
-	wantPrimary := append([]float32(nil), primary.Infer(x).Data()...)
+	before := append([]float32(nil), replica.Forward(x, false).Data()...)
+	wantPrimary := append([]float32(nil), primary.Forward(x, false).Data()...)
 
 	if replica.SharesParamsWith(primary) {
 		t.Fatal("independent networks report shared params")
@@ -38,7 +38,7 @@ func TestShareParamsFrom(t *testing.T) {
 		t.Fatal("SharesParamsWith false after ShareParamsFrom")
 	}
 
-	got := replica.Infer(x).Data()
+	got := replica.Forward(x, false).Data()
 	differs := false
 	for i := range got {
 		if got[i] != wantPrimary[i] {
@@ -62,8 +62,8 @@ func TestShareParamsFrom(t *testing.T) {
 	if _, err := LoadCheckpoint(&buf, primary); err != nil {
 		t.Fatal(err)
 	}
-	wantDonor := donor.Infer(x).Data()
-	gotReplica := replica.Infer(x).Data()
+	wantDonor := donor.Forward(x, false).Data()
+	gotReplica := replica.Forward(x, false).Data()
 	for i := range wantDonor {
 		if gotReplica[i] != wantDonor[i] {
 			t.Fatalf("post-checkpoint replica elem %d = %g, donor %g", i, gotReplica[i], wantDonor[i])
@@ -93,4 +93,20 @@ func TestShareParamsFromMismatch(t *testing.T) {
 	if err := n.ShareParamsFrom(n); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// SharesParamsWith reports whether every parameter of n aliases the
+// corresponding parameter storage of o (the post-ShareParamsFrom state).
+func (n *Network) SharesParamsWith(o *Network) bool {
+	a, b := n.Params(), o.Params()
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		av, bv := a[i].Value.Data(), b[i].Value.Data()
+		if len(av) == 0 || len(bv) == 0 || &av[0] != &bv[0] {
+			return false
+		}
+	}
+	return true
 }

@@ -54,7 +54,7 @@ func stepShape(t *testing.T, run func()) [][]string {
 	prof.Enable()
 	run()
 	prof.Disable()
-	recs := prof.Records()
+	recs := prof.Current(prof.Meta{}).Ranks[0].Records
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Start < recs[j].Start })
 	var shapes [][]string
 	for _, step := range recs {
@@ -137,7 +137,7 @@ func TestStepComputesNoUnreadInputGradient(t *testing.T) {
 	prof.Enable()
 	TrainClassifierStep(net, optim.NewSGD(0.1), x, labels, 5)
 	prof.Disable()
-	recs := prof.Records()
+	recs := prof.Current(prof.Meta{}).Ranks[0].Records
 	dX := map[string]int{}
 	for _, layer := range recs {
 		if layer.Cat != prof.CatBackward {

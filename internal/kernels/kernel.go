@@ -171,17 +171,3 @@ func InputTransfer(batch int, sampleBytes int64) Kernel {
 		Bytes: float64(batch) * float64(sampleBytes),
 	}
 }
-
-// FP32Utilization returns the fraction of g's peak FP32 throughput this
-// kernel achieves while resident (Equation 2 of the paper, per kernel).
-func (k Kernel) FP32Utilization(g *device.GPU) float64 {
-	d := k.Duration(g)
-	if d <= 0 {
-		return 0
-	}
-	u := k.FLOPs / (g.PeakFLOPS() * d)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}

@@ -22,10 +22,9 @@ type activation struct {
 // NewReLU constructs a ReLU activation, max(0, x) elementwise.
 func NewReLU(name string) Layer { return &activation{name: name, kind: tensor.ActReLU} }
 
-// NewSigmoid constructs a sigmoid activation (the logistic function).
-func NewSigmoid(name string) Layer { return &activation{name: name, kind: tensor.ActSigmoid} }
-
 // NewTanh constructs a tanh activation.
+//
+//tbd:api the unfused activation TestFusedNetworkTrainsBitIdentical checks the fused epilogue against
 func NewTanh(name string) Layer { return &activation{name: name, kind: tensor.ActTanh} }
 
 func (l *activation) Name() string { return l.name }
@@ -110,60 +109,3 @@ func (l *LeakyReLU) Backward(gy *tensor.Tensor) *tensor.Tensor {
 
 func (l *LeakyReLU) Params() []*Param  { return nil }
 func (l *LeakyReLU) StashBytes() int64 { return bytesOf(l.x) }
-
-// Dropout zeroes activations with probability P during training and scales
-// the survivors by 1/(1-P) (inverted dropout), becoming identity at
-// inference.
-type Dropout struct {
-	name    string
-	P       float32
-	rng     *tensor.RNG
-	mask    *tensor.Tensor
-	out, gx *tensor.Tensor
-}
-
-// NewDropout constructs a dropout layer with drop probability p.
-func NewDropout(name string, p float32, rng *tensor.RNG) *Dropout {
-	if p < 0 || p >= 1 {
-		panic("layers: dropout probability must be in [0, 1)")
-	}
-	return &Dropout{name: name, P: p, rng: rng}
-}
-
-func (l *Dropout) Name() string { return l.name }
-
-func (l *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.mask.Release()
-	l.out.Release()
-	l.out = nil
-	if !train || l.P == 0 {
-		l.mask = nil
-		return x
-	}
-	scale := 1 / (1 - l.P)
-	mask := tensor.Acquire(x.Shape()...)
-	out := tensor.Acquire(x.Shape()...)
-	for i, v := range x.Data() {
-		if l.rng.Float32() >= l.P {
-			mask.Data()[i] = scale
-			out.Data()[i] = v * scale
-		}
-	}
-	l.mask = mask
-	l.out = out
-	return out
-}
-
-func (l *Dropout) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	l.gx.Release()
-	l.gx = nil
-	if l.mask == nil {
-		return gy
-	}
-	gx := tensor.Mul(gy, l.mask)
-	l.gx = gx
-	return gx
-}
-
-func (l *Dropout) Params() []*Param  { return nil }
-func (l *Dropout) StashBytes() int64 { return bytesOf(l.mask) }

@@ -66,3 +66,6 @@ func TestReLUBackwardPropagatesNaNGradient(t *testing.T) {
 		}
 	}
 }
+
+// NewSigmoid constructs a sigmoid activation (the logistic function).
+func NewSigmoid(name string) Layer { return &activation{name: name, kind: tensor.ActSigmoid} }

@@ -7,10 +7,9 @@ import (
 	"tbd/internal/tensor"
 )
 
-// attention is the one scaled-dot-product core under MultiHeadAttention
-// (the memory is the input itself) and CrossAttention (the memory is set
-// by the caller): project queries from x and keys and values from the
-// memory, split into heads, scale the scores, mask, softmax, mix the
+// attention is the scaled-dot-product core under MultiHeadAttention,
+// whose memory is the input itself: project queries from x and keys and
+// values from the memory, split into heads, scale the scores, mask, softmax, mix the
 // values and project the result.
 type attention struct {
 	name           string
@@ -203,55 +202,6 @@ func (l *MultiHeadAttention) Backward(gy *tensor.Tensor) *tensor.Tensor {
 	tensor.AddInPlace(gx, gmv)
 	release(gmk, gmv)
 	l.gx = gx
-	return gx.Reshape(l.x.Shape()...)
-}
-
-// CrossAttention attends from a query sequence (decoder states) over a
-// separately supplied memory sequence (encoder outputs) — the
-// encoder-decoder attention of NMT and the Transformer decoder. Set the
-// memory with SetMemory before Forward; after Backward, MemoryGrad
-// returns the gradient flowing back into the encoder.
-type CrossAttention struct {
-	attention
-	memory  *tensor.Tensor // [N, Te, D], what the next Forward attends over
-	gmem    *tensor.Tensor // previously returned memory gradient [N·Te, D], recycled next call
-	memGrad *tensor.Tensor // gmem as [N, Te, D]
-}
-
-// NewCrossAttention constructs the layer; d must divide by heads.
-func NewCrossAttention(name string, d, heads int, rng *tensor.RNG) *CrossAttention {
-	return &CrossAttention{attention: newAttention(name, d, heads, false, rng)}
-}
-
-// SetMemory installs the encoder outputs the next Forward attends over.
-func (l *CrossAttention) SetMemory(mem *tensor.Tensor) {
-	if mem.Rank() != 3 || mem.Dim(2) != l.D {
-		panic(fmt.Sprintf("layers: %s memory must be [N,Te,%d], got %v", l.name, l.D, mem.Shape()))
-	}
-	l.memory = mem
-}
-
-// MemoryGrad returns the gradient w.r.t. the memory from the most recent
-// Backward.
-func (l *CrossAttention) MemoryGrad() *tensor.Tensor { return l.memGrad }
-
-func (l *CrossAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if l.memory == nil {
-		panic(fmt.Sprintf("layers: %s.Forward before SetMemory", l.name))
-	}
-	if x.Dim(0) != l.memory.Dim(0) {
-		panic(fmt.Sprintf("layers: %s batch mismatch: queries %d vs memory %d", l.name, x.Dim(0), l.memory.Dim(0)))
-	}
-	return l.forward(x, l.memory, train)
-}
-
-func (l *CrossAttention) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	l.gx.Release()
-	l.gmem.Release()
-	gx, gmem, gmv := l.backward(gy)
-	tensor.AddInPlace(gmem, gmv)
-	gmv.Release()
-	l.gx, l.gmem, l.memGrad = gx, gmem, gmem.Reshape(l.mem.Shape()...)
 	return gx.Reshape(l.x.Shape()...)
 }
 

@@ -132,13 +132,6 @@ func newBidirectional(name string, fwd, bwd *recurrent) *Bidirectional {
 	return &Bidirectional{concat{name: name, axis: 2, Branches: []Layer{fwd, bwd}}}
 }
 
-// NewBiLSTM builds a bidirectional LSTM with fresh weights per direction.
-func NewBiLSTM(name string, in, hidden int, rng *tensor.RNG) *Bidirectional {
-	return newBidirectional(name,
-		&NewLSTM(name+".fwd", in, hidden, rng).recurrent,
-		&NewLSTM(name+".bwd", in, hidden, rng).recurrent)
-}
-
 // NewBiRNN builds a bidirectional vanilla RNN (the Deep Speech 2 layer).
 func NewBiRNN(name string, in, hidden int, rng *tensor.RNG) *Bidirectional {
 	return newBidirectional(name,

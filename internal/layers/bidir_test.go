@@ -154,72 +154,9 @@ func TestInceptionStyleBlockLearns(t *testing.T) {
 	}
 }
 
-func TestCrossAttentionGradients(t *testing.T) {
-	rng := tensor.NewRNG(40)
-	l := NewCrossAttention("cross", 8, 2, rng)
-	mem := tensor.RandNormal(rng, 0, 0.5, 2, 4, 8)
-	l.SetMemory(mem)
-	x := tensor.RandNormal(rng, 0, 0.5, 2, 3, 8)
-	// gradCheck re-runs Forward; memory stays installed.
-	gradCheck(t, l, x, 6e-2)
-}
-
-func TestCrossAttentionMemoryGradient(t *testing.T) {
-	rng := tensor.NewRNG(41)
-	l := NewCrossAttention("cross", 4, 1, rng)
-	mem := tensor.RandNormal(rng, 0, 0.5, 1, 3, 4)
-	x := tensor.RandNormal(rng, 0, 0.5, 1, 2, 4)
-	coef := tensor.RandNormal(rng, 0, 1, 1, 2, 4)
-	loss := func() float64 {
-		l.SetMemory(mem)
-		out := l.Forward(x, true)
-		var s float64
-		for i, v := range out.Data() {
-			s += float64(v) * float64(coef.Data()[i])
-		}
-		return s
-	}
-	base := loss()
-	_ = base
-	l.Backward(coef)
-	gmem := l.MemoryGrad()
-	if gmem == nil || gmem.Dim(1) != 3 {
-		t.Fatal("memory gradient missing")
-	}
-	const eps = 1e-2
-	for _, i := range []int{0, 5, 11} {
-		orig := mem.Data()[i]
-		mem.Data()[i] = orig + eps
-		up := loss()
-		mem.Data()[i] = orig - eps
-		down := loss()
-		mem.Data()[i] = orig
-		num := (up - down) / (2 * eps)
-		if diff := num - float64(gmem.Data()[i]); diff > 5e-2*(1+math.Abs(num)) || diff < -5e-2*(1+math.Abs(num)) {
-			t.Fatalf("memory grad[%d]: finite diff %.5f vs analytic %.5f", i, num, gmem.Data()[i])
-		}
-	}
-}
-
-func TestCrossAttentionDifferentSequenceLengths(t *testing.T) {
-	rng := tensor.NewRNG(42)
-	l := NewCrossAttention("cross", 8, 2, rng)
-	mem := tensor.RandNormal(rng, 0, 1, 2, 7, 8) // encoder length 7
-	l.SetMemory(mem)
-	x := tensor.RandNormal(rng, 0, 1, 2, 3, 8) // decoder length 3
-	y := l.Forward(x, false)
-	if y.Dim(1) != 3 || y.Dim(2) != 8 {
-		t.Fatalf("cross attention output %v", y.Shape())
-	}
-}
-
-func TestCrossAttentionValidates(t *testing.T) {
-	rng := tensor.NewRNG(43)
-	l := NewCrossAttention("cross", 4, 1, rng)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("forward without memory must panic")
-		}
-	}()
-	l.Forward(tensor.New(1, 2, 4), false)
+// NewBiLSTM builds a bidirectional LSTM with fresh weights per direction.
+func NewBiLSTM(name string, in, hidden int, rng *tensor.RNG) *Bidirectional {
+	return newBidirectional(name,
+		&NewLSTM(name+".fwd", in, hidden, rng).recurrent,
+		&NewLSTM(name+".bwd", in, hidden, rng).recurrent)
 }

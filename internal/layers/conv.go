@@ -121,15 +121,6 @@ func (c *Conv2D) Params() []*Param {
 
 func (c *Conv2D) StashBytes() int64 { return bytesOf(c.x) + bytesOf(c.cols) }
 
-// WorkspaceBytes reports the im2col scratch buffer size for a given input,
-// which the memory profiler attributes to the "workspace" category — the
-// analogue of cuDNN convolution workspace.
-func (c *Conv2D) WorkspaceBytes(n, h, w int) int64 {
-	oh := tensor.ConvOut(h, c.KH, c.Stride, c.Pad)
-	ow := tensor.ConvOut(w, c.KW, c.Stride, c.Pad)
-	return int64(n*oh*ow) * int64(c.InC*c.KH*c.KW) * 4
-}
-
 // MaxPool2D is max pooling over NCHW inputs.
 type MaxPool2D struct {
 	name      string

@@ -167,6 +167,8 @@ func CTCLossBatch(logits *tensor.Tensor, labels [][]int) (float32, *tensor.Tenso
 
 // CTCGreedyDecode collapses the per-frame argmax path (remove repeats,
 // then blanks) — the standard greedy CTC decoder.
+//
+//tbd:api the decoder TestCTCTrainingLearnsAlignment and TestNumericDeepSpeechCTCLearns judge CTC learning by
 func CTCGreedyDecode(logits *tensor.Tensor) []int {
 	T := logits.Dim(0)
 	V := logits.Numel() / T

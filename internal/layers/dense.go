@@ -36,6 +36,8 @@ func NewDense(name string, in, out int, rng *tensor.RNG) *Dense {
 }
 
 // NewDenseNoBias constructs a dense layer without a bias term.
+//
+//tbd:api the bias-free projection TestResidualProjectionSkip checks, and the one-parameter net the checkpoint reshape test needs
 func NewDenseNoBias(name string, in, out int, rng *tensor.RNG) *Dense {
 	d := NewDense(name, in, out, rng)
 	d.useBias = false

@@ -1,6 +1,6 @@
 // Package layers implements the neural-network layer zoo used by every TBD
 // benchmark model: dense, convolution, pooling, normalization, activation,
-// dropout, embedding, recurrent (RNN/GRU/LSTM), and attention layers, each
+// embedding, recurrent (RNN/LSTM), and attention layers, each
 // with an explicit forward and backward pass and owned parameters.
 //
 // Layers cache the intermediate results (feature maps) they need for the

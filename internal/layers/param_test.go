@@ -179,7 +179,7 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 		run()
 		prof.Disable()
 		var names []string
-		for _, r := range prof.Records() {
+		for _, r := range prof.Current(prof.Meta{}).Ranks[0].Records {
 			if r.Cat == prof.CatBackward {
 				names = append(names, r.Name)
 			}

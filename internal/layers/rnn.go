@@ -24,7 +24,7 @@ type cell struct {
 	backward func(n, h int, g, prev, cur []float32, dzx, dzh *tensor.Tensor, b *Param, ghPrev, carry []float32)
 }
 
-// recurrent is the one timestep loop under RNN, LSTM and GRU: it maps
+// recurrent is the one timestep loop under RNN and LSTM: it maps
 // [N, T, In] to [N, T, H], owns the parameters, the per-timestep GEMMs,
 // the train-mode stash and backpropagation through time, and asks its
 // cell only for the gate arithmetic. Each timestep issues a handful of

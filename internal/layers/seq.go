@@ -16,9 +16,6 @@ func NewSequential(name string, ls ...Layer) *Sequential {
 	return &Sequential{name: name, Layers: ls}
 }
 
-// Add appends layers.
-func (s *Sequential) Add(ls ...Layer) { s.Layers = append(s.Layers, ls...) }
-
 func (s *Sequential) Name() string { return s.name }
 
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {

@@ -69,6 +69,8 @@ type Policy struct {
 }
 
 // DefaultPolicy is a neutral framework policy.
+//
+//tbd:api the neutral policy the memprof and whatif offload tests profile under, so no framework's factors move their expectations
 func DefaultPolicy() Policy {
 	return Policy{WorkspaceFactor: 1, OptimizerStateFloatsPerWeight: 1, AllocatorSlack: 1}
 }
@@ -107,18 +109,6 @@ func ProfileOps(ops []*kernels.Op, batch int, p Policy) Breakdown {
 // (e.g. Sockeye capping at 64 where NMT reaches 128 on 8 GB).
 func FitsDevice(b Breakdown, capacity int64) bool {
 	return b.Total() <= capacity
-}
-
-// MaxBatch returns the largest batch size in candidates whose footprint
-// fits in capacity, or 0 if none fit.
-func MaxBatch(ops []*kernels.Op, candidates []int, p Policy, capacity int64) int {
-	best := 0
-	for _, n := range candidates {
-		if FitsDevice(ProfileOps(ops, n, p), capacity) && n > best {
-			best = n
-		}
-	}
-	return best
 }
 
 // ProfileLive converts the runtime profiler's memory watermark (sampled

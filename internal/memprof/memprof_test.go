@@ -156,3 +156,15 @@ func TestBreakdownString(t *testing.T) {
 		t.Fatalf("String() = %q", b.String())
 	}
 }
+
+// MaxBatch returns the largest batch size in candidates whose footprint
+// fits in capacity, or 0 if none fit.
+func MaxBatch(ops []*kernels.Op, candidates []int, p Policy, capacity int64) int {
+	best := 0
+	for _, n := range candidates {
+		if FitsDevice(ProfileOps(ops, n, p), capacity) && n > best {
+			best = n
+		}
+	}
+	return best
+}

@@ -87,10 +87,9 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the number of observations.
+//
+//tbd:api the observation count the serve tests check against their request totals
 func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return h.sum }
 
 // Mean returns the average observed value (0 when empty).
 func (h *Histogram) Mean() float64 {
@@ -98,15 +97,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return h.sum / float64(h.count)
-}
-
-// Min returns the smallest observation (0 when empty). Unlike the bucket
-// counts it is exact.
-func (h *Histogram) Min() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the largest observation (0 when empty), exact.
@@ -216,39 +206,4 @@ func (h *Histogram) Merge(o *Histogram) {
 			h.max = o.max
 		}
 	}
-}
-
-// Buckets returns (upper bound, count) pairs for non-empty buckets, with
-// the overflow bucket reported under bound +Inf — the export format for
-// dashboards and trace annotations.
-func (h *Histogram) Buckets() []BucketCount {
-	var out []BucketCount
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		bound := math.Inf(1)
-		if i < len(h.bounds) {
-			bound = h.bounds[i]
-		}
-		out = append(out, BucketCount{UpperBound: bound, Count: c})
-	}
-	return out
-}
-
-// BucketCount is one non-empty histogram bucket.
-type BucketCount struct {
-	UpperBound float64
-	Count      uint64
-}
-
-// DurationHistogram folds the meter's recorded iteration durations into a
-// log-bucketed latency histogram, giving step-time statistics the same
-// fixed-memory quantile view the serving path uses for request latency.
-func (m *Meter) DurationHistogram() *Histogram {
-	h := NewLatencyHistogram()
-	for _, d := range m.durations {
-		h.Observe(d)
-	}
-	return h
 }

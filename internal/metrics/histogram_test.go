@@ -141,3 +141,50 @@ func TestMeterDurationHistogram(t *testing.T) {
 		t.Errorf("p99.9 = %g, want near the 100ms straggler", q)
 	}
 }
+
+// Sum returns the sum of observed values.
+func (h *Histogram) Sum() float64 { return h.sum }
+
+// Min returns the smallest observation (0 when empty). Unlike the bucket
+// counts it is exact.
+func (h *Histogram) Min() float64 {
+	if h.count == 0 {
+		return 0
+	}
+	return h.min
+}
+
+// Buckets returns (upper bound, count) pairs for non-empty buckets, with
+// the overflow bucket reported under bound +Inf — the export format for
+// dashboards and trace annotations.
+func (h *Histogram) Buckets() []BucketCount {
+	var out []BucketCount
+	for i, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		bound := math.Inf(1)
+		if i < len(h.bounds) {
+			bound = h.bounds[i]
+		}
+		out = append(out, BucketCount{UpperBound: bound, Count: c})
+	}
+	return out
+}
+
+// BucketCount is one non-empty histogram bucket.
+type BucketCount struct {
+	UpperBound float64
+	Count      uint64
+}
+
+// DurationHistogram folds the meter's recorded iteration durations into a
+// log-bucketed latency histogram, giving step-time statistics the same
+// fixed-memory quantile view the serving path uses for request latency.
+func (m *Meter) DurationHistogram() *Histogram {
+	h := NewLatencyHistogram()
+	for _, d := range m.durations {
+		h.Observe(d)
+	}
+	return h
+}

@@ -195,10 +195,3 @@ func AggregateWindows(ws []Window) Window {
 	}
 	return agg
 }
-
-// DurationThroughput converts audio-style workloads where throughput is
-// measured as processed input duration per second (the paper's Deep
-// Speech 2 adjustment) rather than sample count.
-func DurationThroughput(samplesPerSec, meanSampleDurationSec float64) float64 {
-	return samplesPerSec * meanSampleDurationSec
-}

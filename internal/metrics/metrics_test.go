@@ -104,3 +104,10 @@ func TestAggregateWindows(t *testing.T) {
 		t.Fatal("empty aggregate must be zero")
 	}
 }
+
+// DurationThroughput converts audio-style workloads where throughput is
+// measured as processed input duration per second (the paper's Deep
+// Speech 2 adjustment) rather than sample count.
+func DurationThroughput(samplesPerSec, meanSampleDurationSec float64) float64 {
+	return samplesPerSec * meanSampleDurationSec
+}

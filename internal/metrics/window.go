@@ -88,10 +88,6 @@ func (w *RollingHistogram) rotate(now time.Time) {
 	w.cur = int(epoch % int64(len(w.slices)))
 }
 
-// Observe counts one value into the current slice and the cumulative
-// histogram.
-func (w *RollingHistogram) Observe(v float64) { w.ObserveAt(v, time.Now()) }
-
 // ObserveAt is Observe with an explicit clock, for deterministic tests.
 func (w *RollingHistogram) ObserveAt(v float64, now time.Time) {
 	w.mu.Lock()

@@ -151,3 +151,7 @@ func TestWindowConcurrent(t *testing.T) {
 		t.Fatalf("cumulative count = %d, want %d", got, writers*perWriter)
 	}
 }
+
+// Observe counts one value into the current slice and the cumulative
+// histogram.
+func (w *RollingHistogram) Observe(v float64) { w.ObserveAt(v, time.Now()) }

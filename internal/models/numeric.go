@@ -123,20 +123,6 @@ func NumericTransformer(rng *tensor.RNG, vocab, dim, heads int) *graph.Network {
 	return graph.New("Transformer-twin", root)
 }
 
-// NumericDeepSpeech builds the Deep Speech 2 twin: a recurrent stack over
-// audio feature frames with a per-frame symbol classifier (framewise
-// cross-entropy on the aligned synthetic audio; see NumericDeepSpeechCTC
-// for the bidirectional CTC variant).
-func NumericDeepSpeech(rng *tensor.RNG, features, hidden, symbols int) *graph.Network {
-	root := layers.NewSequential("ds2-twin",
-		layers.NewRNN("rnn1", features, hidden, rng),
-		layers.NewRNN("rnn2", hidden, hidden, rng),
-		layers.NewGRU("gru", hidden, hidden, rng),
-		layers.NewDense("fc", hidden, symbols, rng),
-	)
-	return graph.New("DeepSpeech2-twin", root)
-}
-
 // NumericDeepSpeechCTC builds the faithful Deep Speech 2 twin:
 // bidirectional vanilla-RNN layers over feature frames with a CTC output
 // head (symbols includes the blank at index 0). Train it with
@@ -159,21 +145,6 @@ func NumericA3CPolicy(rng *tensor.RNG) *graph.Network {
 		layers.NewDense("heads", 32, 4, rng),
 	)
 	return graph.New("A3C-twin", root)
-}
-
-// NumericA3CPixelPolicy builds the pixel-input variant matching the
-// paper's 4-layer conv architecture (4×size×size frame stacks).
-func NumericA3CPixelPolicy(rng *tensor.RNG, size int) *graph.Network {
-	h1 := (size-8)/4 + 1
-	h2 := (h1-4)/2 + 1
-	root := layers.NewSequential("a3c-pixel-twin",
-		layers.NewConv2DAct("conv1", 4, 8, 8, 4, 0, tensor.ActReLU, rng),
-		layers.NewConv2DAct("conv2", 8, 16, 4, 2, 0, tensor.ActReLU, rng),
-		layers.NewFlatten("flat"),
-		layers.NewDenseAct("fc", 16*h2*h2, 64, tensor.ActReLU, rng),
-		layers.NewDense("heads", 64, 4, rng),
-	)
-	return graph.New("A3C-pixel-twin", root)
 }
 
 // NumericWGAN builds the WGAN twin's generator (latent -> image) and

@@ -82,11 +82,6 @@ func seqTwins() map[string]func() seqPin {
 			b := data.NewTranslationSource(rng, 12, 6).Batch(8)
 			return classifier(NumericSeq2Seq(rng, 12, 12, 24), b.Src, b.Targets)
 		},
-		"DeepSpeech": func() seqPin {
-			rng := tensor.NewRNG(72)
-			b := data.NewAudioSource(rng, 12, 6, 7, 0.3).Batch(8)
-			return classifier(NumericDeepSpeech(rng, 12, 20, 6), b.X, b.Labels)
-		},
 		"DeepSpeechCTC": func() seqPin {
 			rng := tensor.NewRNG(73)
 			b := data.NewAudioSource(rng, 12, 6, 9, 0.3).Batch(8)
@@ -105,31 +100,6 @@ func seqTwins() map[string]func() seqPin {
 			rng := tensor.NewRNG(74)
 			b := data.NewTranslationSource(rng, 12, 6).Batch(8)
 			return classifier(NumericTransformer(rng, 12, 16, 2), b.Src, b.Targets)
-		},
-		"EncoderDecoder": func() seqPin {
-			// Source and target lengths differ, so a core that confuses
-			// the query and memory time axes cannot reproduce the hash.
-			rng := tensor.NewRNG(75)
-			const n, te, td, vocab = 8, 6, 4, 9
-			src, tgtIn := tensor.New(n, te), tensor.New(n, td)
-			targets := make([]int, n*td)
-			for i := 0; i < n; i++ {
-				for p := 0; p < te; p++ {
-					src.Set(float32(1+rng.Intn(vocab-1)), i, p)
-				}
-				for p := 0; p < td; p++ {
-					targets[i*td+p] = int(src.At(i, te-1-p))
-					if p > 0 {
-						tgtIn.Set(float32(targets[i*td+p-1]), i, p)
-					}
-				}
-			}
-			m := NewEncoderDecoder(rng, vocab, 16, 2)
-			opt := optim.NewAdam(0.01)
-			for i := 0; i < 5; i++ {
-				m.Step(opt, src, tgtIn, targets, 5)
-			}
-			return seqPin{paramsHash(m.Params()), bitsHash(m.Forward(src, tgtIn, false))}
 		},
 	}
 }

@@ -106,17 +106,6 @@ type A3CConfig struct {
 	Checkpoints int
 	// EvalEpisodeCap bounds the evaluation episode length.
 	EvalEpisodeCap int
-	// EnvFactory builds each worker's environment (nil = Pong at
-	// EnvSize). Use atari.NewBreakout for the second game.
-	EnvFactory func(rng *tensor.RNG) atari.Env
-}
-
-// envFor builds a worker environment from the config.
-func (cfg A3CConfig) envFor(rng *tensor.RNG) atari.Env {
-	if cfg.EnvFactory != nil {
-		return cfg.EnvFactory(rng)
-	}
-	return atari.NewPong(rng, cfg.EnvSize)
 }
 
 // DefaultA3CConfig returns a configuration that learns Pong's tracking
@@ -191,7 +180,7 @@ func TrainA3C(cfg A3CConfig) A3CResult {
 		go func(w int) {
 			defer wg.Done()
 			rng := tensor.NewRNG(cfg.Seed + uint64(w)*7919 + 1)
-			env := cfg.envFor(rng)
+			env := atari.NewPong(rng, cfg.EnvSize)
 			local := NumericA3CPolicy(rng)
 			var firstSum, lastSum float64
 			var firstN, lastN int
@@ -259,12 +248,12 @@ func TrainA3C(cfg A3CConfig) A3CResult {
 }
 
 // evalEpisode plays one greedy-policy episode (capped at maxSteps) and
-// returns the environment's outcome score.
+// returns its agent-minus-bot score.
 func evalEpisode(policy *graph.Network, cfg A3CConfig, seed uint64, maxSteps int) int {
 	rng := tensor.NewRNG(seed)
-	env := cfg.envFor(rng)
-	for i := 0; i < maxSteps && !env.Over(); i++ {
-		st := env.StateVec()
+	env := atari.NewPong(rng, cfg.EnvSize)
+	for i := 0; i < maxSteps && !env.Done(); i++ {
+		st := env.State()
 		out := policy.Forward(tensor.FromSlice(append([]float32(nil), st...), 1, 6), false)
 		best, bi := out.At(0, 0), 0
 		for a := 1; a < 3; a++ {
@@ -272,9 +261,10 @@ func evalEpisode(policy *graph.Network, cfg A3CConfig, seed uint64, maxSteps int
 				best, bi = v, a
 			}
 		}
-		env.Act(atari.Action(bi))
+		env.Step(atari.Action(bi))
 	}
-	return env.Outcome()
+	agent, bot := env.Score()
+	return agent - bot
 }
 
 func copyParams(dst, src []*layers.Param) {
@@ -284,20 +274,20 @@ func copyParams(dst, src []*layers.Param) {
 }
 
 // rollout collects t_max steps from env under the local policy.
-func rollout(env atari.Env, local *graph.Network, rng *tensor.RNG, tmax int) (states *tensor.Tensor, actions []int, rewards []float64) {
+func rollout(env *atari.Pong, local *graph.Network, rng *tensor.RNG, tmax int) (states *tensor.Tensor, actions []int, rewards []float64) {
 	states = tensor.New(tmax, 6)
 	actions = make([]int, tmax)
 	rewards = make([]float64, tmax)
 	for t := 0; t < tmax; t++ {
-		st := env.StateVec()
+		st := env.State()
 		copy(states.Data()[t*6:(t+1)*6], st)
 		out := local.Forward(tensor.FromSlice(append([]float32(nil), st...), 1, 6), false)
 		a := samplePolicy(out.Data()[:3], rng)
 		actions[t] = a
-		r, done := env.Act(atari.Action(a))
+		_, r, done := env.Step(atari.Action(a))
 		rewards[t] = r
 		if done {
-			env.Restart()
+			env.Reset()
 		}
 	}
 	return states, actions, rewards

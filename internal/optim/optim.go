@@ -316,47 +316,3 @@ func ClipGradNorm(params []*layers.Param, maxNorm float32) float32 {
 	}
 	return norm
 }
-
-// Schedule maps an iteration number to a learning rate.
-type Schedule interface {
-	LR(step int) float32
-}
-
-// ConstSchedule is a fixed learning rate.
-type ConstSchedule float32
-
-// LR returns the constant rate.
-func (c ConstSchedule) LR(int) float32 { return float32(c) }
-
-// StepDecay multiplies Base by Gamma every Every steps.
-type StepDecay struct {
-	Base  float32
-	Gamma float32
-	Every int
-}
-
-// LR returns the decayed rate for step.
-func (s StepDecay) LR(step int) float32 {
-	k := step / s.Every
-	return s.Base * float32(math.Pow(float64(s.Gamma), float64(k)))
-}
-
-// Warmup ramps linearly to Base over WarmupSteps then delegates to After
-// (the "accurate, large minibatch SGD" recipe the paper cites for scaling
-// batch sizes).
-type Warmup struct {
-	Base        float32
-	WarmupSteps int
-	After       Schedule
-}
-
-// LR returns the warmup-phase or post-warmup rate.
-func (w Warmup) LR(step int) float32 {
-	if step < w.WarmupSteps {
-		return w.Base * float32(step+1) / float32(w.WarmupSteps)
-	}
-	if w.After != nil {
-		return w.After.LR(step - w.WarmupSteps)
-	}
-	return w.Base
-}

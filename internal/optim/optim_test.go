@@ -120,29 +120,6 @@ func TestZeroGrads(t *testing.T) {
 	}
 }
 
-func TestSchedules(t *testing.T) {
-	if ConstSchedule(0.1).LR(1000) != 0.1 {
-		t.Fatal("const schedule drifted")
-	}
-	sd := StepDecay{Base: 1, Gamma: 0.1, Every: 10}
-	if sd.LR(0) != 1 || sd.LR(9) != 1 {
-		t.Fatal("step decay fired early")
-	}
-	if got := sd.LR(10); math.Abs(float64(got-0.1)) > 1e-7 {
-		t.Fatalf("step decay LR(10) = %g", got)
-	}
-	if got := sd.LR(25); math.Abs(float64(got-0.01)) > 1e-7 {
-		t.Fatalf("step decay LR(25) = %g", got)
-	}
-	w := Warmup{Base: 1, WarmupSteps: 10, After: ConstSchedule(1)}
-	if w.LR(0) >= w.LR(5) || w.LR(9) > 1 {
-		t.Fatal("warmup not monotone increasing")
-	}
-	if w.LR(50) != 1 {
-		t.Fatal("warmup did not hand off")
-	}
-}
-
 // TestAdamBeatsSGDOnIllConditioned reproduces the textbook motivation for
 // adaptive optimizers: on a badly scaled quadratic Adam makes progress on
 // the flat coordinate far faster than SGD at a stable learning rate.

@@ -92,7 +92,7 @@ func TestKernelStatsFromRealTraining(t *testing.T) {
 func TestWatermarkMatchesGraphAccounting(t *testing.T) {
 	prof.Enable()
 	net, opt := trainTwin(3)
-	w := prof.Watermark()
+	w := prof.Current(prof.Meta{}).Mem
 	prof.Disable()
 
 	if w.Samples != 3 {

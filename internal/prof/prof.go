@@ -335,22 +335,6 @@ func (s *Span) End() {
 	})
 }
 
-// Records returns a copy of the captured span timeline, in completion
-// order.
-func Records() []Record {
-	collector.mu.Lock()
-	defer collector.mu.Unlock()
-	return append([]Record(nil), collector.recs...)
-}
-
-// Dropped reports spans discarded after the timeline filled. Aggregated
-// stats still include them.
-func Dropped() uint64 {
-	collector.mu.Lock()
-	defer collector.mu.Unlock()
-	return collector.dropped
-}
-
 // MemWatermark attributes peak live bytes to the paper's five memory
 // categories (Figure 9). Each category holds its own maximum across
 // samples; PeakTotal is the largest single-sample sum (the footprint a
@@ -387,11 +371,4 @@ func SampleMemory(weights, grads, featureMaps, workspace, dynamic int64) {
 		m.PeakTotal = total
 	}
 	m.Samples++
-}
-
-// Watermark returns a copy of the current memory watermark.
-func Watermark() MemWatermark {
-	collector.mu.Lock()
-	defer collector.mu.Unlock()
-	return collector.mem
 }

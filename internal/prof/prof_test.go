@@ -20,7 +20,7 @@ func TestDisabledSpanAllocsNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("disabled span path allocates %.1f objects/op, want 0", allocs)
 	}
-	if got := Records(); len(got) != 0 {
+	if got := Current(Meta{}).Ranks[0].Records; len(got) != 0 {
 		t.Fatalf("disabled spans recorded %d events", len(got))
 	}
 }
@@ -52,7 +52,7 @@ func TestSpanRecording(t *testing.T) {
 	other.End()
 	Disable()
 
-	recs := Records()
+	recs := Current(Meta{}).Ranks[0].Records
 	if len(recs) != 4 {
 		t.Fatalf("got %d records, want 4", len(recs))
 	}
@@ -99,7 +99,7 @@ func TestSpanRecording(t *testing.T) {
 	// Enable resets everything.
 	Enable()
 	Disable()
-	if got := Records(); len(got) != 0 {
+	if got := Current(Meta{}).Ranks[0].Records; len(got) != 0 {
 		t.Fatalf("Enable did not reset: %d records", len(got))
 	}
 	if snap := Stats(); len(snap.Kernels) != 0 || snap.Events != 0 {
@@ -118,10 +118,10 @@ func TestRecordCapDropsTimelineNotStats(t *testing.T) {
 		sp.End()
 	}
 	Disable()
-	if got := len(Records()); got != 8 {
+	if got := len(Current(Meta{}).Ranks[0].Records); got != 8 {
 		t.Fatalf("timeline kept %d records, want 8", got)
 	}
-	if got := Dropped(); got != 12 {
+	if got := Current(Meta{}).Dropped; got != 12 {
 		t.Fatalf("dropped = %d, want 12", got)
 	}
 	snap := Stats()
@@ -141,7 +141,7 @@ func TestOrphanSpanDropped(t *testing.T) {
 	Enable() // restart moves the epoch forward
 	sp.End()
 	Disable()
-	if got := Records(); len(got) != 0 {
+	if got := Current(Meta{}).Ranks[0].Records; len(got) != 0 {
 		t.Fatalf("orphan span recorded: %+v", got)
 	}
 }
@@ -152,7 +152,7 @@ func TestMemWatermark(t *testing.T) {
 	SampleMemory(10, 10, 100, 5, 0)
 	SampleMemory(10, 10, 40, 50, 8) // bigger workspace+dynamic, smaller total
 	Disable()
-	w := Watermark()
+	w := Current(Meta{}).Mem
 	if w.Weights != 10 || w.WeightGradients != 10 {
 		t.Fatalf("weights/grads = %d/%d", w.Weights, w.WeightGradients)
 	}
@@ -168,7 +168,7 @@ func TestMemWatermark(t *testing.T) {
 
 	// Disabled sampling is a no-op.
 	SampleMemory(1<<40, 0, 0, 0, 0)
-	if got := Watermark(); got.Weights != 10 {
+	if got := Current(Meta{}).Mem; got.Weights != 10 {
 		t.Fatalf("disabled SampleMemory recorded: %+v", got)
 	}
 }

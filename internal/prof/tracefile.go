@@ -105,6 +105,33 @@ func (t *Trace) Spans() int {
 	return n
 }
 
+// Merge combines per-rank traces into one cluster trace. Captures stay
+// keyed by rank (the file's pid), so span IDs need no renumbering. Meta
+// comes from the first trace with Rank cleared, and the watermarks add,
+// since ranks are separate processes.
+func Merge(traces ...*Trace) (*Trace, error) {
+	if len(traces) == 0 {
+		return nil, fmt.Errorf("prof: nothing to merge")
+	}
+	out := &Trace{Meta: traces[0].Meta}
+	out.Meta.Rank = 0
+	for _, tr := range traces {
+		if tr == nil {
+			return nil, fmt.Errorf("prof: merge input missing a rank trace")
+		}
+		out.Ranks = append(out.Ranks, tr.Ranks...)
+		out.Dropped += tr.Dropped
+		out.Mem.Weights += tr.Mem.Weights
+		out.Mem.WeightGradients += tr.Mem.WeightGradients
+		out.Mem.FeatureMaps += tr.Mem.FeatureMaps
+		out.Mem.Workspace += tr.Mem.Workspace
+		out.Mem.Dynamic += tr.Mem.Dynamic
+		out.Mem.PeakTotal += tr.Mem.PeakTotal
+	}
+	out.Mem.Samples = traces[0].Mem.Samples
+	return out, nil
+}
+
 // Trees builds one tree per rank, in Ranks order. A trace that dropped
 // spans is refused with ErrTraceDropped: its parents are missing and its
 // budget cannot close. So is one that lists a rank twice.

@@ -89,40 +89,6 @@ func (t *Table) Render(w io.Writer) error {
 	return nil
 }
 
-// RenderMarkdown writes the table as a GitHub-flavored markdown table.
-func (t *Table) RenderMarkdown(w io.Writer) error {
-	if t.Title != "" {
-		if _, err := fmt.Fprintf(w, "**%s**\n\n", t.Title); err != nil {
-			return err
-		}
-	}
-	esc := func(s string) string { return strings.ReplaceAll(s, "|", "\\|") }
-	row := func(cells []string) error {
-		out := make([]string, len(cells))
-		for i, c := range cells {
-			out[i] = esc(c)
-		}
-		_, err := fmt.Fprintf(w, "| %s |\n", strings.Join(out, " | "))
-		return err
-	}
-	if err := row(t.Columns); err != nil {
-		return err
-	}
-	sep := make([]string, len(t.Columns))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(sep, " | ")); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := row(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteCSV writes the table as CSV with a header row.
 func (t *Table) WriteCSV(w io.Writer) error {
 	write := func(cells []string) error {

@@ -99,21 +99,6 @@ func TestFigureCategoricalLabels(t *testing.T) {
 	}
 }
 
-func TestMarkdownRender(t *testing.T) {
-	tbl := &Table{Title: "T", Columns: []string{"a", "b"}}
-	tbl.AddRow("x|y", 1.5)
-	var buf bytes.Buffer
-	if err := tbl.RenderMarkdown(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"**T**", "| a | b |", "| --- | --- |", `x\|y`, "1.5"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("markdown missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestTableWriteJSON(t *testing.T) {
 	tbl := &Table{Title: "K", Columns: []string{"kernel", "ms"}}
 	tbl.AddRow("gemm", 1.25)

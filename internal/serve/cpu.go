@@ -57,11 +57,3 @@ func applyCPUBudgetLocked() {
 	}
 	tensor.SetParallelism(per)
 }
-
-// ActiveServices reports how many replica runners currently share the
-// CPU budget (test and observability hook).
-func ActiveServices() int {
-	cpuBudget.mu.Lock()
-	defer cpuBudget.mu.Unlock()
-	return cpuBudget.active
-}

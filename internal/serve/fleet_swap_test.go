@@ -29,7 +29,7 @@ func trainedCheckpoint(t *testing.T, seed uint64) ([]byte, *graph.Network, []int
 	}
 	rng := tensor.NewRNG(seed + 1)
 	x := tensor.RandNormal(rng, 0, 1, append([]int{8}, shape...)...)
-	classes := net.Infer(x).Shape()[1]
+	classes := net.Forward(x, false).Shape()[1]
 	labels := make([]int, 8)
 	for i := range labels {
 		labels[i] = rng.Intn(classes)
@@ -90,8 +90,8 @@ func checkSwapUnderLoad(t *testing.T, maxWait time.Duration) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOld := append([]float32(nil), old.Infer(one).Data()...)
-	wantNew := append([]float32(nil), trained.Infer(one).Data()...)
+	wantOld := append([]float32(nil), old.Forward(one, false).Data()...)
+	wantNew := append([]float32(nil), trained.Forward(one, false).Data()...)
 
 	// Background load across the swap.
 	var failed, mixed atomic.Uint64
@@ -154,7 +154,7 @@ func checkSwapUnderLoad(t *testing.T, maxWait time.Duration) {
 	rng := tensor.NewRNG(21)
 	for i := 0; i < 32; i++ {
 		x := tensor.RandNormal(rng, 0, 1, shape...)
-		want := trained.Infer(x.Reshape(append([]int{1}, shape...)...)).Data()
+		want := trained.Forward(x.Reshape(append([]int{1}, shape...)...), false).Data()
 		res, err := f.Predict(x)
 		if err != nil {
 			t.Fatalf("post-swap request %d: %v", i, err)

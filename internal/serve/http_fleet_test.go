@@ -245,7 +245,7 @@ func TestHTTPFleetSwapEndpoint(t *testing.T) {
 	// comparisons live in fleet_swap_test.go; here we just check the flip
 	// happened over the wire).
 	x := tensor.RandNormal(tensor.NewRNG(41), 0, 1, shape...)
-	want := trained.Infer(x.Reshape(append([]int{1}, shape...)...)).Data()
+	want := trained.Forward(x.Reshape(append([]int{1}, shape...)...), false).Data()
 	presp := postPredict(t, srv, PredictRequest{Input: append([]float32(nil), x.Data()...)})
 	var pr PredictResponse
 	if err := json.NewDecoder(presp.Body).Decode(&pr); err != nil {

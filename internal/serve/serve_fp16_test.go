@@ -53,7 +53,7 @@ func serveAll(t *testing.T, sess *Session, samples []*tensor.Tensor) ([][]float3
 		}
 	}
 	svc.Close() // freeze the capture before reading the watermark
-	return outs, prof.Watermark()
+	return outs, prof.Current(prof.Meta{}).Mem
 }
 
 // TestServeHalfWeights is the fp16-serving acceptance test: freezing a

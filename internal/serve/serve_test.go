@@ -77,7 +77,7 @@ func checkBitIdentical(t *testing.T, twin string, replicas int) {
 	want := make([][]float32, nReq)
 	for i := range samples {
 		samples[i] = tensor.RandNormal(rng, 0, 1, shape...)
-		out := refNet.Infer(samples[i].Reshape(append([]int{1}, shape...)...))
+		out := refNet.Forward(samples[i].Reshape(append([]int{1}, shape...)...), false)
 		want[i] = append([]float32(nil), out.Data()...)
 	}
 
@@ -336,7 +336,7 @@ func capture(t *testing.T, maxRecords int) {
 func batchSpans(t *testing.T, batches uint64) []prof.Record {
 	t.Helper()
 	var spans []prof.Record
-	for _, rec := range prof.Records() {
+	for _, rec := range prof.Current(prof.Meta{}).Ranks[0].Records {
 		if rec.Cat != prof.CatServe {
 			continue
 		}
@@ -348,8 +348,8 @@ func batchSpans(t *testing.T, batches uint64) []prof.Record {
 		}
 		spans = append(spans, rec)
 	}
-	if got := uint64(len(spans)) + prof.Dropped(); got != batches {
-		t.Fatalf("batch spans %d + dropped %d != batches %d", len(spans), prof.Dropped(), batches)
+	if got := uint64(len(spans)) + prof.Current(prof.Meta{}).Dropped; got != batches {
+		t.Fatalf("batch spans %d + dropped %d != batches %d", len(spans), prof.Current(prof.Meta{}).Dropped, batches)
 	}
 	return spans
 }
@@ -434,4 +434,12 @@ func TestServeLoadGen(t *testing.T) {
 	if res.P99Ms() < res.P50Ms() {
 		t.Fatalf("p99 %g < p50 %g", res.P99Ms(), res.P50Ms())
 	}
+}
+
+// ActiveServices reports how many replica runners currently share the
+// CPU budget (test and observability hook).
+func ActiveServices() int {
+	cpuBudget.mu.Lock()
+	defer cpuBudget.mu.Unlock()
+	return cpuBudget.active
 }

@@ -15,18 +15,10 @@ type PhaseProfile struct {
 }
 
 // TotalSec returns the summed phase time.
+//
+//tbd:api the phase total the sim and core gap-share tests divide by
 func (p PhaseProfile) TotalSec() float64 {
 	return p.ForwardSec + p.BackwardSec + p.UpdateSec
-}
-
-// BackwardToForwardRatio returns backward time over forward time; ~2x is
-// the rule of thumb the paper's background section describes (gradient
-// w.r.t. both data and weights).
-func (p PhaseProfile) BackwardToForwardRatio() float64 {
-	if p.ForwardSec == 0 {
-		return 0
-	}
-	return p.BackwardSec / p.ForwardSec
 }
 
 // Phases prices each training phase of an op graph on the configured

@@ -51,3 +51,13 @@ func TestPhasesZeroRatioWithoutForward(t *testing.T) {
 		t.Fatal("zero forward must yield zero ratio")
 	}
 }
+
+// BackwardToForwardRatio returns backward time over forward time; ~2x is
+// the rule of thumb the paper's background section describes (gradient
+// w.r.t. both data and weights).
+func (p PhaseProfile) BackwardToForwardRatio() float64 {
+	if p.ForwardSec == 0 {
+		return 0
+	}
+	return p.BackwardSec / p.ForwardSec
+}

@@ -218,12 +218,6 @@ func replay(stream []kernels.Kernel, batch int, cfg Config, events *[]Event) Res
 	return res
 }
 
-// Replay exposes the raw-stream simulator for callers that transform the
-// kernel stream first (framework fusion passes, trace capture).
-func Replay(stream []kernels.Kernel, batch int, cfg Config) Result {
-	return replay(stream, batch, cfg, nil)
-}
-
 // Event is one kernel execution on the simulated timeline.
 type Event struct {
 	Name     string

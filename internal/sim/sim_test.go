@@ -163,11 +163,11 @@ func TestSyncKernelsCreateGaps(t *testing.T) {
 	// no slower than the synced stream.
 	cfg := baseCfg()
 	stream := kernels.IterationKernels(lstmOps(), 32, kernels.StyleTF)
-	synced := Replay(stream, 32, cfg)
+	synced := replay(stream, 32, cfg, nil)
 	for i := range stream {
 		stream[i].Sync = false
 	}
-	unsynced := Replay(stream, 32, cfg)
+	unsynced := replay(stream, 32, cfg, nil)
 	if unsynced.IterTimeSec > synced.IterTimeSec {
 		t.Fatalf("removing syncs slowed the run: %.4f > %.4f", unsynced.IterTimeSec, synced.IterTimeSec)
 	}

@@ -239,16 +239,6 @@ func Conv2DFused(x, w, bias *Tensor, act ActKind, stride, pad int) *Tensor {
 	return out
 }
 
-// Conv2DWithCols is Conv2D but also returns the im2col lowering of x so
-// the caller can hand it back to Conv2DBackwardCols and skip recomputing
-// it — the standard activation-memory-for-throughput trade the paper's
-// frameworks make. Both returned tensors are pool-backed. For pointwise
-// convolutions the returned lowering is a view of x (releasing it is a
-// no-op).
-func Conv2DWithCols(x, w *Tensor, stride, pad int) (out, cols *Tensor) {
-	return conv2DForward(x, w, nil, ActNone, stride, pad)
-}
-
 // Conv2DWithColsFused is Conv2DWithCols with fused bias + activation.
 func Conv2DWithColsFused(x, w, bias *Tensor, act ActKind, stride, pad int) (out, cols *Tensor) {
 	return conv2DForward(x, w, bias, act, stride, pad)

@@ -47,24 +47,8 @@ func NewHalfMatrix(t *Tensor) *HalfMatrix {
 	return &HalfMatrix{rows: t.shape[0], cols: t.shape[1], data: EncodeHalf(t.data)}
 }
 
-// Rows returns the first dimension (the reduction length K in a @ w).
-func (h *HalfMatrix) Rows() int { return h.rows }
-
-// Cols returns the second dimension (output features M).
-func (h *HalfMatrix) Cols() int { return h.cols }
-
 // Bytes returns the resident size of the stored weights.
 func (h *HalfMatrix) Bytes() int64 { return int64(len(h.data)) * 2 }
-
-// Float32 widens the stored weights back to a float32 tensor, carrying
-// the quantization the round trip through half applied.
-func (h *HalfMatrix) Float32() *Tensor {
-	out := New(h.rows, h.cols)
-	for i, v := range h.data {
-		out.data[i] = HalfToFloat32(v)
-	}
-	return out
-}
 
 // MatMulHalfBiasAct returns act(a @ w + bias) for a float32 a [N, K] and
 // half-stored w [K, M]; bias may be nil and act ActNone, as in

@@ -167,3 +167,19 @@ func TestHalfPackSeparateSizeClass(t *testing.T) {
 		t.Fatal("fast half GEMM did not request uint16 pack scratch")
 	}
 }
+
+// Rows returns the first dimension (the reduction length K in a @ w).
+func (h *HalfMatrix) Rows() int { return h.rows }
+
+// Cols returns the second dimension (output features M).
+func (h *HalfMatrix) Cols() int { return h.cols }
+
+// Float32 widens the stored weights back to a float32 tensor, carrying
+// the quantization the round trip through half applied.
+func (h *HalfMatrix) Float32() *Tensor {
+	out := New(h.rows, h.cols)
+	for i, v := range h.data {
+		out.data[i] = HalfToFloat32(v)
+	}
+	return out
+}

@@ -157,9 +157,9 @@ func TestAcquireReleaseIdempotent(t *testing.T) {
 	n.Release()
 	v := Acquire(4, 8).Reshape(8, 4)
 	v.Release()
-	g1, _, _ := PoolStats()
+	g1 := PoolStatsSnapshot().Gets
 	_ = Acquire(32)
-	g2, _, _ := PoolStats()
+	g2 := PoolStatsSnapshot().Gets
 	if g2 != g1+1 {
 		t.Fatalf("PoolStats gets did not advance: %d -> %d", g1, g2)
 	}

@@ -93,6 +93,8 @@ func EncodeHalf(src []float32) []uint16 {
 }
 
 // DecodeHalf expands float16 bit patterns back to float32.
+//
+//tbd:api the inverse of EncodeHalf the half round-trip and PS fp16 frame tests check encodings against
 func DecodeHalf(src []uint16) []float32 {
 	out := make([]float32, len(src))
 	for i, h := range src {

@@ -144,39 +144,6 @@ func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// MatVec returns a @ x for a [N, K] and x [K], producing [N].
-func MatVec(a, x *Tensor) *Tensor {
-	if a.Rank() != 2 || x.Rank() != 1 {
-		panic(fmt.Sprintf("tensor: MatVec needs [N,K] @ [K], got %v @ %v", a.shape, x.shape))
-	}
-	n, k := a.shape[0], a.shape[1]
-	if x.shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatVec dimension mismatch %v @ %v", a.shape, x.shape))
-	}
-	out := New(n)
-	for i := 0; i < n; i++ {
-		out.data[i] = dotOne(a.data[i*k:(i+1)*k], x.data)
-	}
-	return out
-}
-
-// Outer returns x ⊗ y, the [N, M] outer product of vectors x [N] and y [M].
-func Outer(x, y *Tensor) *Tensor {
-	if x.Rank() != 1 || y.Rank() != 1 {
-		panic(fmt.Sprintf("tensor: Outer needs vectors, got %v, %v", x.shape, y.shape))
-	}
-	n, m := x.shape[0], y.shape[0]
-	out := New(n, m)
-	for i := 0; i < n; i++ {
-		xv := x.data[i]
-		row := out.data[i*m : (i+1)*m]
-		for j := 0; j < m; j++ {
-			row[j] = xv * y.data[j]
-		}
-	}
-	return out
-}
-
 // BatchMatMul multiplies matching batches: a [B, N, K] @ b [B, K, M] ->
 // [B, N, M], batches split across the worker pool. Used by attention
 // layers.

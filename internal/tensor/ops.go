@@ -31,21 +31,9 @@ func addRange(ov, av, bv []float32) {
 	}
 }
 
-func subRange(ov, av, bv []float32) {
-	for i := range ov {
-		ov[i] = av[i] - bv[i]
-	}
-}
-
 func mulRange(ov, av, bv []float32) {
 	for i := range ov {
 		ov[i] = av[i] * bv[i]
-	}
-}
-
-func divRange(ov, av, bv []float32) {
-	for i := range ov {
-		ov[i] = av[i] / bv[i]
 	}
 }
 
@@ -63,35 +51,6 @@ func Add(a, b *Tensor) *Tensor {
 	return out
 }
 
-// AddInto computes dst = a + b elementwise into the caller's buffer and
-// returns dst. dst may alias a or b.
-func AddInto(dst, a, b *Tensor) *Tensor {
-	checkSame(a, b, "AddInto")
-	checkSame(dst, a, "AddInto")
-	if rowWorkers(len(a.data), minElemsPerWorker) <= 1 {
-		addRange(dst.data, a.data, b.data)
-		return dst
-	}
-	parallelRows(len(a.data), minElemsPerWorker, func(lo, hi int) {
-		addRange(dst.data[lo:hi], a.data[lo:hi], b.data[lo:hi])
-	})
-	return dst
-}
-
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	checkSame(a, b, "Sub")
-	out := acquireDirty(a.shape...)
-	if rowWorkers(len(a.data), minElemsPerWorker) <= 1 {
-		subRange(out.data, a.data, b.data)
-		return out
-	}
-	parallelRows(len(a.data), minElemsPerWorker, func(lo, hi int) {
-		subRange(out.data[lo:hi], a.data[lo:hi], b.data[lo:hi])
-	})
-	return out
-}
-
 // Mul returns a * b elementwise (Hadamard product).
 func Mul(a, b *Tensor) *Tensor {
 	checkSame(a, b, "Mul")
@@ -102,20 +61,6 @@ func Mul(a, b *Tensor) *Tensor {
 	}
 	parallelRows(len(a.data), minElemsPerWorker, func(lo, hi int) {
 		mulRange(out.data[lo:hi], a.data[lo:hi], b.data[lo:hi])
-	})
-	return out
-}
-
-// Div returns a / b elementwise.
-func Div(a, b *Tensor) *Tensor {
-	checkSame(a, b, "Div")
-	out := acquireDirty(a.shape...)
-	if rowWorkers(len(a.data), minElemsPerWorker) <= 1 {
-		divRange(out.data, a.data, b.data)
-		return out
-	}
-	parallelRows(len(a.data), minElemsPerWorker, func(lo, hi int) {
-		divRange(out.data[lo:hi], a.data[lo:hi], b.data[lo:hi])
 	})
 	return out
 }
@@ -136,24 +81,6 @@ func AddInPlace(a, b *Tensor) {
 	}
 	parallelRows(len(a.data), minElemsPerWorker, func(lo, hi int) {
 		accumRange(a.data[lo:hi], b.data[lo:hi])
-	})
-}
-
-func axpyRange(alpha float32, av, bv []float32) {
-	for i := range av {
-		av[i] += alpha * bv[i]
-	}
-}
-
-// AXPY computes a += alpha*b in place.
-func AXPY(alpha float32, b, a *Tensor) {
-	checkSame(a, b, "AXPY")
-	if rowWorkers(len(a.data), minElemsPerWorker) <= 1 {
-		axpyRange(alpha, a.data, b.data)
-		return
-	}
-	parallelRows(len(a.data), minElemsPerWorker, func(lo, hi int) {
-		axpyRange(alpha, a.data[lo:hi], b.data[lo:hi])
 	})
 }
 
@@ -185,15 +112,6 @@ func (t *Tensor) ScaleInPlace(alpha float32) {
 	parallelRows(len(t.data), minElemsPerWorker, func(lo, hi int) {
 		scaleRange(alpha, t.data[lo:hi], t.data[lo:hi])
 	})
-}
-
-// AddScalar returns a + c elementwise.
-func AddScalar(a *Tensor, c float32) *Tensor {
-	out := acquireDirty(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] + c
-	}
-	return out
 }
 
 func applyRange(ov, av []float32, f func(float32) float32) {
@@ -230,6 +148,8 @@ func AddRowBroadcast(m, row *Tensor) *Tensor {
 
 // AddRowBroadcastInPlace adds row [F] to every row of m [N, F] in place,
 // the allocation-free bias addition used by the layers package.
+//
+//tbd:api the unfused bias add TestMatMulBiasActMatchesUnfused checks the fused epilogue against
 func AddRowBroadcastInPlace(m, row *Tensor) {
 	f := row.Numel()
 	if m.Rank() < 1 || m.Numel()%f != 0 {
@@ -272,39 +192,6 @@ func (t *Tensor) Sum() float32 {
 // Mean returns the arithmetic mean of all elements.
 func (t *Tensor) Mean() float32 { return t.Sum() / float32(len(t.data)) }
 
-// Max returns the maximum element.
-func (t *Tensor) Max() float32 {
-	m := float32(math.Inf(-1))
-	for _, v := range t.data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element.
-func (t *Tensor) Min() float32 {
-	m := float32(math.Inf(1))
-	for _, v := range t.data {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Argmax returns the flat index of the maximum element.
-func (t *Tensor) Argmax() int {
-	best, bi := float32(math.Inf(-1)), 0
-	for i, v := range t.data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
-}
-
 // ArgmaxRows treats t as [N, F] (flattening trailing dims) and returns the
 // argmax of each row. Used for classification accuracy.
 func ArgmaxRows(t *Tensor) []int {
@@ -346,6 +233,8 @@ func SumRows(t *Tensor) *Tensor {
 }
 
 // L2Norm returns the Euclidean norm of all elements.
+//
+//tbd:api the norm the optimizer convergence tests and tensor properties measure
 func (t *Tensor) L2Norm() float32 {
 	var s float64
 	for _, v := range t.data {
@@ -354,47 +243,10 @@ func (t *Tensor) L2Norm() float32 {
 	return float32(math.Sqrt(s))
 }
 
-// Transpose returns the transpose of a 2-D tensor.
-func Transpose(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose needs rank 2, got %v", a.shape))
-	}
-	n, m := a.shape[0], a.shape[1]
-	out := New(m, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < m; j++ {
-			out.data[j*n+i] = a.data[i*m+j]
-		}
-	}
-	return out
-}
-
-// Concat concatenates tensors along axis 0. All trailing dimensions must
-// match.
-func Concat(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: Concat of nothing")
-	}
-	inner := ts[0].Numel() / ts[0].shape[0]
-	rows := 0
-	for _, t := range ts {
-		if t.Numel()/t.shape[0] != inner {
-			panic("tensor: Concat inner-size mismatch")
-		}
-		rows += t.shape[0]
-	}
-	shape := append([]int{rows}, ts[0].shape[1:]...)
-	out := New(shape...)
-	off := 0
-	for _, t := range ts {
-		copy(out.data[off:], t.data)
-		off += t.Numel()
-	}
-	return out
-}
-
 // Equal reports whether a and b have the same shape and elements within
 // tolerance eps.
+//
+//tbd:api the tolerance comparison the parity and bit-identity tests of every numeric package use
 func Equal(a, b *Tensor, eps float32) bool {
 	if !a.SameShape(b) {
 		return false

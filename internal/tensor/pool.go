@@ -276,6 +276,8 @@ func SetPooling(on bool) bool {
 }
 
 // PoolingEnabled reports whether the shared buffer pool is active.
+//
+//tbd:api the pool state the prof workspace-attribution test and the pooling toggle test branch on
 func PoolingEnabled() bool { return !defaultPool.disabled.Load() }
 
 // debugPoison, when set, makes every Release fill the buffer with NaN
@@ -290,14 +292,10 @@ var debugPoison atomic.Bool
 // overwritten data, so use-after-release bugs surface immediately in
 // tests. Poisoning is off by default; it costs a full write of every
 // released buffer.
+//
+//tbd:api test knob: the pinned-trajectory tests run with released buffers poisoned
 func SetDebugPoisonReleased(on bool) bool {
 	return debugPoison.Swap(on)
-}
-
-// PoolStats reports cumulative Acquire calls, Acquire calls served from
-// the free list, and buffers accepted back by Release.
-func PoolStats() (gets, hits, puts uint64) {
-	return defaultPool.gets.Load(), defaultPool.hits.Load(), defaultPool.puts.Load()
 }
 
 // PoolCounters is a point-in-time copy of the shared pool's cumulative
@@ -365,13 +363,6 @@ func PoolRetainedBytes() (tensorBytes, packBytes int64) {
 	return tensorBytes, packBytes
 }
 
-// PackStats reports cumulative pack-scratch requests and the number served
-// from the pack free list. Pack buffers are tracked separately from tensor
-// buffers (see Pool.packBuckets), so these counters never move PoolStats.
-func PackStats() (gets, hits uint64) {
-	return defaultPool.packGets.Load(), defaultPool.packHits.Load()
-}
-
 // getPackBuf and putPackBuf are the package-internal pack-scratch entry
 // points over the shared pool; the Half pair is the uint16 analogue for
 // fp16 B panels.
@@ -379,13 +370,3 @@ func getPackBuf(n int) []float32    { return defaultPool.getPack(n) }
 func putPackBuf(buf []float32)      { defaultPool.putPack(buf) }
 func getHalfPackBuf(n int) []uint16 { return defaultPool.getPackHalf(n) }
 func putHalfPackBuf(buf []uint16)   { defaultPool.putPackHalf(buf) }
-
-// Aliases reports whether a and b share backing storage. Reshape produces
-// views over the same array, so pointer identity of the first element is
-// the aliasing test; empty or nil tensors alias only themselves.
-func Aliases(a, b *Tensor) bool {
-	if a == nil || b == nil || len(a.data) == 0 || len(b.data) == 0 {
-		return a == b
-	}
-	return &a.data[0] == &b.data[0]
-}

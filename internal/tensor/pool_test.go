@@ -105,3 +105,13 @@ func TestPoolRetainedBytes(t *testing.T) {
 		t.Fatalf("retained bytes after reacquire: %d -> %d, want a drop", t1, t2)
 	}
 }
+
+// Aliases reports whether a and b share backing storage. Reshape produces
+// views over the same array, so pointer identity of the first element is
+// the aliasing test; empty or nil tensors alias only themselves.
+func Aliases(a, b *Tensor) bool {
+	if a == nil || b == nil || len(a.data) == 0 || len(b.data) == 0 {
+		return a == b
+	}
+	return &a.data[0] == &b.data[0]
+}

@@ -120,45 +120,6 @@ func CrossEntropy(logits *Tensor, labels []int) (loss float32, grad *Tensor) {
 	return float32(total / float64(n)), grad
 }
 
-// CrossEntropyLS is CrossEntropy with label smoothing: the target
-// distribution places 1-eps on the true class and eps/(F-1) on the rest —
-// the regularizer of the Transformer training recipe (eps = 0.1 in
-// Vaswani et al.).
-func CrossEntropyLS(logits *Tensor, labels []int, eps float32) (loss float32, grad *Tensor) {
-	if eps == 0 {
-		return CrossEntropy(logits, labels)
-	}
-	n := logits.shape[0]
-	if len(labels) != n {
-		panic(fmt.Sprintf("tensor: CrossEntropyLS got %d labels for batch %d", len(labels), n))
-	}
-	f := logits.Numel() / n
-	if f < 2 {
-		panic("tensor: CrossEntropyLS needs at least 2 classes")
-	}
-	logp := LogSoftmaxRows(logits)
-	grad = SoftmaxRows(logits)
-	off := eps / float32(f-1)
-	on := 1 - eps
-	var total float64
-	for i, y := range labels {
-		if y < 0 || y >= f {
-			panic(fmt.Sprintf("tensor: CrossEntropyLS label %d out of range [0,%d)", y, f))
-		}
-		for j := 0; j < f; j++ {
-			target := off
-			if j == y {
-				target = on
-			}
-			total -= float64(target) * float64(logp.data[i*f+j])
-			grad.data[i*f+j] -= target
-		}
-	}
-	logp.Release()
-	grad.ScaleInPlace(1 / float32(n))
-	return float32(total / float64(n)), grad
-}
-
 // Accuracy returns the top-1 accuracy of logits [N, F] against labels.
 func Accuracy(logits *Tensor, labels []int) float64 {
 	pred := ArgmaxRows(logits)
@@ -169,32 +130,4 @@ func Accuracy(logits *Tensor, labels []int) float64 {
 		}
 	}
 	return float64(correct) / float64(len(labels))
-}
-
-// TopKAccuracy returns the fraction of rows whose true label appears among
-// the k largest logits (the paper reports Top-1 and Top-5).
-func TopKAccuracy(logits *Tensor, labels []int, k int) float64 {
-	n := logits.shape[0]
-	f := logits.Numel() / n
-	if k > f {
-		k = f
-	}
-	correct := 0
-	for i := 0; i < n; i++ {
-		row := logits.data[i*f : (i+1)*f]
-		y := labels[i]
-		target := row[y]
-		// Count entries strictly greater than the target score; the label is
-		// in the top-k iff fewer than k entries beat it.
-		greater := 0
-		for j, v := range row {
-			if v > target || (v == target && j < y) {
-				greater++
-			}
-		}
-		if greater < k {
-			correct++
-		}
-	}
-	return float64(correct) / float64(n)
 }

@@ -177,6 +177,8 @@ func (t *Tensor) Zero() {
 }
 
 // Fill sets every element to v.
+//
+//tbd:api writes the sentinel the gradient-write tests (graph, layers) detect overwrites by
 func (t *Tensor) Fill(v float32) {
 	for i := range t.data {
 		t.data[i] = v

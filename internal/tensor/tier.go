@@ -51,6 +51,8 @@ var tierNames = [...]string{tierRef: "ref", tierSSE: "sse", tierAVX2: "avx2"}
 // seeds. The wide driver's k-blocking does not enter: it reproduces the
 // unblocked chain bit for bit (gemm_wide.go). Both constants are asserted
 // by TestAVX2TierMatchesRefULP and TestBlockedGemmBoundaries.
+//
+//tbd:api the avx2 tolerance contract TestAVX2TierMatchesRefULP and TestBlockedGemmBoundaries assert
 const (
 	gemmFMAMaxULP = 512
 	gemmFMAAbsTol = 1e-4
@@ -135,6 +137,8 @@ func kernels4x4(t gemmTier) (tree, seq microFn) {
 // Unknown or CPU-unsupported names return an error and change nothing.
 // Safe to call concurrently with running ops: each GEMM reads the tier
 // once at entry, so an in-flight call uses one tier throughout.
+//
+//tbd:api tier knob: tests pin hashes and bit-identity under every tier
 func SetGemmKernelTier(name string) (prev string, err error) {
 	tierOnce.Do(initGemmTier)
 	prev = tierNames[gemmTier(activeTier.Load())]
@@ -155,6 +159,8 @@ func GemmKernelTier() string {
 }
 
 // GemmKernelTiers lists the tiers this process can run, widest last.
+//
+//tbd:api tier knob: the per-tier tests and benchmarks iterate what the host runs
 func GemmKernelTiers() []string {
 	tierOnce.Do(initGemmTier)
 	out := []string{"ref"}
@@ -170,6 +176,8 @@ func GemmKernelTiers() []string {
 // BitExactGemmTier returns the fastest tier that keeps the reference
 // bit-identity contract: "sse" when the assembly is present, else "ref".
 // Tests that assert exact equality across code paths pin this tier.
+//
+//tbd:api tier knob: the exact-equality tests pin this tier
 func BitExactGemmTier() string {
 	if haveSSEKernels {
 		return "sse"

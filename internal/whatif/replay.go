@@ -1,3 +1,17 @@
+// Package whatif is the Daydream-style what-if predictor: it replays the
+// span tree of a real profiled run (prof's trace file: every span with
+// its parent edge) under a proposed transformation — kernel speedups, a
+// different worker count, batch-size scaling, fp16 storage, fused vs
+// unfused epilogues, network bandwidth or gradient-compression changes —
+// to predict the step time and peak memory of a configuration that was
+// never run. The approach follows Daydream (Zhu et al., ATC 2020), the
+// companion to the TBD paper this repo reproduces: record the dependency
+// structure once from real execution, then simulate optimizations by
+// transforming and replaying the graph instead of re-implementing them.
+//
+// The package also owns the op-level memory what-ifs that used to live in
+// memprof (vDNN-style feature-map offload planning), so one entry point —
+// `tbd whatif` — answers both time and memory questions.
 package whatif
 
 import (
@@ -27,7 +41,7 @@ import (
 // does not attribute (e.g. synthetic-data generation inside a step's
 // residue) is held constant, and every such assumption lands in
 // Prediction.Notes.
-func Replay(t *Trace, sc *Scenario) (*Prediction, error) {
+func Replay(t *prof.Trace, sc *Scenario) (*Prediction, error) {
 	trees, err := t.Trees()
 	if err != nil {
 		return nil, err
@@ -169,7 +183,7 @@ var parallelKernelClasses = []string{"gemm*", "conv*", "im2col", "col2im"}
 
 // applyTime runs the scenario's time transformations over every node's
 // self time, in the documented order.
-func applyTime(g *graph, t *Trace, sc *Scenario, peakBWBps, peakFLOPs float64) {
+func applyTime(g *graph, t *prof.Trace, sc *Scenario, peakBWBps, peakFLOPs float64) {
 	// batch: compute phases scale with the per-step sample count.
 	batchRatio := 1.0
 	if sc.Batch > 0 {
@@ -322,8 +336,7 @@ func scalesWithBatch(s *gnode) bool {
 
 // wireBytesPerElem mirrors dist.Compression's wire encoding (4-byte
 // fp32, 2-byte fp16, 1-byte int8 payloads). Kept as a local table so the
-// package does not import internal/dist (dist imports whatif to attach
-// traces to worker results).
+// predictor does not import the live runtime it models.
 var wireBytesPerElem = map[string]float64{"full": 4, "fp16": 2, "int8": 1}
 
 // commBlend returns the bytes-per-scalar a full gradient exchange costs
@@ -342,7 +355,7 @@ func commBlend(compression string) float64 {
 // The recorded duration splits into wire time (volume / link bandwidth,
 // capped by the observed duration) and overhead (framing, reduction
 // arithmetic, peer waits); only wire time rescales.
-func replayComm(t *Trace, sc *Scenario, s *gnode, selfUs float64) float64 {
+func replayComm(t *prof.Trace, sc *Scenario, s *gnode, selfUs float64) float64 {
 	shareBytes := float64(s.Bytes)
 	if strings.HasPrefix(s.Name, "comm.ring") {
 		// In+out are concurrent on a ring hop; the serial wire time is
@@ -395,7 +408,7 @@ func replayComm(t *Trace, sc *Scenario, s *gnode, selfUs float64) float64 {
 }
 
 // commModelNote documents the comm model's assumptions for the report.
-func commModelNote(t *Trace, sc *Scenario) string {
+func commModelNote(t *prof.Trace, sc *Scenario) string {
 	var b strings.Builder
 	b.WriteString("comm model: wire time = volume/bandwidth (ring counts one direction; hops overlap; ps rounds serialize all ranks through the server NIC), non-wire overhead held constant")
 	if t.Meta.BandwidthMBps <= 0 {
@@ -409,7 +422,7 @@ func commModelNote(t *Trace, sc *Scenario) string {
 
 // applyMemory computes the predicted watermark and returns the extra
 // PCIe microseconds per step an offload scenario charges.
-func applyMemory(p *Prediction, t *Trace, sc *Scenario) float64 {
+func applyMemory(p *Prediction, t *prof.Trace, sc *Scenario) float64 {
 	m := &p.MemAfter
 	if sc.Batch > 0 && t.Meta.Batch > 0 {
 		r := float64(sc.Batch) / float64(t.Meta.Batch)

@@ -22,9 +22,9 @@ func mkSpan(id, parent uint64, name, cat string, startUs, durUs, flops float64, 
 func usDur(us float64) time.Duration { return time.Duration(math.Round(us * 1e3)) }
 
 // mkTrace assembles a synthetic one-rank trace and checks its edges.
-func mkTrace(t *testing.T, meta Meta, wallUs float64, spans ...prof.Record) *Trace {
+func mkTrace(t *testing.T, meta prof.Meta, wallUs float64, spans ...prof.Record) *prof.Trace {
 	t.Helper()
-	tr := &Trace{Meta: meta, Ranks: []prof.Capture{{Rank: meta.Rank, Wall: usDur(wallUs), Records: spans}}}
+	tr := &prof.Trace{Meta: meta, Ranks: []prof.Capture{{Rank: meta.Rank, Wall: usDur(wallUs), Records: spans}}}
 	if _, err := tr.Trees(); err != nil {
 		t.Fatalf("synthetic trace invalid: %v", err)
 	}
@@ -33,8 +33,8 @@ func mkTrace(t *testing.T, meta Meta, wallUs float64, spans ...prof.Record) *Tra
 
 // twoStepTrace is a minimal but structurally complete recording: two
 // steps, each forward(gemm) + update, under a 1000us wall.
-func twoStepTrace(t *testing.T) *Trace {
-	return mkTrace(t, Meta{Model: "m", Batch: 32, Parallel: 1, Steps: 2}, 1000,
+func twoStepTrace(t *testing.T) *prof.Trace {
+	return mkTrace(t, prof.Meta{Model: "m", Batch: 32, Parallel: 1, Steps: 2}, 1000,
 		mkSpan(1, 0, "step", "phase", 0, 300, 0, 0),
 		mkSpan(2, 1, "phase.forward", "phase", 10, 200, 0, 0),
 		mkSpan(3, 2, "gemm", "kernel", 20, 150, 3e8, 4e6),
@@ -46,7 +46,7 @@ func twoStepTrace(t *testing.T) *Trace {
 	)
 }
 
-func replaySpec(t *testing.T, tr *Trace, spec string) *Prediction {
+func replaySpec(t *testing.T, tr *prof.Trace, spec string) *Prediction {
 	t.Helper()
 	sc, err := ParseScenario(spec)
 	if err != nil {
@@ -90,11 +90,7 @@ func TestFromRecordsDerivesEdgesAndPhases(t *testing.T) {
 	step.End()
 	prof.Disable()
 
-	tr, err := Capture(Meta{Model: "test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trees, err := tr.Trees()
+	trees, err := prof.Current(prof.Meta{Model: "test"}).Trees()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,15 +121,12 @@ func TestReplayRefusesDroppedSpans(t *testing.T) {
 		sp.End()
 	}
 	prof.Disable()
-	tr, err := Capture(Meta{})
-	if err != nil {
-		t.Fatalf("a truncated capture must still be writable: %v", err)
-	}
+	tr := prof.Current(prof.Meta{})
 	if tr.Dropped != 3 {
 		t.Fatalf("dropped = %d, want 3", tr.Dropped)
 	}
 	sc, _ := ParseScenario("")
-	_, err = Replay(tr, sc)
+	_, err := Replay(tr, sc)
 	if !errors.Is(err, prof.ErrTraceDropped) || !strings.Contains(err.Error(), "3 fell past") {
 		t.Fatalf("replay of a truncated capture must name the drop count, got %v", err)
 	}
@@ -149,7 +142,7 @@ func TestValidateRejectsBrokenEdges(t *testing.T) {
 		{"cycle", []prof.Record{mkSpan(1, 2, "a", "kernel", 0, 1, 0, 0), mkSpan(2, 1, "b", "kernel", 0, 1, 0, 0)}, prof.ErrCycle},
 		{"duplicate", []prof.Record{mkSpan(1, 0, "a", "kernel", 0, 1, 0, 0), mkSpan(1, 0, "b", "kernel", 0, 1, 0, 0)}, prof.ErrDuplicateSpan},
 	} {
-		tr := &Trace{Ranks: []prof.Capture{{Wall: time.Millisecond, Records: c.spans}}}
+		tr := &prof.Trace{Ranks: []prof.Capture{{Wall: time.Millisecond, Records: c.spans}}}
 		sc, _ := ParseScenario("")
 		if _, err := Replay(tr, sc); !errors.Is(err, c.want) {
 			t.Errorf("%s: replay error %v, want %v", c.name, err, c.want)
@@ -177,15 +170,15 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 func TestMergeKeysRanksByPID(t *testing.T) {
-	r0 := mkTrace(t, Meta{Rank: 0, Workers: 2, Strategy: "ring"}, 500,
+	r0 := mkTrace(t, prof.Meta{Rank: 0, Workers: 2, Strategy: "ring"}, 500,
 		mkSpan(1, 0, "step", "phase", 0, 400, 0, 0),
 		mkSpan(2, 1, "comm.ring.allreduce", "comm", 100, 100, 0, 1e6),
 	)
-	r1 := mkTrace(t, Meta{Rank: 1, Workers: 2, Strategy: "ring"}, 600,
+	r1 := mkTrace(t, prof.Meta{Rank: 1, Workers: 2, Strategy: "ring"}, 600,
 		mkSpan(1, 0, "step", "phase", 0, 450, 0, 0),
 		mkSpan(2, 1, "comm.ring.allreduce", "comm", 100, 120, 0, 1e6),
 	)
-	m, err := Merge(r0, r1)
+	m, err := prof.Merge(r0, r1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +202,7 @@ func TestMergeKeysRanksByPID(t *testing.T) {
 	if strings.Count(buf.String(), `"pid":1,"tid":0,"args"`) != 2 {
 		t.Fatalf("rank 1's spans are not on pid 1:\n%s", buf.String())
 	}
-	if twice, err := Merge(r0, r0); err != nil {
+	if twice, err := prof.Merge(r0, r0); err != nil {
 		t.Fatal(err)
 	} else if _, err := twice.Trees(); err == nil {
 		t.Fatal("a trace with one rank twice must not build")
@@ -232,7 +225,7 @@ func TestReplaySpeedupScalesSelfTimeOnly(t *testing.T) {
 	// A root "copy" span demonstrates 4e6 bytes in 10us, calibrating peak
 	// bandwidth to 4e11 B/s. The gemm's memory floor is then 4e6 bytes at
 	// that rate = 10us, and only the remaining 140us compute share halves.
-	tr := mkTrace(t, Meta{Model: "m", Batch: 32, Parallel: 1, Steps: 2}, 1000,
+	tr := mkTrace(t, prof.Meta{Model: "m", Batch: 32, Parallel: 1, Steps: 2}, 1000,
 		mkSpan(1, 0, "step", "phase", 0, 300, 0, 0),
 		mkSpan(2, 1, "phase.forward", "phase", 10, 200, 0, 0),
 		mkSpan(3, 2, "gemm", "kernel", 20, 150, 3e8, 4e6),
@@ -274,7 +267,7 @@ func TestReplayKernelModelUsesFLOPs(t *testing.T) {
 func TestReplayDropRemovesMatchingPaths(t *testing.T) {
 	// Forward and backward both run a layer named fc1 over a kernel named
 	// gemm, so only the path tells the four spans apart.
-	tr := mkTrace(t, Meta{Model: "m", Batch: 32, Parallel: 1, Steps: 1}, 1000,
+	tr := mkTrace(t, prof.Meta{Model: "m", Batch: 32, Parallel: 1, Steps: 1}, 1000,
 		mkSpan(1, 0, "step", "phase", 0, 600, 0, 0),
 		mkSpan(2, 1, "phase.forward", "phase", 10, 200, 0, 0),
 		mkSpan(3, 2, "fc1", "forward", 20, 150, 0, 0),
@@ -320,7 +313,7 @@ func TestReplayBatchScalesComputePhasesOnly(t *testing.T) {
 }
 
 func TestReplayParallelScalesParallelKernels(t *testing.T) {
-	tr := mkTrace(t, Meta{Batch: 32, Parallel: 1}, 400,
+	tr := mkTrace(t, prof.Meta{Batch: 32, Parallel: 1}, 400,
 		mkSpan(1, 0, "step", "phase", 0, 400, 0, 0),
 		mkSpan(2, 1, "gemm", "kernel", 0, 200, 1e8, 1e6),
 		mkSpan(3, 1, "im2col", "kernel", 200, 100, 0, 1e6),
@@ -332,7 +325,7 @@ func TestReplayParallelScalesParallelKernels(t *testing.T) {
 }
 
 func TestReplayCommBandwidth(t *testing.T) {
-	tr := mkTrace(t, Meta{Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125}, 20000,
+	tr := mkTrace(t, prof.Meta{Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125}, 20000,
 		mkSpan(1, 0, "step", "phase", 0, 12000, 0, 0),
 		mkSpan(2, 1, "comm.ring.allreduce", "comm", 1000, 10000, 0, 2e6),
 	)
@@ -353,7 +346,7 @@ func TestReplayPSCommSharesServerNIC(t *testing.T) {
 	// NIC, so the wire share of a 1e6-byte span is workers*1e6 = 4e6
 	// bytes: 32000us at 125 MB/s, leaving 8000us overhead. At 10 GbE the
 	// wire shrinks tenfold to 3200us.
-	tr := mkTrace(t, Meta{Workers: 4, Strategy: "ps-sync", Compression: "full", BandwidthMBps: 125}, 60000,
+	tr := mkTrace(t, prof.Meta{Workers: 4, Strategy: "ps-sync", Compression: "full", BandwidthMBps: 125}, 60000,
 		mkSpan(1, 0, "step", "phase", 0, 50000, 0, 0),
 		mkSpan(2, 1, "comm.ps.roundtrip", "comm", 1000, 40000, 0, 1e6),
 	)
@@ -362,7 +355,7 @@ func TestReplayPSCommSharesServerNIC(t *testing.T) {
 }
 
 func TestReplayCompressionBlendsWireFormat(t *testing.T) {
-	tr := mkTrace(t, Meta{Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125}, 20000,
+	tr := mkTrace(t, prof.Meta{Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125}, 20000,
 		mkSpan(1, 0, "step", "phase", 0, 12000, 0, 0),
 		mkSpan(2, 1, "comm.ring.allreduce", "comm", 1000, 10000, 0, 2e6),
 	)
@@ -410,7 +403,7 @@ func TestReplayOffloadFreesMemoryAndChargesPCIe(t *testing.T) {
 }
 
 func TestReplayUnfusedEpilogueAddsMemoryPasses(t *testing.T) {
-	tr := mkTrace(t, Meta{Batch: 32}, 400,
+	tr := mkTrace(t, prof.Meta{Batch: 32}, 400,
 		mkSpan(1, 0, "step", "phase", 0, 300, 0, 0),
 		mkSpan(2, 1, "gemm.bias_act", "kernel", 0, 200, 1e8, 12e6),
 	)
@@ -427,15 +420,15 @@ func TestReplayUnfusedEpilogueAddsMemoryPasses(t *testing.T) {
 }
 
 func TestReplayMultiRankWallIsSlowestRank(t *testing.T) {
-	r0 := mkTrace(t, Meta{Rank: 0, Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125}, 10000,
+	r0 := mkTrace(t, prof.Meta{Rank: 0, Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125}, 10000,
 		mkSpan(1, 0, "step", "phase", 0, 9000, 0, 0),
 		mkSpan(2, 1, "comm.ring.allreduce", "comm", 0, 8000, 0, 1e6),
 	)
-	r1 := mkTrace(t, Meta{Rank: 1, Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125}, 11000,
+	r1 := mkTrace(t, prof.Meta{Rank: 1, Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125}, 11000,
 		mkSpan(1, 0, "step", "phase", 0, 9500, 0, 0),
 		mkSpan(2, 1, "comm.ring.allreduce", "comm", 0, 8500, 0, 1e6),
 	)
-	m, err := Merge(r0, r1)
+	m, err := prof.Merge(r0, r1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,11 +524,13 @@ func TestRecordingPreservesTrajectory(t *testing.T) {
 	}
 }
 
-// TestFromRecordsRejectsEmpty: a capture with no records is an error.
+// TestFromRecordsRejectsEmpty: a capture with no records cannot be
+// replayed.
 func TestFromRecordsRejectsEmpty(t *testing.T) {
 	prof.Enable()
 	prof.Disable()
-	if _, err := Capture(Meta{}); err == nil {
+	sc, _ := ParseScenario("")
+	if _, err := Replay(prof.Current(prof.Meta{}), sc); err == nil {
 		t.Fatal("an empty capture must fail")
 	}
 }

@@ -10,7 +10,8 @@ import (
 // planes. The packages that train, serve, profile and distribute real
 // tensors share a model description with the simulator and nothing else:
 // none of them imports the simulator, its kernel and device tables, the
-// framework models, the simulated timeline tooling or the analysis core.
+// framework models, the simulated timeline tooling, the analysis core or
+// the what-if predictor.
 // Test files are exempt.
 func TestLivePlaneImportsNoSimulatedPlane(t *testing.T) {
 	simulated := map[string]bool{
@@ -20,6 +21,7 @@ func TestLivePlaneImportsNoSimulatedPlane(t *testing.T) {
 		"tbd/internal/framework": true,
 		"tbd/internal/trace":     true,
 		"tbd/internal/core":      true,
+		"tbd/internal/whatif":    true,
 	}
 	for _, pkg := range []string{"tensor", "layers", "graph", "optim", "prof", "data", "metrics", "serve", "dist"} {
 		t.Run(pkg, func(t *testing.T) {

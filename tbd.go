@@ -214,7 +214,7 @@ func MaxBatch(model, fw string, capacityBytes int64) (int, error) {
 	best := 0
 	for _, b := range m.BatchesFor(fw) {
 		bd := memprof.ProfileOps(m.Ops(), m.SamplesForBatch(b), f.MemPolicy)
-		if bd.Total() <= capacityBytes && b > best {
+		if memprof.FitsDevice(bd, capacityBytes) && b > best {
 			best = b
 		}
 	}

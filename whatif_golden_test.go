@@ -58,7 +58,7 @@ const whatifErrBound = 0.20
 // kernel tier, serial and pooled. Two warm-up calls run unprofiled so the
 // buffer pools and pack caches reach steady state before the recorded
 // window.
-func recordWhatifTrace(meta whatif.Meta, step func()) (*whatif.Trace, error) {
+func recordWhatifTrace(meta prof.Meta, step func()) (*prof.Trace, error) {
 	orig := tensor.GemmKernelTier()
 	if _, err := tensor.SetGemmKernelTier(meta.KernelTier); err != nil {
 		return nil, err
@@ -80,32 +80,32 @@ func recordWhatifTrace(meta whatif.Meta, step func()) (*whatif.Trace, error) {
 	}
 	prof.Disable()
 	meta.Parallel = 1
-	return whatif.Capture(meta)
+	return prof.Current(meta), nil
 }
 
 // recordTwinWhatifTrace captures the BenchmarkTwinStep/pooled workload
 // (the numeric ResNet twin, Adam, clip 5) under the given GEMM kernel
 // tier and batch size.
-func recordTwinWhatifTrace(tier string, steps, batch int) (*whatif.Trace, error) {
+func recordTwinWhatifTrace(tier string, steps, batch int) (*prof.Trace, error) {
 	rng := tensor.NewRNG(10)
 	src := data.NewImageSource(rng, 3, 16, 16, 10, 0.3)
 	net := models.NumericResNet(rng, 3, 16, 10)
 	opt := optim.NewAdam(0.01)
 	b := src.Batch(batch)
-	return recordWhatifTrace(whatif.Meta{Model: "numeric-resnet", Steps: steps, Batch: batch, KernelTier: tier},
+	return recordWhatifTrace(prof.Meta{Model: "numeric-resnet", Steps: steps, Batch: batch, KernelTier: tier},
 		func() { graph.TrainClassifierStep(net, opt, b.X, b.Labels, 5) })
 }
 
 // recordMLP1024WhatifTrace captures bench/'s train_gemm step: the
 // 1024-1024-1024-10 MLP at batch 256, momentum SGD, clip 5, avx2 tier —
 // three 256x1024x1024 GEMM layouts a step, two of them with k = 1024.
-func recordMLP1024WhatifTrace(steps int) (*whatif.Trace, error) {
+func recordMLP1024WhatifTrace(steps int) (*prof.Trace, error) {
 	const batch = 256
 	rng := tensor.NewRNG(10)
 	net := models.NumericServeMLP(rng, 1024, 1024, 10)
 	opt := optim.NewMomentum(0.01, 0.9)
 	x, labels := dist.SyntheticBatch(rng, []int{1024}, 10, batch)
-	return recordWhatifTrace(whatif.Meta{Model: "serve-mlp-1024", Steps: steps, Batch: batch, KernelTier: "avx2"},
+	return recordWhatifTrace(prof.Meta{Model: "serve-mlp-1024", Steps: steps, Batch: batch, KernelTier: "avx2"},
 		func() { graph.TrainClassifierStep(net, opt, x, labels, 5) })
 }
 
@@ -124,7 +124,7 @@ func TestRecordWhatifGoldenTraces(t *testing.T) {
 	if err := os.MkdirAll(whatifTraceDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	write := func(name string, tr *whatif.Trace, err error) {
+	write := func(name string, tr *prof.Trace, err error) {
 		if err != nil {
 			t.Fatalf("record %s: %v", name, err)
 		}
@@ -148,7 +148,7 @@ func TestRecordWhatifGoldenTraces(t *testing.T) {
 
 // loadGoldenTrace reads a committed golden trace, failing with the
 // re-record recipe if it is missing.
-func loadGoldenTrace(t testing.TB, name string) *whatif.Trace {
+func loadGoldenTrace(t testing.TB, name string) *prof.Trace {
 	t.Helper()
 	tr, err := prof.ReadTraceFile(filepath.Join(whatifTraceDir, name))
 	if err != nil {
@@ -158,7 +158,7 @@ func loadGoldenTrace(t testing.TB, name string) *whatif.Trace {
 }
 
 // replayGolden replays a committed trace under a scenario spec.
-func replayGolden(t testing.TB, tr *whatif.Trace, spec string) *whatif.Prediction {
+func replayGolden(t testing.TB, tr *prof.Trace, spec string) *whatif.Prediction {
 	t.Helper()
 	sc, err := whatif.ParseScenario(spec)
 	if err != nil {
@@ -261,7 +261,7 @@ func TestWhatifGroundTruthBatchScaling(t *testing.T) {
 
 // spanGFLOPs is the rate a trace's spans of one name reach together:
 // their FLOPs ÷ their time.
-func spanGFLOPs(tr *whatif.Trace, name string) float64 {
+func spanGFLOPs(tr *prof.Trace, name string) float64 {
 	var flops, us float64
 	for _, c := range tr.Ranks {
 		for _, r := range c.Records {
@@ -278,7 +278,7 @@ func spanGFLOPs(tr *whatif.Trace, name string) float64 {
 // driver got its k-loop: "the k = 1024 GEMMs (forward and dX) run at the
 // rate the k = 256 ones (dW, whose packed B panel already fits L2) reach
 // in the same trace".
-func gemmBlockingSpec(tr *whatif.Trace) string {
+func gemmBlockingSpec(tr *prof.Trace) string {
 	g := spanGFLOPs(tr, "gemm.dW")
 	return fmt.Sprintf("kernelmodel=gemm.bias_act:%.2f,kernelmodel=gemm.dX:%.2f", g, g)
 }
@@ -299,7 +299,7 @@ func TestWhatifGroundTruthGemmBlocking(t *testing.T) {
 // "the forward GEMMs, which carry the bias + ReLU epilogue, run at the rate
 // the dX GEMMs of the same trace reach" — same 256x1024x1024 shape, no
 // epilogue, so the gap between the two rates is the epilogue.
-func vecReLUSpec(tr *whatif.Trace) string {
+func vecReLUSpec(tr *prof.Trace) string {
 	return fmt.Sprintf("kernelmodel=gemm.bias_act:%.2f", spanGFLOPs(tr, "gemm.dX"))
 }
 
@@ -350,7 +350,7 @@ func predictDropDX(t testing.TB) float64 {
 // pathStepUs is what the spans at one path over parent edges take per step,
 // read the way drop= selects them: the step as recorded against the step
 // without them. Zero when the trace has no span there.
-func pathStepUs(t testing.TB, tr *whatif.Trace, path string) float64 {
+func pathStepUs(t testing.TB, tr *prof.Trace, path string) float64 {
 	p := replayGolden(t, tr, "drop="+path)
 	return p.BaselineStepUs - p.PredictedStepUs
 }
@@ -431,7 +431,7 @@ func measuredRingShard(t testing.TB) float64 {
 }
 
 // commBytes totals a trace's comm spans and names them.
-func commBytes(tr *whatif.Trace) (bytes int64, names map[string]bool) {
+func commBytes(tr *prof.Trace) (bytes int64, names map[string]bool) {
 	names = map[string]bool{}
 	for _, c := range tr.Ranks {
 		for _, r := range c.Records {
