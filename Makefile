@@ -9,14 +9,14 @@ check: build vet lint test race tier-race serve-race prof-race dist-race fuzz-sm
 build:
 	$(GO) build ./...
 
-# The cross builds keep the portable bodies compiling beside the amd64
-# asm, and keep internal/dist's little-endian fp32 codec building on a
-# 64-bit and a 32-bit GOARCH other than the host's.
+# The cross vets keep the portable bodies and the tests compiling beside
+# the amd64 asm, and keep internal/dist's little-endian fp32 codec building
+# on a 64-bit and a 32-bit GOARCH other than the host's.
 vet:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
-	GOARCH=arm64 $(GO) build ./...
-	GOARCH=386 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
 
 # Repo-specific static analysis (see internal/analysis): pool lifetimes
 # (interprocedural), profiler span balance, kernel determinism, lock

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 
 	"tbd"
@@ -348,12 +349,15 @@ func cmdTwin(args []string) error {
 	if *traceOut != "" {
 		*profile = true
 	}
+	var heap0, heap1 goHeap
 	if *profile {
 		// Every span kept: the budget closes and the trace replays.
 		prof.EnableWithMaxRecords(traceRecordCap)
+		heap0 = readGoHeap()
 	}
 	run, err := tbd.TrainTwin(*model, *steps, *seed)
 	if *profile {
+		heap1 = readGoHeap()
 		prof.Disable()
 	}
 	if err != nil {
@@ -388,6 +392,11 @@ func cmdTwin(args []string) error {
 		fmt.Printf("\nPeak memory watermark (%d samples):\n", snap.Mem.Samples)
 		fmt.Printf("  feature maps %8.2f MB\n  weights      %8.2f MB\n  gradients    %8.2f MB\n  dynamic      %8.2f MB\n  workspace    %8.2f MB\n  total        %8.2f MB (feature maps %.0f%%)\n",
 			mb(bd.FeatureMaps), mb(bd.Weights), mb(bd.WeightGradients), mb(bd.Dynamic), mb(bd.Workspace), mb(bd.Total()), 100*bd.FeatureMapShare())
+		perStep := func(v0, v1 uint64) float64 { return float64(v1-v0) / float64(max(*steps, 1)) }
+		fmt.Printf("\nGo heap (runtime/metrics, read before and after the run):\n")
+		fmt.Printf("  heap live    %8.2f MB\n  GC goal      %8.2f MB\n  GC cycles    %8d\n  allocated    %8.0f B, %.1f objects per step (set-up included)\n",
+			mb(int64(heap1.live)), mb(int64(heap1.goal)), heap1.cycles-heap0.cycles,
+			perStep(heap0.allocBytes, heap1.allocBytes), perStep(heap0.allocObjects, heap1.allocObjects))
 	}
 	if *traceOut != "" {
 		// Batch mirrors the twin training loops, which all draw batches
@@ -404,6 +413,28 @@ func cmdTwin(args []string) error {
 
 // traceRecordCap is a profiled twin run's timeline cap: past any twin.
 const traceRecordCap = 1 << 20
+
+// goHeap is the Go runtime's share of a run's memory, the term the
+// five-category watermark leaves out: the heap live after the last
+// collection, the next collection's goal, and cumulative collections and
+// allocations.
+type goHeap struct {
+	live, goal, cycles, allocBytes, allocObjects uint64
+}
+
+// readGoHeap reads goHeap from runtime/metrics. Callers read it before and
+// after a run, never per step.
+func readGoHeap() goHeap {
+	s := []metrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/heap/goal:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/heap/allocs:objects"},
+	}
+	metrics.Read(s)
+	return goHeap{s[0].Value.Uint64(), s[1].Value.Uint64(), s[2].Value.Uint64(), s[3].Value.Uint64(), s[4].Value.Uint64()}
+}
 
 func cmdAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)

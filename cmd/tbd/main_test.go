@@ -112,7 +112,8 @@ func TestCLIErrors(t *testing.T) {
 func TestCLITwinTraceReplaysToIdentity(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "twin.json")
 	out := run(t, false, "twin", "-model", "ResNet-50", "-steps", "3", "-parallel", "2", "-trace-out", path)
-	for _, want := range []string{"Self ms", "unattributed", "trace ("} {
+	for _, want := range []string{"Self ms", "unattributed", "trace (",
+		"Peak memory watermark", "Go heap", "heap live", "GC goal", "GC cycles", "objects per step"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("twin -trace-out output missing %q:\n%s", want, out)
 		}

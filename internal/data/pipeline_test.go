@@ -2,6 +2,7 @@ package data
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -74,13 +75,7 @@ func TestPipelineCloseWithFullPrefetchQueue(t *testing.T) {
 	p := NewImagePipeline(4, 2, 4, func(w int) *ImageSource {
 		return NewImageSource(tensor.NewRNG(uint64(w)+21), 1, 4, 4, 2, 0.2)
 	})
-	deadline := time.Now().Add(5 * time.Second)
-	for len(p.batches) < cap(p.batches) {
-		if time.Now().After(deadline) {
-			t.Fatalf("prefetch queue never filled: %d/%d", len(p.batches), cap(p.batches))
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueuesFull(t, p)
 	done := make(chan struct{})
 	go func() {
 		p.Close()
@@ -90,6 +85,74 @@ func TestPipelineCloseWithFullPrefetchQueue(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close deadlocked with a full prefetch queue")
+	}
+}
+
+// waitQueuesFull waits until every worker's prefetch queue is full. prefetch
+// is the total over the queues; a worker whose share is zero is blocked
+// sending its one filled batch.
+func waitQueuesFull(t *testing.T, p *Pipeline) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		queued, capacity := 0, 0
+		for _, w := range p.workers {
+			queued += len(w.batches)
+			capacity += cap(w.batches)
+		}
+		if queued == capacity {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("prefetch queues never filled: %d/%d", queued, capacity)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestPipelineDeliversInSubmissionOrder(t *testing.T) {
+	// Batch k comes from worker k mod 3, whatever order the workers finish
+	// in, so two pipelines over the same seeds agree batch for batch — and
+	// with the workers' sources drawn round-robin on one goroutine.
+	const workers, n, batches = 3, 4, 50
+	source := func(w int) *ImageSource {
+		return NewImageSource(tensor.NewRNG(uint64(w)+61), 1, 4, 4, 10, 0.2)
+	}
+	refs := make([]*ImageSource, workers)
+	for w := range refs {
+		refs[w] = source(w)
+	}
+	p1 := NewImagePipeline(workers, 4, n, source)
+	defer p1.Close()
+	p2 := NewImagePipeline(workers, 4, n, source)
+	defer p2.Close()
+	for k := 0; k < batches; k++ {
+		want := refs[k%workers].Batch(n)
+		for i, p := range []*Pipeline{p1, p2} {
+			b := p.Next()
+			if !slices.Equal(b.Labels, want.Labels) || !slices.Equal(b.X.Data(), want.X.Data()) {
+				t.Fatalf("pipeline %d batch %d: labels %v, want worker %d's next batch %v", i+1, k, b.Labels, k%workers, want.Labels)
+			}
+		}
+	}
+}
+
+func TestPipelineHeldBatchSurvivesFullQueue(t *testing.T) {
+	// A batch from Next stays intact while the workers refill every batch
+	// they own, until the following Next hands it back.
+	p := NewImagePipeline(2, 2, 8, func(w int) *ImageSource {
+		return NewImageSource(tensor.NewRNG(uint64(w)+71), 1, 4, 4, 10, 0.5)
+	})
+	defer p.Close()
+	for i := 0; i < 5; i++ {
+		p.Next() // every batch the workers own has been recycled once
+	}
+	b := p.Next()
+	x, labels := slices.Clone(b.X.Data()), slices.Clone(b.Labels)
+	waitQueuesFull(t, p)
+	time.Sleep(20 * time.Millisecond) // let each worker fill the batch it will block sending
+	if !slices.Equal(b.X.Data(), x) || !slices.Equal(b.Labels, labels) {
+		t.Fatal("the held batch changed before the following Next")
 	}
 }
 

@@ -36,19 +36,25 @@ func NewImageSource(rng *tensor.RNG, c, h, w, classes int, noise float32) *Image
 
 // Batch samples a mini-batch of n labeled images.
 func (s *ImageSource) Batch(n int) ImageBatch {
-	x := tensor.New(n, s.c, s.h, s.w)
-	labels := make([]int, n)
+	b := ImageBatch{X: tensor.New(n, s.c, s.h, s.w), Labels: make([]int, n)}
+	s.fill(b)
+	return b
+}
+
+// fill samples len(b.Labels) labeled images into b in place, overwriting
+// every element: the same draws, in the same order, as Batch.
+func (s *ImageSource) fill(b ImageBatch) {
 	per := s.c * s.h * s.w
-	for i := 0; i < n; i++ {
+	x := b.X.Data()
+	for i := range b.Labels {
 		cls := s.rng.Intn(s.classes)
-		labels[i] = cls
+		b.Labels[i] = cls
 		tpl := s.templates[cls].Data()
-		dst := x.Data()[i*per : (i+1)*per]
+		dst := x[i*per : (i+1)*per]
 		for j := range dst {
 			dst[j] = tpl[j] + s.noise*float32(s.rng.Norm())
 		}
 	}
-	return ImageBatch{X: x, Labels: labels}
 }
 
 // SeqBatch is one mini-batch of a synthetic sequence-transduction task.

@@ -179,6 +179,24 @@ func TestZeroGradsLeavesZerosBehindUntouchedParams(t *testing.T) {
 	}
 }
 
+// TestDenseStepAllocatesNothing pins the zero-allocation invariant on a
+// warmed step of the train_gemm MLP's shape: Dense layers with fused
+// epilogues, the loss and the accuracy, gradient clipping and a momentum
+// update. The parent commit allocated 29 objects a step: variadic shapes
+// that escaped, the Dense layers' shape copies, their epilogues, and the
+// accuracy's prediction slice.
+func TestDenseStepAllocatesNothing(t *testing.T) {
+	net, x, labels := trainGemmShaped(tensor.NewRNG(37), 256, 32)
+	opt := optim.NewMomentum(0.01, 0.9)
+	step := func() { TrainClassifierStep(net, opt, x, labels, 5) }
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	if got := testing.AllocsPerRun(20, step); got != 0 {
+		t.Errorf("a warmed Dense step allocates %v objects, want 0", got)
+	}
+}
+
 // TestStepSteadyStateTakesNoWeightSizedTemporary pins what a step takes
 // from the tensor pool at train_gemm's shape. The first gradient write of a
 // step is computed in Grad, so the step never asks for an In x Out buffer:

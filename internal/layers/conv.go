@@ -59,7 +59,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("layers: %s expects [N,%d,H,W], got %v", c.name, c.InC, x.Shape()))
 	}
 	c.out.Release()
-	c.cols.Release()
+	if c.cols != c.x { // a pointwise conv's lowering is its input
+		c.cols.Release()
+	}
 	var bias *tensor.Tensor
 	if c.useBias {
 		// Bias is per output channel (= per GEMM row), broadcast over N
@@ -143,7 +145,7 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.out = y
 	if train {
 		l.idx = idx
-		l.inShape = append([]int(nil), x.Shape()...)
+		l.inShape = append(l.inShape[:0], x.Shape()...)
 	} else {
 		l.idx = nil
 	}
@@ -180,7 +182,7 @@ func (l *AvgPool2D) Name() string { return l.name }
 
 func (l *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.out.Release()
-	l.inShape = append([]int(nil), x.Shape()...)
+	l.inShape = append(l.inShape[:0], x.Shape()...)
 	y := tensor.AvgPool2D(x, l.K, l.Stride)
 	l.out = y
 	return y
@@ -214,7 +216,7 @@ func (l *GlobalAvgPool2D) Name() string { return l.name }
 func (l *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	l.out.Release()
-	l.inShape = append([]int(nil), x.Shape()...)
+	l.inShape = append(l.inShape[:0], x.Shape()...)
 	out := tensor.AcquireDirty(n, c)
 	l.out = out
 	inv := 1 / float32(h*w)

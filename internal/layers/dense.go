@@ -56,7 +56,7 @@ func NewDenseAct(name string, in, out int, act tensor.ActKind, rng *tensor.RNG) 
 func (d *Dense) Name() string { return d.name }
 
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	d.origDims = append([]int(nil), x.Shape()...)
+	d.origDims = append(d.origDims[:0], x.Shape()...)
 	n := x.Numel() / d.In
 	if n*d.In != x.Numel() {
 		panic(fmt.Sprintf("layers: %s expects inner size %d, got shape %v", d.name, d.In, x.Shape()))
@@ -182,7 +182,7 @@ func NewFlatten(name string) *Flatten { return &Flatten{name: name} }
 func (f *Flatten) Name() string { return f.name }
 
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.dims = append([]int(nil), x.Shape()...)
+	f.dims = append(f.dims[:0], x.Shape()...)
 	return x.Reshape(x.Dim(0), -1)
 }
 

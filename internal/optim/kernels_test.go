@@ -83,7 +83,7 @@ func trajInit() []float32 {
 // trajGrad writes a step-dependent pseudo-random gradient, the same
 // sequence for both the kernel and reference runs.
 func trajGrad(g []float32, step int) {
-	state := uint32(step*2654435761 + 12345)
+	state := uint32(step)*2654435761 + 12345
 	for i := range g {
 		state = state*1664525 + 1013904223
 		// Map to roughly [-2, 2) with occasional exact zeros.

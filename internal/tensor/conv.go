@@ -225,9 +225,7 @@ func conv1x1Direct(kh, kw, stride, pad int) bool {
 // Conv2D computes a 2-D convolution of x [N, C, H, W] with weights
 // w [F, C, kh, kw], returning a pool-backed [N, F, outH, outW].
 func Conv2D(x, w *Tensor, stride, pad int) *Tensor {
-	out, cols := conv2DForward(x, w, nil, ActNone, stride, pad)
-	cols.Release()
-	return out
+	return Conv2DFused(x, w, nil, ActNone, stride, pad)
 }
 
 // Conv2DFused is Conv2D with a per-channel bias (may be nil) and an
@@ -235,11 +233,16 @@ func Conv2D(x, w *Tensor, stride, pad int) *Tensor {
 // Conv2D + bias pass + activation pass composition.
 func Conv2DFused(x, w, bias *Tensor, act ActKind, stride, pad int) *Tensor {
 	out, cols := conv2DForward(x, w, bias, act, stride, pad)
-	cols.Release()
+	if cols != x {
+		cols.Release()
+	}
 	return out
 }
 
-// Conv2DWithColsFused is Conv2DWithCols with fused bias + activation.
+// Conv2DWithColsFused is Conv2DFused that also returns the im2col lowering
+// of x for Conv2DBackwardCols. For a pointwise convolution (1x1, stride 1,
+// no padding) the lowering is x itself and cols is x: the caller releases
+// cols only when it is not x.
 func Conv2DWithColsFused(x, w, bias *Tensor, act ActKind, stride, pad int) (out, cols *Tensor) {
 	return conv2DForward(x, w, bias, act, stride, pad)
 }
@@ -271,26 +274,37 @@ func conv2DForward(x, w, bias *Tensor, act ActKind, stride, pad int) (out, cols 
 		sp.SetBytes(4 * (int64(x.Numel()) + int64(w.Numel()) + int64(n)*int64(f)*int64(ohw)))
 	}
 	if conv1x1Direct(kh, kw, stride, pad) {
-		cols = x.Reshape(n, ckk, ohw)
+		cols = x // NCHW x is already [N, C, H*W] in memory
 	} else {
 		cols = Im2Col(x, kh, kw, stride, pad) // [N, C*kh*kw, oh*ow]
 	}
+	var epv epilogue
 	var ep *epilogue
 	if bias != nil {
-		ep = &epilogue{rowBias: bias.data, act: act}
+		epv = epilogue{rowBias: bias.data, act: act}
+		ep = &epv
 	} else if act != ActNone {
-		ep = &epilogue{act: act}
+		epv = epilogue{act: act}
+		ep = &epv
 	}
 	out = acquireDirty(n, f, oh, ow)
-	if rowWorkers(n, 1) <= 1 {
-		convFwdImages(out.data, w.data, cols.data, f, ckk, ohw, 0, n, ep)
-	} else {
-		parallelRows(n, 1, func(blo, bhi int) {
-			convFwdImages(out.data, w.data, cols.data, f, ckk, ohw, blo, bhi, ep)
-		})
-	}
+	convFwd(out.data, w.data, cols.data, n, f, ckk, ohw, ep)
 	sp.End()
 	return out, cols
+}
+
+// convFwd writes every image's output block, images split across the
+// worker pool. Only the parallel branch allocates: its closure escapes to
+// the pool, so it captures a heap copy of the epilogue rather than ep.
+func convFwd(dst, w, cols []float32, n, f, ckk, ohw int, ep *epilogue) {
+	if rowWorkers(n, 1) <= 1 {
+		convFwdImages(dst, w, cols, f, ckk, ohw, 0, n, ep)
+		return
+	}
+	epc := ep.heapCopy()
+	parallelRows(n, 1, func(blo, bhi int) {
+		convFwdImages(dst, w, cols, f, ckk, ohw, blo, bhi, epc)
+	})
 }
 
 func convFwdImages(dst, w, cols []float32, f, ckk, ohw, blo, bhi int, ep *epilogue) {
@@ -344,28 +358,28 @@ func Conv2DBackwardCols(cols *Tensor, xShape []int, w, gy *Tensor, stride, pad i
 		// the Col2Im scatter (which would add each element exactly once)
 		// and write wᵀ @ gy_b straight into gx.
 		gx = acquireDirty(n, c, h, wid)
-		if rowWorkers(n, 1) <= 1 {
-			convBwdDataImages(gx.data, gy.data, w.data, f, ohw, ckk, 0, n)
-		} else {
-			parallelRows(n, 1, func(blo, bhi int) {
-				convBwdDataImages(gx.data, gy.data, w.data, f, ohw, ckk, blo, bhi)
-			})
-		}
+		convBwdData(gx.data, gy.data, w.data, n, f, ohw, ckk)
 		sp.End()
 		return gx, gw
 	}
 	gcols := acquireDirty(n, ckk, ohw)
-	if rowWorkers(n, 1) <= 1 {
-		convBwdDataImages(gcols.data, gy.data, w.data, f, ohw, ckk, 0, n)
-	} else {
-		parallelRows(n, 1, func(blo, bhi int) {
-			convBwdDataImages(gcols.data, gy.data, w.data, f, ohw, ckk, blo, bhi)
-		})
-	}
+	convBwdData(gcols.data, gy.data, w.data, n, f, ohw, ckk)
 	gx = Col2Im(gcols, n, c, h, wid, kh, kw, stride, pad)
 	gcols.Release()
 	sp.End()
 	return gx, gw
+}
+
+// convBwdData writes every image's lowered input gradient, images split
+// across the worker pool. Only the parallel branch allocates (its closure).
+func convBwdData(gcols, gy, w []float32, n, f, ohw, ckk int) {
+	if rowWorkers(n, 1) <= 1 {
+		convBwdDataImages(gcols, gy, w, f, ohw, ckk, 0, n)
+		return
+	}
+	parallelRows(n, 1, func(blo, bhi int) {
+		convBwdDataImages(gcols, gy, w, f, ohw, ckk, blo, bhi)
+	})
 }
 
 func convBwdDataImages(gcols, gy, w []float32, f, ohw, ckk, blo, bhi int) {

@@ -64,6 +64,17 @@ type epilogue struct {
 	act     ActKind
 }
 
+// heapCopy returns a copy of ep (nil for nil) for a closure that escapes
+// to the worker pool. Capturing ep itself would move every caller's
+// epilogue to the heap, on the serial path too.
+func (ep *epilogue) heapCopy() *epilogue {
+	if ep == nil {
+		return nil
+	}
+	c := *ep
+	return &c
+}
+
 // applyEpilogueRows applies ep to dst rows [lo, hi) of an [n, m] matrix.
 // Bias precedes activation, matching the unfused layer composition: the
 // column bias and the row bias are two separately rounded adds, in that
@@ -124,14 +135,15 @@ func gemmParallel(dst, a, b []float32, n, k, m int, lay gemmLayout, accum bool, 
 		return
 	}
 	tier := currentGemmTier()
+	epc := ep.heapCopy()
 	if tier == tierAVX2 && wideWorthIt(n, k, m) {
-		gemmParallelWide(dst, a, b, n, k, m, lay, accum, ep)
+		gemmParallelWide(dst, a, b, n, k, m, lay, accum, epc)
 		return
 	}
 	if !packedWorthIt(n, k, m) {
 		parallelRows(n, minRows, func(lo, hi int) {
 			gemmRefRange(dst, a, b, n, k, m, lay, accum, lo, hi)
-			applyEpilogueRows(dst, m, lo, hi, ep)
+			applyEpilogueRows(dst, m, lo, hi, epc)
 		})
 		return
 	}
@@ -149,7 +161,7 @@ func gemmParallel(dst, a, b []float32, n, k, m int, lay gemmLayout, accum bool, 
 		})
 	}
 	parallelRowsAligned(n, microM, minRows, func(lo, hi int) {
-		gemmPackedRows(dst, a, b, bp, n, k, m, lo, hi, lay, accum, ep, tree, seq)
+		gemmPackedRows(dst, a, b, bp, n, k, m, lo, hi, lay, accum, epc, tree, seq)
 	})
 	putPackBuf(bp)
 }

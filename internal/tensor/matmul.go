@@ -74,14 +74,17 @@ func MatMul(a, b *Tensor) *Tensor {
 // activation.
 func MatMulBiasAct(a, b, bias *Tensor, act ActKind) *Tensor {
 	n, k, m := checkMatMul(a, b, "MatMulBiasAct", false, false)
+	var epv epilogue
 	var ep *epilogue
 	if bias != nil {
 		if bias.Rank() != 1 || bias.shape[0] != m {
 			panic(fmt.Sprintf("tensor: MatMulBiasAct bias %v, want [%d]", bias.shape, m))
 		}
-		ep = &epilogue{colBias: bias.data, act: act}
+		epv = epilogue{colBias: bias.data, act: act}
+		ep = &epv
 	} else if act != ActNone {
-		ep = &epilogue{act: act}
+		epv = epilogue{act: act}
+		ep = &epv
 	}
 	sp := beginGemmSpan("gemm.bias_act", n, k, m)
 	out := acquireDirty(n, m)

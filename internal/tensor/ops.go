@@ -192,26 +192,16 @@ func (t *Tensor) Sum() float32 {
 // Mean returns the arithmetic mean of all elements.
 func (t *Tensor) Mean() float32 { return t.Sum() / float32(len(t.data)) }
 
-// ArgmaxRows treats t as [N, F] (flattening trailing dims) and returns the
-// argmax of each row. Used for classification accuracy.
-func ArgmaxRows(t *Tensor) []int {
-	if t.Rank() < 2 {
-		panic("tensor: ArgmaxRows needs rank >= 2")
-	}
-	n := t.shape[0]
-	f := t.Numel() / n
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		row := t.data[i*f : (i+1)*f]
-		best, bi := float32(math.Inf(-1)), 0
-		for j, v := range row {
-			if v > best {
-				best, bi = v, j
-			}
+// argmax returns the index of row's first maximum; 0 when no element
+// exceeds -Inf (an all-NaN or all -Inf row).
+func argmax(row []float32) int {
+	best, bi := float32(math.Inf(-1)), 0
+	for j, v := range row {
+		if v > best {
+			best, bi = v, j
 		}
-		out[i] = bi
 	}
-	return out
+	return bi
 }
 
 // SumRows treats t as [N, F] and returns the column-wise sum, a tensor of

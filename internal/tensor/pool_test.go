@@ -24,6 +24,18 @@ func TestPoolReusesReleasedBuffer(t *testing.T) {
 	}
 }
 
+// TestPoolHitAllocatesNothing pins that an Acquire served from the free
+// list takes nothing from the Go allocator: the variadic shape stays on
+// the caller's stack. The parent commit allocated one object (the shape)
+// per call, because checkShape's panics formatted it.
+func TestPoolHitAllocatesNothing(t *testing.T) {
+	n, c, h, w := 8, 3, 16, 16
+	Acquire(n, c, h, w).Release()
+	if got := testing.AllocsPerRun(100, func() { Acquire(n, c, h, w).Release() }); got != 0 {
+		t.Errorf("a pool-hit Acquire(n, c, h, w) allocates %v objects, want 0", got)
+	}
+}
+
 // TestPoolDoubleReleaseIsNoOp pins the pooled-flag guard against
 // double-free.
 func TestPoolDoubleReleaseIsNoOp(t *testing.T) {

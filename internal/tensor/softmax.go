@@ -120,12 +120,18 @@ func CrossEntropy(logits *Tensor, labels []int) (loss float32, grad *Tensor) {
 	return float32(total / float64(n)), grad
 }
 
-// Accuracy returns the top-1 accuracy of logits [N, F] against labels.
+// Accuracy returns the top-1 accuracy of logits against labels. logits is
+// viewed as [N, F] (trailing dims flattened); a row predicts its first
+// maximum. It allocates nothing.
 func Accuracy(logits *Tensor, labels []int) float64 {
-	pred := ArgmaxRows(logits)
+	if logits.Rank() < 2 {
+		panic("tensor: Accuracy needs rank >= 2")
+	}
+	n := logits.shape[0]
+	f := logits.Numel() / n
 	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
+	for i := 0; i < n; i++ {
+		if argmax(logits.data[i*f:(i+1)*f]) == labels[i] {
 			correct++
 		}
 	}

@@ -8,6 +8,7 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -35,7 +36,7 @@ func New(shape ...int) *Tensor {
 func FromSlice(data []float32, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: FromSlice got %d elements for shape %v (want %d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: FromSlice got %d elements for shape %v (want %d)", len(data), slices.Clone(shape), n))
 	}
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
 }
@@ -52,14 +53,17 @@ func Full(v float32, shape ...int) *Tensor {
 // Ones returns a tensor of the given shape filled with 1.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }
 
+// checkShape returns the element count of shape. Its panics format a copy
+// of shape: formatting the caller's slice would move every variadic shape
+// (New, Acquire, FromSlice) to the heap on the success path too.
 func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", shape))
+			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", slices.Clone(shape)))
 		}
 		if int64(n) > (1<<31)/int64(d) {
-			panic(fmt.Sprintf("tensor: shape %v overflows element count", shape))
+			panic(fmt.Sprintf("tensor: shape %v overflows element count", slices.Clone(shape)))
 		}
 		n *= d
 	}
@@ -112,11 +116,13 @@ func (t *Tensor) Clone() *Tensor {
 
 // Reshape returns a view of the same data with a new shape. The element
 // count must match. One dimension may be -1, in which case it is inferred.
+//
+// A no-op reshape returns t itself, allocating nothing, so pool ownership
+// (and the ability to Release) survives shape-normalization call sites.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	out := append([]int(nil), shape...)
 	infer := -1
 	known := 1
-	for i, d := range out {
+	for i, d := range shape {
 		if d == -1 {
 			if infer >= 0 {
 				panic("tensor: Reshape with more than one inferred dimension")
@@ -129,22 +135,24 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		}
 		known *= d
 	}
+	inferred := 0
 	if infer >= 0 {
 		if known == 0 || len(t.data)%known != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer Reshape %v from %d elements", shape, len(t.data)))
+			panic(fmt.Sprintf("tensor: cannot infer Reshape %v from %d elements", slices.Clone(shape), len(t.data)))
 		}
-		out[infer] = len(t.data) / known
-		known *= out[infer]
+		inferred = len(t.data) / known
+		known *= inferred
 	}
 	if known != len(t.data) {
-		panic(fmt.Sprintf("tensor: Reshape %v incompatible with %d elements", shape, len(t.data)))
+		panic(fmt.Sprintf("tensor: Reshape %v incompatible with %d elements", slices.Clone(shape), len(t.data)))
 	}
-	// A no-op reshape returns the tensor itself so pool ownership (and the
-	// ability to Release) survives shape-normalization call sites.
-	if len(out) == len(t.shape) {
+	if len(shape) == len(t.shape) {
 		same := true
-		for i := range out {
-			if out[i] != t.shape[i] {
+		for i, d := range shape {
+			if i == infer {
+				d = inferred
+			}
+			if d != t.shape[i] {
 				same = false
 				break
 			}
@@ -152,6 +160,10 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		if same {
 			return t
 		}
+	}
+	out := slices.Clone(shape)
+	if infer >= 0 {
+		out[infer] = inferred
 	}
 	return &Tensor{shape: out, data: t.data}
 }

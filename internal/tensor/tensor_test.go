@@ -101,9 +101,8 @@ func TestReductions(t *testing.T) {
 	if x.Argmax() != 2 {
 		t.Fatalf("Argmax = %d", x.Argmax())
 	}
-	rows := ArgmaxRows(x)
-	if rows[0] != 0 || rows[1] != 0 {
-		t.Fatalf("ArgmaxRows = %v", rows)
+	if acc := Accuracy(x, []int{0, 1}); acc != 0.5 {
+		t.Fatalf("Accuracy against row argmaxes [0 0] = %g, want 0.5", acc)
 	}
 	cs := SumRows(x)
 	if cs.At(0) != 4 || cs.At(1) != -6 {
@@ -664,15 +663,7 @@ func (t *Tensor) Min() float32 {
 }
 
 // Argmax returns the flat index of the maximum element.
-func (t *Tensor) Argmax() int {
-	best, bi := float32(math.Inf(-1)), 0
-	for i, v := range t.data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
-}
+func (t *Tensor) Argmax() int { return argmax(t.data) }
 
 // Transpose returns the transpose of a 2-D tensor.
 func Transpose(a *Tensor) *Tensor {
