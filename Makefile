@@ -51,10 +51,11 @@ serve-race:
 	$(GO) test -race ./internal/serve/... ./cmd/tbdserve/ ./internal/data/...
 
 # Race detector over the live profiler (atomic gate, collector, pool
-# counter source, span tree, trace file), the simulator's timeline, and
-# the histogram shard-merge pattern the serving stats rely on.
+# counter source, span tree, trace file), the simulator that records into
+# that trace file, and the histogram shard-merge pattern the serving
+# stats rely on.
 prof-race:
-	$(GO) test -race ./internal/prof/... ./internal/trace/... ./internal/memprof/... ./internal/metrics/...
+	$(GO) test -race ./internal/prof/... ./internal/sim/... ./internal/memprof/... ./internal/metrics/...
 
 # Race detector over the distributed runtime (ring all-reduce, parameter
 # server, throttled transport, coordinator) and the CLI package, whose

@@ -92,7 +92,7 @@ Commands:
   phases          forward/backward/update time breakdown (-model, -framework, -batch)
   offload         vDNN-style feature-map offload what-if (-model, -framework, -batch, -target-gb)
   workspace       workspace-budget vs conv-algorithm tradeoff (-model, -framework, -batch)
-  trace           export an nvprof-style kernel timeline (-model, -framework, -batch, -json)
+  trace           one simulated iteration as a Chrome trace, for Perfetto or tbd whatif (-model, -framework, -batch)
   twin            train a benchmark's numeric twin for real (-model, -steps, -seed)
                   flags: -profile, -prof-top N, -prof-json, -trace-out FILE
   dist            real multi-process distributed training over TCP
@@ -198,11 +198,10 @@ func cmdWorkspace(args []string) error {
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	model, fw, gpu, batch := modelFlags(fs)
-	asJSON := fs.Bool("json", false, "emit JSON instead of CSV")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	return tbd.ExportTrace(*model, *fw, *gpu, *batch, os.Stdout, *asJSON)
+	return tbd.ExportTrace(*model, *fw, *gpu, *batch, os.Stdout)
 }
 
 func cmdRun(args []string) error {

@@ -2,9 +2,9 @@
 // single configuration, exercising every tool through the public API:
 // cross-framework comparability checking (§3.4.1), the end-to-end merged
 // analysis (sampling methodology + utilizations + phases + kernels +
-// memory), the vDNN-style offload what-if, the numeric twin, and an
-// exported kernel timeline — plus the live runtime profiler pointed at a
-// real training run of the numeric twin.
+// memory), the vDNN-style offload what-if, the numeric twin, and the
+// simulated iteration exported as a trace file — plus the live runtime
+// profiler pointed at a real training run of the numeric twin.
 package main
 
 import (
@@ -80,23 +80,23 @@ func run() error {
 		return fmt.Errorf("twin did not improve")
 	}
 
-	fmt.Println("\n== Step 5: export a kernel timeline (first lines) ==")
-	f, err := os.CreateTemp("", "tbd-trace-*.csv")
+	fmt.Println("\n== Step 5: export the simulated iteration as a trace ==")
+	f, err := os.CreateTemp("", "tbd-trace-*.json")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(f.Name())
-	if err := tbd.ExportTrace(model, fw, "", batch, f, false); err != nil {
+	if err := tbd.ExportTrace(model, fw, "", batch, f); err != nil {
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fi, err := os.Stat(f.Name())
+	st, err := prof.ReadTraceFile(f.Name())
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  wrote %s (%d bytes) — load with any CSV tool or convert to chrome://tracing JSON\n", f.Name(), fi.Size())
+	fmt.Printf("  wrote %s (%d spans) — Perfetto opens it, tbd whatif replays it\n", f.Name(), st.Spans())
 
 	fmt.Println("\n== Step 6: profile the live engine (nvprof for the twin) ==")
 	prof.Enable()

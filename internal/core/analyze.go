@@ -10,7 +10,6 @@ import (
 	"tbd/internal/metrics"
 	"tbd/internal/models"
 	"tbd/internal/sim"
-	"tbd/internal/trace"
 )
 
 // AnalyzeEndToEnd runs the complete Figure 3 analysis pipeline for one
@@ -54,27 +53,15 @@ type Analysis struct {
 // AnalyzeEndToEnd profiles (model, framework, gpu, batch) through the
 // full pipeline.
 func AnalyzeEndToEnd(modelName, fwName, gpuName string, batch int) (*Analysis, error) {
-	m, err := models.LookupAny(modelName)
+	m, fw, gpu, err := Resolve(modelName, fwName, gpuName, batch)
 	if err != nil {
 		return nil, err
-	}
-	fw, err := framework.Lookup(fwName)
-	if err != nil {
-		return nil, err
-	}
-	if !m.SupportsFramework(fw.Name) {
-		return nil, fmt.Errorf("core: %s has no %s implementation", m.Name, fw.Name)
-	}
-	gpu := device.QuadroP4000
-	if gpuName != "" {
-		if gpu, err = device.Lookup(gpuName); err != nil {
-			return nil, err
-		}
 	}
 	n := m.SamplesForBatch(batch)
 	cfg := models.SimConfigFor(m, fw, gpu)
 
-	// Steady-state iteration profile.
+	// Steady-state iteration profile: one replay gives the utilizations,
+	// the phase split and the idle gaps.
 	r := sim.Simulate(m.Ops(), n, fw.Style, cfg)
 
 	// Sampling methodology: model a fresh run's warm-up and find the
@@ -85,11 +72,6 @@ func AnalyzeEndToEnd(modelName, fwName, gpuName string, batch int) (*Analysis, e
 	}
 	summary := meter.Summarize(0.10, 200)
 	window := summary.Window
-
-	// Kernel timeline for gap analysis.
-	stream := kernels.IterationKernels(m.Ops(), n, fw.Style)
-	_, events := sim.ReplayWithTrace(stream, n, cfg)
-	tl := trace.New(events)
 
 	a := &Analysis{
 		Model:               m.Name,
@@ -106,15 +88,45 @@ func AnalyzeEndToEnd(modelName, fwName, gpuName string, batch int) (*Analysis, e
 		GPUUtil:             r.GPUUtil,
 		FP32Util:            r.FP32Util,
 		CPUUtil:             r.CPUUtil,
-		Phases:              sim.Phases(m.Ops(), n, fw.Style, cfg),
+		Phases:              r.Phases,
 		KernelsPerIteration: r.KernelCount,
 		TopKernels:          r.PerKernel[:min(5, len(r.PerKernel))],
 		LowUtilKernels:      sim.LongLowUtilKernels(r, 5),
-		GapTimeSec:          tl.TotalGapTime(),
+		GapTimeSec:          r.GapSec,
 		Memory:              memprof.ProfileOps(m.Ops(), n, fw.MemPolicy),
 	}
 	a.FitsP4000 = memprof.FitsDevice(a.Memory, device.QuadroP4000.MemoryBytes)
 	return a, nil
+}
+
+// Resolve looks up one training configuration: a benchmark (suite or
+// extension), a framework it has an implementation on, and a GPU (""
+// selects the Quadro P4000). Every batch given, in the model's batch
+// unit, must be positive.
+func Resolve(model, fw, gpu string, batches ...int) (*models.Model, *framework.Framework, *device.GPU, error) {
+	for _, b := range batches {
+		if b <= 0 {
+			return nil, nil, nil, fmt.Errorf("core: batch must be positive, got %d", b)
+		}
+	}
+	m, err := models.LookupAny(model)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	f, err := framework.Lookup(fw)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if !m.SupportsFramework(f.Name) {
+		return nil, nil, nil, fmt.Errorf("core: %s has no %s implementation (Table 2 lists: %v)", m.Name, f.Name, m.Frameworks)
+	}
+	g := device.QuadroP4000
+	if gpu != "" {
+		if g, err = device.Lookup(gpu); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	return m, f, g, nil
 }
 
 // Comparability verifies §3.4.1: that a model's implementations are

@@ -72,11 +72,11 @@ func TestRNNSyncPointsStrippedSpeedup(t *testing.T) {
 	}
 	cfg := sim.Config{GPU: device.QuadroP4000, LaunchOverheadSec: 8e-6, SyncOverheadSec: 150e-6, IterOverheadSec: 5e-3}
 	stream := kernels.IterationKernels(m.Ops(), 64, kernels.StyleTF)
-	synced, _ := sim.ReplayWithTrace(stream, 64, cfg)
+	synced := sim.Replay(stream, 64, cfg, nil)
 	for i := range stream {
 		stream[i].Sync = false
 	}
-	fused, _ := sim.ReplayWithTrace(stream, 64, cfg)
+	fused := sim.Replay(stream, 64, cfg, nil)
 	if speedup := fused.Throughput / synced.Throughput; math.Abs(speedup-1.326) > 0.005 {
 		t.Fatalf("stripping sync points speeds Seq2Seq up %.3fx, want 1.326x", speedup)
 	}

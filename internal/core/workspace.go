@@ -1,8 +1,6 @@
 package core
 
 import (
-	"tbd/internal/device"
-	"tbd/internal/framework"
 	"tbd/internal/kernels"
 	"tbd/internal/models"
 	"tbd/internal/sim"
@@ -27,15 +25,11 @@ type TradeoffRow struct {
 // running the budgeted convolution-algorithm selector at each point and
 // simulating the resulting throughput.
 func WorkspaceTradeoff(modelName, fwName string, batch int, budgets []int64) ([]TradeoffRow, error) {
-	m, err := models.LookupAny(modelName)
+	m, fw, gpu, err := Resolve(modelName, fwName, "", batch)
 	if err != nil {
 		return nil, err
 	}
-	fw, err := framework.Lookup(fwName)
-	if err != nil {
-		return nil, err
-	}
-	cfg := models.SimConfigFor(m, fw, device.QuadroP4000)
+	cfg := models.SimConfigFor(m, fw, gpu)
 	n := m.SamplesForBatch(batch)
 	var out []TradeoffRow
 	for _, budget := range budgets {

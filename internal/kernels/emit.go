@@ -334,18 +334,28 @@ func (o *Op) attentionKernels(n int, style NameStyle, dir string) []Kernel {
 
 // IterationKernels expands a whole model (a slice of ops) into the full
 // per-iteration kernel stream: forward in graph order, backward in reverse
-// order, then weight updates.
+// order, then weight updates, each kernel tagged with its pass.
 func IterationKernels(ops []*Op, batch int, style NameStyle) []Kernel {
 	var ks []Kernel
+	tag := func(p Phase, from int) {
+		for i := from; i < len(ks); i++ {
+			ks[i].Phase = p
+		}
+	}
 	for _, o := range ops {
 		ks = append(ks, o.Forward(batch, style)...)
 	}
+	tag(PhaseForward, 0)
+	from := len(ks)
 	for i := len(ops) - 1; i >= 0; i-- {
 		ks = append(ks, ops[i].Backward(batch, style)...)
 	}
+	tag(PhaseBackward, from)
+	from = len(ks)
 	for _, o := range ops {
 		ks = append(ks, o.Update(style)...)
 	}
+	tag(PhaseUpdate, from)
 	return ks
 }
 

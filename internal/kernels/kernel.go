@@ -109,7 +109,22 @@ type Kernel struct {
 	// reason Deep Speech 2 scales nearly linearly with batch size while
 	// staying at low FP32 utilization (Observations 2 and 7).
 	Serial int
+	// Phase is the training pass that launched the kernel, set where
+	// IterationKernels joins the passes (NoPhase for the input transfer).
+	Phase Phase
 }
+
+// Phase is one of the three algorithmic passes of a training iteration
+// (Figure 1).
+type Phase uint8
+
+// The passes, in the order an iteration runs them.
+const (
+	NoPhase Phase = iota
+	PhaseForward
+	PhaseBackward
+	PhaseUpdate
+)
 
 // Occupancy returns the fraction of g's cores this kernel can keep busy,
 // an increasing saturating function of concurrently available work per

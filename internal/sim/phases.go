@@ -5,7 +5,8 @@ import "tbd/internal/kernels"
 // PhaseProfile breaks one training iteration's GPU time into the three
 // algorithmic phases of Figure 1 — forward pass, backward pass, and
 // weight update — the breakdown Fathom-style tools report per op type
-// and TBD's toolchain reports per phase.
+// and TBD's toolchain reports per phase. Replay accumulates it; dispatch
+// gaps are a whole-iteration property (Result.GapSec).
 type PhaseProfile struct {
 	ForwardSec  float64
 	BackwardSec float64
@@ -21,29 +22,17 @@ func (p PhaseProfile) TotalSec() float64 {
 	return p.ForwardSec + p.BackwardSec + p.UpdateSec
 }
 
-// Phases prices each training phase of an op graph on the configured
-// device (durations only; dispatch gaps are a whole-iteration property
-// reported by Simulate).
-func Phases(ops []*kernels.Op, batch int, style kernels.NameStyle, cfg Config) PhaseProfile {
-	cfg = cfg.withDefaults()
-	var p PhaseProfile
-	price := func(ks []kernels.Kernel) (float64, int) {
-		var t float64
-		for _, k := range ks {
-			t += k.Duration(cfg.GPU) / cfg.SpeedFactor
-		}
-		return t, len(ks)
+// add charges one kernel of duration dur to its pass.
+func (p *PhaseProfile) add(ph kernels.Phase, dur float64) {
+	switch ph {
+	case kernels.PhaseForward:
+		p.ForwardSec += dur
+		p.ForwardKernels++
+	case kernels.PhaseBackward:
+		p.BackwardSec += dur
+		p.BackwardKernels++
+	case kernels.PhaseUpdate:
+		p.UpdateSec += dur
+		p.UpdateKernels++
 	}
-	for _, o := range ops {
-		t, n := price(o.Forward(batch, style))
-		p.ForwardSec += t
-		p.ForwardKernels += n
-		t, n = price(o.Backward(batch, style))
-		p.BackwardSec += t
-		p.BackwardKernels += n
-		t, n = price(o.Update(style))
-		p.UpdateSec += t
-		p.UpdateKernels += n
-	}
-	return p
 }

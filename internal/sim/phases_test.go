@@ -7,7 +7,7 @@ import (
 )
 
 func TestPhasesBackwardHeavierThanForward(t *testing.T) {
-	p := Phases(cnnOps(), 32, kernels.StyleTF, baseCfg())
+	p := Simulate(cnnOps(), 32, kernels.StyleTF, baseCfg()).Phases
 	if p.ForwardSec <= 0 || p.BackwardSec <= 0 || p.UpdateSec <= 0 {
 		t.Fatalf("degenerate phase profile: %+v", p)
 	}
@@ -22,20 +22,24 @@ func TestPhasesBackwardHeavierThanForward(t *testing.T) {
 
 func TestPhasesKernelCountsMatchEmission(t *testing.T) {
 	ops := cnnOps()
-	p := Phases(ops, 8, kernels.StyleTF, baseCfg())
+	cfg := baseCfg()
+	cfg.SampleBytes = 3 * 224 * 224 * 4
+	r := Simulate(ops, 8, kernels.StyleTF, cfg)
+	p := r.Phases
 	total := p.ForwardKernels + p.BackwardKernels + p.UpdateKernels
 	if total != len(kernels.IterationKernels(ops, 8, kernels.StyleTF)) {
 		t.Fatalf("phase kernel counts (%d) disagree with the full stream", total)
+	}
+	if total != r.KernelCount-1 {
+		t.Fatalf("phases hold %d kernels of %d; only the input transfer belongs to none", total, r.KernelCount)
 	}
 }
 
 func TestPhasesTotalBelowIterationTime(t *testing.T) {
 	// Phase durations exclude dispatch gaps, so their sum is at most the
 	// simulated iteration's span and equals its busy time.
-	ops := lstmOps()
-	cfg := baseCfg()
-	p := Phases(ops, 16, kernels.StyleTF, cfg)
-	r := Simulate(ops, 16, kernels.StyleTF, cfg)
+	r := Simulate(lstmOps(), 16, kernels.StyleTF, baseCfg())
+	p := r.Phases
 	if p.TotalSec() > r.IterTimeSec {
 		t.Fatalf("phase total %.4f exceeds iteration %.4f", p.TotalSec(), r.IterTimeSec)
 	}

@@ -19,11 +19,14 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"time"
 
 	"tbd/internal/device"
 	"tbd/internal/kernels"
 	"tbd/internal/metrics"
+	"tbd/internal/prof"
 )
 
 // Config describes one training setup to simulate.
@@ -106,6 +109,13 @@ type Result struct {
 	// CPUUtil is Eq. 3: host busy time / (elapsed * cores).
 	CPUUtil float64
 
+	// Phases splits GPU busy time over the three training passes; the
+	// input transfer belongs to none of them.
+	Phases PhaseProfile
+	// GapSec is the GPU's idle time between consecutive kernels: the
+	// host-side stalls (sync points, launch starvation) of Observation 5.
+	GapSec float64
+
 	// PerKernel is ordered by TotalSec, longest first, ties by name.
 	PerKernel []KernelStat
 }
@@ -113,34 +123,46 @@ type Result struct {
 // Simulate replays one training iteration of the given op graph at the
 // given batch size under cfg.
 func Simulate(ops []*kernels.Op, batch int, style kernels.NameStyle, cfg Config) Result {
-	if batch <= 0 {
-		panic(fmt.Sprintf("sim: non-positive batch %d", batch))
-	}
-	cfg = cfg.withDefaults()
+	return Replay(Stream(ops, batch, style, cfg), batch, cfg, nil)
+}
+
+// Stream is the kernel stream of one iteration: the input transfer when
+// cfg.SampleBytes is set, then the forward, backward and update passes.
+func Stream(ops []*kernels.Op, batch int, style kernels.NameStyle, cfg Config) []kernels.Kernel {
 	var stream []kernels.Kernel
 	if cfg.SampleBytes > 0 {
 		stream = append(stream, kernels.InputTransfer(batch, cfg.SampleBytes))
 	}
-	stream = append(stream, kernels.IterationKernels(ops, batch, style)...)
-	return replay(stream, batch, cfg, nil)
+	return append(stream, kernels.IterationKernels(ops, batch, style)...)
 }
 
-// replay runs the two-agent pipeline over an explicit kernel stream. When
-// events is non-nil, each kernel's execution is appended to it.
-func replay(stream []kernels.Kernel, batch int, cfg Config, events *[]Event) Result {
+// Replay runs the two-agent pipeline over an explicit kernel stream. When
+// rec is non-nil, the same pass records the iteration into it on the
+// simulated clock, the analogue of an nvprof capture: a "step" span over
+// the GPU timeline, a phase span ("phase.forward", ...) over each run of
+// one pass's kernels, and one kernel span per launch carrying its FLOPs
+// and bytes (the input transfer sits directly under the step). rec's wall
+// is the iteration time, so the host time outside the GPU timeline is
+// the capture's unattributed time, and the step's and phases' self time
+// is GapSec.
+func Replay(stream []kernels.Kernel, batch int, cfg Config, rec *prof.Capture) Result {
+	if batch <= 0 {
+		panic(fmt.Sprintf("sim: non-positive batch %d", batch))
+	}
 	cfg = cfg.withDefaults()
 	var (
-		cpuClock float64 // host dispatch thread position
-		gpuFree  float64 // device completion time
+		cpuClock = cfg.IterOverheadSec / 2 // host dispatch thread position
+		gpuFree  float64                   // device completion time
 		busy     float64
 		flops    float64
-		cpuBusy  float64
+		gap      float64
+		cpuBusy  = cfg.IterOverheadSec
+		phases   PhaseProfile
+		spans    recorder
 	)
-	cpuClock = cfg.IterOverheadSec / 2
-	cpuBusy = cfg.IterOverheadSec
 
 	agg := make(map[string]*KernelStat)
-	for _, k := range stream {
+	for i, k := range stream {
 		if k.Sync {
 			// Host must observe device completion before this step.
 			if gpuFree > cpuClock {
@@ -152,15 +174,16 @@ func replay(stream []kernels.Kernel, batch int, cfg Config, events *[]Event) Res
 		cpuClock += cfg.LaunchOverheadSec
 		cpuBusy += cfg.LaunchOverheadSec
 		dur := k.Duration(cfg.GPU) / cfg.SpeedFactor
-		start := cpuClock
-		if gpuFree > start {
-			start = gpuFree
+		start := max(cpuClock, gpuFree)
+		if i > 0 {
+			gap += start - gpuFree
 		}
 		gpuFree = start + dur
 		busy += dur
 		flops += k.FLOPs
-		if events != nil {
-			*events = append(*events, Event{Name: k.Name, Class: k.Class, StartSec: start, DurSec: dur, FLOPs: k.FLOPs, Sync: k.Sync})
+		phases.add(k.Phase, dur)
+		if rec != nil {
+			spans.kernel(k, start, gpuFree)
 		}
 
 		st, ok := agg[k.Name]
@@ -198,6 +221,11 @@ func replay(stream []kernels.Kernel, batch int, cfg Config, events *[]Event) Res
 		GPUUtil:     metrics.GPUUtilization(busy, iter),
 		FP32Util:    metrics.FP32Utilization(flops, peak, busy),
 		CPUUtil:     metrics.CPUUtilization(cpuBusy, cfg.CPU.Cores, iter),
+		Phases:      phases,
+		GapSec:      gap,
+	}
+	if rec != nil {
+		*rec = prof.Capture{Wall: simTime(iter), Records: spans.recs}
 	}
 	for _, st := range agg {
 		st.Util = metrics.FP32Utilization(st.FLOPs, peak, st.TotalSec)
@@ -218,23 +246,40 @@ func replay(stream []kernels.Kernel, batch int, cfg Config, events *[]Event) Res
 	return res
 }
 
-// Event is one kernel execution on the simulated timeline.
-type Event struct {
-	Name     string
-	Class    kernels.Class
-	StartSec float64
-	DurSec   float64
-	FLOPs    float64
-	Sync     bool
+// recorder lays Replay's kernels out as span records. recs[0] is the
+// step; open indexes the span new kernels nest under (the step, or the
+// phase span of the pass running).
+type recorder struct {
+	recs  []prof.Record
+	phase kernels.Phase
+	open  int
 }
 
-// ReplayWithTrace is Replay plus a full kernel timeline, the analogue of
-// an nvprof .nvvp capture.
-func ReplayWithTrace(stream []kernels.Kernel, batch int, cfg Config) (Result, []Event) {
-	events := make([]Event, 0, len(stream))
-	res := replay(stream, batch, cfg, &events)
-	return res, events
+// phaseSpan names each pass's span as the live training step does.
+var phaseSpan = [...]string{kernels.PhaseForward: "phase.forward", kernels.PhaseBackward: "phase.backward", kernels.PhaseUpdate: "phase.update"}
+
+// kernel records k's run over [start, end] seconds. Both ends round to
+// whole nanoseconds, so consecutive kernels never overlap.
+func (r *recorder) kernel(k kernels.Kernel, start, end float64) {
+	s, e := simTime(start), simTime(end)
+	if len(r.recs) == 0 {
+		r.recs = append(r.recs, prof.Record{ID: 1, Name: "step", Cat: prof.CatPhase, Start: s})
+	}
+	if k.Phase != r.phase {
+		r.phase, r.open = k.Phase, 0
+		if k.Phase != kernels.NoPhase {
+			r.open = len(r.recs)
+			r.recs = append(r.recs, prof.Record{ID: uint64(r.open + 1), Parent: 1, Name: phaseSpan[k.Phase], Cat: prof.CatPhase, Start: s})
+		}
+	}
+	r.recs = append(r.recs, prof.Record{ID: uint64(len(r.recs) + 1), Parent: r.recs[r.open].ID, Name: k.Name, Cat: prof.CatKernel,
+		Start: s, Dur: e - s, FLOPs: k.FLOPs, Bytes: int64(k.Bytes)})
+	r.recs[r.open].Dur = e - r.recs[r.open].Start
+	r.recs[0].Dur = e - r.recs[0].Start
 }
+
+// simTime converts simulated seconds to the profiler's nanoseconds.
+func simTime(sec float64) time.Duration { return time.Duration(math.Round(sec * 1e9)) }
 
 // LongLowUtilKernels returns the top-n kernels by total duration whose
 // FP32 utilization is below the iteration average — the paper's Tables 5

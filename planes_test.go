@@ -10,8 +10,7 @@ import (
 // planes. The packages that train, serve, profile and distribute real
 // tensors share a model description with the simulator and nothing else:
 // none of them imports the simulator, its kernel and device tables, the
-// framework models, the simulated timeline tooling, the analysis core or
-// the what-if predictor.
+// framework models, the analysis core or the what-if predictor.
 // Test files are exempt.
 func TestLivePlaneImportsNoSimulatedPlane(t *testing.T) {
 	simulated := map[string]bool{
@@ -19,7 +18,6 @@ func TestLivePlaneImportsNoSimulatedPlane(t *testing.T) {
 		"tbd/internal/kernels":   true,
 		"tbd/internal/device":    true,
 		"tbd/internal/framework": true,
-		"tbd/internal/trace":     true,
 		"tbd/internal/core":      true,
 		"tbd/internal/whatif":    true,
 	}

@@ -22,9 +22,9 @@ import (
 	"tbd/internal/kernels"
 	"tbd/internal/memprof"
 	"tbd/internal/models"
+	"tbd/internal/prof"
 	"tbd/internal/sim"
 	"tbd/internal/tensor"
-	"tbd/internal/trace"
 	"tbd/internal/whatif"
 )
 
@@ -128,12 +128,9 @@ type KernelStat struct {
 // framework and GPU at the given batch size, returning the paper's
 // metrics.
 func ProfileTraining(model, fw, gpu string, batch int) (Profile, error) {
-	m, f, g, err := resolve(model, fw, gpu)
+	m, f, g, err := core.Resolve(model, fw, gpu, batch)
 	if err != nil {
 		return Profile{}, err
-	}
-	if batch <= 0 {
-		return Profile{}, fmt.Errorf("tbd: batch must be positive, got %d", batch)
 	}
 	cfg := models.SimConfigFor(m, f, g)
 	r := sim.Simulate(m.Ops(), m.SamplesForBatch(batch), f.Style, cfg)
@@ -156,7 +153,7 @@ func ProfileTraining(model, fw, gpu string, batch int) (Profile, error) {
 // LowUtilizationKernels returns the top-n longest kernels running below
 // the configuration's average FP32 utilization (Tables 5 and 6).
 func LowUtilizationKernels(model, fw, gpu string, batch, n int) ([]KernelStat, error) {
-	m, f, g, err := resolve(model, fw, gpu)
+	m, f, g, err := core.Resolve(model, fw, gpu, batch)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +187,7 @@ func (b MemoryBreakdown) FeatureMapShare() float64 {
 // ProfileMemory returns the per-category GPU memory footprint of a
 // configuration.
 func ProfileMemory(model, fw string, batch int) (MemoryBreakdown, error) {
-	m, f, _, err := resolve(model, fw, "")
+	m, f, _, err := core.Resolve(model, fw, "", batch)
 	if err != nil {
 		return MemoryBreakdown{}, err
 	}
@@ -207,7 +204,7 @@ func ProfileMemory(model, fw string, batch int) (MemoryBreakdown, error) {
 // MaxBatch returns the largest sweep batch of a benchmark whose footprint
 // fits in capacityBytes on the given framework.
 func MaxBatch(model, fw string, capacityBytes int64) (int, error) {
-	m, f, _, err := resolve(model, fw, "")
+	m, f, _, err := core.Resolve(model, fw, "")
 	if err != nil {
 		return 0, err
 	}
@@ -233,7 +230,7 @@ type ScalingResult struct {
 // ScalingStudy runs the Figure 10 distributed-training sweep for a model
 // and framework across the paper's five cluster configurations.
 func ScalingStudy(model, fw string, perGPUBatches []int) ([]ScalingResult, error) {
-	m, f, g, err := resolve(model, fw, "")
+	m, f, g, err := core.Resolve(model, fw, "", perGPUBatches...)
 	if err != nil {
 		return nil, err
 	}
@@ -406,12 +403,12 @@ type PhaseBreakdown struct {
 // ProfilePhases breaks a configuration's iteration into forward /
 // backward / update GPU time.
 func ProfilePhases(model, fw, gpu string, batch int) (PhaseBreakdown, error) {
-	m, f, g, err := resolve(model, fw, gpu)
+	m, f, g, err := core.Resolve(model, fw, gpu, batch)
 	if err != nil {
 		return PhaseBreakdown{}, err
 	}
 	cfg := models.SimConfigFor(m, f, g)
-	p := sim.Phases(m.Ops(), m.SamplesForBatch(batch), f.Style, cfg)
+	p := sim.Simulate(m.Ops(), m.SamplesForBatch(batch), f.Style, cfg).Phases
 	return PhaseBreakdown{
 		ForwardSec: p.ForwardSec, BackwardSec: p.BackwardSec, UpdateSec: p.UpdateSec,
 		ForwardKernels: p.ForwardKernels, BackwardKernels: p.BackwardKernels, UpdateKernels: p.UpdateKernels,
@@ -462,7 +459,7 @@ type OffloadAnalysis struct {
 // footprint fits targetBytes — quantifying the paper's recommendation
 // that memory optimization target feature maps.
 func AnalyzeOffload(model, fw string, batch int, targetBytes int64) (OffloadAnalysis, error) {
-	m, f, _, err := resolve(model, fw, "")
+	m, f, _, err := core.Resolve(model, fw, "", batch)
 	if err != nil {
 		return OffloadAnalysis{}, err
 	}
@@ -584,44 +581,19 @@ func TrainTwin(model string, steps int, seed uint64) (TwinRun, error) {
 	return out, nil
 }
 
-// ExportTrace writes an nvprof-style kernel timeline of one simulated
-// iteration to w, in CSV (or JSON when asJSON is set).
-func ExportTrace(model, fw, gpu string, batch int, w io.Writer, asJSON bool) error {
-	m, f, g, err := resolve(model, fw, gpu)
+// ExportTrace writes one simulated iteration to w as the one trace file
+// (Chrome trace-event JSON, which Perfetto opens and the what-if replay
+// reads): the step, its forward/backward/update phases and every kernel
+// launch, input transfer included, on the simulated clock.
+func ExportTrace(model, fw, gpu string, batch int, w io.Writer) error {
+	m, f, g, err := core.Resolve(model, fw, gpu, batch)
 	if err != nil {
 		return err
 	}
+	n := m.SamplesForBatch(batch)
 	cfg := models.SimConfigFor(m, f, g)
-	stream := kernels.IterationKernels(m.Ops(), m.SamplesForBatch(batch), f.Style)
-	_, events := sim.ReplayWithTrace(stream, m.SamplesForBatch(batch), cfg)
-	tl := trace.New(events)
-	if asJSON {
-		return tl.WriteJSON(w)
-	}
-	return tl.WriteCSV(w)
-}
-
-// resolve looks up a (model, framework, gpu) triple, validating that the
-// model has an implementation on the framework. An empty gpu selects the
-// Quadro P4000.
-func resolve(model, fw, gpu string) (*models.Model, *framework.Framework, *device.GPU, error) {
-	m, err := models.LookupAny(model)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	f, err := framework.Lookup(fw)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if !m.SupportsFramework(f.Name) {
-		return nil, nil, nil, fmt.Errorf("tbd: %s has no %s implementation (Table 2 lists: %v)", m.Name, f.Name, m.Frameworks)
-	}
-	g := device.QuadroP4000
-	if gpu != "" {
-		g, err = device.Lookup(gpu)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	return m, f, g, nil
+	var c prof.Capture
+	sim.Replay(sim.Stream(m.Ops(), n, f.Style, cfg), n, cfg, &c)
+	t := prof.Trace{Meta: prof.Meta{Model: m.Name, Steps: 1, Batch: n}, Ranks: []prof.Capture{c}}
+	return t.Write(w)
 }

@@ -2,8 +2,17 @@ package tbd
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"tbd/internal/core"
+	"tbd/internal/models"
+	"tbd/internal/prof"
+	"tbd/internal/sim"
+	"tbd/internal/whatif"
 )
 
 func TestBenchmarksSurface(t *testing.T) {
@@ -57,6 +66,36 @@ func TestProfileTrainingValidation(t *testing.T) {
 	}
 	if _, err := ProfileTraining("ResNet-50", "MXNet", "", 0); err == nil {
 		t.Fatal("zero batch must fail")
+	}
+}
+
+// TestEntryPointsRejectBadBatch runs every per-configuration entry point
+// at a zero and a negative batch: each must return an error, not panic
+// or report a number.
+func TestEntryPointsRejectBadBatch(t *testing.T) {
+	entries := map[string]func(batch int) error{
+		"ProfileTraining": func(b int) error { _, err := ProfileTraining("ResNet-50", "TensorFlow", "", b); return err },
+		"LowUtilizationKernels": func(b int) error {
+			_, err := LowUtilizationKernels("ResNet-50", "TensorFlow", "", b, 5)
+			return err
+		},
+		"ProfileMemory": func(b int) error { _, err := ProfileMemory("ResNet-50", "TensorFlow", b); return err },
+		"ScalingStudy":  func(b int) error { _, err := ScalingStudy("ResNet-50", "TensorFlow", []int{8, b}); return err },
+		"WorkspaceTradeoff": func(b int) error {
+			_, err := WorkspaceTradeoff("ResNet-50", "TensorFlow", b, []int64{1 << 30})
+			return err
+		},
+		"ProfilePhases":  func(b int) error { _, err := ProfilePhases("ResNet-50", "TensorFlow", "", b); return err },
+		"AnalyzeOffload": func(b int) error { _, err := AnalyzeOffload("ResNet-50", "TensorFlow", b, 1<<30); return err },
+		"Analyze":        func(b int) error { _, err := Analyze("ResNet-50", "TensorFlow", "", b); return err },
+		"ExportTrace":    func(b int) error { return ExportTrace("ResNet-50", "TensorFlow", "", b, io.Discard) },
+	}
+	for name, call := range entries {
+		for _, b := range []int{0, -3} {
+			if err := call(b); err == nil || !strings.Contains(err.Error(), "batch must be positive") {
+				t.Errorf("%s at batch %d: error %v, want a non-positive batch refused", name, b, err)
+			}
+		}
 	}
 }
 
@@ -276,22 +315,67 @@ func TestAnalyzeOffload(t *testing.T) {
 	}
 }
 
+// TestExportTrace holds the simulated iteration to the one trace file's
+// contract: it reads back, its kernel spans are the result's kernels and
+// sum to its busy time, its non-kernel self time is the result's idle
+// gap (each within 1 ns a kernel), and an empty what-if scenario replays
+// its step back exactly.
 func TestExportTrace(t *testing.T) {
-	var csv bytes.Buffer
-	if err := ExportTrace("A3C", "MXNet", "", 8, &csv, false); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		model string
+		batch int
+	}{{"ResNet-50", 32}, {"Seq2Seq", 64}} {
+		var buf bytes.Buffer
+		if err := ExportTrace(c.model, "TensorFlow", "", c.batch, &buf); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := prof.ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", c.model, err)
+		}
+		m, f, g, err := core.Resolve(c.model, "TensorFlow", "", c.batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := sim.Simulate(m.Ops(), m.SamplesForBatch(c.batch), f.Style, models.SimConfigFor(m, f, g))
+		trees, err := tr.Trees()
+		if err != nil || len(trees) != 1 {
+			t.Fatalf("%s: %d trees, %v", c.model, len(trees), err)
+		}
+		var n int
+		var busy, gap time.Duration
+		for _, nd := range trees[0].Nodes {
+			if nd.Cat == prof.CatKernel {
+				n++
+				busy += nd.Dur
+			} else {
+				gap += nd.Self
+			}
+		}
+		tol := float64(res.KernelCount) * 1e-9
+		if n != res.KernelCount {
+			t.Fatalf("%s: %d kernel spans, result counts %d", c.model, n, res.KernelCount)
+		}
+		if d := busy.Seconds() - res.GPUBusySec; math.Abs(d) > tol {
+			t.Fatalf("%s: kernel spans sum to %v, result busy %.9f s", c.model, busy, res.GPUBusySec)
+		}
+		if d := gap.Seconds() - res.GapSec; math.Abs(d) > tol {
+			t.Fatalf("%s: non-kernel self time %v, result gap %.9f s", c.model, gap, res.GapSec)
+		}
+		sc, err := whatif.ParseScenario("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := whatif.Replay(tr, sc)
+		if err != nil {
+			t.Fatalf("%s: %v", c.model, err)
+		}
+		if p.Steps != 1 || p.PredictedStepUs != p.BaselineStepUs || p.PredictedWallUs != p.BaselineWallUs {
+			t.Fatalf("%s: empty scenario replays %d steps, step %.3f -> %.3f µs, wall %.3f -> %.3f µs",
+				c.model, p.Steps, p.BaselineStepUs, p.PredictedStepUs, p.BaselineWallUs, p.PredictedWallUs)
+		}
 	}
-	if !strings.HasPrefix(csv.String(), "start_s,") {
-		t.Fatal("csv trace missing header")
-	}
-	var js bytes.Buffer
-	if err := ExportTrace("A3C", "MXNet", "", 8, &js, true); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(js.String(), "\"name\"") {
-		t.Fatal("json trace missing fields")
-	}
-	if err := ExportTrace("nope", "MXNet", "", 8, &js, true); err == nil {
+	if err := ExportTrace("nope", "MXNet", "", 8, io.Discard); err == nil {
 		t.Fatal("unknown model must fail")
 	}
 }
