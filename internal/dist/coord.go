@@ -58,8 +58,8 @@ type Coordinator struct {
 
 // NewCoordinator opens the control listener and, for parameter-server
 // strategies, boots the server from the same (model, seed) the workers
-// build — so the initial weights every rank pulls equal its own local
-// initialization.
+// build — so every rank's opening handshake finds its own local
+// initialization already current.
 func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("dist: coordinator needs at least one worker, got %d", cfg.Workers)

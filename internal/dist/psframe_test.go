@@ -94,7 +94,7 @@ func TestPSFrameRoundTripPreservesBits(t *testing.T) {
 			// The reply carries the server's weights — by now full of the
 			// NaNs the optimizer was just fed — bit for bit as well.
 			c := &PSClient{r: bufio.NewReader(cli), version: -1}
-			if err := c.receive(); err != nil {
+			if err := c.receive(kindPush); err != nil {
 				t.Fatal(err)
 			}
 			if err := <-sent; err != nil {
@@ -135,7 +135,7 @@ func TestPSWireBytesClosedForm(t *testing.T) {
 	grads := 4 * twin.GradElems()
 	weights := psHeaderLen + weightsPayloadLen(twin.GradElems(), len(twin.Params()))
 	push := psHeaderLen + grads
-	perRank := psHeaderLen + weights + // first pull
+	perRank := psHeaderLen + psFingerprintLen + psHeaderLen + // the handshake: the rank's own weights are version 0
 		steps*(push+weights) +
 		2*psHeaderLen // the post-barrier pull: the last push reply already carried that version
 	cfg := CoordConfig{Workers: workers, Strategy: RunPSSync, Model: "mlp-wide", Seed: 1, LR: 0.05}
@@ -322,6 +322,10 @@ func hostileFrames() map[string]struct {
 		"huge length":       {append(rawFrame(kindPush, 0, 0, nil)[:12], 0xf0, 0xff, 0xff, 0xff), errBadLength.Error()},
 		"truncated payload": {rawFrame(kindPush, 0, 0, make([]byte, push))[:psHeaderLen+push/2], "read push payload"},
 		"truncated header":  {rawFrame(kindPull, 0, -1, nil)[:7], io.ErrUnexpectedEOF.Error()},
+		// A handshake's one payload is its fingerprint.
+		"handshake sans fingerprint": {rawFrame(kindHandshake, 0, -1, nil), errBadLength.Error()},
+		"handshake too long":         {rawFrame(kindHandshake, 0, -1, make([]byte, 2*psFingerprintLen)), errBadLength.Error()},
+		"truncated fingerprint":      {rawFrame(kindHandshake, 0, -1, make([]byte, psFingerprintLen))[:psHeaderLen+3], "read handshake fingerprint"},
 	}
 }
 
@@ -431,6 +435,7 @@ func FuzzPSFrame(f *testing.F) {
 	model := 4 * s.elems
 
 	f.Add(rawFrame(kindPull, 0, -1, nil))
+	f.Add(rawFrame(kindHandshake, 0, -1, make([]byte, psFingerprintLen)))
 	push := rawFrame(kindPush, 0, 0, make([]byte, model))
 	f.Add(push)
 	push8 := rawFrame(kindPush8, 0, 0, make([]byte, s.elems+4*len(s.sizes)))

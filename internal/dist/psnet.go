@@ -10,6 +10,7 @@ import (
 	"net"
 	"sync"
 
+	"tbd/internal/graph"
 	"tbd/internal/layers"
 	"tbd/internal/optim"
 	"tbd/internal/prof"
@@ -17,8 +18,8 @@ import (
 )
 
 // A real parameter server over TCP, the multi-machine data-parallel
-// scheme of §2.2/§4.5 (Li et al.): workers pull the current weights,
-// compute gradients on their shard, and push them back; the server
+// scheme of §2.2/§4.5 (Li et al.): workers start from the server's
+// weights, compute gradients on their shard, and push them back; the server
 // averages one push per worker, applies the optimizer, and releases the
 // next round. Pushes are reduced in rank order, so a synchronous N-worker
 // run is not only numerically equivalent to one big-batch replica but
@@ -42,6 +43,16 @@ import (
 // server's layout (tensor count, then each tensor's element count): the
 // client is handed no model, and cuts its retained copy by that table.
 //
+// Every rank builds its model from the run's seed, as the server built
+// its master, so a run opens with a handshake instead of a pull: the
+// client sends the FNV-1a fingerprint of the statusWeights payload its
+// own weights would make, and the server answers statusUnchanged at
+// version 0 only while it is still at version 0 and its version-0 payload
+// hashes the same. Any other handshake (a mismatch, or an async server
+// already past version 0) is answered with the full weights frame, so a
+// rank skips only bytes that hash to what it holds. The client's retained
+// copy then starts with the first push reply.
+//
 // A synchronous round is pipelined so the server's link carries the reply
 // while the pushes are still arriving. The flat parameter stream is cut
 // into fixed ranges of psRangeElems (one throttle chunk of fp32), set by
@@ -62,13 +73,14 @@ import (
 //
 //tbd:wire-kinds
 const (
-	kindPull   byte = 1 + iota // no payload
-	kindPush                   // raw fp32 gradients
-	kindPush16                 // fp16 gradients
-	kindPush8                  // per tensor: fp32 scale, then int8 levels
+	kindPull      byte = 1 + iota // no payload
+	kindPush                      // raw fp32 gradients
+	kindPush16                    // fp16 gradients
+	kindPush8                     // per tensor: fp32 scale, then int8 levels
+	kindHandshake                 // psFingerprintLen bytes: the fingerprint of the client's version-0 weights payload
 
 	statusWeights   // layout table, then raw fp32 weights
-	statusUnchanged // no payload: the client's retained copy is current
+	statusUnchanged // no payload: the client's retained copy, or after a handshake its own weights, is current
 	statusError     // a message of at most psMaxErr bytes; the server then hangs up
 )
 
@@ -76,6 +88,8 @@ const (
 	psMagic     = "TBD"
 	psHeaderLen = 16
 	psMaxErr    = 256
+	// psFingerprintLen is a handshake's payload: a little-endian uint64.
+	psFingerprintLen = 8
 	// psRangeElems is the synchronous round's grain: one throttle chunk of
 	// fp32 gradients.
 	psRangeElems = throttleChunk / 4
@@ -154,6 +168,32 @@ func pushPayloadLen(kind byte, elems, tensors int) int {
 // weightsPayloadLen is the payload length of a statusWeights reply.
 func weightsPayloadLen(elems, tensors int) int { return 4 + 4*tensors + 4*elems }
 
+// putLayout writes the layout table that opens a statusWeights payload:
+// the tensor count, then each tensor's element count.
+func putLayout(b []byte, sizes []int) {
+	binary.LittleEndian.PutUint32(b, uint32(len(sizes)))
+	for i, n := range sizes {
+		binary.LittleEndian.PutUint32(b[4+4*i:], uint32(n))
+	}
+}
+
+// weightsFingerprint is the FNV-1a fingerprint of the statusWeights
+// payload that params' weights make: the layout table, then the fp32
+// weights.
+func weightsFingerprint(params []*layers.Param) uint64 {
+	sizes := make([]int, len(params))
+	for i, p := range params {
+		sizes[i] = p.Value.Numel()
+	}
+	table := make([]byte, 4+4*len(sizes))
+	putLayout(table, sizes)
+	h := graph.FNV64a(graph.FNVOffset64, table)
+	for _, p := range params {
+		h = graph.FNV64a(h, f32Bytes(p.Value.Data()))
+	}
+	return h
+}
+
 // psRange is one grain of the flat parameter stream, cut by tensor into
 // pieces; params views the pieces' weights and gradients for the
 // optimizer. hi is where the range ends in the stream.
@@ -228,6 +268,11 @@ type PSServer struct {
 	elems   int       // their sum
 	ranges  []psRange // the stream's grains, fixed by the model
 	base    int       // offset of the weights in a reply frame
+	// fp0 is the fingerprint of the version-0 weights payload, which a
+	// handshake must match to be answered statusUnchanged. It is written
+	// once, before fp0Done closes.
+	fp0     uint64
+	fp0Done chan struct{}
 	// async applies each push immediately instead of waiting for a full
 	// synchronous round — the A3C-style update discipline (Hogwild over
 	// the network). Workers may then train on slightly stale weights.
@@ -292,7 +337,7 @@ func servePS(l net.Listener, s *PSServer) *PSServer {
 // newPSServer builds a server with no listener; servePS starts its accept
 // loop.
 //
-//tbd:pre-publication guarded fields are written before the accept goroutine (the first concurrent observer) starts
+//tbd:pre-publication guarded fields are written before the fingerprint goroutine (the first concurrent observer) starts
 func newPSServer(params []*layers.Param, opt *optim.SGD, workers int, async bool, staleness int) *PSServer {
 	if workers <= 0 {
 		panic("dist: parameter server needs at least one worker")
@@ -321,6 +366,20 @@ func newPSServer(params []*layers.Param, opt *optim.SGD, workers int, async bool
 	s.cond = sync.NewCond(&s.mu)
 	s.reply = s.frameLocked(0)
 	s.publishAllLocked(s.reply)
+	// The version-0 frame is hashed while the ranks build their models and
+	// hash their own weights, off the run's critical path; a handshake
+	// waits for it. The reference keeps the frame from being recycled for
+	// a later version meanwhile.
+	f := s.reply
+	f.refs++
+	s.fp0Done = make(chan struct{})
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.fp0 = graph.FNV64a(graph.FNVOffset64, f.buf[psHeaderLen:])
+		close(s.fp0Done)
+		s.release(f)
+	}()
 	return s
 }
 
@@ -552,7 +611,17 @@ func (s *PSServer) serveFrame(pc *psConn) error {
 		if h.length != 0 {
 			return fmt.Errorf("%w: pull with %d payload bytes", errBadLength, h.length)
 		}
-		return s.handlePull(pc, h.version)
+		return s.handlePull(pc, h, 0)
+	case kindHandshake:
+		if h.length != psFingerprintLen {
+			return fmt.Errorf("%w: handshake with %d payload bytes, want %d", errBadLength, h.length, psFingerprintLen)
+		}
+		b := pc.wb.grow(psFingerprintLen)
+		if _, err := io.ReadFull(pc.r, b); err != nil {
+			return fmt.Errorf("read handshake fingerprint: %w", err)
+		}
+		<-s.fp0Done
+		return s.handlePull(pc, h, binary.LittleEndian.Uint64(b))
 	case kindPush, kindPush16, kindPush8:
 		if h.rank < 0 || h.rank >= s.workers {
 			return fmt.Errorf("rank %d outside [0, %d)", h.rank, s.workers)
@@ -598,20 +667,26 @@ func (s *PSServer) readRange(pc *psConn, kind byte, rg *psRange) error {
 	return nil
 }
 
-// handlePull queues the current weights frame, or a bare header when the
-// client already holds that version.
-func (s *PSServer) handlePull(pc *psConn, have int) error {
+// handlePull answers a pull or a handshake h: the current weights frame,
+// or a bare header when the client already holds them — a pull that names
+// the server's version, or a handshake whose fingerprint fp is version 0's
+// while the server is still there.
+func (s *PSServer) handlePull(pc *psConn, h psHeader, fp uint64) error {
 	s.mu.Lock()
 	if err := s.refusedLocked(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
+	held := h.version == s.version
+	if h.kind == kindHandshake {
+		held = s.version == 0 && fp == s.fp0
+	}
 	var r psReply
-	if have != s.version {
+	if held {
+		putHeader(r.hdr[:], statusUnchanged, 0, s.version, 0)
+	} else {
 		r.f = s.reply
 		r.f.refs++
-	} else {
-		putHeader(r.hdr[:], statusUnchanged, 0, s.version, 0)
 	}
 	s.mu.Unlock()
 	return s.queue(pc, r)
@@ -787,11 +862,7 @@ func (s *PSServer) frameLocked(version int) *psFrame {
 		f, s.free = s.free[n-1], s.free[:n-1]
 	} else {
 		f = &psFrame{buf: make([]byte, s.base+4*s.elems)}
-		b := f.buf[psHeaderLen:]
-		binary.LittleEndian.PutUint32(b, uint32(len(s.sizes)))
-		for i, n := range s.sizes {
-			binary.LittleEndian.PutUint32(b[4+4*i:], uint32(n))
-		}
+		putLayout(f.buf[psHeaderLen:], s.sizes)
 	}
 	putHeader(f.buf, statusWeights, 0, version, len(f.buf)-psHeaderLen)
 	f.mark, f.refs = 0, 1
@@ -846,14 +917,15 @@ func minInt(xs []int) int {
 
 // PSClient is a worker's connection to the parameter server. It is not
 // safe for concurrent use, and it owns the weights it returns: the slices
-// from Pull and PushRanked are the client's retained copy of the server's
-// parameters, overwritten in place by the next call that brings a newer
-// version. Copy them out first — LoadWeights does.
+// from Handshake, Pull and PushRanked are the client's retained copy of
+// the server's parameters, overwritten in place by the next call that
+// brings a newer version. Copy them out first — LoadWeights does.
 type PSClient struct {
 	conn  net.Conn
 	count *countingConn
 	w     *bufio.Writer
-	sbuf  wireBuf // encodes requests
+	sbuf  wireBuf                // encodes requests
+	fp    [psFingerprintLen]byte // a handshake's payload
 
 	// One reader goroutine, for the client's life, decodes each reply while
 	// the request is still going out, so the server can stream a reply
@@ -861,7 +933,7 @@ type PSClient struct {
 	// from a start until the matching got.
 	r         *bufio.Reader
 	rbuf      wireBuf
-	start     chan struct{} // a request is going out: decode its reply
+	start     chan byte     // a request of this kind is going out: decode its reply
 	got       chan error    // how that decode ended
 	quit      chan struct{} // closed by Close
 	closeOnce sync.Once
@@ -893,7 +965,7 @@ func newPSClient(conn net.Conn, count *countingConn, r io.Reader, w io.Writer) *
 	c := &PSClient{
 		conn: conn, count: count, version: -1,
 		r: bufio.NewReaderSize(r, 64<<10), w: bufio.NewWriterSize(w, 64<<10),
-		start: make(chan struct{}), got: make(chan error, 1), quit: make(chan struct{}),
+		start: make(chan byte), got: make(chan error, 1), quit: make(chan struct{}),
 	}
 	go c.readReplies()
 	return c
@@ -902,8 +974,8 @@ func newPSClient(conn net.Conn, count *countingConn, r io.Reader, w io.Writer) *
 func (c *PSClient) readReplies() {
 	for {
 		select {
-		case <-c.start:
-			c.got <- c.receive()
+		case kind := <-c.start:
+			c.got <- c.receive(kind)
 		case <-c.quit:
 			return
 		}
@@ -918,6 +990,24 @@ func (c *PSClient) Close() error {
 
 // WireBytes returns cumulative (in, out) wire bytes this client moved.
 func (c *PSClient) WireBytes() (in, out int64) { return c.count.Bytes() }
+
+// Handshake is a client's first request, in place of a Pull. It sends
+// the fingerprint of the weights params hold and returns nil weights when
+// they are the server's version 0 — a rank that built its model from the
+// seed the server built its master from — and otherwise the server's
+// current weights and version, for the caller to load. Only a weights
+// reply starts the client's retained copy.
+func (c *PSClient) Handshake(params []*layers.Param) ([][]float32, int, error) {
+	if c.version != -1 {
+		return nil, 0, fmt.Errorf("dist: handshake on a client already holding version %d", c.version)
+	}
+	binary.LittleEndian.PutUint64(c.fp[:], weightsFingerprint(params))
+	weights, version, err := c.roundTrip(kindHandshake, 0, nil)
+	if weights == nil {
+		version = 0
+	}
+	return weights, version, err
+}
 
 // Pull returns the server's current weights and version. The request
 // names the version the client holds, so when nothing changed the reply
@@ -965,7 +1055,10 @@ func (c *PSClient) roundTrip(kind byte, rank int, grads [][]float32) ([][]float3
 		elems += len(g)
 	}
 	length := 0
-	if kind != kindPull {
+	switch kind {
+	case kindHandshake:
+		length = psFingerprintLen
+	case kindPush, kindPush16, kindPush8:
 		length = pushPayloadLen(kind, elems, len(grads))
 	}
 	if int64(length) > math.MaxUint32 {
@@ -979,7 +1072,7 @@ func (c *PSClient) roundTrip(kind byte, rank int, grads [][]float32) ([][]float3
 	sp := prof.Begin(prof.CatComm, "comm.ps.roundtrip")
 	var err error
 	select {
-	case c.start <- struct{}{}:
+	case c.start <- kind:
 		if sendErr := c.send(hdr[:], kind, grads); sendErr != nil {
 			c.conn.Close() // no reply is coming: end the reader's wait
 			// The server's own refusal, if it got one out, says more.
@@ -1004,6 +1097,9 @@ func (c *PSClient) roundTrip(kind byte, rank int, grads [][]float32) ([][]float3
 
 func (c *PSClient) send(hdr []byte, kind byte, grads [][]float32) error {
 	_, err := c.w.Write(hdr)
+	if err == nil && kind == kindHandshake {
+		_, err = c.w.Write(c.fp[:])
+	}
 	for i, g := range grads {
 		if err != nil {
 			break
@@ -1027,7 +1123,8 @@ func (c *PSClient) send(hdr []byte, kind byte, grads [][]float32) error {
 	return nil
 }
 
-func (c *PSClient) receive() error {
+// receive decodes the reply to a request of kind.
+func (c *PSClient) receive(kind byte) error {
 	h, err := readHeader(c.r)
 	if err != nil {
 		return fmt.Errorf("dist: receive reply: %w", err)
@@ -1043,7 +1140,13 @@ func (c *PSClient) receive() error {
 		c.version = h.version
 		return nil
 	case statusUnchanged:
-		if h.length != 0 || c.weights == nil || h.version != c.version {
+		// A handshake's own weights are current only at version 0, and
+		// they are the caller's, not a retained copy.
+		held := c.weights != nil && h.version == c.version
+		if kind == kindHandshake {
+			held = h.version == 0
+		}
+		if h.length != 0 || !held {
 			return fmt.Errorf("dist: receive reply: unchanged at version %d with %d payload bytes, holding %d", h.version, h.length, c.version)
 		}
 		return nil

@@ -334,14 +334,19 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 	// the wire before it returns, so it needs no per-step copy.
 	var grads [][]float32
 	if ps != nil {
-		// Adopt the server's initial weights (same seed, but explicit
-		// sync keeps the contract obvious and covers future drift).
-		weights, _, err := ps.Pull()
+		// Start from the server's weights. The rank built the model from
+		// the seed the server built its master from, so the handshake
+		// usually finds them current and nothing comes back to load; a
+		// mismatch, or an async server already past version 0, sends the
+		// weights.
+		weights, _, err := ps.Handshake(net.Params())
 		if err != nil {
 			return nil, err
 		}
-		if err := LoadWeights(net.Params(), weights); err != nil {
-			return nil, err
+		if weights != nil {
+			if err := LoadWeights(net.Params(), weights); err != nil {
+				return nil, err
+			}
 		}
 		for _, p := range net.Params() {
 			grads = append(grads, p.Grad.Data())
@@ -433,8 +438,8 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 const distProfileMaxRecords = 1 << 20
 
 // BuildMasterParams builds the parameter-server master network for a
-// run: the same model and seed the workers use, so rank 0's initial pull
-// matches every replica's local initialization.
+// run: the same model and seed the workers use, so every rank's opening
+// handshake finds its local initialization already current.
 func BuildMasterParams(modelName string, seed uint64) (*graph.Network, []*layers.Param, error) {
 	model, err := RunModelByName(modelName)
 	if err != nil {

@@ -1,10 +1,8 @@
 package graph
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"tbd/internal/layers"
@@ -93,20 +91,39 @@ func (n *Network) SetGradVector(src []float32) {
 	}
 }
 
+// FNV-1a, 64-bit: the fingerprint hash/fnv's New64a computes, folded
+// inline so a weight costs no method call.
+const (
+	FNVOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
+// FNV64a folds b into the FNV-1a state h: FNV64a(FNVOffset64, b) is
+// hash/fnv's New64a sum of b, and folding b in pieces equals folding it
+// whole.
+func FNV64a(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	return h
+}
+
 // WeightsHash returns an FNV-1a fingerprint over the exact bit patterns
-// of every trainable parameter in Params() order. Two networks hash
-// equal iff their weights are bit-identical — the check the distributed
-// runtime uses to verify that N workers finished a run with the same
-// model, and that a repeated run reproduced the same trajectory.
+// of every trainable parameter in Params() order, each scalar as its
+// four little-endian bytes. Two networks hash equal iff their weights are
+// bit-identical — the check the distributed runtime uses to verify that N
+// workers finished a run with the same model, and that a repeated run
+// reproduced the same trajectory.
 func (n *Network) WeightsHash() uint64 {
-	h := fnv.New64a()
-	var buf [4]byte
+	h := FNVOffset64
 	for _, p := range n.Params() {
 		for _, v := range p.Value.Data() {
-			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
-			// fnv.Write never returns an error.
-			_, _ = h.Write(buf[:])
+			u := uint64(math.Float32bits(v))
+			h = (h ^ u&0xff) * fnvPrime64
+			h = (h ^ u>>8&0xff) * fnvPrime64
+			h = (h ^ u>>16&0xff) * fnvPrime64
+			h = (h ^ u>>24) * fnvPrime64
 		}
 	}
-	return h.Sum64()
+	return h
 }

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"slices"
 	"testing"
@@ -93,6 +95,26 @@ func TestWeightsHashDetectsSingleBitChange(t *testing.T) {
 
 func flipLowBit(v float32) float32 {
 	return math.Float32frombits(math.Float32bits(v) ^ 1)
+}
+
+func TestWeightsHashIsHashFNV(t *testing.T) {
+	// The inline fold against hash/fnv fed one scalar's four
+	// little-endian bytes at a time, as WeightsHash once was.
+	n := flattenNet(9)
+	ref := fnv.New64a()
+	var all []byte
+	for _, p := range n.Params() {
+		for _, v := range p.Value.Data() {
+			all = binary.LittleEndian.AppendUint32(all, math.Float32bits(v))
+			_, _ = ref.Write(all[len(all)-4:])
+		}
+	}
+	if got, want := n.WeightsHash(), ref.Sum64(); got != want {
+		t.Fatalf("WeightsHash %#x, hash/fnv %#x", got, want)
+	}
+	if got := FNV64a(FNV64a(FNVOffset64, all[:7]), all[7:]); got != ref.Sum64() {
+		t.Fatalf("FNV64a folded in two pieces %#x, hash/fnv %#x", got, ref.Sum64())
+	}
 }
 
 func TestWeightsHashDiffersAcrossSeeds(t *testing.T) {
