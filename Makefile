@@ -78,7 +78,14 @@ dist-race:
 # a peer that hangs up anywhere: a named error, one piece of scratch, no
 # hang. Then ten seconds of arbitrary bytes into the span-trace reader
 # (unminimized, like the ReLU line): a trace or a named error, no panic,
-# allocation bounded by a constant times the input.
+# allocation bounded by a constant times the input. Then ten seconds of
+# arbitrary control frames from a rank into the coordinator over a pipe: a
+# run or a named error, no hang, allocation bounded by a constant times
+# the input. Then ten seconds of arbitrary checkpoint bytes into an
+# mlp-wide network: loaded whole or left unchanged, allocation bounded by
+# the model plus a constant (the layout-table reader it fuzzes is the
+# parameter-server client's). Both unminimized: a multi-frame input, or a
+# seed the size of the model, takes longer than ten seconds to shrink.
 # `go test` alone replays the committed seeds; this mutates them.
 fuzz-smoke:
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzPSFrame -fuzztime 10s
@@ -86,6 +93,8 @@ fuzz-smoke:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzReLUKernels -fuzztime 10s -fuzzminimizetime 0
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzRingRecv -fuzztime 10s
 	$(GO) test ./internal/prof -run '^$$' -fuzz FuzzTraceRead -fuzztime 10s -fuzzminimizetime 0
+	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzCtrlFrame -fuzztime 10s -fuzzminimizetime 0
+	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 10s -fuzzminimizetime 0
 
 # Race detector over the what-if predictor: trace capture off the live
 # profiler (concurrent span emission), merge, replay, and the root-package

@@ -169,37 +169,35 @@ func cmdDist(args []string) error {
 	return werr
 }
 
-// distTraces merges the per-rank captures that rode the result messages
-// into one cluster trace, prints each rank's time budget from its span
-// tree, and (with -trace-out) writes the merged trace for `tbd whatif`
-// replay.
+// distTraces merges the per-rank captures that rode the result frames
+// (each already read back by the one trace reader, which refuses a capture
+// that dropped spans) into one cluster trace, prints each rank's time
+// budget from its span tree, and (with -trace-out) writes the merged
+// trace for `tbd whatif` replay.
 func distTraces(summary *dist.RunSummary, traceOut string) error {
-	traces := make([]*prof.Trace, 0, len(summary.Results))
-	for _, r := range summary.Results {
-		if r.Trace == nil {
-			return fmt.Errorf("dist: rank %d returned no trace despite -profile", r.Rank)
-		}
-		traces = append(traces, r.Trace)
+	traces := make([]*prof.Trace, len(summary.Results))
+	for i, r := range summary.Results {
+		traces[i] = r.Trace // Merge refuses a rank that sent none
 	}
 	merged, err := prof.Merge(traces...)
 	if err != nil {
 		return err
 	}
+	trees, err := merged.Trees()
+	if err != nil {
+		return err
+	}
 	fmt.Printf("profile: %d spans across %d ranks (cluster wall %.1f ms)\n", merged.Spans(), len(merged.Ranks), ms(merged.Wall()))
-	if trees, err := merged.Trees(); err != nil {
-		fmt.Printf("no per-rank budget: %v\n", err)
-	} else {
-		fmt.Printf("%-5s %-8s %-10s %-14s %-18s %s\n", "rank", "spans", "wall(ms)", "comm-self(ms)", "unattributed(ms)", "concurrent(ms)")
-		for i, tree := range trees {
-			var comm time.Duration
-			for _, n := range tree.Nodes {
-				if n.Cat == prof.CatComm {
-					comm += n.Self
-				}
+	fmt.Printf("%-5s %-8s %-10s %-14s %-18s %s\n", "rank", "spans", "wall(ms)", "comm-self(ms)", "unattributed(ms)", "concurrent(ms)")
+	for i, tree := range trees {
+		var comm time.Duration
+		for _, n := range tree.Nodes {
+			if n.Cat == prof.CatComm {
+				comm += n.Self
 			}
-			fmt.Printf("%-5d %-8d %-10.1f %-14.1f %-18.1f %.1f\n", merged.Ranks[i].Rank, len(tree.Nodes), ms(tree.Wall),
-				ms(comm), ms(tree.Unattributed), ms(tree.Concurrent))
 		}
+		fmt.Printf("%-5d %-8d %-10.1f %-14.1f %-18.1f %.1f\n", merged.Ranks[i].Rank, len(tree.Nodes), ms(tree.Wall),
+			ms(comm), ms(tree.Unattributed), ms(tree.Concurrent))
 	}
 	if traceOut != "" {
 		if err := merged.WriteFile(traceOut); err != nil {

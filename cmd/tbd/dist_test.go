@@ -1,9 +1,13 @@
 package main
 
 import (
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"tbd/internal/prof"
+	"tbd/internal/whatif"
 )
 
 // The dist smoke tests spawn REAL worker OS processes: the compiled
@@ -51,4 +55,39 @@ func TestCLIDistValidates(t *testing.T) {
 	run(t, true, "dist", "-compress", "int4")
 	run(t, true, "dist", "-workers", "0")
 	run(t, true, "dist", "-role", "manager")
+}
+
+// TestCLIDistTraceReplaysToIdentity sends each rank's trace across the
+// process boundary in its result frame, reads the merged file back with
+// the one trace reader, and replays it under a scenario with no clauses:
+// the prediction is the recording.
+func TestCLIDistTraceReplaysToIdentity(t *testing.T) {
+	for _, strategy := range []string{"ring", "ps-sync"} {
+		t.Run(strategy, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "dist.json")
+			out := run(t, false, "dist", "-workers", "2", "-strategy", strategy, "-steps", "3", "-trace-out", path)
+			if !hashLineRE.MatchString(out) || !strings.Contains(out, "comm-self(ms)") {
+				t.Fatalf("dist -trace-out output missing the identical-hash line or the budget:\n%s", out)
+			}
+			tr, err := prof.ReadTraceFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tr.Ranks) != 2 || tr.Meta.Workers != 2 || tr.Meta.Strategy != strategy {
+				t.Fatalf("trace of %d ranks, meta %+v", len(tr.Ranks), tr.Meta)
+			}
+			sc, err := whatif.ParseScenario("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := whatif.Replay(tr, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.PredictedStepUs != p.BaselineStepUs || p.PredictedWallUs != p.BaselineWallUs {
+				t.Fatalf("identity replay: step %v -> %v us, wall %v -> %v us",
+					p.BaselineStepUs, p.PredictedStepUs, p.BaselineWallUs, p.PredictedWallUs)
+			}
+		})
+	}
 }

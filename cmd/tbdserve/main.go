@@ -16,7 +16,8 @@
 // The daemon exposes POST /predict (with an optional per-request
 // "slo_ms" budget), GET /stats (fleet aggregate plus per-replica
 // detail), GET /healthz, and POST /swap, which hot-swaps a checkpoint
-// streamed in the request body into every replica with zero downtime.
+// (dist.WriteCheckpoint's weights frame) streamed in the request body
+// into every replica with zero downtime.
 // Queue-full sheds are 429; SLO-infeasible sheds and drain are 503; a
 // body over the size a well-formed request could need is 413. With
 // -trace it runs the live profiler and on shutdown writes its span trace
@@ -43,6 +44,7 @@ import (
 	"syscall"
 	"time"
 
+	"tbd/internal/dist"
 	"tbd/internal/graph"
 	"tbd/internal/models"
 	"tbd/internal/prof"
@@ -208,7 +210,7 @@ func newHandler(fleet *serve.Fleet) http.Handler {
 				if !ok {
 					return fmt.Errorf("model %T does not accept checkpoints", primary.Model())
 				}
-				step, err := graph.LoadCheckpoint(body, net)
+				step, err := dist.LoadCheckpoint(body, net)
 				if err != nil {
 					return err
 				}

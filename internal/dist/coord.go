@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -163,6 +163,13 @@ func (c *Coordinator) Wait() (*RunSummary, error) {
 
 	// Phase 1: one hello per rank.
 	conns := make([]*ctrlConn, n)
+	defer func() {
+		for _, cc := range conns {
+			if cc != nil {
+				cc.conn.Close()
+			}
+		}
+	}()
 	// peers holds the ring listener address each rank advertised in its
 	// hello ("" for parameter-server strategies).
 	peers := make([]string, n)
@@ -176,30 +183,29 @@ func (c *Coordinator) Wait() (*RunSummary, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dist: coordinator accept (%d of %d workers arrived): %w", i, n, err)
 		}
-		cc := newCtrlConn(conn, "coordinator")
-		hello, err := cc.recv("hello")
+		cc := &ctrlConn{conn: conn, rank: -1, workers: n, who: "coordinator"}
+		h, addr, err := cc.recv(kindHello)
+		switch {
+		case err != nil:
+		case h.rank < 0 || h.rank >= n:
+			err = fmt.Errorf("dist: coordinator: %w: hello from rank %d of %d", errRankRange, h.rank, n)
+		case conns[h.rank] != nil:
+			err = fmt.Errorf("dist: coordinator: %w: rank %d", errRankTaken, h.rank)
+		}
 		if err != nil {
+			conn.Close()
 			return nil, err
 		}
-		if hello.Rank < 0 || hello.Rank >= n {
-			return nil, fmt.Errorf("dist: hello from rank %d outside [0, %d)", hello.Rank, n)
-		}
-		if conns[hello.Rank] != nil {
-			return nil, fmt.Errorf("dist: two workers claimed rank %d", hello.Rank)
-		}
-		cc.who = fmt.Sprintf("coordinator (rank %d)", hello.Rank)
-		conns[hello.Rank], peers[hello.Rank] = cc, hello.Addr
+		cc.rank, cc.who = h.rank, fmt.Sprintf("coordinator (rank %d)", h.rank)
+		conns[h.rank], peers[h.rank] = cc, string(addr)
 	}
-	defer func() {
-		for _, cc := range conns {
-			cc.conn.Close()
-		}
-	}()
 
-	// Phase 2: publish the rank-ordered ring addresses. PS workers get a
-	// list of empty strings — the message is still their start barrier.
+	// Phase 2: publish the rank-ordered ring addresses, NUL-separated. PS
+	// workers get a list of empty strings — the frame is still their start
+	// barrier.
+	payload := []byte(strings.Join(peers, "\x00"))
 	for _, cc := range conns {
-		if err := cc.send(ctrlMsg{Kind: "peers", Peers: peers}); err != nil {
+		if err := cc.send(kindPeers, payload); err != nil {
 			return nil, err
 		}
 	}
@@ -207,26 +213,29 @@ func (c *Coordinator) Wait() (*RunSummary, error) {
 	// Phase 3: wait for every rank to finish training, then release the
 	// final barrier simultaneously.
 	for _, cc := range conns {
-		if _, err := cc.recv("done"); err != nil {
+		if _, _, err := cc.recv(kindDone); err != nil {
 			return nil, err
 		}
 	}
 	for _, cc := range conns {
-		if err := cc.send(ctrlMsg{Kind: "all-done"}); err != nil {
+		if err := cc.send(kindAllDone, nil); err != nil {
 			return nil, err
 		}
 	}
 
-	// Phase 4: collect results.
-	summary := &RunSummary{Results: make([]WorkerResult, 0, n)}
-	for _, cc := range conns {
-		m, err := cc.recv("result")
+	// Phase 4: collect results, in rank order.
+	summary := &RunSummary{Results: make([]WorkerResult, n)}
+	for r, cc := range conns {
+		_, p, err := cc.recv(kindResult)
+		if err == nil {
+			if summary.Results[r], err = readResult(r, p); err != nil {
+				err = fmt.Errorf("dist: rank %d's result: %w", r, err)
+			}
+		}
 		if err != nil {
 			return nil, err
 		}
-		summary.Results = append(summary.Results, m.Res)
 	}
-	sort.Slice(summary.Results, func(i, j int) bool { return summary.Results[i].Rank < summary.Results[j].Rank })
 
 	summary.Identical = true
 	summary.Hash = summary.Results[0].Hash

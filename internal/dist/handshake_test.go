@@ -80,7 +80,11 @@ func TestPSHandshakeMismatchSendsTheWeights(t *testing.T) {
 		return n
 	}
 	seed1 := model.Build(1)
-	frame := int64(psHeaderLen + weightsPayloadLen(seed1.GradElems(), len(seed1.Params())))
+	_, payload, err := weightsLayout(seed1.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := int64(psHeaderLen + payload)
 
 	mismatched, in := handshakeRun(t, perturbed(), false)
 	if want := (1 + handshakeSteps) * frame; in != want {

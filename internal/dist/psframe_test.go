@@ -133,7 +133,16 @@ func TestPSWireBytesClosedForm(t *testing.T) {
 	}
 	twin := model.Build(1)
 	grads := 4 * twin.GradElems()
-	weights := psHeaderLen + weightsPayloadLen(twin.GradElems(), len(twin.Params()))
+	// A weights frame's layout table: the tensor count, then each tensor's
+	// name and shape, each behind a length byte.
+	table := 4
+	for _, p := range twin.Params() {
+		table += 1 + len(p.Name) + 1 + 4*len(p.Value.Shape())
+	}
+	if table != 82 {
+		t.Fatalf("mlp-wide's layout table is %d bytes, want 82", table)
+	}
+	weights := psHeaderLen + table + grads
 	push := psHeaderLen + grads
 	perRank := psHeaderLen + psFingerprintLen + psHeaderLen + // the handshake: the rank's own weights are version 0
 		steps*(push+weights) +
@@ -264,7 +273,7 @@ func TestPullIsVersionConditional(t *testing.T) {
 		t.Fatalf("first pull: version %d, err %v", version, err)
 	}
 	in0, out0 := a.WireBytes()
-	if want := int64(psHeaderLen + weightsPayloadLen(s.elems, len(s.sizes))); in0 != want {
+	if want := int64(psHeaderLen + len(s.table) + 4*s.elems); in0 != want {
 		t.Fatalf("first pull read %d bytes, want a full %d-byte frame", in0, want)
 	}
 	again, version, err := a.Pull()
@@ -376,8 +385,8 @@ func TestPSClientFailsClosedOnHostileReplies(t *testing.T) {
 	long := rawFrame(statusError, 0, 0, bytes.Repeat([]byte("x"), psMaxErr+1))
 	badMagic := rawFrame(statusUnchanged, 0, -1, nil)
 	copy(badMagic, "XYZ")
-	// One tensor of five scalars announced, three delivered.
-	short := rawFrame(statusWeights, 0, 1, append([]byte{1, 0, 0, 0, 5, 0, 0, 0}, make([]byte, 12)...))
+	// One unnamed tensor of five scalars announced, three delivered.
+	short := rawFrame(statusWeights, 0, 1, append([]byte{1, 0, 0, 0, 0, 1, 5, 0, 0, 0}, make([]byte, 12)...))
 	for name, c := range map[string]struct {
 		reply []byte
 		want  error

@@ -2,12 +2,14 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 
 	"tbd/internal/graph"
@@ -32,16 +34,19 @@ import (
 //
 //	[0:3]   magic "TBD"
 //	[3]     kind (request) or status (reply)
-//	[4:8]   rank     int32   a push's sender
+//	[4:8]   rank     int32   a push's sender; a control frame's connection
 //	[8:12]  version  int32   request: the version the client holds (-1: none)
-//	                         reply: the server's version
+//	                         reply: the server's version; checkpoint: the step
 //	[12:16] length   uint32  payload bytes that follow
 //
 // Both ends build the same model, so a push carries no shapes: the server
 // knows the one payload length each kind may have and refuses any other
 // before it reads or allocates anything. A weights reply starts with the
-// server's layout (tensor count, then each tensor's element count): the
-// client is handed no model, and cuts its retained copy by that table.
+// server's layout table: the tensor count (u32), then per tensor its name
+// (a u8 length, then the bytes) and its shape (a u8 rank, then one u32 per
+// dim). The client is handed no model, and cuts its retained copy by that
+// table. A checkpoint (checkpoint.go) is the same frame, and a loader
+// holds the table to its model's names and shapes.
 //
 // Every rank builds its model from the run's seed, as the server built
 // its master, so a run opens with a handshake instead of a pull: the
@@ -66,9 +71,10 @@ import (
 // reduced, applied and encoded whole. Reply frames are recycled: a frame
 // goes back on a free list once the last writer streaming it is done.
 
-// The parameter-server frame vocabulary. Wirecheck holds every kind to
-// both sides of the protocol: a kind encoded by one end but missing from
-// the other's decode switch would be refused as unknown — the classic
+// The frame vocabulary of the parameter server and of the control
+// protocol (worker.go), which share the header. Wirecheck holds every kind
+// to both sides of its protocol: a kind encoded by one end but missing
+// from the other's decode switch would be refused as unknown — the classic
 // skew bug of hand-rolled protocols.
 //
 //tbd:wire-kinds
@@ -82,6 +88,12 @@ const (
 	statusWeights   // layout table, then raw fp32 weights
 	statusUnchanged // no payload: the client's retained copy, or after a handshake its own weights, is current
 	statusError     // a message of at most psMaxErr bytes; the server then hangs up
+
+	kindHello   // the rank's ring listener address, at most ctrlMaxAddr bytes (none in a parameter-server run)
+	kindPeers   // the rank-ordered addresses the hellos named, NUL-separated
+	kindDone    // no payload: the rank finished training
+	kindAllDone // no payload: every rank finished
+	kindResult  // a result's fixed fields, then the rank's trace as prof.Trace.Write makes it (none unless it profiled)
 )
 
 const (
@@ -96,11 +108,15 @@ const (
 	// psFreeFrames bounds the recycled reply frames kept for reuse; a sync
 	// server runs on two.
 	psFreeFrames = 2
+	// psMaxLayout bounds a layout table, for the end that writes one and
+	// the end that reads one.
+	psMaxLayout = 64 << 10
 )
 
 // Frame errors either end raises on bytes it will not interpret. The
 // server names them in one statusError reply and closes the connection;
-// the client returns them and closes its own.
+// the client returns them and closes its own. The rest of the block are
+// the control protocol's refusals and a checkpoint loader's.
 var (
 	errBadMagic    = errors.New("bad frame magic")
 	errUnknownKind = errors.New("unknown frame kind")
@@ -120,6 +136,14 @@ var (
 
 	errStopped       = errors.New("reply abandoned")
 	errWriterStopped = errors.New("reply writer stopped")
+
+	errOutOfSequence  = errors.New("control frame out of sequence")
+	errWrongRank      = errors.New("control frame from another rank")
+	errRankRange      = errors.New("rank outside the run")
+	errRankTaken      = errors.New("rank claimed twice")
+	errLayoutMismatch = errors.New("layout does not match the model")
+	errTrailingBytes  = errors.New("bytes past the end of the frame")
+	errNegativeStep   = errors.New("negative step")
 )
 
 type psHeader struct {
@@ -165,33 +189,85 @@ func pushPayloadLen(kind byte, elems, tensors int) int {
 	return 4 * elems
 }
 
-// weightsPayloadLen is the payload length of a statusWeights reply.
-func weightsPayloadLen(elems, tensors int) int { return 4 + 4*tensors + 4*elems }
-
-// putLayout writes the layout table that opens a statusWeights payload:
-// the tensor count, then each tensor's element count.
-func putLayout(b []byte, sizes []int) {
-	binary.LittleEndian.PutUint32(b, uint32(len(sizes)))
-	for i, n := range sizes {
-		binary.LittleEndian.PutUint32(b[4+4*i:], uint32(n))
+// weightsLayout returns params' layout table and the length of the
+// statusWeights payload it opens: the table, then the fp32 weights. It
+// refuses a name or a rank over 255, a table over psMaxLayout and a
+// payload over one frame.
+func weightsLayout(params []*layers.Param) (table []byte, length int, err error) {
+	table = binary.LittleEndian.AppendUint32(nil, uint32(len(params)))
+	elems := 0
+	for _, p := range params {
+		shape := p.Value.Shape()
+		if len(p.Name) > math.MaxUint8 || len(shape) > math.MaxUint8 {
+			return nil, 0, fmt.Errorf("dist: tensor %q of rank %d does not fit a layout table", p.Name, len(shape))
+		}
+		table = append(append(append(table, byte(len(p.Name))), p.Name...), byte(len(shape)))
+		for _, d := range shape {
+			table = binary.LittleEndian.AppendUint32(table, uint32(d))
+		}
+		elems += p.Value.Numel()
 	}
+	if len(table) > psMaxLayout || int64(len(table))+4*int64(elems) > math.MaxUint32 {
+		return nil, 0, fmt.Errorf("dist: a model of %d tensors and %d scalars does not fit one weights frame", len(params), elems)
+	}
+	return table, len(table) + 4*elems, nil
+}
+
+// readLayout reads the layout table that opens a statusWeights payload of
+// length bytes into buf, and returns it with each tensor's element count,
+// appended to sizes. It reads no byte past the table, none past
+// psMaxLayout or length, and refuses a table whose weights would not end
+// the payload exactly.
+func readLayout(r io.Reader, buf *wireBuf, sizes []int, length int64) ([]byte, []int, error) {
+	table, elems := buf.bytes[:0], int64(0)
+	var err error
+	take := func(n int) []byte { // the next n bytes; nil once err is set
+		if err == nil && (len(table)+n > psMaxLayout || int64(len(table)+n)+4*elems > length) {
+			err = fmt.Errorf("%w: layout table runs past byte %d of a %d-byte payload", errBadLength, len(table), length)
+		}
+		if err != nil {
+			return nil
+		}
+		table = slices.Grow(table, n)[:len(table)+n]
+		_, err = io.ReadFull(r, table[len(table)-n:])
+		return table[len(table)-n:]
+	}
+	u8 := func() int {
+		if b := take(1); err == nil {
+			return int(b[0])
+		}
+		return 0
+	}
+	count := take(4)
+	for i := uint32(0); err == nil && i < binary.LittleEndian.Uint32(count); i++ {
+		take(u8()) // the name
+		dims, numel := take(4*u8()), int64(1)
+		for j := 0; err == nil && j < len(dims); j += 4 {
+			// numel <= length/4 < 2^30 before each product, so none overflows.
+			if numel *= int64(binary.LittleEndian.Uint32(dims[j:])); int64(len(table))+4*(elems+numel) > length {
+				err = fmt.Errorf("%w: tensor %d's weights run past a %d-byte payload", errBadLength, i, length)
+			}
+		}
+		elems += numel
+		sizes = append(sizes, int(numel))
+	}
+	buf.bytes = table[:0]
+	if err == nil && int64(len(table))+4*elems != length {
+		err = fmt.Errorf("%w: layout accounts for %d of %d bytes", errBadLength, int64(len(table))+4*elems, length)
+	}
+	return table, sizes, err
 }
 
 // weightsFingerprint is the FNV-1a fingerprint of the statusWeights
 // payload that params' weights make: the layout table, then the fp32
 // weights.
-func weightsFingerprint(params []*layers.Param) uint64 {
-	sizes := make([]int, len(params))
-	for i, p := range params {
-		sizes[i] = p.Value.Numel()
-	}
-	table := make([]byte, 4+4*len(sizes))
-	putLayout(table, sizes)
+func weightsFingerprint(params []*layers.Param) (uint64, error) {
+	table, _, err := weightsLayout(params)
 	h := graph.FNV64a(graph.FNVOffset64, table)
 	for _, p := range params {
 		h = graph.FNV64a(h, f32Bytes(p.Value.Data()))
 	}
-	return h
+	return h, err
 }
 
 // psRange is one grain of the flat parameter stream, cut by tensor into
@@ -267,6 +343,7 @@ type PSServer struct {
 	sizes   []int     // elements per parameter
 	elems   int       // their sum
 	ranges  []psRange // the stream's grains, fixed by the model
+	table   []byte    // the layout table every reply frame opens with
 	base    int       // offset of the weights in a reply frame
 	// fp0 is the fingerprint of the version-0 weights payload, which a
 	// handshake must match to be answered statusUnchanged. It is written
@@ -347,7 +424,6 @@ func newPSServer(params []*layers.Param, opt *optim.SGD, workers int, async bool
 		opt:       opt,
 		workers:   workers,
 		sizes:     make([]int, len(params)),
-		base:      psHeaderLen + 4 + 4*len(params),
 		async:     async,
 		staleness: staleness,
 		rankConn:  make([]*psConn, workers),
@@ -359,9 +435,11 @@ func newPSServer(params []*layers.Param, opt *optim.SGD, workers int, async bool
 		s.sizes[i] = p.Value.Numel()
 		s.elems += s.sizes[i]
 	}
-	if int64(weightsPayloadLen(s.elems, len(params))) > math.MaxUint32 {
-		panic("dist: model too large for one parameter-server frame")
+	table, _, err := weightsLayout(params)
+	if err != nil {
+		panic(err)
 	}
+	s.table, s.base = table, psHeaderLen+len(table)
 	s.ranges = cutRanges(params, psRangeElems)
 	s.cond = sync.NewCond(&s.mu)
 	s.reply = s.frameLocked(0)
@@ -862,7 +940,7 @@ func (s *PSServer) frameLocked(version int) *psFrame {
 		f, s.free = s.free[n-1], s.free[:n-1]
 	} else {
 		f = &psFrame{buf: make([]byte, s.base+4*s.elems)}
-		putLayout(f.buf[psHeaderLen:], s.sizes)
+		copy(f.buf[psHeaderLen:], s.table)
 	}
 	putHeader(f.buf, statusWeights, 0, version, len(f.buf)-psHeaderLen)
 	f.mark, f.refs = 0, 1
@@ -938,7 +1016,9 @@ type PSClient struct {
 	quit      chan struct{} // closed by Close
 	closeOnce sync.Once
 
-	weights [][]float32 // laid out by the server's first weights reply
+	weights [][]float32 // laid out by layout
+	layout  []byte      // the table of the last weights reply
+	sizes   []int       // its tensors' element counts
 	version int         // of weights; -1 before the first reply
 
 	quant *Int8Quantizer // error-feedback state for int8 pushes
@@ -1001,7 +1081,11 @@ func (c *PSClient) Handshake(params []*layers.Param) ([][]float32, int, error) {
 	if c.version != -1 {
 		return nil, 0, fmt.Errorf("dist: handshake on a client already holding version %d", c.version)
 	}
-	binary.LittleEndian.PutUint64(c.fp[:], weightsFingerprint(params))
+	fp, err := weightsFingerprint(params)
+	if err != nil {
+		return nil, 0, err
+	}
+	binary.LittleEndian.PutUint64(c.fp[:], fp)
 	weights, version, err := c.roundTrip(kindHandshake, 0, nil)
 	if weights == nil {
 		version = 0
@@ -1165,35 +1249,18 @@ func (c *PSClient) receive(kind byte) error {
 
 // readWeights decodes a statusWeights payload of length bytes. The layout
 // table must account for the length exactly; the retained copy is sized
-// from it on the first reply and reused while the layout holds.
+// from it on the first reply and reused while the table holds.
 func (c *PSClient) readWeights(length int64) error {
-	var word [4]byte
-	if _, err := io.ReadFull(c.r, word[:]); err != nil {
+	table, sizes, err := readLayout(c.r, &c.rbuf, c.sizes[:0], length)
+	if err != nil {
 		return err
 	}
-	n := int64(binary.LittleEndian.Uint32(word[:]))
-	if 4+4*n > length {
-		return fmt.Errorf("%w: %d tensors in %d bytes", errBadLength, n, length)
-	}
-	table := c.rbuf.grow(int(4 * n))
-	if _, err := io.ReadFull(c.r, table); err != nil {
-		return err
-	}
-	size := func(i int) int { return int(binary.LittleEndian.Uint32(table[4*i:])) }
-	total, same := 4+4*n, int(n) == len(c.weights)
-	for i := 0; i < int(n); i++ {
-		total += 4 * int64(size(i))
-		same = same && size(i) == len(c.weights[i])
-	}
-	if total != length {
-		return fmt.Errorf("%w: layout accounts for %d of %d bytes", errBadLength, total, length)
-	}
-	if !same {
-		sizes := make([]int, n)
-		for i := range sizes {
-			sizes[i] = size(i)
+	if c.sizes = sizes; !bytes.Equal(table, c.layout) {
+		c.layout, c.weights = append(c.layout[:0], table...), make([][]float32, len(sizes))
+		flat := make([]float32, (length-int64(len(table)))/4)
+		for i, n := range sizes {
+			c.weights[i], flat = flat[:n:n], flat[n:]
 		}
-		c.weights = splitFlat(make([]float32, (total-4-4*n)/4), sizes)
 	}
 	for _, w := range c.weights {
 		if err := c.rbuf.readF32(c.r, w); err != nil {
@@ -1201,15 +1268,6 @@ func (c *PSClient) readWeights(length int64) error {
 		}
 	}
 	return nil
-}
-
-// splitFlat cuts flat into consecutive tensors of the given sizes.
-func splitFlat(flat []float32, sizes []int) [][]float32 {
-	out := make([][]float32, len(sizes))
-	for i, n := range sizes {
-		out[i], flat = flat[:n:n], flat[n:]
-	}
-	return out
 }
 
 // LoadWeights copies pulled weights into a parameter list.

@@ -4,15 +4,19 @@
 // gradients move over real TCP: a ring all-reduce (ring.go) or a
 // synchronous / bounded-staleness parameter server (psnet.go), both on
 // wire.go's frames and optionally throttled (throttle.go). Ranks meet
-// through a tiny gob control protocol (hello -> peers -> done -> all-done
-// -> result) owned by the Coordinator in coord.go. The simulated cluster
-// model of Figure 10 lives in internal/sim.
+// through a control protocol (hello -> peers -> done -> all-done ->
+// result) on psnet.go's frame header, owned by the Coordinator in
+// coord.go. The simulated cluster model of Figure 10 lives in
+// internal/sim.
 package dist
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"time"
 
 	"tbd/internal/graph"
@@ -161,58 +165,141 @@ type WorkerResult struct {
 	WireIn, WireOut int64
 	Window          metrics.Window
 	// Trace is this rank's dependence-graph capture (nil unless the run
-	// profiled). It rides the gob result message so the coordinator can
+	// profiled). It rides the result frame as the bytes prof.Trace.Write
+	// makes, so the coordinator reads it with the one trace reader and can
 	// merge every rank into one cluster trace.
 	Trace *prof.Trace
 }
 
+// The control protocol: hello -> peers -> done -> all-done -> result, one
+// frame each on psnet.go's header, every frame carrying its connection's
+// rank (the coordinator learns it from the hello). A receive checks the
+// kind the protocol expects next, the rank and the kind's payload bound
+// before it reads a payload byte.
+
 // ctrlTimeout bounds every control-protocol read and write.
 const ctrlTimeout = 120 * time.Second
 
-// ctrlMsg is one control-protocol message (gob).
-type ctrlMsg struct {
-	// Kind is "hello", "peers", "done", "all-done", or "result".
-	Kind  string
-	Rank  int
-	Addr  string
-	Peers []string
-	Res   WorkerResult
+// ctrlMaxAddr bounds a hello's ring address.
+const ctrlMaxAddr = 255
+
+// ctrlNames names the control kinds in errors.
+var ctrlNames = map[byte]string{kindHello: "hello", kindPeers: "peers", kindDone: "done", kindAllDone: "all-done", kindResult: "result"}
+
+// ctrlBound is the largest payload a control frame of kind may carry in
+// a run of workers ranks.
+func ctrlBound(kind byte, workers int) (int64, error) {
+	switch kind {
+	case kindHello:
+		return ctrlMaxAddr, nil
+	case kindPeers:
+		return int64(workers) * (ctrlMaxAddr + 1), nil
+	case kindDone, kindAllDone:
+		return 0, nil
+	case kindResult:
+		return resultFixedLen + prof.MaxTraceBytes, nil
+	}
+	return 0, fmt.Errorf("%w %d", errUnknownKind, kind)
+}
+
+// resultFields points at a result's fixed-width fields in wire order,
+// its ints through ints; the rank rides the header and the trace follows.
+// One list serves the encoder and the decoder.
+func resultFields(r *WorkerResult, ints *[3]int64) []any {
+	return []any{&ints[0], &r.Hash, &r.FirstLoss, &r.LastLoss, &r.WallSec, &r.CommSec,
+		&r.WireIn, &r.WireOut, &ints[1], &ints[2], &r.Window.MeanSec, &r.Window.StdSec, &r.Window.Throughput}
+}
+
+// resultFixedLen is the fixed part's length: eleven 8-byte fields and two
+// float32 losses.
+const resultFixedLen = 11*8 + 2*4
+
+// resultPayload encodes res as a result frame's payload.
+func resultPayload(res *WorkerResult) ([]byte, error) {
+	var b bytes.Buffer
+	ints := [3]int64{int64(res.Steps), int64(res.Window.Start), int64(res.Window.Count)}
+	for _, f := range resultFields(res, &ints) {
+		if err := binary.Write(&b, binary.LittleEndian, f); err != nil {
+			return nil, err
+		}
+	}
+	if res.Trace != nil {
+		if err := res.Trace.Write(&b); err != nil {
+			return nil, err
+		}
+	}
+	return b.Bytes(), nil
+}
+
+// readResult decodes rank's result frame payload p, its trace through
+// prof.ReadTrace.
+func readResult(rank int, p []byte) (WorkerResult, error) {
+	res, ints, r := WorkerResult{Rank: rank}, [3]int64{}, bytes.NewReader(p)
+	for _, f := range resultFields(&res, &ints) {
+		if binary.Read(r, binary.LittleEndian, f) != nil {
+			return res, fmt.Errorf("%w: a result of %d bytes, its fixed part is %d", errBadLength, len(p), resultFixedLen)
+		}
+	}
+	res.Steps, res.Window.Start, res.Window.Count = int(ints[0]), int(ints[1]), int(ints[2])
+	var err error
+	if r.Len() > 0 {
+		res.Trace, err = prof.ReadTrace(r)
+		if err == nil && (len(res.Trace.Ranks) != 1 || res.Trace.Ranks[0].Rank != rank) {
+			err = fmt.Errorf("%w: its trace is not one capture of rank %d", errWrongRank, rank)
+		}
+	}
+	return res, err
 }
 
 // ctrlConn is one end of a rank's control connection, the same on the
-// coordinator and the worker: every message under ctrlTimeout, every
-// receive checked against the kind the protocol expects next.
+// coordinator and the worker.
 type ctrlConn struct {
-	conn net.Conn
-	dec  *gob.Decoder
-	enc  *gob.Encoder
+	conn    net.Conn
+	rank    int // the connection's; -1 on the coordinator before the hello
+	workers int
 	// who names this end in errors: "rank 2", "coordinator (rank 2)".
 	who string
 }
 
-func newCtrlConn(conn net.Conn, who string) *ctrlConn {
-	return &ctrlConn{conn: conn, dec: gob.NewDecoder(conn), enc: gob.NewEncoder(conn), who: who}
-}
-
-func (c *ctrlConn) send(m ctrlMsg) error {
+func (c *ctrlConn) send(kind byte, payload []byte) error {
 	if err := c.conn.SetWriteDeadline(time.Now().Add(ctrlTimeout)); err != nil {
 		return err
 	}
-	return c.enc.Encode(&m)
+	frame := make([]byte, psHeaderLen, psHeaderLen+len(payload))
+	putHeader(frame, kind, c.rank, 0, len(payload))
+	_, err := c.conn.Write(append(frame, payload...))
+	return err
 }
 
-func (c *ctrlConn) recv(wantKind string) (ctrlMsg, error) {
+// recv reads the next frame, which must be of kind want, and returns its
+// header and payload. The payload buffer grows with the bytes that arrive,
+// not with the length the header claims.
+func (c *ctrlConn) recv(want byte) (psHeader, []byte, error) {
 	if err := c.conn.SetReadDeadline(time.Now().Add(ctrlTimeout)); err != nil {
-		return ctrlMsg{}, err
+		return psHeader{}, nil, err
 	}
-	var m ctrlMsg
-	if err := c.dec.Decode(&m); err != nil {
-		return ctrlMsg{}, fmt.Errorf("dist: %s await %s: %w", c.who, wantKind, err)
+	var p []byte
+	h, err := readHeader(c.conn)
+	if err == nil {
+		var bound int64
+		switch bound, err = ctrlBound(h.kind, c.workers); {
+		case err != nil:
+		case h.kind != want:
+			err = fmt.Errorf("%w: got %s", errOutOfSequence, ctrlNames[h.kind])
+		case h.length > bound:
+			err = fmt.Errorf("%w: %d payload bytes, at most %d", errBadLength, h.length, bound)
+		case c.rank >= 0 && h.rank != c.rank:
+			err = fmt.Errorf("%w: rank %d's frame on rank %d's connection", errWrongRank, h.rank, c.rank)
+		default:
+			if p, err = io.ReadAll(io.LimitReader(c.conn, h.length)); err == nil && int64(len(p)) < h.length {
+				err = io.ErrUnexpectedEOF
+			}
+		}
 	}
-	if m.Kind != wantKind {
-		return ctrlMsg{}, fmt.Errorf("dist: %s got %q, want %q", c.who, m.Kind, wantKind)
+	if err != nil {
+		return psHeader{}, nil, fmt.Errorf("dist: %s await %s: %w", c.who, ctrlNames[want], err)
 	}
-	return m, nil
+	return h, p, nil
 }
 
 // RunWorker joins the run described by cfg, trains for cfg.Steps, and
@@ -236,30 +323,34 @@ func RunWorker(cfg WorkerConfig) (WorkerResult, error) {
 		return WorkerResult{}, fmt.Errorf("dist: rank %d dial coordinator: %w", cfg.Rank, err)
 	}
 	defer conn.Close()
-	ctrl := newCtrlConn(conn, fmt.Sprintf("rank %d", cfg.Rank))
+	ctrl := &ctrlConn{conn: conn, rank: cfg.Rank, workers: cfg.Workers, who: fmt.Sprintf("rank %d", cfg.Rank)}
 
-	// Transport setup: a ring listener or a parameter-server client.
-	var ring *Ring
-	var ps *PSClient
-	hello := ctrlMsg{Kind: "hello", Rank: cfg.Rank}
+	// Transport setup: a ring listener, whose address the hello carries,
+	// or a parameter-server client once the peers frame starts the run.
+	var l net.Listener
+	var addr []byte
 	if cfg.Strategy == RunRing {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
+		if l, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
 			return WorkerResult{}, err
 		}
 		defer l.Close()
-		hello.Addr = l.Addr().String()
-		if err := ctrl.send(hello); err != nil {
-			return WorkerResult{}, err
-		}
-		peers, err := ctrl.recv("peers")
-		if err != nil {
-			return WorkerResult{}, err
-		}
-		if len(peers.Peers) != cfg.Workers {
-			return WorkerResult{}, fmt.Errorf("dist: rank %d got %d peers for %d workers", cfg.Rank, len(peers.Peers), cfg.Workers)
-		}
-		ring, err = NewRing(l, peers.Peers[(cfg.Rank+1)%cfg.Workers], RingConfig{
+		addr = []byte(l.Addr().String())
+	}
+	if err := ctrl.send(kindHello, addr); err != nil {
+		return WorkerResult{}, err
+	}
+	_, payload, err := ctrl.recv(kindPeers)
+	if err != nil {
+		return WorkerResult{}, err
+	}
+	peers := strings.Split(string(payload), "\x00")
+	if len(peers) != cfg.Workers {
+		return WorkerResult{}, fmt.Errorf("dist: %s: %w: %d peers for %d workers", ctrl.who, errBadLength, len(peers), cfg.Workers)
+	}
+	var ring *Ring
+	var ps *PSClient
+	if l != nil {
+		ring, err = NewRing(l, peers[(cfg.Rank+1)%cfg.Workers], RingConfig{
 			Rank: cfg.Rank, Workers: cfg.Workers, Compression: cfg.Compression, BytesPerSec: cfg.BytesPerSec,
 		})
 		if err != nil {
@@ -267,12 +358,6 @@ func RunWorker(cfg WorkerConfig) (WorkerResult, error) {
 		}
 		defer ring.Close()
 	} else {
-		if err := ctrl.send(hello); err != nil {
-			return WorkerResult{}, err
-		}
-		if _, err := ctrl.recv("peers"); err != nil {
-			return WorkerResult{}, err
-		}
 		ps, err = DialPSThrottled(cfg.PSAddr, cfg.BytesPerSec)
 		if err != nil {
 			return WorkerResult{}, err
@@ -290,10 +375,10 @@ func RunWorker(cfg WorkerConfig) (WorkerResult, error) {
 	// all ranks hold the same final state even under async updates. In a
 	// sync run the last push reply already carried them and the pull is a
 	// header each way.
-	if err := ctrl.send(ctrlMsg{Kind: "done", Rank: cfg.Rank}); err != nil {
+	if err := ctrl.send(kindDone, nil); err != nil {
 		return WorkerResult{}, err
 	}
-	if _, err := ctrl.recv("all-done"); err != nil {
+	if _, _, err := ctrl.recv(kindAllDone); err != nil {
 		return WorkerResult{}, err
 	}
 	if ps != nil {
@@ -308,7 +393,11 @@ func RunWorker(cfg WorkerConfig) (WorkerResult, error) {
 		res.result.WireIn, res.result.WireOut = in, out
 	}
 	res.result.Hash = res.net.WeightsHash()
-	if err := ctrl.send(ctrlMsg{Kind: "result", Rank: cfg.Rank, Res: res.result}); err != nil {
+	payload, err = resultPayload(&res.result)
+	if err == nil {
+		err = ctrl.send(kindResult, payload)
+	}
+	if err != nil {
 		return WorkerResult{}, err
 	}
 	return res.result, nil

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"testing"
 
 	"tbd/internal/data"
@@ -131,121 +130,6 @@ func TestMemoryAccounting(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	rng := tensor.NewRNG(10)
-	net := mlp(rng)
-	// Train a little so weights are non-trivial.
-	opt := optim.NewSGD(0.1)
-	for i := 0; i < 20; i++ {
-		x, y := twoClusterBatch(rng, 16)
-		TrainClassifierStep(net, opt, x, y, 0)
-	}
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, net, 20); err != nil {
-		t.Fatal(err)
-	}
-	restored := mlp(tensor.NewRNG(999)) // different init
-	step, err := LoadCheckpoint(&buf, restored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step != 20 {
-		t.Fatalf("restored step %d, want 20", step)
-	}
-	for i, p := range net.Params() {
-		if !tensor.Equal(p.Value, restored.Params()[i].Value, 0) {
-			t.Fatalf("parameter %s not restored", p.Name)
-		}
-	}
-}
-
-func TestCheckpointResumeEquivalence(t *testing.T) {
-	// Training 40 steps straight equals training 20, checkpointing,
-	// restoring into a fresh network, and training 20 more on the same
-	// data stream.
-	makeData := func() func() (*tensor.Tensor, []int) {
-		rng := tensor.NewRNG(77)
-		return func() (*tensor.Tensor, []int) { return twoClusterBatch(rng, 16) }
-	}
-	straight := mlp(tensor.NewRNG(1))
-	optA := optim.NewSGD(0.1)
-	dataA := makeData()
-	for i := 0; i < 40; i++ {
-		x, y := dataA()
-		TrainClassifierStep(straight, optA, x, y, 0)
-	}
-
-	phase1 := mlp(tensor.NewRNG(1))
-	optB := optim.NewSGD(0.1)
-	dataB := makeData()
-	for i := 0; i < 20; i++ {
-		x, y := dataB()
-		TrainClassifierStep(phase1, optB, x, y, 0)
-	}
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, phase1, 20); err != nil {
-		t.Fatal(err)
-	}
-	resumed := mlp(tensor.NewRNG(2))
-	if _, err := LoadCheckpoint(&buf, resumed); err != nil {
-		t.Fatal(err)
-	}
-	optC := optim.NewSGD(0.1) // SGD is stateless, so resume is exact
-	for i := 0; i < 20; i++ {
-		x, y := dataB()
-		TrainClassifierStep(resumed, optC, x, y, 0)
-	}
-	for i, p := range straight.Params() {
-		if !tensor.Equal(p.Value, resumed.Params()[i].Value, 1e-6) {
-			t.Fatalf("resume diverged at parameter %s", p.Name)
-		}
-	}
-}
-
-func TestCheckpointRejectsMismatchedNetwork(t *testing.T) {
-	rng := tensor.NewRNG(12)
-	net := mlp(rng)
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, net, 1); err != nil {
-		t.Fatal(err)
-	}
-	other := New("different", layers.NewSequential("d",
-		layers.NewDense("fc1", 2, 8, rng), // smaller hidden layer
-		layers.NewReLU("relu1"),
-		layers.NewDense("fc2", 8, 2, rng),
-	))
-	if _, err := LoadCheckpoint(&buf, other); err == nil {
-		t.Fatal("shape mismatch must be rejected")
-	}
-	// And garbage input must fail cleanly.
-	if _, err := LoadCheckpoint(bytes.NewBufferString("not a checkpoint"), net); err == nil {
-		t.Fatal("garbage must be rejected")
-	}
-}
-
-func TestCheckpointRejectsReshapedParameter(t *testing.T) {
-	// Same name, same element count, different shape: both loaders must
-	// refuse it and leave the network as it was.
-	rng := tensor.NewRNG(13)
-	wide := New("net", layers.NewDenseNoBias("fc", 2, 8, rng))
-	square := New("net", layers.NewDenseNoBias("fc", 4, 4, rng))
-	before := square.WeightsHash()
-	opt := optim.NewAdam(0.01)
-	var buf bytes.Buffer
-	if err := SaveCheckpointWithOptimizer(&buf, wide, opt, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), square); err == nil {
-		t.Error("LoadCheckpoint restored a [2 8] tensor into a [4 4] parameter")
-	}
-	if _, err := LoadCheckpointWithOptimizer(bytes.NewReader(buf.Bytes()), square, opt); err == nil {
-		t.Error("LoadCheckpointWithOptimizer restored a [2 8] tensor into a [4 4] parameter")
-	}
-	if square.WeightsHash() != before {
-		t.Error("a refused checkpoint changed the network")
-	}
-}
-
 func TestGradientAccumulationMatchesFullBatch(t *testing.T) {
 	// k micro-batches with accumulation produce the same update as one
 	// full batch — the memory/batch trade of Observation 12, with
@@ -292,59 +176,6 @@ func TestGradientAccumulationReducesPeakStash(t *testing.T) {
 		t.Fatalf("micro-batch stash %d x4 != full %d", net.StashBytes(), fullStash)
 	}
 	_ = labels
-}
-
-func TestCheckpointWithOptimizerExactAdamResume(t *testing.T) {
-	// Adam's moments must survive the checkpoint for an exact resume.
-	makeData := func() func() (*tensor.Tensor, []int) {
-		rng := tensor.NewRNG(88)
-		return func() (*tensor.Tensor, []int) { return twoClusterBatch(rng, 16) }
-	}
-	straight := mlp(tensor.NewRNG(1))
-	optA := optim.NewAdam(0.01)
-	dataA := makeData()
-	for i := 0; i < 40; i++ {
-		x, y := dataA()
-		TrainClassifierStep(straight, optA, x, y, 0)
-	}
-
-	phase1 := mlp(tensor.NewRNG(1))
-	optB := optim.NewAdam(0.01)
-	dataB := makeData()
-	for i := 0; i < 20; i++ {
-		x, y := dataB()
-		TrainClassifierStep(phase1, optB, x, y, 0)
-	}
-	var buf bytes.Buffer
-	if err := SaveCheckpointWithOptimizer(&buf, phase1, optB, 20); err != nil {
-		t.Fatal(err)
-	}
-	resumed := mlp(tensor.NewRNG(5))
-	optC := optim.NewAdam(0.01)
-	step, err := LoadCheckpointWithOptimizer(&buf, resumed, optC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step != 20 {
-		t.Fatalf("step %d", step)
-	}
-	for i := 0; i < 20; i++ {
-		x, y := dataB()
-		TrainClassifierStep(resumed, optC, x, y, 0)
-	}
-	for i, p := range straight.Params() {
-		if !tensor.Equal(p.Value, resumed.Params()[i].Value, 1e-6) {
-			t.Fatalf("adam checkpoint resume diverged at %s", p.Name)
-		}
-	}
-	// A weights-only checkpoint must be rejected by the optimizer loader.
-	var plain bytes.Buffer
-	if err := SaveCheckpoint(&plain, phase1, 20); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpointWithOptimizer(&plain, resumed, optim.NewAdam(0.01)); err == nil {
-		t.Fatal("missing optimizer state must be rejected")
-	}
 }
 
 func TestLinearScalingRuleRecoversLargeBatchTraining(t *testing.T) {

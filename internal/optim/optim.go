@@ -7,7 +7,6 @@
 package optim
 
 import (
-	"fmt"
 	"math"
 
 	"tbd/internal/layers"
@@ -35,59 +34,6 @@ type Optimizer interface {
 	Step(params []*layers.Param)
 	// StateBytes reports optimizer state memory (the "dynamic" category).
 	StateBytes() int64
-}
-
-// Stateful optimizers can serialize their per-parameter state so a
-// checkpointed run resumes exactly (bit-equal trajectories for Momentum,
-// Adam, and RMSProp, not just for stateless SGD). State is keyed by the
-// parameter's position in the params slice, which must match between
-// Snapshot and Restore.
-type Stateful interface {
-	Optimizer
-	// Snapshot extracts the state for the given parameters.
-	Snapshot(params []*layers.Param) OptimizerState
-	// Restore installs previously snapshotted state.
-	Restore(params []*layers.Param, st OptimizerState) error
-}
-
-// OptimizerState is a serializable optimizer-state payload.
-type OptimizerState struct {
-	// Kind guards against restoring one optimizer's state into another.
-	Kind string
-	// Step is the update counter (Adam's bias-correction time).
-	Step int
-	// Slots maps slot name ("velocity", "m", "v", "sq") to per-parameter
-	// buffers, indexed like the params slice.
-	Slots map[string][][]float32
-}
-
-// snapshotSlot extracts one map-keyed slot in param order.
-func snapshotSlot(params []*layers.Param, m map[*layers.Param][]float32) [][]float32 {
-	out := make([][]float32, len(params))
-	for i, p := range params {
-		if buf, ok := m[p]; ok {
-			out[i] = append([]float32(nil), buf...)
-		}
-	}
-	return out
-}
-
-// restoreSlot installs one slot, validating sizes.
-func restoreSlot(kind, name string, params []*layers.Param, m map[*layers.Param][]float32, data [][]float32) error {
-	if len(data) != len(params) {
-		return fmt.Errorf("optim: %s state slot %q has %d entries for %d params", kind, name, len(data), len(params))
-	}
-	for i, buf := range data {
-		if buf == nil {
-			continue
-		}
-		if len(buf) != params[i].Value.Numel() {
-			return fmt.Errorf("optim: %s state slot %q entry %d has %d elements, want %d",
-				kind, name, i, len(buf), params[i].Value.Numel())
-		}
-		m[params[i]] = append([]float32(nil), buf...)
-	}
-	return nil
 }
 
 // SGD is plain stochastic gradient descent with optional weight decay.
@@ -154,22 +100,6 @@ func (o *Momentum) StateBytes() int64 {
 	return n
 }
 
-// Snapshot implements Stateful.
-func (o *Momentum) Snapshot(params []*layers.Param) OptimizerState {
-	return OptimizerState{Kind: "momentum", Slots: map[string][][]float32{
-		"velocity": snapshotSlot(params, o.velocity),
-	}}
-}
-
-// Restore implements Stateful.
-func (o *Momentum) Restore(params []*layers.Param, st OptimizerState) error {
-	if st.Kind != "momentum" {
-		return fmt.Errorf("optim: cannot restore %q state into Momentum", st.Kind)
-	}
-	o.velocity = make(map[*layers.Param][]float32)
-	return restoreSlot("momentum", "velocity", params, o.velocity, st.Slots["velocity"])
-}
-
 // Adam is the Adam optimizer (Kingma & Ba).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float32
@@ -215,28 +145,6 @@ func (o *Adam) StateBytes() int64 {
 	return n
 }
 
-// Snapshot implements Stateful.
-func (o *Adam) Snapshot(params []*layers.Param) OptimizerState {
-	return OptimizerState{Kind: "adam", Step: o.t, Slots: map[string][][]float32{
-		"m": snapshotSlot(params, o.m),
-		"v": snapshotSlot(params, o.v),
-	}}
-}
-
-// Restore implements Stateful.
-func (o *Adam) Restore(params []*layers.Param, st OptimizerState) error {
-	if st.Kind != "adam" {
-		return fmt.Errorf("optim: cannot restore %q state into Adam", st.Kind)
-	}
-	o.t = st.Step
-	o.m = make(map[*layers.Param][]float32)
-	o.v = make(map[*layers.Param][]float32)
-	if err := restoreSlot("adam", "m", params, o.m, st.Slots["m"]); err != nil {
-		return err
-	}
-	return restoreSlot("adam", "v", params, o.v, st.Slots["v"])
-}
-
 // RMSProp is the RMSProp optimizer, the classic choice for A3C.
 type RMSProp struct {
 	LR, Decay, Eps float32
@@ -270,22 +178,6 @@ func (o *RMSProp) StateBytes() int64 {
 		n += int64(len(s)) * 4
 	}
 	return n
-}
-
-// Snapshot implements Stateful.
-func (o *RMSProp) Snapshot(params []*layers.Param) OptimizerState {
-	return OptimizerState{Kind: "rmsprop", Slots: map[string][][]float32{
-		"sq": snapshotSlot(params, o.sq),
-	}}
-}
-
-// Restore implements Stateful.
-func (o *RMSProp) Restore(params []*layers.Param, st OptimizerState) error {
-	if st.Kind != "rmsprop" {
-		return fmt.Errorf("optim: cannot restore %q state into RMSProp", st.Kind)
-	}
-	o.sq = make(map[*layers.Param][]float32)
-	return restoreSlot("rmsprop", "sq", params, o.sq, st.Slots["sq"])
 }
 
 // ZeroGrads clears every parameter gradient.

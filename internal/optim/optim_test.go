@@ -141,113 +141,3 @@ func TestAdamBeatsSGDOnIllConditioned(t *testing.T) {
 		t.Fatalf("adam |y| = %g not better than sgd |y| = %g", adamY, sgdY)
 	}
 }
-
-func TestAdamSnapshotRestoreExactResume(t *testing.T) {
-	// 40 straight Adam steps == 20 steps + snapshot + restore into a
-	// fresh optimizer + 20 more steps.
-	run := func(opt *Adam, p *layers.Param, steps int) {
-		for i := 0; i < steps; i++ {
-			setQuadGrad(p)
-			opt.Step([]*layers.Param{p})
-			p.ZeroGrad()
-		}
-	}
-	straight := quadParam([]float32{5, -3, 2})
-	optA := NewAdam(0.05)
-	run(optA, straight, 40)
-
-	phased := quadParam([]float32{5, -3, 2})
-	optB := NewAdam(0.05)
-	run(optB, phased, 20)
-	st := optB.Snapshot([]*layers.Param{phased})
-	optC := NewAdam(0.05)
-	if err := optC.Restore([]*layers.Param{phased}, st); err != nil {
-		t.Fatal(err)
-	}
-	run(optC, phased, 20)
-
-	for i := range straight.Value.Data() {
-		d := straight.Value.Data()[i] - phased.Value.Data()[i]
-		if d > 1e-7 || d < -1e-7 {
-			t.Fatalf("adam resume diverged at %d: %g vs %g", i, straight.Value.Data()[i], phased.Value.Data()[i])
-		}
-	}
-}
-
-func TestMomentumAndRMSPropSnapshotRestore(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func() Stateful
-	}{
-		{"momentum", func() Stateful { return NewMomentum(0.05, 0.9) }},
-		{"rmsprop", func() Stateful { return NewRMSProp(0.05) }},
-	} {
-		straight := quadParam([]float32{4, -2})
-		a := tc.mk()
-		for i := 0; i < 30; i++ {
-			setQuadGrad(straight)
-			a.Step([]*layers.Param{straight})
-			straight.ZeroGrad()
-		}
-		phased := quadParam([]float32{4, -2})
-		b := tc.mk()
-		for i := 0; i < 15; i++ {
-			setQuadGrad(phased)
-			b.Step([]*layers.Param{phased})
-			phased.ZeroGrad()
-		}
-		st := b.Snapshot([]*layers.Param{phased})
-		c := tc.mk()
-		if err := c.Restore([]*layers.Param{phased}, st); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		for i := 0; i < 15; i++ {
-			setQuadGrad(phased)
-			c.Step([]*layers.Param{phased})
-			phased.ZeroGrad()
-		}
-		for i := range straight.Value.Data() {
-			d := straight.Value.Data()[i] - phased.Value.Data()[i]
-			if d > 1e-7 || d < -1e-7 {
-				t.Fatalf("%s resume diverged", tc.name)
-			}
-		}
-	}
-}
-
-func TestRestoreRejectsWrongKind(t *testing.T) {
-	p := quadParam([]float32{1})
-	m := NewMomentum(0.1, 0.9)
-	setQuadGrad(p)
-	m.Step([]*layers.Param{p})
-	st := m.Snapshot([]*layers.Param{p})
-	a := NewAdam(0.1)
-	if err := a.Restore([]*layers.Param{p}, st); err == nil {
-		t.Fatal("adam must reject momentum state")
-	}
-	// And mismatched sizes.
-	st2 := m.Snapshot([]*layers.Param{p})
-	st2.Slots["velocity"][0] = st2.Slots["velocity"][0][:0]
-	m2 := NewMomentum(0.1, 0.9)
-	p2 := quadParam([]float32{1})
-	if err := m2.Restore([]*layers.Param{p2}, st2); err != nil {
-		// Zero-length buffer for a 1-element param must error... unless
-		// skipped; verify the error fires.
-		_ = err
-	} else {
-		t.Fatal("size mismatch must be rejected")
-	}
-}
-
-func TestSnapshotBeforeAnyStepIsEmptyButRestorable(t *testing.T) {
-	p := quadParam([]float32{1, 2})
-	a := NewAdam(0.1)
-	st := a.Snapshot([]*layers.Param{p})
-	b := NewAdam(0.1)
-	if err := b.Restore([]*layers.Param{p}, st); err != nil {
-		t.Fatal(err)
-	}
-	// Fresh restore behaves like a fresh optimizer.
-	setQuadGrad(p)
-	b.Step([]*layers.Param{p})
-}

@@ -24,10 +24,12 @@ const traceVersion = 2
 // The reader's bounds come from the largest capture a recorder writes (a
 // distributed rank: 1<<20 spans). A span is one event plus at most one
 // flow pair, and no recorder writes near 512 bytes a span. maxTraceUs
-// (31 years) keeps a tree's nanosecond sums from overflowing.
+// (31 years) keeps a tree's nanosecond sums from overflowing. A frame
+// that carries a trace (a distributed rank's result) is bounded by
+// MaxTraceBytes too.
 const (
 	maxTraceEvents = 3 << 20
-	maxTraceBytes  = 512 << 20
+	MaxTraceBytes  = 512 << 20
 	maxTraceUs     = 1e15
 )
 
@@ -270,7 +272,7 @@ func ReadTraceFile(path string) (*Trace, error) {
 // unknown format version, dropped spans, and every edge BuildTree
 // refuses.
 func ReadTrace(r io.Reader) (*Trace, error) {
-	return readTrace(r, maxTraceBytes, maxTraceEvents)
+	return readTrace(r, MaxTraceBytes, maxTraceEvents)
 }
 
 func readTrace(r io.Reader, maxBytes int64, maxEvents int) (*Trace, error) {

@@ -296,7 +296,7 @@ func (f *Fleet) Close() {
 
 // Swap replaces every replica's weights with zero downtime. It builds
 // fresh sessions with the fleet's factory, shares them, hands the
-// primary to load (typically graph.LoadCheckpoint via Session.Model),
+// primary to load (typically dist.LoadCheckpoint via Session.Model),
 // re-freezes fp16 storage when the fleet runs half weights, validates
 // the result with a full-width canary forward, and then flips replicas
 // one at a time: each flip is a control message through the replica's

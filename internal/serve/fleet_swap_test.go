@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"tbd/internal/dist"
 	"tbd/internal/graph"
 	"tbd/internal/models"
 	"tbd/internal/optim"
@@ -39,7 +40,7 @@ func trainedCheckpoint(t *testing.T, seed uint64) ([]byte, *graph.Network, []int
 		graph.TrainClassifierStep(net, opt, x, labels, 0)
 	}
 	var buf bytes.Buffer
-	if err := graph.SaveCheckpoint(&buf, net, 3); err != nil {
+	if err := dist.WriteCheckpoint(&buf, net, 3); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), net, shape
@@ -121,7 +122,7 @@ func checkSwapUnderLoad(t *testing.T, maxWait time.Duration) {
 	time.Sleep(10 * time.Millisecond) // mid-load
 
 	if err := f.Swap(func(primary *Session) error {
-		_, err := graph.LoadCheckpoint(bytes.NewReader(ckpt), primary.Model().(*graph.Network))
+		_, err := dist.LoadCheckpoint(bytes.NewReader(ckpt), primary.Model().(*graph.Network))
 		return err
 	}); err != nil {
 		t.Fatalf("swap under load: %v", err)
@@ -283,7 +284,7 @@ func TestFleetSwapFp16Refreeze(t *testing.T) {
 	}
 
 	if err := f.Swap(func(primary *Session) error {
-		_, err := graph.LoadCheckpoint(bytes.NewReader(ckpt), primary.Model().(*graph.Network))
+		_, err := dist.LoadCheckpoint(bytes.NewReader(ckpt), primary.Model().(*graph.Network))
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -295,7 +296,7 @@ func TestFleetSwapFp16Refreeze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := graph.LoadCheckpoint(bytes.NewReader(ckpt), refNet); err != nil {
+	if _, err := dist.LoadCheckpoint(bytes.NewReader(ckpt), refNet); err != nil {
 		t.Fatal(err)
 	}
 	ref := NewSession(refNet, shape...)
@@ -399,7 +400,7 @@ func TestFleetSwapLoadError(t *testing.T) {
 	}
 	// And a truncated stream through the real loader is refused too.
 	err = f.Swap(func(primary *Session) error {
-		_, err := graph.LoadCheckpoint(io.LimitReader(bytes.NewReader([]byte("tbd")), 3),
+		_, err := dist.LoadCheckpoint(io.LimitReader(bytes.NewReader([]byte("tbd")), 3),
 			primary.Model().(*graph.Network))
 		return err
 	})

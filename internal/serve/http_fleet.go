@@ -16,7 +16,7 @@ import (
 type FleetHandlerOptions struct {
 	// Swap handles a POST /swap body (typically: decode a checkpoint
 	// stream and load it into the fleet via Fleet.Swap with
-	// graph.LoadCheckpoint on Session.Model). The body is size-limited;
+	// dist.LoadCheckpoint on Session.Model). The body is size-limited;
 	// return its read error wrapped (%w) so an overrun is answered with
 	// 413. nil leaves /swap unregistered.
 	Swap func(body io.Reader) error
@@ -38,12 +38,13 @@ const (
 	jsonFloatBytes = 32
 	// predictBodySlack covers the object keys, slo_ms and whitespace.
 	predictBodySlack = 1 << 10
-	// swapBytesPerWeightByte: a training checkpoint carrying Adam state is
-	// three gob-encoded values (up to 9 bytes each) per parameter, against
-	// as little as 2 resident bytes per parameter under HalfWeights.
-	swapBytesPerWeightByte = 16
-	// swapBodySlack covers parameter names, shapes and gob type headers.
-	swapBodySlack = 1 << 20
+	// swapBytesPerWeightByte: a checkpoint is a weights frame of fp32
+	// values, against as little as 2 resident bytes per parameter under
+	// HalfWeights.
+	swapBytesPerWeightByte = 2
+	// swapBodySlack covers the frame's 16-byte header and its layout table
+	// (parameter names and shapes), which the loader bounds at 64 KiB.
+	swapBodySlack = 16 + 64<<10
 )
 
 // bodyTooLarge reports whether err came from a body overrunning its

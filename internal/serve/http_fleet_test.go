@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"tbd/internal/dist"
 	"tbd/internal/graph"
 	"tbd/internal/models"
 	"tbd/internal/tensor"
@@ -210,7 +211,7 @@ func TestHTTPFleetSwapEndpoint(t *testing.T) {
 	srv := httptest.NewServer(NewFleetHandler(f, FleetHandlerOptions{
 		Swap: func(body io.Reader) error {
 			return f.Swap(func(primary *Session) error {
-				_, err := graph.LoadCheckpoint(body, primary.Model().(*graph.Network))
+				_, err := dist.LoadCheckpoint(body, primary.Model().(*graph.Network))
 				return err
 			})
 		},

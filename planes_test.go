@@ -2,7 +2,10 @@ package tbd
 
 import (
 	"go/build"
+	"io/fs"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -33,5 +36,34 @@ func TestLivePlaneImportsNoSimulatedPlane(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNoPackageImportsGob holds every process boundary to the one frame
+// codec of internal/dist: no package, and no package's tests, import
+// encoding/gob, whose decoder allocates from lengths on the wire.
+func TestNoPackageImportsGob(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		bp, err := build.ImportDir(path, 0)
+		if _, none := err.(*build.NoGoError); none {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		for _, imps := range [][]string{bp.Imports, bp.TestImports, bp.XTestImports} {
+			if slices.Contains(imps, "encoding/gob") {
+				t.Errorf("%s imports encoding/gob", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
