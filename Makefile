@@ -35,14 +35,16 @@ race:
 	$(GO) test -race ./internal/tensor/... ./internal/layers/... ./internal/graph/...
 
 # Race detector over the tensor package with the GEMM kernel tier pinned
-# to each extreme: the AVX2+FMA asm micro-kernels (widest path, fp16
-# packing) and the pure-Go reference tier. Catches races in the tier
-# dispatch itself and in the per-tier pack-buffer pooling. The layers and
-# the training step ride along, so the gradient-write and backward tests
-# see both tiers' GEMMs.
+# to each extreme: the AVX2+FMA asm micro-kernels (widest path, frozen
+# fp32 and fp16 panels) and the pure-Go reference tier (the frozen
+# matrices' unpack fallback). Catches races in the tier dispatch itself
+# and in the per-tier pack-buffer pooling. The layers and the training
+# step ride along, so the gradient-write and backward tests see both
+# tiers' GEMMs, and so does serving: concurrent replicas read one shared
+# frozen panel on both paths.
 tier-race:
-	TBD_GEMM_KERNEL=avx2 $(GO) test -race ./internal/tensor/ ./internal/layers/ ./internal/graph/
-	TBD_GEMM_KERNEL=ref $(GO) test -race ./internal/tensor/ ./internal/layers/ ./internal/graph/
+	TBD_GEMM_KERNEL=avx2 $(GO) test -race ./internal/tensor/ ./internal/layers/ ./internal/graph/ ./internal/serve/
+	TBD_GEMM_KERNEL=ref $(GO) test -race ./internal/tensor/ ./internal/layers/ ./internal/graph/ ./internal/serve/
 
 # Race detector over the serving path (router, replica batcher, admission
 # control, hot-swap, drain), the daemon's handler and load generators

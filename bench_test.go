@@ -81,20 +81,20 @@ func BenchmarkGEMMTier(b *testing.B) {
 }
 
 // BenchmarkGEMMHalf measures the fp16-storage / fp32-accumulate GEMM on
-// the active (widest) tier: the weight matrix lives as uint16 halves and
-// the B panels pack at half the workspace bytes.
+// the active (widest) tier: the weight matrix is frozen once into a panel
+// of uint16 halves, so a call packs no weights.
 func BenchmarkGEMMHalf(b *testing.B) {
 	for _, n := range []int{256, 512, 1024} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			rng := tensor.NewRNG(8)
 			a := tensor.RandNormal(rng, 0, 1, n, n)
-			wh := tensor.NewHalfMatrix(tensor.RandNormal(rng, 0, 1, n, n))
+			wh := tensor.Freeze(tensor.RandNormal(rng, 0, 1, n, n), true)
 			fn := float64(n)
 			b.SetBytes(int64(n) * int64(n) * (4 + 2 + 4))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tensor.MatMulHalfBiasAct(a, wh, nil, tensor.ActNone).Release()
+				tensor.MatMulFrozenBiasAct(a, wh, nil, tensor.ActNone).Release()
 			}
 			b.ReportMetric(2*fn*fn*fn*float64(b.N)/1e9/b.Elapsed().Seconds(), "GFLOP/s")
 		})
@@ -183,15 +183,16 @@ func BenchmarkOptimStep(b *testing.B) {
 func BenchmarkServeBatched(b *testing.B) {
 	for _, cap := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("cap%d", cap), func(b *testing.B) {
-			benchFleetConfig(b, 1, cap, 64)
+			benchFleetConfig(b, 1, cap, 64, false)
 		})
 	}
 }
 
-// benchFleetConfig drives a Fleet with a fixed closed-loop client
-// population and reports sustained request throughput and mean batch
-// occupancy. The b.N requests are split across the clients.
-func benchFleetConfig(b *testing.B, replicas, maxBatch, clients int) {
+// benchFleetConfig drives a Fleet (weights frozen as fp16 when half, as
+// fp32 otherwise) with a fixed closed-loop client population and reports
+// sustained request throughput and mean batch occupancy. The b.N requests
+// are split across the clients.
+func benchFleetConfig(b *testing.B, replicas, maxBatch, clients int, half bool) {
 	b.Helper()
 	factory := func() (*serve.Session, error) {
 		net, shape, err := models.ServeTwin("mlp", tensor.NewRNG(42))
@@ -201,10 +202,11 @@ func benchFleetConfig(b *testing.B, replicas, maxBatch, clients int) {
 		return serve.NewSession(net, shape...), nil
 	}
 	fleet, err := serve.NewFleet(factory, serve.FleetConfig{
-		Replicas:   replicas,
-		MaxBatch:   maxBatch,
-		MaxWait:    500 * time.Microsecond,
-		QueueDepth: 4 * clients,
+		Replicas:    replicas,
+		MaxBatch:    maxBatch,
+		MaxWait:     500 * time.Microsecond,
+		QueueDepth:  4 * clients,
+		HalfWeights: half,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -252,13 +254,15 @@ func benchFleetConfig(b *testing.B, replicas, maxBatch, clients int) {
 // BenchmarkFleet sweeps the replica count at a fixed batch cap and
 // client population. On a multi-core host the samples/s column is the
 // replica-scaling curve; on a single core it documents the router and
-// shared-weight overhead staying flat (see EXPERIMENTS.md).
+// shared-weight overhead staying flat (see EXPERIMENTS.md). The last row
+// is the one-replica fleet with its frozen weights stored as fp16.
 func BenchmarkFleet(b *testing.B) {
 	for _, replicas := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("replicas%d", replicas), func(b *testing.B) {
-			benchFleetConfig(b, replicas, 64, 256)
+			benchFleetConfig(b, replicas, 64, 256, false)
 		})
 	}
+	b.Run("replicas1-fp16", func(b *testing.B) { benchFleetConfig(b, 1, 64, 256, true) })
 }
 
 // --- twin step (BENCH_numeric.json) and profiler overhead (BENCH_prof.json) ---

@@ -93,7 +93,7 @@ func cmdServe(args []string) error {
 	seed := fs.Uint64("seed", 42, "weight init seed")
 	traceOut := fs.String("trace", "", "enable the live profiler and write its span trace (one serve.rK.batch slice per batch, Chrome trace JSON) to this `file` on shutdown")
 	profile := fs.Bool("profile", false, "enable the live profiler; snapshot at GET /debug/prof, summary on shutdown")
-	fp16 := fs.Bool("fp16", false, "freeze weights to fp16 storage (halves resident weight bytes; outputs shift within quantization error)")
+	fp16 := fs.Bool("fp16", false, "store the frozen weights as fp16 (halves resident weight bytes; outputs shift within quantization error)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -37,9 +37,14 @@ func WriteCheckpoint(w io.Writer, n *graph.Network, step int64) error {
 // returns its step. It loads all of it or nothing: before it reads a
 // weight it checks the magic, the kind, the step, and every tensor's
 // name and shape against n (so the length too), and it refuses a byte
-// past the frame before it writes a weight into n.
+// past the frame before it writes a weight into n. A frozen n is refused
+// first: its frozen matrices are no longer parameters a load could write
+// (load, then freeze; serve.Fleet.Swap does).
 func LoadCheckpoint(r io.Reader, n *graph.Network) (int64, error) {
 	fail := func(err error) (int64, error) { return 0, fmt.Errorf("dist: load checkpoint: %w", err) }
+	if n.Frozen() {
+		return fail(errFrozenNetwork)
+	}
 	br := bufio.NewReader(r)
 	h, err := readHeader(br)
 	switch {

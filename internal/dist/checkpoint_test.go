@@ -166,6 +166,33 @@ func TestCheckpointLoadRefusals(t *testing.T) {
 	}
 }
 
+// TestCheckpointLoadRefusesAFrozenNetwork: a frozen network's weight
+// matrices are no longer parameters, so a checkpoint, even one written
+// from the same model before freezing, is refused by name before a byte
+// is read, and the network serves exactly what it served before.
+func TestCheckpointLoadRefusesAFrozenNetwork(t *testing.T) {
+	for _, half := range []bool{false, true} {
+		n := mlpConstructor(10)()
+		ckpt := checkpointOf(t, mlpConstructor(11)(), 3)
+		if !n.Freeze(half) || !n.Frozen() {
+			t.Fatal("mlp did not freeze")
+		}
+		x, _ := makeBatch(tensor.NewRNG(12), 9)
+		before := slices.Clone(n.Forward(x, false).Data())
+		hash := n.WeightsHash()
+		r := bytes.NewReader(ckpt)
+		if _, err := LoadCheckpoint(r, n); !errors.Is(err, errFrozenNetwork) {
+			t.Fatalf("half=%v: got %v, want %v", half, err, errFrozenNetwork)
+		}
+		if r.Len() != len(ckpt) {
+			t.Fatalf("half=%v: %d bytes read before the refusal", half, len(ckpt)-r.Len())
+		}
+		if n.WeightsHash() != hash || !slices.Equal(n.Forward(x, false).Data(), before) {
+			t.Fatalf("half=%v: a refused checkpoint changed the frozen network", half)
+		}
+	}
+}
+
 // FuzzCheckpointLoad throws byte streams at LoadCheckpoint into an
 // mlp-wide network: whatever arrives, it loads the whole network or
 // leaves it as it was, and allocates no more than the model and a

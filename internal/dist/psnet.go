@@ -144,6 +144,7 @@ var (
 	errLayoutMismatch = errors.New("layout does not match the model")
 	errTrailingBytes  = errors.New("bytes past the end of the frame")
 	errNegativeStep   = errors.New("negative step")
+	errFrozenNetwork  = errors.New("network has frozen weights")
 )
 
 type psHeader struct {

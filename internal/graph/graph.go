@@ -37,6 +37,16 @@ type Network struct {
 	params []*layers.Param
 	// flatValues and flatGrads back every Param once FlatParams has run.
 	flatValues, flatGrads []float32
+	// frozen lists the weights Freeze replaced, in Params order: what a
+	// replica adopts in ShareParamsFrom.
+	frozen []frozenWeight
+}
+
+// frozenWeight is one frozen weight matrix and the name of the Param it
+// replaced.
+type frozenWeight struct {
+	name string
+	w    *tensor.FrozenMatrix
 }
 
 // New wraps a root layer as a network.
@@ -76,24 +86,32 @@ func (n *Network) Params() []*layers.Param {
 // ParamCount returns the number of trainable scalars.
 func (n *Network) ParamCount() int64 { return layers.ParamCount(n.Params()) }
 
-// FreezeHalfWeights converts every fp16-capable layer's weights to half
-// storage for inference (see layers.Dense.FreezeHalfWeights) and reports
-// whether the network supported the conversion. The cached parameter
-// list is invalidated: frozen matrices leave it, so ParamCount and the
-// gradient footprint drop to the still-trainable remainder. Irreversible;
-// training a frozen network panics.
-func (n *Network) FreezeHalfWeights() bool {
-	f, ok := n.Root.(layers.HalfFreezer)
+// Freeze replaces every freezable weight matrix (each Dense layer's W,
+// see layers.Freezer) with its frozen form, fp16 storage when half, and
+// reports whether the network supports freezing. Frozen matrices leave
+// the parameter list, so ParamCount and the gradient footprint drop to
+// the still-trainable remainder. Irreversible: training a frozen network
+// panics and a checkpoint no longer loads into it. A second call is a
+// no-op.
+func (n *Network) Freeze(half bool) bool {
+	f, ok := n.Root.(layers.Freezer)
 	if !ok {
 		return false
 	}
-	f.FreezeHalfWeights()
+	f.Freeze(func(p *layers.Param) *tensor.FrozenMatrix {
+		w := tensor.Freeze(p.Value, half)
+		n.frozen = append(n.frozen, frozenWeight{p.Name, w})
+		return w
+	})
 	n.params = nil
 	return true
 }
 
+// Frozen reports whether any of the network's weights are frozen.
+func (n *Network) Frozen() bool { return len(n.frozen) > 0 }
+
 // WeightBytes returns the weight memory footprint, storage-format aware:
-// fp16-frozen layers count two bytes per weight.
+// a frozen matrix counts its own bytes.
 func (n *Network) WeightBytes() int64 {
 	if s, ok := n.Root.(layers.WeightSizer); ok {
 		return s.ResidentWeightBytes()

@@ -2,22 +2,27 @@ package graph
 
 import (
 	"fmt"
+
+	"tbd/internal/layers"
+	"tbd/internal/tensor"
 )
 
 // Weight sharing for replicated serving: a fleet of N inference replicas
 // needs N independent layer stacks (layers recycle their output buffers,
 // so a network is single-goroutine property) but only ONE copy of the
 // weights. ShareParamsFrom turns N same-architecture networks into views
-// over a single parameter snapshot by aliasing every parameter tensor's
-// backing storage, so the fleet's resident weight bytes stay those of one
-// model and a checkpoint loaded into the primary is immediately visible
-// to every sharing replica.
+// over a single snapshot: every frozen matrix of the source is adopted
+// by pointer and every other parameter tensor's backing storage is
+// aliased, so the fleet's resident weight bytes stay those of one model,
+// in either storage precision.
 
-// ShareParamsFrom repoints every trainable parameter of n at src's
-// backing storage. src must be another *Network with an identical
-// parameter list (same names, order, and shapes) — typically a second
-// instance built by the same constructor. After sharing, n reads src's
-// weights on every forward; n's own initial weights become garbage.
+// ShareParamsFrom makes n serve src's weights. src must be another
+// *Network built by the same constructor, and n must not be frozen: n's
+// parameter list must be src's frozen weights and remaining parameters
+// merged in order (same names and shapes). n adopts each frozen matrix, so it ends up frozen
+// exactly as src is, and aliases the storage of every other parameter,
+// so a write into src's parameters (a checkpoint load into an unfrozen
+// src) is visible through n. n's own initial weights become garbage.
 //
 // The receiver must be used forward-only afterwards: training either
 // network would write gradients through shared storage with no
@@ -36,14 +41,26 @@ func (n *Network) ShareParamsFrom(src any) error {
 	if n == o {
 		return nil
 	}
-	dst, from := n.Params(), o.Params()
-	if len(dst) != len(from) {
-		return fmt.Errorf("graph: ShareParamsFrom: network has %d parameters, source has %d", len(dst), len(from))
+	dst, from, frozen := n.Params(), o.Params(), o.frozen
+	if len(dst) != len(from)+len(frozen) {
+		return fmt.Errorf("graph: ShareParamsFrom: network has %d parameters, source has %d",
+			len(dst), len(from)+len(frozen))
 	}
-	// Validate the full list before aliasing anything, so a mismatch
-	// cannot leave the network half-shared.
+	// Validate the full list before adopting or aliasing anything, so a
+	// mismatch cannot leave the network half-shared.
 	for i, p := range dst {
-		q := from[i]
+		if len(frozen) > 0 && frozen[0].name == p.Name {
+			if k, m := frozen[0].w.Shape(); p.Value.Rank() != 2 || p.Value.Dim(0) != k || p.Value.Dim(1) != m {
+				return fmt.Errorf("graph: ShareParamsFrom: parameter %q shape %v here, frozen [%d %d] in source",
+					p.Name, p.Value.Shape(), k, m)
+			}
+			frozen = frozen[1:]
+			continue
+		}
+		if len(from) == 0 {
+			return fmt.Errorf("graph: ShareParamsFrom: parameter %d is %q here but %q in source", i, p.Name, frozen[0].name)
+		}
+		q := from[0]
 		if p.Name != q.Name {
 			return fmt.Errorf("graph: ShareParamsFrom: parameter %d is %q here but %q in source", i, p.Name, q.Name)
 		}
@@ -51,9 +68,23 @@ func (n *Network) ShareParamsFrom(src any) error {
 			return fmt.Errorf("graph: ShareParamsFrom: parameter %q shape %v here, %v in source",
 				p.Name, p.Value.Shape(), q.Value.Shape())
 		}
+		from = from[1:]
 	}
-	for i, p := range dst {
-		p.Value.ShareStorage(from[i].Value)
+	if o.Frozen() {
+		n.frozen = o.frozen
+		next := n.frozen
+		n.Root.(layers.Freezer).Freeze(func(p *layers.Param) *tensor.FrozenMatrix {
+			if len(next) == 0 || next[0].name != p.Name {
+				panic(fmt.Sprintf("graph: ShareParamsFrom: %q freezes out of its Params order", p.Name))
+			}
+			w := next[0].w
+			next = next[1:]
+			return w
+		})
+		n.params = nil
+	}
+	for i, p := range n.Params() {
+		p.Value.ShareStorage(o.Params()[i].Value)
 	}
 	return nil
 }

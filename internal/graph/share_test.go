@@ -91,6 +91,61 @@ func TestShareParamsFromMismatch(t *testing.T) {
 	}
 }
 
+// TestShareParamsFromFrozenSource: freeze, then share. A replica of a
+// frozen primary adopts the primary's frozen matrices (the same pointers,
+// in either storage), aliases the remaining parameters, and serves the
+// primary's bits. A network that froze its own weights cannot share, and
+// a mismatched network is refused with its weights untouched.
+func TestShareParamsFromFrozenSource(t *testing.T) {
+	x := tensor.RandNormal(tensor.NewRNG(7), 0, 1, 11, 8)
+	for _, half := range []bool{false, true} {
+		primary, replica := shareTestNet(1), shareTestNet(2)
+		if !primary.Freeze(half) || !primary.Frozen() {
+			t.Fatal("primary did not freeze")
+		}
+		want := append([]float32(nil), primary.Forward(x, false).Data()...)
+		if err := replica.ShareParamsFrom(primary); err != nil {
+			t.Fatal(err)
+		}
+		if !replica.Frozen() || !replica.SharesParamsWith(primary) {
+			t.Fatalf("half=%v: replica frozen=%v, shares the biases=%v", half, replica.Frozen(), replica.SharesParamsWith(primary))
+		}
+		for i, w := range replica.frozen {
+			if w != primary.frozen[i] {
+				t.Fatalf("half=%v: replica holds its own %q, not the primary's", half, w.name)
+			}
+		}
+		if replica.WeightBytes() != primary.WeightBytes() {
+			t.Fatalf("half=%v: replica reports %d weight bytes, primary %d", half, replica.WeightBytes(), primary.WeightBytes())
+		}
+		got := replica.Forward(x, false).Data()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("half=%v: replica elem %d = %g, primary %g", half, i, got[i], want[i])
+			}
+		}
+
+		own := shareTestNet(3)
+		own.Freeze(half)
+		if err := own.ShareParamsFrom(primary); err == nil {
+			t.Fatal("a network frozen on its own was allowed to share")
+		}
+
+		rng := tensor.NewRNG(4)
+		other := New("other", layers.NewSequential("mlp",
+			layers.NewDenseAct("fc1", 8, 16, tensor.ActReLU, rng),
+			layers.NewDense("fc2", 16, 5, rng), // different output width
+		))
+		hash := other.WeightsHash()
+		if err := other.ShareParamsFrom(primary); err == nil {
+			t.Fatal("shape mismatch against a frozen source not refused")
+		}
+		if other.Frozen() || other.WeightsHash() != hash {
+			t.Fatal("a refused ShareParamsFrom changed the network")
+		}
+	}
+}
+
 // SharesParamsWith reports whether every parameter of n aliases the
 // corresponding parameter storage of o (the post-ShareParamsFrom state).
 func (n *Network) SharesParamsWith(o *Network) bool {

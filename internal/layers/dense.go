@@ -17,9 +17,9 @@ type Dense struct {
 	W, B     *Param
 	Act      tensor.ActKind
 	useBias  bool
-	wHalf    *tensor.HalfMatrix // frozen fp16 weights; non-nil disables training
-	x        *tensor.Tensor     // cached input (feature map stash)
-	out, gx  *tensor.Tensor     // previously returned buffers, recycled next call
+	frozen   *tensor.FrozenMatrix // replaces W.Value once frozen; non-nil disables training
+	x        *tensor.Tensor       // cached input (feature map stash)
+	out, gx  *tensor.Tensor       // previously returned buffers, recycled next call
 	origDims []int
 }
 
@@ -56,6 +56,9 @@ func NewDenseAct(name string, in, out int, act tensor.ActKind, rng *tensor.RNG) 
 func (d *Dense) Name() string { return d.name }
 
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if train && d.frozen != nil {
+		panic(fmt.Sprintf("layers: %s has frozen weights; training is disabled", d.name))
+	}
 	d.origDims = append(d.origDims[:0], x.Shape()...)
 	n := x.Numel() / d.In
 	if n*d.In != x.Numel() {
@@ -77,11 +80,8 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		bias = d.B.Value
 	}
 	var y *tensor.Tensor
-	if d.wHalf != nil {
-		if train {
-			panic(fmt.Sprintf("layers: %s has fp16-frozen weights; training is disabled", d.name))
-		}
-		y = tensor.MatMulHalfBiasAct(x2, d.wHalf, bias, d.Act)
+	if d.frozen != nil {
+		y = tensor.MatMulFrozenBiasAct(x2, d.frozen, bias, d.Act)
 	} else {
 		y = tensor.MatMulBiasAct(x2, d.W.Value, bias, d.Act)
 	}
@@ -128,7 +128,7 @@ func (d *Dense) backward(gy *tensor.Tensor, needGX bool) {
 }
 
 func (d *Dense) Params() []*Param {
-	if d.wHalf != nil {
+	if d.frozen != nil {
 		// Frozen weights are storage, not trainable parameters; only the
 		// (still fp32) bias remains visible.
 		if d.useBias {
@@ -144,24 +144,28 @@ func (d *Dense) Params() []*Param {
 
 func (d *Dense) StashBytes() int64 { return bytesOf(d.x) }
 
-// FreezeHalfWeights irreversibly converts the weight matrix to fp16
-// storage: half the resident bytes, forward passes run the fp16-storage
-// GEMM (fp32 accumulate), and the fp32 weight and gradient tensors are
-// dropped. Training panics afterwards; checkpoints written after a
-// freeze omit the frozen matrix. Idempotent.
-func (d *Dense) FreezeHalfWeights() {
-	if d.wHalf != nil {
+// Freeze irreversibly replaces the weight matrix with the frozen matrix
+// freeze returns for it (see Freezer): forward passes run the frozen GEMM,
+// and the fp32 weight and gradient tensors are dropped. Training panics
+// afterwards. Idempotent: a frozen layer does not call freeze.
+func (d *Dense) Freeze(freeze func(w *Param) *tensor.FrozenMatrix) {
+	if d.frozen != nil {
 		return
 	}
-	d.wHalf = tensor.NewHalfMatrix(d.W.Value)
+	d.frozen = freeze(d.W)
 	d.W.Value, d.W.Grad = nil, nil
 }
 
-// ResidentWeightBytes implements WeightSizer: two bytes per weight once
-// frozen, four before.
+// Frozen returns the frozen matrix that replaced W, or nil before Freeze.
+//
+//tbd:api the fleet tests check that every replica serves the primary's frozen matrix, not a copy
+func (d *Dense) Frozen() *tensor.FrozenMatrix { return d.frozen }
+
+// ResidentWeightBytes implements WeightSizer: the frozen matrix's bytes
+// once frozen (half a panel weight's under fp16), four a weight before.
 func (d *Dense) ResidentWeightBytes() int64 {
-	if d.wHalf != nil {
-		n := d.wHalf.Bytes()
+	if d.frozen != nil {
+		n := d.frozen.Bytes()
 		if d.useBias {
 			n += int64(d.B.Value.Numel()) * 4
 		}

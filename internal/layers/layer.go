@@ -126,17 +126,21 @@ type Layer interface {
 	StashBytes() int64
 }
 
-// HalfFreezer is implemented by layers and containers whose weights can
-// be converted to fp16 inference storage (see Dense.FreezeHalfWeights).
-// Containers forward the call to every capable child; layers without
-// fp16 support are simply left at full precision.
-type HalfFreezer interface {
-	FreezeHalfWeights()
+// Freezer is implemented by layers and containers whose weight matrices
+// can be frozen for inference (see Dense.Freeze). Containers forward the
+// call to every capable child in Params order; other layers keep their
+// weights. freeze maps a weight to the frozen matrix that replaces it: a
+// new one (graph.Network.Freeze), or the matching matrix of an already
+// frozen network, which a serving replica adopts instead of freezing its
+// own (graph.Network.ShareParamsFrom).
+type Freezer interface {
+	Freeze(freeze func(w *Param) *tensor.FrozenMatrix)
 }
 
 // WeightSizer reports resident weight bytes with storage-format
-// awareness: fp16-frozen layers count two bytes per weight where the
-// ParamCount-based default assumes four.
+// awareness: frozen layers count their frozen matrix, which is no longer
+// a Param, where the ParamCount-based default counts four bytes a
+// parameter.
 type WeightSizer interface {
 	ResidentWeightBytes() int64
 }

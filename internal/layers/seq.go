@@ -68,12 +68,11 @@ func (s *Sequential) StashBytes() int64 {
 	return n
 }
 
-// FreezeHalfWeights freezes every child layer that supports fp16
-// storage; others stay at full precision.
-func (s *Sequential) FreezeHalfWeights() {
+// Freeze freezes every child layer that supports it, in order.
+func (s *Sequential) Freeze(freeze func(w *Param) *tensor.FrozenMatrix) {
 	for _, l := range s.Layers {
-		if f, ok := l.(HalfFreezer); ok {
-			f.FreezeHalfWeights()
+		if f, ok := l.(Freezer); ok {
+			f.Freeze(freeze)
 		}
 	}
 }
@@ -149,15 +148,13 @@ func (r *Residual) StashBytes() int64 {
 	return n
 }
 
-// FreezeHalfWeights freezes the body and projection where supported.
-func (r *Residual) FreezeHalfWeights() {
-	if f, ok := r.Body.(HalfFreezer); ok {
-		f.FreezeHalfWeights()
+// Freeze freezes the body, then the projection, where supported.
+func (r *Residual) Freeze(freeze func(w *Param) *tensor.FrozenMatrix) {
+	if f, ok := r.Body.(Freezer); ok {
+		f.Freeze(freeze)
 	}
-	if r.Proj != nil {
-		if f, ok := r.Proj.(HalfFreezer); ok {
-			f.FreezeHalfWeights()
-		}
+	if f, ok := r.Proj.(Freezer); ok {
+		f.Freeze(freeze)
 	}
 }
 

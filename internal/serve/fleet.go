@@ -14,11 +14,13 @@ import (
 
 // Fleet is the serving front end: N batch runners (one Session and one
 // goroutine each) behind a router; see the package comment for the
-// picture. The replicas share one read-only weight snapshot
-// (Session.ShareWeightsFrom aliases every parameter's backing storage),
-// so N replicas cost the resident weights of one model; what stays
-// per-replica is exactly what concurrency needs — the layer output
-// buffers, a batch-assembly workspace, and the admission queue.
+// picture. Weights are frozen, then shared: the primary session is frozen
+// once (Session.Freeze, fp16 storage under HalfWeights) and every other
+// replica adopts its frozen matrices and aliases its other parameters
+// (Session.ShareWeightsFrom), so N replicas cost the resident weights of
+// one model in either precision; what stays per-replica is exactly what
+// concurrency needs — the layer output buffers, a batch-assembly
+// workspace, and the admission queue.
 //
 // The router picks the replica with the smallest estimated completion
 // time, computed from live queue depth and each replica's recent median
@@ -29,10 +31,10 @@ import (
 // shed at dequeue instead of wasting a forward on it.
 //
 // Fleet.Swap replaces the weights of every replica with zero downtime:
-// fresh sessions are built and shared, the checkpoint is loaded through
-// the shared storage, a canary forward validates the new weights, and
-// replicas are flipped one at a time by a control message that drains
-// behind in-flight batches.
+// fresh sessions are built, the checkpoint is loaded into the primary,
+// which is then frozen and shared, a canary forward validates the new
+// weights, and replicas are flipped one at a time by a control message
+// that drains behind in-flight batches.
 type Fleet struct {
 	cfg      FleetConfig
 	factory  func() (*Session, error)
@@ -132,8 +134,8 @@ type FleetConfig struct {
 	// carry one, and the router's p99 steering target: replicas whose
 	// recent p99 exceeds it are deprioritized. 0 disables both.
 	SLO time.Duration
-	// HalfWeights freezes every replica's weights to fp16 storage after
-	// sharing. NewFleet fails if the model does not support it.
+	// HalfWeights picks fp16 storage for the frozen weights (fp32
+	// otherwise). NewFleet fails if the model does not support freezing.
 	HalfWeights bool
 }
 
@@ -196,11 +198,13 @@ type swapOrder struct {
 	done chan error
 }
 
-// NewFleet builds cfg.Replicas sessions with factory, shares their
-// weights (when the model supports it), and starts one runner per
-// replica. Every factory call must produce a same-architecture session;
-// the fleet routes requests across them as one service. The caller must
-// Close the fleet to release the runners and their CPU budget shares.
+// NewFleet builds cfg.Replicas sessions with factory, freezes the
+// primary's weights and shares them with the other replicas (each step
+// where the model supports it; see freezeAndShare), and starts one
+// runner per replica. Every factory call must produce a same-architecture
+// session; the fleet routes requests across them as one service. The
+// caller must Close the fleet to release the runners and their CPU
+// budget shares.
 func NewFleet(factory func() (*Session, error), cfg FleetConfig) (*Fleet, error) {
 	if factory == nil {
 		return nil, errors.New("serve: fleet needs a session factory")
@@ -222,23 +226,9 @@ func NewFleet(factory func() (*Session, error), cfg FleetConfig) (*Fleet, error)
 		sessions[i] = s
 	}
 
-	shared := cfg.Replicas > 1
-	for i := 1; i < len(sessions); i++ {
-		if err := sessions[i].ShareWeightsFrom(sessions[0]); err != nil {
-			if errors.Is(err, ErrNoWeightSharing) {
-				shared = false // keep per-replica copies; everything else still works
-				break
-			}
-			return nil, fmt.Errorf("serve: fleet replica %d: %w", i, err)
-		}
-	}
-
-	if cfg.HalfWeights {
-		for i, s := range sessions {
-			if !s.FreezeHalfWeights() {
-				return nil, fmt.Errorf("serve: fleet replica %d: model does not support fp16 weight freezing", i)
-			}
-		}
+	shared, err := freezeAndShare(sessions, cfg.HalfWeights)
+	if err != nil {
+		return nil, fmt.Errorf("serve: fleet: %w", err)
 	}
 
 	f := &Fleet{
@@ -295,9 +285,9 @@ func (f *Fleet) Close() {
 }
 
 // Swap replaces every replica's weights with zero downtime. It builds
-// fresh sessions with the fleet's factory, shares them, hands the
-// primary to load (typically dist.LoadCheckpoint via Session.Model),
-// re-freezes fp16 storage when the fleet runs half weights, validates
+// fresh sessions with the fleet's factory, hands the primary to load
+// (typically dist.LoadCheckpoint via Session.Model), freezes it and
+// shares it with the other fresh sessions as NewFleet does, validates
 // the result with a full-width canary forward, and then flips replicas
 // one at a time: each flip is a control message through the replica's
 // queue, so every in-flight batch drains through the old weights and the
@@ -323,15 +313,8 @@ func (f *Fleet) Swap(load func(primary *Session) error) error {
 		}
 		fresh[i] = s
 	}
-	if f.shared {
-		for i := 1; i < len(fresh); i++ {
-			if err := fresh[i].ShareWeightsFrom(fresh[0]); err != nil {
-				return fmt.Errorf("serve: swap replica %d: %w", i, err)
-			}
-		}
-	}
 	if load != nil {
-		// Shared storage makes one load visible to every replica;
+		// Sharing after the load makes one load serve every replica;
 		// unshared fleets load each copy.
 		targets := fresh[:1]
 		if !f.shared {
@@ -343,12 +326,8 @@ func (f *Fleet) Swap(load func(primary *Session) error) error {
 			}
 		}
 	}
-	if f.cfg.HalfWeights {
-		for i, s := range fresh {
-			if !s.FreezeHalfWeights() {
-				return fmt.Errorf("serve: swap replica %d: model lost fp16 freeze support", i)
-			}
-		}
+	if _, err := freezeAndShare(fresh, f.cfg.HalfWeights); err != nil {
+		return fmt.Errorf("serve: swap: %w", err)
 	}
 	// Canary: a full-width forward through every fresh session (in its
 	// final storage format) must produce finite outputs, and warms the
@@ -371,6 +350,31 @@ func (f *Fleet) Swap(load func(primary *Session) error) error {
 	f.swaps.Add(1)
 	f.lastSwapNs.Store(int64(time.Since(t0)))
 	return nil
+}
+
+// freezeAndShare freezes sessions[0] (fp16 storage when half) and has
+// every other session adopt its frozen matrices and alias its remaining
+// weights, and reports whether the sessions now share one snapshot. A
+// model that cannot share keeps per-replica copies, each frozen on its
+// own; one that cannot freeze serves its weights as they are, unless
+// half asks for fp16 storage, which is an error.
+func freezeAndShare(sessions []*Session, half bool) (bool, error) {
+	if !sessions[0].Freeze(half) && half {
+		return false, errors.New("model does not support fp16 weight freezing")
+	}
+	for i := 1; i < len(sessions); i++ {
+		err := sessions[i].ShareWeightsFrom(sessions[0])
+		if errors.Is(err, ErrNoWeightSharing) {
+			for _, s := range sessions[1:] {
+				s.Freeze(half)
+			}
+			return false, nil
+		}
+		if err != nil {
+			return false, fmt.Errorf("replica %d: %w", i, err)
+		}
+	}
+	return len(sessions) > 1, nil
 }
 
 // submitSwap enqueues a swap order behind the replica's pending work.
@@ -490,8 +494,8 @@ func (r *replica) flush(batch []*request) {
 	expired := 0
 	for _, q := range batch {
 		if !q.deadline.IsZero() && now.After(q.deadline) {
+			r.stats.rejectDeadline() // counted before answered, as a batch is
 			q.resp <- response{err: ErrDeadline}
-			r.stats.rejectDeadline()
 			expired++
 			continue
 		}
@@ -525,7 +529,7 @@ func (r *replica) flush(batch []*request) {
 	sp.End()
 
 	// Feed the profiler's memory watermark with the serving-side liveness
-	// peak: resident weights (halved under HalfWeights) plus the pool's
+	// peak: resident weights (frozen, halved under HalfWeights) plus the pool's
 	// pack workspace. No gradients, stash, or optimizer state exist on the
 	// inference path.
 	if prof.Enabled() {
@@ -564,10 +568,8 @@ func (r *replica) flush(batch []*request) {
 
 // residentWeightBytes is the fleet's actual weight footprint: one
 // snapshot when storage is shared, the sum of the copies otherwise.
-// (Half-frozen fleets report the sum — the fp16 matrices are
-// per-replica even when the fp32 biases stay shared.)
 func (f *Fleet) residentWeightBytes() int64 {
-	if f.shared && !f.cfg.HalfWeights {
+	if f.shared {
 		return f.replicas[0].sess.Load().WeightBytes()
 	}
 	var total int64

@@ -300,7 +300,7 @@ func TestFleetSwapFp16Refreeze(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := NewSession(refNet, shape...)
-	if !ref.FreezeHalfWeights() {
+	if !ref.Freeze(true) {
 		t.Fatal("reference session did not freeze")
 	}
 

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"tbd/internal/graph"
+	"tbd/internal/layers"
 	"tbd/internal/models"
 	"tbd/internal/tensor"
 )
@@ -40,31 +42,106 @@ func TestFleetBitIdenticalToSingleSample(t *testing.T) {
 	}
 }
 
-// TestFleetSharedWeightBytes: N sharing replicas must report the
-// resident weights of ONE model, not N.
+// TestFleetSharedWeightBytes: weights are frozen, then shared. A
+// 3-replica fleet, in fp32 and in fp16 storage, reports one model's frozen
+// bytes (fp32 frozen is k·m·4, what the unfrozen model holds), every
+// replica's Dense layers serve the primary's frozen matrices, not copies,
+// and concurrent requests across the replicas get the single-sample
+// answer.
 func TestFleetSharedWeightBytes(t *testing.T) {
-	factory, _ := twinFleetFactory(t, "mlp", 42)
-	single, err := factory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	one := single.WeightBytes()
+	factory, shape := twinFleetFactory(t, "mlp", 42)
+	for _, half := range []bool{false, true} {
+		t.Run(fmt.Sprintf("half=%v", half), func(t *testing.T) {
+			single, err := factory()
+			if err != nil {
+				t.Fatal(err)
+			}
+			unfrozen := single.WeightBytes()
+			if !single.Freeze(half) {
+				t.Fatal("mlp twin does not freeze")
+			}
+			one := single.WeightBytes()
+			if !half && one != unfrozen {
+				t.Fatalf("fp32 frozen model holds %d bytes, unfrozen %d", one, unfrozen)
+			}
+			if half && one > unfrozen*55/100 {
+				t.Fatalf("fp16 frozen model holds %d bytes, want at most 55%% of %d", one, unfrozen)
+			}
 
-	f, err := NewFleet(factory, FleetConfig{Replicas: 4, MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
+			f, err := NewFleet(factory, FleetConfig{Replicas: 3, MaxBatch: 4, HalfWeights: half})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			snap := f.Stats()
+			if !snap.SharedWeights {
+				t.Fatal("fleet did not share weights")
+			}
+			if snap.WeightBytes != one {
+				t.Fatalf("3-replica shared fleet reports %d weight bytes, one frozen model is %d", snap.WeightBytes, one)
+			}
+			if snap.Replicas != 3 || len(snap.PerReplica) != 3 {
+				t.Fatalf("snapshot replicas=%d per_replica=%d, want 3", snap.Replicas, len(snap.PerReplica))
+			}
+			primary := frozenMatrices(t, f.replicas[0].sess.Load())
+			if len(primary) != 3 || primary[0] == nil || primary[1] == nil || primary[2] == nil {
+				t.Fatalf("primary's frozen matrices %v, want 3", primary)
+			}
+			for i, r := range f.replicas[1:] {
+				for j, w := range frozenMatrices(t, r.sess.Load()) {
+					if w != primary[j] {
+						t.Fatalf("replica %d layer %d serves its own frozen matrix, not the primary's", i+1, j)
+					}
+				}
+			}
+
+			// Concurrent replicas read the one panel (make tier-race runs
+			// this on the panel path and the unpack fallback). A frozen
+			// row's bits do not depend on its batch, so every answer is
+			// the single-sample forward's, unless fp16 falls back to
+			// unpacking on the avx2 tier (no F16C), whose wide GEMM rounds
+			// tile rows and tail rows differently.
+			exact := !half || tensor.GemmKernelTier() != "avx2" || tensor.GemmHalfFast()
+			rng := tensor.NewRNG(8)
+			xs := make([]*tensor.Tensor, 48)
+			outs := make([][]float32, len(xs))
+			var wg sync.WaitGroup
+			for i := range xs {
+				xs[i] = tensor.RandNormal(rng, 0, 1, shape...)
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					if res, err := f.Predict(xs[i]); err != nil {
+						t.Error(err)
+					} else {
+						outs[i] = res.Output
+					}
+				}(i)
+			}
+			wg.Wait()
+			for i, x := range xs {
+				want := single.InferBatch(x.Reshape(append([]int{1}, shape...)...)).Data()
+				for j := range want {
+					if d := outs[i][j] - want[j]; exact && d != 0 || d > 1e-4 || d < -1e-4 {
+						t.Fatalf("request %d elem %d: fleet %g, single-sample forward %g", i, j, outs[i][j], want[j])
+					}
+				}
+			}
+		})
 	}
-	defer f.Close()
-	snap := f.Stats()
-	if !snap.SharedWeights {
-		t.Fatal("fleet did not share weights")
+}
+
+// frozenMatrices returns the frozen matrix of each Dense layer of an mlp
+// twin session (nil where a layer is not frozen).
+func frozenMatrices(t *testing.T, s *Session) []*tensor.FrozenMatrix {
+	t.Helper()
+	var ws []*tensor.FrozenMatrix
+	for _, l := range s.Model().(*graph.Network).Root.(*layers.Sequential).Layers {
+		if d, ok := l.(*layers.Dense); ok {
+			ws = append(ws, d.Frozen())
+		}
 	}
-	if snap.WeightBytes != one {
-		t.Fatalf("4-replica shared fleet reports %d weight bytes, one model is %d", snap.WeightBytes, one)
-	}
-	if snap.Replicas != 4 || len(snap.PerReplica) != 4 {
-		t.Fatalf("snapshot replicas=%d per_replica=%d, want 4", snap.Replicas, len(snap.PerReplica))
-	}
+	return ws
 }
 
 // TestFleetRoutingSpreadsLoad: with every replica slow and single-file,

@@ -25,6 +25,13 @@
 // flush at MaxWait — over its own Session (frozen network, fused kernels,
 // replica-owned batch workspace).
 //
+// Weights are frozen, then shared. The fleet freezes the primary
+// session's weight matrices once into the GEMM's panel layout (fp32, or
+// fp16 under FleetConfig.HalfWeights), so no served forward packs a
+// weight; every other replica adopts those frozen matrices and aliases
+// the remaining parameters, so N replicas hold one snapshot in either
+// precision.
+//
 // Layers recycle their output buffers across forward calls, so a network
 // is single-goroutine property; each replica owns one Session and one
 // runner goroutine, and concurrency comes from batching and from
@@ -45,7 +52,7 @@ type Model interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 }
 
-// Session is a frozen, forward-only inference session over a network.
+// Session is a forward-only inference session over a network.
 // It carries no optimizer state and never stashes feature maps (all
 // forwards run with train=false). A Session is not safe for concurrent
 // use — the owning replica's runner serializes batches onto it.
@@ -55,7 +62,8 @@ type Session struct {
 	sampleLen   int
 }
 
-// NewSession freezes a model for inference. sampleShape is the shape of
+// NewSession wraps a model for inference; its weights stay as they are
+// until Freeze (which a Fleet calls). sampleShape is the shape of
 // one request sample (without the batch dimension), e.g. [3, 16, 16] for
 // an NCHW image model or [T] for a token-sequence model.
 func NewSession(m Model, sampleShape ...int) *Session {
@@ -83,9 +91,10 @@ func NewSession(m Model, sampleShape ...int) *Session {
 // that need the concrete network behind a fleet replica).
 func (s *Session) Model() Model { return s.model }
 
-// ShareWeightsFrom repoints this session's model parameters at src's
-// backing storage, so the two sessions serve one weight snapshot (the
-// fleet's replica-sharing primitive; see graph.Network.ShareParamsFrom).
+// ShareWeightsFrom makes this session serve src's weights: it adopts
+// src's frozen matrices and aliases the storage of its other parameters,
+// so the two sessions serve one weight snapshot (the fleet's
+// replica-sharing primitive; see graph.Network.ShareParamsFrom).
 // Returns ErrNoWeightSharing when the model does not expose the
 // capability — the fleet then falls back to per-replica weights.
 func (s *Session) ShareWeightsFrom(src *Session) error {
@@ -110,15 +119,15 @@ func (s *Session) InferBatch(x *tensor.Tensor) *tensor.Tensor {
 	return s.model.Forward(x, false)
 }
 
-// FreezeHalfWeights converts the model's fp16-capable weights to half
-// storage (roughly halving the serving process's resident weight bytes)
-// and reports whether the model supported it. Outputs shift within the
-// weight quantization error — bit-identity with an unfrozen model is
-// deliberately given up. Duck-typed so serve stays decoupled from the
-// graph package; *graph.Network implements the method.
-func (s *Session) FreezeHalfWeights() bool {
-	f, ok := s.model.(interface{ FreezeHalfWeights() bool })
-	return ok && f.FreezeHalfWeights()
+// Freeze replaces the model's weight matrices with their frozen form
+// (tensor.FrozenMatrix: the GEMM's panel layout, packed once), in fp16
+// storage when half, and reports whether the model supports freezing.
+// fp32 storage keeps every full 8-row tile's bits; fp16 shifts outputs
+// within the weight quantization error. Duck-typed so serve stays
+// decoupled from the graph package; *graph.Network implements it.
+func (s *Session) Freeze(half bool) bool {
+	f, ok := s.model.(interface{ Freeze(half bool) bool })
+	return ok && f.Freeze(half)
 }
 
 // WeightBytes reports the model's resident weight footprint, or 0 when

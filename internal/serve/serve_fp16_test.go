@@ -13,11 +13,11 @@ import (
 )
 
 // serveAll pushes the samples through a fresh one-replica fleet over sess
-// with the profiler capturing, and returns the per-request outputs
-// (indexed like samples) plus the memory watermark of the run. The shared
-// pool is drained first so the workspace watermark reflects only this
-// run's pack scratch.
-func serveAll(t *testing.T, sess *Session, samples []*tensor.Tensor) ([][]float32, prof.MemWatermark) {
+// (which freezes it, in fp16 storage when half) with the profiler
+// capturing, and returns the per-request outputs (indexed like samples)
+// plus the memory watermark of the run. The shared pool is drained first
+// so the workspace watermark reflects only this run's scratch.
+func serveAll(t *testing.T, sess *Session, half bool, samples []*tensor.Tensor) ([][]float32, prof.MemWatermark) {
 	t.Helper()
 	tensor.SetPooling(false)
 	tensor.SetPooling(true)
@@ -25,9 +25,10 @@ func serveAll(t *testing.T, sess *Session, samples []*tensor.Tensor) ([][]float3
 	defer prof.Disable()
 
 	svc := oneReplica(t, sess, FleetConfig{
-		MaxBatch:   16,
-		MaxWait:    2 * time.Millisecond,
-		QueueDepth: len(samples),
+		MaxBatch:    16,
+		MaxWait:     2 * time.Millisecond,
+		QueueDepth:  len(samples),
+		HalfWeights: half,
 	})
 	defer svc.Close()
 
@@ -56,13 +57,13 @@ func serveAll(t *testing.T, sess *Session, samples []*tensor.Tensor) ([][]float3
 	return outs, prof.Current(prof.Meta{}).Mem
 }
 
-// TestServeHalfWeights is the fp16-serving acceptance test: freezing a
-// session's weights to half storage must (1) roughly halve the resident
-// weight bytes as reported by Session.WeightBytes and the profiler's
-// live watermark, (2) shrink the pack workspace watermark when the
-// native fp16 kernel path is available (the B panels pack as uint16),
-// and (3) keep every served output within the fp16 weight-quantization
-// tolerance of the full-precision session's answer.
+// TestServeHalfWeights is the fp16-serving acceptance test. A fleet
+// freezes its weights in either storage: (1) the fp32 frozen form holds
+// exactly the unfrozen bytes and the fp16 one roughly half, as reported by
+// Session.WeightBytes and, exactly, by the profiler's live watermark;
+// (2) a frozen forward in either precision takes no B-panel pack buffer,
+// only the A tiles the GEMMs pack; and (3) every fp16-served output stays
+// within the weight-quantization tolerance of the fp32 answer.
 func TestServeHalfWeights(t *testing.T) {
 	fullNet, shape, err := models.ServeTwin("mlp", tensor.NewRNG(99))
 	if err != nil {
@@ -74,18 +75,9 @@ func TestServeHalfWeights(t *testing.T) {
 	}
 	fullSess := NewSession(fullNet, shape...)
 	halfSess := NewSession(halfNet, shape...)
-
-	fullBytes := fullSess.WeightBytes()
-	if fullBytes <= 0 {
+	unfrozenBytes := fullSess.WeightBytes()
+	if unfrozenBytes <= 0 {
 		t.Fatal("full-precision session reports no weight bytes")
-	}
-	if !halfSess.FreezeHalfWeights() {
-		t.Fatal("FreezeHalfWeights returned false for an all-dense twin")
-	}
-	halfBytes := halfSess.WeightBytes()
-	if halfBytes <= 0 || halfBytes > fullBytes*55/100 {
-		t.Fatalf("frozen weights %d bytes, want (0, %d] (55%% of full %d)",
-			halfBytes, fullBytes*55/100, fullBytes)
 	}
 
 	const nReq = 48
@@ -95,8 +87,18 @@ func TestServeHalfWeights(t *testing.T) {
 		samples[i] = tensor.RandNormal(rng, 0, 1, shape...)
 	}
 
-	fullOuts, fullW := serveAll(t, fullSess, samples)
-	halfOuts, halfW := serveAll(t, halfSess, samples)
+	fullOuts, fullW := serveAll(t, fullSess, false, samples)
+	halfOuts, halfW := serveAll(t, halfSess, true, samples)
+
+	fullBytes, halfBytes := fullSess.WeightBytes(), halfSess.WeightBytes()
+	if fullBytes != unfrozenBytes {
+		t.Fatalf("fp32 frozen weights %d bytes, unfrozen %d: the frozen form must replace W, not shadow it",
+			fullBytes, unfrozenBytes)
+	}
+	if halfBytes <= 0 || halfBytes > fullBytes*55/100 {
+		t.Fatalf("fp16 frozen weights %d bytes, want (0, %d] (55%% of full %d)",
+			halfBytes, fullBytes*55/100, fullBytes)
+	}
 
 	// Per-request output tolerance: fp16 weight quantization perturbs each
 	// weight by at most 2^-11 relative, so logits agree to a mixed
@@ -123,33 +125,69 @@ func TestServeHalfWeights(t *testing.T) {
 
 	// The watermark's weights category is fed from Session.WeightBytes on
 	// every flushed batch, so ProfileLive must attribute exactly the
-	// resident footprint — halved for the frozen run.
+	// resident footprint.
 	fb, hb := memprof.ProfileLive(fullW), memprof.ProfileLive(halfW)
 	if fullW.Samples == 0 || halfW.Samples == 0 {
 		t.Fatalf("watermark unsampled: full=%d half=%d batches", fullW.Samples, halfW.Samples)
 	}
 	if fb.Weights != fullBytes {
-		t.Fatalf("ProfileLive full weights = %d, want %d", fb.Weights, fullBytes)
+		t.Fatalf("ProfileLive fp32 weights = %d, want %d", fb.Weights, fullBytes)
 	}
 	if hb.Weights != halfBytes {
-		t.Fatalf("ProfileLive frozen weights = %d, want %d", hb.Weights, halfBytes)
+		t.Fatalf("ProfileLive fp16 weights = %d, want %d", hb.Weights, halfBytes)
 	}
 	if fb.WeightGradients != 0 || hb.WeightGradients != 0 || fb.Dynamic != 0 || hb.Dynamic != 0 {
 		t.Fatalf("inference watermark has training categories: full=%+v half=%+v", fb, hb)
 	}
 
-	// Pack-workspace reduction needs the native fp16 kernels (uint16 B
-	// panels at half the bytes); the widening fallback packs fp32.
-	if !tensor.GemmHalfFast() {
-		t.Logf("fp16 fast path unavailable (tier %s); skipping workspace check", tensor.GemmKernelTier())
-		return
+	// Pack scratch: on the panel path a serial GEMM over whole 8-row tiles
+	// takes one pooled buffer, its A tile. Packing B would take a second.
+	defer tensor.SetParallelism(tensor.SetParallelism(1))
+	const nFwd, gemmsPerFwd = 20, 3
+	x := tensor.RandNormal(rng, 0, 1, 32, shape[0])
+	for _, c := range []struct {
+		name string
+		sess *Session
+		fast bool
+	}{
+		{"fp32", fullSess, tensor.GemmKernelTier() == "avx2"},
+		{"fp16", halfSess, tensor.GemmHalfFast()},
+	} {
+		if !c.fast {
+			t.Logf("%s: tier %s runs the unpack fallback; skipping the pack-scratch check", c.name, tensor.GemmKernelTier())
+			continue
+		}
+		s0 := tensor.PoolStatsSnapshot()
+		for i := 0; i < nFwd; i++ {
+			c.sess.InferBatch(x)
+		}
+		if d := tensor.PoolStatsSnapshot().Sub(s0); d.PackGets > nFwd*gemmsPerFwd {
+			t.Fatalf("%s: %d pack gets over %d frozen forwards, more than their %d A tiles: a B panel was packed",
+				c.name, d.PackGets, nFwd, nFwd*gemmsPerFwd)
+		}
 	}
-	if fb.Workspace <= 0 {
-		t.Fatal("full-precision run retained no pack workspace")
+}
+
+// TestFrozenInferBatchAllocatesNothing pins the frozen forward at zero
+// garbage: a warmed InferBatch on a frozen session allocates nothing, in
+// either storage, at B = 32 (whole tiles) and B = 13 (a padded row tail).
+func TestFrozenInferBatchAllocatesNothing(t *testing.T) {
+	defer tensor.SetParallelism(tensor.SetParallelism(1))
+	for _, half := range []bool{false, true} {
+		net, shape, err := models.ServeTwin("mlp", tensor.NewRNG(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSession(net, shape...)
+		if !s.Freeze(half) {
+			t.Fatal("mlp twin does not freeze")
+		}
+		for _, b := range []int{32, 13} {
+			x := tensor.RandNormal(tensor.NewRNG(6), 0, 1, b, shape[0])
+			s.InferBatch(x)
+			if got := testing.AllocsPerRun(50, func() { s.InferBatch(x) }); got != 0 {
+				t.Fatalf("half=%v B=%d: %.1f allocations a warmed frozen InferBatch", half, b, got)
+			}
+		}
 	}
-	if hb.Workspace >= fb.Workspace*3/4 {
-		t.Fatalf("fp16 pack workspace %d not reduced vs fp32 %d (want < 75%%)", hb.Workspace, fb.Workspace)
-	}
-	t.Logf("pack workspace: fp32 %d B -> fp16 %d B (%.0f%%); weights %d -> %d B",
-		fb.Workspace, hb.Workspace, 100*float64(hb.Workspace)/float64(fb.Workspace), fullBytes, halfBytes)
 }

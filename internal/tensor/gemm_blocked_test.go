@@ -116,7 +116,8 @@ func (c *blockedGemmCase) run(gemm func(dst, a, b []float32, n, k, m int, lay ge
 
 // parentGemmHashes are fnv64a hashes of the output bits of, in order,
 // MatMul, MatMulBiasAct(ReLU), MatMulTransA, MatMulTransB and
-// MatMulHalfBiasAct(ReLU) under the avx2 tier, computed on the commit
+// the fp16 GEMM with ReLU (MatMulHalfBiasAct then, an fp16
+// MatMulFrozenBiasAct now) under the avx2 tier, computed on the commit
 // before the wide driver got its k-loop (e621355) with the operands of
 // parentGemmOutputs. Equal at parallelism 1 and 2 there as here.
 var parentGemmHashes = []struct {
@@ -130,7 +131,7 @@ var parentGemmHashes = []struct {
 	{[3]int{256, 300, 1031}, [5]uint64{0xdb67756ab94f0722, 0x91d6563819782b6e, 0xdb67756ab94f0722, 0x92dfb48bc93f49aa, 0x235563a5489fada0}},
 }
 
-var parentGemmOps = [5]string{"MatMul", "MatMulBiasAct", "MatMulTransA", "MatMulTransB", "MatMulHalfBiasAct"}
+var parentGemmOps = [5]string{"MatMul", "MatMulBiasAct", "MatMulTransA", "MatMulTransB", "MatMulFrozenBiasAct(fp16)"}
 
 func parentGemmOutputs(i int, s [3]int) [5]uint64 {
 	n, k, m := s[0], s[1], s[2]
@@ -138,13 +139,13 @@ func parentGemmOutputs(i int, s [3]int) [5]uint64 {
 	a := RandNormal(rng, 0, 1, n, k)
 	b := RandNormal(rng, 0, 1, k, m)
 	bias := RandNormal(rng, 0, 1, m)
-	at, bt, h := Transpose(a), Transpose(b), NewHalfMatrix(b)
+	at, bt, h := Transpose(a), Transpose(b), Freeze(b, true)
 	return [5]uint64{
 		hashBits(MatMul(a, b).Data()),
 		hashBits(MatMulBiasAct(a, b, bias, ActReLU).Data()),
 		hashBits(MatMulTransA(at, b).Data()),
 		hashBits(MatMulTransB(a, bt).Data()),
-		hashBits(MatMulHalfBiasAct(a, h, bias, ActReLU).Data()),
+		hashBits(MatMulFrozenBiasAct(a, h, bias, ActReLU).Data()),
 	}
 }
 
@@ -156,7 +157,7 @@ func TestBlockedGemmMatchesParentCommit(t *testing.T) {
 		for i, c := range parentGemmHashes {
 			got := parentGemmOutputs(i, c.shape)
 			for op := range got {
-				if parentGemmOps[op] == "MatMulHalfBiasAct" && !GemmHalfFast() {
+				if op == 4 && !GemmHalfFast() {
 					continue // widened to fp32 first: a different, also deterministic, path
 				}
 				if got[op] != c.want[op] {

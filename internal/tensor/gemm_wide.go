@@ -3,12 +3,13 @@ package tensor
 // Wide (8x8) packed-GEMM driver for the avx2 tier: the BLIS loop nest with
 // a k-loop, over the panel layout of gemm_kernels_wide.go (A tiles store
 // plain scalars the kernel broadcasts, B strips are 8 columns wide). The
-// fp32 entry points below and the fp16-storage path in gemm_half.go share
-// one nest, gemmWideTiles.
+// fp32 entry points below and the frozen weight matrices of gemm_half.go
+// share one nest, gemmWideTiles.
 //
 // Packed B, block-major. The reduction dimension is cut into blocks of
 // gemmKC steps; B is packed once per GEMM (in parallel over strips when
-// large), one block after another:
+// large), or once for good when a FrozenMatrix holds it, one block after
+// another:
 //
 //	bp[pc*m8 + j0*kc + p*8 + c] = b(pc+p, j0+c)    kc = min(gemmKC, k-pc)
 //
@@ -213,7 +214,7 @@ func packBRangeWide(bp, b []float32, k, m, kb int, lay gemmLayout, jlo, jhi int)
 }
 
 // packBStripsWide is the row-major-b case of packBRangeWide (plain and
-// transposed-A layouts, and the fp16 weights of gemm_half.go): each
+// transposed-A layouts, and the frozen panels of gemm_half.go): each
 // reduction step of a strip is 8 contiguous source elements. Strips are
 // packed four abreast, so one step reads 32 contiguous elements — whole
 // cache lines, each fetched once — where a single strip reads half a line

@@ -4,8 +4,8 @@ import "math"
 
 // IEEE 754 half-precision conversion, used by the distributed layer to
 // compress gradient payloads in flight (the paper's §4.5 recommendation
-// to "reduce the amount of data sent") and by the fp16-storage GEMM
-// (gemm_half.go) to hold frozen inference weights at half the bytes.
+// to "reduce the amount of data sent") and by the frozen weight matrices
+// of gemm_half.go to hold inference weights at half the bytes.
 // Training state stays FP32; only the storage format narrows.
 
 // Float32ToHalf converts one float32 to its nearest float16 bit pattern
@@ -93,8 +93,6 @@ func EncodeHalf(src []float32) []uint16 {
 }
 
 // DecodeHalf expands float16 bit patterns back to float32.
-//
-//tbd:api the inverse of EncodeHalf the half round-trip and PS fp16 frame tests check encodings against
 func DecodeHalf(src []uint16) []float32 {
 	out := make([]float32, len(src))
 	for i, h := range src {

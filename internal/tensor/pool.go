@@ -45,14 +45,6 @@ type Pool struct {
 	// Guarded by mu.
 	packBuckets        [33][][]float32
 	packGets, packHits atomic.Uint64
-
-	// packHalfBuckets is the uint16 companion of packBuckets: scratch for
-	// fp16 B panels in the half-storage GEMM. Half panels get their own
-	// size classes for the same isolation reason as packBuckets, and
-	// because a recycled []float32 cannot be retyped to []uint16 without
-	// unsafe. Guarded by mu.
-	packHalfBuckets            [33][][]uint16
-	packHalfGets, packHalfHits atomic.Uint64
 }
 
 // poolBucketCap bounds the free tensors retained per size class so a
@@ -179,45 +171,6 @@ func (p *Pool) putPack(buf []float32) {
 	p.mu.Unlock()
 }
 
-// getPackHalf returns an n-element uint16 scratch slice for fp16 GEMM
-// panel packing; like getPack, the contents are arbitrary.
-func (p *Pool) getPackHalf(n int) []uint16 {
-	p.packHalfGets.Add(1)
-	if p.disabled.Load() || n == 0 {
-		return make([]uint16, n)
-	}
-	b := ceilBucket(n)
-	p.mu.Lock()
-	for q := b; q < len(p.packHalfBuckets); q++ {
-		if l := p.packHalfBuckets[q]; len(l) > 0 {
-			buf := l[len(l)-1]
-			l[len(l)-1] = nil
-			p.packHalfBuckets[q] = l[:len(l)-1]
-			p.mu.Unlock()
-			p.packHalfHits.Add(1)
-			return buf[:n]
-		}
-	}
-	p.mu.Unlock()
-	return make([]uint16, n, 1<<uint(b))
-}
-
-// putPackHalf returns a getPackHalf slice to the half-pack free list.
-func (p *Pool) putPackHalf(buf []uint16) {
-	if p.disabled.Load() || cap(buf) == 0 {
-		return
-	}
-	b := bits.Len(uint(cap(buf))) - 1
-	if b >= len(p.packHalfBuckets) {
-		return
-	}
-	p.mu.Lock()
-	if len(p.packHalfBuckets[b]) < poolBucketCap {
-		p.packHalfBuckets[b] = append(p.packHalfBuckets[b], buf)
-	}
-	p.mu.Unlock()
-}
-
 // drain discards every retained buffer.
 func (p *Pool) drain() {
 	p.mu.Lock()
@@ -226,9 +179,6 @@ func (p *Pool) drain() {
 	}
 	for i := range p.packBuckets {
 		p.packBuckets[i] = nil
-	}
-	for i := range p.packHalfBuckets {
-		p.packHalfBuckets[i] = nil
 	}
 	p.mu.Unlock()
 }
@@ -304,35 +254,30 @@ func SetDebugPoisonReleased(on bool) bool {
 // package-level counters, which keep advancing under concurrent traffic
 // and would tear a multi-counter read.
 type PoolCounters struct {
-	Gets, Hits, Puts           uint64
-	PackGets, PackHits         uint64
-	PackHalfGets, PackHalfHits uint64
+	Gets, Hits, Puts   uint64
+	PackGets, PackHits uint64
 }
 
 // PoolStatsSnapshot returns a copy of all pool counters (tensor buckets
 // and pack-scratch buckets) at one moment.
 func PoolStatsSnapshot() PoolCounters {
 	return PoolCounters{
-		Gets:         defaultPool.gets.Load(),
-		Hits:         defaultPool.hits.Load(),
-		Puts:         defaultPool.puts.Load(),
-		PackGets:     defaultPool.packGets.Load(),
-		PackHits:     defaultPool.packHits.Load(),
-		PackHalfGets: defaultPool.packHalfGets.Load(),
-		PackHalfHits: defaultPool.packHalfHits.Load(),
+		Gets:     defaultPool.gets.Load(),
+		Hits:     defaultPool.hits.Load(),
+		Puts:     defaultPool.puts.Load(),
+		PackGets: defaultPool.packGets.Load(),
+		PackHits: defaultPool.packHits.Load(),
 	}
 }
 
 // Sub returns the counter deltas accumulated since prev.
 func (c PoolCounters) Sub(prev PoolCounters) PoolCounters {
 	return PoolCounters{
-		Gets:         c.Gets - prev.Gets,
-		Hits:         c.Hits - prev.Hits,
-		Puts:         c.Puts - prev.Puts,
-		PackGets:     c.PackGets - prev.PackGets,
-		PackHits:     c.PackHits - prev.PackHits,
-		PackHalfGets: c.PackHalfGets - prev.PackHalfGets,
-		PackHalfHits: c.PackHalfHits - prev.PackHalfHits,
+		Gets:     c.Gets - prev.Gets,
+		Hits:     c.Hits - prev.Hits,
+		Puts:     c.Puts - prev.Puts,
+		PackGets: c.PackGets - prev.PackGets,
+		PackHits: c.PackHits - prev.PackHits,
 	}
 }
 
@@ -355,18 +300,10 @@ func PoolRetainedBytes() (tensorBytes, packBytes int64) {
 			packBytes += int64(cap(buf)) * 4
 		}
 	}
-	for _, bucket := range p.packHalfBuckets {
-		for _, buf := range bucket {
-			packBytes += int64(cap(buf)) * 2
-		}
-	}
 	return tensorBytes, packBytes
 }
 
 // getPackBuf and putPackBuf are the package-internal pack-scratch entry
-// points over the shared pool; the Half pair is the uint16 analogue for
-// fp16 B panels.
-func getPackBuf(n int) []float32    { return defaultPool.getPack(n) }
-func putPackBuf(buf []float32)      { defaultPool.putPack(buf) }
-func getHalfPackBuf(n int) []uint16 { return defaultPool.getPackHalf(n) }
-func putHalfPackBuf(buf []uint16)   { defaultPool.putPackHalf(buf) }
+// points over the shared pool.
+func getPackBuf(n int) []float32 { return defaultPool.getPack(n) }
+func putPackBuf(buf []float32)   { defaultPool.putPack(buf) }

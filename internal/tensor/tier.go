@@ -185,9 +185,9 @@ func BitExactGemmTier() string {
 	return "ref"
 }
 
-// GemmHalfFast reports whether the fp16-storage GEMM runs on the
-// in-register widening AVX2 kernel (F16C); otherwise it widens the fp16
-// operand to a pooled fp32 panel first.
+// GemmHalfFast reports whether an fp16 FrozenMatrix runs off its panel
+// on the in-register widening AVX2 kernel (F16C); otherwise each GEMM
+// unpacks it into a pooled fp32 matrix first.
 func GemmHalfFast() bool {
 	return haveF16CKernels && currentGemmTier() == tierAVX2
 }
