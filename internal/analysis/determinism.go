@@ -33,13 +33,16 @@ var Determinism = &Analyzer{
 // hotPathPrefixes are the packages (and their subpackages) holding code
 // that must be bit-identical across parallelism levels: the tensor
 // kernels and worker pool, the kernel cost models, the fused
-// optimizer kernels, and the what-if replay engine (its golden-error
-// CI gate assumes bit-stable predictions).
+// optimizer kernels, the what-if replay engine (its golden-error
+// CI gate assumes bit-stable predictions), and the simulator and its
+// scheduler (every table and figure is pinned to their bits).
 var hotPathPrefixes = []string{
 	"tbd/internal/tensor",
 	"tbd/internal/kernels",
 	"tbd/internal/optim",
 	"tbd/internal/whatif",
+	"tbd/internal/sim",
+	"tbd/internal/sched",
 }
 
 // nondetCalls are forbidden callees in hot paths.

@@ -133,10 +133,8 @@ func (o *Op) Forward(n int, style NameStyle) []Kernel {
 		}}
 	case OpRNNSeq:
 		return o.fusedRNNKernels(n, 1, "fw")
-	case OpGRUSeq:
-		return o.rnnKernels(n, style, 3, "fw")
 	case OpLSTMSeq:
-		return o.rnnKernels(n, style, 4, "fw")
+		return o.lstmKernels(n, style, "fw")
 	case OpAttention:
 		return o.attentionKernels(n, style, "fw")
 	default:
@@ -214,10 +212,8 @@ func (o *Op) Backward(n int, style NameStyle) []Kernel {
 		return nil // gradient of add is pass-through
 	case OpRNNSeq:
 		return o.fusedRNNKernels(n, 1, "bw")
-	case OpGRUSeq:
-		return o.rnnKernels(n, style, 3, "bw")
 	case OpLSTMSeq:
-		return o.rnnKernels(n, style, 4, "bw")
+		return o.lstmKernels(n, style, "bw")
 	case OpAttention:
 		return o.attentionKernels(n, style, "bw")
 	default:
@@ -236,15 +232,16 @@ func (o *Op) Update(style NameStyle) []Kernel {
 	return []Kernel{{Name: name, Class: OptimizerClass, FLOPs: 4 * float64(p), Bytes: 16 * float64(p)}}
 }
 
-// rnnKernels emits the per-timestep kernel stream of a recurrent layer.
+// lstmKernels emits the per-timestep kernel stream of an unfused LSTM.
 // Each timestep launches two GEMMs (input and recurrent projections) and a
 // fused gate kernel; the backward adds a weight-gradient GEMM. The sheer
 // number of small launches — T steps x several kernels — is what starves
 // the GPU in the paper's Observation 5.
-func (o *Op) rnnKernels(n int, style NameStyle, gates int, dir string) []Kernel {
+func (o *Op) lstmKernels(n int, style NameStyle, dir string) []Kernel {
+	const gates = 4 // input, forget, cell and output
 	gh := gates * o.Hidden
 	var ks []Kernel
-	gateName := "cudnn::detail::" + map[int]string{1: "rnn", 3: "gru", 4: "lstm"}[gates] + "_" + dir + "_pointwise"
+	gateName := "cudnn::detail::lstm_" + dir + "_pointwise"
 	for t := 0; t < o.T; t++ {
 		if dir == "fw" {
 			gate := pointwise(gateName, int64(n*o.Hidden), float64(6*gates), 8*float64(gates))

@@ -19,7 +19,6 @@ func allKindsOps() []*Op {
 		{Name: "avgpool", Kind: OpAvgPool, InC: 8, H: 16, W: 16, K: 2, Stride: 2},
 		{Name: "softmax", Kind: OpSoftmax, Elems: 100},
 		{Name: "rnn", Kind: OpRNNSeq, T: 8, Input: 16, Hidden: 32},
-		{Name: "gru", Kind: OpGRUSeq, T: 8, Input: 16, Hidden: 32},
 		{Name: "lstm", Kind: OpLSTMSeq, T: 8, Input: 16, Hidden: 32},
 		{Name: "attn", Kind: OpAttention, Dim: 32, Heads: 4, SeqLen: 8},
 		{Name: "emb", Kind: OpEmbedding, Vocab: 100, Dim: 16, T: 8},
@@ -81,17 +80,18 @@ func TestCNTKStyleNames(t *testing.T) {
 	}
 }
 
-func TestGRUEmitsPerStepSyncs(t *testing.T) {
-	g := &Op{Name: "gru", Kind: OpGRUSeq, T: 10, Input: 16, Hidden: 16}
-	fw := g.Forward(2, StyleMXNet)
-	syncs := 0
-	for _, k := range fw {
-		if k.Sync {
-			syncs++
+func TestLSTMEmitsPerStepSyncs(t *testing.T) {
+	l := &Op{Name: "lstm", Kind: OpLSTMSeq, T: 10, Input: 16, Hidden: 16}
+	for dir, ks := range map[string][]Kernel{"forward": l.Forward(2, StyleMXNet), "backward": l.Backward(2, StyleMXNet)} {
+		syncs := 0
+		for _, k := range ks {
+			if k.Sync {
+				syncs++
+			}
 		}
-	}
-	if syncs != 10 {
-		t.Fatalf("GRU forward has %d sync points, want one per timestep", syncs)
+		if syncs != 10 {
+			t.Fatalf("LSTM %s has %d sync points, want one per timestep", dir, syncs)
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ const (
 	OpAvgPool
 	OpSoftmax
 	OpRNNSeq
-	OpGRUSeq
 	OpLSTMSeq
 	OpAttention
 	OpEmbedding
@@ -30,7 +29,7 @@ func (k Kind) String() string {
 		OpConv2D: "conv2d", OpDense: "dense", OpBatchNorm: "batchnorm",
 		OpLayerNorm: "layernorm", OpActivation: "activation",
 		OpMaxPool: "maxpool", OpAvgPool: "avgpool", OpSoftmax: "softmax",
-		OpRNNSeq: "rnn", OpGRUSeq: "gru", OpLSTMSeq: "lstm",
+		OpRNNSeq: "rnn", OpLSTMSeq: "lstm",
 		OpAttention: "attention", OpEmbedding: "embedding",
 		OpElemAdd: "add", OpLoss: "loss",
 	}
@@ -110,7 +109,7 @@ func (o *Op) OutputElemsPerSample() int64 {
 		return int64(o.Rows) * int64(o.Out)
 	case OpBatchNorm, OpLayerNorm, OpActivation, OpSoftmax, OpElemAdd, OpLoss:
 		return int64(o.elems())
-	case OpRNNSeq, OpGRUSeq, OpLSTMSeq:
+	case OpRNNSeq, OpLSTMSeq:
 		return int64(o.T) * int64(o.Hidden)
 	case OpAttention:
 		return int64(o.SeqLen) * int64(o.Dim)
@@ -148,8 +147,6 @@ func (o *Op) ParamElems() int64 {
 		return 2 * int64(o.Channels)
 	case OpRNNSeq:
 		return int64(o.Input)*int64(o.Hidden) + int64(o.Hidden)*int64(o.Hidden) + int64(o.Hidden)
-	case OpGRUSeq:
-		return 3 * (int64(o.Input)*int64(o.Hidden) + int64(o.Hidden)*int64(o.Hidden) + int64(o.Hidden))
 	case OpLSTMSeq:
 		return 4 * (int64(o.Input)*int64(o.Hidden) + int64(o.Hidden)*int64(o.Hidden) + int64(o.Hidden))
 	case OpAttention:
@@ -190,8 +187,6 @@ func (o *Op) StashElemsPerSample() int64 {
 		// and pre-activations for both the forward output and the
 		// backward reserve buffer.
 		return int64(o.T) * int64(o.Input+10*o.Hidden)
-	case OpGRUSeq:
-		return int64(o.T) * int64(o.Input+9*o.Hidden)
 	case OpLSTMSeq:
 		// Dataflow frameworks stash every node output of the unrolled
 		// step: x, hPrev, cPrev, the 4H pre-activation, 4 gates, c, and

@@ -36,15 +36,17 @@ type Cluster struct {
 	// InterLink connects machines (Ethernet or InfiniBand).
 	InterLink *device.Interconnect
 	Strategy  Strategy
-	// OverlapFraction is how much of the communication hides behind the
-	// backward pass (frameworks overlap gradient push with remaining
-	// backprop).
-	OverlapFraction float64
 	// GradCompression divides the gradient wire volume (2 for fp16
 	// payloads, higher for sparsification); 0 or 1 means none — the
 	// §4.5 recommendation to reduce the data sent.
 	GradCompression float64
 }
+
+// overlapFraction is how much of the communication hides behind the
+// backward pass (frameworks overlap gradient push with remaining
+// backprop). It stays a flat share until the schedule models link
+// contention (EXPERIMENTS.md).
+const overlapFraction = 0.5
 
 // Workers returns the total GPU count.
 func (c Cluster) Workers() int { return c.Machines * c.GPUsPerMachine }
@@ -52,7 +54,7 @@ func (c Cluster) Workers() int { return c.Machines * c.GPUsPerMachine }
 // Figure10Configs returns the five configurations of the paper's
 // Figure 10: 1M1G, 2M1G over Ethernet, 2M1G over InfiniBand, 1M2G, 1M4G.
 func Figure10Configs() []Cluster {
-	base := Cluster{IntraLink: device.PCIe3, Strategy: ParameterServer, OverlapFraction: 0.5}
+	base := Cluster{IntraLink: device.PCIe3, Strategy: ParameterServer}
 	mk := func(name string, machines, gpus int, inter *device.Interconnect) Cluster {
 		c := base
 		c.Name, c.Machines, c.GPUsPerMachine, c.InterLink = name, machines, gpus, inter
@@ -134,7 +136,7 @@ func commTime(c Cluster, gradBytes int64) float64 {
 func Scale(ops []*kernels.Op, perGPUBatch int, style kernels.NameStyle, cfg Config, c Cluster) ScaleResult {
 	compute := Simulate(ops, perGPUBatch, style, cfg).IterTimeSec
 	raw := commTime(c, GradientBytes(ops))
-	exposed := raw * (1 - c.OverlapFraction)
+	exposed := raw * (1 - overlapFraction)
 	// Overlap can only hide communication behind compute that exists.
 	if hidden := raw - exposed; hidden > compute {
 		exposed = raw - compute

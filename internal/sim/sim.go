@@ -6,12 +6,12 @@
 // per-kernel aggregates for the low-utilization kernel tables (Tables 5
 // and 6).
 //
-// The execution model is a two-agent pipeline. The host dispatch thread
-// issues kernels in order, paying a per-kernel launch overhead; the GPU
-// executes them in order as they arrive. A kernel marked Sync forces the
-// host to drain the device before continuing (the per-timestep control
-// flow of unfused RNN loops), which is the mechanism that keeps LSTM
-// models from saturating the GPU.
+// The execution model is one schedule (internal/sched) of tasks on three
+// serial lanes. The host dispatch thread launches kernels in order; the
+// GPU runs each once its launch has ended. A kernel marked Sync makes the
+// host wait for the GPU's previous kernel first (the per-timestep control
+// flow of unfused RNN loops), which keeps LSTM models from saturating the
+// GPU. The input pipeline's threads run on a lane of their own.
 //
 // cluster.go scales one simulated iteration across GPUs and machines
 // (Cluster, Scale): the data-parallel study of Figure 10.
@@ -27,6 +27,7 @@ import (
 	"tbd/internal/kernels"
 	"tbd/internal/metrics"
 	"tbd/internal/prof"
+	"tbd/internal/sched"
 )
 
 // Config describes one training setup to simulate.
@@ -136,81 +137,99 @@ func Stream(ops []*kernels.Op, batch int, style kernels.NameStyle, cfg Config) [
 	return append(stream, kernels.IterationKernels(ops, batch, style)...)
 }
 
-// Replay runs the two-agent pipeline over an explicit kernel stream. When
-// rec is non-nil, the same pass records the iteration into it on the
-// simulated clock, the analogue of an nvprof capture: a "step" span over
-// the GPU timeline, a phase span ("phase.forward", ...) over each run of
-// one pass's kernels, and one kernel span per launch carrying its FLOPs
-// and bytes (the input transfer sits directly under the step). rec's wall
-// is the iteration time, so the host time outside the GPU timeline is
-// the capture's unattributed time, and the step's and phases' self time
-// is GapSec.
+// Replay schedules an explicit kernel stream on three lanes (the host
+// dispatch thread, the GPU stream and the input pipeline's threads) and
+// reads the iteration off that one schedule. When rec is non-nil, it also
+// records the iteration into it on the simulated clock, the analogue of
+// an nvprof capture: a "step" span over the GPU timeline, a phase span
+// ("phase.forward", ...) over each run of one pass's kernels, and one
+// kernel span per launch carrying its FLOPs and bytes (the input transfer
+// sits directly under the step). rec's wall is the iteration time, so the
+// host time outside the GPU timeline is the capture's unattributed time,
+// and the step's and phases' self time is GapSec.
 func Replay(stream []kernels.Kernel, batch int, cfg Config, rec *prof.Capture) Result {
 	if batch <= 0 {
 		panic(fmt.Sprintf("sim: non-positive batch %d", batch))
 	}
 	cfg = cfg.withDefaults()
+	const hostLane, gpuLane, pipelineLane, lanes = 0, 1, 2, 3
 	var (
-		cpuClock = cfg.IterOverheadSec / 2 // host dispatch thread position
-		gpuFree  float64                   // device completion time
-		busy     float64
-		flops    float64
-		gap      float64
-		cpuBusy  = cfg.IterOverheadSec
-		phases   PhaseProfile
-		spans    recorder
+		busy, flops, gap float64
+		cpuBusy          = cfg.IterOverheadSec
+		phases           PhaseProfile
+		spans            recorder
+		perKernel        []KernelStat
+		seen             = make(map[string]int)     // name -> index in perKernel
+		kernel           = make([]int, len(stream)) // each kernel's task
+		gpuLast          []int                      // the GPU lane's latest task, as a dependency
 	)
-
-	agg := make(map[string]*KernelStat)
-	for i, k := range stream {
-		if k.Sync {
-			// Host must observe device completion before this step.
-			if gpuFree > cpuClock {
-				cpuClock = gpuFree
-			}
-			cpuClock += cfg.SyncOverheadSec
-			cpuBusy += cfg.SyncOverheadSec
-		}
-		cpuClock += cfg.LaunchOverheadSec
-		cpuBusy += cfg.LaunchOverheadSec
-		dur := k.Duration(cfg.GPU) / cfg.SpeedFactor
-		start := max(cpuClock, gpuFree)
-		if i > 0 {
-			gap += start - gpuFree
-		}
-		gpuFree = start + dur
-		busy += dur
-		flops += k.FLOPs
-		phases.add(k.Phase, dur)
-		if rec != nil {
-			spans.kernel(k, start, gpuFree)
-		}
-
-		st, ok := agg[k.Name]
-		if !ok {
-			st = &KernelStat{Name: k.Name, Class: k.Class}
-			agg[k.Name] = st
-		}
-		st.Count++
-		st.TotalSec += dur
-		st.FLOPs += k.FLOPs
-	}
-	computePath := gpuFree + cfg.IterOverheadSec/2
-
 	// The input pipeline runs on separate host threads, overlapped with
 	// compute; it bounds iteration time when slower (Observation 13's
 	// single-machine analogue), and always contributes to CPU busy time.
 	pipeline := cfg.HostCPUSecPerSample * float64(batch)
-	pipelineWall := pipeline / float64(cfg.PipelineWorkers)
+	tasks := []sched.Task{{Lane: pipelineLane, Dur: pipeline / float64(cfg.PipelineWorkers)}}
+	if len(stream) > 0 {
+		// The head delays the first launch; an empty stream has none.
+		tasks = append(tasks, sched.Task{Lane: hostLane, Dur: cfg.IterOverheadSec / 2})
+	}
+	for i, k := range stream {
+		if k.Sync {
+			// Host must observe device completion before this step.
+			tasks = append(tasks, sched.Task{Lane: hostLane, Dur: cfg.SyncOverheadSec, Deps: gpuLast})
+			cpuBusy += cfg.SyncOverheadSec
+		}
+		tasks = append(tasks, sched.Task{Lane: hostLane, Dur: cfg.LaunchOverheadSec})
+		cpuBusy += cfg.LaunchOverheadSec
+		dur := k.Duration(cfg.GPU) / cfg.SpeedFactor
+		kernel[i] = len(tasks)
+		tasks = append(tasks, sched.Task{Lane: gpuLane, Dur: dur, Deps: []int{kernel[i] - 1}})
+		gpuLast = kernel[i : i+1]
+		busy += dur
+		flops += k.FLOPs
+		phases.add(k.Phase, dur)
+		if _, ok := seen[k.Name]; !ok {
+			seen[k.Name] = len(perKernel)
+			perKernel = append(perKernel, KernelStat{Name: k.Name, Class: k.Class})
+		}
+		st := &perKernel[seen[k.Name]]
+		st.Count++
+		st.TotalSec += dur
+		st.FLOPs += k.FLOPs
+	}
+	tasks = append(tasks, sched.Task{Lane: hostLane, Dur: cfg.IterOverheadSec / 2, Deps: gpuLast})
 	cpuBusy += pipeline
-
-	iter := computePath
-	if pipelineWall > iter {
-		iter = pipelineWall
+	start, end := sched.Run(tasks, lanes)
+	iter := max(end[len(end)-1], end[0]) // the tail, or the pipeline when slower
+	for i, t := range kernel {
+		if i > 0 {
+			gap += start[t] - end[kernel[i-1]]
+		}
+		if rec != nil {
+			spans.kernel(stream[i], start[t], end[t])
+		}
 	}
 
 	peak := cfg.GPU.PeakFLOPS()
-	res := Result{
+	for i := range perKernel {
+		st := &perKernel[i]
+		st.Util = metrics.FP32Utilization(st.FLOPs, peak, st.TotalSec)
+		if busy > 0 {
+			st.DurationShare = st.TotalSec / busy
+		}
+	}
+	// Equal totals are common (a conv's dgrad and wgrad, pooling forward
+	// and backward), so ties go by name.
+	sort.Slice(perKernel, func(i, j int) bool {
+		a, b := perKernel[i], perKernel[j]
+		if a.TotalSec != b.TotalSec {
+			return a.TotalSec > b.TotalSec
+		}
+		return a.Name < b.Name
+	})
+	if rec != nil {
+		*rec = prof.Capture{Wall: simTime(iter), Records: spans.recs}
+	}
+	return Result{
 		Batch:       batch,
 		IterTimeSec: iter,
 		GPUBusySec:  busy,
@@ -223,27 +242,8 @@ func Replay(stream []kernels.Kernel, batch int, cfg Config, rec *prof.Capture) R
 		CPUUtil:     metrics.CPUUtilization(cpuBusy, cfg.CPU.Cores, iter),
 		Phases:      phases,
 		GapSec:      gap,
+		PerKernel:   perKernel,
 	}
-	if rec != nil {
-		*rec = prof.Capture{Wall: simTime(iter), Records: spans.recs}
-	}
-	for _, st := range agg {
-		st.Util = metrics.FP32Utilization(st.FLOPs, peak, st.TotalSec)
-		if busy > 0 {
-			st.DurationShare = st.TotalSec / busy
-		}
-		res.PerKernel = append(res.PerKernel, *st)
-	}
-	// Equal totals are common (a conv's dgrad and wgrad, pooling forward
-	// and backward), so ties go by name rather than by map order.
-	sort.Slice(res.PerKernel, func(i, j int) bool {
-		a, b := res.PerKernel[i], res.PerKernel[j]
-		if a.TotalSec != b.TotalSec {
-			return a.TotalSec > b.TotalSec
-		}
-		return a.Name < b.Name
-	})
-	return res
 }
 
 // recorder lays Replay's kernels out as span records. recs[0] is the

@@ -122,4 +122,9 @@ func TestEmptyStreamRecordsNothing(t *testing.T) {
 	if r.KernelCount != 0 || r.GapSec != 0 || len(c.Records) != 0 || c.Wall != simTime(r.IterTimeSec) {
 		t.Fatalf("empty stream: %d kernels, %.9f s gap, %d spans, wall %v", r.KernelCount, r.GapSec, len(c.Records), c.Wall)
 	}
+	// Nothing is launched, so the iteration is the tail alone: no head
+	// of host overhead runs before it.
+	if want := baseCfg().IterOverheadSec / 2; r.IterTimeSec != want {
+		t.Fatalf("empty stream: iteration %.9f s, want the tail's %.9f s", r.IterTimeSec, want)
+	}
 }

@@ -18,6 +18,7 @@ import (
 func TestLivePlaneImportsNoSimulatedPlane(t *testing.T) {
 	simulated := map[string]bool{
 		"tbd/internal/sim":       true,
+		"tbd/internal/sched":     true,
 		"tbd/internal/kernels":   true,
 		"tbd/internal/device":    true,
 		"tbd/internal/framework": true,

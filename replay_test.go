@@ -1,0 +1,97 @@
+package tbd
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"tbd/internal/core"
+	"tbd/internal/models"
+	"tbd/internal/sim"
+)
+
+// parentReplayHash is replayHash as the commit before sim.Replay moved
+// onto internal/sched computed it.
+const parentReplayHash = 0xfbf08eb4fef35b6d
+
+// replayHash hashes the simulator's every output over every suite model,
+// supported framework, GPU and sweep batch: each sim.Result field (floats
+// by their bits), every PerKernel row, the ExportTrace bytes, and
+// sim.Scale under each Figure 10 configuration. It returns the hash and
+// the number of cells.
+func replayHash(t *testing.T) (uint64, int) {
+	h := fnv.New64a()
+	cells := 0
+	for _, b := range Benchmarks() {
+		for _, fw := range b.Frameworks {
+			for _, gpu := range GPUs() {
+				for _, batch := range b.BatchSizes {
+					m, f, g, err := core.Resolve(b.Name, fw, gpu, batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n := m.SamplesForBatch(batch)
+					cfg := models.SimConfigFor(m, f, g)
+					r := sim.Simulate(m.Ops(), n, f.Style, cfg)
+					hashWrite(h, r.Batch, r.IterTimeSec, r.GPUBusySec, r.CPUBusySec, r.FLOPs, r.KernelCount,
+						r.Throughput, r.GPUUtil, r.FP32Util, r.CPUUtil, r.GapSec,
+						r.Phases.ForwardSec, r.Phases.BackwardSec, r.Phases.UpdateSec,
+						r.Phases.ForwardKernels, r.Phases.BackwardKernels, r.Phases.UpdateKernels, len(r.PerKernel))
+					for _, st := range r.PerKernel {
+						hashWrite(h, st.Name, int(st.Class), st.Count, st.TotalSec, st.FLOPs, st.Util, st.DurationShare)
+					}
+					var trace bytes.Buffer
+					if err := ExportTrace(b.Name, fw, gpu, batch, &trace); err != nil {
+						t.Fatal(err)
+					}
+					h.Write(trace.Bytes())
+					for _, c := range sim.Figure10Configs() {
+						s := sim.Scale(m.Ops(), n, f.Style, cfg, c)
+						hashWrite(h, c.Name, s.PerGPUBatch, s.TotalBatch, s.ComputeSec, s.CommSec, s.RawCommSec,
+							s.IterTimeSec, s.Throughput, s.ScalingEfficiency)
+					}
+					cells++
+				}
+			}
+		}
+	}
+	return h.Sum64(), cells
+}
+
+// hashWrite feeds ints, strings and float bits to h, each length-framed
+// or fixed-width so that no two sequences collide.
+func hashWrite(h hash.Hash64, vals ...any) {
+	var buf [8]byte
+	for _, v := range vals {
+		switch v := v.(type) {
+		case int:
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		case float64:
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		case string:
+			binary.LittleEndian.PutUint64(buf[:], uint64(len(v)))
+			h.Write(buf[:])
+			h.Write([]byte(v))
+			continue
+		default:
+			panic("hashWrite: unsupported value")
+		}
+		h.Write(buf[:])
+	}
+}
+
+// TestReplayMatchesParentCommit holds every simulated number the
+// toolchain reports to the bits it had before the simulator's clock
+// became one dependency schedule.
+func TestReplayMatchesParentCommit(t *testing.T) {
+	got, cells := replayHash(t)
+	if cells != 189 {
+		t.Fatalf("%d cells, want 189", cells)
+	}
+	if got != parentReplayHash {
+		t.Fatalf("replay hash %#x over %d cells, parent commit had %#x", got, cells, uint64(parentReplayHash))
+	}
+}
