@@ -88,7 +88,10 @@ dist-race:
 # the model plus a constant (the layout-table reader it fuzzes is the
 # parameter-server client's). Both unminimized: a multi-frame input, or a
 # seed the size of the model, takes longer than ten seconds to shrink.
-# `go test` alone replays the committed seeds; this mutates them.
+# Then ten seconds of convolution shapes (batch, channels, image, filters,
+# kernel, stride, padding, fused epilogue) through the forward and both
+# gradients on every GEMM tier, against the batch-wide lowering, bit for
+# bit. `go test` alone replays the committed seeds; this mutates them.
 fuzz-smoke:
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzPSFrame -fuzztime 10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzGemmBlockedShapes -fuzztime 10s
@@ -97,6 +100,7 @@ fuzz-smoke:
 	$(GO) test ./internal/prof -run '^$$' -fuzz FuzzTraceRead -fuzztime 10s -fuzzminimizetime 0
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzCtrlFrame -fuzztime 10s -fuzzminimizetime 0
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 10s -fuzzminimizetime 0
+	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzConvShapes -fuzztime 10s
 
 # Race detector over the what-if predictor: trace capture off the live
 # profiler (concurrent span emission), merge, replay, and the root-package

@@ -77,6 +77,9 @@ var whatifGroundTruthCells = []struct {
 	{"ring-stream", func(tb testing.TB) (float64, float64) {
 		return predictRingStream(tb), measuredRingStream(tb)
 	}},
+	{"conv-lowering", func(tb testing.TB) (float64, float64) {
+		return predictConvLowering(tb), measuredConvLowering(tb)
+	}},
 	{"ps-10gbe", func(tb testing.TB) (float64, float64) {
 		pred := replayGolden(tb, loadGoldenTrace(tb, "dist_ps_1gbe.json"), "bw=10gbe")
 		meas := replayGolden(tb, loadGoldenTrace(tb, "dist_ps_10gbe.json"), "")

@@ -17,8 +17,7 @@ type Conv2D struct {
 	W, B                *Param
 	Act                 tensor.ActKind
 	useBias             bool
-	x                   *tensor.Tensor
-	cols                *tensor.Tensor // im2col lowering kept for backward
+	x                   *tensor.Tensor // the input, the one stash for backward
 	out, gx             *tensor.Tensor // previously returned buffers
 }
 
@@ -59,28 +58,21 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("layers: %s expects [N,%d,H,W], got %v", c.name, c.InC, x.Shape()))
 	}
 	c.out.Release()
-	if c.cols != c.x { // a pointwise conv's lowering is its input
-		c.cols.Release()
-	}
 	var bias *tensor.Tensor
 	if c.useBias {
 		// Bias is per output channel (= per GEMM row), broadcast over N
 		// and spatial dims by the fused epilogue.
 		bias = c.B.Value
 	}
-	var y *tensor.Tensor
+	// The backward pass lowers x again, image by image, rather than keep
+	// a batch-wide lowering: written straight into the GEMM's operand, the
+	// lowering costs less than stashing and re-reading one did.
+	c.x = nil
 	if train {
 		c.x = x
-		// Keep the lowering for the backward pass — recomputing im2col is
-		// the textbook workspace-memory-for-throughput trade.
-		y, c.cols = tensor.Conv2DWithColsFused(x, c.W.Value, bias, c.Act, c.Stride, c.Pad)
-	} else {
-		c.x = nil
-		c.cols = nil
-		y = tensor.Conv2DFused(x, c.W.Value, bias, c.Act, c.Stride, c.Pad)
 	}
-	c.out = y
-	return y
+	c.out = tensor.Conv2DFused(x, c.W.Value, bias, c.Act, c.Stride, c.Pad)
+	return c.out
 }
 
 func (c *Conv2D) Backward(gy *tensor.Tensor) *tensor.Tensor {
@@ -94,7 +86,7 @@ func (c *Conv2D) Backward(gy *tensor.Tensor) *tensor.Tensor {
 		gzOwned = tensor.ActBackward(c.Act, gy, c.out)
 		gz = gzOwned
 	}
-	gx, gw := tensor.Conv2DBackwardCols(c.cols, c.x.Shape(), c.W.Value, gz, c.Stride, c.Pad)
+	gx, gw := tensor.Conv2DBackward(c.x, c.W.Value, gz, c.Stride, c.Pad)
 	c.W.AddGrad(gw)
 	if c.useBias {
 		n, f, oh, ow := gz.Dim(0), gz.Dim(1), gz.Dim(2), gz.Dim(3)
@@ -121,13 +113,14 @@ func (c *Conv2D) Params() []*Param {
 	return []*Param{c.W}
 }
 
-func (c *Conv2D) StashBytes() int64 { return bytesOf(c.x) + bytesOf(c.cols) }
+func (c *Conv2D) StashBytes() int64 { return bytesOf(c.x) }
 
 // MaxPool2D is max pooling over NCHW inputs.
 type MaxPool2D struct {
 	name      string
 	K, Stride int
-	idx       []int
+	argmax    []int // owned, reused by every forward
+	idx       []int // argmax of the last training forward; nil after eval
 	inShape   []int
 	out, gx   *tensor.Tensor
 }
@@ -141,10 +134,10 @@ func (l *MaxPool2D) Name() string { return l.name }
 
 func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.out.Release()
-	y, idx := tensor.MaxPool2D(x, l.K, l.Stride)
-	l.out = y
+	y, argmax := tensor.MaxPool2D(x, l.K, l.Stride, l.argmax)
+	l.out, l.argmax = y, argmax
 	if train {
-		l.idx = idx
+		l.idx = argmax
 		l.inShape = append(l.inShape[:0], x.Shape()...)
 	} else {
 		l.idx = nil

@@ -345,6 +345,19 @@ func TestStashBytesAccounting(t *testing.T) {
 	if l.StashBytes() != 0 {
 		t.Fatal("inference forward must not stash feature maps")
 	}
+	// A convolution stashes x alone, 3x3 or pointwise: the backward pass
+	// lowers x again, one image at a time.
+	img := tensor.RandNormal(rng, 0, 1, 4, 3, 16, 16)
+	for _, c := range []*Conv2D{
+		NewConv2DNoBias("conv3x3", 3, 8, 3, 1, 1, rng),
+		NewConv2DNoBias("conv1x1", 3, 8, 1, 1, 0, rng),
+		NewConv2DAct("conv-act", 3, 8, 3, 2, 1, tensor.ActReLU, rng),
+	} {
+		c.Forward(img, true)
+		if got, want := c.StashBytes(), int64(4*img.Numel()); got != want {
+			t.Errorf("%s stash %d bytes, want x's %d", c.Name(), got, want)
+		}
+	}
 }
 
 func TestParamCount(t *testing.T) {

@@ -102,3 +102,28 @@ func TestSequenceLayersSteadyStateAllocation(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxPool2DStepAllocatesNothing pins that a warmed max-pooling forward
+// and backward take nothing from the Go allocator: the layer hands its
+// argmax slice back to tensor.MaxPool2D to refill, where it once received
+// a fresh one per forward (every step of the detection twins).
+func TestMaxPool2DStepAllocatesNothing(t *testing.T) {
+	rng := tensor.NewRNG(52)
+	l := NewMaxPool2D("maxpool", 2, 2)
+	x := tensor.RandNormal(rng, 0, 1, 4, 8, 16, 16)
+	gy := tensor.RandNormal(rng, 0, 1, 4, 8, 8, 8)
+	step := func() {
+		l.Forward(x, true)
+		l.Backward(gy)
+	}
+	step()
+	if got := testing.AllocsPerRun(20, step); got != 0 {
+		t.Errorf("a warmed MaxPool2D forward + backward allocates %v objects, want 0", got)
+	}
+	// An eval forward in between keeps the slice; the next training
+	// forward still allocates nothing.
+	l.Forward(x, false)
+	if got := testing.AllocsPerRun(1, step); got != 0 {
+		t.Errorf("a training step after an eval forward allocates %v objects, want 0", got)
+	}
+}

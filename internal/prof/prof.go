@@ -274,6 +274,28 @@ func BeginChild(parent *Span, cat Cat, name string) Span {
 	return Span{name: name, cat: cat, g0: g, h0: h, id: id, parent: pid, prevAmb: prev, t0: time.Now()}
 }
 
+// BeginLeaf opens a span under an explicit parent that, unlike
+// BeginChild's, never becomes the ambient parent: nothing opens inside
+// it. Worker goroutines that time their share of one kernel side by side
+// (a convolution's per-image lowering) use it, so no span on the training
+// path can attach to a worker's span through the one ambient slot.
+func BeginLeaf(parent *Span, cat Cat, name string) Span {
+	if !enabled.Load() {
+		return Span{}
+	}
+	var g, h uint64
+	if poolSource != nil {
+		g, h = poolSource()
+	}
+	var pid uint64
+	if parent != nil {
+		pid = parent.id
+	}
+	// End's compare-and-swap finds some other ID in the ambient slot and
+	// leaves it alone.
+	return Span{name: name, cat: cat, g0: g, h0: h, id: nextSpanID.Add(1), parent: pid, t0: time.Now()}
+}
+
 // Active reports whether the span is recording, so callers can skip
 // non-trivial metric computation when profiling is off.
 func (s *Span) Active() bool { return !s.t0.IsZero() }

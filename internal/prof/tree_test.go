@@ -187,3 +187,51 @@ func TestConcurrentChildrenCloseBudget(t *testing.T) {
 		checkBudget(t, tree)
 	}
 }
+
+// TestLeafSpansLeaveTheAmbientParent opens leaf spans from two goroutines
+// under one kernel span and ends the first one opened first: a span opened
+// with Begin afterwards still attaches to the kernel span, where
+// BeginChild's would have left the ambient slot naming a finished worker
+// span.
+func TestLeafSpansLeaveTheAmbientParent(t *testing.T) {
+	Enable()
+	kernel := Begin(CatKernel, "conv2d.fwd")
+	opened, done := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		sp := BeginLeaf(&kernel, CatKernel, "im2col")
+		opened <- struct{}{}
+		<-opened // the second leaf is open
+		sp.End()
+		close(done)
+	}()
+	go func() {
+		defer wg.Done()
+		<-opened
+		sp := BeginLeaf(&kernel, CatKernel, "im2col")
+		opened <- struct{}{}
+		<-done
+		sp.End()
+	}()
+	wg.Wait()
+	next := Begin(CatKernel, "gemm")
+	next.End()
+	kernel.End()
+	Disable()
+	trees, err := Current(Meta{}).Trees()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := trees[0]
+	if len(tree.Nodes) != 4 {
+		t.Fatalf("got %d spans, want the kernel, two leaves and the span after them", len(tree.Nodes))
+	}
+	for _, n := range tree.Nodes[1:] {
+		if up := tree.Nodes[n.Up].Name; up != "conv2d.fwd" {
+			t.Errorf("%s hangs off %s, want conv2d.fwd", n.Name, up)
+		}
+	}
+	checkBudget(t, tree)
+}

@@ -14,212 +14,333 @@ func ConvOut(in, kernel, stride, pad int) int {
 	return (in+2*pad-kernel)/stride + 1
 }
 
-// Im2Col lowers x [N, C, H, W] into a channel-major matrix of shape
-// [N, C*kh*kw, outH*outW] — one contiguous [C*kh*kw, outH*outW] block per
-// image, the layout Caffe's CPU im2col uses — so a convolution becomes one
-// GEMM per image, mirroring the cuDNN GEMM-based convolution algorithms
-// the paper's frameworks invoke. Channel-major beats the patch-major
-// alternative on the host: each lowered row is a run of whole input rows,
-// so filling it is span copies instead of kw-element fragments.
-// The result is pool-backed; callers that are done with it may Release it.
-func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: Im2Col needs NCHW input, got %v", x.shape))
-	}
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Im2Col produces empty output for %v k=%dx%d s=%d p=%d", x.shape, kh, kw, stride, pad))
-	}
-	sp := prof.Begin(prof.CatKernel, "im2col")
-	if sp.Active() {
-		// Pure data movement: one read of x, one write of the lowering.
-		sp.SetBytes(4 * (int64(x.Numel()) + int64(n)*int64(c*kh*kw)*int64(oh*ow)))
-	}
-	// im2colRange writes every element (padding positions explicitly), so
-	// the destination can skip the zero-fill memclr.
-	out := acquireDirty(n, c*kh*kw, oh*ow)
-	im2colRows(out, x, kh, kw, stride, pad)
-	sp.End()
-	return out
+// A convolution runs one image at a time as a GEMM over that image's
+// lowering: the channel-major [C·kh·kw, oh·ow] matrix of Caffe's CPU
+// im2col, row (ch, ky, kx) holding that tap of every output pixel, so
+// image b's output block [F, oh·ow] is w [F, C·kh·kw] times it, written
+// straight into NCHW layout (the cuDNN GEMM-based algorithm the paper's
+// frameworks invoke). The lowering is transient workspace, where the paper
+// books it: each image's is written into pack-pool scratch from a
+// zero-padded copy of the image, so no tap tests a bound, read while it is
+// still in L2 and never kept. The layer stashes x alone; the backward pass
+// lowers again.
+//
+// Where the lowering goes:
+//
+//	panel   avx2 tier, F a whole number of 8-row tiles and a product the
+//	        8x8 driver takes (wideWorthIt): the lowering is written as the
+//	        B panel gemm_wide.go's tile nest reads, so nothing is packed.
+//	        The forward gets the plain panel (k = C·kh·kw in gemmKC blocks,
+//	        m = oh·ow) with its ragged columns column-major beside it, as
+//	        FrozenMatrix keeps them; the weight gradient gets the
+//	        transposed-B panel (k = oh·ow in one block, m = C·kh·kw) that
+//	        kernelSeq8x8 reads, its ragged rows row-major beside it.
+//	rows    every other tier and shape: the lowering is written row-major
+//	        and the ordinary GEMM reads (and packs) it.
+//	direct  a pointwise convolution (1x1, stride 1, no padding): x_b, an
+//	        [C, H·W] matrix already, is its own lowering.
+//
+// The input gradient is per image on every tier: wᵀ·gy_b lands in an
+// L2-sized scratch [C·kh·kw, oh·ow] that is scattered into gx_b at once
+// (col2im), each in-bounds row segment added through the tier's addVec.
+//
+// Bits: a panel holds the very values, in the very places, that the wide
+// driver's pack of the row-major lowering would, and the same tile nest,
+// kernels, edge-column orders and epilogue run over it; the scatter adds
+// the same values in the same tap order. So every path gives the bits of
+// a batch-wide Im2Col, per-image GEMMs and a Col2Im (convRef in the
+// tests), serial or parallel, on every tier.
+
+// convGeom is one convolution's geometry: the input image [c, h, w], the
+// kh x kw taps, the output [oh, ow], and the zero-padded image [c, hp, wp]
+// the lowerings read. The padded image also covers a last window that
+// overhangs the far border (stride > 1), so every tap is inside it.
+type convGeom struct {
+	c, h, w, kh, kw, stride, pad int
+	oh, ow, hp, wp               int
 }
 
-// im2colRows fills dst [N, C*kh*kw, oh*ow] from x, splitting lowered rows
-// across the worker pool. Each row is written independently, so any split
-// is bit-identical.
-func im2colRows(dst, x *Tensor, kh, kw, stride, pad int) {
-	n, c := x.shape[0], x.shape[1]
-	ckk := c * kh * kw
-	oh := ConvOut(x.shape[2], kh, stride, pad)
-	ow := ConvOut(x.shape[3], kw, stride, pad)
-	minRows := 1 + minElemsPerWorker/(oh*ow+1)
-	if rowWorkers(n*ckk, minRows) <= 1 {
-		im2colRange(dst.data, x.data, c, x.shape[2], x.shape[3], oh, ow, kh, kw, stride, pad, 0, n*ckk)
+func newConvGeom(c, h, w, kh, kw, stride, pad int) convGeom {
+	g := convGeom{c: c, h: h, w: w, kh: kh, kw: kw, stride: stride, pad: pad,
+		oh: ConvOut(h, kh, stride, pad), ow: ConvOut(w, kw, stride, pad)}
+	if g.oh <= 0 || g.ow <= 0 {
+		panic(fmt.Sprintf("tensor: convolution of [%d %d %d] k=%dx%d s=%d p=%d has an empty output", c, h, w, kh, kw, stride, pad))
+	}
+	g.hp = max(h+2*pad, (g.oh-1)*stride+kh)
+	g.wp = max(w+2*pad, (g.ow-1)*stride+kw)
+	return g
+}
+
+func (g *convGeom) ckk() int { return g.c * g.kh * g.kw }
+func (g *convGeom) ohw() int { return g.oh * g.ow }
+func (g *convGeom) chw() int { return g.c * g.h * g.w }
+
+// pointwise reports whether image b's lowering is x_b itself.
+func (g *convGeom) pointwise() bool {
+	return g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
+}
+
+// tap returns lowered row r's offset in the padded image, and its (ky, kx).
+func (g *convGeom) tap(r int) (off, ky, kx int) {
+	ch := r / (g.kh * g.kw)
+	rem := r - ch*g.kh*g.kw
+	ky = rem / g.kw
+	kx = rem - ky*g.kw
+	return (ch*g.hp+ky)*g.wp + kx, ky, kx
+}
+
+// nextTap steps tap's result from lowered row r to row r+1.
+func (g *convGeom) nextTap(off, ky, kx int) (int, int, int) {
+	off++
+	if kx++; kx == g.kw {
+		kx = 0
+		off += g.wp - g.kw
+		if ky++; ky == g.kh {
+			ky = 0
+			off += (g.hp - g.kh) * g.wp
+		}
+	}
+	return off, ky, kx
+}
+
+// pixel returns output pixel j's offset from a tap's in the padded image.
+func (g *convGeom) pixel(j int) int {
+	oy := j / g.ow
+	return (oy*g.wp + j - oy*g.ow) * g.stride
+}
+
+// padScratch returns zeroed scratch for one padded image, or nil when the
+// image needs no border and the lowerings read x_b itself.
+func (g *convGeom) padScratch() []float32 {
+	if g.hp == g.h && g.wp == g.w {
+		return nil
+	}
+	xp := getPackBuf(g.c * g.hp * g.wp)
+	clear(xp)
+	return xp
+}
+
+// padded returns image xb as the lowerings read it: xb itself when xp is
+// nil, else xb copied into xp's interior (the border stays zero, so one
+// scratch serves image after image).
+func (g *convGeom) padded(xp, xb []float32) []float32 {
+	if xp == nil {
+		return xb
+	}
+	for ch := 0; ch < g.c; ch++ {
+		for iy := 0; iy < g.h; iy++ {
+			copy(xp[(ch*g.hp+iy+g.pad)*g.wp+g.pad:][:g.w], xb[(ch*g.h+iy)*g.w:][:g.w])
+		}
+	}
+	return xp
+}
+
+// lowerRow writes one lowered row: the tap whose offset src starts at,
+// at every output pixel in order.
+func (g *convGeom) lowerRow(row, src []float32) {
+	if g.stride == 1 {
+		for oy := 0; oy < g.oh; oy++ {
+			copy(row[oy*g.ow:][:g.ow], src[oy*g.wp:][:g.ow])
+		}
 		return
 	}
-	parallelRows(n*ckk, minRows, func(rlo, rhi int) {
-		im2colRange(dst.data, x.data, c, x.shape[2], x.shape[3], oh, ow, kh, kw, stride, pad, rlo, rhi)
-	})
+	j := 0
+	for oy := 0; oy < g.oh; oy++ {
+		s := src[oy*g.stride*g.wp:]
+		for ox := 0; ox < g.ow; ox++ {
+			row[j] = s[ox*g.stride]
+			j++
+		}
+	}
 }
 
-// im2colRange writes lowered rows [rlo, rhi), where row index r encodes
-// (image, channel, ky, kx). Every element is stored — out-of-bounds taps
-// get explicit zeros — so dst may be dirty. For stride 1 each output row
-// segment is one contiguous copy from the input row, clipped at the
-// padding borders.
-func im2colRange(dst, x []float32, c, h, w, oh, ow, kh, kw, stride, pad, rlo, rhi int) {
-	ckk := c * kh * kw
-	ohw := oh * ow
-	for r := rlo; r < rhi; r++ {
-		b := r / ckk
-		colIdx := r - b*ckk
-		ch := colIdx / (kh * kw)
-		rem := colIdx - ch*kh*kw
-		ky := rem / kw
-		kx := rem - ky*kw
-		plane := x[(b*c+ch)*h*w : (b*c+ch+1)*h*w]
-		drow := dst[r*ohw : (r+1)*ohw]
-		for oy := 0; oy < oh; oy++ {
-			iy := oy*stride + ky - pad
-			d := drow[oy*ow : (oy+1)*ow]
-			if iy < 0 || iy >= h {
-				for t := range d {
-					d[t] = 0
+// lowerRows writes an image's lowering row-major into cols
+// [C·kh·kw, oh·ow] from its padded form xp.
+func (g *convGeom) lowerRows(cols, xp []float32) {
+	ohw := g.ohw()
+	off, ky, kx := 0, 0, 0
+	for r := 0; r < g.ckk(); r++ {
+		g.lowerRow(cols[r*ohw:][:ohw], xp[off:])
+		off, ky, kx = g.nextTap(off, ky, kx)
+	}
+}
+
+// lowerPanel writes an image's lowering from its padded form xp as the
+// forward's plain-layout panel: bp[pc*m8 + j0*kc + p*8 + c] = tap pc+p of
+// output pixel j0+c (gemm_wide.go's layout, k = C·kh·kw, m = oh·ow), then
+// the ragged pixels [m8, m) column-major, bp[k*m8 + (j-m8)*k + p].
+func (g *convGeom) lowerPanel(bp, xp []float32) {
+	k, m := g.ckk(), g.ohw()
+	m8 := m &^ 7
+	for pc := 0; pc < k; pc += gemmKC {
+		kc := min(gemmKC, k-pc)
+		blk := bp[pc*m8:]
+		off0, ky0, kx0 := g.tap(pc)
+		for j0 := 0; j0 < m8; j0 += 8 {
+			strip := blk[j0*kc:][:8*kc]
+			off, ky, kx := off0, ky0, kx0
+			if ox := j0 % g.ow; g.stride == 1 && ox+8 <= g.ow {
+				// Eight neighbours in one output row: each tap is one
+				// contiguous run of a padded input row.
+				src := xp[g.pixel(j0):]
+				for p := 0; p < kc; p++ {
+					move8((*[8]float32)(strip[p*8:]), (*[8]float32)(src[off:]))
+					off, ky, kx = g.nextTap(off, ky, kx)
 				}
 				continue
 			}
-			srow := plane[iy*w : (iy+1)*w]
-			if stride == 1 {
-				// Valid taps satisfy 0 <= ox+off < w; a kernel wider than
-				// the padded input makes that range empty (lo > ow or
-				// hi < 0), so both bounds are clamped into [0, ow].
-				off := kx - pad // ix = ox + off
-				lo, hi := 0, ow
-				if off < 0 {
-					lo = -off
-					if lo > ow {
-						lo = ow
-					}
-				}
-				if ow+off > w {
-					hi = w - off
-				}
-				if hi < lo {
-					hi = lo
-				}
-				for t := 0; t < lo; t++ {
-					d[t] = 0
-				}
-				if hi > lo {
-					copy(d[lo:hi], srow[lo+off:hi+off])
-				}
-				for t := hi; t < ow; t++ {
-					d[t] = 0
+			var pix [8]int
+			for c := range pix {
+				pix[c] = g.pixel(j0 + c)
+			}
+			for p := 0; p < kc; p++ {
+				s := xp[off:]
+				q := (*[8]float32)(strip[p*8:])
+				q[0], q[1], q[2], q[3] = s[pix[0]], s[pix[1]], s[pix[2]], s[pix[3]]
+				q[4], q[5], q[6], q[7] = s[pix[4]], s[pix[5]], s[pix[6]], s[pix[7]]
+				off, ky, kx = g.nextTap(off, ky, kx)
+			}
+		}
+	}
+	edge := bp[k*m8:]
+	for j := m8; j < m; j++ {
+		col := edge[(j-m8)*k:][:k]
+		src := xp[g.pixel(j):]
+		off, ky, kx := 0, 0, 0
+		for p := range col {
+			col[p] = src[off]
+			off, ky, kx = g.nextTap(off, ky, kx)
+		}
+	}
+}
+
+// lowerPanelT writes an image's lowering from its padded form xp as the
+// weight gradient's transposed-B panel, one block of depth k = oh·ow:
+// bp[j0*k + p*8 + c] = tap j0+c of output pixel p (m = C·kh·kw), then the
+// ragged taps [m8, m) as row-major lowered rows, bp[m8*k + (j-m8)*k + p].
+func (g *convGeom) lowerPanelT(bp, xp []float32) {
+	k, m := g.ohw(), g.ckk()
+	m8 := m &^ 7
+	off, ky, kx := 0, 0, 0
+	for j0 := 0; j0 < m8; j0 += 8 {
+		var t [8]int
+		for c := range t {
+			t[c] = off
+			off, ky, kx = g.nextTap(off, ky, kx)
+		}
+		strip := bp[j0*k:][:8*k]
+		for oy := 0; oy < g.oh; oy++ {
+			// Output row oy of the eight taps: eight runs of a padded
+			// input row, contiguous at stride 1, interleaved into q.
+			base, ow := oy*g.stride*g.wp, g.ow
+			d := strip[oy*ow*8:][:ow*8]
+			if g.stride == 1 {
+				r0 := xp[t[0]+base:][:ow]
+				r1, r2, r3 := xp[t[1]+base:][:len(r0)], xp[t[2]+base:][:len(r0)], xp[t[3]+base:][:len(r0)]
+				r4, r5, r6 := xp[t[4]+base:][:len(r0)], xp[t[5]+base:][:len(r0)], xp[t[6]+base:][:len(r0)]
+				r7 := xp[t[7]+base:][:len(r0)]
+				for ox := range r0 {
+					q := (*[8]float32)(d[ox*8:])
+					q[0], q[1], q[2], q[3] = r0[ox], r1[ox], r2[ox], r3[ox]
+					q[4], q[5], q[6], q[7] = r4[ox], r5[ox], r6[ox], r7[ox]
 				}
 				continue
 			}
 			for ox := 0; ox < ow; ox++ {
-				if ix := ox*stride + kx - pad; ix >= 0 && ix < w {
-					d[ox] = srow[ix]
-				} else {
-					d[ox] = 0
+				po := base + ox*g.stride
+				q := (*[8]float32)(d[ox*8:])
+				q[0], q[1], q[2], q[3] = xp[t[0]+po], xp[t[1]+po], xp[t[2]+po], xp[t[3]+po]
+				q[4], q[5], q[6], q[7] = xp[t[4]+po], xp[t[5]+po], xp[t[6]+po], xp[t[7]+po]
+			}
+		}
+	}
+	for j := m8; j < m; j++ {
+		g.lowerRow(bp[j*k:][:k], xp[off:])
+		off, ky, kx = g.nextTap(off, ky, kx)
+	}
+}
+
+// scatter adds an image's lowered gradient cols [C·kh·kw, oh·ow] into gxb
+// [C, H, W] (zeroed by the caller) in tap order, dropping the taps that
+// fall in the padding; stride-1 rows add whole in-bounds segments through
+// add, the tier's addVec.
+func (g *convGeom) scatter(gxb, cols []float32, add func(dst, src []float32)) {
+	ohw, hw := g.ohw(), g.h*g.w
+	for r := 0; r < g.ckk(); r++ {
+		_, ky, kx := g.tap(r)
+		plane := gxb[r/(g.kh*g.kw)*hw:][:hw]
+		srow := cols[r*ohw:][:ohw]
+		if g.stride == 1 {
+			// Output pixels (oy, ox) with oy in [yLo, yHi) and ox in
+			// [lo, hi) land inside the image, at (oy+dy, ox+dx).
+			dy, dx := ky-g.pad, kx-g.pad
+			yLo, yHi := max(0, -dy), min(g.oh, g.h-dy)
+			lo, hi := max(0, -dx), min(g.ow, g.w-dx)
+			if yLo >= yHi || lo >= hi {
+				continue
+			}
+			if lo == 0 && hi == g.ow && g.ow == g.w {
+				// Whole rows on both sides: the band is one segment.
+				add(plane[(yLo+dy)*g.w:][:(yHi-yLo)*g.w], srow[yLo*g.ow:][:(yHi-yLo)*g.ow])
+				continue
+			}
+			for oy := yLo; oy < yHi; oy++ {
+				add(plane[(oy+dy)*g.w+lo+dx:][:hi-lo], srow[oy*g.ow+lo:][:hi-lo])
+			}
+			continue
+		}
+		for oy := 0; oy < g.oh; oy++ {
+			iy := oy*g.stride + ky - g.pad
+			if iy < 0 || iy >= g.h {
+				continue
+			}
+			drow := plane[iy*g.w:][:g.w]
+			s := srow[oy*g.ow:][:g.ow]
+			for ox := range s {
+				if ix := ox*g.stride + kx - g.pad; ix >= 0 && ix < g.w {
+					drow[ix] += s[ox]
 				}
 			}
 		}
 	}
 }
 
-// Col2Im scatters the gradient of an Im2Col matrix back to input layout.
-// cols has the channel-major shape [N, C*kh*kw, outH*outW]; the result has
-// shape [N, C, H, W] and is pool-backed. Images are split across the
-// worker pool — lowered rows overlap within an image but never across
-// images, so the += scatter order per element is unchanged by the split.
-func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
-	sp := prof.Begin(prof.CatKernel, "col2im")
-	if sp.Active() {
-		sp.SetBytes(4 * (int64(cols.Numel()) + int64(n)*int64(c)*int64(h)*int64(w)))
-	}
-	out := Acquire(n, c, h, w)
-	col2imInto(out, cols, n, c, h, w, kh, kw, stride, pad)
-	sp.End()
-	return out
+// panelFits reports whether an n×k×m product of a convolution runs off a
+// panel its lowering writes (see the file header).
+func panelFits(n, k, m int) bool {
+	return currentGemmTier() == tierAVX2 && wideWorthIt(n, k, m) && n%microMW == 0
 }
 
-func col2imInto(out, cols *Tensor, n, c, h, w, kh, kw, stride, pad int) {
-	if rowWorkers(n, 1) <= 1 {
-		col2imRange(out.data, cols.data, c, h, w, kh, kw, stride, pad, 0, n)
-		return
+// panelRows runs output rows [lo, hi), whole 8-row tiles, of an n×k×m
+// product off a panel of depth kb that a lowering wrote into bp, the
+// ragged columns read from beyond the panel: column-major for the plain
+// layout (edgeColsPlain), row-major for transposed-B (edgeColsTransB).
+func panelRows(dst, a, bp []float32, n, k, m, kb, lo, hi int, lay gemmLayout, accum bool, ep *epilogue) {
+	m8 := m &^ 7
+	edge := bp[k*m8:]
+	first := kernelTree8x8
+	if lay == layTransB {
+		first = kernelSeq8x8
 	}
-	parallelRows(n, 1, func(blo, bhi int) {
-		col2imRange(out.data, cols.data, c, h, w, kh, kw, stride, pad, blo, bhi)
+	gemmWideTiles(dst, a, bp, n, k, m, kb, lo, hi, lay, accum, first, kernelTree8x8, func(i0 int) {
+		if lay == layTransB {
+			edgeColsTransB(dst, a, edge, k, m, m8, i0, i0+microMW, accum)
+		} else {
+			edgeColsPlain(dst, a, edge, k, m, i0, i0+microMW)
+		}
+		applyEpilogueRows(dst, m, i0, i0+microMW, ep)
 	})
 }
 
-// col2imRange scatter-adds images [blo, bhi). For stride 1 each lowered
-// row segment accumulates into one contiguous clipped span of the input
-// row, the mirror image of im2colRange's copy.
-func col2imRange(out, cols []float32, c, h, w, kh, kw, stride, pad, blo, bhi int) {
-	ckk := c * kh * kw
-	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
-	ohw := oh * ow
-	for b := blo; b < bhi; b++ {
-		for colIdx := 0; colIdx < ckk; colIdx++ {
-			ch := colIdx / (kh * kw)
-			rem := colIdx - ch*kh*kw
-			ky := rem / kw
-			kx := rem - ky*kw
-			plane := out[(b*c+ch)*h*w : (b*c+ch+1)*h*w]
-			srow := cols[(b*ckk+colIdx)*ohw : (b*ckk+colIdx+1)*ohw]
-			for oy := 0; oy < oh; oy++ {
-				iy := oy*stride + ky - pad
-				if iy < 0 || iy >= h {
-					continue
-				}
-				s := srow[oy*ow : (oy+1)*ow]
-				if stride == 1 {
-					// Same clamping as im2colRange: a kernel wider than the
-					// padded input leaves no valid taps for this (ky, kx).
-					off := kx - pad
-					lo, hi := 0, ow
-					if off < 0 {
-						lo = -off
-						if lo > ow {
-							lo = ow
-						}
-					}
-					if ow+off > w {
-						hi = w - off
-					}
-					if hi < lo {
-						hi = lo
-					}
-					if hi > lo {
-						// Align both spans so the single range check covers
-						// the load and the store.
-						sv := s[lo:hi]
-						d := plane[iy*w+lo+off : iy*w+hi+off][:len(sv)]
-						for t := range sv {
-							d[t] += sv[t]
-						}
-					}
-					continue
-				}
-				drow := plane[iy*w : (iy+1)*w]
-				for ox := 0; ox < ow; ox++ {
-					if ix := ox*stride + kx - pad; ix >= 0 && ix < w {
-						drow[ix] += s[ox]
-					}
-				}
-			}
-		}
+// lowerSpan opens the span of one image's lowering or scatter, a leaf
+// under the convolution's kernel span: workers run images side by side,
+// so the parent edge is explicit and the span never becomes ambient.
+func lowerSpan(parent *prof.Span, name string, elems int) prof.Span {
+	sp := prof.BeginLeaf(parent, prof.CatKernel, name)
+	if sp.Active() {
+		sp.SetBytes(4 * int64(elems))
 	}
-}
-
-// conv1x1Direct reports whether the convolution is a pointwise (1x1,
-// stride 1, no padding) product, for which the im2col lowering of x is x
-// itself viewed as [N, C, H*W] — no copy, no workspace.
-func conv1x1Direct(kh, kw, stride, pad int) bool {
-	return kh == 1 && kw == 1 && stride == 1 && pad == 0
+	return sp
 }
 
 // Conv2D computes a 2-D convolution of x [N, C, H, W] with weights
@@ -230,30 +351,9 @@ func Conv2D(x, w *Tensor, stride, pad int) *Tensor {
 
 // Conv2DFused is Conv2D with a per-channel bias (may be nil) and an
 // activation fused into the GEMM write-back, bit-identical to the unfused
-// Conv2D + bias pass + activation pass composition.
+// Conv2D + bias pass + activation pass composition. Images are split
+// across the worker pool.
 func Conv2DFused(x, w, bias *Tensor, act ActKind, stride, pad int) *Tensor {
-	out, cols := conv2DForward(x, w, bias, act, stride, pad)
-	if cols != x {
-		cols.Release()
-	}
-	return out
-}
-
-// Conv2DWithColsFused is Conv2DFused that also returns the im2col lowering
-// of x for Conv2DBackwardCols. For a pointwise convolution (1x1, stride 1,
-// no padding) the lowering is x itself and cols is x: the caller releases
-// cols only when it is not x.
-func Conv2DWithColsFused(x, w, bias *Tensor, act ActKind, stride, pad int) (out, cols *Tensor) {
-	return conv2DForward(x, w, bias, act, stride, pad)
-}
-
-// conv2DForward implements all Conv2D forward variants. Each image's
-// output block [F, oh*ow] is w [F, C*kh*kw] times that image's lowered
-// block — a plain GEMM written straight into NCHW layout, with no reorder
-// pass. Images are split across the worker pool; the optional epilogue
-// (per-channel bias = per-GEMM-row bias, then activation) is applied by
-// the GEMM write-back.
-func conv2DForward(x, w, bias *Tensor, act ActKind, stride, pad int) (out, cols *Tensor) {
 	if x.Rank() != 4 || w.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Conv2D needs NCHW/FCHW, got %v, %v", x.shape, w.shape))
 	}
@@ -261,22 +361,14 @@ func conv2DForward(x, w, bias *Tensor, act ActKind, stride, pad int) (out, cols 
 		panic(fmt.Sprintf("tensor: Conv2D channel mismatch %v, %v", x.shape, w.shape))
 	}
 	n, f := x.shape[0], w.shape[0]
-	kh, kw := w.shape[2], w.shape[3]
-	oh, ow := ConvOut(x.shape[2], kh, stride, pad), ConvOut(x.shape[3], kw, stride, pad)
-	ckk := x.shape[1] * kh * kw
-	ohw := oh * ow
+	g := newConvGeom(x.shape[1], x.shape[2], x.shape[3], w.shape[2], w.shape[3], stride, pad)
 	if bias != nil && (bias.Rank() != 1 || bias.shape[0] != f) {
 		panic(fmt.Sprintf("tensor: Conv2D bias %v, want [%d]", bias.shape, f))
 	}
 	sp := prof.Begin(prof.CatKernel, "conv2d.fwd")
 	if sp.Active() {
-		sp.SetFLOPs(2 * float64(n) * float64(f) * float64(ckk) * float64(ohw))
-		sp.SetBytes(4 * (int64(x.Numel()) + int64(w.Numel()) + int64(n)*int64(f)*int64(ohw)))
-	}
-	if conv1x1Direct(kh, kw, stride, pad) {
-		cols = x // NCHW x is already [N, C, H*W] in memory
-	} else {
-		cols = Im2Col(x, kh, kw, stride, pad) // [N, C*kh*kw, oh*ow]
+		sp.SetFLOPs(2 * float64(n) * float64(f) * float64(g.ckk()) * float64(g.ohw()))
+		sp.SetBytes(4 * (int64(x.Numel()) + int64(w.Numel()) + int64(n)*int64(f)*int64(g.ohw())))
 	}
 	var epv epilogue
 	var ep *epilogue
@@ -287,122 +379,169 @@ func conv2DForward(x, w, bias *Tensor, act ActKind, stride, pad int) (out, cols 
 		epv = epilogue{act: act}
 		ep = &epv
 	}
-	out = acquireDirty(n, f, oh, ow)
-	convFwd(out.data, w.data, cols.data, n, f, ckk, ohw, ep)
+	out := acquireDirty(n, f, g.oh, g.ow)
+	if rowWorkers(n, 1) <= 1 {
+		convFwdImages(out.data, x.data, w.data, &g, f, 0, n, ep, &sp)
+	} else {
+		// The closure escapes to the pool: it captures heap copies of the
+		// epilogue, the geometry and the span, not ep, g and sp themselves.
+		epc, gc, spc := ep.heapCopy(), g, sp
+		parallelRows(n, 1, func(lo, hi int) {
+			convFwdImages(out.data, x.data, w.data, &gc, f, lo, hi, epc, &spc)
+		})
+	}
 	sp.End()
-	return out, cols
+	return out
 }
 
-// convFwd writes every image's output block, images split across the
-// worker pool. Only the parallel branch allocates: its closure escapes to
-// the pool, so it captures a heap copy of the epilogue rather than ep.
-func convFwd(dst, w, cols []float32, n, f, ckk, ohw int, ep *epilogue) {
-	if rowWorkers(n, 1) <= 1 {
-		convFwdImages(dst, w, cols, f, ckk, ohw, 0, n, ep)
+// convFwdImages writes the output blocks of images [blo, bhi) of y.
+func convFwdImages(y, x, w []float32, g *convGeom, f, blo, bhi int, ep *epilogue, parent *prof.Span) {
+	ckk, ohw, chw := g.ckk(), g.ohw(), g.chw()
+	if g.pointwise() {
+		for b := blo; b < bhi; b++ {
+			gemmSerial(y[b*f*ohw:][:f*ohw], w, x[b*chw:][:chw], f, ckk, ohw, layPlain, false, ep)
+		}
 		return
 	}
-	epc := ep.heapCopy()
-	parallelRows(n, 1, func(blo, bhi int) {
-		convFwdImages(dst, w, cols, f, ckk, ohw, blo, bhi, epc)
-	})
-}
-
-func convFwdImages(dst, w, cols []float32, f, ckk, ohw, blo, bhi int, ep *epilogue) {
+	panel := panelFits(f, ckk, ohw)
+	xp := g.padScratch()
+	cols := getPackBuf(ckk * ohw)
 	for b := blo; b < bhi; b++ {
-		gemmSerial(dst[b*f*ohw:(b+1)*f*ohw], w, cols[b*ckk*ohw:(b+1)*ckk*ohw], f, ckk, ohw, layPlain, false, ep)
+		yb := y[b*f*ohw:][:f*ohw]
+		sp := lowerSpan(parent, "im2col", chw+ckk*ohw)
+		src := g.padded(xp, x[b*chw:][:chw])
+		if panel {
+			g.lowerPanel(cols, src)
+			sp.End()
+			panelRows(yb, w, cols, f, ckk, ohw, gemmKC, 0, f, layPlain, false, ep)
+			continue
+		}
+		g.lowerRows(cols, src)
+		sp.End()
+		gemmSerial(yb, w, cols, f, ckk, ohw, layPlain, false, ep)
 	}
+	putPackBuf(cols)
+	putPackBuf(xp)
 }
 
 // Conv2DBackward computes the gradients of a Conv2D. Given upstream gradient
-// gy [N, F, outH, outW], it returns pool-backed (gx, gw) matching x and w.
+// gy [N, F, outH, outW], it returns pool-backed (gx, gw) matching x and w,
+// both computed per image straight from NCHW-layout gy.
 func Conv2DBackward(x, w, gy *Tensor, stride, pad int) (gx, gw *Tensor) {
-	kh, kw := w.shape[2], w.shape[3]
-	cols := Im2Col(x, kh, kw, stride, pad)
-	gx, gw = Conv2DBackwardCols(cols, x.shape, w, gy, stride, pad)
-	cols.Release()
-	return gx, gw
-}
-
-// Conv2DBackwardCols is Conv2DBackward taking the forward pass's im2col
-// lowering (from Conv2DWithCols) instead of recomputing it, plus the
-// original input shape. Both gradients are computed per image directly
-// from NCHW-layout gy: gw accumulates gy_b @ cols_bᵀ over images in fixed
-// order, and the lowered input gradient is wᵀ @ gy_b per image.
-func Conv2DBackwardCols(cols *Tensor, xShape []int, w, gy *Tensor, stride, pad int) (gx, gw *Tensor) {
-	n, c, h, wid := xShape[0], xShape[1], xShape[2], xShape[3]
-	f, kh, kw := w.shape[0], w.shape[2], w.shape[3]
-	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(wid, kw, stride, pad)
-	ohw := oh * ow
-	ckk := c * kh * kw
+	n, f := x.shape[0], w.shape[0]
+	g := newConvGeom(x.shape[1], x.shape[2], x.shape[3], w.shape[2], w.shape[3], stride, pad)
 	sp := prof.Begin(prof.CatKernel, "conv2d.bwd")
 	if sp.Active() {
 		// Two GEMMs per image (weight gradient and lowered input gradient),
 		// each 2·f·ckk·ohw multiply-adds.
-		sp.SetFLOPs(4 * float64(n) * float64(f) * float64(ckk) * float64(ohw))
-		sp.SetBytes(4 * (int64(cols.Numel()) + int64(gy.Numel()) + int64(w.Numel()) + int64(n)*int64(c)*int64(h)*int64(wid)))
+		sp.SetFLOPs(4 * float64(n) * float64(f) * float64(g.ckk()) * float64(g.ohw()))
+		sp.SetBytes(4 * (2*int64(x.Numel()) + int64(gy.Numel()) + int64(w.Numel())))
 	}
 	// gw is shaped [F, C, kh, kw] directly (no reshape view, so the buffer
-	// keeps pool ownership). The image loop stays serial — accumulation
-	// order is image-major — while workers split gw's output rows inside
-	// each image's GEMM, which keeps every element's accumulation order
-	// independent of the worker count.
-	gw = Acquire(f, c, kh, kw)
-	for b := 0; b < n; b++ {
-		gyb := gy.data[b*f*ohw : (b+1)*f*ohw]
-		colsb := cols.data[b*ckk*ohw : (b+1)*ckk*ohw]
-		gemmParallel(gw.data, gyb, colsb, f, ohw, ckk, layTransB, true, nil)
+	// keeps pool ownership).
+	dw := Acquire(f, g.c, g.kh, g.kw)
+	convBwdWeights(dw.data, x.data, gy.data, &g, n, f, &sp)
+	dx := acquireDirty(n, g.c, g.h, g.w)
+	if rowWorkers(n, 1) <= 1 {
+		convBwdDataImages(dx.data, gy.data, w.data, &g, f, 0, n, &sp)
+	} else {
+		// As in Conv2DFused; dx rather than the named gx, which the
+		// closure would move to the heap on the serial path too.
+		gc, spc := g, sp
+		parallelRows(n, 1, func(lo, hi int) {
+			convBwdDataImages(dx.data, gy.data, w.data, &gc, f, lo, hi, &spc)
+		})
 	}
-	if conv1x1Direct(kh, kw, stride, pad) {
-		// Pointwise fast path: the lowered gradient IS the input gradient
-		// ([ckk, ohw] = [C, H*W] per image), so skip the gcols buffer and
-		// the Col2Im scatter (which would add each element exactly once)
-		// and write wᵀ @ gy_b straight into gx.
-		gx = acquireDirty(n, c, h, wid)
-		convBwdData(gx.data, gy.data, w.data, n, f, ohw, ckk)
-		sp.End()
-		return gx, gw
-	}
-	gcols := acquireDirty(n, ckk, ohw)
-	convBwdData(gcols.data, gy.data, w.data, n, f, ohw, ckk)
-	gx = Col2Im(gcols, n, c, h, wid, kh, kw, stride, pad)
-	gcols.Release()
 	sp.End()
-	return gx, gw
+	return dx, dw
 }
 
-// convBwdData writes every image's lowered input gradient, images split
-// across the worker pool. Only the parallel branch allocates (its closure).
-func convBwdData(gcols, gy, w []float32, n, f, ohw, ckk int) {
-	if rowWorkers(n, 1) <= 1 {
-		convBwdDataImages(gcols, gy, w, f, ohw, ckk, 0, n)
+// convBwdWeights accumulates gw += gy_b · cols_bᵀ over the images in
+// order. The image loop stays serial, so every element's accumulation
+// order is image-major whatever the worker count; workers split gw's row
+// tiles inside an image's GEMM.
+func convBwdWeights(gw, x, gy []float32, g *convGeom, n, f int, parent *prof.Span) {
+	ckk, ohw, chw := g.ckk(), g.ohw(), g.chw()
+	if g.pointwise() {
+		for b := 0; b < n; b++ {
+			gemmParallel(gw, gy[b*f*ohw:][:f*ohw], x[b*chw:][:chw], f, ohw, ckk, layTransB, true, nil)
+		}
 		return
 	}
-	parallelRows(n, 1, func(blo, bhi int) {
-		convBwdDataImages(gcols, gy, w, f, ohw, ckk, blo, bhi)
-	})
+	panel := panelFits(f, ohw, ckk)
+	minRows := max(gemmMinRows(ohw, ckk), microMW)
+	xp := g.padScratch()
+	cols := getPackBuf(ckk * ohw)
+	for b := 0; b < n; b++ {
+		gyb := gy[b*f*ohw:][:f*ohw]
+		sp := lowerSpan(parent, "im2col", chw+ckk*ohw)
+		src := g.padded(xp, x[b*chw:][:chw])
+		if !panel {
+			g.lowerRows(cols, src)
+			sp.End()
+			gemmParallel(gw, gyb, cols, f, ohw, ckk, layTransB, true, nil)
+			continue
+		}
+		g.lowerPanelT(cols, src)
+		sp.End()
+		if rowWorkers(f, minRows) <= 1 {
+			panelRows(gw, gyb, cols, f, ohw, ckk, ohw, 0, f, layTransB, true, nil)
+			continue
+		}
+		parallelRowsAligned(f, microMW, minRows, func(lo, hi int) {
+			panelRows(gw, gyb, cols, f, ohw, ckk, ohw, lo, hi, layTransB, true, nil)
+		})
+	}
+	putPackBuf(cols)
+	putPackBuf(xp)
 }
 
-func convBwdDataImages(gcols, gy, w []float32, f, ohw, ckk, blo, bhi int) {
-	for b := blo; b < bhi; b++ {
-		// gcols_b [ckk, ohw] = wᵀ [ckk, f] @ gy_b [f, ohw]
-		gemmSerial(gcols[b*ckk*ohw:(b+1)*ckk*ohw], w, gy[b*f*ohw:(b+1)*f*ohw], ckk, f, ohw, layTransA, false, nil)
+// convBwdDataImages writes the input gradient of images [blo, bhi): per
+// image the lowered gradient wᵀ · gy_b, scattered into gx_b while it is
+// still in L2. A pointwise convolution's lowered gradient is gx_b itself.
+func convBwdDataImages(gx, gy, w []float32, g *convGeom, f, blo, bhi int, parent *prof.Span) {
+	ckk, ohw, chw := g.ckk(), g.ohw(), g.chw()
+	if g.pointwise() {
+		for b := blo; b < bhi; b++ {
+			gemmSerial(gx[b*chw:][:chw], w, gy[b*f*ohw:][:f*ohw], ckk, f, ohw, layTransA, false, nil)
+		}
+		return
 	}
+	add := elemKernelsFor(currentGemmTier()).addVec
+	gcols := getPackBuf(ckk * ohw)
+	for b := blo; b < bhi; b++ {
+		gemmSerial(gcols, w, gy[b*f*ohw:][:f*ohw], ckk, f, ohw, layTransA, false, nil)
+		sp := lowerSpan(parent, "col2im", ckk*ohw+chw)
+		gxb := gx[b*chw:][:chw]
+		clear(gxb)
+		g.scatter(gxb, gcols, add)
+		sp.End()
+	}
+	putPackBuf(gcols)
 }
 
 // MaxPool2D computes max pooling over x [N, C, H, W] and returns the pooled
-// tensor plus the flat argmax indices needed by the backward pass. Planes
-// are split across the worker pool.
-func MaxPool2D(x *Tensor, k, stride int) (*Tensor, []int) {
+// tensor plus the flat argmax indices needed by the backward pass, written
+// into idx when its capacity suffices (a layer passes back the slice it got
+// last time, so a warmed forward allocates nothing). Planes are split
+// across the worker pool.
+func MaxPool2D(x *Tensor, k, stride int, idx []int) (*Tensor, []int) {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oh, ow := ConvOut(h, k, stride, 0), ConvOut(w, k, stride, 0)
 	out := acquireDirty(n, c, oh, ow)
-	idx := make([]int, out.Numel())
+	if cap(idx) < out.Numel() {
+		idx = make([]int, out.Numel())
+	}
+	idx = idx[:out.Numel()]
 	if rowWorkers(n*c, 1) <= 1 {
 		maxPoolPlanes(out.data, idx, x.data, h, w, oh, ow, k, stride, 0, n*c)
 		return out, idx
 	}
+	// The closure captures argmax, assigned once, rather than the
+	// reassigned idx, which would move to the heap on every call.
+	argmax := idx
 	parallelRows(n*c, 1, func(plo, phi int) {
-		maxPoolPlanes(out.data, idx, x.data, h, w, oh, ow, k, stride, plo, phi)
+		maxPoolPlanes(out.data, argmax, x.data, h, w, oh, ow, k, stride, plo, phi)
 	})
 	return out, idx
 }

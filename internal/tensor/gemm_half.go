@@ -170,14 +170,28 @@ func (w *FrozenMatrix) tiles(dst, a []float32, n, lo, hi int, ep *epilogue) {
 func (w *FrozenMatrix) edgeCols(dst, a []float32, ilo, ihi int) {
 	k, m := w.k, w.m
 	m8 := m &^ 7
+	if w.half == nil {
+		edgeColsPlain(dst, a, w.edge, k, m, ilo, ihi)
+		return
+	}
 	for i := ilo; i < ihi; i++ {
 		arow := a[i*k:][:k]
 		for j := m8; j < m; j++ {
-			col := w.edge[(j-m8)*k:][:k]
-			if w.half != nil {
-				dst[i*m+j] = dotOne(arow, col)
-				continue
-			}
+			dst[i*m+j] = dotOne(arow, w.edge[(j-m8)*k:][:k])
+		}
+	}
+}
+
+// edgeColsPlain overwrites the ragged columns [m&^7, m) of rows
+// [ilo, ihi) of a plain-layout product whose b columns are kept
+// column-major beside the panel, edge[(j-m&^7)*k+p] = b(p, j), in
+// gemmEdgeCols' plain order: grouped fours, then a scalar tail.
+func edgeColsPlain(dst, a, edge []float32, k, m, ilo, ihi int) {
+	m8 := m &^ 7
+	for i := ilo; i < ihi; i++ {
+		arow := a[i*k:][:k]
+		for j := m8; j < m; j++ {
+			col := edge[(j-m8)*k:][:k]
 			var c float32
 			p := 0
 			for ; p+4 <= k; p += 4 {

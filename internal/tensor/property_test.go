@@ -203,7 +203,7 @@ func TestPropPoolBounds(t *testing.T) {
 	r := NewRNG(84)
 	for trial := 0; trial < 10; trial++ {
 		x := RandNormal(r, 0, 1, 1, 2, 6, 6)
-		mp, _ := MaxPool2D(x, 2, 2)
+		mp, _ := MaxPool2D(x, 2, 2, nil)
 		ap := AvgPool2D(x, 2, 2)
 		// max >= avg elementwise; both within the input's range.
 		for i := range mp.Data() {

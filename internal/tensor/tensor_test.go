@@ -305,7 +305,7 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		9, 10, 13, 14,
 		11, 12, 15, 16,
 	}, 1, 1, 4, 4)
-	y, idx := MaxPool2D(x, 2, 2)
+	y, idx := MaxPool2D(x, 2, 2, nil)
 	want := []float32{4, 8, 12, 16}
 	for i, v := range y.Data() {
 		if v != want[i] {

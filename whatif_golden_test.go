@@ -116,7 +116,8 @@ func recordMLP1024WhatifTrace(steps int) (*prof.Trace, error) {
 //
 // The three earlier mlp1024 traces (see the constants above) are the
 // "before" sides of TestWhatifGroundTruthGemmBlocking, ...VecReLU and
-// ...DropDX and are not re-recorded here.
+// ...DropDX, and convColsTrace that of ...ConvLowering; none is
+// re-recorded here.
 func TestRecordWhatifGoldenTraces(t *testing.T) {
 	if os.Getenv("TBD_WHATIF_RECORD") == "" {
 		t.Skip("set TBD_WHATIF_RECORD=1 (make whatif-record) to re-record golden traces")
@@ -503,6 +504,74 @@ func TestWhatifGroundTruthRingStream(t *testing.T) {
 	}
 	checkGroundTruth(t, fmt.Sprintf("ring step streamed (%s, all-gather -%d us by hand)", ringStreamSpec, ringStreamGatherUs),
 		predictRingStream(t), measuredRingStream(t))
+}
+
+// convColsTrace is train_conv's step (the ResNet twin at batch 32, avx2
+// tier, one worker) recorded by recordTwinWhatifTrace on a46c4aa, where
+// every 3x3 layer lowered its batch into a [32, C·9, 256] tensor it
+// stashed for the backward pass, the wide driver packed each image's slice
+// of it into its B panel, and the backward pass filled a second such
+// tensor with the lowered input gradient before scattering it. It cannot
+// be re-recorded; `make whatif-record` writes the step as it is now into
+// twin_avx2.json.
+const convColsTrace = "twin_avx2_cols.json"
+
+// convLoweringSpec is the prediction committed before each image was
+// lowered straight into its GEMM's panel, at the ratios scratch prototypes
+// on a46c4aa measured (32 images, 8->8 3x3 on 16x16): the lowering 0.42 ->
+// 0.33 ms once it writes the panel from a zero-padded image, the scatter
+// 0.80 -> 0.53 ms once each image's lowered gradient is scattered while it
+// is in L2. convLoweringCeiling removes both.
+const (
+	convLoweringSpec    = "speedup=im2col:1.27,speedup=col2im:1.5"
+	convLoweringCeiling = "speedup=im2col:1e6,speedup=col2im:1e6"
+)
+
+// convPackSavingUs is the pack half of that prediction, stated by hand
+// because the pack has no span of its own (its time hides in conv2d.fwd's
+// self time): packBRangeWide over one step's forward panels on a46c4aa,
+// 32 images of three [72, 256] and one [27, 256] lowerings, best of 200
+// runs with the source in cache. The weight gradient's transposed pack
+// (750 us a step, same measurement) gives way to a lowering the
+// prototypes put at the same cost, so it counts as no saving.
+const convPackSavingUs = 480
+
+// convLoweringStashBytes is what the convolutions stashed beside their
+// inputs on a46c4aa: the four 3x3 layers one [32, 27, 256] and three
+// [32, 72, 256] lowerings, and the 1x1 projection its input [32, 3, 256]
+// a second time, as its own lowering.
+const convLoweringStashBytes = 4 * 32 * 256 * (27 + 3*72 + 3)
+
+// predictConvLowering is the whole committed prediction for the step.
+func predictConvLowering(t testing.TB) float64 {
+	return replayGolden(t, loadGoldenTrace(t, convColsTrace), convLoweringSpec).PredictedStepUs - convPackSavingUs
+}
+
+// measuredConvLowering is the step recorded after the change, with host
+// drift divided out by the BatchNorm layers, forward and backward, which
+// run the same code in both recordings: after's step at before's host
+// speed.
+func measuredConvLowering(t testing.TB) float64 {
+	const control = "step/*/*/*/*.bn?"
+	before, after := loadGoldenTrace(t, convColsTrace), loadGoldenTrace(t, "twin_avx2.json")
+	return replayGolden(t, after, "").BaselineStepUs * pathStepUs(t, before, control) / pathStepUs(t, after, control)
+}
+
+// TestWhatifGroundTruthConvLowering holds that prediction against the
+// recording, and the recording to what the change is: the feature maps
+// a step stashes lost exactly the lowerings, and the measured step stays
+// above the ceiling's.
+func TestWhatifGroundTruthConvLowering(t *testing.T) {
+	before, after := loadGoldenTrace(t, convColsTrace), loadGoldenTrace(t, "twin_avx2.json")
+	if got, want := after.Mem.FeatureMaps, before.Mem.FeatureMaps-convLoweringStashBytes; got != want {
+		t.Errorf("feature maps %d bytes after, %d before; want %d, the inputs without the lowerings", got, before.Mem.FeatureMaps, want)
+	}
+	measured := measuredConvLowering(t)
+	if ceiling := replayGolden(t, before, convLoweringCeiling).PredictedStepUs; measured < ceiling {
+		t.Errorf("measured step %.0f us is below the %s ceiling, %.0f us", measured, convLoweringCeiling, ceiling)
+	}
+	checkGroundTruth(t, fmt.Sprintf("per-image lowering into the panel (%s, forward pack -%d us by hand)", convLoweringSpec, convPackSavingUs),
+		predictConvLowering(t), measured)
 }
 
 // TestWhatifGroundTruthPSBandwidth is the strongest bandwidth cell: the
