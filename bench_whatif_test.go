@@ -137,10 +137,14 @@ func BenchmarkWhatifRecordTwin(b *testing.B) {
 	net := models.NumericResNet(rng, 3, 16, 10)
 	opt := optim.NewAdam(0.01)
 	batch := src.Batch(32)
-	graph.TrainClassifierStep(net, opt, batch.X, batch.Labels, 5) // warm the pools
-	// The twin emits ~64 spans per step; cap the timeline well above the
-	// run so the capture drops nothing and stays replayable.
-	prof.EnableWithMaxRecords(128*b.N + 1024)
+	// One recorded step warms the pools and counts the spans a step emits;
+	// the timeline is sized from that count, so the capture drops nothing
+	// and stays replayable.
+	prof.Enable()
+	graph.TrainClassifierStep(net, opt, batch.X, batch.Labels, 5)
+	prof.Disable()
+	perStep := prof.Current(prof.Meta{}).Spans()
+	prof.EnableWithMaxRecords(perStep*(b.N+1) + 1024)
 	defer func() {
 		prof.Disable()
 		prof.SetMaxRecords(0)
@@ -152,8 +156,12 @@ func BenchmarkWhatifRecordTwin(b *testing.B) {
 	}
 	b.StopTimer()
 	prof.Disable()
-	if tr := prof.Current(prof.Meta{Model: "numeric-resnet", Steps: b.N, Batch: 32, Parallel: 1}); tr.Spans() == 0 {
+	tr := prof.Current(prof.Meta{Model: "numeric-resnet", Steps: b.N, Batch: 32, Parallel: 1})
+	if tr.Spans() == 0 {
 		b.Fatal("recording produced no spans")
+	}
+	if tr.Dropped > 0 {
+		b.Fatalf("recording dropped %d spans past a cap sized for %d a step", tr.Dropped, perStep)
 	}
 	b.ReportMetric(32*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }

@@ -27,16 +27,15 @@ func ConvOut(in, kernel, stride, pad int) int {
 //
 // Where the lowering goes:
 //
-//	panel   avx2 tier, F a whole number of 8-row tiles and a product the
-//	        8x8 driver takes (wideWorthIt): the lowering is written as the
-//	        B panel gemm_wide.go's tile nest reads, so nothing is packed.
-//	        The forward gets the plain panel (k = C·kh·kw in gemmKC blocks,
-//	        m = oh·ow) with its ragged columns column-major beside it, as
-//	        FrozenMatrix keeps them; the weight gradient gets the
-//	        transposed-B panel (k = oh·ow in one block, m = C·kh·kw) that
-//	        kernelSeq8x8 reads, its ragged rows row-major beside it.
-//	rows    every other tier and shape: the lowering is written row-major
-//	        and the ordinary GEMM reads (and packs) it.
+//	panel   the forward on the avx2 tier, F a whole number of 8-row tiles
+//	        and a product the 8x8 driver takes (wideWorthIt): the lowering
+//	        is written as the plain B panel gemm_wide.go's tile nest reads
+//	        (k = C·kh·kw in gemmKC blocks, m = oh·ow), its ragged columns
+//	        column-major beside it as FrozenMatrix keeps them, so nothing
+//	        is packed.
+//	rows    the weight gradient, and the forward on every other tier and
+//	        shape: the lowering is written row-major and the ordinary GEMM
+//	        reads (and packs) it.
 //	direct  a pointwise convolution (1x1, stride 1, no padding): x_b, an
 //	        [C, H·W] matrix already, is its own lowering.
 //
@@ -214,52 +213,6 @@ func (g *convGeom) lowerPanel(bp, xp []float32) {
 	}
 }
 
-// lowerPanelT writes an image's lowering from its padded form xp as the
-// weight gradient's transposed-B panel, one block of depth k = oh·ow:
-// bp[j0*k + p*8 + c] = tap j0+c of output pixel p (m = C·kh·kw), then the
-// ragged taps [m8, m) as row-major lowered rows, bp[m8*k + (j-m8)*k + p].
-func (g *convGeom) lowerPanelT(bp, xp []float32) {
-	k, m := g.ohw(), g.ckk()
-	m8 := m &^ 7
-	off, ky, kx := 0, 0, 0
-	for j0 := 0; j0 < m8; j0 += 8 {
-		var t [8]int
-		for c := range t {
-			t[c] = off
-			off, ky, kx = g.nextTap(off, ky, kx)
-		}
-		strip := bp[j0*k:][:8*k]
-		for oy := 0; oy < g.oh; oy++ {
-			// Output row oy of the eight taps: eight runs of a padded
-			// input row, contiguous at stride 1, interleaved into q.
-			base, ow := oy*g.stride*g.wp, g.ow
-			d := strip[oy*ow*8:][:ow*8]
-			if g.stride == 1 {
-				r0 := xp[t[0]+base:][:ow]
-				r1, r2, r3 := xp[t[1]+base:][:len(r0)], xp[t[2]+base:][:len(r0)], xp[t[3]+base:][:len(r0)]
-				r4, r5, r6 := xp[t[4]+base:][:len(r0)], xp[t[5]+base:][:len(r0)], xp[t[6]+base:][:len(r0)]
-				r7 := xp[t[7]+base:][:len(r0)]
-				for ox := range r0 {
-					q := (*[8]float32)(d[ox*8:])
-					q[0], q[1], q[2], q[3] = r0[ox], r1[ox], r2[ox], r3[ox]
-					q[4], q[5], q[6], q[7] = r4[ox], r5[ox], r6[ox], r7[ox]
-				}
-				continue
-			}
-			for ox := 0; ox < ow; ox++ {
-				po := base + ox*g.stride
-				q := (*[8]float32)(d[ox*8:])
-				q[0], q[1], q[2], q[3] = xp[t[0]+po], xp[t[1]+po], xp[t[2]+po], xp[t[3]+po]
-				q[4], q[5], q[6], q[7] = xp[t[4]+po], xp[t[5]+po], xp[t[6]+po], xp[t[7]+po]
-			}
-		}
-	}
-	for j := m8; j < m; j++ {
-		g.lowerRow(bp[j*k:][:k], xp[off:])
-		off, ky, kx = g.nextTap(off, ky, kx)
-	}
-}
-
 // scatter adds an image's lowered gradient cols [C·kh·kw, oh·ow] into gxb
 // [C, H, W] (zeroed by the caller) in tap order, dropping the taps that
 // fall in the padding; stride-1 rows add whole in-bounds segments through
@@ -305,36 +258,28 @@ func (g *convGeom) scatter(gxb, cols []float32, add func(dst, src []float32)) {
 	}
 }
 
-// panelFits reports whether an n×k×m product of a convolution runs off a
+// panelFits reports whether the forward's n×k×m product runs off the
 // panel its lowering writes (see the file header).
 func panelFits(n, k, m int) bool {
 	return currentGemmTier() == tierAVX2 && wideWorthIt(n, k, m) && n%microMW == 0
 }
 
-// panelRows runs output rows [lo, hi), whole 8-row tiles, of an n×k×m
-// product off a panel of depth kb that a lowering wrote into bp, the
-// ragged columns read from beyond the panel: column-major for the plain
-// layout (edgeColsPlain), row-major for transposed-B (edgeColsTransB).
-func panelRows(dst, a, bp []float32, n, k, m, kb, lo, hi int, lay gemmLayout, accum bool, ep *epilogue) {
-	m8 := m &^ 7
-	edge := bp[k*m8:]
-	first := kernelTree8x8
-	if lay == layTransB {
-		first = kernelSeq8x8
-	}
-	gemmWideTiles(dst, a, bp, n, k, m, kb, lo, hi, lay, accum, first, kernelTree8x8, func(i0 int) {
-		if lay == layTransB {
-			edgeColsTransB(dst, a, edge, k, m, m8, i0, i0+microMW, accum)
-		} else {
-			edgeColsPlain(dst, a, edge, k, m, i0, i0+microMW)
-		}
+// panelRows runs all n rows, whole 8-row tiles, of the plain n×k×m
+// product a·b off the panel a lowering wrote into bp, the ragged columns
+// read column-major from beyond it (edgeColsPlain).
+func panelRows(dst, a, bp []float32, n, k, m int, ep *epilogue) {
+	edge := bp[k*(m&^7):]
+	gemmWideTiles(dst, a, bp, n, k, m, gemmKC, 0, n, layPlain, false, kernelTree8x8, kernelTree8x8, func(i0 int) {
+		edgeColsPlain(dst, a, edge, k, m, i0, i0+microMW)
 		applyEpilogueRows(dst, m, i0, i0+microMW, ep)
 	})
 }
 
 // lowerSpan opens the span of one image's lowering or scatter, a leaf
 // under the convolution's kernel span: workers run images side by side,
-// so the parent edge is explicit and the span never becomes ambient.
+// so the parent edge is explicit and the span never becomes ambient. The
+// spans keep this memory-bound work apart from the GEMMs in conv2d.*'s
+// self time, which a kernel-tier what-if scales.
 func lowerSpan(parent *prof.Span, name string, elems int) prof.Span {
 	sp := prof.BeginLeaf(parent, prof.CatKernel, name)
 	if sp.Active() {
@@ -413,7 +358,7 @@ func convFwdImages(y, x, w []float32, g *convGeom, f, blo, bhi int, ep *epilogue
 		if panel {
 			g.lowerPanel(cols, src)
 			sp.End()
-			panelRows(yb, w, cols, f, ckk, ohw, gemmKC, 0, f, layPlain, false, ep)
+			panelRows(yb, w, cols, f, ckk, ohw, ep)
 			continue
 		}
 		g.lowerRows(cols, src)
@@ -468,29 +413,13 @@ func convBwdWeights(gw, x, gy []float32, g *convGeom, n, f int, parent *prof.Spa
 		}
 		return
 	}
-	panel := panelFits(f, ohw, ckk)
-	minRows := max(gemmMinRows(ohw, ckk), microMW)
 	xp := g.padScratch()
 	cols := getPackBuf(ckk * ohw)
 	for b := 0; b < n; b++ {
-		gyb := gy[b*f*ohw:][:f*ohw]
 		sp := lowerSpan(parent, "im2col", chw+ckk*ohw)
-		src := g.padded(xp, x[b*chw:][:chw])
-		if !panel {
-			g.lowerRows(cols, src)
-			sp.End()
-			gemmParallel(gw, gyb, cols, f, ohw, ckk, layTransB, true, nil)
-			continue
-		}
-		g.lowerPanelT(cols, src)
+		g.lowerRows(cols, g.padded(xp, x[b*chw:][:chw]))
 		sp.End()
-		if rowWorkers(f, minRows) <= 1 {
-			panelRows(gw, gyb, cols, f, ohw, ckk, ohw, 0, f, layTransB, true, nil)
-			continue
-		}
-		parallelRowsAligned(f, microMW, minRows, func(lo, hi int) {
-			panelRows(gw, gyb, cols, f, ohw, ckk, ohw, lo, hi, layTransB, true, nil)
-		})
+		gemmParallel(gw, gy[b*f*ohw:][:f*ohw], cols, f, ohw, ckk, layTransB, true, nil)
 	}
 	putPackBuf(cols)
 	putPackBuf(xp)

@@ -344,36 +344,27 @@ func gemmEdgeCols(dst, a, b []float32, n, k, m, i0, i1 int, lay gemmLayout, accu
 			}
 		}
 	case layTransB:
-		edgeColsTransB(dst, a, b[m4*k:], k, m, m4, i0, i1, accum)
-	}
-}
-
-// edgeColsTransB is gemmEdgeCols' transposed-B case over the ragged rows
-// of b alone: edge[(j-mAligned)*k:] is b's row j for j in [mAligned, m).
-// The convolution's weight gradient keeps those rows beside the panel it
-// lowers, as the only copy.
-func edgeColsTransB(dst, a, edge []float32, k, m, mAligned, i0, i1 int, accum bool) {
-	for i := i0; i < i1; i++ {
-		arow := a[i*k : (i+1)*k]
-		j := mAligned
-		for j+2 <= m {
-			e := edge[(j-mAligned)*k:]
-			r0, r1 := dotPair(arow, e[:k], e[k:2*k])
-			if accum {
-				dst[i*m+j] += r0
-				dst[i*m+j+1] += r1
-			} else {
-				dst[i*m+j] = r0
-				dst[i*m+j+1] = r1
+		for i := i0; i < i1; i++ {
+			arow := a[i*k : (i+1)*k]
+			j := m4
+			for j+2 <= m {
+				r0, r1 := dotPair(arow, b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k])
+				if accum {
+					dst[i*m+j] += r0
+					dst[i*m+j+1] += r1
+				} else {
+					dst[i*m+j] = r0
+					dst[i*m+j+1] = r1
+				}
+				j += 2
 			}
-			j += 2
-		}
-		if j < m {
-			r := dotOne(arow, edge[(j-mAligned)*k:][:k])
-			if accum {
-				dst[i*m+j] += r
-			} else {
-				dst[i*m+j] = r
+			if j < m {
+				r := dotOne(arow, b[j*k:(j+1)*k])
+				if accum {
+					dst[i*m+j] += r
+				} else {
+					dst[i*m+j] = r
+				}
 			}
 		}
 	}
