@@ -48,11 +48,11 @@ func cmdDist(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *workers <= 0 {
-		return fmt.Errorf("dist: need at least 1 worker, got %d", *workers)
-	}
 	if *batch == 0 {
 		*batch = 8 * *workers
+	}
+	if err := dist.CheckBatch(*batch, *workers); err != nil {
+		return err
 	}
 	bytesPerSec := *bwMBps * 1e6
 	if *traceOut != "" {

@@ -55,6 +55,10 @@ func TestCLIDistValidates(t *testing.T) {
 	run(t, true, "dist", "-compress", "int4")
 	run(t, true, "dist", "-workers", "0")
 	run(t, true, "dist", "-role", "manager")
+	// An uneven or negative global batch is refused before the coordinator
+	// listens, not left waiting on ranks that exit before their hello.
+	runRefused(t, "global batch 3 must be positive and divisible by 2 workers", "dist", "-workers", "2", "-batch", "3", "-steps", "1")
+	runRefused(t, "global batch -4 must be positive and divisible by 2 workers", "dist", "-workers", "2", "-batch", "-4", "-steps", "1")
 }
 
 // TestCLIDistTraceReplaysToIdentity sends each rank's trace across the

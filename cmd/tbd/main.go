@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"tbd"
-	"tbd/internal/memprof"
 	"tbd/internal/prof"
 )
 
@@ -157,12 +156,12 @@ func cmdOffload(args []string) error {
 	}
 	gb := func(v int64) float64 { return float64(v) / (1 << 30) }
 	fmt.Printf("%s on %s, batch %d, target %.1f GB:\n", *model, *fw, *batch, *targetGB)
-	if a.FreedBytes == 0 {
+	if a.OffloadedBytes == 0 {
 		fmt.Println("  footprint already fits; nothing to offload")
 		return nil
 	}
 	fmt.Printf("  offloaded %d feature-map stashes, freeing %.2f GB (remaining %.2f GB, fits=%v)\n",
-		len(a.OffloadedOps), gb(a.FreedBytes), gb(a.RemainingBytes), a.Fits)
+		len(a.OffloadedOps), gb(a.OffloadedBytes), gb(a.RemainingFootprint), a.Fits(target))
 	fmt.Printf("  added PCIe traffic: %.1f ms per iteration\n", a.TransferSecPerIter*1e3)
 	max := len(a.OffloadedOps)
 	if max > 8 {
@@ -305,7 +304,7 @@ func cmdKernels(args []string) error {
 	for _, k := range ks {
 		fmt.Printf("%-10s %-12s %s\n",
 			fmt.Sprintf("%.2f%%", 100*k.DurationShare),
-			fmt.Sprintf("%.1f%%", 100*k.FP32Util),
+			fmt.Sprintf("%.1f%%", 100*k.Util),
 			k.Name)
 	}
 	return nil
@@ -326,7 +325,7 @@ func cmdScaling(args []string) error {
 	fmt.Printf("%-20s %-10s %-14s %-12s %s\n", "Config", "Batch/GPU", "Throughput", "Efficiency", "ExposedComm")
 	for _, r := range rs {
 		fmt.Printf("%-20s %-10d %-14.1f %-12.0f%% %.1f ms\n",
-			r.Config, r.PerGPUBatch, r.Throughput, 100*r.ScalingEfficiency, 1e3*r.ExposedCommSec)
+			r.Cluster.Name, r.PerGPUBatch, r.Throughput, 100*r.ScalingEfficiency, 1e3*r.CommSec)
 	}
 	return nil
 }
@@ -368,7 +367,7 @@ func cmdTwin(args []string) error {
 			fmt.Printf("  %3.0f%% trained: %s = %.4f\n", 100*p.FracDone, run.Metric, p.Value)
 		}
 	}
-	if run.Improved {
+	if run.Improved() {
 		fmt.Println("twin improved over training")
 	} else {
 		fmt.Println("twin did NOT improve — try more steps")
@@ -386,7 +385,7 @@ func cmdTwin(args []string) error {
 		if err := snap.Table(*profTop).Render(os.Stdout); err != nil {
 			return err
 		}
-		bd := memprof.ProfileLive(snap.Mem)
+		bd := snap.Mem
 		mb := func(v int64) float64 { return float64(v) / (1 << 20) }
 		fmt.Printf("\nPeak memory watermark (%d samples):\n", snap.Mem.Samples)
 		fmt.Printf("  feature maps %8.2f MB\n  weights      %8.2f MB\n  gradients    %8.2f MB\n  dynamic      %8.2f MB\n  workspace    %8.2f MB\n  total        %8.2f MB (feature maps %.0f%%)\n",
@@ -457,13 +456,13 @@ func cmdAnalyze(args []string) error {
 	fmt.Printf("  throughput         %.1f /s\n", a.Throughput)
 	fmt.Printf("  GPU / FP32 / CPU   %.1f%% / %.1f%% / %.2f%%\n", 100*a.GPUUtil, 100*a.FP32Util, 100*a.CPUUtil)
 	fmt.Printf("  phases             fwd %.1f ms, bwd %.1f ms, update %.1f ms\n",
-		1e3*a.ForwardSec, 1e3*a.BackwardSec, 1e3*a.UpdateSec)
+		1e3*a.Phases.ForwardSec, 1e3*a.Phases.BackwardSec, 1e3*a.Phases.UpdateSec)
 	fmt.Printf("  kernels            %d launches/iter, %.1f ms idle gaps\n", a.KernelsPerIteration, 1e3*a.GapTimeSec)
 	fmt.Printf("  memory             %.2f GB total (feature maps %.0f%%), fits 8 GB P4000: %v\n",
 		gb(a.Memory.Total()), 100*a.Memory.FeatureMapShare(), a.FitsP4000)
 	fmt.Println("  low-utilization kernels:")
 	for _, k := range a.LowUtilKernels {
-		fmt.Printf("    %5.2f%% of time at %4.1f%% FP32: %s\n", 100*k.DurationShare, 100*k.FP32Util, k.Name)
+		fmt.Printf("    %5.2f%% of time at %4.1f%% FP32: %s\n", 100*k.DurationShare, 100*k.Util, k.Name)
 	}
 	return nil
 }

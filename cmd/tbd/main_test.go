@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"hash/fnv"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"tbd/internal/prof"
 	"tbd/internal/whatif"
@@ -46,6 +51,22 @@ func run(t *testing.T, wantErr bool, args ...string) string {
 		t.Fatalf("tbd %v: %v", args, err)
 	}
 	return string(out)
+}
+
+// runRefused executes the binary and requires a refusal within 5 s: exit
+// status 1 (a panic exits 2) with want named on stderr.
+func runRefused(t *testing.T, want string, args ...string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var stderr bytes.Buffer
+	cmd := exec.CommandContext(ctx, binPath, args...)
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), want) {
+		t.Fatalf("tbd %v: %v, stderr %q; want exit status 1 naming %q", args, err, stderr.String(), want)
+	}
 }
 
 func TestCLIList(t *testing.T) {
@@ -104,6 +125,7 @@ func TestCLIErrors(t *testing.T) {
 	run(t, true, "definitely-not-a-command")
 	// Flags after the experiment id are rejected with guidance.
 	run(t, true, "run", "table4", "-csv")
+	runRefused(t, "kernel count must be non-negative", "kernels", "-n", "-1")
 }
 
 // TestCLITwinTraceReplaysToIdentity reads the file `tbd twin -trace-out`
@@ -136,5 +158,52 @@ func TestCLITwinTraceReplaysToIdentity(t *testing.T) {
 	if p.Steps != 3 || p.PredictedStepUs != p.BaselineStepUs || p.PredictedWallUs != p.BaselineWallUs {
 		t.Fatalf("identity replay: %d steps, step %v -> %v us, wall %v -> %v us",
 			p.Steps, p.BaselineStepUs, p.PredictedStepUs, p.BaselineWallUs, p.PredictedWallUs)
+	}
+}
+
+// parentCLIHashes hold the FNV-64a hash of each simulated-plane command's
+// stdout, recorded on the commit before the Figure 9 breakdown moved into
+// prof and the root API's result types became aliases.
+var parentCLIHashes = []struct {
+	args []string
+	hash uint64
+}{
+	{[]string{"list"}, 0xe0542b1178154230},
+	{[]string{"profile"}, 0x9aabde9795866711},
+	{[]string{"memory"}, 0xfdaa648d721ea4d4},
+	{[]string{"kernels"}, 0x4479228f89b1f0a0},
+	{[]string{"scaling"}, 0xaf805dcb07210bbd},
+	{[]string{"phases"}, 0xda7e33430c82f5c1},
+	{[]string{"offload", "-batch", "64", "-target-gb", "2"}, 0xabb3e676ab763dd5},
+	{[]string{"workspace"}, 0x5ea55d922543101},
+	{[]string{"trace"}, 0xa8866c2ea73ed8d9},
+	{[]string{"analyze"}, 0x63f575c66b5b3ec8},
+	{[]string{"observations"}, 0xa623148b00a0a0d0},
+	{[]string{"run", "table1"}, 0x36b81c34ae42f75d},
+	{[]string{"run", "table2"}, 0x14906582e3b234f7},
+	{[]string{"run", "table3"}, 0xa6ecee8998c08649},
+	{[]string{"run", "table4"}, 0x37788109cab8c48},
+	{[]string{"run", "fig4"}, 0x7bd4d81e32d6916b},
+	{[]string{"run", "fig5"}, 0x9adc401a92a3a0f3},
+	{[]string{"run", "fig6"}, 0x18d06708d92d15be},
+	{[]string{"run", "table5"}, 0xf185fbaf2aed840c},
+	{[]string{"run", "table6"}, 0x7c89e417659bedd1},
+	{[]string{"run", "fig7"}, 0xd17ed9ba8234cf4b},
+	{[]string{"run", "fig8"}, 0xda24a09e6f1f4bdb},
+	{[]string{"run", "fig9"}, 0xf6c658dddba899f4},
+	{[]string{"run", "fig10"}, 0x4b8ff4b28070857},
+	{[]string{"whatif", "-json", "-trace", "../../testdata/whatif/twin_avx2.json", "-scenario", "offload=1MB"}, 0x6c907e9aa3769fa0},
+}
+
+// TestCLISimulatedPlaneMatchesParentCommit holds every read-only
+// simulated-plane command, every paper artifact but the numeric fig2 and
+// a what-if replay's JSON to the bytes the parent commit printed.
+func TestCLISimulatedPlaneMatchesParentCommit(t *testing.T) {
+	for _, c := range parentCLIHashes {
+		h := fnv.New64a()
+		h.Write([]byte(run(t, false, c.args...)))
+		if got := h.Sum64(); got != c.hash {
+			t.Errorf("tbd %s: stdout hash %#x, parent commit %#x", strings.Join(c.args, " "), got, c.hash)
+		}
 	}
 }

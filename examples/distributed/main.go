@@ -31,7 +31,7 @@ func run() error {
 	}
 	fmt.Printf("%-20s %-10s %-14s %-12s\n", "Config", "Batch/GPU", "Throughput", "Efficiency")
 	for _, r := range rs {
-		fmt.Printf("%-20s %-10d %-14.1f %.0f%%\n", r.Config, r.PerGPUBatch, r.Throughput, 100*r.ScalingEfficiency)
+		fmt.Printf("%-20s %-10d %-14.1f %.0f%%\n", r.Cluster.Name, r.PerGPUBatch, r.Throughput, 100*r.ScalingEfficiency)
 	}
 
 	const workers, steps, batch = 4, 100, 64

@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"tbd"
-	"tbd/internal/memprof"
 	"tbd/internal/prof"
 )
 
@@ -50,7 +49,7 @@ func run() error {
 	fmt.Printf("  throughput %.1f samples/s | GPU %.0f%% | FP32 %.0f%% | CPU %.1f%%\n",
 		a.Throughput, 100*a.GPUUtil, 100*a.FP32Util, 100*a.CPUUtil)
 	fmt.Printf("  phases: fwd %.0f ms / bwd %.0f ms / update %.1f ms; %d kernels, %.1f ms gaps\n",
-		1e3*a.ForwardSec, 1e3*a.BackwardSec, 1e3*a.UpdateSec, a.KernelsPerIteration, 1e3*a.GapTimeSec)
+		1e3*a.Phases.ForwardSec, 1e3*a.Phases.BackwardSec, 1e3*a.Phases.UpdateSec, a.KernelsPerIteration, 1e3*a.GapTimeSec)
 	gb := func(v int64) float64 { return float64(v) / (1 << 30) }
 	fmt.Printf("  memory: %.2f GB (feature maps %.0f%%)\n", gb(a.Memory.Total()), 100*a.Memory.FeatureMapShare())
 
@@ -60,14 +59,14 @@ func run() error {
 		return err
 	}
 	for _, c := range top {
-		fmt.Printf("  %-28s %-10s %6.1f MB feature maps\n", c.Op, c.Layer, float64(c.FeatureMapBytes)/(1<<20))
+		fmt.Printf("  %-28s %-10s %6.1f MB feature maps\n", c.Op, c.Kind, float64(c.FeatureMapBytes)/(1<<20))
 	}
 	off, err := tbd.AnalyzeOffload(model, fw, batch, a.Memory.Total()/2)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("  halving the footprint: offload %d stashes (%.2f GB) for +%.0f ms PCIe per iteration\n",
-		len(off.OffloadedOps), gb(off.FreedBytes), 1e3*off.TransferSecPerIter)
+		len(off.OffloadedOps), gb(off.OffloadedBytes), 1e3*off.TransferSecPerIter)
 
 	fmt.Println("\n== Step 4: the numeric twin actually trains ==")
 	run, err := tbd.TrainTwin(model, 150, 1)
@@ -75,8 +74,8 @@ func run() error {
 		return err
 	}
 	last := run.Points[len(run.Points)-1]
-	fmt.Printf("  %s after 150 steps: %s = %.2f (improved: %v)\n", run.Model, run.Metric, last.Value, run.Improved)
-	if !run.Improved {
+	fmt.Printf("  %s after 150 steps: %s = %.2f (improved: %v)\n", run.Model, run.Metric, last.Value, run.Improved())
+	if !run.Improved() {
 		return fmt.Errorf("twin did not improve")
 	}
 
@@ -108,9 +107,8 @@ func run() error {
 	if err := snap.Table(5).Render(os.Stdout); err != nil {
 		return err
 	}
-	bd := memprof.ProfileLive(snap.Mem)
 	fmt.Printf("  watermark over %d steps: %.2f MB total, feature maps %.0f%% (the paper's Observation 11, live)\n",
-		snap.Mem.Samples, float64(bd.Total())/(1<<20), 100*bd.FeatureMapShare())
+		snap.Mem.Samples, float64(snap.Mem.Total())/(1<<20), 100*snap.Mem.FeatureMapShare())
 	tf, err := os.CreateTemp("", "tbd-prof-*.json")
 	if err != nil {
 		return err

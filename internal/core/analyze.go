@@ -9,6 +9,7 @@ import (
 	"tbd/internal/memprof"
 	"tbd/internal/metrics"
 	"tbd/internal/models"
+	"tbd/internal/prof"
 	"tbd/internal/sim"
 )
 
@@ -45,7 +46,7 @@ type Analysis struct {
 	GapTimeSec          float64
 
 	// Memory breakdown (Figure 9 categories).
-	Memory memprof.Breakdown
+	Memory prof.MemBreakdown
 	// FitsP4000 reports whether the footprint fits the paper's 8 GB card.
 	FitsP4000 bool
 }

@@ -37,20 +37,14 @@ var fig2Batch = map[string]int{
 	"Inception-v3": 32, "ResNet-50": 32, "Transformer": 2048, "Seq2Seq": 64, "A3C": 32,
 }
 
-// curvePoint is one recorded (progress fraction, metric) sample.
-type curvePoint struct {
-	frac  float64
-	value float64
-}
-
 // accuracyCurve trains a classifier twin and records smoothed accuracy.
-func accuracyCurve(net *graph.Network, batchFn func() (*tensor.Tensor, []int), steps int) []curvePoint {
+func accuracyCurve(net *graph.Network, batchFn func() (*tensor.Tensor, []int), steps int) []TwinPoint {
 	opt := optim.NewAdam(0.01)
 	every := steps / 24
 	if every == 0 {
 		every = 1
 	}
-	var pts []curvePoint
+	var pts []TwinPoint
 	var window float64
 	var count int
 	for i := 0; i < steps; i++ {
@@ -58,7 +52,7 @@ func accuracyCurve(net *graph.Network, batchFn func() (*tensor.Tensor, []int), s
 		window += graph.TrainClassifierStep(net, opt, x, labels, 5).Accuracy
 		count++
 		if (i+1)%every == 0 {
-			pts = append(pts, curvePoint{frac: float64(i+1) / float64(steps), value: window / float64(count)})
+			pts = append(pts, TwinPoint{FracDone: float64(i+1) / float64(steps), Value: window / float64(count)})
 			window, count = 0, 0
 		}
 	}
@@ -110,8 +104,8 @@ func runFig2(o Options) (*Result, error) {
 			scale := timeScale(o, modelName, fwName) / 86400
 			s := report.Series{Name: modelName + " (" + shortFW(fwName) + ")"}
 			for _, p := range pts {
-				s.X = append(s.X, p.frac*scale)
-				s.Y = append(s.Y, p.value)
+				s.X = append(s.X, p.FracDone*scale)
+				s.Y = append(s.Y, p.Value)
 			}
 			fig.Series = append(fig.Series, s)
 		}
@@ -136,8 +130,8 @@ func runFig2(o Options) (*Result, error) {
 			scale := timeScale(o, modelName, fwName) / 3600
 			s := report.Series{Name: m.ImplName(fwName) + " (" + shortFW(fwName) + ")"}
 			for _, p := range pts {
-				s.X = append(s.X, p.frac*scale)
-				s.Y = append(s.Y, p.value*28)
+				s.X = append(s.X, p.FracDone*scale)
+				s.Y = append(s.Y, p.Value*28)
 			}
 			fig.Series = append(fig.Series, s)
 		}

@@ -69,10 +69,10 @@ func TrainTwin(modelName string, steps int, seed uint64) (TwinRun, error) {
 			net = models.NumericInception(rng, 1, 8, 4)
 		}
 		run.Metric = "top-1 accuracy"
-		run.Points = toTwinPoints(accuracyCurve(net, func() (*tensor.Tensor, []int) {
+		run.Points = accuracyCurve(net, func() (*tensor.Tensor, []int) {
 			b := src.Batch(16)
 			return b.X, b.Labels
-		}, steps))
+		}, steps)
 	case "Seq2Seq", "Transformer":
 		src := data.NewTranslationSource(rng, 12, 6)
 		var net = models.NumericSeq2Seq(rng, 12, 12, 24)
@@ -80,10 +80,10 @@ func TrainTwin(modelName string, steps int, seed uint64) (TwinRun, error) {
 			net = models.NumericTransformer(rng, 12, 16, 2)
 		}
 		run.Metric = "token accuracy"
-		run.Points = toTwinPoints(accuracyCurve(net, func() (*tensor.Tensor, []int) {
+		run.Points = accuracyCurve(net, func() (*tensor.Tensor, []int) {
 			b := src.Batch(16)
 			return b.Src, b.Targets
-		}, steps))
+		}, steps)
 	case "Deep Speech 2":
 		run.Metric = "ctc loss"
 		run.HigherIsBetter = false
@@ -143,14 +143,6 @@ func TrainTwin(modelName string, steps int, seed uint64) (TwinRun, error) {
 		return TwinRun{}, fmt.Errorf("core: no numeric twin for %q", modelName)
 	}
 	return run, nil
-}
-
-func toTwinPoints(pts []curvePoint) []TwinPoint {
-	out := make([]TwinPoint, len(pts))
-	for i, p := range pts {
-		out[i] = TwinPoint{FracDone: p.frac, Value: p.value}
-	}
-	return out
 }
 
 // detectionBatch builds the quadrant-blob detection task shared with the

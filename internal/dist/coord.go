@@ -99,6 +99,9 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 // dist` gives OS processes. steps, globalBatch and each rank's link rate
 // (bytesPerSec, 0 = unthrottled) are what CoordConfig does not carry.
 func RunLocal(cfg CoordConfig, steps, globalBatch int, bytesPerSec float64) (*RunSummary, error) {
+	if err := CheckBatch(globalBatch, cfg.Workers); err != nil {
+		return nil, err
+	}
 	coord, err := NewCoordinator(cfg)
 	if err != nil {
 		return nil, err

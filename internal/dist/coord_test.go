@@ -2,7 +2,9 @@ package dist
 
 import (
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"tbd/internal/tensor"
 )
@@ -82,6 +84,32 @@ func TestRunWorkerValidates(t *testing.T) {
 	}
 	if _, err := RunWorker(WorkerConfig{Model: "mlp", Rank: 0, Workers: 3, GlobalBatch: 8}); err == nil {
 		t.Fatal("indivisible global batch must error")
+	}
+	for _, batch := range []int{0, -4} {
+		if _, err := RunWorker(WorkerConfig{Model: "mlp", Rank: 0, Workers: 2, GlobalBatch: batch}); err == nil || !strings.Contains(err.Error(), "must be positive") {
+			t.Fatalf("global batch %d: error %v, want a non-positive batch refused", batch, err)
+		}
+	}
+}
+
+// TestRunLocalRefusesBadBatch holds RunLocal to a named error, within 5 s,
+// for a global batch its ranks cannot share: before the check, each rank
+// exited before its hello and the coordinator waited forever.
+func TestRunLocalRefusesBadBatch(t *testing.T) {
+	for _, batch := range []int{3, -4} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunLocal(CoordConfig{Workers: 2, Strategy: RunRing, Model: "mlp", Seed: 1, LR: 0.1}, 1, batch, 0)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "must be positive and divisible by 2 workers") {
+				t.Fatalf("RunLocal at global batch %d: error %v, want the batch refused", batch, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("RunLocal at global batch %d did not return within 5 s", batch)
+		}
 	}
 }
 

@@ -302,6 +302,20 @@ func (c *ctrlConn) recv(want byte) (psHeader, []byte, error) {
 	return h, p, nil
 }
 
+// CheckBatch refuses a global batch the ranks cannot share: it must be
+// positive and split evenly across the workers. RunWorker, RunLocal and
+// `tbd dist` call it before any listener or process starts, since a rank
+// that exits before its hello leaves the coordinator waiting.
+func CheckBatch(globalBatch, workers int) error {
+	if workers <= 0 {
+		return fmt.Errorf("dist: need at least 1 worker, got %d", workers)
+	}
+	if globalBatch <= 0 || globalBatch%workers != 0 {
+		return fmt.Errorf("dist: global batch %d must be positive and divisible by %d workers", globalBatch, workers)
+	}
+	return nil
+}
+
 // RunWorker joins the run described by cfg, trains for cfg.Steps, and
 // returns this rank's result after the coordinator confirms every rank
 // finished. The final model state is identical across ranks (the
@@ -314,8 +328,8 @@ func RunWorker(cfg WorkerConfig) (WorkerResult, error) {
 	if cfg.Workers <= 0 || cfg.Rank < 0 || cfg.Rank >= cfg.Workers {
 		return WorkerResult{}, fmt.Errorf("dist: invalid worker position rank %d of %d", cfg.Rank, cfg.Workers)
 	}
-	if cfg.GlobalBatch%cfg.Workers != 0 {
-		return WorkerResult{}, fmt.Errorf("dist: global batch %d not divisible by %d workers", cfg.GlobalBatch, cfg.Workers)
+	if err := CheckBatch(cfg.GlobalBatch, cfg.Workers); err != nil {
+		return WorkerResult{}, err
 	}
 
 	conn, err := net.Dial("tcp", cfg.CoordAddr)

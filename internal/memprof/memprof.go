@@ -1,54 +1,14 @@
 // Package memprof is the memory profiler — the paper's headline tooling
 // contribution. It attributes GPU memory to the five categories of
-// Figure 9: weights, weight gradients, feature maps (activations stashed
-// for the backward pass), workspace (convolution scratch), and dynamic
-// (allocations made during training iterations, chiefly optimizer state in
-// MXNet). It profiles both paper-scale op graphs (analytic) and live
-// numeric networks.
+// Figure 9 (prof.MemBreakdown), for both paper-scale op graphs (analytic)
+// and live numeric networks.
 package memprof
 
 import (
-	"fmt"
-	"strings"
-
 	"tbd/internal/graph"
 	"tbd/internal/kernels"
 	"tbd/internal/prof"
 )
-
-// Breakdown is the per-category memory footprint in bytes.
-type Breakdown struct {
-	Weights         int64
-	WeightGradients int64
-	FeatureMaps     int64
-	Workspace       int64
-	Dynamic         int64
-}
-
-// Total returns the summed footprint.
-func (b Breakdown) Total() int64 {
-	return b.Weights + b.WeightGradients + b.FeatureMaps + b.Workspace + b.Dynamic
-}
-
-// FeatureMapShare returns the fraction of the footprint consumed by
-// feature maps — the quantity behind Observation 11 (62-89% across the
-// suite).
-func (b Breakdown) FeatureMapShare() float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(b.FeatureMaps) / float64(t)
-}
-
-// String renders the breakdown in GB, Figure 9 style.
-func (b Breakdown) String() string {
-	gb := func(v int64) float64 { return float64(v) / (1 << 30) }
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "feature maps %.2f GB, weights %.2f GB, gradients %.2f GB, dynamic %.2f GB, workspace %.2f GB (total %.2f GB)",
-		gb(b.FeatureMaps), gb(b.Weights), gb(b.WeightGradients), gb(b.Dynamic), gb(b.Workspace), gb(b.Total()))
-	return sb.String()
-}
 
 // Policy captures the framework-specific allocation behaviour the paper's
 // per-framework profilers had to reverse-engineer (§3.4.3).
@@ -77,11 +37,11 @@ func DefaultPolicy() Policy {
 
 // ProfileOps computes the Figure-9 breakdown for a paper-scale op graph at
 // the given batch size.
-func ProfileOps(ops []*kernels.Op, batch int, p Policy) Breakdown {
+func ProfileOps(ops []*kernels.Op, batch int, p Policy) prof.MemBreakdown {
 	if p.AllocatorSlack == 0 {
 		p.AllocatorSlack = 1
 	}
-	var b Breakdown
+	var b prof.MemBreakdown
 	var maxWorkspace int64
 	for _, o := range ops {
 		params := o.ParamElems() * 4
@@ -107,28 +67,14 @@ func ProfileOps(ops []*kernels.Op, batch int, p Policy) Breakdown {
 // FitsDevice reports whether the breakdown fits in capacity bytes, the
 // check behind every "maximum mini-batch size" limit in the paper
 // (e.g. Sockeye capping at 64 where NMT reaches 128 on 8 GB).
-func FitsDevice(b Breakdown, capacity int64) bool {
+func FitsDevice(b prof.MemBreakdown, capacity int64) bool {
 	return b.Total() <= capacity
-}
-
-// ProfileLive converts the runtime profiler's memory watermark (sampled
-// once per training step by the graph drivers while prof is enabled) into
-// the Figure-9 breakdown. Each category holds its own observed maximum, so
-// the result is the per-category peak over the profiled window.
-func ProfileLive(w prof.MemWatermark) Breakdown {
-	return Breakdown{
-		Weights:         w.Weights,
-		WeightGradients: w.WeightGradients,
-		FeatureMaps:     w.FeatureMaps,
-		Workspace:       w.Workspace,
-		Dynamic:         w.Dynamic,
-	}
 }
 
 // ProfileNetwork measures a live numeric network after a training-mode
 // forward pass: real allocation sizes, not analytic estimates.
-func ProfileNetwork(n *graph.Network, optimizerStateBytes int64, dynamicState bool) Breakdown {
-	b := Breakdown{
+func ProfileNetwork(n *graph.Network, optimizerStateBytes int64, dynamicState bool) prof.MemBreakdown {
+	b := prof.MemBreakdown{
 		Weights:         n.WeightBytes(),
 		WeightGradients: n.GradientBytes(),
 		FeatureMaps:     n.StashBytes(),

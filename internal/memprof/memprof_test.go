@@ -7,6 +7,7 @@ import (
 	"tbd/internal/graph"
 	"tbd/internal/kernels"
 	"tbd/internal/layers"
+	"tbd/internal/prof"
 	"tbd/internal/tensor"
 )
 
@@ -103,7 +104,7 @@ func TestMaxBatchRespectsCapacity(t *testing.T) {
 }
 
 func TestFitsDevice(t *testing.T) {
-	b := Breakdown{FeatureMaps: 4 << 30, Weights: 1 << 30}
+	b := prof.MemBreakdown{FeatureMaps: 4 << 30, Weights: 1 << 30}
 	if FitsDevice(b, 4<<30) {
 		t.Fatal("5 GB must not fit in 4 GB")
 	}
@@ -151,7 +152,7 @@ func TestProfileNetworkLive(t *testing.T) {
 }
 
 func TestBreakdownString(t *testing.T) {
-	b := Breakdown{FeatureMaps: 1 << 30}
+	b := prof.MemBreakdown{FeatureMaps: 1 << 30}
 	if !strings.Contains(b.String(), "feature maps 1.00 GB") {
 		t.Fatalf("String() = %q", b.String())
 	}

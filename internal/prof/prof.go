@@ -21,6 +21,7 @@
 package prof
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -357,18 +358,50 @@ func (s *Span) End() {
 	})
 }
 
+// MemBreakdown is a memory footprint in bytes split into the paper's five
+// categories (Figure 9): weights, weight gradients, feature maps
+// (activations stashed for the backward pass), workspace (convolution and
+// GEMM scratch), and dynamic (allocations made during training iterations,
+// chiefly optimizer state in MXNet).
+type MemBreakdown struct {
+	Weights         int64 `json:"weights"`
+	WeightGradients int64 `json:"weight_gradients"`
+	FeatureMaps     int64 `json:"feature_maps"`
+	Workspace       int64 `json:"workspace"`
+	Dynamic         int64 `json:"dynamic"`
+}
+
+// Total returns the summed footprint.
+func (b MemBreakdown) Total() int64 {
+	return b.Weights + b.WeightGradients + b.FeatureMaps + b.Workspace + b.Dynamic
+}
+
+// FeatureMapShare returns the fraction of the footprint consumed by
+// feature maps — the quantity behind Observation 11 (62-89% across the
+// suite).
+func (b MemBreakdown) FeatureMapShare() float64 {
+	t := b.Total()
+	if t == 0 {
+		return 0
+	}
+	return float64(b.FeatureMaps) / float64(t)
+}
+
+// String renders the breakdown in GB, Figure 9 style.
+func (b MemBreakdown) String() string {
+	gb := func(v int64) float64 { return float64(v) / (1 << 30) }
+	return fmt.Sprintf("feature maps %.2f GB, weights %.2f GB, gradients %.2f GB, dynamic %.2f GB, workspace %.2f GB (total %.2f GB)",
+		gb(b.FeatureMaps), gb(b.Weights), gb(b.WeightGradients), gb(b.Dynamic), gb(b.Workspace), gb(b.Total()))
+}
+
 // MemWatermark attributes peak live bytes to the paper's five memory
-// categories (Figure 9). Each category holds its own maximum across
-// samples; PeakTotal is the largest single-sample sum (the footprint a
-// device would need).
+// categories. Each category holds its own maximum across samples;
+// PeakTotal is the largest single-sample sum (the footprint a device
+// would need).
 type MemWatermark struct {
-	Weights         int64  `json:"weights"`
-	WeightGradients int64  `json:"weight_gradients"`
-	FeatureMaps     int64  `json:"feature_maps"`
-	Workspace       int64  `json:"workspace"`
-	Dynamic         int64  `json:"dynamic"`
-	PeakTotal       int64  `json:"peak_total"`
-	Samples         uint64 `json:"samples"`
+	MemBreakdown
+	PeakTotal int64  `json:"peak_total"`
+	Samples   uint64 `json:"samples"`
 }
 
 // SampleMemory folds one live measurement into the watermark: weights,
@@ -379,7 +412,7 @@ func SampleMemory(weights, grads, featureMaps, workspace, dynamic int64) {
 	if !enabled.Load() {
 		return
 	}
-	total := weights + grads + featureMaps + workspace + dynamic
+	total := MemBreakdown{weights, grads, featureMaps, workspace, dynamic}.Total()
 	collector.mu.Lock()
 	defer collector.mu.Unlock()
 	m := &collector.mem

@@ -26,7 +26,7 @@ func edgesTrace() *Trace {
 	}
 	return &Trace{
 		Meta:  Meta{Model: "m", Workers: 2, Strategy: "ring"},
-		Mem:   MemWatermark{Weights: 10, PeakTotal: 10, Samples: 1},
+		Mem:   MemWatermark{MemBreakdown: MemBreakdown{Weights: 10}, PeakTotal: 10, Samples: 1},
 		Ranks: []Capture{rank(0, 5*time.Millisecond), rank(1, 6*time.Millisecond)},
 	}
 }

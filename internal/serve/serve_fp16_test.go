@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"tbd/internal/memprof"
 	"tbd/internal/models"
 	"tbd/internal/prof"
 	"tbd/internal/tensor"
@@ -124,17 +123,17 @@ func TestServeHalfWeights(t *testing.T) {
 	t.Logf("worst fp16/fp32 output divergence: %.2e (bound rel=%g abs=%g)", worst, relTol, absTol)
 
 	// The watermark's weights category is fed from Session.WeightBytes on
-	// every flushed batch, so ProfileLive must attribute exactly the
+	// every flushed batch, so the watermark must attribute exactly the
 	// resident footprint.
-	fb, hb := memprof.ProfileLive(fullW), memprof.ProfileLive(halfW)
+	fb, hb := fullW.MemBreakdown, halfW.MemBreakdown
 	if fullW.Samples == 0 || halfW.Samples == 0 {
 		t.Fatalf("watermark unsampled: full=%d half=%d batches", fullW.Samples, halfW.Samples)
 	}
 	if fb.Weights != fullBytes {
-		t.Fatalf("ProfileLive fp32 weights = %d, want %d", fb.Weights, fullBytes)
+		t.Fatalf("watermark fp32 weights = %d, want %d", fb.Weights, fullBytes)
 	}
 	if hb.Weights != halfBytes {
-		t.Fatalf("ProfileLive fp16 weights = %d, want %d", hb.Weights, halfBytes)
+		t.Fatalf("watermark fp16 weights = %d, want %d", hb.Weights, halfBytes)
 	}
 	if fb.WeightGradients != 0 || hb.WeightGradients != 0 || fb.Dynamic != 0 || hb.Dynamic != 0 {
 		t.Fatalf("inference watermark has training categories: full=%+v half=%+v", fb, hb)

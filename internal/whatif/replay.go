@@ -458,10 +458,7 @@ func applyMemory(p *Prediction, t *prof.Trace, sc *Scenario) float64 {
 // recomputePeak shifts PeakTotal by the category deltas — the categories
 // peaked together in the recording, so their sum tracks the footprint.
 func recomputePeak(p *Prediction) {
-	sum := func(m prof.MemWatermark) int64 {
-		return m.Weights + m.WeightGradients + m.FeatureMaps + m.Workspace + m.Dynamic
-	}
-	p.MemAfter.PeakTotal = p.MemBefore.PeakTotal + (sum(p.MemAfter) - sum(p.MemBefore))
+	p.MemAfter.PeakTotal = p.MemBefore.PeakTotal + (p.MemAfter.Total() - p.MemBefore.Total())
 	if p.MemAfter.PeakTotal < 0 {
 		p.MemAfter.PeakTotal = 0
 	}

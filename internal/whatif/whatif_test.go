@@ -369,7 +369,7 @@ func TestReplayCompressionBlendsWireFormat(t *testing.T) {
 
 func TestReplayFP16AndMemory(t *testing.T) {
 	tr := twoStepTrace(t)
-	tr.Mem = prof.MemWatermark{Weights: 1000, WeightGradients: 1000, FeatureMaps: 4000, Workspace: 2000, Dynamic: 500, PeakTotal: 8500}
+	tr.Mem = prof.MemWatermark{MemBreakdown: prof.MemBreakdown{Weights: 1000, WeightGradients: 1000, FeatureMaps: 4000, Workspace: 2000, Dynamic: 500}, PeakTotal: 8500}
 	p := replaySpec(t, tr, "fp16")
 	if p.MemAfter.Weights != 500 || p.MemAfter.Workspace != 1000 {
 		t.Fatalf("fp16 must halve weights and workspace: %+v", p.MemAfter)
@@ -389,7 +389,7 @@ func TestReplayFP16AndMemory(t *testing.T) {
 
 func TestReplayOffloadFreesMemoryAndChargesPCIe(t *testing.T) {
 	tr := twoStepTrace(t)
-	tr.Mem = prof.MemWatermark{Weights: 1 << 20, FeatureMaps: 64 << 20, PeakTotal: 65 << 20}
+	tr.Mem = prof.MemWatermark{MemBreakdown: prof.MemBreakdown{Weights: 1 << 20, FeatureMaps: 64 << 20}, PeakTotal: 65 << 20}
 	p := replaySpec(t, tr, "offload=33mb")
 	if p.MemAfter.PeakTotal > 33<<20 {
 		t.Fatalf("offload left peak at %d, want <= 33 MB", p.MemAfter.PeakTotal)

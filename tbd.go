@@ -43,30 +43,17 @@ type BenchmarkInfo struct {
 }
 
 // Benchmarks lists the eight TBD models.
-func Benchmarks() []BenchmarkInfo {
-	var out []BenchmarkInfo
-	for _, m := range models.Suite() {
-		out = append(out, BenchmarkInfo{
-			Name:          m.Name,
-			Application:   m.Application,
-			NumLayers:     m.NumLayers,
-			DominantLayer: m.DominantLayer,
-			Frameworks:    append([]string(nil), m.Frameworks...),
-			Dataset:       m.Dataset.Name,
-			BatchSizes:    append([]int(nil), m.BatchSizes...),
-			BatchUnit:     m.BatchUnit,
-		})
-	}
-	return out
-}
+func Benchmarks() []BenchmarkInfo { return benchmarkInfos(models.Suite()) }
 
 // ExtensionBenchmarks lists models beyond the paper's eight — additions
 // the paper names as future work (currently YOLO9000). They are usable
 // with every profiling API but excluded from the paper-artifact
 // experiments.
-func ExtensionBenchmarks() []BenchmarkInfo {
+func ExtensionBenchmarks() []BenchmarkInfo { return benchmarkInfos(models.Extensions()) }
+
+func benchmarkInfos(ms []*models.Model) []BenchmarkInfo {
 	var out []BenchmarkInfo
-	for _, m := range models.Extensions() {
+	for _, m := range ms {
 		out = append(out, BenchmarkInfo{
 			Name:          m.Name,
 			Application:   m.Application,
@@ -114,15 +101,42 @@ type Profile struct {
 	KernelCount int
 }
 
-// KernelStat is one row of the per-kernel analysis (Tables 5-6).
-type KernelStat struct {
-	Name string
-	// DurationShare is the fraction of GPU busy time in this kernel.
-	DurationShare float64
-	// FP32Util is the kernel's utilization while resident.
-	FP32Util float64
-	Count    int
-}
+// The analysis results are the toolchain's own types, named here so a
+// downstream user can declare them.
+type (
+	// KernelStat is one row of the per-kernel analysis (Tables 5-6):
+	// Util is the kernel's FP32 utilization while resident, DurationShare
+	// its fraction of GPU busy time.
+	KernelStat = sim.KernelStat
+	// PhaseBreakdown is per-phase GPU time of one training iteration.
+	PhaseBreakdown = sim.PhaseProfile
+	// ScalingResult is one row of the Figure 10 study; CommSec is the
+	// exposed communication time.
+	ScalingResult = sim.ScaleResult
+	// WorkspaceTradeoffRow is one point of the workspace-budget sweep.
+	WorkspaceTradeoffRow = core.TradeoffRow
+	// ObservationStatus reports one of the paper's 13 findings against
+	// the simulated suite.
+	ObservationStatus = core.ObservationResult
+	// MemoryConsumer is one op's memory contribution.
+	MemoryConsumer = whatif.Consumer
+	// OffloadAnalysis is a vDNN-style what-if: offload the largest
+	// feature maps to host memory until the footprint fits a target.
+	OffloadAnalysis = whatif.OffloadPlan
+	// Analysis is the merged end-to-end report of the paper's Figure 3
+	// pipeline for one configuration: sampling-window methodology, all
+	// four utilization metrics, phase and kernel breakdowns, and the
+	// memory categorization.
+	Analysis = core.Analysis
+	// Comparability is the §3.4.1 cross-framework implementation check.
+	Comparability = core.Comparability
+	// TwinRun is the learning curve of one benchmark's trainable numeric
+	// twin — real training on the synthetic stand-in dataset, the
+	// mechanism behind the Figure 2 convergence curves.
+	TwinRun = core.TwinRun
+	// TwinPoint is one sample of a numeric twin's learning curve.
+	TwinPoint = core.TwinPoint
+)
 
 // ProfileTraining simulates one training iteration of a benchmark on a
 // framework and GPU at the given batch size, returning the paper's
@@ -153,52 +167,26 @@ func ProfileTraining(model, fw, gpu string, batch int) (Profile, error) {
 // LowUtilizationKernels returns the top-n longest kernels running below
 // the configuration's average FP32 utilization (Tables 5 and 6).
 func LowUtilizationKernels(model, fw, gpu string, batch, n int) ([]KernelStat, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("LowUtilizationKernels: kernel count must be non-negative, got %d", n)
+	}
 	m, f, g, err := core.Resolve(model, fw, gpu, batch)
 	if err != nil {
 		return nil, err
 	}
 	cfg := models.SimConfigFor(m, f, g)
 	r := sim.Simulate(m.Ops(), m.SamplesForBatch(batch), f.Style, cfg)
-	var out []KernelStat
-	for _, st := range sim.LongLowUtilKernels(r, n) {
-		out = append(out, KernelStat{Name: st.Name, DurationShare: st.DurationShare, FP32Util: st.Util, Count: st.Count})
-	}
-	return out, nil
-}
-
-// MemoryBreakdown is the Figure 9 memory categorization in bytes.
-type MemoryBreakdown struct {
-	Weights, WeightGradients, FeatureMaps, Workspace, Dynamic int64
-}
-
-// Total returns the summed footprint.
-func (b MemoryBreakdown) Total() int64 {
-	return b.Weights + b.WeightGradients + b.FeatureMaps + b.Workspace + b.Dynamic
-}
-
-// FeatureMapShare returns the feature-map fraction (Observation 11).
-func (b MemoryBreakdown) FeatureMapShare() float64 {
-	if b.Total() == 0 {
-		return 0
-	}
-	return float64(b.FeatureMaps) / float64(b.Total())
+	return sim.LongLowUtilKernels(r, n), nil
 }
 
 // ProfileMemory returns the per-category GPU memory footprint of a
-// configuration.
-func ProfileMemory(model, fw string, batch int) (MemoryBreakdown, error) {
+// configuration (Figure 9).
+func ProfileMemory(model, fw string, batch int) (prof.MemBreakdown, error) {
 	m, f, _, err := core.Resolve(model, fw, "", batch)
 	if err != nil {
-		return MemoryBreakdown{}, err
+		return prof.MemBreakdown{}, err
 	}
-	bd := memprof.ProfileOps(m.Ops(), m.SamplesForBatch(batch), f.MemPolicy)
-	return MemoryBreakdown{
-		Weights:         bd.Weights,
-		WeightGradients: bd.WeightGradients,
-		FeatureMaps:     bd.FeatureMaps,
-		Workspace:       bd.Workspace,
-		Dynamic:         bd.Dynamic,
-	}, nil
+	return memprof.ProfileOps(m.Ops(), m.SamplesForBatch(batch), f.MemPolicy), nil
 }
 
 // MaxBatch returns the largest sweep batch of a benchmark whose footprint
@@ -218,15 +206,6 @@ func MaxBatch(model, fw string, capacityBytes int64) (int, error) {
 	return best, nil
 }
 
-// ScalingResult is one row of the Figure 10 study.
-type ScalingResult struct {
-	Config            string
-	PerGPUBatch       int
-	Throughput        float64
-	ScalingEfficiency float64
-	ExposedCommSec    float64
-}
-
 // ScalingStudy runs the Figure 10 distributed-training sweep for a model
 // and framework across the paper's five cluster configurations.
 func ScalingStudy(model, fw string, perGPUBatches []int) ([]ScalingResult, error) {
@@ -238,14 +217,7 @@ func ScalingStudy(model, fw string, perGPUBatches []int) ([]ScalingResult, error
 	var out []ScalingResult
 	for _, cluster := range sim.Figure10Configs() {
 		for _, b := range perGPUBatches {
-			r := sim.Scale(m.Ops(), b, f.Style, cfg, cluster)
-			out = append(out, ScalingResult{
-				Config:            cluster.Name,
-				PerGPUBatch:       b,
-				Throughput:        r.Throughput,
-				ScalingEfficiency: r.ScalingEfficiency,
-				ExposedCommSec:    r.CommSec,
-			})
+			out = append(out, sim.Scale(m.Ops(), b, f.Style, cfg, cluster))
 		}
 	}
 	return out, nil
@@ -262,30 +234,11 @@ func SetEngineParallelism(n int) int { return tensor.SetParallelism(n) }
 // useful for allocation-profiling comparisons.
 func SetEnginePooling(on bool) bool { return tensor.SetPooling(on) }
 
-// WorkspaceTradeoffRow is one point of the workspace-budget sweep.
-type WorkspaceTradeoffRow struct {
-	BudgetBytes, WorkspaceBytes                int64
-	Throughput                                 float64
-	WinogradConvs, PrecompConvs, ImplicitConvs int
-}
-
 // WorkspaceTradeoff quantifies Observation 12's recommendation: sweep
 // workspace budgets, letting the convolution-algorithm selector trade
 // scratch memory for throughput.
 func WorkspaceTradeoff(model, fw string, batch int, budgets []int64) ([]WorkspaceTradeoffRow, error) {
-	rows, err := core.WorkspaceTradeoff(model, fw, batch, budgets)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WorkspaceTradeoffRow, len(rows))
-	for i, r := range rows {
-		out[i] = WorkspaceTradeoffRow{
-			BudgetBytes: r.BudgetBytes, WorkspaceBytes: r.WorkspaceBytes,
-			Throughput:    r.Throughput,
-			WinogradConvs: r.WinogradConvs, PrecompConvs: r.PrecompConvs, ImplicitConvs: r.ImplicitConvs,
-		}
-	}
-	return out, nil
+	return core.WorkspaceTradeoff(model, fw, batch, budgets)
 }
 
 // ExperimentIDs lists every regenerable table/figure id in paper order.
@@ -365,23 +318,8 @@ func RunExperiment(id string, w io.Writer, opts RunOptions) error {
 	return nil
 }
 
-// ObservationStatus reports one of the paper's 13 findings against the
-// simulated suite.
-type ObservationStatus struct {
-	ID     int
-	Claim  string
-	Holds  bool
-	Detail string
-}
-
 // CheckObservations evaluates Observations 1-13.
-func CheckObservations() []ObservationStatus {
-	var out []ObservationStatus
-	for _, r := range core.CheckAll(core.Options{}) {
-		out = append(out, ObservationStatus{ID: r.ID, Claim: r.Claim, Holds: r.Holds, Detail: r.Detail})
-	}
-	return out
-}
+func CheckObservations() []ObservationStatus { return core.CheckAll(core.Options{}) }
 
 // IterationFLOPs returns the analytic FLOP count of one training
 // iteration of a benchmark at the given batch.
@@ -394,12 +332,6 @@ func IterationFLOPs(model string, batch int) (float64, error) {
 	return kernels.TotalFLOPs(ks), nil
 }
 
-// PhaseBreakdown is per-phase GPU time of one training iteration.
-type PhaseBreakdown struct {
-	ForwardSec, BackwardSec, UpdateSec             float64
-	ForwardKernels, BackwardKernels, UpdateKernels int
-}
-
 // ProfilePhases breaks a configuration's iteration into forward /
 // backward / update GPU time.
 func ProfilePhases(model, fw, gpu string, batch int) (PhaseBreakdown, error) {
@@ -408,51 +340,20 @@ func ProfilePhases(model, fw, gpu string, batch int) (PhaseBreakdown, error) {
 		return PhaseBreakdown{}, err
 	}
 	cfg := models.SimConfigFor(m, f, g)
-	p := sim.Simulate(m.Ops(), m.SamplesForBatch(batch), f.Style, cfg).Phases
-	return PhaseBreakdown{
-		ForwardSec: p.ForwardSec, BackwardSec: p.BackwardSec, UpdateSec: p.UpdateSec,
-		ForwardKernels: p.ForwardKernels, BackwardKernels: p.BackwardKernels, UpdateKernels: p.UpdateKernels,
-	}, nil
-}
-
-// MemoryConsumer is one op's memory contribution.
-type MemoryConsumer struct {
-	Op              string
-	Layer           string
-	FeatureMapBytes int64
-	WeightBytes     int64
+	return sim.Simulate(m.Ops(), m.SamplesForBatch(batch), f.Style, cfg).Phases, nil
 }
 
 // TopMemoryConsumers returns the n ops holding the most feature-map
 // memory at the given batch.
 func TopMemoryConsumers(model string, batch, n int) ([]MemoryConsumer, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("TopMemoryConsumers: consumer count must be non-negative, got %d", n)
+	}
 	m, err := models.LookupAny(model)
 	if err != nil {
 		return nil, err
 	}
-	var out []MemoryConsumer
-	for _, c := range whatif.TopConsumers(m.Ops(), m.SamplesForBatch(batch), n) {
-		out = append(out, MemoryConsumer{
-			Op: c.Op, Layer: c.Kind.String(),
-			FeatureMapBytes: c.FeatureMapBytes, WeightBytes: c.WeightBytes,
-		})
-	}
-	return out, nil
-}
-
-// OffloadAnalysis is a vDNN-style what-if: offload the largest feature
-// maps to host memory until the footprint fits a target.
-type OffloadAnalysis struct {
-	// FreedBytes is GPU memory released.
-	FreedBytes int64
-	// RemainingBytes is the post-offload GPU footprint.
-	RemainingBytes int64
-	// TransferSecPerIter is the added PCIe time per iteration.
-	TransferSecPerIter float64
-	// OffloadedOps lists the moved stashes, largest first.
-	OffloadedOps []string
-	// Fits reports whether the target was reached.
-	Fits bool
+	return whatif.TopConsumers(m.Ops(), m.SamplesForBatch(batch), n), nil
 }
 
 // AnalyzeOffload plans feature-map offloading for a configuration so its
@@ -463,122 +364,26 @@ func AnalyzeOffload(model, fw string, batch int, targetBytes int64) (OffloadAnal
 	if err != nil {
 		return OffloadAnalysis{}, err
 	}
-	plan := whatif.PlanOffload(m.Ops(), m.SamplesForBatch(batch), f.MemPolicy, targetBytes, device.PCIe3)
-	return OffloadAnalysis{
-		FreedBytes:         plan.OffloadedBytes,
-		RemainingBytes:     plan.RemainingFootprint,
-		TransferSecPerIter: plan.TransferSecPerIter,
-		OffloadedOps:       plan.OffloadedOps,
-		Fits:               plan.Fits(targetBytes),
-	}, nil
-}
-
-// Analysis is the merged end-to-end report of the paper's Figure 3
-// pipeline for one configuration: sampling-window methodology, all four
-// utilization metrics, phase and kernel breakdowns, and the memory
-// categorization.
-type Analysis struct {
-	Model, Implementation, Framework, GPU string
-	Batch                                 int
-	WarmupIterations, SampledIterations   int
-	P50IterSec, P95IterSec, IterCV        float64
-	Throughput                            float64
-	GPUUtil, FP32Util, CPUUtil            float64
-	ForwardSec, BackwardSec, UpdateSec    float64
-	KernelsPerIteration                   int
-	GapTimeSec                            float64
-	Memory                                MemoryBreakdown
-	FitsP4000                             bool
-	LowUtilKernels                        []KernelStat
+	return whatif.PlanOffload(m.Ops(), m.SamplesForBatch(batch), f.MemPolicy, targetBytes, device.PCIe3), nil
 }
 
 // Analyze runs the complete analysis pipeline (Figure 3) for one
 // configuration.
 func Analyze(model, fw, gpu string, batch int) (*Analysis, error) {
-	a, err := core.AnalyzeEndToEnd(model, fw, gpu, batch)
-	if err != nil {
-		return nil, err
-	}
-	out := &Analysis{
-		Model: a.Model, Implementation: a.Implementation, Framework: a.Framework, GPU: a.GPU,
-		Batch:            a.Batch,
-		WarmupIterations: a.WarmupIterations, SampledIterations: a.SampledIterations,
-		P50IterSec: a.P50IterSec, P95IterSec: a.P95IterSec, IterCV: a.IterCV,
-		Throughput: a.Throughput,
-		GPUUtil:    a.GPUUtil, FP32Util: a.FP32Util, CPUUtil: a.CPUUtil,
-		ForwardSec: a.Phases.ForwardSec, BackwardSec: a.Phases.BackwardSec, UpdateSec: a.Phases.UpdateSec,
-		KernelsPerIteration: a.KernelsPerIteration,
-		GapTimeSec:          a.GapTimeSec,
-		Memory: MemoryBreakdown{
-			Weights:         a.Memory.Weights,
-			WeightGradients: a.Memory.WeightGradients,
-			FeatureMaps:     a.Memory.FeatureMaps,
-			Workspace:       a.Memory.Workspace,
-			Dynamic:         a.Memory.Dynamic,
-		},
-		FitsP4000: a.FitsP4000,
-	}
-	for _, k := range a.LowUtilKernels {
-		out.LowUtilKernels = append(out.LowUtilKernels, KernelStat{
-			Name: k.Name, DurationShare: k.DurationShare, FP32Util: k.Util, Count: k.Count,
-		})
-	}
-	return out, nil
-}
-
-// Comparability is the §3.4.1 cross-framework implementation check.
-type Comparability struct {
-	Model          string
-	ParamElems     int64
-	FLOPsPerSample float64
-	Comparable     bool
-	Detail         string
+	return core.AnalyzeEndToEnd(model, fw, gpu, batch)
 }
 
 // CheckComparability verifies a benchmark defines the same network on
 // every framework it supports.
 func CheckComparability(model string) (Comparability, error) {
-	c, err := core.CheckComparability(model)
-	if err != nil {
-		return Comparability{}, err
-	}
-	return Comparability{
-		Model: c.Model, ParamElems: c.ParamElems, FLOPsPerSample: c.FLOPsPerSample,
-		Comparable: c.Comparable, Detail: c.Detail,
-	}, nil
-}
-
-// TwinPoint is one sample of a numeric twin's learning curve.
-type TwinPoint struct {
-	FracDone float64
-	Value    float64
-}
-
-// TwinRun is the learning curve of one benchmark's trainable numeric
-// twin — real training on the synthetic stand-in dataset, the mechanism
-// behind the Figure 2 convergence curves.
-type TwinRun struct {
-	Model          string
-	Metric         string
-	HigherIsBetter bool
-	Points         []TwinPoint
-	// Improved reports head-vs-tail progress in the metric's direction.
-	Improved bool
+	return core.CheckComparability(model)
 }
 
 // TrainTwin trains the numeric twin of a benchmark for steps updates and
 // returns its learning curve. All eight suite models (and YOLO9000) are
 // supported.
 func TrainTwin(model string, steps int, seed uint64) (TwinRun, error) {
-	r, err := core.TrainTwin(model, steps, seed)
-	if err != nil {
-		return TwinRun{}, err
-	}
-	out := TwinRun{Model: r.Model, Metric: r.Metric, HigherIsBetter: r.HigherIsBetter, Improved: r.Improved()}
-	for _, p := range r.Points {
-		out.Points = append(out.Points, TwinPoint{FracDone: p.FracDone, Value: p.Value})
-	}
-	return out, nil
+	return core.TrainTwin(model, steps, seed)
 }
 
 // ExportTrace writes one simulated iteration to w as the one trace file

@@ -99,6 +99,17 @@ func TestEntryPointsRejectBadBatch(t *testing.T) {
 	}
 }
 
+// TestEntryPointsRejectNegativeCount holds the top-n entry points to a
+// named error for n < 0, where slicing the ranking would panic.
+func TestEntryPointsRejectNegativeCount(t *testing.T) {
+	if _, err := LowUtilizationKernels("ResNet-50", "TensorFlow", "", 32, -1); err == nil || !strings.Contains(err.Error(), "kernel count must be non-negative") {
+		t.Errorf("LowUtilizationKernels at n=-1: error %v, want a negative count refused", err)
+	}
+	if _, err := TopMemoryConsumers("ResNet-50", 32, -1); err == nil || !strings.Contains(err.Error(), "consumer count must be non-negative") {
+		t.Errorf("TopMemoryConsumers at n=-1: error %v, want a negative count refused", err)
+	}
+}
+
 func TestLowUtilizationKernels(t *testing.T) {
 	ks, err := LowUtilizationKernels("ResNet-50", "TensorFlow", "", 32, 5)
 	if err != nil {
@@ -159,7 +170,7 @@ func TestScalingStudy(t *testing.T) {
 	}
 	byName := map[string]ScalingResult{}
 	for _, r := range rs {
-		byName[r.Config] = r
+		byName[r.Cluster.Name] = r
 	}
 	if byName["2M1G (ethernet)"].Throughput >= byName["1M1G"].Throughput {
 		t.Fatal("ethernet must collapse")
@@ -272,12 +283,12 @@ func TestTopMemoryConsumers(t *testing.T) {
 	}
 	// The 17188-vocabulary softmax dominates, with the LSTM stashes
 	// close behind.
-	if cs[0].Layer != "loss" {
-		t.Fatalf("top consumer layer %q, want the vocabulary loss", cs[0].Layer)
+	if cs[0].Kind.String() != "loss" {
+		t.Fatalf("top consumer layer %q, want the vocabulary loss", cs[0].Kind)
 	}
 	sawLSTM := false
 	for i, c := range cs {
-		if c.Layer == "lstm" {
+		if c.Kind.String() == "lstm" {
 			sawLSTM = true
 		}
 		if i > 0 && c.FeatureMapBytes > cs[i-1].FeatureMapBytes {
@@ -299,10 +310,10 @@ func TestAnalyzeOffload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Fits || a.FreedBytes == 0 || a.TransferSecPerIter <= 0 {
+	if !a.Fits(target) || a.OffloadedBytes == 0 || a.TransferSecPerIter <= 0 {
 		t.Fatalf("offload analysis degenerate: %+v", a)
 	}
-	if a.RemainingBytes > target {
+	if a.RemainingFootprint > target {
 		t.Fatal("remaining footprint exceeds target despite Fits")
 	}
 	// Already-fitting target is a no-op.
@@ -310,7 +321,7 @@ func TestAnalyzeOffload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a2.FreedBytes != 0 {
+	if a2.OffloadedBytes != 0 {
 		t.Fatal("no-op offload moved data")
 	}
 }
