@@ -12,7 +12,9 @@ type convPinCase struct {
 // convPinCases covers every path through the convolution: the twin's
 // layers, a ragged oh·ow, stride 2, a padded 1×1, the pointwise fast
 // path, oh·ow above the k-block depth, a fused epilogue, a lowering deeper
-// than one k-block, and an F that leaves an 8-row tail.
+// than one k-block, an F that leaves an 8-row tail, a lowering shorter than
+// one 8-tap strip, a 5×5 kernel whose strips straddle output rows and
+// whose taps leave a ragged 4, and three strips per output row.
 var convPinCases = []convPinCase{
 	{name: "train_conv 3->8", n: 4, c: 3, h: 16, w: 16, f: 8, k: 3, stride: 1, pad: 1},
 	{name: "train_conv 8->8", n: 4, c: 8, h: 16, w: 16, f: 8, k: 3, stride: 1, pad: 1},
@@ -24,6 +26,9 @@ var convPinCases = []convPinCase{
 	{name: "bias+ReLU", n: 4, c: 3, h: 16, w: 16, f: 8, k: 3, stride: 1, pad: 1, fused: true},
 	{name: "C=32 k-blocked", n: 2, c: 32, h: 8, w: 8, f: 8, k: 3, stride: 1, pad: 1},
 	{name: "F=12 tail", n: 3, c: 5, h: 9, w: 9, f: 12, k: 3, stride: 1, pad: 1},
+	{name: "c=1 2x2", n: 3, c: 1, h: 16, w: 16, f: 8, k: 2, stride: 1, pad: 1},
+	{name: "5x5 pad 2", n: 2, c: 4, h: 12, w: 12, f: 8, k: 5, stride: 1, pad: 2},
+	{name: "w=24", n: 2, c: 3, h: 6, w: 24, f: 8, k: 3, stride: 1, pad: 1},
 }
 
 // convPinOutputs runs case i's forward and backward and hashes y, gx
@@ -46,7 +51,8 @@ func convPinOutputs(i int, cse convPinCase) [3]uint64 {
 
 // parentConvHashes are the y, gx and gw hashes of convPinCases per GEMM
 // tier, recorded on the commit before each image was lowered straight
-// into the GEMM's panel (1 and 2 workers agreed).
+// into the GEMM's panel (1 and 2 workers agreed); the last three rows on
+// the commit before the convolution's data movement got its AVX2 bodies.
 var parentConvHashes = map[string][][3]uint64{
 	"ref": {
 		{0xe131f87858d469d4, 0x729bc43d511c8955, 0xedfbb5d4c22cf227}, // train_conv 3->8
@@ -59,6 +65,9 @@ var parentConvHashes = map[string][][3]uint64{
 		{0x1b6197fdfb90bb6b, 0x21fe3e00845abd8e, 0x4aecd7e9c5de533a}, // bias+ReLU
 		{0xd74ada59b609a488, 0x59dbad5835ecf650, 0x3cd140a05619a6e1}, // C=32 k-blocked
 		{0x34cb75695b72805b, 0x1af689af31e234ce, 0x4cb6c89db8e1c3d5}, // F=12 tail
+		{0xba1256ef99ce87e2, 0x900f3d4b2296b27c, 0x841bce7caea9a107}, // c=1 2x2
+		{0xc7da1680ae289789, 0xef8b18be6b7b6d7f, 0xf5b6309b95fb75ec}, // 5x5 pad 2
+		{0xd204a69921768437, 0xe20cfb04b104a669, 0x4994a3d45091484f}, // w=24
 	},
 	"sse": {
 		{0xe131f87858d469d4, 0x729bc43d511c8955, 0xedfbb5d4c22cf227}, // train_conv 3->8
@@ -71,6 +80,9 @@ var parentConvHashes = map[string][][3]uint64{
 		{0x1b6197fdfb90bb6b, 0x21fe3e00845abd8e, 0x4aecd7e9c5de533a}, // bias+ReLU
 		{0xd74ada59b609a488, 0x59dbad5835ecf650, 0x3cd140a05619a6e1}, // C=32 k-blocked
 		{0x34cb75695b72805b, 0x1af689af31e234ce, 0x4cb6c89db8e1c3d5}, // F=12 tail
+		{0xba1256ef99ce87e2, 0x900f3d4b2296b27c, 0x841bce7caea9a107}, // c=1 2x2
+		{0xc7da1680ae289789, 0xef8b18be6b7b6d7f, 0xf5b6309b95fb75ec}, // 5x5 pad 2
+		{0xd204a69921768437, 0xe20cfb04b104a669, 0x4994a3d45091484f}, // w=24
 	},
 	"avx2": {
 		{0x3c014d539ed96f39, 0x523f5e41c29748c8, 0xc3c476dfae4967b3}, // train_conv 3->8
@@ -83,6 +95,9 @@ var parentConvHashes = map[string][][3]uint64{
 		{0x661c702753ede2c3, 0x41dedb1c3600d052, 0xd857ab70714a4142}, // bias+ReLU
 		{0x693e82a85bc59752, 0x53d68d3f088b22c3, 0xd2104620d7043d97}, // C=32 k-blocked
 		{0x4c2fcfb5f316fc2c, 0x6a19937ec3a6e97a, 0xa01b0448eb4d5a3b}, // F=12 tail
+		{0x7c05691b1b88e641, 0x900f3d4b2296b27c, 0x841bce7caea9a107}, // c=1 2x2
+		{0x8e1f5c8e20573523, 0x13ee3a2dfb4679d3, 0x5a64dab3c63c23f6}, // 5x5 pad 2
+		{0xa6b57708bf828852, 0xca834ec42393983d, 0x26ffbaf7be6bb203}, // w=24
 	},
 }
 
