@@ -32,16 +32,25 @@ func ConvOut(in, kernel, stride, pad int) int {
 //	        is written as the plain B panel gemm_wide.go's tile nest reads
 //	        (k = C·kh·kw in gemmKC blocks, m = oh·ow), its ragged columns
 //	        column-major beside it as FrozenMatrix keeps them, so nothing
-//	        is packed.
-//	rows    the weight gradient, and the forward on every other tier and
-//	        shape: the lowering is written row-major and the ordinary GEMM
-//	        reads (and packs) it.
+//	        is packed. A strip of 8 neighbours in one output row is one
+//	        32-byte move per tap (lowerStripVec); other strips gather.
+//	panelT  the weight gradient under the same conditions: the lowering is
+//	        written as the transposed-B panel (k = oh·ow, one block, m =
+//	        C·kh·kw), 8 taps by 8 pixels at a time through an 8x8 register
+//	        transpose (panelTVec), its ragged taps row-major beside it,
+//	        where gemmEdgeCols reads them. Lowering and pack are one pass.
+//	rows    every other tier and shape: the lowering is written row-major
+//	        and the ordinary GEMM reads (and packs) it.
 //	direct  a pointwise convolution (1x1, stride 1, no padding): x_b, an
 //	        [C, H·W] matrix already, is its own lowering.
 //
 // The input gradient is per image on every tier: wᵀ·gy_b lands in an
 // L2-sized scratch [C·kh·kw, oh·ow] that is scattered into gx_b at once
-// (col2im), each in-bounds row segment added through the tier's addVec.
+// (col2im). At stride 1 each tap's in-bounds pixels are one block, added
+// by one call (addBlockVec on the avx2 tier, addBlockGo elsewhere).
+//
+// The vector bodies (conv_avx2_amd64.s) run on the avx2 tier only, and
+// each has a portable body it matches (conv_vec.go).
 //
 // Bits: a panel holds the very values, in the very places, that the wide
 // driver's pack of the row-major lowering would, and the same tile nest,
@@ -164,60 +173,95 @@ func (g *convGeom) lowerRows(cols, xp []float32) {
 	}
 }
 
+// tapOffsets fills offs[p] with lowered row pc+p's offset in the padded
+// image. The offsets ascend.
+func (g *convGeom) tapOffsets(offs []int, pc int) {
+	off, ky, kx := g.tap(pc)
+	for p := range offs {
+		offs[p] = off
+		off, ky, kx = g.nextTap(off, ky, kx)
+	}
+}
+
 // lowerPanel writes an image's lowering from its padded form xp as the
 // forward's plain-layout panel: bp[pc*m8 + j0*kc + p*8 + c] = tap pc+p of
 // output pixel j0+c (gemm_wide.go's layout, k = C·kh·kw, m = oh·ow), then
-// the ragged pixels [m8, m) column-major, bp[k*m8 + (j-m8)*k + p].
+// the ragged pixels [m8, m) column-major, bp[k*m8 + (j-m8)*k + p]. A
+// strip of eight neighbours in one output row at stride 1 is one
+// contiguous run of a padded input row per tap, which lowerStripVec
+// moves; the other strips gather pixel by pixel.
 func (g *convGeom) lowerPanel(bp, xp []float32) {
 	k, m := g.ckk(), g.ohw()
 	m8 := m &^ 7
+	edge := bp[k*m8:]
+	var tab [gemmKC]int
 	for pc := 0; pc < k; pc += gemmKC {
 		kc := min(gemmKC, k-pc)
+		offs := tab[:kc]
+		g.tapOffsets(offs, pc)
 		blk := bp[pc*m8:]
-		off0, ky0, kx0 := g.tap(pc)
 		for j0 := 0; j0 < m8; j0 += 8 {
 			strip := blk[j0*kc:][:8*kc]
-			off, ky, kx := off0, ky0, kx0
 			if ox := j0 % g.ow; g.stride == 1 && ox+8 <= g.ow {
-				// Eight neighbours in one output row: each tap is one
-				// contiguous run of a padded input row.
-				src := xp[g.pixel(j0):]
-				for p := 0; p < kc; p++ {
-					move8((*[8]float32)(strip[p*8:]), (*[8]float32)(src[off:]))
-					off, ky, kx = g.nextTap(off, ky, kx)
-				}
+				lowerStripVec(strip, xp[g.pixel(j0):], offs)
 				continue
 			}
 			var pix [8]int
 			for c := range pix {
 				pix[c] = g.pixel(j0 + c)
 			}
-			for p := 0; p < kc; p++ {
+			for p, off := range offs {
 				s := xp[off:]
 				q := (*[8]float32)(strip[p*8:])
 				q[0], q[1], q[2], q[3] = s[pix[0]], s[pix[1]], s[pix[2]], s[pix[3]]
 				q[4], q[5], q[6], q[7] = s[pix[4]], s[pix[5]], s[pix[6]], s[pix[7]]
-				off, ky, kx = g.nextTap(off, ky, kx)
+			}
+		}
+		for j := m8; j < m; j++ {
+			col := edge[(j-m8)*k+pc:][:kc]
+			src := xp[g.pixel(j):]
+			for p, off := range offs {
+				col[p] = src[off]
 			}
 		}
 	}
-	edge := bp[k*m8:]
-	for j := m8; j < m; j++ {
-		col := edge[(j-m8)*k:][:k]
-		src := xp[g.pixel(j):]
-		off, ky, kx := 0, 0, 0
-		for p := range col {
-			col[p] = src[off]
-			off, ky, kx = g.nextTap(off, ky, kx)
+}
+
+// lowerPanelT writes an image's lowering from its padded form xp as the
+// weight gradient's transposed-B panel, for the product gy_b [F, oh·ow]
+// times the lowering's transpose (k = oh·ow, m = C·kh·kw, one block of
+// depth k): bp[j0*k + p*8 + c] = tap j0+c at output pixel p, what
+// packBRangeWide packs from the row-major lowering. Each 8-tap strip goes
+// through panelTVec output row by output row at stride 1, pixel by pixel
+// otherwise; the ragged taps [m8, m) follow row-major, bp[j*k + p], where
+// gemmEdgeCols reads them with bp as its b.
+func (g *convGeom) lowerPanelT(bp, xp []float32) {
+	k, m := g.ohw(), g.ckk()
+	m8 := m &^ 7
+	var offs [8]int
+	for j0 := 0; j0 < m8; j0 += 8 {
+		g.tapOffsets(offs[:], j0)
+		strip := bp[j0*k:][:8*k]
+		if g.stride == 1 {
+			panelTVec(strip, xp, &offs, g.oh, g.ow, g.wp, 8*g.ow)
+			continue
 		}
+		for p := 0; p < k; p++ {
+			panelTGo(strip[p*8:], xp[g.pixel(p):], &offs, 1, 1, 0, 0)
+		}
+	}
+	for j := m8; j < m; j++ {
+		off, _, _ := g.tap(j)
+		g.lowerRow(bp[j*k:][:k], xp[off:])
 	}
 }
 
 // scatter adds an image's lowered gradient cols [C·kh·kw, oh·ow] into gxb
 // [C, H, W] (zeroed by the caller) in tap order, dropping the taps that
-// fall in the padding; stride-1 rows add whole in-bounds segments through
-// add, the tier's addVec.
-func (g *convGeom) scatter(gxb, cols []float32, add func(dst, src []float32)) {
+// fall in the padding. At stride 1 a tap's in-bounds pixels are one
+// rows × cols block on both sides, added by one call: addBlockVec when
+// vec is set (the avx2 tier), else addBlockGo.
+func (g *convGeom) scatter(gxb, cols []float32, vec bool) {
 	ohw, hw := g.ohw(), g.h*g.w
 	for r := 0; r < g.ckk(); r++ {
 		_, ky, kx := g.tap(r)
@@ -232,13 +276,16 @@ func (g *convGeom) scatter(gxb, cols []float32, add func(dst, src []float32)) {
 			if yLo >= yHi || lo >= hi {
 				continue
 			}
-			if lo == 0 && hi == g.ow && g.ow == g.w {
+			rows, n := yHi-yLo, hi-lo
+			if n == g.ow && g.ow == g.w {
 				// Whole rows on both sides: the band is one segment.
-				add(plane[(yLo+dy)*g.w:][:(yHi-yLo)*g.w], srow[yLo*g.ow:][:(yHi-yLo)*g.ow])
-				continue
+				rows, n = 1, rows*n
 			}
-			for oy := yLo; oy < yHi; oy++ {
-				add(plane[(oy+dy)*g.w+lo+dx:][:hi-lo], srow[oy*g.ow+lo:][:hi-lo])
+			d, s := plane[(yLo+dy)*g.w+lo+dx:], srow[yLo*g.ow+lo:]
+			if vec {
+				addBlockVec(d, s, rows, n, g.w, g.ow)
+			} else {
+				addBlockGo(d, s, rows, n, g.w, g.ow)
 			}
 			continue
 		}
@@ -272,6 +319,16 @@ func panelRows(dst, a, bp []float32, n, k, m int, ep *epilogue) {
 	gemmWideTiles(dst, a, bp, n, k, m, gemmKC, 0, n, layPlain, false, kernelTree8x8, kernelTree8x8, func(i0 int) {
 		edgeColsPlain(dst, a, edge, k, m, i0, i0+microMW)
 		applyEpilogueRows(dst, m, i0, i0+microMW, ep)
+	})
+}
+
+// panelRowsT accumulates rows [lo, hi), whole 8-row tiles, of the
+// transposed-B n×k×m product a·bᵀ into dst off the panel lowerPanelT
+// wrote into bp: the tile nest, kernels and edge columns
+// gemmPackedRowsWide runs for that product, so the same bits.
+func panelRowsT(dst, a, bp []float32, n, k, m, lo, hi int) {
+	gemmWideTiles(dst, a, bp, n, k, m, k, lo, hi, layTransB, true, kernelSeq8x8, kernelTree8x8, func(i0 int) {
+		gemmEdgeCols(dst, a, bp, n, k, m, i0, i0+microMW, layTransB, true, m&^7)
 	})
 }
 
@@ -373,8 +430,17 @@ func convFwdImages(y, x, w []float32, g *convGeom, f, blo, bhi int, ep *epilogue
 // gy [N, F, outH, outW], it returns pool-backed (gx, gw) matching x and w,
 // both computed per image straight from NCHW-layout gy.
 func Conv2DBackward(x, w, gy *Tensor, stride, pad int) (gx, gw *Tensor) {
+	if x.Rank() != 4 || w.Rank() != 4 {
+		panic(fmt.Sprintf("tensor: Conv2DBackward needs NCHW/FCHW, got %v, %v", x.shape, w.shape))
+	}
+	if x.shape[1] != w.shape[1] {
+		panic(fmt.Sprintf("tensor: Conv2DBackward channel mismatch %v, %v", x.shape, w.shape))
+	}
 	n, f := x.shape[0], w.shape[0]
 	g := newConvGeom(x.shape[1], x.shape[2], x.shape[3], w.shape[2], w.shape[3], stride, pad)
+	if gy.Rank() != 4 || gy.shape[0] != n || gy.shape[1] != f || gy.shape[2] != g.oh || gy.shape[3] != g.ow {
+		panic(fmt.Sprintf("tensor: Conv2DBackward gy %v, want [%d %d %d %d]", gy.shape, n, f, g.oh, g.ow))
+	}
 	sp := prof.Begin(prof.CatKernel, "conv2d.bwd")
 	if sp.Active() {
 		// Two GEMMs per image (weight gradient and lowered input gradient),
@@ -413,13 +479,29 @@ func convBwdWeights(gw, x, gy []float32, g *convGeom, n, f int, parent *prof.Spa
 		}
 		return
 	}
+	panel := panelFits(f, ohw, ckk)
+	minRows := gemmMinRows(ohw, ckk)
 	xp := g.padScratch()
 	cols := getPackBuf(ckk * ohw)
 	for b := 0; b < n; b++ {
+		gyb := gy[b*f*ohw:][:f*ohw]
 		sp := lowerSpan(parent, "im2col", chw+ckk*ohw)
-		g.lowerRows(cols, g.padded(xp, x[b*chw:][:chw]))
+		src := g.padded(xp, x[b*chw:][:chw])
+		if !panel {
+			g.lowerRows(cols, src)
+			sp.End()
+			gemmParallel(gw, gyb, cols, f, ohw, ckk, layTransB, true, nil)
+			continue
+		}
+		g.lowerPanelT(cols, src)
 		sp.End()
-		gemmParallel(gw, gy[b*f*ohw:][:f*ohw], cols, f, ohw, ckk, layTransB, true, nil)
+		if rowWorkers(f, minRows) <= 1 {
+			panelRowsT(gw, gyb, cols, f, ohw, ckk, 0, f)
+			continue
+		}
+		parallelRowsAligned(f, microMW, minRows, func(lo, hi int) {
+			panelRowsT(gw, gyb, cols, f, ohw, ckk, lo, hi)
+		})
 	}
 	putPackBuf(cols)
 	putPackBuf(xp)
@@ -436,14 +518,14 @@ func convBwdDataImages(gx, gy, w []float32, g *convGeom, f, blo, bhi int, parent
 		}
 		return
 	}
-	add := elemKernelsFor(currentGemmTier()).addVec
+	vec := currentGemmTier() == tierAVX2
 	gcols := getPackBuf(ckk * ohw)
 	for b := blo; b < bhi; b++ {
 		gemmSerial(gcols, w, gy[b*f*ohw:][:f*ohw], ckk, f, ohw, layTransA, false, nil)
 		sp := lowerSpan(parent, "col2im", ckk*ohw+chw)
 		gxb := gx[b*chw:][:chw]
 		clear(gxb)
-		g.scatter(gxb, gcols, add)
+		g.scatter(gxb, gcols, vec)
 		sp.End()
 	}
 	putPackBuf(gcols)

@@ -7,7 +7,7 @@ import "testing"
 // 32, serially on the current tier. Each op runs its stage over all 32
 // images; us/img is the metric to read. As in the convolution, the batch
 // (x, y, gy, gx) is batch-wide and each image's lowerings reuse one
-// image-sized scratch.
+// image-sized scratch. The lowering stages include the padded copy.
 func BenchmarkConvStages(b *testing.B) {
 	const n, c, hw, f, k = 32, 8, 16, 8, 3
 	defer SetParallelism(Parallelism())
@@ -24,9 +24,8 @@ func BenchmarkConvStages(b *testing.B) {
 	xp := make([]float32, c*g.hp*g.wp)
 	cols := make([]float32, ckk*ohw)
 	wcols := make([]float32, ckk*ohw)
-	bp := make([]float32, ckk*ohw)
 	gcols := make([]float32, ckk*ohw)
-	add := elemKernelsFor(currentGemmTier()).addVec
+	vec := currentGemmTier() == tierAVX2
 	img := func(s []float32, b, size int) []float32 { return s[b*size:][:size] }
 	stages := []struct {
 		name string
@@ -34,18 +33,13 @@ func BenchmarkConvStages(b *testing.B) {
 	}{
 		{"lower", func(b int) { g.lowerPanel(cols, g.padded(xp, img(x, b, chw))) }},
 		{"fwd-gemm", func(b int) { panelRows(img(y, b, f*ohw), w, cols, f, ckk, ohw, nil) }},
-		{"relower", func(b int) { g.lowerRows(wcols, g.padded(xp, img(x, b, chw))) }},
-		{"wpack", func(b int) {
-			packBRangeWide(bp, wcols, ohw, ckk, ohw, layTransB, 0, ckk&^7)
-		}},
-		{"wgrad-gemm", func(b int) {
-			gemmPackedRowsWide(gw, img(gy, b, f*ohw), wcols, bp, f, ohw, ckk, ohw, 0, f, layTransB, true, nil)
-		}},
+		{"wpanel", func(b int) { g.lowerPanelT(wcols, g.padded(xp, img(x, b, chw))) }},
+		{"wgrad-gemm", func(b int) { panelRowsT(gw, img(gy, b, f*ohw), wcols, f, ohw, ckk, 0, f) }},
 		{"dgrad-gemm", func(b int) { gemmSerial(gcols, w, img(gy, b, f*ohw), ckk, f, ohw, layTransA, false, nil) }},
 		{"scatter", func(b int) {
 			gxb := img(gx, b, chw)
 			clear(gxb)
-			g.scatter(gxb, gcols, add)
+			g.scatter(gxb, gcols, vec)
 		}},
 	}
 	for _, st := range stages {

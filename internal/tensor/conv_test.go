@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // convPinCase is one convolution shape of TestConvMatchesParentCommit.
 type convPinCase struct {
@@ -185,4 +188,32 @@ func FuzzConvShapes(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestConv2DBackwardRejectsBadShapes holds Conv2DBackward to a named panic
+// on inputs that disagree with each other, before any body reads memory
+// by the wrong shape.
+func TestConv2DBackwardRejectsBadShapes(t *testing.T) {
+	rng := NewRNG(9)
+	x := RandNormal(rng, 0, 1, 2, 3, 8, 8)
+	w := RandNormal(rng, 0, 1, 4, 3, 3, 3)
+	for _, c := range []struct {
+		name, want string
+		x, w, gy   *Tensor
+	}{
+		{"gy one pixel larger", "gy [2 4 9 9], want [2 4 8 8]", x, w, New(2, 4, 9, 9)},
+		{"gy permuted", "gy [2 8 8 4], want [2 4 8 8]", x, w, New(2, 8, 8, 4)},
+		{"w has 5 channels", "channel mismatch [2 3 8 8], [4 5 3 3]", x, New(4, 5, 3, 3), New(2, 4, 8, 8)},
+		{"x not NCHW", "needs NCHW/FCHW", New(3, 8, 8), w, New(2, 4, 8, 8)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "Conv2DBackward") || !strings.Contains(msg, c.want) {
+					t.Fatalf("panic %q, want one naming Conv2DBackward and %q", msg, c.want)
+				}
+			}()
+			Conv2DBackward(c.x, c.w, c.gy, 1, 1)
+		})
+	}
 }

@@ -117,7 +117,8 @@ func recordMLP1024WhatifTrace(steps int) (*prof.Trace, error) {
 // The three earlier mlp1024 traces (see the constants above) are the
 // "before" sides of TestWhatifGroundTruthGemmBlocking, ...VecReLU and
 // ...DropDX, and convColsTrace that of ...ConvLowering; none is
-// re-recorded here.
+// re-recorded here, nor is convVecTrace, the "after" side of
+// ...ConvVector.
 func TestRecordWhatifGoldenTraces(t *testing.T) {
 	if os.Getenv("TBD_WHATIF_RECORD") == "" {
 		t.Skip("set TBD_WHATIF_RECORD=1 (make whatif-record) to re-record golden traces")
@@ -572,6 +573,50 @@ func TestWhatifGroundTruthConvLowering(t *testing.T) {
 	}
 	checkGroundTruth(t, fmt.Sprintf("per-image lowering into the panel (%s, forward pack -%d us by hand)", convLoweringSpec, convPackSavingUs),
 		predictConvLowering(t), measured)
+}
+
+// convVecTrace is train_conv's step recorded by recordTwinWhatifTrace
+// ("avx2", 10, 32) once the convolution's data movement ran on its AVX2
+// bodies: a 32-byte move per tap for the forward lowering, the weight
+// gradient's transposed panel written from the image by 8x8 transposes,
+// and one block add per tap for the scatter. twin_avx2.json is the step
+// before it. `make whatif-record` does not write this file.
+const convVecTrace = "twin_avx2_vecconv.json"
+
+// convVecSpec is the prediction committed before those bodies were
+// called: the im2col and col2im ratios BenchmarkConvStages measured
+// against prototypes (lower + relower 35.73 -> lower + wpanel 9.53 us an
+// image; scatter 25.36 -> 5.58 us).
+const convVecSpec = "speedup=im2col:3.75,speedup=col2im:4.54"
+
+// convVecPackSavingUs is the weight gradient's transposed-B pack, which
+// the panel replaces and no span prices: the same benchmark put it at
+// 0.4755 of the lowering stages, and twin_avx2.json spends 2 582 us a step
+// in im2col.
+const convVecPackSavingUs = 1228
+
+// predictConvVector is the whole committed prediction for the step.
+func predictConvVector(t testing.TB) float64 {
+	return replayGolden(t, loadGoldenTrace(t, "twin_avx2.json"), convVecSpec).PredictedStepUs - convVecPackSavingUs
+}
+
+// TestWhatifGroundTruthConvVector holds that prediction against the
+// recording, drift divided out by the BatchNorm layers as in
+// measuredConvLowering, and the recording to what the change is: the
+// feature maps did not move, and the step stays above the ceiling (both
+// spans at 1e6, the pack gone).
+func TestWhatifGroundTruthConvVector(t *testing.T) {
+	const control = "step/*/*/*/*.bn?"
+	before, after := loadGoldenTrace(t, "twin_avx2.json"), loadGoldenTrace(t, convVecTrace)
+	if got, want := after.Mem.FeatureMaps, before.Mem.FeatureMaps; got != want {
+		t.Errorf("feature maps %d bytes after, %d before; want no change", got, want)
+	}
+	measured := replayGolden(t, after, "").BaselineStepUs * pathStepUs(t, before, control) / pathStepUs(t, after, control)
+	if ceiling := replayGolden(t, before, convLoweringCeiling).PredictedStepUs - convVecPackSavingUs; measured < ceiling {
+		t.Errorf("measured step %.0f us is below the %s ceiling less the pack, %.0f us", measured, convLoweringCeiling, ceiling)
+	}
+	checkGroundTruth(t, fmt.Sprintf("vector data movement (%s, weight pack -%d us by hand)", convVecSpec, convVecPackSavingUs),
+		predictConvVector(t), measured)
 }
 
 // TestWhatifGroundTruthPSBandwidth is the strongest bandwidth cell: the
