@@ -186,7 +186,7 @@ bench-compare:
 # hour after recording, on the 2-vCPU host that recorded them. A floor
 # above the -tol means that host fails the gate with no code change: the
 # numeric suite failed 4 of 4 such reruns, every one slower than the
-# baseline (ROADMAP item 1(b) is the fix).
+# baseline (ROADMAP item 2 is the fix).
 bench-gate:
 	$(GO) run ./cmd/benchcompare -tol 0.20  # floor 68 %, GEMMTier/ref/1024, 4 reruns
 	$(GO) run ./cmd/benchcompare -suite serve -tol 0.40  # floor 26 %, ServeBatched/cap4, 2 reruns

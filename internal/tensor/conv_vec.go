@@ -1,10 +1,11 @@
 package tensor
 
-// Portable bodies of the convolution's data movement (conv.go), each the
-// reference its AVX2 form in conv_avx2_amd64.go matches bit for bit: a
-// copy, or one add per element in the same order. They also run wherever
-// the vector form does not: other tiers, stride > 1, and the pixels or
-// columns past a whole vector.
+// Portable bodies of the convolution's data movement (conv.go): the
+// references the AVX2 forms in conv_avx2_amd64.go match bit for bit, a
+// copy or one add per element in the same order. (The strip copy's is a
+// move8 loop, conv_vec_other.go.) They also run wherever the vector form
+// does not: other tiers, stride > 1, and the pixels or columns past a
+// whole vector.
 
 // panelTGo writes 8 taps (offs) of rows x cols neighbouring pixels pixel
 // by pixel: dst[r*dstStride + q*8 + i] = src[r*srcStride + q + offs[i]]
