@@ -13,14 +13,11 @@
 //	go run ./cmd/benchcompare [-suite numeric] [-benchtime 1s]
 //	go run ./cmd/benchcompare -suite serve -new saved.json   # compare a saved run
 //	go run ./cmd/benchcompare -tol 0.2                       # CI gate: exit 1 on regression
-//	go run ./cmd/benchcompare -suite whatif -errbound 20     # CI gate: prediction quality
 //
 // -tol fails the run when any benchmark's ns/op rises, or any throughput
 // metric falls, by more than the given fraction, or when a baseline
 // benchmark is gone from the fresh run. Improvements and new benchmarks
-// never fail it. -errbound fails any pred-err-pct metric (the what-if
-// ground-truth cells) above the bound, whatever the baseline said; replay
-// is deterministic, so that gate has no noise.
+// never fail it.
 package main
 
 import (
@@ -164,10 +161,10 @@ func benchPattern(baseline map[string]benchResult) string {
 }
 
 // compare writes the old-vs-new table to w and returns one line per
-// benchmark that fails the gate. A tol or errBound of 0 disables that
-// check; a baseline benchmark missing from cur is reported as gone, and
-// fails when either check is on.
-func compare(w io.Writer, old, cur map[string]benchResult, tol, errBound float64) []string {
+// benchmark that fails the gate. A tol of 0 disables the gate; a baseline
+// benchmark missing from cur is reported as gone, and fails when the gate
+// is on.
+func compare(w io.Writer, old, cur map[string]benchResult, tol float64) []string {
 	names := make([]string, 0, len(cur))
 	for name := range cur {
 		names = append(names, name)
@@ -183,12 +180,6 @@ func compare(w io.Writer, old, cur map[string]benchResult, tol, errBound float64
 		var bad []string
 		if tol > 0 && haveOld {
 			bad = regressions(o, n, tol)
-		}
-		// The error bound is absolute, so it applies to new cells too.
-		if errBound > 0 {
-			if ep, ok := n.metrics["pred-err-pct"]; ok && ep > errBound {
-				bad = append(bad, fmt.Sprintf("pred-err-pct %.1f exceeds bound %.1f", ep, errBound))
-			}
 		}
 		mark := ""
 		if len(bad) > 0 {
@@ -214,7 +205,7 @@ func compare(w io.Writer, old, cur map[string]benchResult, tol, errBound float64
 	sort.Strings(gone)
 	for _, name := range gone {
 		fmt.Fprintf(w, "%-44s %14s %14s %8s\n", name, fmtMetric(old[name].metrics["ns/op"], "ns/op"), "-", "gone")
-		if tol > 0 || errBound > 0 {
+		if tol > 0 {
 			failures = append(failures, name+": missing from the fresh run")
 		}
 	}
@@ -226,10 +217,9 @@ func main() {
 	newPath := flag.String("new", "", "compare this saved `file` instead of re-running benchmarks")
 	benchtime := flag.String("benchtime", "1s", "benchtime for the fresh run")
 	tol := flag.Float64("tol", 0, "regression `fraction` the gate allows before failing; 0 disables the gate")
-	errBound := flag.Float64("errbound", 0, "absolute `bound` on pred-err-pct metrics; any cell above it fails the gate; 0 disables")
 	flag.Parse()
-	if *tol < 0 || *errBound < 0 {
-		fatal(fmt.Errorf("-tol and -errbound must be >= 0"))
+	if *tol < 0 {
+		fatal(fmt.Errorf("-tol must be >= 0"))
 	}
 
 	old, err := parseBenchFile("BENCH_" + *suite + ".json")
@@ -247,12 +237,12 @@ func main() {
 	}
 
 	w := bufio.NewWriter(os.Stdout)
-	failures := compare(w, old, cur, *tol, *errBound)
+	failures := compare(w, old, cur, *tol)
 	// The table must land before the verdict.
 	if err := w.Flush(); err != nil {
 		fatal(err)
 	}
-	if *tol == 0 && *errBound == 0 {
+	if *tol == 0 {
 		return
 	}
 	if len(failures) > 0 {
@@ -262,14 +252,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "benchcompare: gate passed across %d benchmarks", len(cur))
-	if *tol > 0 {
-		fmt.Fprintf(os.Stderr, " (within %.0f%% of baseline)", *tol*100)
-	}
-	if *errBound > 0 {
-		fmt.Fprintf(os.Stderr, " (prediction error within %.0f%%)", *errBound)
-	}
-	fmt.Fprintln(os.Stderr)
+	fmt.Fprintf(os.Stderr, "benchcompare: gate passed across %d benchmarks (within %.0f%% of baseline)\n", len(cur), *tol*100)
 }
 
 func fatal(err error) {
@@ -296,17 +279,8 @@ func regressions(o, n benchResult, tol float64) []string {
 }
 
 // rateCols renders throughput metrics plus the allocation count, old -> new.
-// pred-err-pct rides along so the whatif table leads with its headline
-// metric (it is gated absolutely via -errbound, not as a rate).
 func rateCols(o, n benchResult) string {
 	var parts []string
-	if nv, ok := n.metrics["pred-err-pct"]; ok {
-		if ov, ok := o.metrics["pred-err-pct"]; ok {
-			parts = append(parts, fmt.Sprintf("pred-err %.1f%% -> %.1f%%", ov, nv))
-		} else {
-			parts = append(parts, fmt.Sprintf("pred-err %.1f%%", nv))
-		}
-	}
 	for _, unit := range rateUnits {
 		nv, ok := n.metrics[unit]
 		if !ok {

@@ -93,25 +93,15 @@ func TestGateFailsOnMissingBenchmark(t *testing.T) {
 	}
 	cur := map[string]benchResult{"BenchmarkA": result(map[string]float64{"ns/op": 10})}
 	var out strings.Builder
-	if failures := compare(&out, old, cur, 0, 0); len(failures) != 0 {
+	if failures := compare(&out, old, cur, 0); len(failures) != 0 {
 		t.Fatalf("ungated comparison failed: %v", failures)
 	}
 	if !regexp.MustCompile(`(?m)^BenchmarkB .*gone$`).MatchString(out.String()) {
 		t.Fatalf("missing benchmark not reported as gone:\n%s", out.String())
 	}
-	failures := compare(io.Discard, old, cur, 0.2, 0)
+	failures := compare(io.Discard, old, cur, 0.2)
 	if len(failures) != 1 || !strings.HasPrefix(failures[0], "BenchmarkB: missing") {
 		t.Fatalf("gate failures = %v, want BenchmarkB missing", failures)
-	}
-	if failures := compare(io.Discard, old, cur, 0, 20); len(failures) != 1 {
-		t.Fatalf("errbound gate failures = %v, want BenchmarkB missing", failures)
-	}
-}
-
-func TestErrBoundIsAbsolute(t *testing.T) {
-	cur := map[string]benchResult{"BenchmarkW/new-cell": result(map[string]float64{"ns/op": 1, "pred-err-pct": 25})}
-	if failures := compare(io.Discard, map[string]benchResult{}, cur, 0, 20); len(failures) != 1 {
-		t.Fatalf("a new cell over the bound must fail, got %v", failures)
 	}
 }
 

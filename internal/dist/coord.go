@@ -164,7 +164,10 @@ func (c *Coordinator) Wait() (*RunSummary, error) {
 	defer c.Close()
 	n := c.cfg.Workers
 
-	// Phase 1: one hello per rank.
+	// Phase 1: one hello per rank. The deferred waits run last: Phase 3's
+	// watchers quit once the connections close.
+	var watchers sync.WaitGroup
+	defer watchers.Wait()
 	conns := make([]*ctrlConn, n)
 	defer func() {
 		for _, cc := range conns {
@@ -213,12 +216,39 @@ func (c *Coordinator) Wait() (*RunSummary, error) {
 		}
 	}
 
-	// Phase 3: wait for every rank to finish training, then release the
-	// final barrier simultaneously.
+	// Phase 3: watch every rank at once until each says done, so a silent
+	// rank is named whatever its number while the others still train. A
+	// rank that said done gets heartbeats until every rank has. Then
+	// release the final barrier simultaneously.
+	done, failed := make(chan *ctrlConn, n), make(chan error, n)
 	for _, cc := range conns {
-		if _, _, err := cc.recv(kindDone); err != nil {
-			return nil, err
+		watchers.Add(1)
+		go func() {
+			defer watchers.Done()
+			if _, _, err := cc.recv(kindDone); err != nil {
+				failed <- err
+				return
+			}
+			done <- cc
+		}()
+	}
+	var stops []func()
+	var err error
+	for range n {
+		select {
+		case cc := <-done:
+			stops = append(stops, cc.heartbeats())
+		case err = <-failed:
 		}
+		if err != nil {
+			break
+		}
+	}
+	for _, stop := range stops {
+		stop()
+	}
+	if err != nil {
+		return nil, err
 	}
 	for _, cc := range conns {
 		if err := cc.send(kindAllDone, nil); err != nil {

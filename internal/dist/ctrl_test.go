@@ -4,8 +4,10 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -133,6 +135,109 @@ func TestCtrlResultCrossesIntact(t *testing.T) {
 	}
 }
 
+// heartbeatScript is rankScript with two heartbeats between the hello and
+// the done, as a rank that trains for two periods sends them.
+func heartbeatScript(t testing.TB, rank int) []byte {
+	beat := rawFrame(kindHeartbeat, rank, 0, nil)
+	script := rankScript(t, rank, WorkerResult{Rank: rank})
+	return cat(script[:psHeaderLen], beat, beat, script[psHeaderLen:])
+}
+
+func TestCtrlSkipsHeartbeats(t *testing.T) {
+	if _, err := coordinate(t, heartbeatScript(t, 0), heartbeatScript(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// shortBeat shortens the heartbeat period for one test.
+func shortBeat(t *testing.T, period time.Duration) {
+	prev := beat
+	beat = period
+	t.Cleanup(func() { beat = prev })
+}
+
+// TestRunOutlivesTheHeartbeatDeadline trains a 2-rank run for longer than
+// heartbeatMisses periods: the waits for done and all-done see heartbeats,
+// not a stopwatch, so it finishes.
+func TestRunOutlivesTheHeartbeatDeadline(t *testing.T) {
+	shortBeat(t, 20*time.Millisecond)
+	start := time.Now()
+	summary, err := RunLocal(CoordConfig{Workers: 2, Strategy: RunRing, Model: "mlp-wide", Seed: 1, LR: 0.05}, 120, 32, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !summary.Identical {
+		t.Fatal("ranks diverged")
+	}
+	if took, deadline := time.Since(start), heartbeatMisses*beat; took < 2*deadline {
+		t.Fatalf("the run took %v, not past twice the %v deadline it is meant to outlive", took, deadline)
+	}
+}
+
+// TestCoordinatorNamesASilentRank: rank 1 says hello and goes silent while
+// rank 0 keeps training (and sending heartbeats). The coordinator names
+// rank 1 within the deadline, Wait returns, and no goroutine is left.
+func TestCoordinatorNamesASilentRank(t *testing.T) {
+	shortBeat(t, 20*time.Millisecond)
+	before := runtime.NumGoroutine()
+	c, err := NewCoordinator(CoordConfig{Workers: 2, Strategy: RunRing, Model: "mlp", Seed: 1, LR: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func(rank int) net.Conn {
+		conn, err := net.Dial("tcp", c.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(rawFrame(kindHello, rank, 0, []byte("127.0.0.1:1"))); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	training, silent := dial(0), dial(1)
+	stop := make(chan struct{})
+	var beats sync.WaitGroup
+	beats.Add(2)
+	go func() { // rank 0 trains on: it drains what the coordinator sends and beats
+		defer beats.Done()
+		_, _ = io.Copy(io.Discard, training)
+	}()
+	go func() {
+		defer beats.Done()
+		tick := time.NewTicker(beat)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if _, err := training.Write(rawFrame(kindHeartbeat, 0, 0, nil)); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	got := make(chan error, 1)
+	go func() {
+		_, err := c.Wait()
+		got <- err
+	}()
+	limit := 10 * heartbeatMisses * beat
+	select {
+	case err = <-got:
+	case <-time.After(limit):
+		t.Fatalf("rank 1 not named within %v", limit)
+	}
+	close(stop)
+	training.Close()
+	silent.Close()
+	beats.Wait()
+	if !errors.Is(err, os.ErrDeadlineExceeded) || !strings.Contains(err.Error(), "rank 1") {
+		t.Fatalf("Wait returned %v; want rank 1 named for its silence", err)
+	}
+	waitGoroutines(t, before)
+}
+
 // hostileCtrl is a run of two ranks where one sends a frame the
 // coordinator must refuse; each case names the error.
 func hostileCtrl(t testing.TB) map[string]struct {
@@ -170,6 +275,9 @@ func hostileCtrl(t testing.TB) map[string]struct {
 		"duplicate hello rank":    {[][]byte{good(0), good(0)}, errRankTaken},
 		"hello over its bound":    {[][]byte{good(0), rawFrame(kindHello, 1, 0, make([]byte, ctrlMaxAddr+1))}, errBadLength},
 		"done with a payload":     {[][]byte{good(0), cat(hello1, rawFrame(kindDone, 1, 0, []byte{1}))}, errBadLength},
+		"heartbeat with payload":  {[][]byte{good(0), cat(hello1, rawFrame(kindHeartbeat, 1, 0, []byte{1}))}, errBadLength},
+		"heartbeat before hello":  {[][]byte{good(0), rawFrame(kindHeartbeat, 1, 0, nil)}, errOutOfSequence},
+		"heartbeat of rank 0":     {[][]byte{good(0), cat(hello1, rawFrame(kindHeartbeat, 0, 0, nil))}, errWrongRank},
 		"done from another rank":  {[][]byte{good(0), cat(hello1, rawFrame(kindDone, 0, 0, nil))}, errWrongRank},
 		"short result":            {[][]byte{good(0), cat(hello1, done1, rawFrame(kindResult, 1, 0, make([]byte, resultFixedLen-1)))}, errBadLength},
 		"result from rank 0":      {[][]byte{good(0), cat(hello1, done1, result(0, nil))}, errWrongRank},
@@ -241,6 +349,7 @@ func TestWorkerRefusesHostilePeers(t *testing.T) {
 // exchanges, valid and cut.
 func FuzzCtrlFrame(f *testing.F) {
 	f.Add(rankScript(f, 0, WorkerResult{Steps: 3}))
+	f.Add(heartbeatScript(f, 0))
 	for _, c := range hostileCtrl(f) {
 		f.Add(c.scripts[len(c.scripts)-1])
 	}

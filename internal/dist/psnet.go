@@ -94,6 +94,8 @@ const (
 	kindDone    // no payload: the rank finished training
 	kindAllDone // no payload: every rank finished
 	kindResult  // a result's fixed fields, then the rank's trace as prof.Trace.Write makes it (none unless it profiled)
+
+	kindHeartbeat // no payload: a training rank, or the coordinator to a rank that said done, is alive
 )
 
 const (

@@ -175,16 +175,29 @@ type WorkerResult struct {
 // frame each on psnet.go's header, every frame carrying its connection's
 // rank (the coordinator learns it from the hello). A receive checks the
 // kind the protocol expects next, the rank and the kind's payload bound
-// before it reads a payload byte.
+// before it reads a payload byte. Training takes as long as it takes, so
+// the waits for done and all-done are bounded by silence, not a stopwatch:
+// a rank sends a heartbeat every heartbeatEvery while it trains, the
+// coordinator sends one as often to each rank that has said done, and
+// those two receives skip heartbeats and fail after heartbeatMisses
+// periods with no frame.
 
-// ctrlTimeout bounds every control-protocol read and write.
+// ctrlTimeout bounds every other control-protocol read, and every write.
 const ctrlTimeout = 120 * time.Second
+
+const (
+	heartbeatEvery  = 2 * time.Second
+	heartbeatMisses = 10
+)
+
+// beat is the heartbeat period, heartbeatEvery outside tests.
+var beat = heartbeatEvery
 
 // ctrlMaxAddr bounds a hello's ring address.
 const ctrlMaxAddr = 255
 
 // ctrlNames names the control kinds in errors.
-var ctrlNames = map[byte]string{kindHello: "hello", kindPeers: "peers", kindDone: "done", kindAllDone: "all-done", kindResult: "result"}
+var ctrlNames = map[byte]string{kindHello: "hello", kindPeers: "peers", kindDone: "done", kindAllDone: "all-done", kindResult: "result", kindHeartbeat: "heartbeat"}
 
 // ctrlBound is the largest payload a control frame of kind may carry in
 // a run of workers ranks.
@@ -194,7 +207,7 @@ func ctrlBound(kind byte, workers int) (int64, error) {
 		return ctrlMaxAddr, nil
 	case kindPeers:
 		return int64(workers) * (ctrlMaxAddr + 1), nil
-	case kindDone, kindAllDone:
+	case kindDone, kindAllDone, kindHeartbeat:
 		return 0, nil
 	case kindResult:
 		return resultFixedLen + prof.MaxTraceBytes, nil
@@ -273,23 +286,35 @@ func (c *ctrlConn) send(kind byte, payload []byte) error {
 
 // recv reads the next frame, which must be of kind want, and returns its
 // header and payload. The payload buffer grows with the bytes that arrive,
-// not with the length the header claims.
+// not with the length the header claims. Waiting for done or all-done, it
+// skips the peer's heartbeats.
 func (c *ctrlConn) recv(want byte) (psHeader, []byte, error) {
-	if err := c.conn.SetReadDeadline(time.Now().Add(ctrlTimeout)); err != nil {
-		return psHeader{}, nil, err
+	live, wait := want == kindDone || want == kindAllDone, ctrlTimeout
+	if live {
+		wait = heartbeatMisses * beat
 	}
+	var h psHeader
 	var p []byte
-	h, err := readHeader(c.conn)
+	var err error
+	for {
+		if err = c.conn.SetReadDeadline(time.Now().Add(wait)); err != nil {
+			return psHeader{}, nil, err
+		}
+		h, err = readHeader(c.conn)
+		if err != nil || !live || h.kind != kindHeartbeat || h.length != 0 || h.rank != c.rank {
+			break
+		}
+	}
 	if err == nil {
 		var bound int64
 		switch bound, err = ctrlBound(h.kind, c.workers); {
 		case err != nil:
-		case h.kind != want:
-			err = fmt.Errorf("%w: got %s", errOutOfSequence, ctrlNames[h.kind])
 		case h.length > bound:
 			err = fmt.Errorf("%w: %d payload bytes, at most %d", errBadLength, h.length, bound)
 		case c.rank >= 0 && h.rank != c.rank:
 			err = fmt.Errorf("%w: rank %d's frame on rank %d's connection", errWrongRank, h.rank, c.rank)
+		case h.kind != want:
+			err = fmt.Errorf("%w: got %s", errOutOfSequence, ctrlNames[h.kind])
 		default:
 			if p, err = io.ReadAll(io.LimitReader(c.conn, h.length)); err == nil && int64(len(p)) < h.length {
 				err = io.ErrUnexpectedEOF
@@ -300,6 +325,33 @@ func (c *ctrlConn) recv(want byte) (psHeader, []byte, error) {
 		return psHeader{}, nil, fmt.Errorf("dist: %s await %s: %w", c.who, ctrlNames[want], err)
 	}
 	return h, p, nil
+}
+
+// heartbeats sends a heartbeat every beat until the returned stop is called.
+// stop returns once the sender has quit, so the connection's next send has
+// it to itself. A failed send ends the heartbeats; the peer then names this
+// end by its silence.
+func (c *ctrlConn) heartbeats() (stop func()) {
+	quit, quitted := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(quitted)
+		tick := time.NewTicker(beat)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+				if c.send(kindHeartbeat, nil) != nil {
+					return
+				}
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-quitted
+	}
 }
 
 // CheckBatch refuses a global batch the ranks cannot share: it must be
@@ -379,7 +431,9 @@ func RunWorker(cfg WorkerConfig) (WorkerResult, error) {
 		defer ps.Close()
 	}
 
+	stop := ctrl.heartbeats()
 	res, err := trainWorker(cfg, model, ring, ps)
+	stop()
 	if err != nil {
 		return WorkerResult{}, err
 	}

@@ -42,8 +42,11 @@ type Fleet struct {
 	shared   bool // replicas alias one weight snapshot
 	start    time.Time
 
-	closing   atomic.Bool
-	producers sync.WaitGroup
+	// admit is the admission guard: a producer holds it read-locked from
+	// its closing check through its enqueue, and Close write-locks it to
+	// set closing, so nothing is enqueued once the queues may close.
+	admit     sync.RWMutex
+	closing   bool // guarded by admit
 	closeOnce sync.Once
 
 	// swapMu serializes Swap calls; it is never held on the request path.
@@ -272,8 +275,9 @@ func (f *Fleet) Replicas() int { return len(f.replicas) }
 // safe to call concurrently with Predict and Swap.
 func (f *Fleet) Close() {
 	f.closeOnce.Do(func() {
-		f.closing.Store(true)
-		f.producers.Wait() // no producer is still about to enqueue
+		f.admit.Lock() // no producer is still about to enqueue
+		f.closing = true
+		f.admit.Unlock()
 		for _, r := range f.replicas {
 			close(r.queue)
 		}
@@ -297,7 +301,10 @@ func (f *Fleet) Close() {
 func (f *Fleet) Swap(load func(primary *Session) error) error {
 	f.swapMu.Lock()
 	defer f.swapMu.Unlock()
-	if f.closing.Load() {
+	f.admit.RLock()
+	closing := f.closing
+	f.admit.RUnlock()
+	if closing {
 		return ErrShuttingDown
 	}
 	t0 := time.Now()
@@ -378,11 +385,11 @@ func freezeAndShare(sessions []*Session, half bool) (bool, error) {
 }
 
 // submitSwap enqueues a swap order behind the replica's pending work.
-// The producers guard pairs with Close exactly like Predict's.
+// It takes the admission guard exactly like Predict.
 func (f *Fleet) submitSwap(r *replica, ord *swapOrder) error {
-	f.producers.Add(1)
-	defer f.producers.Done()
-	if f.closing.Load() {
+	f.admit.RLock()
+	defer f.admit.RUnlock()
+	if f.closing {
 		return ErrShuttingDown
 	}
 	r.queue <- &request{swap: ord}

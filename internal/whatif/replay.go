@@ -8,6 +8,10 @@
 // companion to the TBD paper this repo reproduces: record the dependency
 // structure once from real execution, then simulate optimizations by
 // transforming and replaying the graph instead of re-implementing them.
+// Each rank's spans are re-summed as a tree; a cluster trace's exchange
+// (ring hops, parameter-server pushes and replies, and the ranks' waits on
+// one another) is a task list scheduled on internal/sched, the clock
+// sim.Replay runs on too.
 //
 // The package also owns the op-level memory what-ifs that used to live in
 // memprof (vDNN-style feature-map offload planning), so one entry point —
@@ -28,18 +32,18 @@ import (
 	"tbd/internal/report"
 )
 
-// Replay is the prediction engine: it walks each rank's span tree,
-// transforms each span's self time (the part its children do not cover)
-// according to the scenario, and re-sums the tree bottom-up. Sequence
-// edges are implicit — siblings under one parent ran sequentially in the
-// recording — so a span's predicted duration is its recorded one plus
-// the change in its own self time and in its children's durations, and
-// the gaps between root spans (untraced glue) carry over unchanged.
+// Replay is the prediction engine: it transforms each span's self time
+// (the part its children do not cover) according to the scenario and
+// re-sums each rank's tree bottom-up. Siblings under one parent ran in
+// sequence, so a span's predicted duration is its recorded one plus the
+// change in its own self time and in its children's, and the gaps between
+// root spans (untraced glue) carry over. On a cluster trace the comm spans
+// also move by what the exchange schedule says the scenario changes
+// (applyCluster).
 //
 // The model is deliberately Daydream's: span durations are ground truth
 // from a real run; only the deltas are simulated. Anything the trace
-// does not attribute (e.g. synthetic-data generation inside a step's
-// residue) is held constant, and every such assumption lands in
+// does not attribute is held constant, and every such assumption lands in
 // Prediction.Notes.
 func Replay(t *prof.Trace, sc *Scenario) (*Prediction, error) {
 	trees, err := t.Trees()
@@ -65,26 +69,16 @@ func Replay(t *prof.Trace, sc *Scenario) (*Prediction, error) {
 	transferUsPerStep := applyMemory(p, t, sc)
 	applyTime(g, t, sc, peakBWBps, peakFLOPs)
 	applyDrop(g, trees, sc)
-
-	// Re-sum bottom-up: each tree is in pre-order, so walking backwards
-	// meets every child before its parent. A span keeps its recorded
-	// duration except for what the scenario changed, so an empty scenario
-	// predicts the recording back exactly, concurrent children included.
-	// Dropping a span whose children overlapped would take that overlap
-	// twice, hence the floor at 0.
-	newDur := make([]float64, len(g.nodes))
-	for i := len(g.nodes) - 1; i >= 0; i-- {
-		n := &g.nodes[i]
-		d := n.durUs + (n.newSelfUs - n.selfUs)
-		for _, c := range n.Children {
-			d += newDur[n.base+c] - g.nodes[n.base+c].durUs
-		}
-		newDur[i] = math.Max(d, 0)
+	newDur := g.resum()
+	if applyCluster(g, t, sc, newDur) {
+		newDur = g.resum()
 	}
 
 	// Wall time per rank: the recorded wall minus what the roots took,
 	// plus what they are predicted to take (root-to-root gaps carry over).
-	// The cluster wall is the slowest rank's, before and after.
+	// On a cluster trace the steps already carry the schedule's change, so
+	// this is the scenario schedule's last end plus the recorded gaps. The
+	// cluster wall is the slowest rank's, before and after.
 	for r, c := range t.Ranks {
 		wall := float64(c.Wall) / 1e3
 		pred := wall
@@ -129,13 +123,15 @@ type graph struct {
 }
 
 // gnode is one span: base offsets its tree-local indices (Children, Up)
-// into graph.nodes, and effFLOPs/effBytes are its work after batch
-// rescaling, which later clauses (kernelmodel, fp16) consume.
+// into graph.nodes, effFLOPs/effBytes are its work after batch
+// rescaling, which later clauses (kernelmodel, fp16) consume, and dropped
+// marks a span drop= removed.
 type gnode struct {
 	*prof.Node
 	base                     int
 	durUs, selfUs, newSelfUs float64
 	effFLOPs, effBytes       float64
+	dropped                  bool
 }
 
 func buildGraph(trees []*prof.Tree) *graph {
@@ -155,6 +151,25 @@ func buildGraph(trees []*prof.Tree) *graph {
 	}
 	g.rankBase = append(g.rankBase, len(g.nodes))
 	return g
+}
+
+// resum re-sums every tree bottom-up: each tree is in pre-order, so
+// walking backwards meets every child before its parent. A span keeps its
+// recorded duration except for what the scenario changed, so an empty
+// scenario predicts the recording back exactly, concurrent children
+// included. Dropping a span whose children overlapped would take that
+// overlap twice, hence the floor at 0.
+func (g *graph) resum() []float64 {
+	newDur := make([]float64, len(g.nodes))
+	for i := len(g.nodes) - 1; i >= 0; i-- {
+		n := &g.nodes[i]
+		d := n.durUs + (n.newSelfUs - n.selfUs)
+		for _, c := range n.Children {
+			d += newDur[n.base+c] - g.nodes[n.base+c].durUs
+		}
+		newDur[i] = math.Max(d, 0)
+	}
+	return newDur
 }
 
 // calibrate extracts the machine's best achieved memory bandwidth (B/s)
@@ -205,7 +220,6 @@ func applyTime(g *graph, t *prof.Trace, sc *Scenario, peakBWBps, peakFLOPs float
 		g.notes = append(g.notes, "fp16 time model inert: trace has no byte-attributed spans to calibrate bandwidth")
 	}
 
-	commNote := false
 	for i := range g.nodes {
 		n := &g.nodes[i]
 
@@ -276,18 +290,9 @@ func applyTime(g *graph, t *prof.Trace, sc *Scenario, peakBWBps, peakFLOPs float
 			}
 			// Fusing an already-fused trace is a no-op (noted once below).
 		}
-
-		// 7. network: bandwidth and wire-encoding changes on comm spans.
-		if n.Cat == prof.CatComm && (sc.BandwidthMBps != 0 || sc.Compression != "") {
-			n.newSelfUs = replayComm(t, sc, n, n.newSelfUs)
-			commNote = true
-		}
 	}
 	if sc.Fused != nil && *sc.Fused {
 		g.notes = append(g.notes, "trace already records fused epilogues; fused=on is a no-op")
-	}
-	if commNote {
-		g.notes = append(g.notes, commModelNote(t, sc))
 	}
 }
 
@@ -301,22 +306,21 @@ func applyDrop(g *graph, trees []*prof.Tree, sc *Scenario) {
 		return
 	}
 	matched := 0
-	dropped := make([]bool, len(g.nodes))
 	for r, tree := range trees {
 		for i := range tree.Nodes {
 			// Pre-order: a parent's verdict is in before its children's.
-			at, up := g.rankBase[r]+i, tree.Nodes[i].Up
-			if dropped[at] = up >= 0 && dropped[g.rankBase[r]+up]; !dropped[at] {
+			n, up := &g.nodes[g.rankBase[r]+i], tree.Nodes[i].Up
+			if n.dropped = up >= 0 && g.nodes[g.rankBase[r]+up].dropped; !n.dropped {
 				for _, glob := range sc.Drops {
 					if matchClass(glob, tree.Path(i)) {
 						matched++
-						dropped[at] = true
+						n.dropped = true
 						break
 					}
 				}
 			}
-			if dropped[at] {
-				g.nodes[at].newSelfUs = 0
+			if n.dropped {
+				n.newSelfUs = 0
 			}
 		}
 	}
@@ -332,92 +336,6 @@ func scalesWithBatch(s *gnode) bool {
 		return name == "phase.forward" || name == "phase.loss" || name == "phase.backward"
 	}
 	return s.Cat != prof.CatComm && s.Cat != prof.CatOptim && (compute(s.Name) || compute(s.Phase))
-}
-
-// wireBytesPerElem mirrors dist.Compression's wire encoding (4-byte
-// fp32, 2-byte fp16, 1-byte int8 payloads). Kept as a local table so the
-// predictor does not import the live runtime it models.
-var wireBytesPerElem = map[string]float64{"full": 4, "fp16": 2, "int8": 1}
-
-// commBlend returns the bytes-per-scalar a full gradient exchange costs
-// under an encoding: one compressed hop (reduce-scatter / push) plus one
-// fp32 hop (all-gather / weight pull), so full->fp16 shrinks wire volume
-// by (2+4)/(4+4) = 0.75, not 0.5.
-func commBlend(compression string) float64 {
-	c, ok := wireBytesPerElem[compression]
-	if !ok {
-		c = 4
-	}
-	return c + 4
-}
-
-// replayComm prices one comm span under a new bandwidth or encoding.
-// The recorded duration splits into wire time (volume / link bandwidth,
-// capped by the observed duration) and overhead (framing, reduction
-// arithmetic, peer waits); only wire time rescales.
-func replayComm(t *prof.Trace, sc *Scenario, s *gnode, selfUs float64) float64 {
-	shareBytes := float64(s.Bytes)
-	if strings.HasPrefix(s.Name, "comm.ring") {
-		// In+out are concurrent on a ring hop; the serial wire time is
-		// one direction's volume.
-		shareBytes /= 2
-	}
-	if strings.HasPrefix(s.Name, "comm.ps") && t.Meta.Workers > 1 {
-		// A synchronous parameter-server round funnels every rank's
-		// push+pull through the server's single NIC, and ranked pushes
-		// serialize the round — so each rank's roundtrip span covers the
-		// whole cluster's wire volume, not just its own.
-		shareBytes *= float64(t.Meta.Workers)
-	}
-	byteRatio := 1.0
-	if sc.Compression != "" {
-		oldC := t.Meta.Compression
-		if oldC == "" {
-			oldC = "full"
-		}
-		byteRatio = commBlend(sc.Compression) / commBlend(oldC)
-	}
-	oldBWBps := t.Meta.BandwidthMBps * 1e6
-	newBWBps := oldBWBps
-	if sc.BandwidthMBps > 0 {
-		newBWBps = sc.BandwidthMBps * 1e6
-	} else if sc.BandwidthMBps < 0 {
-		newBWBps = math.Inf(1)
-	}
-	selfSec := selfUs / 1e6
-	if oldBWBps > 0 {
-		wireOld := math.Min(selfSec, shareBytes/oldBWBps)
-		overhead := selfSec - wireOld
-		wireNew := 0.0
-		if !math.IsInf(newBWBps, 1) {
-			wireNew = shareBytes * byteRatio / newBWBps
-		}
-		return (overhead + wireNew) * 1e6
-	}
-	// Unthrottled recording: the whole span is treated as wire time at
-	// its achieved bandwidth, and a throttle below that slows it down.
-	if selfSec <= 0 || shareBytes <= 0 {
-		return selfUs
-	}
-	effBW := shareBytes / selfSec
-	target := effBW
-	if newBWBps > 0 && !math.IsInf(newBWBps, 1) && newBWBps < effBW {
-		target = newBWBps
-	}
-	return shareBytes * byteRatio / target * 1e6
-}
-
-// commModelNote documents the comm model's assumptions for the report.
-func commModelNote(t *prof.Trace, sc *Scenario) string {
-	var b strings.Builder
-	b.WriteString("comm model: wire time = volume/bandwidth (ring counts one direction; hops overlap; ps rounds serialize all ranks through the server NIC), non-wire overhead held constant")
-	if t.Meta.BandwidthMBps <= 0 {
-		b.WriteString("; baseline was unthrottled, so comm spans are priced at their achieved loopback bandwidth")
-	}
-	if sc.Compression != "" {
-		b.WriteString("; encoding change rescales only the compressed hop (the return hop stays fp32)")
-	}
-	return b.String()
 }
 
 // applyMemory computes the predicted watermark and returns the extra

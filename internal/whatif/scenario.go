@@ -1,7 +1,9 @@
 package whatif
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"path"
 	"sort"
 	"strconv"
@@ -75,6 +77,10 @@ func matchClass(glob, name string) bool {
 	return err == nil && ok
 }
 
+// ErrBadNumber is the error a clause's number wraps when it is not a
+// positive finite value in range: NaN, an infinity, or a size past int64.
+var ErrBadNumber = errors.New("not a positive finite number in range")
+
 // bandwidthAliases maps link names to MB/s.
 var bandwidthAliases = map[string]float64{
 	"1gbe":      125,
@@ -107,8 +113,8 @@ func ParseScenario(spec string) (*Scenario, error) {
 				return nil, fmt.Errorf("whatif: bad glob %q: %v", glob, err)
 			}
 			fact, err := strconv.ParseFloat(factStr, 64)
-			if err != nil || fact <= 0 {
-				return nil, fmt.Errorf("whatif: %s=%s: factor %q must be a positive number", key, val, factStr)
+			if err != nil || !(fact > 0) || math.IsInf(fact, 1) {
+				return nil, fmt.Errorf("whatif: %s=%s: factor %q: %w", key, val, factStr, ErrBadNumber)
 			}
 			cf := ClassFactor{Glob: glob, Factor: fact}
 			if key == "speedup" {
@@ -148,8 +154,8 @@ func ParseScenario(spec string) (*Scenario, error) {
 				break
 			}
 			mbps, err := strconv.ParseFloat(val, 64)
-			if err != nil || mbps <= 0 {
-				return nil, fmt.Errorf("whatif: bw=%q: want MB/s or one of 1gbe, 10gbe, 40gbe, unlimited", val)
+			if err != nil || !(mbps > 0) || math.IsInf(mbps, 1) {
+				return nil, fmt.Errorf("whatif: bw=%q: want MB/s or one of 1gbe, 10gbe, 40gbe, unlimited: %w", val, ErrBadNumber)
 			}
 			sc.BandwidthMBps = mbps
 		case "compress":
@@ -205,8 +211,8 @@ func parseByteSize(s string) (int64, error) {
 		mult, low = 1<<10, strings.TrimSuffix(low, "kb")
 	}
 	v, err := strconv.ParseFloat(low, 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("whatif: bad memory size %q (want e.g. 512mb, 0.5gb)", s)
+	if err != nil || !(v > 0) || v*mult >= math.MaxInt64 {
+		return 0, fmt.Errorf("whatif: bad memory size %q (want e.g. 512mb, 0.5gb): %w", s, ErrBadNumber)
 	}
 	return int64(v * mult), nil
 }

@@ -3,6 +3,7 @@ package whatif
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -324,47 +325,104 @@ func TestReplayParallelScalesParallelKernels(t *testing.T) {
 	approx(t, "step", p.PredictedStepUs, 50+25+50+50, 1e-6)
 }
 
-func TestReplayCommBandwidth(t *testing.T) {
-	tr := mkTrace(t, prof.Meta{Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125}, 20000,
-		mkSpan(1, 0, "step", "phase", 0, 12000, 0, 0),
-		mkSpan(2, 1, "comm.ring.allreduce", "comm", 1000, 10000, 0, 2e6),
-	)
-	// Ring share = 1e6 bytes at 125 MB/s = 8000us wire, 2000us overhead.
-	// At 10 GbE wire is 800us -> span 2800us, step = 2000 + 2800.
-	p := replaySpec(t, tr, "bw=10gbe")
-	approx(t, "step", p.PredictedStepUs, 4800, 1e-6)
-	// Removing the throttle leaves only overhead.
-	p = replaySpec(t, tr, "bw=unlimited")
-	approx(t, "step", p.PredictedStepUs, 4000, 1e-6)
-	// A slower link grows the wire share.
-	p = replaySpec(t, tr, "bw=62.5")
-	approx(t, "step", p.PredictedStepUs, 2000+2000+16000, 1e-6)
+// clusterTrace merges one one-step capture per rank: forward work of
+// fwdUs[r] in a kernel named gemm.r<r>, then a phase.sync holding one comm
+// span of commUs[r] that moved bytes each way. walls default to the step.
+func clusterTrace(t *testing.T, meta prof.Meta, fwdUs, commUs []float64, bytes int64, walls ...float64) *prof.Trace {
+	t.Helper()
+	comm := "comm.ring.allreduce"
+	if strings.HasPrefix(meta.Strategy, "ps") {
+		comm = "comm.ps.roundtrip"
+	}
+	var ranks []*prof.Trace
+	for r := range fwdUs {
+		meta.Rank = r
+		step := fwdUs[r] + commUs[r]
+		wall := step
+		if r < len(walls) {
+			wall = walls[r]
+		}
+		ranks = append(ranks, mkTrace(t, meta, wall,
+			mkSpan(1, 0, "step", "phase", 0, step, 0, 0),
+			mkSpan(2, 1, "phase.forward", "phase", 0, fwdUs[r], 0, 0),
+			mkSpan(3, 2, fmt.Sprintf("gemm.r%d", r), "kernel", 0, fwdUs[r], 0, 0),
+			mkSpan(4, 1, "phase.sync", "phase", fwdUs[r], commUs[r], 0, 0),
+			mkSpan(5, 4, comm, "comm", fwdUs[r], commUs[r], 0, bytes),
+		))
+	}
+	m, err := prof.Merge(ranks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
-func TestReplayPSCommSharesServerNIC(t *testing.T) {
-	// A sync ps roundtrip serializes every rank through the server's one
-	// NIC, so the wire share of a 1e6-byte span is workers*1e6 = 4e6
-	// bytes: 32000us at 125 MB/s, leaving 8000us overhead. At 10 GbE the
-	// wire shrinks tenfold to 3200us.
-	tr := mkTrace(t, prof.Meta{Workers: 4, Strategy: "ps-sync", Compression: "full", BandwidthMBps: 125}, 60000,
-		mkSpan(1, 0, "step", "phase", 0, 50000, 0, 0),
-		mkSpan(2, 1, "comm.ps.roundtrip", "comm", 1000, 40000, 0, 1e6),
-	)
+// A 2-rank ring at 125 MB/s, each rank sending 2^20-element chunks: two
+// hops of 4 MiB a step on each rank's link, past the bucket's 1.25 MB
+// burst, 57108.864 us of wire.
+const ringLinkUs = (8<<20 - 1.25e6) / 125
+
+func ringTrace(t *testing.T) *prof.Trace {
+	return clusterTrace(t, prof.Meta{Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125},
+		[]float64{1000, 1000}, []float64{60000, 60000}, 16<<20)
+}
+
+func TestReplayCommBandwidth(t *testing.T) {
+	tr := ringTrace(t)
+	// At 10 GbE both hops fit the 12.5 MB burst: the wire time goes.
 	p := replaySpec(t, tr, "bw=10gbe")
-	approx(t, "step", p.PredictedStepUs, 50000-40000+8000+3200, 1e-6)
+	approx(t, "step", p.PredictedStepUs, 61000-ringLinkUs, 1e-9)
+	// Removing the throttle leaves only the CPU time.
+	p = replaySpec(t, tr, "bw=unlimited")
+	approx(t, "step", p.PredictedStepUs, 61000-ringLinkUs, 1e-9)
+	// A slower link pays the whole volume past a smaller burst.
+	p = replaySpec(t, tr, "bw=62.5")
+	approx(t, "step", p.PredictedStepUs, 61000-ringLinkUs+(8<<20-625e3)/62.5, 1e-9)
+}
+
+// TestReplayPSCommSharesServerNIC: four ranks push 4 MiB each through the
+// server's one ingress lane, so bw= moves every rank's roundtrip by the
+// shared NIC's 16 MiB ÷ rate (less each burst), plus the last range's
+// replies queued ahead of its own on the egress lane, not by its own bytes.
+func TestReplayPSCommSharesServerNIC(t *testing.T) {
+	tr := clusterTrace(t, prof.Meta{Workers: 4, Strategy: "ps-sync", Compression: "full", BandwidthMBps: 125},
+		[]float64{1000, 1000, 1000, 1000}, []float64{150000, 150000, 150000, 150000}, 8<<20)
+	p := replaySpec(t, tr, "bw=10gbe")
+	var comm Delta
+	for _, d := range p.Phases {
+		if d.Name == "comm.ps.roundtrip" {
+			comm = d
+		}
+	}
+	nic := 4 * (float64(16<<20-12.5e6)/1250 - float64(16<<20-1.25e6)/125)
+	replies := (1 + 2 + 3 + 4) * (float64(64<<10)/1250 - float64(64<<10)/125)
+	approx(t, "comm aggregate shift", comm.PredictedUs-comm.BaselineUs, nic+replies, 1e-9)
 }
 
 func TestReplayCompressionBlendsWireFormat(t *testing.T) {
-	tr := mkTrace(t, prof.Meta{Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125}, 20000,
-		mkSpan(1, 0, "step", "phase", 0, 12000, 0, 0),
-		mkSpan(2, 1, "comm.ring.allreduce", "comm", 1000, 10000, 0, 2e6),
-	)
-	// fp16 push + fp32 return: (2+4)/(4+4) = 0.75 of the wire volume.
+	tr := ringTrace(t)
+	// Only the reduce-scatter hop shrinks: 2^20 elements at 2 bytes
+	// instead of 4, then at 1. The all-gather stays fp32.
 	p := replaySpec(t, tr, "compress=fp16")
-	approx(t, "step", p.PredictedStepUs, 2000+2000+0.75*8000, 1e-6)
-	// int8: (1+4)/(4+4) = 0.625.
+	approx(t, "step", p.PredictedStepUs, 61000-float64(2<<20)/125, 1e-9)
 	p = replaySpec(t, tr, "compress=int8")
-	approx(t, "step", p.PredictedStepUs, 2000+2000+0.625*8000, 1e-6)
+	approx(t, "step", p.PredictedStepUs, 61000-float64(3<<20)/125, 1e-9)
+}
+
+// TestReplayRingPeerWaitsForSlowRank: rank 1 computes twice as long as
+// rank 0, which waits for it inside its all-reduce. Speeding up only rank
+// 0's work makes it wait longer: its step stays as long as rank 1's.
+func TestReplayRingPeerWaitsForSlowRank(t *testing.T) {
+	// Rank 0's wall is the cluster's, so the wall moves with its step;
+	// rank 1's step is the rest of the mean.
+	tr := clusterTrace(t, prof.Meta{Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125},
+		[]float64{10000, 20000}, []float64{10500, 500}, 16000, 1e6)
+	p := replaySpec(t, tr, "speedup=gemm.r0:2")
+	step0 := 20500 + p.PredictedWallUs - p.BaselineWallUs
+	step1 := 2*p.PredictedStepUs - step0
+	if step0 < step1 || step0 != 20500 {
+		t.Fatalf("rank steps %v and %v us; rank 0 must still wait for rank 1's 20500 us", step0, step1)
+	}
 }
 
 func TestReplayFP16AndMemory(t *testing.T) {
@@ -419,23 +477,26 @@ func TestReplayUnfusedEpilogueAddsMemoryPasses(t *testing.T) {
 	}
 }
 
-func TestReplayMultiRankWallIsSlowestRank(t *testing.T) {
-	r0 := mkTrace(t, prof.Meta{Rank: 0, Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125}, 10000,
-		mkSpan(1, 0, "step", "phase", 0, 9000, 0, 0),
-		mkSpan(2, 1, "comm.ring.allreduce", "comm", 0, 8000, 0, 1e6),
-	)
-	r1 := mkTrace(t, prof.Meta{Rank: 1, Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125}, 11000,
-		mkSpan(1, 0, "step", "phase", 0, 9500, 0, 0),
-		mkSpan(2, 1, "comm.ring.allreduce", "comm", 0, 8500, 0, 1e6),
-	)
-	m, err := prof.Merge(r0, r1)
-	if err != nil {
-		t.Fatal(err)
+// TestReplayBoundsTheExchange: a trace file whose comm spans claim more
+// bytes than a bounded task list can carry is replayed without the
+// cluster schedule, with a note, instead of building it.
+func TestReplayBoundsTheExchange(t *testing.T) {
+	tr := clusterTrace(t, prof.Meta{Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125},
+		[]float64{1000, 1000}, []float64{60000, 60000}, 1<<62)
+	p := replaySpec(t, tr, "bw=10gbe")
+	if p.PredictedStepUs != p.BaselineStepUs || !strings.Contains(strings.Join(p.Notes, "\n"), "cluster model skipped") {
+		t.Fatalf("step %v -> %v us, notes %q", p.BaselineStepUs, p.PredictedStepUs, p.Notes)
 	}
-	p := replaySpec(t, m, "bw=unlimited")
-	// Rank 0: wall 10000 - (8000 - 4000 overhead) = 6000.
-	// Rank 1: wall 11000 - (8500 - 4500 overhead) = 7000. Cluster = max.
-	approx(t, "wall", p.PredictedWallUs, 7000, 1e-6)
+}
+
+func TestReplayMultiRankWallIsSlowestRank(t *testing.T) {
+	// Rank 1 computes 1500 us, rank 0 1000 us and waits 500 us for it.
+	// Halving rank 1's work moves that wait to rank 1 (250 us): both steps
+	// lose 500 us, and the cluster wall is rank 1's 11000 - 500.
+	tr := clusterTrace(t, prof.Meta{Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125},
+		[]float64{1000, 1500}, []float64{8000, 8000}, 16000, 10000, 11000)
+	p := replaySpec(t, tr, "speedup=gemm.r1:2")
+	approx(t, "wall", p.PredictedWallUs, 10500, 1e-9)
 	if p.Steps != 2 {
 		t.Fatalf("steps %d, want one per rank", p.Steps)
 	}
@@ -467,6 +528,50 @@ func TestParseScenarioRejectsBadSpecs(t *testing.T) {
 			t.Errorf("ParseScenario(%q) accepted a bad spec", spec)
 		}
 	}
+}
+
+// TestParseScenarioRefusesNonFiniteValues: NaN, infinities and a memory
+// size past int64 are named errors, not a scenario.
+func TestParseScenarioRefusesNonFiniteValues(t *testing.T) {
+	for _, spec := range []string{
+		"speedup=gemm*:NaN", "kernelmodel=gemm*:Inf", "bw=NaN", "bw=Inf", "offload=NaN", "offload=1e300gb",
+	} {
+		if sc, err := ParseScenario(spec); !errors.Is(err, ErrBadNumber) {
+			t.Errorf("ParseScenario(%q) = %+v, %v; want ErrBadNumber", spec, sc, err)
+		}
+	}
+}
+
+// FuzzParseScenario: any spec parses to an error, or to a scenario whose
+// every number is finite and positive (bw's 0 unset and -1 unlimited
+// aside) and which describes itself without panicking.
+func FuzzParseScenario(f *testing.F) {
+	for _, seed := range []string{
+		"", "speedup=gemm*:2.3", "kernelmodel=gemm.dX:56.58", "parallel=4", "batch=64", "fp16", "fused=on", "fused=off",
+		"bw=10gbe", "bw=unlimited", "bw=62.5", "compress=int8", "offload=0.5gb", "offload=256mb", "drop=step/phase.backward/fc1/gemm.dX",
+		"batch=64,fp16,bw=10gbe,compress=fp16", "speedup=gemm*:NaN", "kernelmodel=gemm*:Inf", "bw=NaN", "bw=Inf",
+		"offload=NaN", "offload=1e300gb",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		sc, err := ParseScenario(spec)
+		if err != nil {
+			return
+		}
+		ok := func(v float64) bool { return v > 0 && !math.IsInf(v, 0) }
+		for _, cf := range append(sc.Speedups, sc.KernelModels...) {
+			if !ok(cf.Factor) {
+				t.Fatalf("%q: factor %v for %q", spec, cf.Factor, cf.Glob)
+			}
+		}
+		if sc.Parallel < 0 || sc.Batch < 0 || sc.OffloadTargetBytes < 0 || !ok(sc.BandwidthMBps) && sc.BandwidthMBps != 0 && sc.BandwidthMBps != -1 {
+			t.Fatalf("%q: %+v", spec, sc)
+		}
+		if len(sc.Describe()) == 0 {
+			t.Fatalf("%q: no description", spec)
+		}
+	})
 }
 
 func TestParseScenarioComposes(t *testing.T) {
