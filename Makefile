@@ -178,13 +178,14 @@ bench-compare:
 	$(GO) run ./cmd/benchcompare -suite serve
 	$(GO) run ./cmd/benchcompare -suite prof
 	$(GO) run ./cmd/benchcompare -suite dist -benchtime 3x
-	$(GO) run ./cmd/benchcompare -suite whatif -benchtime 1x
+	$(GO) run ./cmd/benchcompare -suite whatif
 
 # Noise-aware regression gate: re-run the tracked suites and exit nonzero
 # when any benchmark slows down (ns/op) or loses throughput by more than
 # the tolerance. The what-if prediction cells are not here: each
 # TestWhatifGroundTruth* test pins its error to the value committed
-# beside it, so tier-1 gates them. Beside each -tol is its floor: the largest |delta| of any metric
+# beside it, so tier-1 gates them; the whatif suite keeps its timing rows.
+# Beside each -tol is its floor: the largest |delta| of any metric
 # between the committed baselines and reruns of the same code within the
 # hour after recording, on the 2-vCPU host that recorded them. A floor
 # above the -tol means that host fails the gate with no code change: the
@@ -195,7 +196,7 @@ bench-gate:
 	$(GO) run ./cmd/benchcompare -suite serve -tol 0.40  # floor 26 %, ServeBatched/cap4, 2 reruns
 	$(GO) run ./cmd/benchcompare -suite prof -tol 0.40  # floor 23 %, ProfStep/on, 2 reruns
 	$(GO) run ./cmd/benchcompare -suite dist -benchtime 3x -tol 0.40  # floor 65 % faster, 29 % slower, 2 reruns
-	$(GO) run ./cmd/benchcompare -suite whatif -benchtime 1x -tol 0.40  # timing rows only; the prediction cells are pinned in tier-1
+	$(GO) run ./cmd/benchcompare -suite whatif -tol 0.40  # floor 23 %, WhatifReplay, 2 reruns (at -benchtime 1x: 85 %)
 
 cover:
 	$(GO) test -cover ./...
