@@ -238,6 +238,75 @@ func TestCoordinatorNamesASilentRank(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// TestWorkerBeatsThroughTransportSetup: the coordinator's wait for done
+// starts at the peers frame, so a rank beats while it sets up its ring, not
+// only once it trains. Rank 1 here waits for a previous rank that never
+// dials; its heartbeats arrive all the same, and when a wrong rank dials
+// instead it stops them and returns.
+func TestWorkerBeatsThroughTransportSetup(t *testing.T) {
+	shortBeat(t, 30*time.Millisecond)
+	before := runtime.NumGoroutine()
+	coord, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	next, err := net.Listen("tcp", "127.0.0.1:0") // rank 0's ring listener
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	ran := make(chan error, 1)
+	go func() {
+		_, err := RunWorker(WorkerConfig{Rank: 1, Workers: 2, Strategy: RunRing, Model: "mlp", Steps: 1, GlobalBatch: 8, CoordAddr: coord.Addr().String()})
+		ran <- err
+	}()
+	conn, err := coord.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	h, err := readHeader(conn)
+	if err != nil || h.kind != kindHello {
+		t.Fatalf("hello: %+v, %v", h, err)
+	}
+	addr := make([]byte, h.length)
+	if _, err := io.ReadFull(conn, addr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(rawFrame(kindPeers, 1, 0, []byte(next.Addr().String()+"\x00"+string(addr)))); err != nil {
+		t.Fatal(err)
+	}
+	dialed, err := next.Accept() // rank 1 dials its next rank, then waits to accept its previous one
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dialed.Close()
+	if err := conn.SetReadDeadline(time.Now().Add(heartbeatMisses * beat)); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if h, err := readHeader(conn); err != nil || h.kind != kindHeartbeat || h.rank != 1 {
+			t.Fatalf("while rank 1 sets up its ring: %+v, %v; want its heartbeats", h, err)
+		}
+	}
+	wrong, err := net.Dial("tcp", string(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wrong.Close()
+	if _, err := wrong.Write([]byte{7, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-ran; err == nil || !strings.Contains(err.Error(), "mis-wired") {
+		t.Fatalf("RunWorker returned %v; want the ring refused", err)
+	}
+	conn.Close()
+	dialed.Close()
+	wrong.Close()
+	waitGoroutines(t, before)
+}
+
 // hostileCtrl is a run of two ranks where one sends a frame the
 // coordinator must refuse; each case names the error.
 func hostileCtrl(t testing.TB) map[string]struct {

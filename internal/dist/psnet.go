@@ -1157,6 +1157,7 @@ func (c *PSClient) roundTrip(kind byte, rank int, grads [][]float32) ([][]float3
 
 	in0, out0 := c.count.Bytes()
 	sp := prof.Begin(prof.CatComm, "comm.ps.roundtrip")
+	sp.MeasureCPU() // the codec and socket work beside the wait, which what-if replay prices
 	var err error
 	select {
 	case c.start <- kind:

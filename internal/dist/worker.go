@@ -16,7 +16,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"tbd/internal/graph"
@@ -327,10 +329,10 @@ func (c *ctrlConn) recv(want byte) (psHeader, []byte, error) {
 	return h, p, nil
 }
 
-// heartbeats sends a heartbeat every beat until the returned stop is called.
-// stop returns once the sender has quit, so the connection's next send has
-// it to itself. A failed send ends the heartbeats; the peer then names this
-// end by its silence.
+// heartbeats sends a heartbeat every beat until the returned stop is first
+// called. stop returns once the sender has quit, so the connection's next
+// send has it to itself. A failed send ends the heartbeats; the peer then
+// names this end by its silence.
 func (c *ctrlConn) heartbeats() (stop func()) {
 	quit, quitted := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -348,8 +350,9 @@ func (c *ctrlConn) heartbeats() (stop func()) {
 			}
 		}
 	}()
+	var once sync.Once
 	return func() {
-		close(quit)
+		once.Do(func() { close(quit) })
 		<-quitted
 	}
 }
@@ -409,6 +412,10 @@ func RunWorker(cfg WorkerConfig) (WorkerResult, error) {
 	if err != nil {
 		return WorkerResult{}, err
 	}
+	// The coordinator now waits for done, bounded by this rank's silence,
+	// so the beat covers the transport setup as well as training.
+	stop := ctrl.heartbeats()
+	defer stop()
 	peers := strings.Split(string(payload), "\x00")
 	if len(peers) != cfg.Workers {
 		return WorkerResult{}, fmt.Errorf("dist: %s: %w: %d peers for %d workers", ctrl.who, errBadLength, len(peers), cfg.Workers)
@@ -431,7 +438,6 @@ func RunWorker(cfg WorkerConfig) (WorkerResult, error) {
 		defer ps.Close()
 	}
 
-	stop := ctrl.heartbeats()
 	res, err := trainWorker(cfg, model, ring, ps)
 	stop()
 	if err != nil {
@@ -583,6 +589,7 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 			Compression:   cfg.Compression.String(),
 			BandwidthMBps: cfg.BytesPerSec / 1e6,
 			Rank:          cfg.Rank,
+			CPUs:          runtime.NumCPU(),
 		})
 	}
 	return &trainResult{net: net, result: res}, nil

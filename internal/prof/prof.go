@@ -107,7 +107,7 @@ func KernelTier() string {
 	return s
 }
 
-// defaultMaxRecords bounds the retained span timeline (~4.7 MB). Stats
+// defaultMaxRecords bounds the retained span timeline (~6 MB). Stats
 // aggregation is unaffected by the cap; only the Chrome-trace window
 // truncates, with the overflow counted in Dropped.
 const defaultMaxRecords = 1 << 16
@@ -128,6 +128,10 @@ type Record struct {
 	Bytes    int64
 	PoolGets uint64
 	PoolHits uint64
+	// CPU is the recording process's CPU time (user and system, every
+	// thread) over the span, for a span that asked for it (MeasureCPU);
+	// zero otherwise.
+	CPU time.Duration
 }
 
 // aggKey identifies one stats row.
@@ -231,6 +235,8 @@ type Span struct {
 	id      uint64
 	parent  uint64
 	prevAmb uint64
+	cpu0    time.Duration
+	cpuOn   bool
 	cat     Cat
 }
 
@@ -307,6 +313,15 @@ func (s *Span) SetFLOPs(f float64) { s.flops = f }
 // SetBytes attaches the span's bytes moved (operand + result traffic).
 func (s *Span) SetBytes(n int64) { s.bytes = n }
 
+// MeasureCPU has End record the process's CPU time from now to the
+// span's end: the work a span that mostly waits (a network exchange) does
+// beside its wall time. Where the platform cannot say, CPU stays zero.
+func (s *Span) MeasureCPU() {
+	if s.Active() {
+		s.cpu0, s.cpuOn = processCPU(), true
+	}
+}
+
 // End closes the span and records it. A span that began while profiling
 // was off, or whose capture was restarted mid-flight, is discarded.
 func (s *Span) End() {
@@ -314,6 +329,10 @@ func (s *Span) End() {
 		return
 	}
 	dur := time.Since(s.t0)
+	var cpu time.Duration
+	if s.cpuOn {
+		cpu = processCPU() - s.cpu0
+	}
 	var g, h uint64
 	if poolSource != nil {
 		g, h = poolSource()
@@ -355,6 +374,7 @@ func (s *Span) End() {
 		Bytes:    s.bytes,
 		PoolGets: g - s.g0,
 		PoolHits: h - s.h0,
+		CPU:      cpu,
 	})
 }
 

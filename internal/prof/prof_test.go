@@ -135,6 +135,27 @@ func TestRecordCapDropsTimelineNotStats(t *testing.T) {
 
 // TestOrphanSpanDropped: a span that straddles a capture restart must not
 // corrupt the new capture's timeline.
+// TestMeasureCPURecordsProcessCPU: a span that asks for it records the CPU
+// the process burned while it ran; one that does not records none.
+func TestMeasureCPURecordsProcessCPU(t *testing.T) {
+	Enable()
+	sp := Begin(CatComm, "busy")
+	sp.MeasureCPU()
+	for start := time.Now(); time.Since(start) < 20*time.Millisecond; {
+	}
+	sp.End()
+	idle := Begin(CatComm, "idle")
+	idle.End()
+	Disable()
+	recs := Current(Meta{}).Ranks[0].Records
+	if len(recs) != 2 || recs[1].CPU != 0 {
+		t.Fatalf("records %+v: want two, the second with no CPU", recs)
+	}
+	if cpu := recs[0].CPU; cpu < 0 || (processCPU() > 0 && cpu < time.Millisecond) {
+		t.Fatalf("20 ms of spinning recorded %v of CPU", cpu)
+	}
+}
+
 func TestOrphanSpanDropped(t *testing.T) {
 	Enable()
 	sp := Begin(CatKernel, "orphan")

@@ -13,7 +13,7 @@ import (
 
 // The one trace file is Chrome trace-event JSON, which chrome://tracing
 // and Perfetto open (the open .nvvp): one "X" event per span, ts and dur
-// in µs, pid = rank, args carrying span, parent, bytes and flops, and a
+// in µs, pid = rank, args carrying span, parent, bytes, flops and CPU time, and a
 // flow arrow into each comm span from its parent. The run's Meta, memory
 // watermark, wall times, dropped count and format version ride in
 // otherData, which viewers ignore.
@@ -55,6 +55,9 @@ type Meta struct {
 	Compression   string  `json:"compression,omitempty"`
 	BandwidthMBps float64 `json:"bandwidth_mbps,omitempty"`
 	Rank          int     `json:"rank,omitempty"`
+	// CPUs is the recording host's logical CPU count, which every
+	// process of a one-host cluster shared.
+	CPUs int `json:"cpus,omitempty"`
 }
 
 // Capture is one process's recording: its rank (the file's pid), the
@@ -191,6 +194,7 @@ type spanArgs struct {
 	Parent uint64  `json:"parent,omitempty"`
 	Bytes  int64   `json:"bytes,omitempty"`
 	FLOPs  float64 `json:"flops,omitempty"`
+	CPU    float64 `json:"cpu_us,omitempty"`
 }
 
 func us(d time.Duration) float64 { return float64(d) / 1e3 }
@@ -223,7 +227,7 @@ func (t *Trace) Write(w io.Writer) error {
 		}
 		for _, r := range c.Records {
 			put(sep, chromeEvent{Name: r.Name, Cat: r.Cat.String(), Ph: "X", TS: us(r.Start), Dur: us(r.Dur), PID: c.Rank,
-				Args: &spanArgs{r.ID, r.Parent, r.Bytes, r.FLOPs}})
+				Args: &spanArgs{r.ID, r.Parent, r.Bytes, r.FLOPs, us(r.CPU)}})
 			sep = ",\n"
 			if ps, ok := startOf[r.Parent]; ok && r.Cat == CatComm {
 				flow++
@@ -315,6 +319,9 @@ func readTrace(r io.Reader, maxBytes int64, maxEvents int) (*Trace, error) {
 		rec := Record{Name: ev.Name, Cat: cat, Start: start, Dur: dur}
 		if a := ev.Args; a != nil {
 			rec.ID, rec.Parent, rec.Bytes, rec.FLOPs = a.Span, a.Parent, a.Bytes, a.FLOPs
+			if rec.CPU, err = duration(a.CPU); err != nil {
+				return nil, fmt.Errorf("event %d cpu: %w", i, err)
+			}
 		}
 		spans[ev.PID] = append(spans[ev.PID], rec)
 	}

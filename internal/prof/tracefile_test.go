@@ -14,18 +14,19 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 // edgesTrace is a small two-rank trace with every field a span event
-// carries: edges, bytes, FLOPs, and a comm span that gets a flow arrow.
+// carries: edges, bytes, FLOPs, and a comm span with its CPU time that
+// gets a flow arrow.
 func edgesTrace() *Trace {
 	rank := func(r int, wall time.Duration) Capture {
 		return Capture{Rank: r, Wall: wall, Records: []Record{
 			{ID: 1, Name: "step", Cat: CatPhase, Start: 0, Dur: 4 * time.Millisecond},
 			{ID: 2, Parent: 1, Name: "phase.forward", Cat: CatPhase, Start: 100 * time.Microsecond, Dur: time.Millisecond},
 			{ID: 3, Parent: 2, Name: "gemm", Cat: CatKernel, Start: 200 * time.Microsecond, Dur: 500*time.Microsecond + 1, FLOPs: 3e8, Bytes: 4 << 20},
-			{ID: 4, Parent: 1, Name: "comm.ring.allreduce", Cat: CatComm, Start: 2 * time.Millisecond, Dur: time.Millisecond, Bytes: 1 << 20},
+			{ID: 4, Parent: 1, Name: "comm.ring.allreduce", Cat: CatComm, Start: 2 * time.Millisecond, Dur: time.Millisecond, Bytes: 1 << 20, CPU: 300 * time.Microsecond},
 		}}
 	}
 	return &Trace{
-		Meta:  Meta{Model: "m", Workers: 2, Strategy: "ring"},
+		Meta:  Meta{Model: "m", Workers: 2, Strategy: "ring", CPUs: 2},
 		Mem:   MemWatermark{MemBreakdown: MemBreakdown{Weights: 10}, PeakTotal: 10, Samples: 1},
 		Ranks: []Capture{rank(0, 5*time.Millisecond), rank(1, 6*time.Millisecond)},
 	}
@@ -61,14 +62,14 @@ func TestWriteTraceGolden(t *testing.T) {
 
 // TestWriteTraceEdges checks the annotations structurally, so a golden
 // regeneration cannot silently drop them: pid = rank, the span/parent/
-// bytes/flops args, and a flow arrow into each comm span.
+// bytes/flops/cpu_us args, and a flow arrow into each comm span.
 func TestWriteTraceEdges(t *testing.T) {
 	out := writeEdges(t).String()
 	// 8 slices, one flow pair per rank's comm span.
 	if strings.Count(out, `"ph":"X"`) != 8 || strings.Count(out, `"ph":"s"`) != 2 || strings.Count(out, `"bp":"e"`) != 2 {
 		t.Fatalf("want 8 slices and 2 flow pairs: %s", out)
 	}
-	for _, want := range []string{`"pid":1`, `"args":{"span":3,"parent":2,"bytes":4194304,"flops":300000000}`, `"otherData":{"version":2`} {
+	for _, want := range []string{`"pid":1`, `"args":{"span":3,"parent":2,"bytes":4194304,"flops":300000000}`, `"args":{"span":4,"parent":1,"bytes":1048576,"cpu_us":300}`, `"otherData":{"version":2`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("trace missing %s: %s", want, out)
 		}
@@ -83,7 +84,7 @@ func TestWriteTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Spans() != 8 || back.Ranks[1].Wall != 6*time.Millisecond || back.Ranks[0].Records[2] != tr.Ranks[0].Records[2] || back.Meta != tr.Meta || back.Mem != tr.Mem {
+	if back.Spans() != 8 || back.Ranks[1].Wall != 6*time.Millisecond || back.Ranks[0].Records[2] != tr.Ranks[0].Records[2] || back.Ranks[0].Records[3] != tr.Ranks[0].Records[3] || back.Meta != tr.Meta || back.Mem != tr.Mem {
 		t.Fatalf("trace did not round-trip: %+v", back)
 	}
 }
@@ -114,6 +115,7 @@ func TestReadTraceRefuses(t *testing.T) {
 	}{
 		{"negative ts", head + `{"name":"k","cat":"kernel","ph":"X","ts":-1,"pid":0,"args":{"span":1}}]}`, ErrTraceTime},
 		{"negative dur", head + `{"name":"k","cat":"kernel","ph":"X","dur":-1,"pid":0,"args":{"span":1}}]}`, ErrTraceTime},
+		{"negative cpu", head + span(`{"span":1,"cpu_us":-1}`) + `]}`, ErrTraceTime},
 		{"huge ts", head + `{"name":"k","cat":"kernel","ph":"X","ts":1e300,"pid":0,"args":{"span":1}}]}`, ErrTraceTime},
 		{"duplicate span", head + span(`{"span":1}`) + "," + span(`{"span":1}`) + `]}`, ErrDuplicateSpan},
 		{"missing parent", head + span(`{"span":1,"parent":9}`) + `]}`, ErrMissingParent},

@@ -13,9 +13,9 @@ import (
 // ring piece and a parameter-server range.
 const pieceElems = 64 << 10 / 4
 
-// maxPieces bounds the task list a trace file can ask for: 64 GiB of
-// exchange in 64 KiB pieces.
-const maxPieces = 1 << 20
+// maxTasks bounds the task list a trace file can ask for (each task is
+// about a hundred bytes, scheduled twice).
+const maxTasks = 1 << 20
 
 // wireBytes mirrors dist.Compression's wire encoding (4-byte fp32,
 // 2-byte fp16, 1-byte int8 payloads; a trace that names none is fp32).
@@ -27,17 +27,17 @@ var wireBytes = map[string]float64{"": 4, "full": 4, "fp16": 2, "int8": 1}
 type rankStep struct {
 	step, sync, task int     // the step span, its child holding the exchange, its compute task
 	comm             []int   // its outermost comm spans, in start order
-	computeUs        float64 // recorded, from the step's start to sync
+	computeUs, cpuUs float64 // recorded: the step's start to sync, the comm spans' CPU
 	ends             []int   // per comm span, the task whose end closes its part of the exchange
 }
 
 // piece is a task's work: elems elements on a link lane, packed when the
-// hop carries the compressed encoding (reduce-scatter, push), or a compute
-// task (elems 0).
+// hop carries the compressed encoding (reduce-scatter, push), or cpuUs on
+// the parameter server's CPU lane. A task on a rank's lane is its compute.
 type piece struct {
-	step, lane int
-	elems      float64
-	packed     bool
+	step, lane   int
+	elems, cpuUs float64
+	packed       bool
 }
 
 func (p piece) bytes(packed float64) float64 {
@@ -53,8 +53,13 @@ func (p piece) bytes(packed float64) float64 {
 // epoch), then the exchange in pieces. A ring sends 2(N-1) hops on each
 // rank's outgoing lane, a piece of hop h once the previous rank's piece of
 // hop h-1 is in. A parameter server funnels every rank through the server
-// NIC, a lane each way (ThrottleShared): a sync reply of range k leaves
-// once every rank's push of range k is in, an async one once its own is.
+// NIC, a lane each way (ThrottleShared), and through the server's CPU: each
+// push range is taken in on one of the host's CPUs (the trace's Meta.CPUs,
+// rank r on lane r mod CPUs), priced at its share of the CPU its rank
+// recorded over the exchange (the server reads every push a rank writes
+// and writes every reply it reads); a trace that recorded no CPU has no
+// such lanes. A sync reply of range k leaves once every rank's range k is
+// taken in, an async one once its own is.
 // The list is scheduled with the recorded compute and link, then with the
 // scenario's, and each comm span moves by how much longer its part of the
 // exchange takes. So the CPU time inside a comm span stays constant, and
@@ -63,6 +68,11 @@ func (p piece) bytes(packed float64) float64 {
 func applyCluster(g *graph, t *prof.Trace, sc *Scenario, newDur []float64) bool {
 	n, ps := len(g.rankBase)-1, strings.HasPrefix(t.Meta.Strategy, "ps-")
 	if !ps && (n < 2 || t.Meta.Strategy != "ring") {
+		return false
+	}
+	oldC, known := wireBytes[t.Meta.Compression]
+	if !known {
+		g.notes = append(g.notes, fmt.Sprintf("cluster model skipped: unknown wire encoding %q", t.Meta.Compression))
 		return false
 	}
 	ranks, steps := make([][]rankStep, n), math.MaxInt
@@ -76,7 +86,7 @@ func applyCluster(g *graph, t *prof.Trace, sc *Scenario, newDur []float64) bool 
 					rs = &ranks[r][len(ranks[r])-1]
 				}
 			} else if rs != nil && c.Cat == prof.CatComm && g.nodes[c.base+c.Up].Cat != prof.CatComm {
-				rs.comm = append(rs.comm, i)
+				rs.comm, rs.cpuUs = append(rs.comm, i), rs.cpuUs+float64(c.CPU)/1e3
 				for at := i; rs.sync < 0; at = c.base + g.nodes[at].Up {
 					if c.base+g.nodes[at].Up == rs.step { // the step's child holding the exchange
 						rs.sync, rs.computeUs = at, max(0, float64(g.nodes[at].Start-g.nodes[rs.step].Start)/1e3)
@@ -86,7 +96,7 @@ func applyCluster(g *graph, t *prof.Trace, sc *Scenario, newDur []float64) bool 
 		}
 		steps = min(steps, len(ranks[r]))
 	}
-	exchanges, bytes, busyUs := 0, 0.0, 0.0
+	exchanges, bytes, busyUs, cpu := 0, 0.0, 0.0, false
 	for r := range ranks {
 		ranks[r] = ranks[r][:steps]
 		for _, rs := range ranks[r] {
@@ -94,29 +104,43 @@ func applyCluster(g *graph, t *prof.Trace, sc *Scenario, newDur []float64) bool 
 				bytes, busyUs = bytes+float64(g.nodes[i].Bytes), busyUs+g.nodes[i].selfUs
 			}
 			exchanges += min(len(rs.comm), 1)
+			cpu = cpu || rs.cpuUs > 0
 		}
 	}
 	// What a sender moves a hop, from the bytes the comm spans counted both
-	// ways: 2(N-1) ring hops of a chunk, or a push and an fp32 reply.
-	oldC, hops, lanes := wireBytes[t.Meta.Compression], 2*(n-1), 2*n
+	// ways: 2(N-1) ring hops of a chunk, or a push and an fp32 reply. Each
+	// hop's pieces are a task per rank (a PS range three: push, intake, reply).
+	hops, links, perPiece := 2*(n-1), n, 1.0
 	if ps {
-		hops, lanes = 1, n+2
+		hops, links, perPiece = 1, 2, 2
+		if cpu {
+			perPiece = 3
+		}
 	}
 	elems := bytes / float64(exchanges*hops) / (oldC + 4)
 	if !(elems > 0) { // no exchange recorded
 		return false
 	}
-	if elems/pieceElems*float64(hops*n*steps) > maxPieces {
-		g.notes = append(g.notes, fmt.Sprintf("cluster model skipped: %.4g bytes in comm spans is past %d pieces", bytes, maxPieces))
+	count := float64(n*steps) * (1 + float64(hops)*math.Ceil(elems/pieceElems)*perPiece)
+	if count > maxTasks {
+		g.notes = append(g.notes, fmt.Sprintf("cluster model skipped: %.4g bytes in %d ranks' comm spans is past %d tasks", bytes, n, maxTasks))
 		return false
 	}
+	lanes, cpus := n+links, 0
+	if cpu { // the host's CPUs, after the server's two NIC lanes
+		cpus = min(max(t.Meta.CPUs, 1), n)
+		lanes += cpus
+	}
 
-	var tasks []sched.Task
-	var pieces []piece
+	tasks, pieces, arena := make([]sched.Task, 0, int(count)), make([]piece, 0, int(count)), make([]int, 0, int(count))
 	add := func(lane int, deps []int, p piece) int {
 		p.lane = lane
 		tasks, pieces = append(tasks, sched.Task{Lane: lane, Deps: deps}), append(pieces, p)
 		return len(tasks) - 1
+	}
+	one := func(d int) []int { // a task's one dependency, cut from one array
+		arena = append(arena, d)
+		return arena[len(arena)-1 : len(arena) : len(arena)]
 	}
 	last := make([][]int, n) // what rank r waits on before its next step
 	for s := range steps {
@@ -125,16 +149,19 @@ func applyCluster(g *graph, t *prof.Trace, sc *Scenario, newDur []float64) bool 
 		}
 		if ps {
 			for a := 0.0; a < elems; a += pieceElems {
-				e, push := min(pieceElems, elems-a), make([]int, n)
+				e, in := min(pieceElems, elems-a), make([]int, n)
 				for r := range n {
-					push[r] = add(n, []int{ranks[r][s].task}, piece{s, 0, e, true})
+					in[r] = add(n, one(ranks[r][s].task), piece{step: s, elems: e, packed: true})
+					if cpu {
+						in[r] = add(n+2+r%cpus, one(in[r]), piece{step: s, cpuUs: ranks[r][s].cpuUs * e / elems})
+					}
 				}
 				for r := range n {
-					deps := push
+					after := in
 					if t.Meta.Strategy == "ps-async" {
-						deps = push[r : r+1]
+						after = in[r : r+1]
 					}
-					last[r] = []int{add(n+1, deps, piece{s, 0, e, false})}
+					last[r] = one(add(n+1, after, piece{step: s, elems: e}))
 				}
 			}
 			for r := range n {
@@ -153,7 +180,7 @@ func applyCluster(g *graph, t *prof.Trace, sc *Scenario, newDur []float64) bool 
 					if h > 0 {
 						dep = sent[(r+n-1)%n][p]
 					}
-					now[r] = append(now[r], add(n+r, []int{dep}, piece{s, 0, min(pieceElems, elems-a), h < n-1}))
+					now[r] = append(now[r], add(n+r, one(dep), piece{step: s, elems: min(pieceElems, elems-a), packed: h < n-1}))
 				}
 			}
 			sent = now
@@ -182,28 +209,30 @@ func applyCluster(g *graph, t *prof.Trace, sc *Scenario, newDur []float64) bool 
 		for _, p := range pieces {
 			sentB += p.bytes(oldC)
 		}
-		ceil = sentB / float64(lanes-n) / (busyUs / float64(n) / 1e6)
+		ceil = sentB / float64(links) / (busyUs / float64(n) / 1e6)
 	}
-	run := func(rate, burst, packed float64, computeUs func(rankStep) float64) []float64 {
+	run := func(rate, burst, packed float64, computeUs func(*rankStep) float64) []float64 {
 		sent, step := make([]float64, lanes), 0
 		for i, p := range pieces {
-			if p.elems == 0 {
-				tasks[i].Dur = computeUs(ranks[p.lane][p.step])
-				continue
-			}
 			if p.step != step {
 				clear(sent)
 				step = p.step
 			}
-			b := p.bytes(packed)
-			paced := min(b, max(0, sent[p.lane]+b-burst))
-			sent[p.lane] += b
-			tasks[i].Dur = max(b/ceil, paced/rate) * 1e6
+			switch b := p.bytes(packed); {
+			case p.lane < n:
+				tasks[i].Dur = computeUs(&ranks[p.lane][p.step])
+			case b == 0:
+				tasks[i].Dur = p.cpuUs
+			default:
+				paced := min(b, max(0, sent[p.lane]+b-burst))
+				sent[p.lane] += b
+				tasks[i].Dur = max(b/ceil, paced/rate) * 1e6
+			}
 		}
 		_, end := sched.Run(tasks, lanes)
 		return end
 	}
-	before := run(rate, burst, oldC, func(rs rankStep) float64 { return rs.computeUs })
+	before := run(rate, burst, oldC, func(rs *rankStep) float64 { return rs.computeUs })
 	newC := oldC
 	if sc.Compression != "" {
 		newC = wireBytes[sc.Compression]
@@ -211,7 +240,7 @@ func applyCluster(g *graph, t *prof.Trace, sc *Scenario, newDur []float64) bool 
 	if sc.BandwidthMBps != 0 {
 		rate, burst = bucket(sc.BandwidthMBps)
 	}
-	after := run(rate, burst, newC, func(rs rankStep) float64 {
+	after := run(rate, burst, newC, func(rs *rankStep) float64 {
 		d := rs.computeUs + (newDur[rs.step] - g.nodes[rs.step].durUs)
 		for _, k := range g.nodes[rs.step].Children {
 			if at := g.nodes[rs.step].base + k; at >= rs.sync {
@@ -236,6 +265,10 @@ func applyCluster(g *graph, t *prof.Trace, sc *Scenario, newDur []float64) bool 
 			}
 		}
 	}
-	g.notes = append(g.notes, fmt.Sprintf("cluster model: %d ranks' exchanges scheduled in 64 KiB pieces on %d lanes; comm spans move by the schedule's change, their CPU time held constant", n, lanes))
+	note := fmt.Sprintf("cluster model: %d ranks' exchanges scheduled in 64 KiB pieces on %d lanes; comm spans move by the schedule's change, their CPU time held constant", n, lanes)
+	if cpu {
+		note += ", and the server takes each push in on one CPU lane at its rank's recorded exchange CPU"
+	}
+	g.notes = append(g.notes, note)
 	return true
 }

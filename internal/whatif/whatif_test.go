@@ -480,12 +480,65 @@ func TestReplayUnfusedEpilogueAddsMemoryPasses(t *testing.T) {
 // TestReplayBoundsTheExchange: a trace file whose comm spans claim more
 // bytes than a bounded task list can carry is replayed without the
 // cluster schedule, with a note, instead of building it.
+// commAggregate is the predicted comm.ps.roundtrip row.
+func commAggregate(t *testing.T, p *Prediction) Delta {
+	t.Helper()
+	for _, d := range p.Phases {
+		if d.Name == "comm.ps.roundtrip" {
+			return d
+		}
+	}
+	t.Fatal("no comm.ps.roundtrip row")
+	return Delta{}
+}
+
+// TestReplayPSServerTakesPushesInOnTheHostCPUs: four ranks push one 64 KiB
+// range each through a 1 MB/s server NIC, each recording 1000 us of CPU
+// over its exchange. At 1 MB/s the pushes arrive 65 ms apart and the
+// server's intake hides behind them but for the last rank's 1000 us. At
+// 10 GbE they all arrive at once and queue for the host's CPUs: 4000 us on
+// one, 2000 us on two, 1000 us on four (or more: a rank is one intake).
+func TestReplayPSServerTakesPushesInOnTheHostCPUs(t *testing.T) {
+	const cpuUs = 1000
+	trace := func(cpus int, cpu bool) *prof.Trace {
+		tr := clusterTrace(t, prof.Meta{Workers: 4, Strategy: "ps-sync", Compression: "full", BandwidthMBps: 1, CPUs: cpus},
+			[]float64{1000, 1000, 1000, 1000}, []float64{600000, 600000, 600000, 600000}, 2*(64<<10))
+		for r := range tr.Ranks {
+			for i := range tr.Ranks[r].Records {
+				if rec := &tr.Ranks[r].Records[i]; rec.Cat == prof.CatComm && cpu {
+					rec.CPU = usDur(cpuUs)
+				}
+			}
+		}
+		return tr
+	}
+	without := commAggregate(t, replaySpec(t, trace(2, false), "bw=10gbe"))
+	for cpus, queued := range map[int]float64{0: 4000, 1: 4000, 2: 2000, 4: 1000, 64: 1000} {
+		with := commAggregate(t, replaySpec(t, trace(cpus, true), "bw=10gbe"))
+		// Each rank's roundtrip gains its queue for the CPUs at 10 GbE, less
+		// the last intake the 1 MB/s recording already paid.
+		approx(t, fmt.Sprintf("%d CPUs: comm aggregate against no intake", cpus),
+			with.PredictedUs-without.PredictedUs, 4*(queued-cpuUs), 1e-9)
+	}
+}
+
 func TestReplayBoundsTheExchange(t *testing.T) {
-	tr := clusterTrace(t, prof.Meta{Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125},
-		[]float64{1000, 1000}, []float64{60000, 60000}, 1<<62)
-	p := replaySpec(t, tr, "bw=10gbe")
-	if p.PredictedStepUs != p.BaselineStepUs || !strings.Contains(strings.Join(p.Notes, "\n"), "cluster model skipped") {
-		t.Fatalf("step %v -> %v us, notes %q", p.BaselineStepUs, p.PredictedStepUs, p.Notes)
+	many := make([]float64, 3000) // 2(N-1) hops of one piece on N links: 18M tasks
+	for r := range many {
+		many[r] = 1000
+	}
+	for name, tr := range map[string]*prof.Trace{
+		"a huge exchange": clusterTrace(t, prof.Meta{Workers: 2, Strategy: "ring", Compression: "full", BandwidthMBps: 125},
+			[]float64{1000, 1000}, []float64{60000, 60000}, 1<<62),
+		"many ranks, few bytes": clusterTrace(t, prof.Meta{Workers: len(many), Strategy: "ring", Compression: "full", BandwidthMBps: 125},
+			many, many, 64),
+		"an unknown encoding": clusterTrace(t, prof.Meta{Workers: 2, Strategy: "ring", Compression: "zstd", BandwidthMBps: 125},
+			[]float64{1000, 1000}, []float64{60000, 60000}, 16<<20),
+	} {
+		p := replaySpec(t, tr, "bw=10gbe")
+		if p.PredictedStepUs != p.BaselineStepUs || !strings.Contains(strings.Join(p.Notes, "\n"), "cluster model skipped") {
+			t.Errorf("%s: step %v -> %v us, notes %q", name, p.BaselineStepUs, p.PredictedStepUs, p.Notes)
+		}
 	}
 }
 
