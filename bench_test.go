@@ -1,16 +1,17 @@
 package tbd
 
 // The root benchmarks. Each is recorded into one committed BENCH_*.json
-// baseline, and `go run ./cmd/benchcompare -suite X` runs exactly the
-// benchmarks BENCH_X.json names and compares them against it:
+// file, and `go run ./cmd/benchcompare -suite X` runs exactly the
+// benchmarks BENCH_X.json names on the base revision's build and the
+// working tree's, alternately, and compares the two:
 //
 //	make bench         BENCH_numeric.json  GEMM tiers, conv, dense, optimizer, twin step
 //	make bench-serve   BENCH_serve.json    serve.Fleet batch-cap and replica sweeps
 //	make bench-prof    BENCH_prof.json     profiler span and step overhead
 //	make bench-dist    BENCH_dist.json     distributed matrix (bench_dist_test.go)
-//	make bench-whatif  BENCH_whatif.json   what-if prediction error (bench_whatif_test.go)
+//	make bench-whatif  BENCH_whatif.json   what-if replay and recording (bench_whatif_test.go)
 //
-// cmd/benchcompare's tests fail on a benchmark no baseline names. The
+// cmd/benchcompare's tests fail on a benchmark no BENCH_*.json names. The
 // paper's tables, figures and observations are checked by internal/core's
 // tests, not timed here.
 

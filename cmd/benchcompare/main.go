@@ -1,40 +1,60 @@
-// Command benchcompare re-runs one tracked benchmark suite and prints
-// old-vs-new deltas against its committed `go test -json` baseline.
-// Plain stdlib only.
+// Command benchcompare runs one tracked benchmark suite on two builds side
+// by side, the working tree against a base revision, and gates on their
+// paired ratios. Plain stdlib only.
 //
-// A suite is its baseline file: -suite X reads BENCH_X.json and runs
-// exactly the top-level benchmarks named in it, so that file is the only
-// list of what the suite tracks. The suites are numeric (the default),
-// serve, prof, dist and whatif, recorded by `make bench`, `bench-serve`,
-// `bench-prof`, `bench-dist` and `bench-whatif`.
+// A suite is named by its file: -suite X runs exactly the benchmark rows
+// BENCH_X.json names, so that file is the only list of what the suite
+// tracks. The suites are numeric (the default), serve, prof, dist and
+// whatif, recorded by `make bench`, `bench-serve`, `bench-prof`,
+// `bench-dist` and `bench-whatif`.
+//
+// The base revision (-base, default HEAD) is exported with `git archive`
+// into a temporary directory, and the root test binary is built there and
+// in the working tree. The two binaries then run alternately, one
+// benchmark row at a time, each in its own tree so that testdata/
+// resolves: five runs of the change, each between two runs of the base.
+// A level recorded an hour earlier says little on a host whose speed
+// moves by tens of percent from one hour to the next, and even a whole
+// suite run half a minute after the other build's moves by as much; the
+// ratio of runs of one row, seconds apart, is what this command compares.
 //
 // Usage:
 //
-//	go run ./cmd/benchcompare [-suite numeric] [-benchtime 1s]
-//	go run ./cmd/benchcompare -suite serve -new saved.json   # compare a saved run
-//	go run ./cmd/benchcompare -tol 0.2                       # CI gate: exit 1 on regression
+//	go run ./cmd/benchcompare [-suite numeric] [-base HEAD] [-benchtime 1s]
+//	go run ./cmd/benchcompare -tol 0.2    # gate: exit 1 on regression
 //
-// -tol fails the run when any benchmark's ns/op rises, or any throughput
-// metric falls, by more than the given fraction, or when a baseline
-// benchmark is gone from the fresh run. Improvements and new benchmarks
-// never fail it.
+// For each benchmark the table gives the median over the five rounds of
+// the change's ns/op over the base's (the mean of the base runs either
+// side), the number of rounds the change was faster, and the same median
+// for each throughput metric the row reports. -tol fails the run when
+// the ns/op median rises, or a throughput median falls, by more than the
+// given fraction, or when a benchmark of the base is gone from the
+// change. Improvements and new benchmarks never fail it.
 package main
 
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
+	"os/signal"
+	"path/filepath"
 	"regexp"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 )
+
+// rounds is how many times the change runs each row; the base runs it
+// once more.
+const rounds = 5
 
 // benchResult is one benchmark line's parsed metrics, keyed by unit
 // ("ns/op", "GFLOP/s", "samples/s", "B/op", "allocs/op", ...).
@@ -55,20 +75,21 @@ type testEvent struct {
 // different machines compare by benchmark name.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
-// parseBenchOutput extracts benchmark results from a `go test -json`
-// stream read from src. Output events are concatenated before
-// line-splitting: the test runner may emit one logical result line as
-// several events.
+// parseBenchOutput extracts benchmark results from a test binary's
+// output read from src: plain text, or a `go test -json` event stream.
+// Output events are concatenated before line-splitting: the test runner
+// may emit one logical result line as several events.
 func parseBenchOutput(r io.Reader, src string) (map[string]benchResult, error) {
 	var text strings.Builder
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
 		var ev testEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			continue // tolerate non-JSON lines (truncated or hand-edited files)
-		}
-		if ev.Action == "output" {
+		switch {
+		case json.Unmarshal(sc.Bytes(), &ev) != nil:
+			text.Write(sc.Bytes())
+			text.WriteByte('\n')
+		case ev.Action == "output":
 			text.WriteString(ev.Output)
 		}
 	}
@@ -97,7 +118,7 @@ func parseBenchOutput(r io.Reader, src string) (map[string]benchResult, error) {
 		out[res.name] = res
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("%s: no benchmark lines found", src)
+		return nil, fmt.Errorf("%s: %w", src, errNoBenchmarks)
 	}
 	return out, nil
 }
@@ -111,189 +132,268 @@ func parseBenchFile(path string) (map[string]benchResult, error) {
 	return parseBenchOutput(f, path)
 }
 
-// runBenches runs the root benchmarks matching pattern and parses their
-// results.
-func runBenches(pattern, benchtime string) (map[string]benchResult, error) {
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", pattern,
-		"-benchtime", benchtime, "-benchmem", "-json", ".")
-	var stdout bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = os.Stderr
-	fmt.Fprintf(os.Stderr, "running: %s\n", strings.Join(cmd.Args, " "))
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go test: %w", err)
+// rowPattern is the -test.bench regexp that runs exactly one benchmark
+// row: each level of its name quoted and anchored.
+func rowPattern(name string) string {
+	levels := strings.Split(name, "/")
+	for i, l := range levels {
+		levels[i] = "^" + regexp.QuoteMeta(l) + "$"
 	}
-	return parseBenchOutput(&stdout, "go test output")
+	return strings.Join(levels, "/")
 }
 
-// delta formats a percentage change, signed.
-func delta(old, new float64) string {
-	if old == 0 {
-		return "   n/a"
-	}
-	return fmt.Sprintf("%+.1f%%", (new-old)/old*100)
+// build is one test binary and the tree it runs in.
+type build struct {
+	name, bin, dir string
 }
 
-// fmtMetric renders a metric value compactly.
-func fmtMetric(v float64, unit string) string {
-	switch {
-	case unit == "ns/op" || v >= 1000:
-		return fmt.Sprintf("%.0f", v)
-	default:
-		return fmt.Sprintf("%.3f", v)
+// errNoBenchmarks is a test output without one result line.
+var errNoBenchmarks = errors.New("no benchmark lines found")
+
+// runBench runs one build's test binary with args and parses its
+// results; a run that reports no row (the build lacks it) returns none.
+// Tests replace it with canned results.
+var runBench = func(ctx context.Context, b build, args []string) (map[string]benchResult, error) {
+	out, err := command(ctx, b.dir, b.bin, args...).Output()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", b.name, err)
 	}
+	res, err := parseBenchOutput(bytes.NewReader(out), b.name)
+	if errors.Is(err, errNoBenchmarks) {
+		return nil, nil
+	}
+	return res, err
 }
 
-// rateUnits are throughput metrics where higher is better; they get their
-// own columns after ns/op.
+// rateUnits are the throughput metrics, where higher is better. A rate is
+// not always b.N over the run: BenchmarkDist's samples/s is the steady
+// step rate after warm-up, which ns/op dilutes with setup, so the gate
+// reads each rate apart from ns/op.
 var rateUnits = []string{"GFLOP/s", "samples/s", "Melem/s", "MB/s"}
 
-// benchPattern is the -bench regexp that runs exactly the top-level
-// benchmarks a baseline names, with all of their sub-benchmarks.
-func benchPattern(baseline map[string]benchResult) string {
-	var names []string
-	for name := range baseline {
-		top, _, _ := strings.Cut(name, "/")
-		names = append(names, regexp.QuoteMeta(top))
-	}
-	sort.Strings(names)
-	return "^(" + strings.Join(slices.Compact(names), "|") + ")$"
+// pairing is one row's paired runs: for ns/op and each rate, the change's
+// value over the base's in every round both reported it, and whether
+// each build reported the row at all.
+type pairing struct {
+	ratios        map[string][]float64
+	inBase, inCur bool
 }
 
-// compare writes the old-vs-new table to w and returns one line per
-// benchmark that fails the gate. A tol of 0 disables the gate; a baseline
-// benchmark missing from cur is reported as gone, and fails when the gate
-// is on.
-func compare(w io.Writer, old, cur map[string]benchResult, tol float64) []string {
-	names := make([]string, 0, len(cur))
-	for name := range cur {
+// runRounds runs each row's two builds alternately, base first and last
+// (B C B C … C B), the runs back to back so that they see the same host
+// a second or two apart. Round i sets the change's i-th run against the
+// mean of the base runs either side of it: a drift over the row's runs
+// cancels, and so does a head start for the first or the second run of
+// a pair, which an odd number of flipped pairs would hand to one side.
+func runRounds(ctx context.Context, base, cur build, rows, args []string) (map[string]*pairing, error) {
+	units := append([]string{"ns/op"}, rateUnits...)
+	out := make(map[string]*pairing, len(rows))
+	for k, row := range rows {
+		fmt.Fprintf(os.Stderr, "row %d/%d: %s\n", k+1, len(rows), row)
+		p := &pairing{ratios: map[string][]float64{}}
+		out[row] = p
+		a := append(args, "-test.bench="+rowPattern(row))
+		before, err := runBench(ctx, base, a)
+		if err != nil {
+			return nil, err
+		}
+		for range rounds {
+			c, err := runBench(ctx, cur, a)
+			if err != nil {
+				return nil, err
+			}
+			after, err := runBench(ctx, base, a)
+			if err != nil {
+				return nil, err
+			}
+			b0, ok0 := before[row]
+			b1, ok1 := after[row]
+			n, ok := c[row]
+			p.inBase = p.inBase || ok0 || ok1
+			p.inCur = p.inCur || ok
+			if ok0 && ok1 && ok {
+				for _, unit := range units {
+					o0, o1, v := b0.metrics[unit], b1.metrics[unit], n.metrics[unit]
+					if o0 > 0 && o1 > 0 && v > 0 {
+						p.ratios[unit] = append(p.ratios[unit], 2*v/(o0+o1))
+					}
+				}
+			}
+			before = after
+		}
+	}
+	return out, nil
+}
+
+// median returns the median of xs, which it sorts.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// pct formats a ratio as a signed percentage change.
+func pct(ratio float64) string { return fmt.Sprintf("%+.1f%%", (ratio-1)*100) }
+
+// compare writes the paired table to w and returns one line per row
+// that fails the gate: its median ns/op ratio above 1+tol, or a median
+// rate ratio below 1-tol. A tol of 0 disables the gate; a row the change
+// never reports is gone, and fails when the gate is on.
+func compare(w io.Writer, rows map[string]*pairing, tol float64) []string {
+	names := make([]string, 0, len(rows))
+	for name := range rows {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-
 	var failures []string
-	fmt.Fprintf(w, "%-44s %14s %14s %8s   %s\n", "benchmark", "old ns/op", "new ns/op", "delta", "rates (old -> new)")
+	fmt.Fprintf(w, "%-44s %10s %6s   %s\n", "benchmark", "ns/op", "wins", "rates")
 	for _, name := range names {
-		n := cur[name]
-		o, haveOld := old[name]
-		nsNew := n.metrics["ns/op"]
-		var bad []string
-		if tol > 0 && haveOld {
-			bad = regressions(o, n, tol)
+		p := rows[name]
+		switch {
+		case !p.inCur:
+			fmt.Fprintf(w, "%-44s %10s\n", name, "gone")
+			if tol > 0 {
+				failures = append(failures, name+": missing from the change")
+			}
+			continue
+		case !p.inBase:
+			fmt.Fprintf(w, "%-44s %10s\n", name, "new")
+			continue
+		}
+		ns := p.ratios["ns/op"]
+		if len(ns) == 0 {
+			fmt.Fprintf(w, "%-44s %10s\n", name, "no ns/op")
+			continue
+		}
+		wins := 0
+		for _, x := range ns {
+			if x < 1 {
+				wins++
+			}
+		}
+		var bad, rates []string
+		med := median(ns)
+		if tol > 0 && med > 1+tol {
+			bad = append(bad, "ns/op "+pct(med))
+		}
+		for _, unit := range rateUnits {
+			rs, ok := p.ratios[unit]
+			if !ok {
+				continue
+			}
+			m := median(rs)
+			rates = append(rates, unit+" "+pct(m))
+			if tol > 0 && m < 1-tol {
+				bad = append(bad, unit+" "+pct(m))
+			}
 		}
 		mark := ""
 		if len(bad) > 0 {
 			mark = "   << REGRESSED"
-			failures = append(failures, fmt.Sprintf("%s: %s", name, strings.Join(bad, ", ")))
+			failures = append(failures, name+": "+strings.Join(bad, ", "))
 		}
-		if !haveOld {
-			fmt.Fprintf(w, "%-44s %14s %14s %8s   %s%s\n", name, "-", fmtMetric(nsNew, "ns/op"), "new", rateCols(benchResult{}, n), mark)
-			continue
+		if len(rates) > 0 {
+			mark = "   " + strings.Join(rates, ", ") + mark
 		}
-		nsOld := o.metrics["ns/op"]
-		fmt.Fprintf(w, "%-44s %14s %14s %8s   %s%s\n",
-			name, fmtMetric(nsOld, "ns/op"), fmtMetric(nsNew, "ns/op"), delta(nsOld, nsNew), rateCols(o, n), mark)
-	}
-	// A baseline benchmark that vanished (renamed or removed) would
-	// otherwise read as "still tracked".
-	var gone []string
-	for name := range old {
-		if _, ok := cur[name]; !ok {
-			gone = append(gone, name)
-		}
-	}
-	sort.Strings(gone)
-	for _, name := range gone {
-		fmt.Fprintf(w, "%-44s %14s %14s %8s\n", name, fmtMetric(old[name].metrics["ns/op"], "ns/op"), "-", "gone")
-		if tol > 0 {
-			failures = append(failures, name+": missing from the fresh run")
-		}
+		fmt.Fprintf(w, "%-44s %10s %4d/%d%s\n", name, pct(med), wins, len(ns), mark)
 	}
 	return failures
 }
 
-func main() {
-	suite := flag.String("suite", "numeric", "tracked `suite`: run the benchmarks BENCH_<suite>.json names and compare against it")
-	newPath := flag.String("new", "", "compare this saved `file` instead of re-running benchmarks")
-	benchtime := flag.String("benchtime", "1s", "benchtime for the fresh run")
-	tol := flag.Float64("tol", 0, "regression `fraction` the gate allows before failing; 0 disables the gate")
-	flag.Parse()
-	if *tol < 0 {
-		fatal(fmt.Errorf("-tol must be >= 0"))
-	}
+// command is exec.CommandContext with the working directory set and the
+// child's stderr passed through.
+func command(ctx context.Context, dir, name string, args ...string) *exec.Cmd {
+	cmd := exec.CommandContext(ctx, name, args...)
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	return cmd
+}
 
-	old, err := parseBenchFile("BENCH_" + *suite + ".json")
-	if err != nil {
-		fatal(err)
+// buildPair exports rev into tmp and builds the root test binary there
+// and in the working tree (the current directory). Both builds trim
+// their paths, so the same source gives the same binary.
+func buildPair(ctx context.Context, rev, tmp string) (base, cur build, err error) {
+	base = build{name: "base " + rev, bin: filepath.Join(tmp, "base.test"), dir: filepath.Join(tmp, "base")}
+	cur = build{name: "change", bin: filepath.Join(tmp, "change.test"), dir: "."}
+	archive := filepath.Join(tmp, "base.tar")
+	if err := os.Mkdir(base.dir, 0o755); err != nil {
+		return base, cur, err
 	}
-	var cur map[string]benchResult
-	if *newPath != "" {
-		cur, err = parseBenchFile(*newPath)
-	} else {
-		cur, err = runBenches(benchPattern(old), *benchtime)
+	for _, step := range []*exec.Cmd{
+		command(ctx, ".", "git", "archive", "--format=tar", "-o", archive, rev),
+		command(ctx, ".", "tar", "-xf", archive, "-C", base.dir),
+		command(ctx, base.dir, "go", "test", "-c", "-trimpath", "-o", base.bin, "."),
+		command(ctx, cur.dir, "go", "test", "-c", "-trimpath", "-o", cur.bin, "."),
+	} {
+		fmt.Fprintf(os.Stderr, "running: %s\n", strings.Join(step.Args, " "))
+		if err := step.Run(); err != nil {
+			return base, cur, fmt.Errorf("%s: %w", strings.Join(step.Args[:2], " "), err)
+		}
 	}
+	return base, cur, nil
+}
+
+// run builds both trees in a temporary directory it always removes, runs
+// the rounds and prints the table; the error is the verdict.
+func run(ctx context.Context, suite, rev, benchtime string, tol float64) error {
+	tracked, err := parseBenchFile("BENCH_" + suite + ".json")
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	tmp, err := os.MkdirTemp("", "benchcompare-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+	base, cur, err := buildPair(ctx, rev, tmp)
+	if err != nil {
+		return err
+	}
+	rows := make([]string, 0, len(tracked))
+	for name := range tracked {
+		rows = append(rows, name)
+	}
+	sort.Strings(rows)
+	paired, err := runRounds(ctx, base, cur, rows, []string{"-test.run=^$", "-test.benchtime=" + benchtime})
+	if err != nil {
+		return err
 	}
 
 	w := bufio.NewWriter(os.Stdout)
-	failures := compare(w, old, cur, *tol)
+	failures := compare(w, paired, tol)
 	// The table must land before the verdict.
 	if err := w.Flush(); err != nil {
-		fatal(err)
-	}
-	if *tol == 0 {
-		return
+		return err
 	}
 	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "benchcompare: %d benchmark(s) failed the gate:\n", len(failures))
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, " ", f)
-		}
+		return fmt.Errorf("%d benchmark(s) failed the gate against %s:\n  %s", len(failures), rev, strings.Join(failures, "\n  "))
+	}
+	if tol > 0 {
+		fmt.Fprintf(os.Stderr, "benchcompare: gate passed: no median over %d rounds worse than %.0f%% against %s\n", rounds, tol*100, rev)
+	}
+	return nil
+}
+
+func main() {
+	suite := flag.String("suite", "numeric", "tracked `suite`: run the benchmarks BENCH_<suite>.json names")
+	rev := flag.String("base", "HEAD", "git `revision` the working tree is compared against")
+	benchtime := flag.String("benchtime", "1s", "benchtime of each run")
+	tol := flag.Float64("tol", 0, "regression `fraction` the gate allows before failing; 0 disables the gate")
+	flag.Parse()
+	if *tol < 0 {
+		fmt.Fprintln(os.Stderr, "benchcompare: -tol must be >= 0")
+		os.Exit(2)
+	}
+	// An interrupt cancels the children instead of killing this process,
+	// so the temporary directory is still removed.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, *suite, *rev, *benchtime, *tol)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchcompare:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "benchcompare: gate passed across %d benchmarks (within %.0f%% of baseline)\n", len(cur), *tol*100)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchcompare:", err)
-	os.Exit(1)
-}
-
-// regressions reports which of a benchmark's metrics moved the wrong way
-// by more than the tolerated fraction: ns/op up (slower), or any
-// throughput metric down. Improvements pass regardless of size.
-func regressions(o, n benchResult, tol float64) []string {
-	var bad []string
-	if ov, nv := o.metrics["ns/op"], n.metrics["ns/op"]; ov > 0 && nv > ov*(1+tol) {
-		bad = append(bad, fmt.Sprintf("ns/op %s", delta(ov, nv)))
-	}
-	for _, unit := range rateUnits {
-		ov, okOld := o.metrics[unit]
-		nv, okNew := n.metrics[unit]
-		if okOld && okNew && ov > 0 && nv < ov*(1-tol) {
-			bad = append(bad, fmt.Sprintf("%s %s", unit, delta(ov, nv)))
-		}
-	}
-	return bad
-}
-
-// rateCols renders throughput metrics plus the allocation count, old -> new.
-func rateCols(o, n benchResult) string {
-	var parts []string
-	for _, unit := range rateUnits {
-		nv, ok := n.metrics[unit]
-		if !ok {
-			continue
-		}
-		if ov, ok := o.metrics[unit]; ok {
-			parts = append(parts, fmt.Sprintf("%s %s -> %s (%s)", unit, fmtMetric(ov, unit), fmtMetric(nv, unit), delta(ov, nv)))
-		} else {
-			parts = append(parts, fmt.Sprintf("%s %s", unit, fmtMetric(nv, unit)))
-		}
-	}
-	if av, ok := n.metrics["allocs/op"]; ok {
-		parts = append(parts, fmt.Sprintf("%.0f allocs", av))
-	}
-	return strings.Join(parts, ", ")
 }

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io"
 	"io/fs"
+	"math"
+	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -64,62 +67,291 @@ func TestParseJoinsSplitEventsAndStripsProcs(t *testing.T) {
 	}
 }
 
+// TestParseReadsPlainTextAndCommittedStreams reads a test binary's plain
+// output, as the paired runs produce it, and every committed suite file,
+// which `go test -json` wrote.
+func TestParseReadsPlainTextAndCommittedStreams(t *testing.T) {
+	plain := "goos: linux\nBenchmarkWhatifReplay-2   \t    4312\t    275299 ns/op\t 123.4 Melem/s\t   10 allocs/op\nPASS\n"
+	got, err := parseBenchOutput(strings.NewReader(plain), "plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := got["BenchmarkWhatifReplay"]; r.iters != 4312 || r.metrics["ns/op"] != 275299 || r.metrics["Melem/s"] != 123.4 {
+		t.Fatalf("plain text parsed as %+v", got)
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed suite files: %v", err)
+	}
+	for _, path := range files {
+		res, err := parseBenchFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, r := range res {
+			if r.metrics["ns/op"] <= 0 {
+				t.Errorf("%s: %s has no ns/op", path, name)
+			}
+		}
+	}
+}
+
 func result(metrics map[string]float64) benchResult { return benchResult{metrics: metrics} }
 
+// paired runs the rounds over canned results: base(j) is the base's j-th
+// run of a row (j = 0..rounds) and cur(i) the change's i-th.
+func paired(t *testing.T, base, cur func(i int) map[string]benchResult) map[string]*pairing {
+	t.Helper()
+	orig := runBench
+	t.Cleanup(func() { runBench = orig })
+	runs := map[string]int{}
+	runBench = func(_ context.Context, b build, args []string) (map[string]benchResult, error) {
+		key := b.name + " " + args[len(args)-1]
+		i := runs[key]
+		runs[key]++
+		if b.name == "base" {
+			return base(i), nil
+		}
+		return cur(i), nil
+	}
+	var rows []string
+	for name := range base(0) {
+		rows = append(rows, name)
+	}
+	for name := range cur(0) {
+		if _, ok := base(0)[name]; !ok {
+			rows = append(rows, name)
+		}
+	}
+	out, err := runRounds(context.Background(), build{name: "base"}, build{name: "change"}, rows, []string{"-test.run=^$"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// suiteAt gives rows A, B and C at ns/op 100, 200 and 300, scaled per row
+// by scale (nil: 1).
+func suiteAt(scale func(name string) float64) map[string]benchResult {
+	out := map[string]benchResult{}
+	for i, name := range []string{"BenchmarkA", "BenchmarkB", "BenchmarkC"} {
+		s := 1.0
+		if scale != nil {
+			s = scale(name)
+		}
+		out[name] = result(map[string]float64{"ns/op": float64(100*(i+1)) * s})
+	}
+	return out
+}
+
+func TestIdenticalRunsPass(t *testing.T) {
+	same := func(int) map[string]benchResult { return suiteAt(nil) }
+	var out strings.Builder
+	if failures := compare(&out, paired(t, same, same), 0.05); len(failures) != 0 {
+		t.Fatalf("identical runs failed: %v\n%s", failures, out.String())
+	}
+	if !regexp.MustCompile(`(?m)^BenchmarkA +\+0\.0% +0/5$`).MatchString(out.String()) {
+		t.Fatalf("table does not give the median and the wins:\n%s", out.String())
+	}
+}
+
+func TestRowSlowerEveryRoundFailsAlone(t *testing.T) {
+	base := func(int) map[string]benchResult { return suiteAt(nil) }
+	cur := func(int) map[string]benchResult {
+		return suiteAt(func(name string) float64 {
+			if name == "BenchmarkB" {
+				return 2
+			}
+			return 0.99
+		})
+	}
+	var out strings.Builder
+	failures := compare(&out, paired(t, base, cur), 0.2)
+	if len(failures) != 1 || !strings.HasPrefix(failures[0], "BenchmarkB: ns/op +100.0%") {
+		t.Fatalf("failures = %v, want BenchmarkB alone", failures)
+	}
+	if !regexp.MustCompile(`(?m)^BenchmarkA +-1\.0% +5/5$`).MatchString(out.String()) {
+		t.Fatalf("a row faster every round must show 5 wins:\n%s", out.String())
+	}
+}
+
+func TestOneWildRoundDoesNotFailARow(t *testing.T) {
+	base := func(int) map[string]benchResult { return suiteAt(nil) }
+	cur := func(i int) map[string]benchResult {
+		return suiteAt(func(string) float64 {
+			if i == 3 {
+				return 3 // a bad minute on the host
+			}
+			return 1.02
+		})
+	}
+	if failures := compare(io.Discard, paired(t, base, cur), 0.2); len(failures) != 0 {
+		t.Fatalf("one wild round of five failed the gate: %v", failures)
+	}
+}
+
+// TestRegressionsBothDirections moves one row's ns/op and throughput
+// each way: slower, or less throughput, than the tolerance fails; faster
+// by any amount passes. The rate is gated apart from ns/op, since a
+// steady-state rate can fall while a run's setup dilutes its ns/op.
 func TestRegressionsBothDirections(t *testing.T) {
-	old := result(map[string]float64{"ns/op": 1000, "samples/s": 500})
+	base := func(int) map[string]benchResult {
+		return map[string]benchResult{"BenchmarkX": result(map[string]float64{"ns/op": 1000, "samples/s": 500})}
+	}
 	for _, c := range []struct {
-		name string
-		new  map[string]float64
-		bad  int
+		name    string
+		metrics map[string]float64
+		bad     string
 	}{
-		{"within tolerance", map[string]float64{"ns/op": 1190, "samples/s": 410}, 0},
-		{"much faster", map[string]float64{"ns/op": 100, "samples/s": 5000}, 0},
-		{"slower", map[string]float64{"ns/op": 1300, "samples/s": 500}, 1},
-		{"less throughput", map[string]float64{"ns/op": 1000, "samples/s": 300}, 1},
-		{"both", map[string]float64{"ns/op": 1300, "samples/s": 300}, 2},
-		{"rate only on one side", map[string]float64{"ns/op": 1000}, 0},
+		{"within tolerance", map[string]float64{"ns/op": 1190, "samples/s": 410}, ""},
+		{"much faster", map[string]float64{"ns/op": 100, "samples/s": 5000}, ""},
+		{"slower", map[string]float64{"ns/op": 1300, "samples/s": 500}, "BenchmarkX: ns/op +30.0%"},
+		{"less throughput", map[string]float64{"ns/op": 1000, "samples/s": 300}, "BenchmarkX: samples/s -40.0%"},
+		{"both", map[string]float64{"ns/op": 1300, "samples/s": 300}, "BenchmarkX: ns/op +30.0%, samples/s -40.0%"},
+		{"rate only on one side", map[string]float64{"ns/op": 1000}, ""},
 	} {
-		if got := regressions(old, result(c.new), 0.2); len(got) != c.bad {
-			t.Errorf("%s: regressions = %v, want %d", c.name, got, c.bad)
+		cur := func(int) map[string]benchResult {
+			return map[string]benchResult{"BenchmarkX": result(c.metrics)}
+		}
+		failures := compare(io.Discard, paired(t, base, cur), 0.2)
+		if got := strings.Join(failures, "; "); got != c.bad {
+			t.Errorf("%s: failures = %q, want %q", c.name, got, c.bad)
 		}
 	}
 }
 
 func TestGateFailsOnMissingBenchmark(t *testing.T) {
-	old := map[string]benchResult{
-		"BenchmarkA": result(map[string]float64{"ns/op": 10}),
-		"BenchmarkB": result(map[string]float64{"ns/op": 10}),
+	base := func(int) map[string]benchResult { return suiteAt(nil) }
+	cur := func(int) map[string]benchResult {
+		s := suiteAt(nil)
+		delete(s, "BenchmarkB")
+		s["BenchmarkD"] = result(map[string]float64{"ns/op": 10})
+		return s
 	}
-	cur := map[string]benchResult{"BenchmarkA": result(map[string]float64{"ns/op": 10})}
 	var out strings.Builder
-	if failures := compare(&out, old, cur, 0); len(failures) != 0 {
+	if failures := compare(&out, paired(t, base, cur), 0); len(failures) != 0 {
 		t.Fatalf("ungated comparison failed: %v", failures)
 	}
-	if !regexp.MustCompile(`(?m)^BenchmarkB .*gone$`).MatchString(out.String()) {
-		t.Fatalf("missing benchmark not reported as gone:\n%s", out.String())
+	for _, want := range []string{`(?m)^BenchmarkB +gone$`, `(?m)^BenchmarkD +new$`} {
+		if !regexp.MustCompile(want).MatchString(out.String()) {
+			t.Fatalf("table does not match %s:\n%s", want, out.String())
+		}
 	}
-	failures := compare(io.Discard, old, cur, 0.2)
+	failures := compare(io.Discard, paired(t, base, cur), 0.2)
 	if len(failures) != 1 || !strings.HasPrefix(failures[0], "BenchmarkB: missing") {
 		t.Fatalf("gate failures = %v, want BenchmarkB missing", failures)
 	}
 }
 
-func TestPatternFromBaseline(t *testing.T) {
-	baseline := map[string]benchResult{
-		"BenchmarkGEMM256":            {},
-		"BenchmarkGEMMTier/avx2/256":  {},
-		"BenchmarkGEMMTier/ref/1024":  {},
-		"BenchmarkServeBatched/cap64": {},
+func TestRunOrderAlternates(t *testing.T) {
+	defer func(orig func(context.Context, build, []string) (map[string]benchResult, error)) { runBench = orig }(runBench)
+	var calls []string
+	runs := map[string]float64{}
+	runBench = func(_ context.Context, b build, args []string) (map[string]benchResult, error) {
+		row := strings.TrimPrefix(args[len(args)-1], "-test.bench=")
+		calls = append(calls, b.name+"@"+b.dir+" "+row)
+		// The base reads 100, 120, 140, ... and the change 200: each round
+		// must set the change against the mean of its neighbours.
+		ns := 200.0
+		if b.name == "base" {
+			ns = 100 + 20*runs[row]
+			runs[row]++
+		}
+		return map[string]benchResult{strings.Trim(row, "^$"): result(map[string]float64{"ns/op": ns})}, nil
 	}
-	const want = `^(BenchmarkGEMM256|BenchmarkGEMMTier|BenchmarkServeBatched)$`
-	if got := benchPattern(baseline); got != want {
+	base, cur := build{name: "base", dir: "/tmp/base"}, build{name: "change", dir: "."}
+	rs, err := runRounds(context.Background(), base, cur, []string{"BenchmarkA", "BenchmarkB"}, []string{"-test.run=^$"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, row := range []string{"^BenchmarkA$", "^BenchmarkB$"} {
+		want = append(want, "base@/tmp/base "+row)
+		for i := 0; i < rounds; i++ {
+			want = append(want, "change@. "+row, "base@/tmp/base "+row)
+		}
+	}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("run order = %v, want %v", calls, want)
+	}
+	for _, name := range []string{"BenchmarkA", "BenchmarkB"} {
+		got := rs[name].ratios["ns/op"]
+		if len(got) != rounds {
+			t.Fatalf("%s: %d ratios, want %d", name, len(got), rounds)
+		}
+		for i, r := range got {
+			if want := 200 / (110 + 20*float64(i)); math.Abs(r-want) > 1e-12 {
+				t.Fatalf("%s round %d: ratio %v, want %v", name, i, r, want)
+			}
+		}
+	}
+}
+
+// TestRunBenchReadsAMissingRowAsNone runs a binary whose output has no
+// result line, as a build that lacks the row prints: no rows, no error.
+func TestRunBenchReadsAMissingRowAsNone(t *testing.T) {
+	res, err := runBench(context.Background(), build{name: "echo", bin: "echo", dir: "."}, []string{"PASS"})
+	if err != nil || len(res) != 0 {
+		t.Fatalf("runBench = %v, %v; want no rows and no error", res, err)
+	}
+}
+
+// TestFailedBaseBuildLeavesNothing runs the command at a revision that
+// does not exist: it must fail and remove its temporary directory.
+func TestFailedBaseBuildLeavesNothing(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(filepath.Join("..", "..")); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	}()
+	if err := run(context.Background(), "whatif", "no-such-revision", "1x", 0.2); err == nil {
+		t.Fatal("a base revision that does not exist must fail")
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Fatalf("left behind in the temporary directory: %v", left)
+	}
+}
+
+// TestPatternFromBaseline holds each row's -test.bench pattern to its
+// row: the testing package matches a pattern level by level, and every
+// level must select the row's name there and no other name of the
+// baseline.
+func TestPatternFromBaseline(t *testing.T) {
+	baseline := []string{
+		"BenchmarkGEMM256",
+		"BenchmarkGEMM256x",
+		"BenchmarkGEMMTier/avx2/256",
+		"BenchmarkGEMMTier/avx2/2560",
+		"BenchmarkGEMMTier/ref/1024",
+		"BenchmarkServeBatched/cap64",
+		"BenchmarkDist/w2/ps-sync/fp16/1gbe",
+	}
+	if got, want := rowPattern("BenchmarkGEMMTier/ref/1024"), `^BenchmarkGEMMTier$/^ref$/^1024$`; got != want {
 		t.Fatalf("pattern = %s, want %s", got, want)
 	}
-	re := regexp.MustCompile(want)
-	for _, name := range []string{"BenchmarkGEMM256x", "BenchmarkGEMM", "BenchmarkServe"} {
-		if re.MatchString(name) {
-			t.Errorf("pattern runs %s, which the baseline does not name", name)
+	matches := func(pattern, name string) bool {
+		pl, nl := strings.Split(pattern, "/"), strings.Split(name, "/")
+		for i, p := range pl {
+			if i >= len(nl) || !regexp.MustCompile(p).MatchString(nl[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, row := range baseline {
+		for _, other := range baseline {
+			if got := matches(rowPattern(row), other); got != (row == other) {
+				t.Errorf("pattern of %s matches %s: %t", row, other, got)
+			}
 		}
 	}
 }

@@ -221,26 +221,28 @@ func newHandler(fleet *serve.Fleet) http.Handler {
 	})
 }
 
-// parsePhases turns "200:2s,2000:500ms" into a schedule.
+// parsePhases turns "200:2s,2000:500ms" into a schedule. Every error
+// wraps serve.ErrBadPhase.
 func parsePhases(spec string) ([]serve.Phase, error) {
 	var phases []serve.Phase
 	for _, part := range strings.Split(spec, ",") {
 		rateStr, durStr, ok := strings.Cut(strings.TrimSpace(part), ":")
 		if !ok {
-			return nil, fmt.Errorf("phase %q: want rate:duration", part)
+			return nil, fmt.Errorf("%w %q: want rate:duration", serve.ErrBadPhase, part)
 		}
 		rate, err := strconv.ParseFloat(rateStr, 64)
-		if err != nil || rate < 0 {
-			return nil, fmt.Errorf("phase %q: bad rate", part)
+		if err != nil {
+			return nil, fmt.Errorf("%w %q: bad rate", serve.ErrBadPhase, part)
 		}
 		dur, err := time.ParseDuration(durStr)
-		if err != nil || dur <= 0 {
-			return nil, fmt.Errorf("phase %q: bad duration", part)
+		if err != nil {
+			return nil, fmt.Errorf("%w %q: bad duration", serve.ErrBadPhase, part)
 		}
-		phases = append(phases, serve.Phase{Rate: rate, Duration: dur})
-	}
-	if len(phases) == 0 {
-		return nil, errors.New("empty phase schedule")
+		p := serve.Phase{Rate: rate, Duration: dur}
+		if err := p.Validate(); err != nil {
+			return nil, fmt.Errorf("phase %q: %w", part, err)
+		}
+		phases = append(phases, p)
 	}
 	return phases, nil
 }
@@ -257,6 +259,17 @@ func cmdLoadgen(args []string) error {
 	sloMs := fs.Float64("slo", 0, "per-request slo_ms attached to each predict (0 = daemon default)")
 	seed := fs.Uint64("seed", 1, "open loop: schedule RNG seed")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// -phases or -rate selects the open loop; both pass the same check
+	// before the daemon is contacted.
+	openLoop := *phasesSpec != "" || *rate != 0
+	phases := []serve.Phase{{Rate: *rate, Duration: *duration}}
+	err := phases[0].Validate()
+	if *phasesSpec != "" {
+		phases, err = parsePhases(*phasesSpec)
+	}
+	if openLoop && err != nil {
 		return err
 	}
 
@@ -302,15 +315,7 @@ func cmdLoadgen(args []string) error {
 	client := &http.Client{Timeout: 30 * time.Second}
 	predictURL := *url + "/predict"
 
-	if *phasesSpec != "" || *rate > 0 {
-		spec := *phasesSpec
-		phases, err := parsePhases(spec)
-		if spec == "" {
-			phases, err = []serve.Phase{{Rate: *rate, Duration: *duration}}, nil
-		}
-		if err != nil {
-			return err
-		}
+	if openLoop {
 		var next atomic.Uint64
 		res := serve.OpenLoadGen{
 			Phases:  phases,

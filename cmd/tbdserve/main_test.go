@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -35,11 +36,16 @@ func TestParsePhases(t *testing.T) {
 		{"200:-2s", nil},
 		{"fast:2s", nil},
 		{"200:soon", nil},
+		{"1e9:10ms", []serve.Phase{{Rate: 1e9, Duration: 10 * time.Millisecond}}},
+		{"2e9:10ms", nil},
+		{"+Inf:10ms", nil},
+		{"NaN:10ms", nil},
+		{"1e-300:1h", nil},
 	} {
 		got, err := parsePhases(tc.spec)
 		if tc.want == nil {
-			if err == nil {
-				t.Errorf("parsePhases(%q) = %v, want an error", tc.spec, got)
+			if !errors.Is(err, serve.ErrBadPhase) {
+				t.Errorf("parsePhases(%q) = %v, %v; want ErrBadPhase", tc.spec, got, err)
 			}
 			continue
 		}
@@ -211,4 +217,32 @@ func TestTraceFileFromDaemon(t *testing.T) {
 	if len(perReplica) != 2 {
 		t.Fatalf("batch spans from %d replicas, want 2: %v", len(perReplica), perReplica)
 	}
+}
+
+// FuzzParsePhases holds parsePhases to its contract on any spec: an
+// error wrapping serve.ErrBadPhase, or phases whose rates are finite, not
+// negative and schedulable, and whose durations are positive.
+func FuzzParsePhases(f *testing.F) {
+	for _, seed := range []string{"200:2s,2000:500ms", " 50:1s , 0:250ms", "", "200", "-1:2s", "200:0s",
+		"1e9:10ms", "2e9:10ms", "+Inf:10ms", "NaN:10ms", "1e-300:1h"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		phases, err := parsePhases(spec)
+		if err != nil {
+			if !errors.Is(err, serve.ErrBadPhase) {
+				t.Fatalf("parsePhases(%q): unnamed error %v", spec, err)
+			}
+			return
+		}
+		if len(phases) == 0 {
+			t.Fatalf("parsePhases(%q): no phases and no error", spec)
+		}
+		for _, p := range phases {
+			if math.IsNaN(p.Rate) || math.IsInf(p.Rate, 0) || p.Rate < 0 || p.Duration <= 0 ||
+				(p.Rate > 0 && time.Duration(float64(time.Second)/p.Rate) <= 0) {
+				t.Fatalf("parsePhases(%q) accepted %+v", spec, p)
+			}
+		}
+	})
 }

@@ -47,10 +47,19 @@ type Tree struct {
 // time wall. It fails with a named error on a duplicate or zero ID, a
 // parent that was never recorded, or a parent cycle.
 func BuildTree(recs []Record, wall time.Duration) (*Tree, error) {
-	recs = slices.Clone(recs)
-	slices.SortFunc(recs, func(a, b Record) int { return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID)) })
+	// Sort a permutation of 4-byte indices, not the 96-byte records
+	// themselves: index i below is the i-th record in (Start, ID) order.
+	order := make([]int32, len(recs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		ra, rb := &recs[a], &recs[b]
+		return cmp.Or(cmp.Compare(ra.Start, rb.Start), cmp.Compare(ra.ID, rb.ID))
+	})
 	byID := make(map[uint64]int, len(recs))
-	for i, r := range recs {
+	for i, o := range order {
+		r := &recs[o]
 		if _, dup := byID[r.ID]; dup || r.ID == 0 {
 			return nil, fmt.Errorf("%w %d (%q)", ErrDuplicateSpan, r.ID, r.Name)
 		}
@@ -60,7 +69,7 @@ func BuildTree(recs []Record, wall time.Duration) (*Tree, error) {
 	type frame struct{ rec, up int }
 	var stack []frame
 	for i := len(recs) - 1; i >= 0; i-- {
-		if r := &recs[i]; r.Parent == 0 {
+		if r := &recs[order[i]]; r.Parent == 0 {
 			stack = append(stack, frame{i, -1})
 		} else if p, ok := byID[r.Parent]; !ok {
 			return nil, fmt.Errorf("%w: span %d (%q) names parent %d", ErrMissingParent, r.ID, r.Name, r.Parent)
@@ -76,7 +85,7 @@ func BuildTree(recs []Record, wall time.Duration) (*Tree, error) {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		reached[f.rec] = true
-		n := Node{Record: recs[f.rec], Up: f.up}
+		n := Node{Record: recs[order[f.rec]], Up: f.up}
 		at := len(t.Nodes)
 		if f.up >= 0 {
 			up := &t.Nodes[f.up]
@@ -91,8 +100,8 @@ func BuildTree(recs []Record, wall time.Duration) (*Tree, error) {
 			stack = append(stack, frame{k, at})
 		}
 	}
-	for i, r := range recs {
-		if !reached[i] {
+	for i, o := range order {
+		if r := &recs[o]; !reached[i] {
 			return nil, fmt.Errorf("%w through span %d (%q)", ErrCycle, r.ID, r.Name)
 		}
 	}

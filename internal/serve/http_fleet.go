@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -97,7 +98,15 @@ func NewFleetHandler(f *Fleet, opts FleetHandlerOptions) http.Handler {
 		}
 		budget := f.cfg.SLO
 		if req.SLOMs > 0 {
-			budget = time.Duration(req.SLOMs * float64(time.Millisecond))
+			// A positive slo_ms that converts to no deadline at all (under
+			// a nanosecond, or past time.Duration's range) is refused,
+			// not served without a deadline.
+			ns := req.SLOMs * float64(time.Millisecond)
+			if ns < 1 || ns >= math.MaxInt64 {
+				http.Error(w, "slo_ms out of range: a budget is at least 1e-6 ms and below 9.2e12 ms", http.StatusBadRequest)
+				return
+			}
+			budget = time.Duration(ns)
 		}
 		x := tensor.FromSlice(req.Input, primary.SampleShape()...)
 		res, err := f.PredictSLO(x, budget)

@@ -89,11 +89,15 @@ func checkHTTPHandler(t *testing.T, replicas int) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict with slo_ms status = %d", resp.StatusCode)
 	}
-	// Negative budgets are malformed.
-	resp = postPredict(t, srv, PredictRequest{Input: []float32{1, 2, 3, 4}, SLOMs: -1})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative slo_ms status = %d, want 400", resp.StatusCode)
+	// Negative budgets are malformed, and so are positive ones that
+	// convert to no deadline: under a nanosecond, or past
+	// time.Duration's range.
+	for _, slo := range []float64{-1, 4e-7, 1e13} {
+		resp = postPredict(t, srv, PredictRequest{Input: []float32{1, 2, 3, 4}, SLOMs: slo})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("slo_ms %g status = %d, want 400", slo, resp.StatusCode)
+		}
 	}
 
 	// /stats decodes into the fleet snapshot with per-replica detail.
@@ -291,4 +295,42 @@ func TestFleetAllTwins(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzPredictBody posts arbitrary bodies to /predict on a one-replica
+// fleet: every one is answered 200, 400, 413, 429 or 503, never 500 and
+// never a panic.
+func FuzzPredictBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"input":[1,2,3,4]}`,
+		`{"input":[1,2,3,4],"slo_ms":5000}`,
+		`{"input":[1,2,3,4],"slo_ms":-1}`,
+		`{"input":[1,2,3,4],"slo_ms":4e-7}`,
+		`{"input":[1,2,3,4],"slo_ms":1e13}`,
+		`{"input":[1,2]}`,
+		`{"input":[1,2,3,4],"slo_ms":1e-300}`,
+		`{"input":[1e39,2,3,4]}`,
+		`{"input":`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	fleet, err := NewFleet(func() (*Session, error) { return NewSession(identityModel{}, 4), nil }, FleetConfig{
+		Replicas: 1, MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 32,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer fleet.Close()
+	h := NewFleetHandler(fleet, FleetHandlerOptions{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+			http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("body %q answered %d: %s", body, rec.Code, rec.Body)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -37,6 +38,29 @@ import (
 type Phase struct {
 	Rate     float64
 	Duration time.Duration
+}
+
+// ErrBadPhase is wrapped by every phase the open-loop dispatcher cannot
+// pace.
+var ErrBadPhase = errors.New("bad open-loop phase")
+
+// Validate refuses a phase the dispatcher cannot pace: a rate that is
+// negative or not finite, one whose gap between arrivals is under 1ns
+// (above 1e9/s) or past time.Duration's range (below about 1.1e-10/s),
+// or a duration that is not positive. A rate of 0 is an idle phase. The
+// gap is compared as a float: converting an out-of-range float to an
+// integer gives a value that depends on the architecture.
+func (p Phase) Validate() error {
+	gap := float64(time.Second) / p.Rate
+	switch {
+	case math.IsNaN(p.Rate) || math.IsInf(p.Rate, 0) || p.Rate < 0:
+		return fmt.Errorf("%w: rate %v/s is not a finite rate >= 0", ErrBadPhase, p.Rate)
+	case p.Rate > 0 && (gap < 1 || gap >= math.MaxInt64):
+		return fmt.Errorf("%w: rate %v/s has no inter-arrival gap between 1ns and time.Duration's range", ErrBadPhase, p.Rate)
+	case p.Duration <= 0:
+		return fmt.Errorf("%w: duration %v is not positive", ErrBadPhase, p.Duration)
+	}
+	return nil
 }
 
 // OpenLoadGen drives a scripted open-loop schedule against a call
@@ -181,7 +205,7 @@ func (g OpenLoadGen) Run(call func() error) OpenResult {
 	offset := time.Duration(0) // virtual time since t0
 	for pi, ph := range g.Phases {
 		end := offset + ph.Duration
-		if ph.Rate <= 0 || ph.Duration <= 0 {
+		if ph.Rate == 0 || ph.Validate() != nil {
 			offset = end
 			continue
 		}

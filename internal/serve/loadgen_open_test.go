@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -122,5 +123,31 @@ func TestOpenLoadGenPhaseMetadata(t *testing.T) {
 	}
 	if res.Phases[0].Offered == 0 || res.Phases[2].Offered == 0 {
 		t.Fatal("active phases offered nothing")
+	}
+}
+
+// TestOpenLoadGenSkipsUnschedulablePhases runs phases whose inter-arrival
+// gap rounds to zero, overflows or is not a number: each is skipped like
+// an idle phase, and Run returns instead of spinning on virtual time that
+// never reaches the phase end.
+func TestOpenLoadGenSkipsUnschedulablePhases(t *testing.T) {
+	for _, rate := range []float64{2e9, math.Inf(1), math.NaN(), 1e-300} {
+		for _, poisson := range []bool{false, true} {
+			if err := (Phase{Rate: rate, Duration: time.Second}).Validate(); !errors.Is(err, ErrBadPhase) {
+				t.Errorf("rate %v: Validate = %v, want ErrBadPhase", rate, err)
+			}
+			done := make(chan OpenResult, 1)
+			go func() {
+				done <- OpenLoadGen{Phases: []Phase{{Rate: rate, Duration: 10 * time.Millisecond}}, Poisson: poisson}.Run(func() error { return nil })
+			}()
+			select {
+			case res := <-done:
+				if res.Offered != 0 {
+					t.Errorf("rate %v: offered %d arrivals, want the phase skipped", rate, res.Offered)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("rate %v (poisson %t): Run still running after 2s", rate, poisson)
+			}
+		}
 	}
 }
