@@ -9,55 +9,76 @@ import (
 	"testing"
 
 	"tbd/internal/core"
+	"tbd/internal/kernels"
 	"tbd/internal/models"
 	"tbd/internal/sim"
 )
 
 // parentReplayHash is replayHash as the commit before sim.Replay moved
-// onto internal/sched computed it.
-const parentReplayHash = 0xfbf08eb4fef35b6d
+// onto internal/sched computed it. It was recorded again, on unchanged
+// code, when sim.Scale's cells moved out to scaleHash.
+const parentReplayHash = 0xa1e4aeca4924a928
 
-// replayHash hashes the simulator's every output over every suite model,
-// supported framework, GPU and sweep batch: each sim.Result field (floats
-// by their bits), every PerKernel row, the ExportTrace bytes, and
-// sim.Scale under each Figure 10 configuration. It returns the hash and
-// the number of cells.
-func replayHash(t *testing.T) (uint64, int) {
-	h := fnv.New64a()
+// parentScaleHash is scaleHash as the last commit with sim.Scale's
+// closed-form exchange computed it.
+const parentScaleHash = 0x4f96086548aac9ba
+
+// eachCell calls f on every suite model, supported framework, GPU and
+// sweep batch (189 cells), with the model's samples for that batch and
+// its simulator configuration.
+func eachCell(t *testing.T, f func(bench, fw, gpu string, batch int, m *models.Model, style kernels.NameStyle, n int, cfg sim.Config)) int {
 	cells := 0
 	for _, b := range Benchmarks() {
 		for _, fw := range b.Frameworks {
 			for _, gpu := range GPUs() {
 				for _, batch := range b.BatchSizes {
-					m, f, g, err := core.Resolve(b.Name, fw, gpu, batch)
+					m, fr, g, err := core.Resolve(b.Name, fw, gpu, batch)
 					if err != nil {
 						t.Fatal(err)
 					}
-					n := m.SamplesForBatch(batch)
-					cfg := models.SimConfigFor(m, f, g)
-					r := sim.Simulate(m.Ops(), n, f.Style, cfg)
-					hashWrite(h, r.Batch, r.IterTimeSec, r.GPUBusySec, r.CPUBusySec, r.FLOPs, r.KernelCount,
-						r.Throughput, r.GPUUtil, r.FP32Util, r.CPUUtil, r.GapSec,
-						r.Phases.ForwardSec, r.Phases.BackwardSec, r.Phases.UpdateSec,
-						r.Phases.ForwardKernels, r.Phases.BackwardKernels, r.Phases.UpdateKernels, len(r.PerKernel))
-					for _, st := range r.PerKernel {
-						hashWrite(h, st.Name, int(st.Class), st.Count, st.TotalSec, st.FLOPs, st.Util, st.DurationShare)
-					}
-					var trace bytes.Buffer
-					if err := ExportTrace(b.Name, fw, gpu, batch, &trace); err != nil {
-						t.Fatal(err)
-					}
-					h.Write(trace.Bytes())
-					for _, c := range sim.Figure10Configs() {
-						s := sim.Scale(m.Ops(), n, f.Style, cfg, c)
-						hashWrite(h, c.Name, s.PerGPUBatch, s.TotalBatch, s.ComputeSec, s.CommSec, s.RawCommSec,
-							s.IterTimeSec, s.Throughput, s.ScalingEfficiency)
-					}
+					f(b.Name, fw, gpu, batch, m, fr.Style, m.SamplesForBatch(batch), models.SimConfigFor(m, fr, g))
 					cells++
 				}
 			}
 		}
 	}
+	return cells
+}
+
+// replayHash hashes the simulator's every output over every cell: each
+// sim.Result field (floats by their bits), every PerKernel row and the
+// ExportTrace bytes. It returns the hash and the number of cells.
+func replayHash(t *testing.T) (uint64, int) {
+	h := fnv.New64a()
+	cells := eachCell(t, func(bench, fw, gpu string, batch int, m *models.Model, style kernels.NameStyle, n int, cfg sim.Config) {
+		r := sim.Simulate(m.Ops(), n, style, cfg)
+		hashWrite(h, r.Batch, r.IterTimeSec, r.GPUBusySec, r.CPUBusySec, r.FLOPs, r.KernelCount,
+			r.Throughput, r.GPUUtil, r.FP32Util, r.CPUUtil, r.GapSec,
+			r.Phases.ForwardSec, r.Phases.BackwardSec, r.Phases.UpdateSec,
+			r.Phases.ForwardKernels, r.Phases.BackwardKernels, r.Phases.UpdateKernels, len(r.PerKernel))
+		for _, st := range r.PerKernel {
+			hashWrite(h, st.Name, int(st.Class), st.Count, st.TotalSec, st.FLOPs, st.Util, st.DurationShare)
+		}
+		var trace bytes.Buffer
+		if err := ExportTrace(bench, fw, gpu, batch, &trace); err != nil {
+			t.Fatal(err)
+		}
+		h.Write(trace.Bytes())
+	})
+	return h.Sum64(), cells
+}
+
+// scaleHash hashes sim.Scale's every field under each Figure 10
+// configuration over every cell.
+func scaleHash(t *testing.T) (uint64, int) {
+	h := fnv.New64a()
+	cells := eachCell(t, func(_, _, _ string, _ int, m *models.Model, style kernels.NameStyle, n int, cfg sim.Config) {
+		for _, c := range sim.Figure10Configs() {
+			s := sim.Scale(m.Ops(), n, style, cfg, c)
+			hashWrite(h, c.Name, s.PerGPUBatch, s.TotalBatch, s.ComputeSec, s.CommSec, s.RawCommSec,
+				s.IterTimeSec, s.Throughput, s.ScalingEfficiency)
+		}
+	})
 	return h.Sum64(), cells
 }
 
@@ -93,5 +114,17 @@ func TestReplayMatchesParentCommit(t *testing.T) {
 	}
 	if got != parentReplayHash {
 		t.Fatalf("replay hash %#x over %d cells, parent commit had %#x", got, cells, uint64(parentReplayHash))
+	}
+}
+
+// TestScaleMatchesParentCommit holds the Figure 10 study's every number
+// to the bits the last closed-form exchange gave.
+func TestScaleMatchesParentCommit(t *testing.T) {
+	got, cells := scaleHash(t)
+	if cells != 189 {
+		t.Fatalf("%d cells, want 189", cells)
+	}
+	if got != parentScaleHash {
+		t.Fatalf("scale hash %#x over %d cells, parent commit had %#x", got, cells, uint64(parentScaleHash))
 	}
 }
