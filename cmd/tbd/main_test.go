@@ -163,7 +163,9 @@ func TestCLITwinTraceReplaysToIdentity(t *testing.T) {
 
 // parentCLIHashes hold the FNV-64a hash of each simulated-plane command's
 // stdout, recorded on the commit before the Figure 9 breakdown moved into
-// prof and the root API's result types became aliases.
+// prof and the root API's result types became aliases. The three scaling
+// outputs were recorded again when sim.Scale moved onto the exchange
+// schedule the what-if predictor runs.
 var parentCLIHashes = []struct {
 	args []string
 	hash uint64
@@ -172,13 +174,13 @@ var parentCLIHashes = []struct {
 	{[]string{"profile"}, 0x9aabde9795866711},
 	{[]string{"memory"}, 0xfdaa648d721ea4d4},
 	{[]string{"kernels"}, 0x4479228f89b1f0a0},
-	{[]string{"scaling"}, 0xaf805dcb07210bbd},
+	{[]string{"scaling"}, 0x555c489de57657a1}, // Figure 10 on internal/exchange
 	{[]string{"phases"}, 0xda7e33430c82f5c1},
 	{[]string{"offload", "-batch", "64", "-target-gb", "2"}, 0xabb3e676ab763dd5},
 	{[]string{"workspace"}, 0x5ea55d922543101},
 	{[]string{"trace"}, 0xa8866c2ea73ed8d9},
 	{[]string{"analyze"}, 0x63f575c66b5b3ec8},
-	{[]string{"observations"}, 0xa623148b00a0a0d0},
+	{[]string{"observations"}, 0xa4f3069e05e56068}, // Observation 13 on internal/exchange
 	{[]string{"run", "table1"}, 0x36b81c34ae42f75d},
 	{[]string{"run", "table2"}, 0x14906582e3b234f7},
 	{[]string{"run", "table3"}, 0xa6ecee8998c08649},
@@ -191,7 +193,7 @@ var parentCLIHashes = []struct {
 	{[]string{"run", "fig7"}, 0xd17ed9ba8234cf4b},
 	{[]string{"run", "fig8"}, 0xda24a09e6f1f4bdb},
 	{[]string{"run", "fig9"}, 0xf6c658dddba899f4},
-	{[]string{"run", "fig10"}, 0x4b8ff4b28070857},
+	{[]string{"run", "fig10"}, 0x4b41f05c7a0bf68d}, // Figure 10 on internal/exchange
 	{[]string{"whatif", "-json", "-trace", "../../testdata/whatif/twin_avx2.json", "-scenario", "offload=1MB"}, 0x6c907e9aa3769fa0},
 }
 

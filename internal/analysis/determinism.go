@@ -34,8 +34,9 @@ var Determinism = &Analyzer{
 // that must be bit-identical across parallelism levels: the tensor
 // kernels and worker pool, the kernel cost models, the fused
 // optimizer kernels, the what-if replay engine (its golden-error
-// CI gate assumes bit-stable predictions), and the simulator and its
-// scheduler (every table and figure is pinned to their bits).
+// CI gate assumes bit-stable predictions), and the simulator, its
+// scheduler and the exchange schedule both replay on (every table and
+// figure is pinned to their bits).
 var hotPathPrefixes = []string{
 	"tbd/internal/tensor",
 	"tbd/internal/kernels",
@@ -43,6 +44,7 @@ var hotPathPrefixes = []string{
 	"tbd/internal/whatif",
 	"tbd/internal/sim",
 	"tbd/internal/sched",
+	"tbd/internal/exchange",
 }
 
 // nondetCalls are forbidden callees in hot paths.

@@ -2,28 +2,29 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"tbd/internal/device"
+	"tbd/internal/exchange"
 	"tbd/internal/kernels"
 )
 
 // The cluster model of §2.2 / §4.5: data-parallel scaling of a simulated
 // iteration across GPUs and machines, reproducing Figure 10 (parameter-
 // server and ring all-reduce aggregation over PCIe, Ethernet, or
-// InfiniBand). The runtime that moves real gradients over sockets is
-// internal/dist; the two share no code.
+// InfiniBand). The exchange is internal/exchange's schedule, the one the
+// what-if predictor replays recorded cluster runs on.
 
-// Strategy selects the gradient-aggregation scheme.
-type Strategy int
+// Strategy selects the gradient-aggregation scheme: a parameter server
+// that workers push gradients to and pull weights back from (Li et al.,
+// the scheme the paper cites), or a ring all-reduce (NCCL's).
+type Strategy = exchange.Strategy
 
 // Aggregation strategies.
 const (
-	// ParameterServer pushes gradients to a central server and pulls
-	// weights back (Li et al., the scheme the paper cites).
-	ParameterServer Strategy = iota
-	// RingAllReduce exchanges gradient chunks around a ring (the
-	// NCCL-style alternative).
-	RingAllReduce
+	ParameterServer = exchange.SyncPS
+	RingAllReduce   = exchange.Ring
 )
 
 // Cluster describes one hardware configuration of the scaling study.
@@ -41,12 +42,6 @@ type Cluster struct {
 	// §4.5 recommendation to reduce the data sent.
 	GradCompression float64
 }
-
-// overlapFraction is how much of the communication hides behind the
-// backward pass (frameworks overlap gradient push with remaining
-// backprop). It stays a flat share until the schedule models link
-// contention (EXPERIMENTS.md).
-const overlapFraction = 0.5
 
 // Workers returns the total GPU count.
 func (c Cluster) Workers() int { return c.Machines * c.GPUsPerMachine }
@@ -76,9 +71,10 @@ type ScaleResult struct {
 	TotalBatch  int
 	// ComputeSec is the per-iteration compute time on each worker.
 	ComputeSec float64
-	// CommSec is the exposed (non-overlapped) communication time.
+	// CommSec is the part of the exchange that outlasts backward, which
+	// the update waits for.
 	CommSec float64
-	// RawCommSec is communication before overlap.
+	// RawCommSec is the busiest link lane's busy time.
 	RawCommSec  float64
 	IterTimeSec float64
 	Throughput  float64
@@ -86,63 +82,20 @@ type ScaleResult struct {
 	ScalingEfficiency float64
 }
 
-// GradientBytes sums the trainable-parameter bytes of an op graph — the
-// payload every worker must exchange each iteration.
-func GradientBytes(ops []*kernels.Op) int64 {
-	var n int64
-	for _, o := range ops {
-		n += o.ParamElems() * 4
-	}
-	return n
-}
-
-// commTime returns the raw per-iteration communication time for grad
-// bytes under the cluster's links and strategy.
-func commTime(c Cluster, gradBytes int64) float64 {
-	w := c.Workers()
-	if w <= 1 {
-		return 0
-	}
-	if c.GradCompression > 1 {
-		gradBytes = int64(float64(gradBytes) / c.GradCompression)
-	}
-	// The slowest link on the reduction path dominates.
-	link := c.IntraLink
-	if c.Machines > 1 && c.InterLink != nil {
-		link = c.InterLink
-	}
-	switch c.Strategy {
-	case RingAllReduce:
-		// Each worker sends and receives 2*(w-1)/w of the gradient.
-		vol := int64(2 * float64(gradBytes) * float64(w-1) / float64(w))
-		return link.TransferTime(vol)
-	default: // ParameterServer
-		// Push gradients + pull weights; the server's link serializes
-		// across workers on a shared medium.
-		vol := 2 * gradBytes
-		t := link.TransferTime(vol)
-		if c.GPUsPerMachine > 1 {
-			// GPUs share the host PCIe complex.
-			t *= float64(c.GPUsPerMachine)
-		}
-		return t
-	}
-}
-
 // Scale simulates data-parallel training of an op graph: every worker
-// runs perGPUBatch samples per iteration under cfg, then gradients are
-// exchanged per the cluster configuration; scaling efficiency is relative
-// to that same iteration on one worker.
+// runs perGPUBatch samples per iteration under cfg while exchanging each
+// op's gradient once its last backward kernel ends; the update waits for
+// the exchange. Scaling efficiency is relative to that same iteration on
+// one worker.
 func Scale(ops []*kernels.Op, perGPUBatch int, style kernels.NameStyle, cfg Config, c Cluster) ScaleResult {
-	compute := Simulate(ops, perGPUBatch, style, cfg).IterTimeSec
-	raw := commTime(c, GradientBytes(ops))
-	exposed := raw * (1 - overlapFraction)
-	// Overlap can only hide communication behind compute that exists.
-	if hidden := raw - exposed; hidden > compute {
-		exposed = raw - compute
+	stream := Stream(ops, perGPUBatch, style, cfg)
+	one, kernelEnd := replay(stream, perGPUBatch, cfg, nil)
+	compute, w := one.IterTimeSec, c.Workers()
+	var exposed, raw float64
+	if w > 1 {
+		exposed, raw = exchangeSec(ops, perGPUBatch, style, stream, kernelEnd, c)
 	}
 	iter := compute + exposed
-	w := c.Workers()
 	total := perGPUBatch * w
 	thr := float64(total) / iter
 	single := float64(perGPUBatch) / compute
@@ -157,6 +110,49 @@ func Scale(ops []*kernels.Op, perGPUBatch int, style kernels.NameStyle, cfg Conf
 		Throughput:        thr,
 		ScalingEfficiency: thr / (single * float64(w)),
 	}
+}
+
+// exchangeSec schedules one iteration's exchange across c's workers on
+// the cluster's slowest link: a ring's lane a worker, or a server's push
+// and reply lanes, which every worker shares. Each op's gradient is a
+// bucket, ready when the op's last backward kernel ends on the one-GPU
+// schedule. It returns how long the exchange outlasts backward and the
+// busiest link lane's busy time.
+func exchangeSec(ops []*kernels.Op, batch int, style kernels.NameStyle, stream []kernels.Kernel, kernelEnd []float64, c Cluster) (exposed, busy float64) {
+	// Backward runs the ops in reverse, each op's kernels together.
+	at := slices.IndexFunc(stream, func(k kernels.Kernel) bool { return k.Phase == kernels.PhaseBackward })
+	var grads, ready []float64
+	for i := len(ops) - 1; i >= 0; i-- {
+		at += len(ops[i].Backward(batch, style))
+		if e := ops[i].ParamElems(); e > 0 {
+			grads, ready = append(grads, float64(e)), append(ready, kernelEnd[at-1]*1e6)
+		}
+	}
+	if len(grads) == 0 {
+		return 0, 0
+	}
+	x, err := exchange.New(exchange.Shape{Ranks: c.Workers(), Steps: 1, Strategy: c.Strategy, Buckets: grads})
+	if err != nil {
+		panic(fmt.Sprintf("sim: %s exchange: %v", c.Name, err))
+	}
+	link := c.IntraLink
+	if c.Machines > 1 && c.InterLink != nil {
+		link = c.InterLink
+	}
+	wire := 4.0
+	if c.GradCompression > 1 {
+		wire /= c.GradCompression
+	}
+	steps := make([][]exchange.Step, c.Workers())
+	for r := range steps {
+		steps[r] = []exchange.Step{{Ready: ready}}
+	}
+	marks, busy := x.Run(steps, exchange.Link{Rate: link.Bandwidth(), Ceil: math.Inf(1)}, exchange.Wire{Out: wire, Back: wire})
+	end := 0.0
+	for _, m := range marks {
+		end = max(end, m[len(m)-1])
+	}
+	return max(0, end/1e6-kernelEnd[at-1]), busy / 1e6
 }
 
 // String implements fmt.Stringer.

@@ -65,17 +65,6 @@ func TestScaleMonotoneInBatch(t *testing.T) {
 	}
 }
 
-func TestGradientBytesMatchParams(t *testing.T) {
-	m, _ := models.Lookup("ResNet-50")
-	var params int64
-	for _, op := range m.Ops() {
-		params += op.ParamElems()
-	}
-	if sim.GradientBytes(m.Ops()) != params*4 {
-		t.Fatal("gradient bytes must be 4x parameter count")
-	}
-}
-
 func TestRingAllReduceBeatsParameterServerOnSharedLink(t *testing.T) {
 	ops, style, cfg := resnetCfg()
 	ps := sim.Cluster{Name: "ps", Machines: 1, GPUsPerMachine: 4, IntraLink: device.PCIe3, Strategy: sim.ParameterServer}

@@ -14,7 +14,8 @@
 // GPU. The input pipeline's threads run on a lane of their own.
 //
 // cluster.go scales one simulated iteration across GPUs and machines
-// (Cluster, Scale): the data-parallel study of Figure 10.
+// (Cluster, Scale), the data-parallel study of Figure 10, on the exchange
+// schedule (internal/exchange) the what-if predictor runs too.
 package sim
 
 import (
@@ -148,6 +149,12 @@ func Stream(ops []*kernels.Op, batch int, style kernels.NameStyle, cfg Config) [
 // host time outside the GPU timeline is the capture's unattributed time,
 // and the step's and phases' self time is GapSec.
 func Replay(stream []kernels.Kernel, batch int, cfg Config, rec *prof.Capture) Result {
+	r, _ := replay(stream, batch, cfg, rec)
+	return r
+}
+
+// replay is Replay, also returning when each kernel ended.
+func replay(stream []kernels.Kernel, batch int, cfg Config, rec *prof.Capture) (Result, []float64) {
 	if batch <= 0 {
 		panic(fmt.Sprintf("sim: non-positive batch %d", batch))
 	}
@@ -200,6 +207,7 @@ func Replay(stream []kernels.Kernel, batch int, cfg Config, rec *prof.Capture) R
 	cpuBusy += pipeline
 	start, end := sched.Run(tasks, lanes)
 	iter := max(end[len(end)-1], end[0]) // the tail, or the pipeline when slower
+	kernelEnd := make([]float64, len(kernel))
 	for i, t := range kernel {
 		if i > 0 {
 			gap += start[t] - end[kernel[i-1]]
@@ -207,6 +215,7 @@ func Replay(stream []kernels.Kernel, batch int, cfg Config, rec *prof.Capture) R
 		if rec != nil {
 			spans.kernel(stream[i], start[t], end[t])
 		}
+		kernelEnd[i] = end[t]
 	}
 
 	peak := cfg.GPU.PeakFLOPS()
@@ -243,7 +252,7 @@ func Replay(stream []kernels.Kernel, batch int, cfg Config, rec *prof.Capture) R
 		Phases:      phases,
 		GapSec:      gap,
 		PerKernel:   perKernel,
-	}
+	}, kernelEnd
 }
 
 // recorder lays Replay's kernels out as span records. recs[0] is the

@@ -19,9 +19,10 @@ import (
 // code, when sim.Scale's cells moved out to scaleHash.
 const parentReplayHash = 0xa1e4aeca4924a928
 
-// parentScaleHash is scaleHash as the last commit with sim.Scale's
-// closed-form exchange computed it.
-const parentScaleHash = 0x4f96086548aac9ba
+// parentScaleHash is scaleHash as the commit that moved sim.Scale onto
+// internal/exchange computed it. The closed form before it (comm time
+// × (1 − 0.5 overlap)) gave 0x4f96086548aac9ba.
+const parentScaleHash = 0xdb1b85232ef6ef8f
 
 // eachCell calls f on every suite model, supported framework, GPU and
 // sweep batch (189 cells), with the model's samples for that batch and
@@ -118,7 +119,7 @@ func TestReplayMatchesParentCommit(t *testing.T) {
 }
 
 // TestScaleMatchesParentCommit holds the Figure 10 study's every number
-// to the bits the last closed-form exchange gave.
+// to the bits the exchange schedule gave when sim.Scale moved onto it.
 func TestScaleMatchesParentCommit(t *testing.T) {
 	got, cells := scaleHash(t)
 	if cells != 189 {
