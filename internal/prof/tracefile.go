@@ -77,6 +77,7 @@ type Trace struct {
 	Mem     MemWatermark
 	Dropped uint64
 	Ranks   []Capture
+	trees   []*Tree // the trees ReadTrace built to check the file
 }
 
 // Current snapshots the live capture as a one-rank trace. meta's kernel
@@ -137,10 +138,16 @@ func Merge(traces ...*Trace) (*Trace, error) {
 	return out, nil
 }
 
-// Trees builds one tree per rank, in Ranks order. A trace that dropped
-// spans is refused with ErrTraceDropped: its parents are missing and its
-// budget cannot close. So is one that lists a rank twice.
+// Trees builds one tree per rank, in Ranks order. A trace ReadTrace read
+// hands back the trees it built to check the file, which callers share
+// and must not modify; only a trace that was never read (Current, Merge)
+// builds them here. A trace that dropped spans is refused with
+// ErrTraceDropped: its parents are missing and its budget cannot close.
+// So is one that lists a rank twice.
 func (t *Trace) Trees() ([]*Tree, error) {
+	if t.trees != nil && t.Dropped == 0 {
+		return t.trees, nil
+	}
 	if t.Dropped > 0 {
 		return nil, fmt.Errorf("%w: %d fell past the record cap — re-record with a larger cap or fewer steps", ErrTraceDropped, t.Dropped)
 	}
@@ -337,7 +344,7 @@ func readTrace(r io.Reader, maxBytes int64, maxEvents int) (*Trace, error) {
 	if len(spans) > 0 {
 		return nil, fmt.Errorf("prof: trace has spans on %d pids otherData does not list as ranks", len(spans))
 	}
-	if _, err := t.Trees(); err != nil {
+	if t.trees, err = t.Trees(); err != nil {
 		return nil, err
 	}
 	return t, nil

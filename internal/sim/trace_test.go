@@ -96,7 +96,8 @@ func TestTraceRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	// What the file holds; a read trace also keeps the trees it built.
+	if got.Meta != want.Meta || got.Mem != want.Mem || got.Dropped != want.Dropped || !reflect.DeepEqual(got.Ranks, want.Ranks) {
 		t.Fatal("the simulated trace changed through the trace file")
 	}
 }

@@ -151,6 +151,40 @@ func TestValidateRejectsBrokenEdges(t *testing.T) {
 	}
 }
 
+// TestReplayOfAReadTraceBuildsNoTree: ReadTrace keeps the span trees it
+// built to check the file, so a replay of a read trace allocates exactly
+// one tree build less than a replay of the same spans never read, and
+// asking a read trace for its trees allocates nothing.
+func TestReplayOfAReadTraceBuildsNoTree(t *testing.T) {
+	var buf bytes.Buffer
+	if err := twoStepTrace(t).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	read, err := prof.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unread := &prof.Trace{Meta: read.Meta, Mem: read.Mem, Ranks: read.Ranks}
+	sc, err := ParseScenario("speedup=gemm*:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(f func() error) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	build := allocs(func() error { _, err := unread.Trees(); return err })
+	kept := allocs(func() error { _, err := read.Trees(); return err })
+	fresh := allocs(func() error { _, err := Replay(unread, sc); return err })
+	reused := allocs(func() error { _, err := Replay(read, sc); return err })
+	if kept != 0 || build == 0 || fresh-reused != build {
+		t.Fatalf("allocations: building the trees %v, a read trace's trees %v, replaying unread %v and read %v", build, kept, fresh, reused)
+	}
+}
+
 func TestTraceRoundTrip(t *testing.T) {
 	tr := twoStepTrace(t)
 	var buf bytes.Buffer
@@ -161,7 +195,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, tr) {
+	// What the file holds; a read trace also keeps the trees it built.
+	if back.Meta != tr.Meta || back.Mem != tr.Mem || back.Dropped != tr.Dropped || !reflect.DeepEqual(back.Ranks, tr.Ranks) {
 		t.Fatalf("trace did not round-trip:\n got %+v\nwant %+v", back, tr)
 	}
 	want := replaySpec(t, tr, "speedup=gemm*:2")
