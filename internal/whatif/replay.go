@@ -231,9 +231,11 @@ func applyTime(g *graph, t *prof.Trace, sc *Scenario, peakBWBps, peakFLOPs float
 		}
 
 		// 2. analytical kernel model: replace matching spans' self time
-		// with FLOPs at the given rate.
+		// with FLOPs at the given rate. Only kernel spans carry FLOPs, and
+		// a kernel's children (a conv's im2col, col2im) carry none, so a
+		// span's FLOPs are its self time's work, children or not.
 		for _, km := range sc.KernelModels {
-			if n.effFLOPs > 0 && len(n.Children) == 0 && matchClass(km.Glob, n.Name) {
+			if n.effFLOPs > 0 && matchClass(km.Glob, n.Name) {
 				n.newSelfUs = n.effFLOPs / (km.Factor * 1e9) * 1e6
 			}
 		}

@@ -655,6 +655,21 @@ func TestWhatifGroundTruthPSBandwidth(t *testing.T) {
 		pred.PredictedStepUs/1e3, measured.BaselineStepUs/1e3, predErrPct(pred.PredictedStepUs, measured.BaselineStepUs))
 }
 
+// TestWhatifKernelModelPricesSpansWithChildren: every conv2d span but the
+// stem has im2col/col2im children, and their FLOPs are the conv's own. An
+// analytical model at 1e6 GFLOP/s prices that work at next to nothing, so
+// it must predict a step no slower than a 1e6× speedup of the same spans,
+// which keeps their memory floor.
+func TestWhatifKernelModelPricesSpansWithChildren(t *testing.T) {
+	tr := loadGoldenTrace(t, "twin_avx2_vecconv.json")
+	model := replayGolden(t, tr, "kernelmodel=conv2d*:1e6").PredictedStepUs
+	speedup := replayGolden(t, tr, "speedup=conv2d*:1e6").PredictedStepUs
+	t.Logf("kernelmodel=conv2d*:1e6 %.3f ms, speedup=conv2d*:1e6 %.3f ms", model/1e3, speedup/1e3)
+	if model > speedup {
+		t.Fatalf("kernelmodel=conv2d*:1e6 predicts %.3f ms, slower than speedup=conv2d*:1e6's %.3f ms", model/1e3, speedup/1e3)
+	}
+}
+
 // TestWhatifGoldenTracesReplayToIdentity replays every committed golden
 // trace under the empty scenario: the step, the wall and every phase and
 // kernel row come back bit for bit, the cluster schedule included.
