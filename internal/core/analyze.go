@@ -59,7 +59,7 @@ func AnalyzeEndToEnd(modelName, fwName, gpuName string, batch int) (*Analysis, e
 		return nil, err
 	}
 	n := m.SamplesForBatch(batch)
-	cfg := models.SimConfigFor(m, fw, gpu)
+	cfg := SimConfigFor(m, fw, gpu)
 
 	// Steady-state iteration profile: one replay gives the utilizations,
 	// the phase split and the idle gaps.
@@ -98,6 +98,19 @@ func AnalyzeEndToEnd(modelName, fwName, gpuName string, batch int) (*Analysis, e
 	}
 	a.FitsP4000 = memprof.FitsDevice(a.Memory, device.QuadroP4000.MemoryBytes)
 	return a, nil
+}
+
+// SimConfigFor composes the full simulator configuration for running
+// model m on framework fw and GPU gpu: the framework's execution profile
+// plus the model's host-side costs and pipeline shape.
+func SimConfigFor(m *models.Model, fw *framework.Framework, gpu *device.GPU) sim.Config {
+	cfg := fw.SimConfig(gpu, m.HostCPU(fw.Name), m.Speed(fw.Name))
+	cfg.IterOverheadSec += m.IterHostOverheadSec
+	if m.PipelineWorkers > 0 {
+		cfg.PipelineWorkers = m.PipelineWorkers
+	}
+	cfg.SampleBytes = int64(m.Dataset.SampleElems()) * 4
+	return cfg
 }
 
 // Resolve looks up one training configuration: a benchmark (suite or

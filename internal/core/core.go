@@ -111,7 +111,7 @@ func simulate(m *models.Model, fw *framework.Framework, gpu *device.GPU, batch i
 	simMu.Unlock()
 
 	n := m.SamplesForBatch(batch)
-	cfg := models.SimConfigFor(m, fw, gpu)
+	cfg := SimConfigFor(m, fw, gpu)
 	r := sim.Simulate(m.Ops(), n, fw.Style, cfg)
 	// Re-express throughput in sweep units (e.g. tokens/s).
 	r.Throughput = float64(batch) / r.IterTimeSec

@@ -223,7 +223,7 @@ func runFig10(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := models.SimConfigFor(m, fw, o.GPU)
+	cfg := SimConfigFor(m, fw, o.GPU)
 	fig := &report.Figure{
 		Title:  "ResNet-50 on MXNet with multiple GPUs/machines",
 		XLabel: "mini-batch size per GPU",

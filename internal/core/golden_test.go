@@ -55,7 +55,7 @@ func TestSimulationDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := models.SimConfigFor(m, framework.TensorFlow, device.QuadroP4000)
+	cfg := SimConfigFor(m, framework.TensorFlow, device.QuadroP4000)
 	var first []string
 	for i := 0; i < 10; i++ {
 		var names []string

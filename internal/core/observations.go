@@ -247,7 +247,7 @@ func Observations() []Observation {
 		{13, "Network bandwidth must be large enough for good scalability", func(o Options) (bool, string) {
 			m, _ := models.Lookup("ResNet-50")
 			fw, _ := framework.Lookup("MXNet")
-			cfg := models.SimConfigFor(m, fw, o.GPU)
+			cfg := SimConfigFor(m, fw, o.GPU)
 			results := map[string]sim.ScaleResult{}
 			for _, c := range sim.Figure10Configs() {
 				results[c.Name] = sim.Scale(m.Ops(), 16, kernels.StyleMXNet, cfg, c)

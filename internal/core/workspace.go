@@ -2,7 +2,6 @@ package core
 
 import (
 	"tbd/internal/kernels"
-	"tbd/internal/models"
 	"tbd/internal/sim"
 )
 
@@ -29,7 +28,7 @@ func WorkspaceTradeoff(modelName, fwName string, batch int, budgets []int64) ([]
 	if err != nil {
 		return nil, err
 	}
-	cfg := models.SimConfigFor(m, fw, gpu)
+	cfg := SimConfigFor(m, fw, gpu)
 	n := m.SamplesForBatch(batch)
 	var out []TradeoffRow
 	for _, budget := range budgets {

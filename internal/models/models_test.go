@@ -4,14 +4,12 @@ import (
 	"testing"
 
 	"tbd/internal/data"
-	"tbd/internal/device"
 	"tbd/internal/framework"
 	"tbd/internal/graph"
 	"tbd/internal/kernels"
 	"tbd/internal/layers"
 	"tbd/internal/memprof"
 	"tbd/internal/optim"
-	"tbd/internal/sim"
 	"tbd/internal/tensor"
 )
 
@@ -156,25 +154,6 @@ func TestDominantLayerDominatesCompute(t *testing.T) {
 		}
 		if dom/total < 0.5 {
 			t.Fatalf("%s: dominant class carries only %.0f%% of FLOPs", m.Name, 100*dom/total)
-		}
-	}
-}
-
-func TestFasterRCNNMatchesPaperNumbers(t *testing.T) {
-	m, _ := Lookup("Faster R-CNN")
-	if len(m.BatchSizes) != 1 || m.BatchSizes[0] != 1 {
-		t.Fatal("Faster R-CNN trains at batch 1")
-	}
-	for _, fwName := range m.Frameworks {
-		fw, _ := framework.Lookup(fwName)
-		cfg := SimConfigFor(m, fw, device.QuadroP4000)
-		r := sim.Simulate(m.Ops(), 1, fw.Style, cfg)
-		// Paper: 2.3 images/s on both frameworks; GPU util 89.4%/90.3%.
-		if r.Throughput < 1 || r.Throughput > 6 {
-			t.Fatalf("%s Faster R-CNN throughput %.1f, want ~2-3", fwName, r.Throughput)
-		}
-		if r.GPUUtil < 0.8 {
-			t.Fatalf("%s Faster R-CNN GPU util %.2f, want ~0.9", fwName, r.GPUUtil)
 		}
 	}
 }

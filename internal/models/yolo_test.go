@@ -1,61 +1,6 @@
 package models
 
-import (
-	"testing"
-
-	"tbd/internal/device"
-	"tbd/internal/framework"
-	"tbd/internal/kernels"
-	"tbd/internal/memprof"
-	"tbd/internal/sim"
-)
-
-func TestYOLO9000Extension(t *testing.T) {
-	m, err := LookupAny("YOLO9000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumLayers != 19 || m.DominantLayer != "CONV" {
-		t.Fatalf("YOLO9000 metadata wrong: %+v", m)
-	}
-	// Not part of the paper's 8-model suite.
-	if _, err := Lookup("YOLO9000"); err == nil {
-		t.Fatal("YOLO9000 must not be in the core suite")
-	}
-	if len(Extensions()) == 0 {
-		t.Fatal("extensions registry empty")
-	}
-	// Conv count: 19 darknet convs + head.
-	convs := 0
-	for _, op := range m.Ops() {
-		if op.Kind == kernels.OpConv2D {
-			convs++
-		}
-	}
-	if convs < 19 || convs > 23 {
-		t.Fatalf("YOLO9000 has %d convs, want ~19-22", convs)
-	}
-	// Paper motivation: faster than Faster R-CNN at inference-scale
-	// throughput; here, much higher training throughput at batch 4 than
-	// Faster R-CNN at batch 1.
-	fw, _ := framework.Lookup("TensorFlow")
-	cfg := SimConfigFor(m, fw, device.QuadroP4000)
-	r := sim.Simulate(m.Ops(), 4, fw.Style, cfg)
-	frcnn, _ := Lookup("Faster R-CNN")
-	rcfg := SimConfigFor(frcnn, fw, device.QuadroP4000)
-	rr := sim.Simulate(frcnn.Ops(), 1, fw.Style, rcfg)
-	if r.Throughput/4*1 <= rr.Throughput {
-		t.Fatalf("YOLO per-image rate %.2f should beat Faster R-CNN %.2f", r.Throughput, rr.Throughput)
-	}
-	// And it fits the 8 GB card at batch 16.
-	mem := memprof.ProfileOps(m.Ops(), 16, fw.MemPolicy)
-	if mem.Total() > 9<<30 {
-		t.Fatalf("YOLO batch 16 footprint %.1f GB", float64(mem.Total())/(1<<30))
-	}
-	if mem.FeatureMapShare() < 0.5 {
-		t.Fatalf("feature maps should dominate YOLO too (%.2f)", mem.FeatureMapShare())
-	}
-}
+import "testing"
 
 func TestLookupAnyFallsThrough(t *testing.T) {
 	if _, err := LookupAny("ResNet-50"); err != nil {

@@ -24,7 +24,8 @@ type Strategy = exchange.Strategy
 // Aggregation strategies.
 const (
 	ParameterServer = exchange.SyncPS
-	RingAllReduce   = exchange.Ring
+	//tbd:api the scheme a caller's Cluster picks over Figure 10's parameter server, as the ring-versus-server test does
+	RingAllReduce = exchange.Ring
 )
 
 // Cluster describes one hardware configuration of the scaling study.
@@ -153,10 +154,4 @@ func exchangeSec(ops []*kernels.Op, batch int, style kernels.NameStyle, stream [
 		end = max(end, m[len(m)-1])
 	}
 	return max(0, end/1e6-kernelEnd[at-1]), busy / 1e6
-}
-
-// String implements fmt.Stringer.
-func (r ScaleResult) String() string {
-	return fmt.Sprintf("%s batch %d/GPU: %.1f samples/s (%.0f%% scaling efficiency)",
-		r.Cluster.Name, r.PerGPUBatch, r.Throughput, 100*r.ScalingEfficiency)
 }

@@ -37,7 +37,7 @@ func eachCell(t *testing.T, f func(bench, fw, gpu string, batch int, m *models.M
 					if err != nil {
 						t.Fatal(err)
 					}
-					f(b.Name, fw, gpu, batch, m, fr.Style, m.SamplesForBatch(batch), models.SimConfigFor(m, fr, g))
+					f(b.Name, fw, gpu, batch, m, fr.Style, m.SamplesForBatch(batch), core.SimConfigFor(m, fr, g))
 					cells++
 				}
 			}

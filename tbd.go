@@ -146,7 +146,7 @@ func ProfileTraining(model, fw, gpu string, batch int) (Profile, error) {
 	if err != nil {
 		return Profile{}, err
 	}
-	cfg := models.SimConfigFor(m, f, g)
+	cfg := core.SimConfigFor(m, f, g)
 	r := sim.Simulate(m.Ops(), m.SamplesForBatch(batch), f.Style, cfg)
 	return Profile{
 		Model:          m.Name,
@@ -174,7 +174,7 @@ func LowUtilizationKernels(model, fw, gpu string, batch, n int) ([]KernelStat, e
 	if err != nil {
 		return nil, err
 	}
-	cfg := models.SimConfigFor(m, f, g)
+	cfg := core.SimConfigFor(m, f, g)
 	r := sim.Simulate(m.Ops(), m.SamplesForBatch(batch), f.Style, cfg)
 	return sim.LongLowUtilKernels(r, n), nil
 }
@@ -213,7 +213,7 @@ func ScalingStudy(model, fw string, perGPUBatches []int) ([]ScalingResult, error
 	if err != nil {
 		return nil, err
 	}
-	cfg := models.SimConfigFor(m, f, g)
+	cfg := core.SimConfigFor(m, f, g)
 	var out []ScalingResult
 	for _, cluster := range sim.Figure10Configs() {
 		for _, b := range perGPUBatches {
@@ -339,7 +339,7 @@ func ProfilePhases(model, fw, gpu string, batch int) (PhaseBreakdown, error) {
 	if err != nil {
 		return PhaseBreakdown{}, err
 	}
-	cfg := models.SimConfigFor(m, f, g)
+	cfg := core.SimConfigFor(m, f, g)
 	return sim.Simulate(m.Ops(), m.SamplesForBatch(batch), f.Style, cfg).Phases, nil
 }
 
@@ -396,7 +396,7 @@ func ExportTrace(model, fw, gpu string, batch int, w io.Writer) error {
 		return err
 	}
 	n := m.SamplesForBatch(batch)
-	cfg := models.SimConfigFor(m, f, g)
+	cfg := core.SimConfigFor(m, f, g)
 	var c prof.Capture
 	sim.Replay(sim.Stream(m.Ops(), n, f.Style, cfg), n, cfg, &c)
 	t := prof.Trace{Meta: prof.Meta{Model: m.Name, Steps: 1, Batch: n}, Ranks: []prof.Capture{c}}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"tbd/internal/core"
-	"tbd/internal/models"
 	"tbd/internal/prof"
 	"tbd/internal/sim"
 	"tbd/internal/whatif"
@@ -348,7 +347,7 @@ func TestExportTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := sim.Simulate(m.Ops(), m.SamplesForBatch(c.batch), f.Style, models.SimConfigFor(m, f, g))
+		res := sim.Simulate(m.Ops(), m.SamplesForBatch(c.batch), f.Style, core.SimConfigFor(m, f, g))
 		trees, err := tr.Trees()
 		if err != nil || len(trees) != 1 {
 			t.Fatalf("%s: %d trees, %v", c.model, len(trees), err)
