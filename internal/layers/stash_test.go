@@ -1,6 +1,7 @@
 package layers
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -88,14 +89,17 @@ func TestSequenceLayersSteadyStateAllocation(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			step()
 		}
-		const iters = 20
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < iters; i++ {
-			step()
+		perIter := uint64(math.MaxUint64)
+		for range windows {
+			const iters = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < iters; i++ {
+				step()
+			}
+			runtime.ReadMemStats(&after)
+			perIter = min(perIter, (after.TotalAlloc-before.TotalAlloc)/iters)
 		}
-		runtime.ReadMemStats(&after)
-		perIter := (after.TotalAlloc - before.TotalAlloc) / iters
 		t.Logf("%s: %d B per forward+backward", c.l.Name(), perIter)
 		if perIter > c.maxBytes {
 			t.Errorf("%s forward+backward allocates %d B per iteration, want at most %d", c.l.Name(), perIter, c.maxBytes)
@@ -117,13 +121,27 @@ func TestMaxPool2DStepAllocatesNothing(t *testing.T) {
 		l.Backward(gy)
 	}
 	step()
-	if got := testing.AllocsPerRun(20, step); got != 0 {
-		t.Errorf("a warmed MaxPool2D forward + backward allocates %v objects, want 0", got)
+	allocs, afterEval := math.Inf(1), math.Inf(1)
+	for range windows {
+		allocs = min(allocs, testing.AllocsPerRun(20, step))
+		// An eval forward in between keeps the slice; the next training
+		// forward still allocates nothing.
+		l.Forward(x, false)
+		afterEval = min(afterEval, testing.AllocsPerRun(1, step))
 	}
-	// An eval forward in between keeps the slice; the next training
-	// forward still allocates nothing.
-	l.Forward(x, false)
-	if got := testing.AllocsPerRun(1, step); got != 0 {
-		t.Errorf("a training step after an eval forward allocates %v objects, want 0", got)
+	if allocs != 0 {
+		t.Errorf("a warmed MaxPool2D forward + backward allocates %v objects, want 0", allocs)
+	}
+	if afterEval != 0 {
+		t.Errorf("a training step after an eval forward allocates %v objects, want 0", afterEval)
 	}
 }
+
+// windows is how many times the allocation pins measure a step, keeping
+// the fewest allocations. The runtime's counters are process-wide, and the
+// runtime allocates on its own: on a loaded host the scheduler starts a
+// new OS thread when it preempts a goroutine (its m, g0, gsignal and
+// profiling stack, about 5 KB), and the background scavenger grows its
+// timer heap. Such an allocation lands in one window; the step's own land in
+// every one.
+const windows = 3
