@@ -8,6 +8,7 @@ import (
 	"tbd/internal/device"
 	"tbd/internal/exchange"
 	"tbd/internal/kernels"
+	"tbd/internal/prof"
 )
 
 // The cluster model of §2.2 / §4.5: data-parallel scaling of a simulated
@@ -89,12 +90,12 @@ type ScaleResult struct {
 // the exchange. Scaling efficiency is relative to that same iteration on
 // one worker.
 func Scale(ops []*kernels.Op, perGPUBatch int, style kernels.NameStyle, cfg Config, c Cluster) ScaleResult {
+	var rec prof.Capture
 	stream := Stream(ops, perGPUBatch, style, cfg)
-	one, kernelEnd := replay(stream, perGPUBatch, cfg, nil)
-	compute, w := one.IterTimeSec, c.Workers()
+	compute, w := Replay(stream, perGPUBatch, cfg, &rec).IterTimeSec, c.Workers()
 	var exposed, raw float64
 	if w > 1 {
-		exposed, raw = exchangeSec(ops, perGPUBatch, style, stream, kernelEnd, c)
+		exposed, raw = exchangeSec(ops, perGPUBatch, style, stream, rec.Records, c)
 	}
 	iter := compute + exposed
 	total := perGPUBatch * w
@@ -116,17 +117,23 @@ func Scale(ops []*kernels.Op, perGPUBatch int, style kernels.NameStyle, cfg Conf
 // exchangeSec schedules one iteration's exchange across c's workers on
 // the cluster's slowest link: a ring's lane a worker, or a server's push
 // and reply lanes, which every worker shares. Each op's gradient is a
-// bucket, ready when the op's last backward kernel ends on the one-GPU
-// schedule. It returns how long the exchange outlasts backward and the
-// busiest link lane's busy time.
-func exchangeSec(ops []*kernels.Op, batch int, style kernels.NameStyle, stream []kernels.Kernel, kernelEnd []float64, c Cluster) (exposed, busy float64) {
+// bucket, ready when the op's last backward kernel span ends in the
+// one-GPU iteration's trace. It returns how long the exchange outlasts
+// backward and the busiest link lane's busy time.
+func exchangeSec(ops []*kernels.Op, batch int, style kernels.NameStyle, stream []kernels.Kernel, spans []prof.Record, c Cluster) (exposed, busy float64) {
+	var end []float64 // each kernel's end in µs, in stream order
+	for _, s := range spans {
+		if s.Cat == prof.CatKernel {
+			end = append(end, float64(s.Start+s.Dur)/1e3)
+		}
+	}
 	// Backward runs the ops in reverse, each op's kernels together.
 	at := slices.IndexFunc(stream, func(k kernels.Kernel) bool { return k.Phase == kernels.PhaseBackward })
 	var grads, ready []float64
 	for i := len(ops) - 1; i >= 0; i-- {
 		at += len(ops[i].Backward(batch, style))
 		if e := ops[i].ParamElems(); e > 0 {
-			grads, ready = append(grads, float64(e)), append(ready, kernelEnd[at-1]*1e6)
+			grads, ready = append(grads, float64(e)), append(ready, end[at-1])
 		}
 	}
 	if len(grads) == 0 {
@@ -149,9 +156,9 @@ func exchangeSec(ops []*kernels.Op, batch int, style kernels.NameStyle, stream [
 		steps[r] = []exchange.Step{{Ready: ready}}
 	}
 	marks, busy := x.Run(steps, exchange.Link{Rate: link.Bandwidth(), Ceil: math.Inf(1)}, exchange.Wire{Out: wire, Back: wire})
-	end := 0.0
+	last := 0.0
 	for _, m := range marks {
-		end = max(end, m[len(m)-1])
+		last = max(last, m[len(m)-1])
 	}
-	return max(0, end/1e6-kernelEnd[at-1]), busy / 1e6
+	return max(0, last-end[at-1]) / 1e6, busy / 1e6
 }

@@ -149,12 +149,6 @@ func Stream(ops []*kernels.Op, batch int, style kernels.NameStyle, cfg Config) [
 // host time outside the GPU timeline is the capture's unattributed time,
 // and the step's and phases' self time is GapSec.
 func Replay(stream []kernels.Kernel, batch int, cfg Config, rec *prof.Capture) Result {
-	r, _ := replay(stream, batch, cfg, rec)
-	return r
-}
-
-// replay is Replay, also returning when each kernel ended.
-func replay(stream []kernels.Kernel, batch int, cfg Config, rec *prof.Capture) (Result, []float64) {
 	if batch <= 0 {
 		panic(fmt.Sprintf("sim: non-positive batch %d", batch))
 	}
@@ -207,7 +201,6 @@ func replay(stream []kernels.Kernel, batch int, cfg Config, rec *prof.Capture) (
 	cpuBusy += pipeline
 	start, end := sched.Run(tasks, lanes)
 	iter := max(end[len(end)-1], end[0]) // the tail, or the pipeline when slower
-	kernelEnd := make([]float64, len(kernel))
 	for i, t := range kernel {
 		if i > 0 {
 			gap += start[t] - end[kernel[i-1]]
@@ -215,7 +208,6 @@ func replay(stream []kernels.Kernel, batch int, cfg Config, rec *prof.Capture) (
 		if rec != nil {
 			spans.kernel(stream[i], start[t], end[t])
 		}
-		kernelEnd[i] = end[t]
 	}
 
 	peak := cfg.GPU.PeakFLOPS()
@@ -252,7 +244,7 @@ func replay(stream []kernels.Kernel, batch int, cfg Config, rec *prof.Capture) (
 		Phases:      phases,
 		GapSec:      gap,
 		PerKernel:   perKernel,
-	}, kernelEnd
+	}
 }
 
 // recorder lays Replay's kernels out as span records. recs[0] is the

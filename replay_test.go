@@ -22,7 +22,7 @@ const parentReplayHash = 0xa1e4aeca4924a928
 // parentScaleHash is scaleHash as the commit that moved sim.Scale onto
 // internal/exchange computed it. The closed form before it (comm time
 // × (1 − 0.5 overlap)) gave 0x4f96086548aac9ba.
-const parentScaleHash = 0xdb1b85232ef6ef8f
+const parentScaleHash = 0xdeb80dceef2518a
 
 // eachCell calls f on every suite model, supported framework, GPU and
 // sweep batch (189 cells), with the model's samples for that batch and
