@@ -81,11 +81,11 @@ func applyCluster(g *graph, t *prof.Trace, sc *Scenario, newDur []float64) bool 
 	// What a sender moves a hop, from the bytes the comm spans counted both
 	// ways: 2(N-1) ring hops of a chunk, or a push and an fp32 reply.
 	sh, hops := exchange.Shape{Ranks: n, Steps: steps, Strategy: exchange.Ring}, 2*(n-1)
-	switch t.Meta.Strategy {
-	case "ps-async":
-		sh.Strategy, hops = exchange.AsyncPS, 1
-	case "ps-sync":
+	if ps {
 		sh.Strategy, hops = exchange.SyncPS, 1
+		if t.Meta.Strategy == "ps-async" {
+			sh.Strategy = exchange.AsyncPS
+		}
 	}
 	elems := bytes / float64(exchanges*hops) / (oldC + 4)
 	if !(elems > 0) { // no exchange recorded
