@@ -10,8 +10,8 @@
 // transforming and replaying the graph instead of re-implementing them.
 // Each rank's spans are re-summed as a tree; a cluster trace's exchange
 // (ring hops, parameter-server pushes and replies, the server's intake on
-// the host's CPUs, and the ranks' waits on one another) is a task list
-// scheduled on internal/sched, the clock sim.Replay runs on too.
+// the host's CPUs, and the ranks' waits on one another) is scheduled by
+// internal/exchange, the schedule sim.Scale runs Figure 10 on too.
 //
 // The package also owns the op-level memory what-ifs that used to live in
 // memprof (vDNN-style feature-map offload planning), so one entry point —
