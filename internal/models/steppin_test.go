@@ -73,3 +73,32 @@ func TestWGANTrajectoryPinned(t *testing.T) {
 		}
 	})
 }
+
+// detectorPins are the Faster R-CNN twin's weights after five steps,
+// recorded while its two heads were still stepped outside graph's step.
+var detectorPins = map[string]uint64{
+	"ref":  0xc0a2b0a5e8cbb470,
+	"sse":  0xc0a2b0a5e8cbb470,
+	"avx2": 0x53ec65f5196b9f47,
+}
+
+func TestDetectorTrajectoryPinned(t *testing.T) {
+	eachGemmTierPoisoned(t, func(t *testing.T, tier string) {
+		rng := tensor.NewRNG(78)
+		d := NewNumericDetector(rng, 1, 8, 4)
+		opt := optim.NewAdam(0.01)
+		for i := 0; i < 5; i++ {
+			x := tensor.RandUniform(rng, 0, 1, 16, 1, 8, 8)
+			cls := make([]int, 16)
+			box := make([]float32, 2*16)
+			for j := range cls {
+				cls[j] = rng.Intn(4)
+				box[2*j], box[2*j+1] = rng.Float32(), rng.Float32()
+			}
+			DetectorStep(d, opt, x, cls, box)
+		}
+		if got := paramsHash(d.Params()); got != detectorPins[tier] {
+			t.Errorf("%s: weights %#x, pinned %#x", tier, got, detectorPins[tier])
+		}
+	})
+}
