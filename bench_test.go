@@ -111,7 +111,7 @@ func BenchmarkConvFwdBwd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		y := tensor.Conv2D(x, w, 1, 1)
+		y := tensor.Conv2DFused(x, w, nil, tensor.ActNone, 1, 1)
 		gx, gw := tensor.Conv2DBackward(x, w, gy, 1, 1)
 		y.Release()
 		gx.Release()

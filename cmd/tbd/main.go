@@ -397,9 +397,7 @@ func cmdTwin(args []string) error {
 			perStep(heap0.allocBytes, heap1.allocBytes), perStep(heap0.allocObjects, heap1.allocObjects))
 	}
 	if *traceOut != "" {
-		// Batch mirrors the twin training loops, which all draw batches
-		// of 16 (internal/core/twins.go).
-		tr := prof.Current(prof.Meta{Model: run.Model, Steps: *steps, Batch: 16, Parallel: *workers})
+		tr := prof.Current(prof.Meta{Model: run.Model, Steps: *steps, Batch: run.Batch, Parallel: *workers})
 		if err := tr.WriteFile(*traceOut); err != nil {
 			return err
 		}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"tbd/internal/models"
 	"tbd/internal/prof"
 	"tbd/internal/whatif"
 )
@@ -158,6 +159,39 @@ func TestCLITwinTraceReplaysToIdentity(t *testing.T) {
 	if p.Steps != 3 || p.PredictedStepUs != p.BaselineStepUs || p.PredictedWallUs != p.BaselineWallUs {
 		t.Fatalf("identity replay: %d steps, step %v -> %v us, wall %v -> %v us",
 			p.Steps, p.BaselineStepUs, p.PredictedStepUs, p.BaselineWallUs, p.PredictedWallUs)
+	}
+}
+
+// TestCLIEveryTwinTraceReplaysItsSteps records five steps of every twin
+// with `tbd twin -trace-out`: the trace carries the twin's declared batch,
+// and the what-if replay finds five steps in it (A3C: five per worker, of
+// three).
+func TestCLIEveryTwinTraceReplaysItsSteps(t *testing.T) {
+	sc, err := whatif.ParseScenario("speedup=gemm*:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range append(models.Suite(), models.Extensions()...) {
+		path := filepath.Join(t.TempDir(), "twin.json")
+		run(t, false, "twin", "-model", m.Name, "-steps", "5", "-parallel", "1", "-trace-out", path)
+		tr, err := prof.ReadTraceFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Meta.Batch != m.Twin.Batch {
+			t.Errorf("%s: trace records batch %d, the twin trains on %d", m.Name, tr.Meta.Batch, m.Twin.Batch)
+		}
+		p, err := whatif.Replay(tr, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 5
+		if m.Name == "A3C" {
+			want *= 3
+		}
+		if p.Steps != want {
+			t.Errorf("%s: replay found %d steps, want %d", m.Name, p.Steps, want)
+		}
 	}
 }
 

@@ -27,11 +27,12 @@ func main() {
 
 	fmt.Println("\nEvaluation game scores during training (agent - bot, capped episodes):")
 	for _, p := range res.Curve {
+		score := int(p.Value)
 		bar := ""
-		for i := -21; i < p.Score; i++ {
+		for i := -21; i < score; i++ {
 			bar += "#"
 		}
-		fmt.Printf("  %3.0f%% trained: score %+3d %s\n", 100*p.UpdateFrac, p.Score, bar)
+		fmt.Printf("  %3.0f%% trained: score %+3d %s\n", 100*p.FracDone, score, bar)
 	}
 	fmt.Printf("\nMean per-step reward: %.4f (first 10%%) -> %.4f (last 10%%)\n",
 		res.MeanRewardFirst, res.MeanRewardLast)

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"math"
 	"net"
 	"os"
 	"runtime"
@@ -50,55 +51,59 @@ func FuzzRingRecv(f *testing.F) {
 				stream[i] = pattern[i%len(pattern)]
 			}
 		}
-		r := newRingEnd(0, n, c)
-		next, sink := net.Pipe()
-		prev, peer := net.Pipe()
-		r.setNext(next, 0)
-		r.setPrev(prev)
-		drained := make(chan struct{})
-		go func() {
-			defer close(drained)
-			buf := make([]byte, 32<<10)
-			for {
-				if _, err := sink.Read(buf); err != nil {
-					return
+		grew := uint64(math.MaxUint64)
+		for range windows {
+			r := newRingEnd(0, n, c)
+			next, sink := net.Pipe()
+			prev, peer := net.Pipe()
+			r.setNext(next, 0)
+			r.setPrev(prev)
+			drained := make(chan struct{})
+			go func() {
+				defer close(drained)
+				buf := make([]byte, 32<<10)
+				for {
+					if _, err := sink.Read(buf); err != nil {
+						return
+					}
+				}
+			}()
+			flat := make([]float32, l)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			done := make(chan error, 1)
+			go func() { done <- r.AllReduce(flat) }()
+			_ = peer.SetWriteDeadline(time.Now().Add(10 * time.Second))
+			if len(stream) > 0 { // a pipe blocks even an empty write until a read
+				if _, err := peer.Write(stream); errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatal("receive loop neither read nor failed for 10 s")
 				}
 			}
-		}()
-		flat := make([]float32, l)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		done := make(chan error, 1)
-		go func() { done <- r.AllReduce(flat) }()
-		_ = peer.SetWriteDeadline(time.Now().Add(10 * time.Second))
-		if len(stream) > 0 { // a pipe blocks even an empty write until a read
-			if _, err := peer.Write(stream); errors.Is(err, os.ErrDeadlineExceeded) {
-				t.Fatal("receive loop neither read nor failed for 10 s")
+			peer.Close()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("round still running 10 s after its previous rank hung up")
 			}
-		}
-		peer.Close()
-		var err error
-		select {
-		case err = <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("round still running 10 s after its previous rank hung up")
-		}
-		runtime.ReadMemStats(&after)
-		r.Close()
-		<-drained
+			runtime.ReadMemStats(&after)
+			r.Close()
+			<-drained
 
-		if short := len(stream) < want; short != errors.Is(err, errRingCut) || !short && err != nil {
-			t.Fatalf("%d ranks, %s, %d elements: %d of %d bytes arrived, round returned %v", n, c, l, len(stream), want, err)
-		}
-		if scratch := 4*cap(r.recvBuf.f32) + cap(r.recvBuf.bytes); scratch > 4*ringPiece {
-			t.Fatalf("decode scratch %d bytes, more than one %d-byte piece", scratch, 4*ringPiece)
+			if short := len(stream) < want; short != errors.Is(err, errRingCut) || !short && err != nil {
+				t.Fatalf("%d ranks, %s, %d elements: %d of %d bytes arrived, round returned %v", n, c, l, len(stream), want, err)
+			}
+			if scratch := 4*cap(r.recvBuf.f32) + cap(r.recvBuf.bytes); scratch > 4*ringPiece {
+				t.Fatalf("decode scratch %d bytes, more than one %d-byte piece", scratch, 4*ringPiece)
+			}
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
 		}
 		// The decode scratch, the writer's fp16 frame of one piece, the int8
 		// residual and levels, which this rank's own vector sizes, and slack
 		// for what the fuzzing engine allocates meanwhile. Nothing is sized
 		// from the wire.
 		limit := uint64(4*ringPiece + 2*ringPiece + 5*l + 1<<20)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > limit {
+		if grew > limit {
 			t.Fatalf("%d ranks, %s, %d elements: the round allocated %d bytes, limit %d", n, c, l, grew, limit)
 		}
 	})

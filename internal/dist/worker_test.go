@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"net"
 	"reflect"
 	"runtime"
@@ -198,16 +199,21 @@ func TestRingStepSteadyStateAllocs(t *testing.T) {
 	// first steps missed the pool alike: the ranks share it, which of them
 	// misses varies run to run, and a miss allocates a buffer. Take the
 	// first pair that did.
-	var perBytes, perAllocs int64
+	// Of windows such pairs, keep the fewest bytes and allocations.
+	perBytes, perAllocs := int64(math.MaxInt64), int64(math.MaxInt64)
 	var long tensor.PoolCounters
-	for try := 0; try < 5; try++ {
-		b1, a1, p1 := run(n)
-		b2, a2, p2 := run(3 * n)
-		perBytes, perAllocs, long = (int64(b2)-int64(b1))/(2*workers*n), (int64(a2)-int64(a1))/(2*workers*n), p2
-		t1, k1 := misses(p1)
-		t2, k2 := misses(p2)
-		if t1 == t2 && k1 == k2 {
-			break
+	for range windows {
+		for try := 0; try < 5; try++ {
+			b1, a1, p1 := run(n)
+			b2, a2, p2 := run(3 * n)
+			bytes, allocs := (int64(b2)-int64(b1))/(2*workers*n), (int64(a2)-int64(a1))/(2*workers*n)
+			long = p2
+			t1, k1 := misses(p1)
+			t2, k2 := misses(p2)
+			if t1 == t2 && k1 == k2 || try == 4 {
+				perBytes, perAllocs = min(perBytes, bytes), min(perAllocs, allocs)
+				break
+			}
 		}
 	}
 	grads := uint64(4 * model.Build(3).GradElems())
@@ -231,3 +237,10 @@ func TestRingStepSteadyStateAllocs(t *testing.T) {
 		t.Errorf("a %d-step run missed the tensor pool %d times in %d requests, more than its ranks' first steps make (%d each)", 3*n, m, long.Gets, perStep)
 	}
 }
+
+// windows is how many times the allocation pins measure, keeping the
+// fewest allocations: the runtime's counters are process-wide, and the
+// runtime allocates on its own (a new OS thread's m, g0 and signal stack
+// after a preemption, about 5 KB). Such an allocation lands in one window;
+// the code's own land in every one.
+const windows = 3

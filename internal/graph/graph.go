@@ -132,6 +132,18 @@ type StepResult struct {
 	GradNorm float32
 }
 
+// Loss scores micro-batch i of a step from the network's output for it.
+// It returns the micro-batch's mean loss, the loss gradient — a buffer of
+// the step's own, released after backward, holding out's elements in
+// out's order — and the micro-batch's accuracy (0 for a loss without one).
+type Loss func(i int, out *tensor.Tensor) (loss float32, grad *tensor.Tensor, acc float64)
+
+// TrainStep runs one step on any loss: forward, loss, backward, optional
+// gradient clipping (clip <= 0 disables), and an optimizer update.
+func TrainStep(n *Network, opt optim.Optimizer, x *tensor.Tensor, loss Loss, clip float32) StepResult {
+	return trainUpdated(n, opt, []*tensor.Tensor{x}, loss, clip)
+}
+
 // TrainClassifierStep runs one supervised step: forward, softmax
 // cross-entropy against labels, backward, optional gradient clipping
 // (clip <= 0 disables), and an optimizer update.
@@ -145,11 +157,7 @@ func TrainClassifierStep(n *Network, opt optim.Optimizer, x *tensor.Tensor, labe
 // behind the paper's Observation 12. microX/microLabels hold the k
 // shards; their sizes must be equal.
 func TrainClassifierAccumulated(n *Network, opt optim.Optimizer, microX []*tensor.Tensor, microLabels [][]int, clip float32) StepResult {
-	res, _ := trainStep(n, opt, microX, microLabels, clip, "phase.update", func(params []*layers.Param) error {
-		opt.Step(params)
-		return nil
-	})
-	return res
+	return trainUpdated(n, opt, microX, crossEntropy(microLabels).loss, clip)
 }
 
 // TrainClassifierExchanged is the step of one data-parallel rank: the
@@ -157,22 +165,47 @@ func TrainClassifierAccumulated(n *Network, opt optim.Optimizer, microX []*tenso
 // in place of the local update. exchange leaves the parameters updated
 // (all-reduce then step, or push then load); its error ends the step.
 func TrainClassifierExchanged(n *Network, opt optim.Optimizer, x *tensor.Tensor, labels []int, exchange func(params []*layers.Param) error) (StepResult, error) {
-	return trainStep(n, opt, []*tensor.Tensor{x}, [][]int{labels}, 0, "phase.sync", exchange)
+	return trainStep(n, opt, []*tensor.Tensor{x}, crossEntropy([][]int{labels}).loss, 0, "phase.sync", exchange)
 }
 
-// trainStep is the one supervised training step in the tree. It owns the
-// gradient reset, the span tree the what-if replay keys on (step ›
-// phase.forward, phase.loss, phase.backward per micro-batch, then the
-// apply phase), the loss-gradient release and the memory-watermark
-// sample; apply decides what becomes of the finished gradients. xs and
-// labels hold k equal-sized micro-batches whose gradients are averaged.
-// An output that is not one row per label (a sequence model's [N, T, V])
-// is viewed as [len(labels), V] for the loss.
-func trainStep(n *Network, opt optim.Optimizer, xs []*tensor.Tensor, labels [][]int, clip float32,
+// trainUpdated is trainStep with the optimizer's update as its apply phase.
+func trainUpdated(n *Network, opt optim.Optimizer, xs []*tensor.Tensor, loss Loss, clip float32) StepResult {
+	res, _ := trainStep(n, opt, xs, loss, clip, "phase.update", func(params []*layers.Param) error {
+		opt.Step(params)
+		return nil
+	})
+	return res
+}
+
+// crossEntropy is the classifier drivers' loss: softmax cross-entropy of
+// micro-batch i against its labels. An output that is not one row per
+// label (a sequence model's [N, T, V]) is viewed as [len(labels), V].
+type crossEntropy [][]int
+
+func (c crossEntropy) loss(i int, out *tensor.Tensor) (float32, *tensor.Tensor, float64) {
+	labels := c[i]
+	logits, rows := out, len(labels)
+	if out.Rank() != 2 || out.Dim(0) != rows {
+		if rows == 0 || out.Numel()%rows != 0 {
+			panic(fmt.Sprintf("graph: output %v incompatible with %d labels", out.Shape(), rows))
+		}
+		logits = out.Reshape(rows, out.Numel()/rows)
+	}
+	loss, grad := tensor.CrossEntropy(logits, labels)
+	return loss, grad, tensor.Accuracy(logits, labels)
+}
+
+// trainStep is the one training step in the tree. It owns the gradient
+// reset, the span tree the what-if replay keys on (step › phase.forward,
+// phase.loss, phase.backward per micro-batch, then the apply phase), the
+// loss-gradient release and the memory-watermark sample; apply decides
+// what becomes of the finished gradients. xs holds k equal-sized
+// micro-batches whose gradients are averaged.
+func trainStep(n *Network, opt optim.Optimizer, xs []*tensor.Tensor, loss Loss, clip float32,
 	phase string, apply func(params []*layers.Param) error) (StepResult, error) {
 	k := len(xs)
-	if k == 0 || len(labels) != k {
-		panic(fmt.Sprintf("graph: %d micro-batches with %d label sets", k, len(labels)))
+	if k == 0 {
+		panic("graph: a step of no micro-batches")
 	}
 	step := prof.Begin(prof.CatPhase, "step")
 	params := n.Params()
@@ -182,37 +215,30 @@ func trainStep(n *Network, opt optim.Optimizer, xs []*tensor.Tensor, labels [][]
 		sp := prof.BeginChild(&step, prof.CatPhase, "phase.forward")
 		out := n.Forward(x, true)
 		sp.End()
-		logits, rows := out, len(labels[i])
-		if out.Rank() != 2 || out.Dim(0) != rows {
-			if rows == 0 || out.Numel()%rows != 0 {
-				panic(fmt.Sprintf("graph: output %v incompatible with %d labels", out.Shape(), rows))
-			}
-			logits = out.Reshape(rows, out.Numel()/rows)
-		}
 		sp = prof.BeginChild(&step, prof.CatPhase, "phase.loss")
-		loss, grad := tensor.CrossEntropy(logits, labels[i])
+		l, grad, acc := loss(i, out)
 		sp.End()
 		if k > 1 {
-			// CrossEntropy already averages within the micro-batch; scale by
-			// 1/k so the accumulated gradient averages over the full batch.
+			// A loss averages within its micro-batch; scale by 1/k so the
+			// accumulated gradient averages over the full batch.
 			grad.ScaleInPlace(1 / float32(k))
 		}
 		gy := grad
-		if logits != out {
+		if !grad.SameShape(out) {
 			gy = grad.Reshape(out.Shape()...)
 		}
 		sp = prof.BeginChild(&step, prof.CatPhase, "phase.backward")
 		n.BackwardParams(gy)
 		sp.End()
 		// The loss gradient is this step's own buffer and dead after backward;
-		// the logits and input gradient belong to the layers that produced
+		// the output and input gradient belong to the layers that produced
 		// them and are recycled on the next forward.
 		grad.Release()
 		// Post-backward is the step's liveness peak: stashed feature maps are
 		// still held, gradients are full, and optimizer state exists.
 		sampleStepMemory(n, opt)
-		lossSum += float64(loss)
-		accSum += tensor.Accuracy(logits, labels[i])
+		lossSum += float64(l)
+		accSum += acc
 	}
 	var norm float32
 	if clip > 0 {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -206,21 +207,30 @@ func TestDenseStepAllocatesNothing(t *testing.T) {
 // fc1's input gradient.
 func TestStepSteadyStateTakesNoWeightSizedTemporary(t *testing.T) {
 	const h, batch = 512, 16
-	prev := tensor.SetPooling(false) // drops every buffer earlier tests parked
-	tensor.SetPooling(true)
+	prev := tensor.PoolingEnabled()
 	defer tensor.SetPooling(prev)
-	net, x, labels := trainGemmShaped(tensor.NewRNG(36), h, batch)
+	var net *Network
+	var x *tensor.Tensor
+	var labels []int
 	opt := optim.NewSGD(0.01) // no state to allocate
 	step := func() { TrainClassifierStep(net, opt, x, labels, 5) }
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 3; i++ {
-		step()
+	// Each window starts a fresh network from an empty pool.
+	got, parked, pack := int64(math.MaxInt64), int64(0), int64(0)
+	for range windows {
+		net, x, labels = trainGemmShaped(tensor.NewRNG(36), h, batch)
+		tensor.SetPooling(false) // drops every buffer parked before
+		tensor.SetPooling(true)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		parked, pack = tensor.PoolRetainedBytes()
+		got = min(got, int64(after.TotalAlloc-before.TotalAlloc)-pack)
 	}
-	runtime.ReadMemStats(&after)
-	parked, pack := tensor.PoolRetainedBytes()
 	const weightBytes = 4 * h * h
-	if got := int64(after.TotalAlloc-before.TotalAlloc) - pack; got >= weightBytes {
+	if got >= weightBytes {
 		t.Errorf("three steps from an empty pool allocated %d bytes beside pack scratch, want less than one %d-byte weight-sized buffer", got, weightBytes)
 	}
 	if parked >= weightBytes {
@@ -232,3 +242,10 @@ func TestStepSteadyStateTakesNoWeightSizedTemporary(t *testing.T) {
 		t.Errorf("warmed step: %d pool requests, %d served from the free list; want 11, all served", d.Gets, d.Hits)
 	}
 }
+
+// windows is how many times the allocation pins measure, keeping the
+// fewest allocations: the runtime's counters are process-wide, and the
+// runtime allocates on its own (a new OS thread's m, g0 and signal stack
+// after a preemption, about 5 KB). Such an allocation lands in one window;
+// the step's own land in every one.
+const windows = 3

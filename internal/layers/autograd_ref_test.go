@@ -1,5 +1,5 @@
-// Package autograd is a tape-based reverse-mode automatic differentiation
-// engine over the tensor package — the imperative ("define-by-run")
+// A tape-based reverse-mode automatic differentiation engine over the
+// tensor package — the imperative ("define-by-run")
 // execution style of PyTorch and Chainer that the paper's §2.3 contrasts
 // with the declarative dataflow of TensorFlow/MXNet/CNTK. Operations
 // record themselves on a tape as they execute; Backward replays the tape
@@ -7,15 +7,17 @@
 // them.
 //
 // The engine is deliberately independent of the layers package: the two
-// implement backpropagation twice by different designs, and the test
-// suite cross-validates their gradients against each other — the
-// strongest correctness check the repository has for either.
-//
-//tbd:api the reference autograd_test checks the backward passes of layers' Dense, ReLU and Conv2D against
-package autograd
+// implement backpropagation twice by different designs, and
+// autograd_test.go cross-validates their gradients against each other —
+// the strongest correctness check the repository has for either. No
+// program path runs it, so it lives in the layers package's external
+// tests.
+
+package layers_test
 
 import (
 	"fmt"
+	"math"
 
 	"tbd/internal/tensor"
 )
@@ -126,17 +128,17 @@ func Add(a, b *Var) *Var {
 
 // Mul returns the elementwise product a * b.
 func Mul(a, b *Var) *Var {
-	out := tensor.Mul(a.Value, b.Value)
+	out := mapTensor(a.Value, func(i int, v float32) float32 { return v * b.Value.Data()[i] })
 	return a.tape.node(out, binaryRequires(a, b), func(g *tensor.Tensor) {
-		a.accumulateTemp(tensor.Mul(g, b.Value))
-		b.accumulateTemp(tensor.Mul(g, a.Value))
+		a.accumulateTemp(mapTensor(g, func(i int, v float32) float32 { return v * b.Value.Data()[i] }))
+		b.accumulateTemp(mapTensor(g, func(i int, v float32) float32 { return v * a.Value.Data()[i] }))
 	})
 }
 
 // Scale returns alpha * a.
 func Scale(a *Var, alpha float32) *Var {
-	return a.tape.node(tensor.Scale(a.Value, alpha), a.requires, func(g *tensor.Tensor) {
-		a.accumulateTemp(tensor.Scale(g, alpha))
+	return a.tape.node(scaled(a.Value, alpha), a.requires, func(g *tensor.Tensor) {
+		a.accumulateTemp(scaled(g, alpha))
 	})
 }
 
@@ -155,7 +157,7 @@ func MatMul(a, b *Var) *Var {
 
 // AddBias returns m + row broadcast over rows (bias addition).
 func AddBias(m, bias *Var) *Var {
-	out := tensor.AddRowBroadcast(m.Value, bias.Value)
+	out := mapTensor(m.Value, func(i int, v float32) float32 { return v + bias.Value.Data()[i%bias.Value.Numel()] })
 	return m.tape.node(out, binaryRequires(m, bias), func(g *tensor.Tensor) {
 		m.accumulate(g)
 		if bias.requires {
@@ -166,7 +168,7 @@ func AddBias(m, bias *Var) *Var {
 
 // ReLU returns max(0, a).
 func ReLU(a *Var) *Var {
-	out := tensor.Apply(a.Value, func(v float32) float32 {
+	out := mapTensor(a.Value, func(_ int, v float32) float32 {
 		if v > 0 {
 			return v
 		}
@@ -185,7 +187,7 @@ func ReLU(a *Var) *Var {
 
 // Tanh returns tanh(a).
 func Tanh(a *Var) *Var {
-	out := tensor.Apply(a.Value, tanh32)
+	out := mapTensor(a.Value, func(_ int, v float32) float32 { return tanh32(v) })
 	return a.tape.node(out, a.requires, func(g *tensor.Tensor) {
 		gx := tensor.New(g.Shape()...)
 		for i, y := range out.Data() {
@@ -197,7 +199,7 @@ func Tanh(a *Var) *Var {
 
 // Sigmoid returns 1/(1+exp(-a)).
 func Sigmoid(a *Var) *Var {
-	out := tensor.Apply(a.Value, sigmoid32)
+	out := mapTensor(a.Value, func(_ int, v float32) float32 { return sigmoid32(v) })
 	return a.tape.node(out, a.requires, func(g *tensor.Tensor) {
 		gx := tensor.New(g.Shape()...)
 		for i, y := range out.Data() {
@@ -240,13 +242,13 @@ func CrossEntropy(logits *Var, labels []int) *Var {
 	loss, grad := tensor.CrossEntropy(logits.Value, labels)
 	out := tensor.FromSlice([]float32{loss}, 1)
 	return logits.tape.node(out, logits.requires, func(g *tensor.Tensor) {
-		logits.accumulateTemp(tensor.Scale(grad, g.Data()[0]))
+		logits.accumulateTemp(scaled(grad, g.Data()[0]))
 	})
 }
 
 // Conv2D returns the convolution of x [N,C,H,W] with w [F,C,k,k].
 func Conv2D(x, w *Var, stride, pad int) *Var {
-	out := tensor.Conv2D(x.Value, w.Value, stride, pad)
+	out := tensor.Conv2DFused(x.Value, w.Value, nil, tensor.ActNone, stride, pad)
 	return x.tape.node(out, binaryRequires(x, w), func(g *tensor.Tensor) {
 		gx, gw := tensor.Conv2DBackward(x.Value, w.Value, g, stride, pad)
 		if x.requires {
@@ -270,5 +272,19 @@ func sigmoid32(v float32) float32 {
 }
 
 func exp32(v float32) float32 {
-	return float32(expFloat(float64(v)))
+	return float32(math.Exp(float64(v)))
+}
+
+// mapTensor returns a new tensor of a's shape holding f of each element
+// and its index.
+func mapTensor(a *tensor.Tensor, f func(i int, v float32) float32) *tensor.Tensor {
+	out := tensor.New(a.Shape()...)
+	for i, v := range a.Data() {
+		out.Data()[i] = f(i, v)
+	}
+	return out
+}
+
+func scaled(a *tensor.Tensor, alpha float32) *tensor.Tensor {
+	return mapTensor(a, func(_ int, v float32) float32 { return alpha * v })
 }

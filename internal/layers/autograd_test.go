@@ -1,4 +1,4 @@
-package autograd
+package layers_test
 
 import (
 	"math"

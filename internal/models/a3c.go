@@ -3,6 +3,7 @@ package models
 import (
 	"tbd/internal/data"
 	"tbd/internal/kernels"
+	"tbd/internal/tensor"
 )
 
 // A3C is the deep-reinforcement-learning benchmark (Mnih et al.'s
@@ -27,7 +28,24 @@ func A3C() *Model {
 		// Rollout-collection barrier per update.
 		IterHostOverheadSec: 0.8,
 		BuildOps:            buildA3C,
+		Twin: &Twin{Metric: "game score", HigherIsBetter: true, Batch: DefaultA3CConfig().RolloutLen,
+			Train: trainA3CTwin},
 	}
+}
+
+// a3cTwinWorkers is the A3C twin's asynchronous workers.
+const a3cTwinWorkers = 3
+
+// trainA3CTwin trains the A3C twin on Pong, steps updates per worker. The
+// curve is eight evaluation episodes' scores in training order.
+func trainA3CTwin(rng *tensor.RNG, steps int) []TwinPoint {
+	cfg := DefaultA3CConfig()
+	cfg.Seed = rng.Uint64()
+	cfg.Workers = a3cTwinWorkers
+	cfg.Updates = steps
+	cfg.Checkpoints = 8
+	cfg.EvalEpisodeCap = 6000
+	return TrainA3C(cfg).Curve
 }
 
 func buildA3C() []*kernels.Op {

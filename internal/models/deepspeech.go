@@ -2,7 +2,11 @@ package models
 
 import (
 	"tbd/internal/data"
+	"tbd/internal/graph"
 	"tbd/internal/kernels"
+	"tbd/internal/layers"
+	"tbd/internal/optim"
+	"tbd/internal/tensor"
 )
 
 // Deep Speech 2 geometry: the paper uses MXNet's default configuration
@@ -33,6 +37,33 @@ func DeepSpeech2() *Model {
 		BatchSizes:    []int{1, 2, 3, 4},
 		BatchUnit:     "samples",
 		BuildOps:      buildDeepSpeech2,
+		Twin:          &Twin{Metric: "ctc loss", Batch: 1, Train: trainDeepSpeechTwin},
+	}
+}
+
+// trainDeepSpeechTwin trains the bidirectional CTC twin on one fixed
+// utterance: ten frames, each frame's hot feature bin its symbol, against
+// the unaligned transcript. The curve is each step's CTC loss.
+func trainDeepSpeechTwin(rng *tensor.RNG, steps int) []TwinPoint {
+	net := NumericDeepSpeechCTC(rng, 8, 16, 5)
+	opt := optim.NewAdam(0.01)
+	frames := []int{1, 1, 2, 2, 2, 3, 3, 4, 4, 4}
+	x := tensor.New(1, len(frames), 8)
+	for t, s := range frames {
+		x.Set(2, 0, t, s)
+	}
+	loss := ctcLoss([][]int{{1, 2, 3, 4}})
+	return curve(steps, 1, func() float64 {
+		return float64(graph.TrainStep(net, opt, x, loss, 5).Loss)
+	})
+}
+
+// ctcLoss is the CTC loss of an [N, T, V] output against N unaligned
+// label sequences.
+func ctcLoss(labels [][]int) graph.Loss {
+	return func(_ int, out *tensor.Tensor) (float32, *tensor.Tensor, float64) {
+		loss, grad := layers.CTCLossBatch(out, labels)
+		return loss, grad, 0
 	}
 }
 

@@ -2,7 +2,10 @@ package models
 
 import (
 	"tbd/internal/data"
+	"tbd/internal/graph"
 	"tbd/internal/kernels"
+	"tbd/internal/optim"
+	"tbd/internal/tensor"
 )
 
 // FasterRCNN is the object-detection benchmark: a two-network detector
@@ -29,6 +32,71 @@ func FasterRCNN() *Model {
 			"MXNet":      0.45,
 		},
 		BuildOps: buildFasterRCNN,
+		Twin:     detectorTwin,
+	}
+}
+
+// detectorTwin is the detection twin Faster R-CNN and YOLO9000 share. Its
+// curve is each step's classification accuracy.
+var detectorTwin = &Twin{Metric: "detection accuracy", HigherIsBetter: true, Batch: twinBatch,
+	Train: func(rng *tensor.RNG, steps int) []TwinPoint {
+		net := NumericDetector(rng, 1, 8, 4)
+		opt := optim.NewAdam(0.01)
+		return curve(steps, 1, func() float64 {
+			x, loss := detectionBatch(rng, twinBatch)
+			return graph.TrainStep(net, opt, x, loss, 0).Accuracy
+		})
+	}}
+
+// detectionBatch draws n 8x8 images, each a 3x3 blob centred in one
+// quadrant, and the detector's loss on them: the quadrant is the object
+// class and the blob's centre the box.
+func detectionBatch(rng *tensor.RNG, n int) (*tensor.Tensor, graph.Loss) {
+	x := tensor.New(n, 1, 8, 8)
+	cls := make([]int, n)
+	box := make([]float32, 2*n)
+	for i := 0; i < n; i++ {
+		qx, qy := rng.Intn(2), rng.Intn(2)
+		cls[i] = qy*2 + qx
+		cx, cy := 2+4*qx, 2+4*qy
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				x.Set(1, i, 0, cy+dy, cx+dx)
+			}
+		}
+		box[2*i] = float32(cx) / 8
+		box[2*i+1] = float32(cy) / 8
+	}
+	return x, detectorLoss(cls, box)
+}
+
+// detectorLoss is the detector's multi-task loss over its [N, classes+2]
+// output: softmax cross-entropy of the class columns against cls plus the
+// mean squared error of the last two columns against the box centres. The
+// accuracy is the classification's.
+func detectorLoss(cls []int, box []float32) graph.Loss {
+	return func(_ int, out *tensor.Tensor) (float32, *tensor.Tensor, float64) {
+		n, w := out.Dim(0), out.Dim(1)
+		k := w - 2 // classes
+		logits := tensor.AcquireDirty(n, k)
+		for i := 0; i < n; i++ {
+			copy(logits.Data()[i*k:(i+1)*k], out.Data()[i*w:])
+		}
+		clsLoss, gCls := tensor.CrossEntropy(logits, cls)
+		acc := tensor.Accuracy(logits, cls)
+		grad := tensor.AcquireDirty(n, w)
+		var boxLoss float64
+		for i := 0; i < n; i++ {
+			copy(grad.Data()[i*w:], gCls.Data()[i*k:(i+1)*k])
+			for j := 0; j < 2; j++ {
+				d := out.Data()[i*w+k+j] - box[2*i+j]
+				boxLoss += float64(d) * float64(d)
+				grad.Data()[i*w+k+j] = 2 * d / float32(2*n)
+			}
+		}
+		logits.Release()
+		gCls.Release()
+		return clsLoss + float32(boxLoss)/float32(2*n), grad, acc
 	}
 }
 

@@ -65,6 +65,7 @@ func InceptionV3() *Model {
 		// Figure 4b: MXNet leads, then TF, then CNTK.
 		SpeedFactor: map[string]float64{"MXNet": 1.15, "TensorFlow": 0.97, "CNTK": 0.9},
 		BuildOps:    buildInceptionV3,
+		Twin:        imageTwin(NumericInception),
 	}
 }
 

@@ -54,6 +54,8 @@ type Model struct {
 
 	// BuildOps constructs the paper-scale op graph.
 	BuildOps func() []*kernels.Op
+	// Twin is the scaled-down network that really trains.
+	Twin *Twin
 
 	opsOnce sync.Once
 	ops     []*kernels.Op // cached

@@ -267,41 +267,39 @@ func TestNumericTransformerLearns(t *testing.T) {
 
 func TestNumericDetectorLearns(t *testing.T) {
 	rng := tensor.NewRNG(6)
-	d := NewNumericDetector(rng, 1, 8, 4)
+	net := NumericDetector(rng, 1, 8, 4)
 	opt := newTwinOptimizer()
-	makeBatch := func(n int) (*tensor.Tensor, []int, []float32) {
-		x := tensor.New(n, 1, 8, 8)
-		cls := make([]int, n)
-		box := make([]float32, 2*n)
-		for i := 0; i < n; i++ {
-			qx, qy := rng.Intn(2), rng.Intn(2)
-			cls[i] = qy*2 + qx
-			cx, cy := 2+4*qx, 2+4*qy
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					x.Set(1, i, 0, cy+dy, cx+dx)
+	// boxError is the mean squared error of the box head on a fresh batch.
+	boxError := func() float64 {
+		x, _ := detectionBatch(rng, 16)
+		out := net.Forward(x, false)
+		var sum float64
+		for i := 0; i < 16; i++ {
+			qx, qy := 0, 0
+			for p := 0; p < 64; p++ {
+				if x.Data()[i*64+p] == 1 {
+					qx, qy = p%8/4, p/8/4
+					break
 				}
 			}
-			box[2*i] = float32(cx) / 8
-			box[2*i+1] = float32(cy) / 8
+			for j, c := range []int{2 + 4*qx, 2 + 4*qy} {
+				d := float64(out.At(i, 4+j)) - float64(c)/8
+				sum += d * d
+			}
 		}
-		return x, cls, box
+		return sum / 32
 	}
+	firstBox := boxError()
 	var acc float64
-	var boxLoss float32
-	var firstBox float32
 	for i := 0; i < 150; i++ {
-		x, cls, box := makeBatch(16)
-		_, boxLoss, acc = DetectorStep(d, opt, x, cls, box)
-		if i == 0 {
-			firstBox = boxLoss
-		}
+		x, loss := detectionBatch(rng, 16)
+		acc = graph.TrainStep(net, opt, x, loss, 0).Accuracy
 	}
 	if acc < 0.9 {
 		t.Fatalf("detector classification accuracy %.2f", acc)
 	}
-	if boxLoss >= firstBox/2 {
-		t.Fatalf("box regression did not improve: %.4f -> %.4f", firstBox, boxLoss)
+	if box := boxError(); box >= firstBox/2 {
+		t.Fatalf("box regression did not improve: %.4f -> %.4f", firstBox, box)
 	}
 }
 
@@ -395,7 +393,7 @@ func TestNumericDeepSpeechCTCLearns(t *testing.T) {
 
 	var first, last float32
 	for i := 0; i < 250; i++ {
-		loss := DeepSpeechCTCStep(net, opt, x, [][]int{transcript}, 5)
+		loss := graph.TrainStep(net, opt, x, ctcLoss([][]int{transcript}), 5).Loss
 		if i == 0 {
 			first = loss
 		}

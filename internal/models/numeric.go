@@ -1,18 +1,14 @@
 package models
 
 import (
-	"fmt"
-
 	"tbd/internal/graph"
 	"tbd/internal/layers"
 	"tbd/internal/tensor"
 )
 
-// Numeric twins: scaled-down versions of the benchmark models that
-// genuinely train on the synthetic datasets using the same layer
-// implementations the paper-scale graphs describe. They back the
-// Figure 2 convergence curves and serve as end-to-end tests of the
-// training engine. Scale substitutions are documented in DESIGN.md.
+// The numeric twins' networks: scaled-down versions of the benchmark
+// models built from the same layer implementations the paper-scale graphs
+// describe. Each model's Twin trains one on synthetic data.
 
 // convNoBiasAct is NewConv2DNoBias with a fused activation epilogue — for
 // branches where the conv feeds its activation directly (no BatchNorm in
@@ -125,8 +121,7 @@ func NumericTransformer(rng *tensor.RNG, vocab, dim, heads int) *graph.Network {
 
 // NumericDeepSpeechCTC builds the faithful Deep Speech 2 twin:
 // bidirectional vanilla-RNN layers over feature frames with a CTC output
-// head (symbols includes the blank at index 0). Train it with
-// DeepSpeechCTCStep.
+// head (symbols includes the blank at index 0).
 func NumericDeepSpeechCTC(rng *tensor.RNG, features, hidden, symbols int) *graph.Network {
 	root := layers.NewSequential("ds2-ctc-twin",
 		layers.NewBiRNN("birnn1", features, hidden, rng),
@@ -162,66 +157,20 @@ func NumericWGAN(rng *tensor.RNG, latent, c, size int) (gen, critic *graph.Netwo
 	return gen, critic
 }
 
-// NumericDetector builds the Faster R-CNN twin: a shared conv trunk with
-// a classification head (object class) and a localization head (box
-// center regression), trained jointly like the detector's multi-task
-// loss.
-type NumericDetector struct {
-	Trunk   *layers.Sequential
-	ClsHead *layers.Dense
-	BoxHead *layers.Dense
-}
-
-// NewNumericDetector constructs the detection twin for c×size×size
-// inputs over the given number of object classes.
-func NewNumericDetector(rng *tensor.RNG, c, size, classes int) *NumericDetector {
-	trunk := layers.NewSequential("trunk",
+// NumericDetector builds the Faster R-CNN twin: a shared conv trunk
+// feeding a classification head (object class) and a localization head
+// (box center regression), joined as [N, classes+2] and trained jointly
+// like the detector's multi-task loss.
+func NumericDetector(rng *tensor.RNG, c, size, classes int) *graph.Network {
+	feat := 8 * (size / 2) * (size / 2)
+	root := layers.NewSequential("detector-twin",
 		layers.NewConv2DAct("conv1", c, 8, 3, 1, 1, tensor.ActReLU, rng),
 		layers.NewMaxPool2D("pool", 2, 2),
 		layers.NewFlatten("flat"),
+		layers.NewConcatChannels("heads",
+			layers.NewDense("cls", feat, classes, rng),
+			layers.NewDense("box", feat, 2, rng),
+		),
 	)
-	feat := 8 * (size / 2) * (size / 2)
-	return &NumericDetector{
-		Trunk:   trunk,
-		ClsHead: layers.NewDense("cls", feat, classes, rng),
-		BoxHead: layers.NewDense("box", feat, 2, rng),
-	}
-}
-
-// Params returns all detector parameters.
-func (d *NumericDetector) Params() []*layers.Param {
-	ps := d.Trunk.Params()
-	ps = append(ps, d.ClsHead.Params()...)
-	ps = append(ps, d.BoxHead.Params()...)
-	return ps
-}
-
-// Forward runs the trunk and both heads.
-func (d *NumericDetector) Forward(x *tensor.Tensor, train bool) (cls, box *tensor.Tensor) {
-	f := d.Trunk.Forward(x, train)
-	return d.ClsHead.Forward(f, train), d.BoxHead.Forward(f, train)
-}
-
-// Backward propagates both heads' gradients through the shared trunk.
-func (d *NumericDetector) Backward(gCls, gBox *tensor.Tensor) {
-	gf := d.ClsHead.Backward(gCls)
-	gf2 := d.BoxHead.Backward(gBox)
-	tensor.AddInPlace(gf, gf2)
-	d.Trunk.BackwardParams(gf)
-}
-
-// MSELoss computes mean squared error and its gradient for the box head.
-func MSELoss(pred *tensor.Tensor, target []float32) (float32, *tensor.Tensor) {
-	if pred.Numel() != len(target) {
-		panic(fmt.Sprintf("models: MSE size mismatch %d vs %d", pred.Numel(), len(target)))
-	}
-	grad := tensor.New(pred.Shape()...)
-	var loss float64
-	n := float32(pred.Numel())
-	for i, p := range pred.Data() {
-		d := p - target[i]
-		loss += float64(d) * float64(d)
-		grad.Data()[i] = 2 * d / n
-	}
-	return float32(loss) / n, grad
+	return graph.New("Detector-twin", root)
 }

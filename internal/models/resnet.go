@@ -97,5 +97,6 @@ func ResNet50() *Model {
 			// The suite trains at 224x224 crops of the 256x256 corpus.
 			return resNetOps([4]int{3, 4, 6, 3}, 224, 224, true)
 		},
+		Twin: imageTwin(NumericResNet),
 	}
 }

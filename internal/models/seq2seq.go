@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"tbd/internal/data"
+	"tbd/internal/graph"
 	"tbd/internal/kernels"
+	"tbd/internal/tensor"
 )
 
 // seq2seqDims fixes the paper-scale GNMT-style geometry shared by the NMT
@@ -39,6 +41,9 @@ func Seq2Seq() *Model {
 			"MXNet":      0.78, // Sockeye trails NMT at equal batch
 		},
 		BuildOps: buildSeq2Seq,
+		Twin: translationTwin(func(rng *tensor.RNG) *graph.Network {
+			return NumericSeq2Seq(rng, 12, 12, 24)
+		}),
 	}
 }
 

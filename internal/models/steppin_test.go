@@ -5,6 +5,7 @@ import (
 
 	"tbd/internal/graph"
 	"tbd/internal/optim"
+	"tbd/internal/prof"
 	"tbd/internal/tensor"
 )
 
@@ -75,7 +76,8 @@ func TestWGANTrajectoryPinned(t *testing.T) {
 }
 
 // detectorPins are the Faster R-CNN twin's weights after five steps,
-// recorded while its two heads were still stepped outside graph's step.
+// recorded while it was a trunk and two heads stepped by hand. As one
+// network trained through graph's step it must reproduce them.
 var detectorPins = map[string]uint64{
 	"ref":  0xc0a2b0a5e8cbb470,
 	"sse":  0xc0a2b0a5e8cbb470,
@@ -85,7 +87,7 @@ var detectorPins = map[string]uint64{
 func TestDetectorTrajectoryPinned(t *testing.T) {
 	eachGemmTierPoisoned(t, func(t *testing.T, tier string) {
 		rng := tensor.NewRNG(78)
-		d := NewNumericDetector(rng, 1, 8, 4)
+		net := NumericDetector(rng, 1, 8, 4)
 		opt := optim.NewAdam(0.01)
 		for i := 0; i < 5; i++ {
 			x := tensor.RandUniform(rng, 0, 1, 16, 1, 8, 8)
@@ -95,10 +97,34 @@ func TestDetectorTrajectoryPinned(t *testing.T) {
 				cls[j] = rng.Intn(4)
 				box[2*j], box[2*j+1] = rng.Float32(), rng.Float32()
 			}
-			DetectorStep(d, opt, x, cls, box)
+			graph.TrainStep(net, opt, x, detectorLoss(cls, box), 0)
 		}
-		if got := paramsHash(d.Params()); got != detectorPins[tier] {
+		if got := paramsHash(net.Params()); got != detectorPins[tier] {
 			t.Errorf("%s: weights %#x, pinned %#x", tier, got, detectorPins[tier])
 		}
 	})
+}
+
+// TestTwinStepsOpenStepSpans profiles three steps of every twin and counts
+// the step spans the what-if replay keys on: one per step, and one per
+// update of every A3C worker.
+func TestTwinStepsOpenStepSpans(t *testing.T) {
+	for _, m := range append(Suite(), Extensions()...) {
+		prof.Enable()
+		m.Twin.Train(tensor.NewRNG(1), 3)
+		prof.Disable()
+		steps := 0
+		for _, r := range prof.Current(prof.Meta{}).Ranks[0].Records {
+			if r.Name == "step" && r.Cat == prof.CatPhase {
+				steps++
+			}
+		}
+		want := 3
+		if m.Name == "A3C" {
+			want *= a3cTwinWorkers
+		}
+		if steps != want {
+			t.Errorf("%s: %d step spans in three steps, want %d", m.Name, steps, want)
+		}
+	}
 }

@@ -2,12 +2,14 @@ package models
 
 import (
 	"math"
+	"sort"
 	"sync"
 
 	"tbd/internal/atari"
 	"tbd/internal/graph"
 	"tbd/internal/layers"
 	"tbd/internal/optim"
+	"tbd/internal/prof"
 	"tbd/internal/tensor"
 )
 
@@ -20,6 +22,7 @@ import (
 func WGANStep(gen, critic *graph.Network, optG, optC optim.Optimizer,
 	real *tensor.Tensor, rng *tensor.RNG, latent int, clip float32) float32 {
 
+	step := prof.Begin(prof.CatPhase, "step")
 	n := real.Dim(0)
 	inv := 1 / float32(n)
 
@@ -54,39 +57,8 @@ func WGANStep(gen, critic *graph.Network, optG, optC optim.Optimizer,
 	gx := critic.Backward(tensor.Full(-inv, scores.Shape()...))
 	gen.BackwardParams(gx.Reshape(fake.Shape()...))
 	optG.Step(gen.Params())
-
+	step.End()
 	return wReal - wFake
-}
-
-// DeepSpeechCTCStep runs one CTC training step of the Deep Speech 2 twin:
-// forward over [N, T, F] audio features, CTC loss against unaligned label
-// sequences, backward, clip, update. It returns the mean CTC loss.
-func DeepSpeechCTCStep(net *graph.Network, opt optim.Optimizer, x *tensor.Tensor, labels [][]int, clip float32) float32 {
-	params := net.Params()
-	optim.ZeroGrads(params)
-	logits := net.Forward(x, true) // [N, T, V]
-	loss, grad := layers.CTCLossBatch(logits, labels)
-	net.BackwardParams(grad)
-	if clip > 0 {
-		optim.ClipGradNorm(params, clip)
-	}
-	opt.Step(params)
-	return loss
-}
-
-// DetectorStep runs one multi-task step of the Faster R-CNN twin:
-// classification cross-entropy plus box-center regression, jointly
-// backpropagated through the shared trunk.
-func DetectorStep(d *NumericDetector, opt optim.Optimizer, x *tensor.Tensor,
-	clsLabels []int, boxTargets []float32) (clsLoss, boxLoss float32, acc float64) {
-
-	optim.ZeroGrads(d.Params())
-	cls, box := d.Forward(x, true)
-	clsLoss, gCls := tensor.CrossEntropy(cls, clsLabels)
-	boxLoss, gBox := MSELoss(box, boxTargets)
-	d.Backward(gCls, gBox)
-	opt.Step(d.Params())
-	return clsLoss, boxLoss, tensor.Accuracy(cls, clsLabels)
 }
 
 // A3CConfig configures the asynchronous advantage actor-critic trainer.
@@ -126,16 +98,9 @@ type A3CResult struct {
 	// Updates is the total number of applied gradient updates.
 	Updates int
 	// Curve holds periodic evaluation scores (Pong game score, agent
-	// minus bot, in [-21, 21]) when Checkpoints > 0.
-	Curve []A3CPoint
-}
-
-// A3CPoint is one evaluation checkpoint.
-type A3CPoint struct {
-	// UpdateFrac is the fraction of total updates completed.
-	UpdateFrac float64
-	// Score is the evaluation episode's agent-minus-bot score.
-	Score int
+	// minus bot, in [-21, 21]) by fraction of updates done, when
+	// Checkpoints > 0.
+	Curve []TwinPoint
 }
 
 // TrainA3C trains the numeric A3C twin on Pong with asynchronous workers
@@ -151,7 +116,7 @@ func TrainA3C(cfg A3CConfig) A3CResult {
 	// Checkpoint evaluation: workers trigger an evaluation when they
 	// cross an update threshold (run inline under the lock on a weight
 	// snapshot taken without holding it longer than the copy).
-	var curve []A3CPoint
+	var curve []TwinPoint
 	totalPlanned := cfg.Workers * cfg.Updates
 	nextEval := totalPlanned + 1
 	evalEvery := 0
@@ -186,6 +151,8 @@ func TrainA3C(cfg A3CConfig) A3CResult {
 			var firstN, lastN int
 
 			for u := 0; u < cfg.Updates; u++ {
+				// A root span: the workers' steps overlap in time.
+				step := prof.BeginChild(nil, prof.CatPhase, "step")
 				// Pull shared weights.
 				mu.Lock()
 				copyParams(local.Params(), shared.Params())
@@ -212,10 +179,11 @@ func TrainA3C(cfg A3CConfig) A3CResult {
 					frac = float64(totalUpdates) / float64(totalPlanned)
 				}
 				mu.Unlock()
+				step.End()
 				if snapshot != nil {
 					score := evalEpisode(snapshot, cfg, cfg.Seed+999, evalCap)
 					mu.Lock()
-					curve = append(curve, A3CPoint{UpdateFrac: frac, Score: score})
+					curve = append(curve, TwinPoint{FracDone: frac, Value: float64(score)})
 					mu.Unlock()
 				}
 
@@ -239,6 +207,8 @@ func TrainA3C(cfg A3CConfig) A3CResult {
 	}
 	wg.Wait()
 
+	// Concurrent workers record checkpoints out of order.
+	sort.Slice(curve, func(i, j int) bool { return curve[i].FracDone < curve[j].FracDone })
 	res := A3CResult{Updates: totalUpdates, Curve: curve}
 	for w := 0; w < cfg.Workers; w++ {
 		res.MeanRewardFirst += firstRewards[w] / float64(cfg.Workers)

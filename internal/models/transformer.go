@@ -2,7 +2,9 @@ package models
 
 import (
 	"tbd/internal/data"
+	"tbd/internal/graph"
 	"tbd/internal/kernels"
+	"tbd/internal/tensor"
 )
 
 // Transformer geometry: the base configuration of Vaswani et al.
@@ -30,6 +32,9 @@ func Transformer() *Model {
 		BatchUnit:           "tokens",
 		SamplesPerBatchUnit: tfmSeqLen,
 		BuildOps:            buildTransformer,
+		Twin: translationTwin(func(rng *tensor.RNG) *graph.Network {
+			return NumericTransformer(rng, 12, 16, 2)
+		}),
 	}
 }
 

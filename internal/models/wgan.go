@@ -5,6 +5,8 @@ import (
 
 	"tbd/internal/data"
 	"tbd/internal/kernels"
+	"tbd/internal/optim"
+	"tbd/internal/tensor"
 )
 
 // WGAN geometry: Gulrajani et al.'s gradient-penalty WGAN with a
@@ -31,7 +33,25 @@ func WGAN() *Model {
 		BatchSizes:    []int{4, 8, 16, 32, 64},
 		BatchUnit:     "samples",
 		BuildOps:      buildWGAN,
+		Twin:          &Twin{Metric: "wasserstein estimate", Batch: twinBatch, Train: trainWGANTwin},
 	}
+}
+
+// trainWGANTwin trains the WGAN twin to generate 4x4 images near one fixed
+// template. The curve is each step's Wasserstein estimate.
+func trainWGANTwin(rng *tensor.RNG, steps int) []TwinPoint {
+	gen, critic := NumericWGAN(rng, 4, 1, 4)
+	optG, optC := optim.NewAdam(0.01), optim.NewAdam(0.01)
+	tpl := tensor.RandUniform(rng, -0.5, 0.5, 1, 4, 4)
+	return curve(steps, 1, func() float64 {
+		real := tensor.New(twinBatch, 1, 4, 4)
+		for s := 0; s < twinBatch; s++ {
+			for j := 0; j < 16; j++ {
+				real.Data()[s*16+j] = tpl.Data()[j] + 0.05*float32(rng.Norm())
+			}
+		}
+		return float64(WGANStep(gen, critic, optG, optC, real, rng, 4, 0.1))
+	})
 }
 
 // wganResBlock appends one pre-activation residual block: two 3x3 convs

@@ -25,6 +25,7 @@ func YOLO9000() *Model {
 		BatchSizes:    []int{4, 8, 16, 32},
 		BatchUnit:     "samples",
 		BuildOps:      buildYOLO9000,
+		Twin:          detectorTwin,
 	}
 }
 

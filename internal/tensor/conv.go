@@ -345,16 +345,11 @@ func lowerSpan(parent *prof.Span, name string, elems int) prof.Span {
 	return sp
 }
 
-// Conv2D computes a 2-D convolution of x [N, C, H, W] with weights
-// w [F, C, kh, kw], returning a pool-backed [N, F, outH, outW].
-func Conv2D(x, w *Tensor, stride, pad int) *Tensor {
-	return Conv2DFused(x, w, nil, ActNone, stride, pad)
-}
-
-// Conv2DFused is Conv2D with a per-channel bias (may be nil) and an
-// activation fused into the GEMM write-back, bit-identical to the unfused
-// Conv2D + bias pass + activation pass composition. Images are split
-// across the worker pool.
+// Conv2DFused computes a 2-D convolution of x [N, C, H, W] with weights
+// w [F, C, kh, kw], returning a pool-backed [N, F, outH, outW], with a
+// per-channel bias (may be nil) and an activation fused into the GEMM
+// write-back, bit-identical to the unfused convolution + bias pass +
+// activation pass composition. Images are split across the worker pool.
 func Conv2DFused(x, w, bias *Tensor, act ActKind, stride, pad int) *Tensor {
 	if x.Rank() != 4 || w.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Conv2D needs NCHW/FCHW, got %v, %v", x.shape, w.shape))

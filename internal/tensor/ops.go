@@ -31,12 +31,6 @@ func addRange(ov, av, bv []float32) {
 	}
 }
 
-func mulRange(ov, av, bv []float32) {
-	for i := range ov {
-		ov[i] = av[i] * bv[i]
-	}
-}
-
 // Add returns a + b elementwise.
 func Add(a, b *Tensor) *Tensor {
 	checkSame(a, b, "Add")
@@ -47,20 +41,6 @@ func Add(a, b *Tensor) *Tensor {
 	}
 	parallelRows(len(a.data), minElemsPerWorker, func(lo, hi int) {
 		addRange(out.data[lo:hi], a.data[lo:hi], b.data[lo:hi])
-	})
-	return out
-}
-
-// Mul returns a * b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor {
-	checkSame(a, b, "Mul")
-	out := acquireDirty(a.shape...)
-	if rowWorkers(len(a.data), minElemsPerWorker) <= 1 {
-		mulRange(out.data, a.data, b.data)
-		return out
-	}
-	parallelRows(len(a.data), minElemsPerWorker, func(lo, hi int) {
-		mulRange(out.data[lo:hi], a.data[lo:hi], b.data[lo:hi])
 	})
 	return out
 }
@@ -90,19 +70,6 @@ func scaleRange(alpha float32, ov, av []float32) {
 	}
 }
 
-// Scale returns alpha * a in a new tensor.
-func Scale(a *Tensor, alpha float32) *Tensor {
-	out := acquireDirty(a.shape...)
-	if rowWorkers(len(a.data), minElemsPerWorker) <= 1 {
-		scaleRange(alpha, out.data, a.data)
-		return out
-	}
-	parallelRows(len(a.data), minElemsPerWorker, func(lo, hi int) {
-		scaleRange(alpha, out.data[lo:hi], a.data[lo:hi])
-	})
-	return out
-}
-
 // ScaleInPlace multiplies every element by alpha.
 func (t *Tensor) ScaleInPlace(alpha float32) {
 	if rowWorkers(len(t.data), minElemsPerWorker) <= 1 {
@@ -112,38 +79,6 @@ func (t *Tensor) ScaleInPlace(alpha float32) {
 	parallelRows(len(t.data), minElemsPerWorker, func(lo, hi int) {
 		scaleRange(alpha, t.data[lo:hi], t.data[lo:hi])
 	})
-}
-
-func applyRange(ov, av []float32, f func(float32) float32) {
-	for i := range ov {
-		ov[i] = f(av[i])
-	}
-}
-
-// Apply returns f mapped over a into a new tensor.
-func Apply(a *Tensor, f func(float32) float32) *Tensor {
-	out := acquireDirty(a.shape...)
-	if rowWorkers(len(a.data), minElemsPerWorker) <= 1 {
-		applyRange(out.data, a.data, f)
-		return out
-	}
-	parallelRows(len(a.data), minElemsPerWorker, func(lo, hi int) {
-		applyRange(out.data[lo:hi], a.data[lo:hi], f)
-	})
-	return out
-}
-
-// AddRowBroadcast returns m + row where m is [N, F] and row is [F] (or
-// [1, F]); row is added to every row of m. Used for bias addition.
-func AddRowBroadcast(m, row *Tensor) *Tensor {
-	f := row.Numel()
-	if m.Rank() < 1 || m.Numel()%f != 0 {
-		panic(fmt.Sprintf("tensor: AddRowBroadcast %v + %v", m.shape, row.shape))
-	}
-	out := acquireDirty(m.shape...)
-	copy(out.data, m.data)
-	addRowBroadcastInPlace(out, row, f)
-	return out
 }
 
 // AddRowBroadcastInPlace adds row [F] to every row of m [N, F] in place,
