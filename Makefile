@@ -96,6 +96,10 @@ dist-race:
 # of arbitrary /predict bodies into a one-replica fleet: 200, 400, 413,
 # 429 or 503, never 500 and never a panic. Then ten seconds of arbitrary
 # open-loop schedules: a named error, or phases the dispatcher can pace.
+# Then ten seconds of arbitrary float32 bit patterns and shapes (channels,
+# planes, images, start offset) through batch normalization's AVX2 channel
+# sums, normalize and gradient bodies against their portable bodies, bit
+# for bit (unminimized, like the ReLU line).
 # `go test` alone replays the committed seeds; this mutates them.
 fuzz-smoke:
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzPSFrame -fuzztime 10s
@@ -109,6 +113,7 @@ fuzz-smoke:
 	$(GO) test ./internal/whatif -run '^$$' -fuzz FuzzParseScenario -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzPredictBody -fuzztime 10s
 	$(GO) test ./cmd/tbdserve -run '^$$' -fuzz FuzzParsePhases -fuzztime 10s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzBatchNormKernels -fuzztime 10s -fuzzminimizetime 0
 
 # Race detector over the what-if predictor: trace capture off the live
 # profiler (concurrent span emission), merge, replay, and the root-package
@@ -123,10 +128,10 @@ whatif-race:
 analysis-race:
 	$(GO) test -race ./internal/analysis/...
 
-# Numeric-backend micro-benchmarks (blocked GEMM, conv, twin step),
+# Numeric-backend micro-benchmarks (blocked GEMM, conv, batch norm, twin step),
 # machine-readable for regression tracking.
 bench:
-	$(GO) test -run '^$$' -bench 'GEMM|ConvFwdBwd|TwinStep|DenseFused|OptimStep' -benchtime 3s -benchmem -json . > BENCH_numeric.json
+	$(GO) test -run '^$$' -bench 'GEMM|ConvFwdBwd|TwinStep|DenseFused|BatchNormFwdBwd|OptimStep' -benchtime 3s -benchmem -json . > BENCH_numeric.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_numeric.json | sed 's/"Output":"//;s/\\t/\t/g' || true
 
 # Serving benchmarks, all through serve.Fleet: one replica across batch

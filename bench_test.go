@@ -5,7 +5,7 @@ package tbd
 // benchmarks BENCH_X.json names on the base revision's build and the
 // working tree's, alternately, and compares the two:
 //
-//	make bench         BENCH_numeric.json  GEMM tiers, conv, dense, optimizer, twin step
+//	make bench         BENCH_numeric.json  GEMM tiers, conv, dense, batch norm, optimizer, twin step
 //	make bench-serve   BENCH_serve.json    serve.Fleet batch-cap and replica sweeps
 //	make bench-prof    BENCH_prof.json     profiler span and step overhead
 //	make bench-dist    BENCH_dist.json     distributed matrix (bench_dist_test.go)
@@ -127,6 +127,23 @@ func BenchmarkDenseFusedFwdBwd(b *testing.B) {
 	l := layers.NewDenseAct("fc", 256, 256, tensor.ActReLU, rng)
 	x := tensor.RandNormal(rng, 0, 1, 64, 256)
 	gy := tensor.RandNormal(rng, 0, 1, 64, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Forward(x, true)
+		l.Backward(gy)
+	}
+}
+
+// BenchmarkBatchNormFwdBwd measures a training BatchNorm forward and
+// backward at train_conv's feature-map shape, [32, 8, 16, 16]: the layer
+// tensor.BatchNormForward and BatchNormBackward run, with their channel
+// sums, normalize and gradient bodies.
+func BenchmarkBatchNormFwdBwd(b *testing.B) {
+	rng := tensor.NewRNG(13)
+	l := layers.NewBatchNorm2D("bn", 8)
+	x := tensor.RandNormal(rng, 0, 1, 32, 8, 16, 16)
+	gy := tensor.RandNormal(rng, 0, 1, 32, 8, 16, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

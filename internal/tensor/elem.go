@@ -3,22 +3,28 @@ package tensor
 import "math"
 
 // Pointwise kernels: the engine's one ReLU forward, its one ReLU backward,
-// and the two bias adds that precede an activation in a fused GEMM or conv
-// epilogue. Every activation site reaches them — applyEpilogueRows (gemm.go),
-// ActForward and ActBackward (activation.go), and through those the layers
-// package — so the definitions below are the only place ReLU is written.
+// the two bias adds that precede an activation in a fused GEMM or conv
+// epilogue, and batch normalization's three training bodies (channel
+// sums, normalize, input gradient; batchnorm.go). Every activation site
+// reaches the first four — applyEpilogueRows (gemm.go), ActForward and
+// ActBackward (activation.go), and through those the layers package — so
+// the definitions below are the only place ReLU is written.
 //
 // Two sets of bodies exist and they agree bit for bit, including on -0,
 // ±Inf, denormals and NaN payloads (elem_test.go holds both against the
-// branchy scalar loops they replaced):
+// branchy scalar loops they replaced, batchnorm_test.go the batch-norm
+// bodies against each other and against the layer's old loops):
 //
 //	elemGo   portable Go. ReLU selects on the integer bit pattern, which
 //	         the compiler lowers to a conditional move: a float compare and
 //	         branch mispredicts on about half of all pre-activations and
 //	         cost 6 ns an element, some twenty times the bias add beside it.
-//	elemVec  8-wide AVX2 (elem_avx2_amd64.{s,go}), installed under the same
-//	         CPUID + XGETBV check as the 8x8 GEMM kernels; Go finishes the
-//	         < 8-element tail.
+//	elemVec  AVX2, installed under the same CPUID + XGETBV check as the
+//	         8x8 GEMM kernels: 8-wide ReLU and bias adds
+//	         (elem_avx2_amd64.{s,go}), Go finishing the < 8-element tail;
+//	         batch-norm sums with one channel per float64 lane, four
+//	         channels a group, and 8-wide normalize and gradient passes
+//	         (bn_avx2_amd64.{s,go}), Go summing the C mod 4 channels left.
 //
 // elemKernelsFor picks the set from the GEMM tier a caller has already
 // read: vector bodies iff the tier is avx2, so TBD_GEMM_KERNEL=ref remains
@@ -42,10 +48,17 @@ type elemKernels struct {
 	addConst func(dst []float32, c float32) // dst[i] += c
 	relu     func(dst, src []float32)       // dst[i] = src[i] if src[i] > 0, else +0; dst may be src
 	reluBwd  func(dst, gy, y []float32)     // dst[i] = gy[i] * (1 if y[i] > 0, else 0)
+
+	// Batch normalization's training bodies (batchnorm.go), one channel
+	// group or one channel at a time.
+	bnSums func(sa, sab []float64, a, b []float32, pl chanPlanes)           // sa[j] = Σa, sab[j] = Σa·b over channel j
+	bnNorm func(xh, out, x []float32, pl chanPlanes, mu, inv, g, b float32) // xh = (x−mu)·inv, out = g·xh + b
+	bnGrad func(gx, gy, xh []float32, pl chanPlanes, k, m, s, sx float32)   // gx = k·((m·gy − s) − xh·sx)
 }
 
 var (
-	elemGo = elemKernels{addVec: accumRange, addConst: addConstGo, relu: reluGo, reluBwd: reluBwdGo}
+	elemGo = elemKernels{addVec: accumRange, addConst: addConstGo, relu: reluGo, reluBwd: reluBwdGo,
+		bnSums: bnSumsGo, bnNorm: bnNormGo, bnGrad: bnGradGo}
 	// elemVec is overwritten during package init where the AVX2 bodies can
 	// run (gemm_kernels_avx2_amd64.go, beside the 8x8 kernels); elsewhere
 	// the avx2 tier cannot be selected.

@@ -48,7 +48,8 @@ func init() {
 	if feat.avx2fma {
 		kernelTree8x8 = microTree8x8Asm
 		kernelSeq8x8 = microSeq8x8Asm
-		elemVec = elemKernels{addVec: addVecAsm, addConst: addConstAsm, relu: reluAsm, reluBwd: reluBwdAsm}
+		elemVec = elemKernels{addVec: addVecAsm, addConst: addConstAsm, relu: reluAsm, reluBwd: reluBwdAsm,
+			bnSums: bnSumsAsm, bnNorm: bnNormAsm, bnGrad: bnGradAsm}
 		haveAVX2Kernels = true
 	}
 	if feat.f16c {
