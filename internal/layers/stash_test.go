@@ -137,29 +137,6 @@ func TestMaxPool2DStepAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestBatchNorm2DStepAllocatesNothing pins that a warmed training
-// BatchNorm forward and backward take nothing from the Go allocator: the
-// sums' scratch and 1/σ are kept across calls, and the serial path builds
-// no closure for the worker pool.
-func TestBatchNorm2DStepAllocatesNothing(t *testing.T) {
-	rng := tensor.NewRNG(53)
-	l := NewBatchNorm2D("bn", 8)
-	x := tensor.RandNormal(rng, 0, 1, 32, 8, 16, 16)
-	gy := tensor.RandNormal(rng, 0, 1, 32, 8, 16, 16)
-	step := func() {
-		l.Forward(x, true)
-		l.Backward(gy)
-	}
-	step()
-	allocs := math.Inf(1)
-	for range windows {
-		allocs = min(allocs, testing.AllocsPerRun(20, step))
-	}
-	if allocs != 0 {
-		t.Errorf("a warmed BatchNorm2D forward + backward allocates %v objects, want 0", allocs)
-	}
-}
-
 // windows is how many times the allocation pins measure a step, keeping
 // the fewest allocations. The runtime's counters are process-wide, and the
 // runtime allocates on its own: on a loaded host the scheduler starts a

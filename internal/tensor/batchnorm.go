@@ -86,7 +86,8 @@ func NewBatchNormStats(c int) BatchNormStats {
 const bnGroup = 4
 
 // bnShape checks x against the state's channel count and returns where
-// each channel's planes lie and how many groups the pool may split.
+// each channel's planes lie, the number of channel groups, and the fewest
+// groups worth handing a worker (minElemsPerWorker elements).
 func bnShape(op string, x *Tensor, st *BatchNormStats) (chanPlanes, int, int) {
 	c := len(st.RunMean)
 	if len(x.shape) != 4 || x.shape[1] != c {

@@ -115,7 +115,8 @@ func recordMLP1024WhatifTrace(steps int) (*prof.Trace, error) {
 // "before" sides of TestWhatifGroundTruthGemmBlocking, ...VecReLU and
 // ...DropDX, and convColsTrace that of ...ConvLowering; none is
 // re-recorded here, nor is convVecTrace, the "after" side of
-// ...ConvVector.
+// ...ConvVector and the "before" side of ...BatchNormVector, nor
+// bnVecTrace, its "after" side.
 func TestRecordWhatifGoldenTraces(t *testing.T) {
 	if os.Getenv("TBD_WHATIF_RECORD") == "" {
 		t.Skip("set TBD_WHATIF_RECORD=1 (make whatif-record) to re-record golden traces")
@@ -631,6 +632,44 @@ func TestWhatifGroundTruthConvVector(t *testing.T) {
 	}
 	checkGroundTruth(t, fmt.Sprintf("vector data movement (%s, weight pack -%d us by hand)", convVecSpec, convVecPackSavingUs),
 		predictConvVector(t), measured, 8.74)
+}
+
+// bnVecTrace is train_conv's step recorded by recordTwinWhatifTrace
+// ("avx2", 10, 32) once BatchNorm's training passes ran on their AVX2
+// bodies: channel sums with one channel per float64 lane, and 8-wide
+// normalize and gradient passes. convVecTrace is the step before it.
+// `make whatif-record` does not write this file.
+const bnVecTrace = "twin_avx2_vecbn.json"
+
+// bnVecSpec is the prediction committed before the layer called those
+// bodies: the forward + backward ratio of the layer's loops to the
+// bodies at [32, 8, 16, 16], measured in one process (EXPERIMENTS.md).
+const bnVecSpec = "speedup=*.bn?:3.2"
+
+// bnVecControl is every convolution span under a conv layer: the same
+// code in both recordings, and BatchNorm is what changed.
+const bnVecControl = "step/*/*/*/*/conv2d.*"
+
+// TestWhatifGroundTruthBatchNormVector holds that prediction against the
+// recording, host drift divided out by the convolution spans, and the
+// recording to what the change is: the feature maps did not move. The
+// step is not held above the speedup=*.bn?:1e6 ceiling, as ConvVector's
+// is: the first recorded step of convVecTrace stalls 10.3 ms in block1's
+// projection-conv backward (0.35 ms in the other nine), about 1 ms of its
+// 10.02 ms step that every replay of it keeps and bnVecTrace lacks, so
+// the measured step reads 7.80 ms against a 7.83 ms ceiling. The
+// BatchNorm spans' own ratio is logged beside the cell.
+func TestWhatifGroundTruthBatchNormVector(t *testing.T) {
+	const bn = "step/*/*/*/*.bn?"
+	before, after := loadGoldenTrace(t, convVecTrace), loadGoldenTrace(t, bnVecTrace)
+	if got, want := after.Mem.FeatureMaps, before.Mem.FeatureMaps; got != want {
+		t.Errorf("feature maps %d bytes after, %d before; want no change", got, want)
+	}
+	drift := spanStepUs(t, before, bnVecControl) / spanStepUs(t, after, bnVecControl)
+	t.Logf("BatchNorm spans %.3f -> %.3f ms a step at the before side's host speed: %.2fx (predicted %s)",
+		spanStepUs(t, before, bn)/1e3, spanStepUs(t, after, bn)*drift/1e3, spanStepUs(t, before, bn)/(spanStepUs(t, after, bn)*drift), bnVecSpec)
+	checkGroundTruth(t, fmt.Sprintf("vector BatchNorm (%s)", bnVecSpec),
+		replayGolden(t, before, bnVecSpec).PredictedStepUs, replayGolden(t, after, "").BaselineStepUs*drift, 9.20)
 }
 
 // TestWhatifGroundTruthPSBandwidth is the strongest bandwidth cell: the
