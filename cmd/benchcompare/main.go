@@ -25,11 +25,13 @@
 //
 // For each benchmark the table gives the median over the five rounds of
 // the change's ns/op over the base's (the mean of the base runs either
-// side), the number of rounds the change was faster, and the same median
-// for each throughput metric the row reports. -tol fails the run when
-// the ns/op median rises, or a throughput median falls, by more than the
-// given fraction, or when a benchmark of the base is gone from the
-// change. Improvements and new benchmarks never fail it.
+// side), the spread of the base's own six runs (IQR over median), the
+// number of rounds the change was faster, and the same median for each
+// throughput metric the row reports. -tol fails the run when the ns/op
+// median rises, or a throughput median falls, by more than the given
+// fraction, when the base's spread exceeds it (the host cannot resolve
+// the row), or when a benchmark of the base is gone from the change.
+// Improvements and new benchmarks never fail it.
 package main
 
 import (
@@ -41,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -172,10 +175,12 @@ var runBench = func(ctx context.Context, b build, args []string) (map[string]ben
 var rateUnits = []string{"GFLOP/s", "samples/s", "Melem/s", "MB/s"}
 
 // pairing is one row's paired runs: for ns/op and each rate, the change's
-// value over the base's in every round both reported it, and whether
-// each build reported the row at all.
+// value over the base's in every round both reported it, the base's own
+// ns/op in each of its runs, and whether each build reported the row at
+// all.
 type pairing struct {
 	ratios        map[string][]float64
+	baseNs        []float64
 	inBase, inCur bool
 }
 
@@ -193,10 +198,16 @@ func runRounds(ctx context.Context, base, cur build, rows, args []string) (map[s
 		p := &pairing{ratios: map[string][]float64{}}
 		out[row] = p
 		a := append(args, "-test.bench="+rowPattern(row))
+		keepBase := func(res map[string]benchResult) {
+			if ns := res[row].metrics["ns/op"]; ns > 0 {
+				p.baseNs = append(p.baseNs, ns)
+			}
+		}
 		before, err := runBench(ctx, base, a)
 		if err != nil {
 			return nil, err
 		}
+		keepBase(before)
 		for range rounds {
 			c, err := runBench(ctx, cur, a)
 			if err != nil {
@@ -206,6 +217,7 @@ func runRounds(ctx context.Context, base, cur build, rows, args []string) (map[s
 			if err != nil {
 				return nil, err
 			}
+			keepBase(after)
 			b0, ok0 := before[row]
 			b1, ok1 := after[row]
 			n, ok := c[row]
@@ -235,13 +247,29 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
+// spread is the interquartile range of xs over their median, the
+// quartiles interpolated between order statistics. It sorts xs.
+func spread(xs []float64) float64 {
+	sort.Float64s(xs)
+	q := func(f float64) float64 {
+		i, frac := math.Modf(f * float64(len(xs)-1))
+		if int(i)+1 == len(xs) {
+			return xs[int(i)]
+		}
+		return xs[int(i)] + frac*(xs[int(i)+1]-xs[int(i)])
+	}
+	return (q(0.75) - q(0.25)) / median(xs)
+}
+
 // pct formats a ratio as a signed percentage change.
 func pct(ratio float64) string { return fmt.Sprintf("%+.1f%%", (ratio-1)*100) }
 
 // compare writes the paired table to w and returns one line per row
 // that fails the gate: its median ns/op ratio above 1+tol, or a median
-// rate ratio below 1-tol. A tol of 0 disables the gate; a row the change
-// never reports is gone, and fails when the gate is on.
+// rate ratio below 1-tol. A row whose base runs spread wider than tol
+// (IQR over median) fails on that alone: the host cannot resolve it. A
+// tol of 0 disables the gate; a row the change never reports is gone,
+// and fails when the gate is on.
 func compare(w io.Writer, rows map[string]*pairing, tol float64) []string {
 	names := make([]string, 0, len(rows))
 	for name := range rows {
@@ -249,7 +277,7 @@ func compare(w io.Writer, rows map[string]*pairing, tol float64) []string {
 	}
 	sort.Strings(names)
 	var failures []string
-	fmt.Fprintf(w, "%-44s %10s %6s   %s\n", "benchmark", "ns/op", "wins", "rates")
+	fmt.Fprintf(w, "%-44s %10s %9s %6s   %s\n", "benchmark", "ns/op", "base iqr", "wins", "rates")
 	for _, name := range names {
 		p := rows[name]
 		switch {
@@ -290,15 +318,19 @@ func compare(w io.Writer, rows map[string]*pairing, tol float64) []string {
 				bad = append(bad, unit+" "+pct(m))
 			}
 		}
-		mark := ""
-		if len(bad) > 0 {
+		mark, iqr := "", spread(p.baseNs)
+		switch {
+		case tol > 0 && iqr > tol:
+			mark = "   << UNRESOLVED"
+			failures = append(failures, fmt.Sprintf("%s: base spread %.1f%% over the %.0f%% tolerance: this host cannot resolve the row", name, 100*iqr, 100*tol))
+		case len(bad) > 0:
 			mark = "   << REGRESSED"
 			failures = append(failures, name+": "+strings.Join(bad, ", "))
 		}
 		if len(rates) > 0 {
 			mark = "   " + strings.Join(rates, ", ") + mark
 		}
-		fmt.Fprintf(w, "%-44s %10s %4d/%d%s\n", name, pct(med), wins, len(ns), mark)
+		fmt.Fprintf(w, "%-44s %10s %8.1f%% %4d/%d%s\n", name, pct(med), 100*iqr, wins, len(ns), mark)
 	}
 	return failures
 }

@@ -150,7 +150,7 @@ func TestIdenticalRunsPass(t *testing.T) {
 	if failures := compare(&out, paired(t, same, same), 0.05); len(failures) != 0 {
 		t.Fatalf("identical runs failed: %v\n%s", failures, out.String())
 	}
-	if !regexp.MustCompile(`(?m)^BenchmarkA +\+0\.0% +0/5$`).MatchString(out.String()) {
+	if !regexp.MustCompile(`(?m)^BenchmarkA +\+0\.0% +0\.0% +0/5$`).MatchString(out.String()) {
 		t.Fatalf("table does not give the median and the wins:\n%s", out.String())
 	}
 }
@@ -170,7 +170,7 @@ func TestRowSlowerEveryRoundFailsAlone(t *testing.T) {
 	if len(failures) != 1 || !strings.HasPrefix(failures[0], "BenchmarkB: ns/op +100.0%") {
 		t.Fatalf("failures = %v, want BenchmarkB alone", failures)
 	}
-	if !regexp.MustCompile(`(?m)^BenchmarkA +-1\.0% +5/5$`).MatchString(out.String()) {
+	if !regexp.MustCompile(`(?m)^BenchmarkA +-1\.0% +0\.0% +5/5$`).MatchString(out.String()) {
 		t.Fatalf("a row faster every round must show 5 wins:\n%s", out.String())
 	}
 }
@@ -187,6 +187,53 @@ func TestOneWildRoundDoesNotFailARow(t *testing.T) {
 	}
 	if failures := compare(io.Discard, paired(t, base, cur), 0.2); len(failures) != 0 {
 		t.Fatalf("one wild round of five failed the gate: %v", failures)
+	}
+}
+
+// TestUnresolvableRowFailsOnItsOwn: the base's six runs of BenchmarkA
+// alternate 80 and 120 ns/op, a 40 % spread (IQR over median), while the
+// change reads 100 every round. The table prints the spread beside the
+// median; past -tol the row fails with its own message, whatever its
+// median says, and within -tol it passes. BenchmarkB's base is steady.
+func TestUnresolvableRowFailsOnItsOwn(t *testing.T) {
+	base := func(j int) map[string]benchResult {
+		a := 80.0
+		if j%2 == 1 {
+			a = 120
+		}
+		return map[string]benchResult{
+			"BenchmarkA": result(map[string]float64{"ns/op": a}),
+			"BenchmarkB": result(map[string]float64{"ns/op": 100}),
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		change float64 // BenchmarkA's ns/op on the change
+		tol    float64
+		bad    string
+	}{
+		{"wider than -tol", 100, 0.2, "BenchmarkA: base spread 40.0% over the 20% tolerance: this host cannot resolve the row"},
+		{"slower too", 200, 0.2, "BenchmarkA: base spread 40.0% over the 20% tolerance: this host cannot resolve the row"},
+		{"within -tol", 100, 0.5, ""},
+	} {
+		cur := func(int) map[string]benchResult {
+			return map[string]benchResult{
+				"BenchmarkA": result(map[string]float64{"ns/op": c.change}),
+				"BenchmarkB": result(map[string]float64{"ns/op": 100}),
+			}
+		}
+		var out strings.Builder
+		failures := compare(&out, paired(t, base, cur), c.tol)
+		if got := strings.Join(failures, "; "); got != c.bad {
+			t.Errorf("%s: failures = %q, want %q", c.name, got, c.bad)
+		}
+		if !regexp.MustCompile(`(?m)^BenchmarkA +\S+ +40\.0% +\d/5`).MatchString(out.String()) ||
+			!regexp.MustCompile(`(?m)^BenchmarkB +\+0\.0% +0\.0% +0/5$`).MatchString(out.String()) {
+			t.Errorf("%s: table does not print each row's base spread:\n%s", c.name, out.String())
+		}
+		if unresolved := strings.Contains(out.String(), "UNRESOLVED"); unresolved != (c.bad != "") {
+			t.Errorf("%s: table marks the row unresolved: %v:\n%s", c.name, unresolved, out.String())
+		}
 	}
 }
 

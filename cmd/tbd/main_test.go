@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -162,6 +165,40 @@ func TestCLITwinTraceReplaysToIdentity(t *testing.T) {
 	}
 }
 
+// TestCLIWhatifKernelTableCloses cuts the kernel table to three rows: the
+// rest fold into one "other" row, and the printed baseline and predicted
+// columns still sum to the printed walls, to the table's rounding.
+func TestCLIWhatifKernelTableCloses(t *testing.T) {
+	out := run(t, false, "whatif", "-trace", "../../testdata/whatif/twin_avx2_vecbn.json", "-scenario", "speedup=conv2d*:2", "-top", "3")
+	var baseWall, predWall float64
+	_, wall, _ := strings.Cut(out, "wall time")
+	if _, err := fmt.Sscanf(wall, "%f ms -> %f ms", &baseWall, &predWall); err != nil {
+		t.Fatalf("no wall line: %v\n%s", err, out)
+	}
+	_, table, ok := strings.Cut(out, "What-if self time by kernel\n")
+	if !ok {
+		t.Fatalf("no kernel table:\n%s", out)
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	var names []string
+	var base, pred float64
+	for _, line := range strings.Split(table, "\n")[2:] { // header, rule
+		f := strings.Fields(line)
+		b, errB := strconv.ParseFloat(f[3], 64)
+		p, errP := strconv.ParseFloat(f[4], 64)
+		if errB != nil || errP != nil {
+			t.Fatalf("row %q: %v, %v", line, errB, errP)
+		}
+		names, base, pred = append(names, f[0]), base+b, pred+p
+	}
+	if len(names) != 5 || names[3] != "other" || names[4] != "unattributed" {
+		t.Fatalf("rows %v, want three kernels, other and unattributed:\n%s", names, table)
+	}
+	if tol := 0.005 * float64(len(names)); math.Abs(base-baseWall) > tol || math.Abs(pred-predWall) > tol {
+		t.Fatalf("table sums to %.3f -> %.3f ms, walls %.3f -> %.3f ms:\n%s", base, pred, baseWall, predWall, out)
+	}
+}
+
 // TestCLIEveryTwinTraceReplaysItsSteps records five steps of every twin
 // with `tbd twin -trace-out`: the trace carries the twin's declared batch,
 // and the what-if replay finds five steps in it (A3C: five per worker, of
@@ -199,7 +236,10 @@ func TestCLIEveryTwinTraceReplaysItsSteps(t *testing.T) {
 // stdout, recorded on the commit before the Figure 9 breakdown moved into
 // prof and the root API's result types became aliases. The three scaling
 // outputs were recorded again when sim.Scale moved onto the exchange
-// schedule the what-if predictor runs.
+// schedule the what-if predictor runs. The what-if JSON was recorded again
+// when its phase and kernel rows became self time and it gained the
+// unattributed and concurrent budget; without those four fields it hashes
+// as before.
 var parentCLIHashes = []struct {
 	args []string
 	hash uint64
@@ -228,7 +268,7 @@ var parentCLIHashes = []struct {
 	{[]string{"run", "fig8"}, 0xda24a09e6f1f4bdb},
 	{[]string{"run", "fig9"}, 0xf6c658dddba899f4},
 	{[]string{"run", "fig10"}, 0x4b41f05c7a0bf68d}, // Figure 10 on internal/exchange
-	{[]string{"whatif", "-json", "-trace", "../../testdata/whatif/twin_avx2.json", "-scenario", "offload=1MB"}, 0x6c907e9aa3769fa0},
+	{[]string{"whatif", "-json", "-trace", "../../testdata/whatif/twin_avx2.json", "-scenario", "offload=1MB"}, 0xd619bac53ff9416}, // self-time tables with their budget
 }
 
 // TestCLISimulatedPlaneMatchesParentCommit holds every read-only

@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"tbd/internal/prof"
+	"tbd/internal/report"
 	"tbd/internal/whatif"
 )
 
@@ -18,7 +19,7 @@ func cmdWhatif(args []string) error {
 	tracePath := fs.String("trace", "", "recorded trace file (from twin -trace-out or dist -trace-out)")
 	spec := fs.String("scenario", "", "comma-separated transforms, e.g. 'speedup=gemm*:2,bw=10gbe,fp16'")
 	asJSON := fs.Bool("json", false, "emit the full prediction as JSON")
-	topK := fs.Int("top", 12, "kernel rows to print (0 = all)")
+	topK := fs.Int("top", 12, "kernel rows to print, the rest folded into one (0 = all)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -57,18 +58,13 @@ func cmdWhatif(args []string) error {
 	}
 	fmt.Printf("\nstep time  %10.3f ms -> %10.3f ms  (%.2fx)\n",
 		pred.BaselineStepUs/1e3, pred.PredictedStepUs/1e3, pred.StepSpeedup())
-	fmt.Printf("wall time  %10.3f ms -> %10.3f ms\n\n",
+	fmt.Printf("wall time  %10.3f ms -> %10.3f ms\n",
 		pred.BaselineWallUs/1e3, pred.PredictedWallUs/1e3)
-	if err := pred.Table().Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := pred.KernelTable(*topK).Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := pred.MemTable().Render(os.Stdout); err != nil {
-		return err
+	for _, t := range []*report.Table{pred.Table(), pred.KernelTable(*topK), pred.MemTable()} {
+		fmt.Println()
+		if err := t.Render(os.Stdout); err != nil {
+			return err
+		}
 	}
 	if len(pred.Notes) > 0 {
 		fmt.Println("\nmodel notes:")

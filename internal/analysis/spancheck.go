@@ -36,11 +36,13 @@ const profEndName = "tbd/internal/prof.Span.End"
 
 // profBeginNames are the span-opening entry points. BeginChild is the
 // Begin-with-parent idiom the train-step drivers use for explicit phase
-// lineage (the what-if recorder's dependence edges); its balance rules
-// are identical to Begin's.
+// lineage (the what-if recorder's dependence edges), and BeginLeaf the
+// same for a span that never becomes ambient (the convolution's
+// per-image lowering); their balance rules are identical to Begin's.
 var profBeginNames = map[string]bool{
 	"tbd/internal/prof.Begin":      true,
 	"tbd/internal/prof.BeginChild": true,
+	"tbd/internal/prof.BeginLeaf":  true,
 }
 
 func runSpancheck(p *Pass) {

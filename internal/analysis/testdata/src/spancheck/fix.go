@@ -71,3 +71,26 @@ func beginChildReassigned() {
 	sp = prof.BeginChild(&step, prof.CatPhase, "b") // want "span sp reassigned while the span begun at line"
 	sp.End()
 }
+
+// beginLeafDiscarded drops a leaf span: it can never be closed.
+func beginLeafDiscarded() {
+	step := prof.Begin(prof.CatPhase, "step")
+	defer step.End()
+	prof.BeginLeaf(&step, prof.CatKernel, "im2col") // want "result of prof.Begin is discarded"
+}
+
+// beginLeafNeverClosed opens a leaf span and falls off the end of the
+// function.
+func beginLeafNeverClosed() {
+	step := prof.Begin(prof.CatPhase, "step")
+	defer step.End()
+	sp := prof.BeginLeaf(&step, prof.CatKernel, "col2im") // want "span sp is never closed"
+	_ = sp
+}
+
+// beginLeafEscapes returns the leaf span, as the convolution's lowering
+// helper does: the caller owns closing it. Clean.
+func beginLeafEscapes(parent *prof.Span) prof.Span {
+	sp := prof.BeginLeaf(parent, prof.CatKernel, "im2col")
+	return sp
+}

@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -247,11 +248,25 @@ func TestSnapshotTableAndJSON(t *testing.T) {
 		}
 	}
 
-	// Table truncation keeps the top kernel rows, then the budget rows.
+	// Table truncation keeps the top kernel rows, folds the rest into one
+	// row, then adds the budget rows: the self column still sums to the wall.
 	if rows := snap.Table(0).Rows; len(rows) != 2 {
 		t.Fatalf("full table has %d rows, want the kernel and unattributed", len(rows))
 	}
-	if rows := (Snapshot{Kernels: make([]KernelStat, 5), ConcurrentMs: 1}).Table(2).Rows; len(rows) != 4 {
-		t.Fatalf("topK table has %d rows, want 2 kernels, unattributed and concurrent", len(rows))
+	cut := Snapshot{Kernels: []KernelStat{{SelfMs: 4}, {SelfMs: 3}, {SelfMs: 2, Count: 5}, {SelfMs: 1, Count: 6}}, UnattributedMs: 0.5, ConcurrentMs: 1}
+	rows := cut.Table(2).Rows
+	if len(rows) != 5 || rows[2][0] != "other" || rows[2][2] != "11" || rows[2][4] != "3" {
+		t.Fatalf("topK table rows %v, want 2 kernels, other (11 spans, 3 ms self), unattributed and concurrent", rows)
+	}
+	var self float64
+	for _, r := range rows {
+		v, err := strconv.ParseFloat(r[4], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		self += v
+	}
+	if self != 9.5 {
+		t.Fatalf("topK table's self column sums to %v, want the 9.5 ms wall", self)
 	}
 }

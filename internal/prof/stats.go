@@ -138,10 +138,10 @@ func Stats() Snapshot {
 }
 
 // Table renders the snapshot's kernel rows as a report table (aligned
-// ASCII, markdown, CSV, or JSON via the report package's writers), then
+// ASCII, markdown, CSV, or JSON via the report package's writers), those
+// past topK folded into one "other" row (topK <= 0 keeps every row), then
 // the budget rows — unattributed, and concurrent (negated) where it is
-// non-zero — so a full self column sums to the wall. topK <= 0 keeps
-// every kernel row.
+// non-zero — so the self column sums to the wall.
 func (s Snapshot) Table(topK int) *report.Table {
 	title := "Per-kernel profile (live engine)"
 	if s.KernelTier != "" {
@@ -160,6 +160,14 @@ func (s Snapshot) Table(topK int) *report.Table {
 	}
 	for _, k := range rows {
 		t.AddRow(k.Name, k.Cat, k.Count, k.TotalMs, k.SelfMs, k.MeanUs, k.PctWall, k.GFLOPS, k.PoolGets, k.PoolHits)
+	}
+	if rest := s.Kernels[len(rows):]; len(rest) > 0 {
+		var count uint64
+		var selfMs float64
+		for _, k := range rest {
+			count, selfMs = count+k.Count, selfMs+k.SelfMs
+		}
+		t.AddRow("other", "-", count, "-", selfMs, "-", "-", "-", "-", "-")
 	}
 	t.AddRow("unattributed", "-", "-", "-", s.UnattributedMs, "-", "-", "-", "-", "-")
 	if s.ConcurrentMs > 0 {

@@ -102,10 +102,12 @@ func Replay(t *prof.Trace, sc *Scenario) (*Prediction, error) {
 		p.PredictedStepUs /= float64(p.Steps)
 	}
 
-	p.Phases = aggregate(g, newDur, func(n *gnode) bool { return n.Cat == prof.CatPhase || n.Cat == prof.CatComm }, false)
-	p.Kernels = aggregate(g, newDur, func(n *gnode) bool {
-		return n.Cat == prof.CatKernel || n.Cat == prof.CatOptim || n.Cat == prof.CatComm
-	}, true)
+	p.Phases = aggregate(g, phaseRow)
+	p.Kernels = aggregate(g, kernelRow)
+	for _, tree := range trees {
+		p.UnattributedUs += float64(tree.Unattributed) / 1e3
+		p.ConcurrentUs += float64(tree.Concurrent) / 1e3
+	}
 	if transferUsPerStep > 0 {
 		p.Notes = append(p.Notes, fmt.Sprintf("offload adds %.2f ms of PCIe traffic per step (charged to step and wall time)", transferUsPerStep/1e3))
 	}
@@ -384,8 +386,8 @@ func recomputePeak(p *Prediction) {
 	}
 }
 
-// Delta is one aggregated predicted-vs-baseline row (a phase or a
-// kernel class).
+// Delta is one table row: the recorded and predicted self time of every
+// span under one row key, and how many spans that is.
 type Delta struct {
 	Name        string  `json:"name"`
 	Cat         string  `json:"cat"`
@@ -396,7 +398,9 @@ type Delta struct {
 
 // Prediction is the replay result: wall/step/per-phase/per-kernel time
 // deltas, the memory watermark before and after, and the model's
-// assumption notes.
+// assumption notes. Each table sums every span's self time once, so its
+// rows + UnattributedUs − ConcurrentUs (prof.Tree's budget, summed over
+// ranks and held constant) are the ranks' summed wall in both columns.
 type Prediction struct {
 	Scenario        string            `json:"scenario"`
 	Transforms      []string          `json:"transforms"`
@@ -407,31 +411,60 @@ type Prediction struct {
 	PredictedStepUs float64           `json:"predicted_step_us"`
 	Phases          []Delta           `json:"phases"`
 	Kernels         []Delta           `json:"kernels"`
+	UnattributedUs  float64           `json:"unattributed_us"`
+	ConcurrentUs    float64           `json:"concurrent_us"`
 	MemBefore       prof.MemWatermark `json:"mem_before"`
 	MemAfter        prof.MemWatermark `json:"mem_after"`
 	Notes           []string          `json:"notes,omitempty"`
 }
 
-// aggregate groups spans by name and sums baseline vs predicted
-// durations. leavesOnly keeps kernel rows to leaf work (a comm span
-// nested under a phase would otherwise double-count).
-func aggregate(g *graph, newDur []float64, keep func(*gnode) bool, leavesOnly bool) []Delta {
-	idx := map[string]int{}
+// rowKey is a table row's name and category.
+type rowKey struct {
+	name string
+	cat  prof.Cat
+}
+
+// phaseRow keys a span's self time by its phase: a phase span's own name,
+// or else its nearest phase ancestor's.
+func phaseRow(n *gnode) rowKey {
+	if n.Cat == prof.CatPhase {
+		return rowKey{n.Name, n.Cat}
+	}
+	return rowKey{cmp.Or(n.Phase, "no phase"), prof.CatPhase}
+}
+
+// kernelRow keys a kernel, optimizer, comm or serve span's self time by
+// its name and category. A layer's or a phase's self time is what its
+// children leave, not work of its own: one row per category.
+func kernelRow(n *gnode) rowKey {
+	switch n.Cat {
+	case prof.CatForward:
+		return rowKey{"layer fwd self", n.Cat}
+	case prof.CatBackward:
+		return rowKey{"layer bwd self", n.Cat}
+	case prof.CatPhase:
+		return rowKey{"phase self", n.Cat}
+	}
+	return rowKey{n.Name, n.Cat}
+}
+
+// aggregate sums every span's recorded and predicted self time under its
+// row, sorted by recorded time.
+func aggregate(g *graph, row func(*gnode) rowKey) []Delta {
+	idx := map[rowKey]int{}
 	var out []Delta
 	for i := range g.nodes {
 		n := &g.nodes[i]
-		if !keep(n) || (leavesOnly && len(n.Children) > 0) {
-			continue
-		}
-		j, ok := idx[n.Name]
+		key := row(n)
+		j, ok := idx[key]
 		if !ok {
 			j = len(out)
-			idx[n.Name] = j
-			out = append(out, Delta{Name: n.Name, Cat: n.Cat.String()})
+			idx[key] = j
+			out = append(out, Delta{Name: key.name, Cat: key.cat.String()})
 		}
 		out[j].Count++
-		out[j].BaselineUs += n.durUs
-		out[j].PredictedUs += newDur[i]
+		out[j].BaselineUs += n.selfUs
+		out[j].PredictedUs += n.newSelfUs
 	}
 	slices.SortFunc(out, func(a, b Delta) int {
 		return cmp.Or(cmp.Compare(b.BaselineUs, a.BaselineUs), strings.Compare(a.Name, b.Name))
@@ -448,23 +481,36 @@ func (p *Prediction) StepSpeedup() float64 {
 	return p.BaselineStepUs / p.PredictedStepUs
 }
 
-// Table renders the per-phase deltas.
+// Table renders the per-phase self time.
 func (p *Prediction) Table() *report.Table {
-	return deltaTable("What-if prediction by phase", "Phase", p.Phases, 0)
+	return p.deltaTable("What-if self time by phase", "Phase", p.Phases, 0)
 }
 
-// KernelTable renders the per-kernel deltas (topK <= 0 keeps all rows).
+// KernelTable renders the per-kernel self time (topK <= 0 keeps all rows).
 func (p *Prediction) KernelTable(topK int) *report.Table {
-	return deltaTable("What-if prediction by kernel", "Kernel", p.Kernels, topK)
+	return p.deltaTable("What-if self time by kernel", "Kernel", p.Kernels, topK)
 }
 
-func deltaTable(title, first string, rows []Delta, topK int) *report.Table {
-	t := &report.Table{Title: title, Columns: []string{first, "Cat", "Count", "Baseline ms", "Predicted ms", "Delta %"}}
+// deltaTable renders rows, those past topK folded into one "other" row,
+// then the budget rows, unattributed and (negated, where it is non-zero)
+// concurrent, so each column sums to the ranks' summed wall.
+func (p *Prediction) deltaTable(title, first string, rows []Delta, topK int) *report.Table {
+	t := &report.Table{Title: title, Columns: []string{first, "Cat", "Spans", "Baseline ms", "Predicted ms", "Delta %"}}
 	if topK > 0 && len(rows) > topK {
-		rows = rows[:topK]
+		other := Delta{Name: "other", Cat: "-"}
+		for _, d := range rows[topK:] {
+			other.Count += d.Count
+			other.BaselineUs += d.BaselineUs
+			other.PredictedUs += d.PredictedUs
+		}
+		rows = append(rows[:topK:topK], other)
 	}
 	for _, d := range rows {
 		t.AddRow(d.Name, d.Cat, d.Count, d.BaselineUs/1e3, d.PredictedUs/1e3, pctDelta(d.BaselineUs, d.PredictedUs))
+	}
+	t.AddRow("unattributed", "-", "-", p.UnattributedUs/1e3, p.UnattributedUs/1e3, "-")
+	if p.ConcurrentUs > 0 {
+		t.AddRow("concurrent", "-", "-", -p.ConcurrentUs/1e3, -p.ConcurrentUs/1e3, "-")
 	}
 	return t
 }

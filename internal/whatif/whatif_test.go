@@ -424,7 +424,7 @@ func TestReplayPSCommSharesServerNIC(t *testing.T) {
 		[]float64{1000, 1000, 1000, 1000}, []float64{150000, 150000, 150000, 150000}, 8<<20)
 	p := replaySpec(t, tr, "bw=10gbe")
 	var comm Delta
-	for _, d := range p.Phases {
+	for _, d := range p.Kernels {
 		if d.Name == "comm.ps.roundtrip" {
 			comm = d
 		}
@@ -518,7 +518,7 @@ func TestReplayUnfusedEpilogueAddsMemoryPasses(t *testing.T) {
 // commAggregate is the predicted comm.ps.roundtrip row.
 func commAggregate(t *testing.T, p *Prediction) Delta {
 	t.Helper()
-	for _, d := range p.Phases {
+	for _, d := range p.Kernels {
 		if d.Name == "comm.ps.roundtrip" {
 			return d
 		}

@@ -9,12 +9,14 @@ package tbd
 // error against ground truth without re-running the workloads.
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"tbd/internal/data"
@@ -77,7 +79,43 @@ func recordWhatifTrace(meta prof.Meta, step func()) (*prof.Trace, error) {
 	}
 	prof.Disable()
 	meta.Parallel = 1
-	return prof.Current(meta), nil
+	tr := prof.Current(meta)
+	return tr, stalledStep(tr)
+}
+
+// stallFactor bounds a recorded window's slowest step against its median
+// step. A step past it stalled on something the code does not do (a page
+// fault, a preempted thread), and every replay of the trace carries it.
+const stallFactor = 1.5
+
+// stalledStep names the slowest root step span of a one-rank trace when
+// it exceeds stallFactor times the window's median step, and is nil
+// otherwise.
+func stalledStep(tr *prof.Trace) error {
+	var steps []prof.Record
+	for _, r := range tr.Ranks[0].Records {
+		if r.Name == "step" && r.Cat == prof.CatPhase && r.Parent == 0 {
+			steps = append(steps, r)
+		}
+	}
+	if len(steps) == 0 {
+		return nil
+	}
+	slices.SortFunc(steps, func(a, b prof.Record) int { return cmp.Compare(a.Start, b.Start) })
+	durs := make([]float64, len(steps))
+	slowest := 0
+	for i, r := range steps {
+		durs[i] = float64(r.Dur) / 1e6
+		if r.Dur > steps[slowest].Dur {
+			slowest = i
+		}
+	}
+	slices.Sort(durs)
+	med := (durs[(len(durs)-1)/2] + durs[len(durs)/2]) / 2
+	if ms := float64(steps[slowest].Dur) / 1e6; ms > stallFactor*med {
+		return fmt.Errorf("step %d of %d ran %.2f ms, %.2fx the window's median %.2f ms (over %.1fx): re-record", slowest+1, len(steps), ms, ms/med, med, stallFactor)
+	}
+	return nil
 }
 
 // recordTwinWhatifTrace captures the BenchmarkTwinStep/pooled workload
@@ -713,12 +751,8 @@ func TestWhatifKernelModelPricesSpansWithChildren(t *testing.T) {
 // trace under the empty scenario: the step, the wall and every phase and
 // kernel row come back bit for bit, the cluster schedule included.
 func TestWhatifGoldenTracesReplayToIdentity(t *testing.T) {
-	names, err := filepath.Glob(filepath.Join(whatifTraceDir, "*.json"))
-	if err != nil || len(names) == 0 {
-		t.Fatalf("no golden traces under %s: %v", whatifTraceDir, err)
-	}
-	for _, name := range names {
-		p := replayGolden(t, loadGoldenTrace(t, filepath.Base(name)), "")
+	for _, name := range goldenTraceNames(t) {
+		p := replayGolden(t, loadGoldenTrace(t, name), "")
 		if p.PredictedStepUs != p.BaselineStepUs || p.PredictedWallUs != p.BaselineWallUs {
 			t.Errorf("%s: step %v -> %v us, wall %v -> %v us", name, p.BaselineStepUs, p.PredictedStepUs, p.BaselineWallUs, p.PredictedWallUs)
 		}
@@ -730,12 +764,100 @@ func TestWhatifGoldenTracesReplayToIdentity(t *testing.T) {
 	}
 }
 
+// goldenTraceNames lists every committed golden trace.
+func goldenTraceNames(t *testing.T) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(whatifTraceDir, "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no golden traces under %s: %v", whatifTraceDir, err)
+	}
+	for i, p := range paths {
+		paths[i] = filepath.Base(p)
+	}
+	return paths
+}
+
+// TestWhatifTablesCloseTheirBudget: in each what-if table, the rows plus
+// the unattributed time less the concurrent time are the ranks' summed
+// wall, in both columns, on every committed trace. On a one-rank trace
+// the predicted column also closes to the predicted wall under a kernel
+// speedup.
+func TestWhatifTablesCloseTheirBudget(t *testing.T) {
+	const spec = "speedup=conv2d*:2,speedup=gemm*:2"
+	closes := func(label string, p *whatif.Prediction, baseUs, predUs float64) {
+		t.Helper()
+		for table, rows := range map[string][]whatif.Delta{"phase": p.Phases, "kernel": p.Kernels} {
+			base, pred := p.UnattributedUs-p.ConcurrentUs, p.UnattributedUs-p.ConcurrentUs
+			for _, d := range rows {
+				base, pred = base+d.BaselineUs, pred+d.PredictedUs
+			}
+			if math.Abs(base-baseUs) > 1e-3*baseUs || math.Abs(pred-predUs) > 1e-3*predUs {
+				t.Errorf("%s: %s table closes to %.3f -> %.3f ms, want %.3f -> %.3f ms", label, table, base/1e3, pred/1e3, baseUs/1e3, predUs/1e3)
+			}
+		}
+	}
+	for _, name := range goldenTraceNames(t) {
+		tr := loadGoldenTrace(t, name)
+		var wallUs float64
+		for _, c := range tr.Ranks {
+			wallUs += float64(c.Wall) / 1e3
+		}
+		closes(name, replayGolden(t, tr, ""), wallUs, wallUs)
+		if len(tr.Ranks) == 1 {
+			p := replayGolden(t, tr, spec)
+			closes(name+" under "+spec, p, p.BaselineWallUs, p.PredictedWallUs)
+		}
+	}
+}
+
+// TestWhatifKernelTableShowsSelfTime: on train_conv's step the kernel
+// table reads every convolution's self time, not only the stem's, and the
+// layers' own time (BatchNorm's, mostly) in one row per direction.
+func TestWhatifKernelTableShowsSelfTime(t *testing.T) {
+	want := map[string]struct{ ms, tol float64 }{
+		"conv2d.bwd":     {33.5, 0.1},
+		"layer fwd self": {7.45, 0.005},
+		"layer bwd self": {7.31, 0.005},
+	}
+	for _, d := range replayGolden(t, loadGoldenTrace(t, bnVecTrace), "").Kernels {
+		if w, ok := want[d.Name]; ok {
+			if math.Abs(d.BaselineUs/1e3-w.ms) > w.tol {
+				t.Errorf("%s reads %.3f ms, want %.2f ms", d.Name, d.BaselineUs/1e3, w.ms)
+			}
+			delete(want, d.Name)
+		}
+	}
+	for name := range want {
+		t.Errorf("kernel table has no %s row", name)
+	}
+}
+
+// TestWhatifStallCheckNamesTheStalledTraces runs the recorder's stall
+// check over every committed one-rank trace. It names exactly the two
+// recorded before the check, which are kept: re-recording them would move
+// the cells they pin.
+func TestWhatifStallCheckNamesTheStalledTraces(t *testing.T) {
+	stalled := map[string]bool{convVecTrace: true, "twin_avx2_b64.json": true}
+	for _, name := range goldenTraceNames(t) {
+		tr := loadGoldenTrace(t, name)
+		if len(tr.Ranks) != 1 {
+			continue
+		}
+		err := stalledStep(tr)
+		if (err != nil) != stalled[name] {
+			t.Errorf("%s: stall check says %v, want a stall: %v", name, err, stalled[name])
+		} else if err != nil {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+}
+
 // commDelta pulls the comm.ps.roundtrip aggregate out of a prediction's
-// phase rows (totals across all ranks and steps; the 1 GbE and 10 GbE
+// kernel rows (totals across all ranks and steps; the 1 GbE and 10 GbE
 // recordings have identical rank/step counts, so the totals compare).
 func commDelta(t testing.TB, p *whatif.Prediction) whatif.Delta {
 	t.Helper()
-	for _, d := range p.Phases {
+	for _, d := range p.Kernels {
 		if d.Name == "comm.ps.roundtrip" {
 			return d
 		}
