@@ -27,10 +27,12 @@
 // the change's ns/op over the base's (the mean of the base runs either
 // side), the spread of the base's own six runs (IQR over median), the
 // number of rounds the change was faster, and the same median for each
-// throughput metric the row reports. -tol fails the run when the ns/op
-// median rises, or a throughput median falls, by more than the given
-// fraction, when the base's spread exceeds it (the host cannot resolve
-// the row), or when a benchmark of the base is gone from the change.
+// throughput metric the row reports, with the base's spread of that
+// metric. -tol fails the run when the ns/op median rises, or a
+// throughput median falls, by more than the given fraction, when the
+// base's spread of any of those metrics exceeds it (the host cannot
+// resolve the row), or when a benchmark of the base is gone from the
+// change.
 // Improvements and new benchmarks never fail it.
 package main
 
@@ -43,7 +45,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -53,6 +54,8 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+
+	"tbd/internal/stats"
 )
 
 // rounds is how many times the change runs each row; the base runs it
@@ -175,12 +178,11 @@ var runBench = func(ctx context.Context, b build, args []string) (map[string]ben
 var rateUnits = []string{"GFLOP/s", "samples/s", "Melem/s", "MB/s"}
 
 // pairing is one row's paired runs: for ns/op and each rate, the change's
-// value over the base's in every round both reported it, the base's own
-// ns/op in each of its runs, and whether each build reported the row at
-// all.
+// value over the base's in every round both reported it and the base's
+// own value in each of its runs, and whether each build reported the row
+// at all.
 type pairing struct {
-	ratios        map[string][]float64
-	baseNs        []float64
+	ratios, base  map[string][]float64
 	inBase, inCur bool
 }
 
@@ -195,12 +197,14 @@ func runRounds(ctx context.Context, base, cur build, rows, args []string) (map[s
 	out := make(map[string]*pairing, len(rows))
 	for k, row := range rows {
 		fmt.Fprintf(os.Stderr, "row %d/%d: %s\n", k+1, len(rows), row)
-		p := &pairing{ratios: map[string][]float64{}}
+		p := &pairing{ratios: map[string][]float64{}, base: map[string][]float64{}}
 		out[row] = p
 		a := append(args, "-test.bench="+rowPattern(row))
 		keepBase := func(res map[string]benchResult) {
-			if ns := res[row].metrics["ns/op"]; ns > 0 {
-				p.baseNs = append(p.baseNs, ns)
+			for _, unit := range units {
+				if v := res[row].metrics[unit]; v > 0 {
+					p.base[unit] = append(p.base[unit], v)
+				}
 			}
 		}
 		before, err := runBench(ctx, base, a)
@@ -237,39 +241,16 @@ func runRounds(ctx context.Context, base, cur build, rows, args []string) (map[s
 	return out, nil
 }
 
-// median returns the median of xs, which it sorts.
-func median(xs []float64) float64 {
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
-}
-
-// spread is the interquartile range of xs over their median, the
-// quartiles interpolated between order statistics. It sorts xs.
-func spread(xs []float64) float64 {
-	sort.Float64s(xs)
-	q := func(f float64) float64 {
-		i, frac := math.Modf(f * float64(len(xs)-1))
-		if int(i)+1 == len(xs) {
-			return xs[int(i)]
-		}
-		return xs[int(i)] + frac*(xs[int(i)+1]-xs[int(i)])
-	}
-	return (q(0.75) - q(0.25)) / median(xs)
-}
-
 // pct formats a ratio as a signed percentage change.
 func pct(ratio float64) string { return fmt.Sprintf("%+.1f%%", (ratio-1)*100) }
 
 // compare writes the paired table to w and returns one line per row
 // that fails the gate: its median ns/op ratio above 1+tol, or a median
-// rate ratio below 1-tol. A row whose base runs spread wider than tol
-// (IQR over median) fails on that alone: the host cannot resolve it. A
-// tol of 0 disables the gate; a row the change never reports is gone,
-// and fails when the gate is on.
+// rate ratio below 1-tol. A row also fails when the base's own runs of a
+// unit it is gated on spread wider than tol (IQR over median): the host
+// cannot resolve that unit, whatever its median says. A tol of 0
+// disables the gate; a row the change never reports is gone, and fails
+// when the gate is on.
 func compare(w io.Writer, rows map[string]*pairing, tol float64) []string {
 	names := make([]string, 0, len(rows))
 	for name := range rows {
@@ -277,7 +258,7 @@ func compare(w io.Writer, rows map[string]*pairing, tol float64) []string {
 	}
 	sort.Strings(names)
 	var failures []string
-	fmt.Fprintf(w, "%-44s %10s %9s %6s   %s\n", "benchmark", "ns/op", "base iqr", "wins", "rates")
+	fmt.Fprintf(w, "%-44s %10s %9s %6s   %s\n", "benchmark", "ns/op", "base iqr", "wins", "rates (base iqr)")
 	for _, name := range names {
 		p := rows[name]
 		switch {
@@ -302,33 +283,45 @@ func compare(w io.Writer, rows map[string]*pairing, tol float64) []string {
 				wins++
 			}
 		}
-		var bad, rates []string
-		med := median(ns)
-		if tol > 0 && med > 1+tol {
-			bad = append(bad, "ns/op "+pct(med))
+		// gate judges one unit: its median ratio against tol, and the
+		// base's spread of that unit, which it returns.
+		var bad, noisy, rates []string
+		gate := func(unit string, med float64, worse bool) float64 {
+			iqr := stats.Spread(p.base[unit])
+			if tol > 0 && worse {
+				bad = append(bad, unit+" "+pct(med))
+			}
+			if tol > 0 && iqr > tol {
+				noisy = append(noisy, fmt.Sprintf("%s base spread %.1f%%", unit, 100*iqr))
+			}
+			return iqr
 		}
+		med := stats.Median(ns)
+		iqr := gate("ns/op", med, med > 1+tol)
 		for _, unit := range rateUnits {
 			rs, ok := p.ratios[unit]
 			if !ok {
 				continue
 			}
-			m := median(rs)
-			rates = append(rates, unit+" "+pct(m))
-			if tol > 0 && m < 1-tol {
-				bad = append(bad, unit+" "+pct(m))
-			}
+			m := stats.Median(rs)
+			rates = append(rates, fmt.Sprintf("%s %s (%.1f%%)", unit, pct(m), 100*gate(unit, m, m < 1-tol)))
 		}
-		mark, iqr := "", spread(p.baseNs)
-		switch {
-		case tol > 0 && iqr > tol:
-			mark = "   << UNRESOLVED"
-			failures = append(failures, fmt.Sprintf("%s: base spread %.1f%% over the %.0f%% tolerance: this host cannot resolve the row", name, 100*iqr, 100*tol))
-		case len(bad) > 0:
-			mark = "   << REGRESSED"
-			failures = append(failures, name+": "+strings.Join(bad, ", "))
+		var marks, why []string
+		if len(noisy) > 0 {
+			marks = append(marks, "UNRESOLVED")
+			why = append(why, fmt.Sprintf("%s over the %.0f%% tolerance: this host cannot resolve the row", strings.Join(noisy, ", "), 100*tol))
 		}
+		if len(bad) > 0 {
+			marks = append(marks, "REGRESSED")
+			why = append(why, strings.Join(bad, ", "))
+		}
+		mark := ""
 		if len(rates) > 0 {
-			mark = "   " + strings.Join(rates, ", ") + mark
+			mark = "   " + strings.Join(rates, ", ")
+		}
+		if len(why) > 0 {
+			mark += "   << " + strings.Join(marks, ", ")
+			failures = append(failures, name+": "+strings.Join(why, "; "))
 		}
 		fmt.Fprintf(w, "%-44s %10s %8.1f%% %4d/%d%s\n", name, pct(med), 100*iqr, wins, len(ns), mark)
 	}

@@ -194,7 +194,8 @@ func TestOneWildRoundDoesNotFailARow(t *testing.T) {
 // alternate 80 and 120 ns/op, a 40 % spread (IQR over median), while the
 // change reads 100 every round. The table prints the spread beside the
 // median; past -tol the row fails with its own message, whatever its
-// median says, and within -tol it passes. BenchmarkB's base is steady.
+// median says, and within -tol it passes. A row that is slower too names
+// both. BenchmarkB's base is steady.
 func TestUnresolvableRowFailsOnItsOwn(t *testing.T) {
 	base := func(j int) map[string]benchResult {
 		a := 80.0
@@ -206,14 +207,15 @@ func TestUnresolvableRowFailsOnItsOwn(t *testing.T) {
 			"BenchmarkB": result(map[string]float64{"ns/op": 100}),
 		}
 	}
+	const unresolved = "BenchmarkA: ns/op base spread 40.0% over the 20% tolerance: this host cannot resolve the row"
 	for _, c := range []struct {
 		name   string
 		change float64 // BenchmarkA's ns/op on the change
 		tol    float64
 		bad    string
 	}{
-		{"wider than -tol", 100, 0.2, "BenchmarkA: base spread 40.0% over the 20% tolerance: this host cannot resolve the row"},
-		{"slower too", 200, 0.2, "BenchmarkA: base spread 40.0% over the 20% tolerance: this host cannot resolve the row"},
+		{"wider than -tol", 100, 0.2, unresolved},
+		{"slower too", 200, 0.2, unresolved + "; ns/op +100.0%"},
 		{"within -tol", 100, 0.5, ""},
 	} {
 		cur := func(int) map[string]benchResult {
@@ -233,6 +235,53 @@ func TestUnresolvableRowFailsOnItsOwn(t *testing.T) {
 		}
 		if unresolved := strings.Contains(out.String(), "UNRESOLVED"); unresolved != (c.bad != "") {
 			t.Errorf("%s: table marks the row unresolved: %v:\n%s", c.name, unresolved, out.String())
+		}
+		if regressed := strings.Contains(out.String(), "UNRESOLVED, REGRESSED"); regressed != (c.change > 100) {
+			t.Errorf("%s: table marks the row regressed: %v:\n%s", c.name, regressed, out.String())
+		}
+	}
+}
+
+// TestSpreadIsJudgedPerUnit: a row whose ns/op includes a noisy setup
+// while its rate is the steady state (BenchmarkDist's samples/s) has one
+// spread per unit. Each unit the row is gated on fails on its own
+// spread, and the failure names that unit.
+func TestSpreadIsJudgedPerUnit(t *testing.T) {
+	wobble := func(j int, lo, hi float64) float64 {
+		if j%2 == 1 {
+			return hi
+		}
+		return lo
+	}
+	for _, c := range []struct {
+		name string
+		base func(j int) map[string]float64
+		bad  string
+		line string
+	}{
+		{"steady rate, noisy setup", func(j int) map[string]float64 {
+			return map[string]float64{"ns/op": wobble(j, 800, 1200), "samples/s": 500}
+		}, "BenchmarkX: ns/op base spread 40.0% over the 20% tolerance: this host cannot resolve the row",
+			`(?m)^BenchmarkX +\S+ +40\.0% +\d/5   samples/s \+0\.0% \(0\.0%\)   << UNRESOLVED$`},
+		{"noisy rate, steady setup", func(j int) map[string]float64 {
+			return map[string]float64{"ns/op": 1000, "samples/s": wobble(j, 400, 600)}
+		}, "BenchmarkX: samples/s base spread 40.0% over the 20% tolerance: this host cannot resolve the row",
+			`(?m)^BenchmarkX +\+0\.0% +0\.0% +0/5   samples/s \S+ \(40\.0%\)   << UNRESOLVED$`},
+		{"both steady", func(int) map[string]float64 {
+			return map[string]float64{"ns/op": 1000, "samples/s": 500}
+		}, "", `(?m)^BenchmarkX +\+0\.0% +0\.0% +0/5   samples/s \+0\.0% \(0\.0%\)$`},
+	} {
+		base := func(j int) map[string]benchResult { return map[string]benchResult{"BenchmarkX": result(c.base(j))} }
+		cur := func(int) map[string]benchResult {
+			return map[string]benchResult{"BenchmarkX": result(map[string]float64{"ns/op": 1000, "samples/s": 500})}
+		}
+		var out strings.Builder
+		failures := compare(&out, paired(t, base, cur), 0.2)
+		if got := strings.Join(failures, "; "); got != c.bad {
+			t.Errorf("%s: failures = %q, want %q", c.name, got, c.bad)
+		}
+		if !regexp.MustCompile(c.line).MatchString(out.String()) {
+			t.Errorf("%s: table row does not match %s:\n%s", c.name, c.line, out.String())
 		}
 	}
 }
