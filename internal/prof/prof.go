@@ -50,6 +50,9 @@ const (
 	CatComm
 )
 
+// NumCats is the number of categories: every Cat is below it.
+const NumCats = int(CatComm) + 1
+
 // catNames are the category labels of stats tables and trace files.
 var catNames = [...]string{CatKernel: "kernel", CatForward: "fwd", CatBackward: "bwd", CatPhase: "phase",
 	CatOptim: "optim", CatServe: "serve", CatComm: "comm"}

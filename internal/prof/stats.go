@@ -154,26 +154,52 @@ func (s Snapshot) Table(topK int) *report.Table {
 		Title:   title,
 		Columns: []string{"Kernel", "Cat", "Count", "Total ms", "Self ms", "Mean µs", "% wall", "GFLOP/s", "Pool gets", "Pool hits"},
 	}
-	rows := s.Kernels
-	if topK > 0 && len(rows) > topK {
-		rows = rows[:topK]
-	}
+	rows := Fold(s.Kernels, topK, KernelStat{Name: "other", Cat: "-"}, func(o *KernelStat, k KernelStat) {
+		flops := o.GFLOPS*o.TotalMs + k.GFLOPS*k.TotalMs
+		o.Count, o.TotalMs, o.SelfMs, o.PctWall = o.Count+k.Count, o.TotalMs+k.TotalMs, o.SelfMs+k.SelfMs, o.PctWall+k.PctWall
+		o.PoolGets, o.PoolHits = o.PoolGets+k.PoolGets, o.PoolHits+k.PoolHits
+		if o.Count > 0 && o.TotalMs > 0 {
+			o.MeanUs, o.GFLOPS = 1e3*o.TotalMs/float64(o.Count), flops/o.TotalMs
+		}
+	})
 	for _, k := range rows {
 		t.AddRow(k.Name, k.Cat, k.Count, k.TotalMs, k.SelfMs, k.MeanUs, k.PctWall, k.GFLOPS, k.PoolGets, k.PoolHits)
 	}
-	if rest := s.Kernels[len(rows):]; len(rest) > 0 {
-		var count uint64
-		var selfMs float64
-		for _, k := range rest {
-			count, selfMs = count+k.Count, selfMs+k.SelfMs
-		}
-		t.AddRow("other", "-", count, "-", selfMs, "-", "-", "-", "-", "-")
-	}
-	t.AddRow("unattributed", "-", "-", "-", s.UnattributedMs, "-", "-", "-", "-", "-")
-	if s.ConcurrentMs > 0 {
-		t.AddRow("concurrent", "-", "-", "-", -s.ConcurrentMs, "-", "-", "-", "-", "-")
-	}
+	AddBudget(t, s.UnattributedMs, s.ConcurrentMs, 4)
 	return t
+}
+
+// Fold cuts rows to topK (topK <= 0 keeps every row) and sums the rows
+// the cut drops into other by add, appended as the last row, so the
+// rows still sum to what the full set does.
+func Fold[R any](rows []R, topK int, other R, add func(sum *R, r R)) []R {
+	if topK <= 0 || len(rows) <= topK {
+		return rows
+	}
+	for _, r := range rows[topK:] {
+		add(&other, r)
+	}
+	return append(rows[:topK:topK], other)
+}
+
+// AddBudget appends the rows that close a self-time table, Tree's
+// budget: unattributed and, where it is non-zero, concurrent (negated).
+// Each holds its ms in the self-time columns at self and "-" in the rest.
+func AddBudget(t *report.Table, unattributedMs, concurrentMs float64, self ...int) {
+	row := func(name string, ms float64) {
+		cells := []any{name}
+		for range len(t.Columns) - 1 {
+			cells = append(cells, "-")
+		}
+		for _, c := range self {
+			cells[c] = ms
+		}
+		t.AddRow(cells...)
+	}
+	row("unattributed", unattributedMs)
+	if concurrentMs > 0 {
+		row("concurrent", -concurrentMs)
+	}
 }
 
 // WriteJSON writes the full snapshot as indented JSON.

@@ -102,8 +102,7 @@ func Replay(t *prof.Trace, sc *Scenario) (*Prediction, error) {
 		p.PredictedStepUs /= float64(p.Steps)
 	}
 
-	p.Phases = aggregate(g, phaseRow)
-	p.Kernels = aggregate(g, kernelRow)
+	p.Phases, p.Kernels = aggregate(g)
 	for _, tree := range trees {
 		p.UnattributedUs += float64(tree.Unattributed) / 1e3
 		p.ConcurrentUs += float64(tree.Concurrent) / 1e3
@@ -418,58 +417,72 @@ type Prediction struct {
 	Notes           []string          `json:"notes,omitempty"`
 }
 
-// rowKey is a table row's name and category.
-type rowKey struct {
-	name string
-	cat  prof.Cat
-}
-
-// phaseRow keys a span's self time by its phase: a phase span's own name,
-// or else its nearest phase ancestor's.
-func phaseRow(n *gnode) rowKey {
-	if n.Cat == prof.CatPhase {
-		return rowKey{n.Name, n.Cat}
-	}
-	return rowKey{cmp.Or(n.Phase, "no phase"), prof.CatPhase}
-}
-
-// kernelRow keys a kernel, optimizer, comm or serve span's self time by
-// its name and category. A layer's or a phase's self time is what its
-// children leave, not work of its own: one row per category.
-func kernelRow(n *gnode) rowKey {
-	switch n.Cat {
-	case prof.CatForward:
-		return rowKey{"layer fwd self", n.Cat}
-	case prof.CatBackward:
-		return rowKey{"layer bwd self", n.Cat}
-	case prof.CatPhase:
-		return rowKey{"phase self", n.Cat}
-	}
-	return rowKey{n.Name, n.Cat}
-}
-
 // aggregate sums every span's recorded and predicted self time under its
-// row, sorted by recorded time.
-func aggregate(g *graph, row func(*gnode) rowKey) []Delta {
-	idx := map[rowKey]int{}
-	var out []Delta
+// row of each table in one pass, each table sorted by recorded time. The
+// phase table keys a phase span by its own name and any other span by
+// its parent's row, so by its nearest phase ancestor ("no phase" for a
+// root). The kernel table keys a kernel, optimizer, comm or serve span by
+// its name and category; a layer's or a phase's self time is what its
+// children leave, not work of its own, so each of those is one row.
+func aggregate(g *graph) (phases, kernels []Delta) {
+	var ph, kr table
+	phaseOf := make([]int32, len(g.nodes))
 	for i := range g.nodes {
 		n := &g.nodes[i]
-		key := row(n)
-		j, ok := idx[key]
-		if !ok {
-			j = len(out)
-			idx[key] = j
-			out = append(out, Delta{Name: key.name, Cat: key.cat.String()})
+		switch {
+		case n.Cat == prof.CatPhase:
+			phaseOf[i] = ph.row(n.Name, n.Cat)
+		case n.Up >= 0:
+			phaseOf[i] = phaseOf[n.base+n.Up]
+		default:
+			phaseOf[i] = ph.row("no phase", prof.CatPhase)
 		}
-		out[j].Count++
-		out[j].BaselineUs += n.selfUs
-		out[j].PredictedUs += n.newSelfUs
+		ph.add(phaseOf[i], n)
+		name := n.Name
+		switch n.Cat {
+		case prof.CatForward:
+			name = "layer fwd self"
+		case prof.CatBackward:
+			name = "layer bwd self"
+		case prof.CatPhase:
+			name = "phase self"
+		}
+		kr.add(kr.row(name, n.Cat), n)
 	}
-	slices.SortFunc(out, func(a, b Delta) int {
+	return ph.sorted(), kr.sorted()
+}
+
+// table is one table's rows and their index by category and name.
+type table struct {
+	idx  [prof.NumCats]map[string]int32
+	rows []Delta
+}
+
+func (t *table) row(name string, cat prof.Cat) int32 {
+	j, ok := t.idx[cat][name]
+	if !ok {
+		if t.idx[cat] == nil {
+			t.idx[cat] = map[string]int32{}
+		}
+		j = int32(len(t.rows))
+		t.idx[cat][name] = j
+		t.rows = append(t.rows, Delta{Name: name, Cat: cat.String()})
+	}
+	return j
+}
+
+func (t *table) add(j int32, n *gnode) {
+	d := &t.rows[j]
+	d.Count++
+	d.BaselineUs += n.selfUs
+	d.PredictedUs += n.newSelfUs
+}
+
+func (t *table) sorted() []Delta {
+	slices.SortFunc(t.rows, func(a, b Delta) int {
 		return cmp.Or(cmp.Compare(b.BaselineUs, a.BaselineUs), strings.Compare(a.Name, b.Name))
 	})
-	return out
+	return t.rows
 }
 
 // StepSpeedup is predicted-over-baseline step acceleration (>1 means
@@ -492,26 +505,16 @@ func (p *Prediction) KernelTable(topK int) *report.Table {
 }
 
 // deltaTable renders rows, those past topK folded into one "other" row,
-// then the budget rows, unattributed and (negated, where it is non-zero)
-// concurrent, so each column sums to the ranks' summed wall.
+// then the budget rows, so each column sums to the ranks' summed wall.
 func (p *Prediction) deltaTable(title, first string, rows []Delta, topK int) *report.Table {
-	t := &report.Table{Title: title, Columns: []string{first, "Cat", "Spans", "Baseline ms", "Predicted ms", "Delta %"}}
-	if topK > 0 && len(rows) > topK {
-		other := Delta{Name: "other", Cat: "-"}
-		for _, d := range rows[topK:] {
-			other.Count += d.Count
-			other.BaselineUs += d.BaselineUs
-			other.PredictedUs += d.PredictedUs
-		}
-		rows = append(rows[:topK:topK], other)
-	}
+	t := &report.Table{Title: title, Columns: []string{first, "Cat", "Count", "Baseline ms", "Predicted ms", "Delta %"}}
+	rows = prof.Fold(rows, topK, Delta{Name: "other", Cat: "-"}, func(o *Delta, d Delta) {
+		o.Count, o.BaselineUs, o.PredictedUs = o.Count+d.Count, o.BaselineUs+d.BaselineUs, o.PredictedUs+d.PredictedUs
+	})
 	for _, d := range rows {
 		t.AddRow(d.Name, d.Cat, d.Count, d.BaselineUs/1e3, d.PredictedUs/1e3, pctDelta(d.BaselineUs, d.PredictedUs))
 	}
-	t.AddRow("unattributed", "-", "-", p.UnattributedUs/1e3, p.UnattributedUs/1e3, "-")
-	if p.ConcurrentUs > 0 {
-		t.AddRow("concurrent", "-", "-", -p.ConcurrentUs/1e3, -p.ConcurrentUs/1e3, "-")
-	}
+	prof.AddBudget(t, p.UnattributedUs/1e3, p.ConcurrentUs/1e3, 3, 4)
 	return t
 }
 
