@@ -426,6 +426,7 @@ type Prediction struct {
 // children leave, not work of its own, so each of those is one row.
 func aggregate(g *graph) (phases, kernels []Delta) {
 	var ph, kr table
+	var self [prof.NumCats]int32 // selfRow's row in kr, plus one
 	phaseOf := make([]int32, len(g.nodes))
 	for i := range g.nodes {
 		n := &g.nodes[i]
@@ -438,16 +439,14 @@ func aggregate(g *graph) (phases, kernels []Delta) {
 			phaseOf[i] = ph.row("no phase", prof.CatPhase)
 		}
 		ph.add(phaseOf[i], n)
-		name := n.Name
-		switch n.Cat {
-		case prof.CatForward:
-			name = "layer fwd self"
-		case prof.CatBackward:
-			name = "layer bwd self"
-		case prof.CatPhase:
-			name = "phase self"
+		if name := selfRow[n.Cat]; name != "" {
+			if self[n.Cat] == 0 {
+				self[n.Cat] = kr.newRow(name, n.Cat) + 1
+			}
+			kr.add(self[n.Cat]-1, n)
+		} else {
+			kr.add(kr.row(n.Name, n.Cat), n)
 		}
-		kr.add(kr.row(name, n.Cat), n)
 	}
 	return ph.sorted(), kr.sorted()
 }
@@ -458,17 +457,25 @@ type table struct {
 	rows []Delta
 }
 
+// selfRow names the kernel table's one row for each category whose self
+// time is what its children leave.
+var selfRow = [prof.NumCats]string{prof.CatForward: "layer fwd self", prof.CatBackward: "layer bwd self", prof.CatPhase: "phase self"}
+
 func (t *table) row(name string, cat prof.Cat) int32 {
 	j, ok := t.idx[cat][name]
 	if !ok {
 		if t.idx[cat] == nil {
 			t.idx[cat] = map[string]int32{}
 		}
-		j = int32(len(t.rows))
+		j = t.newRow(name, cat)
 		t.idx[cat][name] = j
-		t.rows = append(t.rows, Delta{Name: name, Cat: cat.String()})
 	}
 	return j
+}
+
+func (t *table) newRow(name string, cat prof.Cat) int32 {
+	t.rows = append(t.rows, Delta{Name: name, Cat: cat.String()})
+	return int32(len(t.rows) - 1)
 }
 
 func (t *table) add(j int32, n *gnode) {
