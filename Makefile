@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet lint test race tier-race serve-race prof-race dist-race fuzz-smoke whatif-race analysis-race bench bench-serve bench-prof bench-dist bench-whatif bench-all bench-gate whatif-record whatif-record-dist_ring_1gbe whatif-record-dist_ring_10gbe whatif-record-dist_ring_nolimit whatif-record-dist_ps_1gbe whatif-record-dist_ps_10gbe whatif-record-dist_ring2_stream cover reproduce observations examples clean
+.PHONY: all check build vet lint test race tier-race serve-race prof-race dist-race fuzz-smoke whatif-race analysis-race bench bench-serve bench-prof bench-dist bench-whatif bench-gate whatif-record whatif-record-dist_ring_1gbe whatif-record-dist_ring_10gbe whatif-record-dist_ring_nolimit whatif-record-dist_ps_1gbe whatif-record-dist_ps_10gbe whatif-record-dist_ring2_stream cover reproduce observations examples clean
 
 all: check
 
@@ -142,15 +142,16 @@ bench-serve:
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_serve.json | sed 's/"Output":"//;s/\\t/\t/g' || true
 
 # Profiler overhead benchmarks: span fast path (disabled must be 0
-# allocs/op) and full twin step with the profiler off vs on.
+# allocs/op) and the full twin step with the profiler on. The step with
+# it off is TwinStep/parallel-pooled, recorded by `make bench`.
 bench-prof:
 	$(GO) test -run '^$$' -bench 'Prof' -benchtime 2s -benchmem -json . > BENCH_prof.json
 
 # Distributed-training scaling matrix: workers x strategy x compression
 # x throttled bandwidth, each cell a full coordinated run over real TCP.
-# Three runs per cell: two one-run A/A passes differed by up to 140% on
-# ns/op (a 3-step cell is mostly connection set-up), two three-run passes
-# by up to 35%.
+# A cell's ns/op is its steady step after warm-up (the time the cluster
+# takes per batch of 16 samples), not the run, whose three steps are
+# mostly connection set-up. Three runs per cell.
 bench-dist:
 	$(GO) test -run '^$$' -bench 'Dist' -benchtime 3x -benchmem -json . > BENCH_dist.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_dist.json | sed 's/"Output":"//;s/\\t/\t/g' || true
@@ -161,9 +162,6 @@ bench-dist:
 bench-whatif:
 	$(GO) test -run '^$$' -bench 'Whatif' -benchtime 1s -benchmem -json . > BENCH_whatif.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_whatif.json | sed 's/"Output":"//;s/\\t/\t/g' || true
-
-bench-all:
-	$(GO) test -bench=. -benchmem
 
 # Re-record the committed what-if golden traces (testdata/whatif/): the
 # twin traces per GEMM kernel tier via the env-gated recorder test, and

@@ -42,6 +42,12 @@ func benchDistRun(b *testing.B, workers int, strat dist.RunStrategy, comp dist.C
 // throttled link classes (1 GbE and 10 GbE token buckets). The ~1.6 MB
 // gradient vector of mlp-wide makes the runs bandwidth-bound at 1 GbE,
 // so the strategy and compression deltas are link effects, not compute.
+//
+// A row's ns/op is not the whole run, whose connection set-up dominates
+// three steps, but the steady state the workers measure after warm-up:
+// the time the cluster takes to train one batch of samples, batch over
+// its samples/s (one step at w1, a w-th of a step at w workers). The
+// row prints samples/s beside it; their product is 1e9 × batch.
 func BenchmarkDist(b *testing.B) {
 	links := []struct {
 		name string
@@ -61,6 +67,7 @@ func BenchmarkDist(b *testing.B) {
 						for i := 0; i < b.N; i++ {
 							thr += benchDistRun(b, workers, strat, comp, link.bps, steps, batch)
 						}
+						b.ReportMetric(1e9*batch*float64(b.N)/thr, "ns/op")
 						b.ReportMetric(thr/float64(b.N), "samples/s")
 					})
 				}

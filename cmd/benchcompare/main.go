@@ -25,15 +25,14 @@
 //
 // For each benchmark the table gives the median over the five rounds of
 // the change's ns/op over the base's (the mean of the base runs either
-// side), the spread of the base's own six runs (IQR over median), the
-// number of rounds the change was faster, and the same median for each
-// throughput metric the row reports, with the base's spread of that
-// metric. -tol fails the run when the ns/op median rises, or a
-// throughput median falls, by more than the given fraction, when the
-// base's spread of any of those metrics exceeds it (the host cannot
+// side), the spread of the base's own six runs (IQR over median) and the
+// number of rounds the change was faster. ns/op is the one gated number:
+// every rate a row reports besides is K·1e9 over its ns/op, and
+// BenchmarkDist, whose run includes setup, reports its steady step as its
+// ns/op. -tol fails the run when a row's median rises by more than the
+// given fraction, when the base's spread exceeds it (the host cannot
 // resolve the row), or when a benchmark of the base is gone from the
-// change.
-// Improvements and new benchmarks never fail it.
+// change. Improvements and new benchmarks never fail it.
 package main
 
 import (
@@ -62,30 +61,23 @@ import (
 // once more.
 const rounds = 5
 
-// benchResult is one benchmark line's parsed metrics, keyed by unit
-// ("ns/op", "GFLOP/s", "samples/s", "B/op", "allocs/op", ...).
-type benchResult struct {
-	name    string
-	iters   int64
-	metrics map[string]float64
-}
-
 // testEvent is the subset of the `go test -json` event stream we read.
 type testEvent struct {
 	Action string `json:"Action"`
 	Output string `json:"Output"`
 }
 
-// benchLine matches a benchmark result line: name, iteration count, then
-// value/unit pairs. The -N GOMAXPROCS suffix is stripped so runs from
-// different machines compare by benchmark name.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
+// benchLine matches a benchmark result line up to its ns/op, which the
+// testing package prints first after the iteration count: the name, then
+// the value. The -N GOMAXPROCS suffix is stripped so runs from different
+// machines compare by benchmark name.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(\S+) ns/op`)
 
-// parseBenchOutput extracts benchmark results from a test binary's
+// parseBenchOutput extracts each benchmark's ns/op from a test binary's
 // output read from src: plain text, or a `go test -json` event stream.
 // Output events are concatenated before line-splitting: the test runner
 // may emit one logical result line as several events.
-func parseBenchOutput(r io.Reader, src string) (map[string]benchResult, error) {
+func parseBenchOutput(r io.Reader, src string) (map[string]float64, error) {
 	var text strings.Builder
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -102,26 +94,15 @@ func parseBenchOutput(r io.Reader, src string) (map[string]benchResult, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("%s: %w", src, err)
 	}
-	out := make(map[string]benchResult)
+	out := make(map[string]float64)
 	for _, line := range strings.Split(text.String(), "\n") {
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		iters, err := strconv.ParseInt(m[2], 10, 64)
-		if err != nil {
-			continue
+		if ns, err := strconv.ParseFloat(m[2], 64); err == nil && ns > 0 {
+			out[m[1]] = ns
 		}
-		res := benchResult{name: m[1], iters: iters, metrics: map[string]float64{}}
-		fields := strings.Fields(m[3])
-		for i := 0; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			res.metrics[fields[i+1]] = v
-		}
-		out[res.name] = res
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("%s: %w", src, errNoBenchmarks)
@@ -129,7 +110,7 @@ func parseBenchOutput(r io.Reader, src string) (map[string]benchResult, error) {
 	return out, nil
 }
 
-func parseBenchFile(path string) (map[string]benchResult, error) {
+func parseBenchFile(path string) (map[string]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -156,10 +137,10 @@ type build struct {
 // errNoBenchmarks is a test output without one result line.
 var errNoBenchmarks = errors.New("no benchmark lines found")
 
-// runBench runs one build's test binary with args and parses its
-// results; a run that reports no row (the build lacks it) returns none.
+// runBench runs one build's test binary with args and parses each row's
+// ns/op; a run that reports no row (the build lacks it) returns none.
 // Tests replace it with canned results.
-var runBench = func(ctx context.Context, b build, args []string) (map[string]benchResult, error) {
+var runBench = func(ctx context.Context, b build, args []string) (map[string]float64, error) {
 	out, err := command(ctx, b.dir, b.bin, args...).Output()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.name, err)
@@ -171,18 +152,11 @@ var runBench = func(ctx context.Context, b build, args []string) (map[string]ben
 	return res, err
 }
 
-// rateUnits are the throughput metrics, where higher is better. A rate is
-// not always b.N over the run: BenchmarkDist's samples/s is the steady
-// step rate after warm-up, which ns/op dilutes with setup, so the gate
-// reads each rate apart from ns/op.
-var rateUnits = []string{"GFLOP/s", "samples/s", "Melem/s", "MB/s"}
-
-// pairing is one row's paired runs: for ns/op and each rate, the change's
-// value over the base's in every round both reported it and the base's
-// own value in each of its runs, and whether each build reported the row
-// at all.
+// pairing is one row's paired runs: the change's ns/op over the base's in
+// every round both reported it, the base's own ns/op in each of its runs,
+// and whether each build reported the row at all.
 type pairing struct {
-	ratios, base  map[string][]float64
+	ratios, base  []float64
 	inBase, inCur bool
 }
 
@@ -193,25 +167,19 @@ type pairing struct {
 // cancels, and so does a head start for the first or the second run of
 // a pair, which an odd number of flipped pairs would hand to one side.
 func runRounds(ctx context.Context, base, cur build, rows, args []string) (map[string]*pairing, error) {
-	units := append([]string{"ns/op"}, rateUnits...)
 	out := make(map[string]*pairing, len(rows))
 	for k, row := range rows {
 		fmt.Fprintf(os.Stderr, "row %d/%d: %s\n", k+1, len(rows), row)
-		p := &pairing{ratios: map[string][]float64{}, base: map[string][]float64{}}
+		p := &pairing{}
 		out[row] = p
 		a := append(args, "-test.bench="+rowPattern(row))
-		keepBase := func(res map[string]benchResult) {
-			for _, unit := range units {
-				if v := res[row].metrics[unit]; v > 0 {
-					p.base[unit] = append(p.base[unit], v)
-				}
-			}
-		}
 		before, err := runBench(ctx, base, a)
 		if err != nil {
 			return nil, err
 		}
-		keepBase(before)
+		if o, ok := before[row]; ok {
+			p.base = append(p.base, o)
+		}
 		for range rounds {
 			c, err := runBench(ctx, cur, a)
 			if err != nil {
@@ -221,19 +189,16 @@ func runRounds(ctx context.Context, base, cur build, rows, args []string) (map[s
 			if err != nil {
 				return nil, err
 			}
-			keepBase(after)
-			b0, ok0 := before[row]
-			b1, ok1 := after[row]
-			n, ok := c[row]
+			o0, ok0 := before[row]
+			o1, ok1 := after[row]
+			v, ok := c[row]
+			if ok1 {
+				p.base = append(p.base, o1)
+			}
 			p.inBase = p.inBase || ok0 || ok1
 			p.inCur = p.inCur || ok
 			if ok0 && ok1 && ok {
-				for _, unit := range units {
-					o0, o1, v := b0.metrics[unit], b1.metrics[unit], n.metrics[unit]
-					if o0 > 0 && o1 > 0 && v > 0 {
-						p.ratios[unit] = append(p.ratios[unit], 2*v/(o0+o1))
-					}
-				}
+				p.ratios = append(p.ratios, 2*v/(o0+o1))
 			}
 			before = after
 		}
@@ -245,12 +210,11 @@ func runRounds(ctx context.Context, base, cur build, rows, args []string) (map[s
 func pct(ratio float64) string { return fmt.Sprintf("%+.1f%%", (ratio-1)*100) }
 
 // compare writes the paired table to w and returns one line per row
-// that fails the gate: its median ns/op ratio above 1+tol, or a median
-// rate ratio below 1-tol. A row also fails when the base's own runs of a
-// unit it is gated on spread wider than tol (IQR over median): the host
-// cannot resolve that unit, whatever its median says. A tol of 0
-// disables the gate; a row the change never reports is gone, and fails
-// when the gate is on.
+// that fails the gate: its median ns/op ratio above 1+tol (REGRESSED), or
+// the base's own runs spread wider than tol (IQR over median), so that
+// the host cannot resolve the row whatever its median says (UNRESOLVED),
+// or both. A tol of 0 disables the gate; a row the change never reports
+// is gone, and fails when the gate is on.
 func compare(w io.Writer, rows map[string]*pairing, tol float64) []string {
 	names := make([]string, 0, len(rows))
 	for name := range rows {
@@ -258,7 +222,7 @@ func compare(w io.Writer, rows map[string]*pairing, tol float64) []string {
 	}
 	sort.Strings(names)
 	var failures []string
-	fmt.Fprintf(w, "%-44s %10s %9s %6s   %s\n", "benchmark", "ns/op", "base iqr", "wins", "rates (base iqr)")
+	fmt.Fprintf(w, "%-44s %10s %9s %6s\n", "benchmark", "ns/op", "base iqr", "wins")
 	for _, name := range names {
 		p := rows[name]
 		switch {
@@ -271,59 +235,32 @@ func compare(w io.Writer, rows map[string]*pairing, tol float64) []string {
 		case !p.inBase:
 			fmt.Fprintf(w, "%-44s %10s\n", name, "new")
 			continue
-		}
-		ns := p.ratios["ns/op"]
-		if len(ns) == 0 {
-			fmt.Fprintf(w, "%-44s %10s\n", name, "no ns/op")
+		case len(p.ratios) == 0:
+			fmt.Fprintf(w, "%-44s %10s\n", name, "unpaired")
 			continue
 		}
 		wins := 0
-		for _, x := range ns {
+		for _, x := range p.ratios {
 			if x < 1 {
 				wins++
 			}
 		}
-		// gate judges one unit: its median ratio against tol, and the
-		// base's spread of that unit, which it returns.
-		var bad, noisy, rates []string
-		gate := func(unit string, med float64, worse bool) float64 {
-			iqr := stats.Spread(p.base[unit])
-			if tol > 0 && worse {
-				bad = append(bad, unit+" "+pct(med))
-			}
-			if tol > 0 && iqr > tol {
-				noisy = append(noisy, fmt.Sprintf("%s base spread %.1f%%", unit, 100*iqr))
-			}
-			return iqr
-		}
-		med := stats.Median(ns)
-		iqr := gate("ns/op", med, med > 1+tol)
-		for _, unit := range rateUnits {
-			rs, ok := p.ratios[unit]
-			if !ok {
-				continue
-			}
-			m := stats.Median(rs)
-			rates = append(rates, fmt.Sprintf("%s %s (%.1f%%)", unit, pct(m), 100*gate(unit, m, m < 1-tol)))
-		}
+		med, iqr := stats.Median(p.ratios), stats.Spread(p.base)
 		var marks, why []string
-		if len(noisy) > 0 {
+		if tol > 0 && iqr > tol {
 			marks = append(marks, "UNRESOLVED")
-			why = append(why, fmt.Sprintf("%s over the %.0f%% tolerance: this host cannot resolve the row", strings.Join(noisy, ", "), 100*tol))
+			why = append(why, fmt.Sprintf("ns/op base spread %.1f%% over the %.0f%% tolerance: this host cannot resolve the row", 100*iqr, 100*tol))
 		}
-		if len(bad) > 0 {
+		if tol > 0 && med > 1+tol {
 			marks = append(marks, "REGRESSED")
-			why = append(why, strings.Join(bad, ", "))
+			why = append(why, "ns/op "+pct(med))
 		}
 		mark := ""
-		if len(rates) > 0 {
-			mark = "   " + strings.Join(rates, ", ")
-		}
 		if len(why) > 0 {
-			mark += "   << " + strings.Join(marks, ", ")
+			mark = "   << " + strings.Join(marks, ", ")
 			failures = append(failures, name+": "+strings.Join(why, "; "))
 		}
-		fmt.Fprintf(w, "%-44s %10s %8.1f%% %4d/%d%s\n", name, pct(med), 100*iqr, wins, len(ns), mark)
+		fmt.Fprintf(w, "%-44s %10s %8.1f%% %4d/%d%s\n", name, pct(med), 100*iqr, wins, len(p.ratios), mark)
 	}
 	return failures
 }

@@ -155,6 +155,12 @@ func TestValidateRejectsBrokenEdges(t *testing.T) {
 // built to check the file, so a replay of a read trace allocates exactly
 // one tree build less than a replay of the same spans never read, and
 // asking a read trace for its trees allocates nothing.
+//
+// Each count is the fewest of ten one-run windows. Under the race
+// detector sync.Pool drops a quarter of what is put back, so the
+// fmt.Sprintf in the scenario's Describe, which Replay calls, now and
+// then finds fmt's printer pool empty and allocates a printer and its
+// buffer: a window reads the true count or more, never fewer.
 func TestReplayOfAReadTraceBuildsNoTree(t *testing.T) {
 	var buf bytes.Buffer
 	if err := twoStepTrace(t).Write(&buf); err != nil {
@@ -170,11 +176,15 @@ func TestReplayOfAReadTraceBuildsNoTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := func(f func() error) float64 {
-		return testing.AllocsPerRun(20, func() {
-			if err := f(); err != nil {
-				t.Fatal(err)
-			}
-		})
+		n := math.Inf(1)
+		for range 10 {
+			n = min(n, testing.AllocsPerRun(1, func() {
+				if err := f(); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return n
 	}
 	build := allocs(func() error { _, err := unread.Trees(); return err })
 	kept := allocs(func() error { _, err := read.Trees(); return err })
