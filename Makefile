@@ -197,27 +197,29 @@ whatif-record-dist_ring2_stream:
 # tree, and runs each row BENCH_X.json names on both, one row at a time:
 # base, change, base, ... five change runs, each set against the mean of
 # the base runs either side. A line exits nonzero when the median of a
-# row's five ns/op ratios is slower, or the median of a throughput ratio
-# (GFLOP/s, samples/s, Melem/s, MB/s) lower, than the tolerance allows,
-# or when a row of HEAD is gone. A row also fails, as UNRESOLVED, when the
-# base's own six runs of a unit it is gated on spread (IQR over median)
-# wider than the tolerance. BENCH_X.json names what suite X runs; it is not
-# a baseline. The what-if prediction cells are not here: each
-# TestWhatifGroundTruth* test pins its error to the value committed
-# beside it, so tier-1 gates them; the whatif suite keeps its timing rows.
+# row's five ns/op ratios is slower than the tolerance allows, or when a
+# row of HEAD is gone. A row also fails, as UNRESOLVED, when the base's
+# own six runs spread (IQR over median) wider than the tolerance. ns/op
+# is the one gated number: a dist row's is its steady step. BENCH_X.json
+# names what suite X runs; it is not a baseline. The what-if prediction
+# cells are not here: each TestWhatifGroundTruth* test pins its error to
+# the value committed beside it, so tier-1 gates them; the whatif suite
+# keeps its timing rows.
 # Beside each -tol are two floors over the A/A runs in EXPERIMENTS.md (an
 # unchanged tree against its HEAD, a 2-vCPU host): the widest base spread
-# of any row in the three runs that printed it, with the runs a row of the
-# line was UNRESOLVED in, and the largest |median delta| of any row over
-# every A/A run. Load from elsewhere on the host raises the floors, and
-# two lines' spreads sit above their tolerance: on a loaded host the
-# numeric and dist lines fail an unchanged tree now and then (ROADMAP
-# item 1's reference clock is the fix, not a wider -tol).
+# of any row, with the runs a row of the line was UNRESOLVED in, and the
+# largest |median delta| of any row. The numeric and dist floors are
+# three runs each made once ns/op became the one gated number (the
+# section "One gated number per row"); the serve, prof and whatif floors
+# are earlier runs, which one run each in that section read within. Load from elsewhere on the host
+# raises the floors, and the numeric line's spread sits at its
+# tolerance: on a loaded host it fails an unchanged tree now and then
+# (ROADMAP item 1's reference clock is the fix, not a wider -tol).
 bench-gate:
-	$(GO) run ./cmd/benchcompare -tol 0.20  # spread 31.9 %, TwinStep/serial-nopool, unresolved in 2 of 3; median 24.7 %, OptimStep/momentum
+	$(GO) run ./cmd/benchcompare -tol 0.20  # spread 20.1 %, GEMMTier/ref/256, unresolved in 1 of 3; median 19.4 %, OptimStep/sgd
 	$(GO) run ./cmd/benchcompare -suite serve -tol 0.40  # spread 28.4 %, ServeBatched/cap64; median 17.8 %, Fleet/replicas4
 	$(GO) run ./cmd/benchcompare -suite prof -tol 0.40  # spread 19.9 %, ProfSpan/disabled; median 7.7 %, ProfStep/on
-	$(GO) run ./cmd/benchcompare -suite dist -benchtime 3x -tol 0.40  # spread 67.3 %, Dist/w2/ring/int8/10gbe ns/op, unresolved in 2 of 3; median 50.4 %, Dist/w1/ps-async/fp16/10gbe
+	$(GO) run ./cmd/benchcompare -suite dist -benchtime 3x -tol 0.40  # spread 23.0 %, Dist/w1/ring/fp16/10gbe, unresolved in 0 of 3; median 25.2 %, Dist/w1/ring/int8/1gbe
 	$(GO) run ./cmd/benchcompare -suite whatif -tol 0.40  # spread 15.4 %, WhatifRecordTwin; median 17.3 %, WhatifReplay
 
 cover:

@@ -27,7 +27,7 @@
 // the change's ns/op over the base's (the mean of the base runs either
 // side), the spread of the base's own six runs (IQR over median) and the
 // number of rounds the change was faster. ns/op is the one gated number:
-// every rate a row reports besides is K·1e9 over its ns/op, and
+// every rate a row reports besides is a constant over its ns/op, and
 // BenchmarkDist, whose run includes setup, reports its steady step as its
 // ns/op. -tol fails the run when a row's median rises by more than the
 // given fraction, when the base's spread exceeds it (the host cannot
@@ -100,7 +100,7 @@ func parseBenchOutput(r io.Reader, src string) (map[string]float64, error) {
 		if m == nil {
 			continue
 		}
-		if ns, err := strconv.ParseFloat(m[2], 64); err == nil && ns > 0 {
+		if ns, err := strconv.ParseFloat(m[2], 64); err == nil {
 			out[m[1]] = ns
 		}
 	}
