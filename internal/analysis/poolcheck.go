@@ -40,9 +40,9 @@ import (
 // passed to functions outside the analyzed program — or to summarized
 // sinks (stores, returns, captures) — transfer ownership conservatively,
 // as does storing in a container or capturing in a closure locally. A
-// closure handed to a function whose doc carries //tbd:sync-callback has
-// finished when that call returns and is summarized as part of the
-// function that wrote it.
+// composite literal handed straight to a function whose doc carries
+// //tbd:sync-callback is let go of when that call returns: the buffers it
+// names stay the obligation of the function that wrote it.
 var Poolcheck = &Analyzer{
 	Name: "poolcheck",
 	Doc:  "pooled tensor/pack buffers must be released, returned, or stashed with recycle on every path",
@@ -575,6 +575,7 @@ func (w *poolWalker) scan(expr ast.Expr, st poolState) poolState {
 		return st
 	}
 	v := w.site.v
+	lent := map[*ast.CompositeLit]bool{} // arguments of sync-callback calls
 	var visit func(n ast.Node) bool
 	visit = func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -589,6 +590,9 @@ func (w *poolWalker) scan(expr ast.Expr, st poolState) poolState {
 			if n == w.site.call {
 				st.live = true
 				return true
+			}
+			if prog := w.pc.pass.Prog; prog != nil {
+				prog.lend(lent, n, w.pc.pass.calleeName(n))
 			}
 			if w.isReleaseOfV(n) {
 				if st.live && st.resolved == resolvedAlways && st.byRelease && !w.reported {
@@ -621,7 +625,7 @@ func (w *poolWalker) scan(expr ast.Expr, st poolState) poolState {
 			}
 			return true
 		case *ast.CompositeLit:
-			if v != nil && w.pc.pass.mentions(n, v) {
+			if v != nil && !lent[n] && w.pc.pass.mentions(n, v) {
 				st.resolved = resolvedAlways
 				st.byRelease = false
 			}

@@ -135,6 +135,21 @@ func (prog *Program) ReturnsAcquired(callee string) bool {
 	return ok && sum.ReturnsAcquired
 }
 
+// lend adds to lent the composite literals written straight into call's
+// arguments when the callee's doc carries //tbd:sync-callback: it has run
+// and let go of everything handed to it by the time it returns, so such a
+// literal only lends the callee what it names.
+func (prog *Program) lend(lent map[*ast.CompositeLit]bool, call *ast.CallExpr, callee string) {
+	if fi := prog.Funcs[callee]; fi == nil || !FuncEscape(fi.Decl, "sync-callback") {
+		return
+	}
+	for _, arg := range call.Args {
+		if lit, ok := ast.Unparen(arg).(*ast.CompositeLit); ok {
+			lent[lit] = true
+		}
+	}
+}
+
 // computePoolSummaries iterates the per-function extraction until no
 // summary changes. Effects only ever increase along the
 // borrows < releases < sinks order and ReturnsAcquired only flips to
@@ -220,17 +235,13 @@ func (prog *Program) summarizeFunc(fi *FuncInfo, sum *PoolSummary) bool {
 	// acquired tracks locals bound to fresh pool acquisitions, for the
 	// ReturnsAcquired scan.
 	acquired := map[types.Object]bool{}
-	// inline holds function literals passed straight to a //tbd:sync-callback
-	// callee: they have run to completion when the call returns, so what
-	// they do with a parameter is what this function does with it.
-	inline := map[*ast.FuncLit]bool{}
+	// lent holds composite literals passed straight to a sync-callback
+	// callee: the parameters they name are borrowed, not stored.
+	lent := map[*ast.CompositeLit]bool{}
 
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			if inline[n] {
-				return true
-			}
 			// A parameter captured by a closure escapes.
 			for i, obj := range params {
 				if obj != nil && fi.Pkg.mentions(n, obj) {
@@ -239,6 +250,9 @@ func (prog *Program) summarizeFunc(fi *FuncInfo, sum *PoolSummary) bool {
 			}
 			return false
 		case *ast.CompositeLit:
+			if lent[n] {
+				return true
+			}
 			for i, obj := range params {
 				if obj != nil && fi.Pkg.mentions(n, obj) {
 					raise(i, ParamSinks)
@@ -289,13 +303,7 @@ func (prog *Program) summarizeFunc(fi *FuncInfo, sum *PoolSummary) bool {
 			return true
 		case *ast.CallExpr:
 			name := fi.Pkg.calleeName(n)
-			if callee := prog.Funcs[name]; callee != nil && FuncEscape(callee.Decl, "sync-callback") {
-				for _, arg := range n.Args {
-					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-						inline[lit] = true
-					}
-				}
-			}
+			prog.lend(lent, n, name)
 			// Direct release of a parameter: v.Release() / putPackBuf(v).
 			if poolReleaseMethods[name] {
 				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {

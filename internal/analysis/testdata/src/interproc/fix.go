@@ -129,13 +129,26 @@ func inlineRetained(n int) {
 	borrow(tensor.Acquire(n)) //tbd:retain the buffer is left to the garbage collector on purpose
 }
 
-// each runs fn to completion before it returns.
+// rec is a callback's argument record.
+type rec struct{ t *tensor.Tensor }
+
+// each runs fn over r to completion before it returns.
 //
-//tbd:sync-callback plain loop, fn is never stored
-func each(n int, fn func(i int)) {
+//tbd:sync-callback plain loop, fn and r are never stored
+func each(n int, fn func(r rec, i int), r rec) {
 	for i := 0; i < n; i++ {
-		fn(i)
+		fn(r, i)
 	}
+}
+
+func touch(r rec, i int) { _ = r.t.Data()[i] }
+
+// kept holds records for a later caller to read.
+var kept []rec
+
+// keep stores r: what it names escapes.
+func keep(r rec) {
+	kept = append(kept, r)
 }
 
 // pending holds closures for a later caller to run.
@@ -146,22 +159,37 @@ func later(fn func()) {
 	pending = append(pending, fn)
 }
 
-// sumInCallback only reads t, inside a closure that has finished when
-// each returns: still a borrow.
-func sumInCallback(t *tensor.Tensor) float32 {
-	var s float32
-	each(t.Numel(), func(i int) { s += t.Data()[i] })
-	return s
+// readInCallback lends t to each in a literal each has let go of when it
+// returns: still a borrow.
+func readInCallback(t *tensor.Tensor) {
+	each(t.Numel(), touch, rec{t: t})
 }
 
-// readLater captures t in a closure nothing vouches for: a sink.
+// storeLater hands t over in a literal nothing vouches for: a sink.
+func storeLater(t *tensor.Tensor) {
+	keep(rec{t: t})
+}
+
+// readLater captures t in a closure: a sink.
 func readLater(t *tensor.Tensor) {
 	later(func() { _ = t.Numel() })
 }
 
 // inlineThroughCallbacks: the sync-callback borrower is a finding, the
-// capturing one is not.
+// storing and capturing ones are not.
 func inlineThroughCallbacks(n int) {
-	sumInCallback(tensor.Acquire(n)) // want "passed inline to interproc.sumInCallback, which only borrows it"
+	readInCallback(tensor.Acquire(n)) // want "passed inline to interproc.readInCallback, which only borrows it"
+	storeLater(tensor.Acquire(n))
 	readLater(tensor.Acquire(n))
+}
+
+// lentToCallback still owes the release after each returns: the early
+// return leaks it.
+func lentToCallback(n int, cond bool) {
+	t := tensor.Acquire(n) // want "pooled buffer t leaks on the return path at line"
+	each(n, touch, rec{t: t})
+	if cond {
+		return
+	}
+	t.Release()
 }

@@ -185,16 +185,20 @@ func TestZeroGradsLeavesZerosBehindUntouchedParams(t *testing.T) {
 // epilogues, the loss and the accuracy, gradient clipping and a momentum
 // update. The parent commit allocated 29 objects a step: variadic shapes
 // that escaped, the Dense layers' shape copies, their epilogues, and the
-// accuracy's prediction slice.
+// accuracy's prediction slice. It holds at one, two and three workers.
 func TestDenseStepAllocatesNothing(t *testing.T) {
+	defer tensor.SetParallelism(1)
 	net, x, labels := trainGemmShaped(tensor.NewRNG(37), 256, 32)
 	opt := optim.NewMomentum(0.01, 0.9)
 	step := func() { TrainClassifierStep(net, opt, x, labels, 5) }
-	for i := 0; i < 3; i++ {
-		step()
-	}
-	if got := testing.AllocsPerRun(20, step); got != 0 {
-		t.Errorf("a warmed Dense step allocates %v objects, want 0", got)
+	for _, workers := range []int{1, 2, 3} {
+		tensor.SetParallelism(workers)
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		if got := testing.AllocsPerRun(20, step); got != 0 {
+			t.Errorf("a warmed Dense step at %d workers allocates %v objects, want 0", workers, got)
+		}
 	}
 }
 

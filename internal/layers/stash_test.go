@@ -69,8 +69,10 @@ func TestStashFollowsTrainMode(t *testing.T) {
 // and 656 B for attention (1 320 B, and 0.9 MB before the shared core).
 // Each bound sits just above that reading, far below one leaked
 // temporary: an [N, 4H] buffer leaked per timestep is 128 KB, an
-// [N, T, d/heads] buffer leaked per head 32 KB.
+// [N, T, d/heads] buffer leaked per head 32 KB. The bounds hold at one,
+// two and three workers.
 func TestSequenceLayersSteadyStateAllocation(t *testing.T) {
+	defer tensor.SetParallelism(1)
 	rng := tensor.NewRNG(51)
 	for _, c := range []struct {
 		l        Layer
@@ -86,23 +88,26 @@ func TestSequenceLayersSteadyStateAllocation(t *testing.T) {
 			c.l.Forward(x, true)
 			c.l.Backward(gy)
 		}
-		for i := 0; i < 3; i++ {
-			step()
-		}
-		perIter := uint64(math.MaxUint64)
-		for range windows {
-			const iters = 20
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < iters; i++ {
+		for _, workers := range []int{1, 2, 3} {
+			tensor.SetParallelism(workers)
+			for i := 0; i < 3; i++ {
 				step()
 			}
-			runtime.ReadMemStats(&after)
-			perIter = min(perIter, (after.TotalAlloc-before.TotalAlloc)/iters)
-		}
-		t.Logf("%s: %d B per forward+backward", c.l.Name(), perIter)
-		if perIter > c.maxBytes {
-			t.Errorf("%s forward+backward allocates %d B per iteration, want at most %d", c.l.Name(), perIter, c.maxBytes)
+			perIter := uint64(math.MaxUint64)
+			for range windows {
+				const iters = 20
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < iters; i++ {
+					step()
+				}
+				runtime.ReadMemStats(&after)
+				perIter = min(perIter, (after.TotalAlloc-before.TotalAlloc)/iters)
+			}
+			t.Logf("%s at %d workers: %d B per forward+backward", c.l.Name(), workers, perIter)
+			if perIter > c.maxBytes {
+				t.Errorf("%s forward+backward at %d workers allocates %d B per iteration, want at most %d", c.l.Name(), workers, perIter, c.maxBytes)
+			}
 		}
 	}
 }
@@ -110,8 +115,10 @@ func TestSequenceLayersSteadyStateAllocation(t *testing.T) {
 // TestMaxPool2DStepAllocatesNothing pins that a warmed max-pooling forward
 // and backward take nothing from the Go allocator: the layer hands its
 // argmax slice back to tensor.MaxPool2D to refill, where it once received
-// a fresh one per forward (every step of the detection twins).
+// a fresh one per forward (every step of the detection twins). It holds
+// at one, two and three workers.
 func TestMaxPool2DStepAllocatesNothing(t *testing.T) {
+	defer tensor.SetParallelism(1)
 	rng := tensor.NewRNG(52)
 	l := NewMaxPool2D("maxpool", 2, 2)
 	x := tensor.RandNormal(rng, 0, 1, 4, 8, 16, 16)
@@ -120,20 +127,23 @@ func TestMaxPool2DStepAllocatesNothing(t *testing.T) {
 		l.Forward(x, true)
 		l.Backward(gy)
 	}
-	step()
-	allocs, afterEval := math.Inf(1), math.Inf(1)
-	for range windows {
-		allocs = min(allocs, testing.AllocsPerRun(20, step))
-		// An eval forward in between keeps the slice; the next training
-		// forward still allocates nothing.
-		l.Forward(x, false)
-		afterEval = min(afterEval, testing.AllocsPerRun(1, step))
-	}
-	if allocs != 0 {
-		t.Errorf("a warmed MaxPool2D forward + backward allocates %v objects, want 0", allocs)
-	}
-	if afterEval != 0 {
-		t.Errorf("a training step after an eval forward allocates %v objects, want 0", afterEval)
+	for _, workers := range []int{1, 2, 3} {
+		tensor.SetParallelism(workers)
+		step()
+		allocs, afterEval := math.Inf(1), math.Inf(1)
+		for range windows {
+			allocs = min(allocs, testing.AllocsPerRun(20, step))
+			// An eval forward in between keeps the slice; the next training
+			// forward still allocates nothing.
+			l.Forward(x, false)
+			afterEval = min(afterEval, testing.AllocsPerRun(1, step))
+		}
+		if allocs != 0 {
+			t.Errorf("a warmed MaxPool2D forward + backward at %d workers allocates %v objects, want 0", workers, allocs)
+		}
+		if afterEval != 0 {
+			t.Errorf("a training step after an eval forward at %d workers allocates %v objects, want 0", workers, afterEval)
+		}
 	}
 }
 

@@ -17,9 +17,12 @@ import (
 // AllocsPerRun counts the whole process — takes nothing from the Go
 // allocator, so the heap never grows past the live set and no collection
 // runs in steady state. The parent commit allocated 59 objects a step,
-// ≈ 98 KB, nearly all of it the fresh batch.
+// ≈ 98 KB, nearly all of it the fresh batch. The same holds with the step
+// split across two and three workers, where the worker pool's closures
+// once cost 270 objects a step.
 func TestTrainConvStepAllocatesNothing(t *testing.T) {
 	const batch, classes = 32, 10
+	defer tensor.SetParallelism(1)
 	net := NumericResNet(tensor.NewRNG(1), 3, 16, classes)
 	opt := optim.NewAdam(0.01)
 	pipe := data.NewImagePipeline(1, 2, batch, func(int) *data.ImageSource {
@@ -30,11 +33,14 @@ func TestTrainConvStepAllocatesNothing(t *testing.T) {
 		b := pipe.Next()
 		graph.TrainClassifierStep(net, opt, b.X, b.Labels, 5)
 	}
-	for i := 0; i < 5; i++ {
-		step()
-	}
-	if got := testing.AllocsPerRun(20, step); got != 0 {
-		t.Errorf("a warmed train_conv step allocates %v objects, want 0", got)
+	for _, workers := range []int{1, 2, 3} {
+		tensor.SetParallelism(workers)
+		for i := 0; i < 5; i++ {
+			step()
+		}
+		if got := testing.AllocsPerRun(20, step); got != 0 {
+			t.Errorf("a warmed train_conv step at %d workers allocates %v objects, want 0", workers, got)
+		}
 	}
 }
 

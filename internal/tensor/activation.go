@@ -110,17 +110,12 @@ func beginActSpan(name string, numel, streams int) prof.Span {
 func ActForward(act ActKind, x *Tensor) *Tensor {
 	sp := beginActSpan("act.fwd", len(x.data), 2)
 	out := acquireDirty(x.shape...)
-	k := elemKernelsFor(currentGemmTier())
-	if rowWorkers(len(x.data), minElemsPerWorker) <= 1 {
-		actForwardRange(act, out.data, x.data, k)
-	} else {
-		parallelRows(len(x.data), minElemsPerWorker, func(lo, hi int) {
-			actForwardRange(act, out.data[lo:hi], x.data[lo:hi], k)
-		})
-	}
+	parallelRows(len(x.data), 1, minElemsPerWorker, actForwardChunk, rowArgs{act: act, dst: out.data, a: x.data, ek: elemKernelsFor(currentGemmTier())})
 	sp.End()
 	return out
 }
+
+func actForwardChunk(r rowArgs, lo, hi int) { actForwardRange(r.act, r.dst[lo:hi], r.a[lo:hi], r.ek) }
 
 // ActBackward computes the input gradient of an activation from the
 // upstream gradient gy and the activation output y: gz = gy ⊙ act'(y).
@@ -133,14 +128,11 @@ func ActBackward(act ActKind, gy, y *Tensor) *Tensor {
 	}
 	sp := beginActSpan("act.bwd", len(gy.data), 3)
 	out := acquireDirty(gy.shape...)
-	k := elemKernelsFor(currentGemmTier())
-	if rowWorkers(len(gy.data), minElemsPerWorker) <= 1 {
-		actBackwardRange(act, out.data, gy.data, y.data, k)
-	} else {
-		parallelRows(len(gy.data), minElemsPerWorker, func(lo, hi int) {
-			actBackwardRange(act, out.data[lo:hi], gy.data[lo:hi], y.data[lo:hi], k)
-		})
-	}
+	parallelRows(len(gy.data), 1, minElemsPerWorker, actBackwardChunk, rowArgs{act: act, dst: out.data, a: gy.data, b: y.data, ek: elemKernelsFor(currentGemmTier())})
 	sp.End()
 	return out
+}
+
+func actBackwardChunk(r rowArgs, lo, hi int) {
+	actBackwardRange(r.act, r.dst[lo:hi], r.a[lo:hi], r.b[lo:hi], r.ek)
 }

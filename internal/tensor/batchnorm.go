@@ -120,18 +120,15 @@ func BatchNormForward(out, xhat, x *Tensor, gamma, beta []float32, eps, momentum
 		st.InvStd = make([]float32, c)
 	}
 	st.InvStd = st.InvStd[:c]
-	k := elemKernelsFor(currentGemmTier())
-	if rowWorkers(groups, minGroups) <= 1 {
-		bnForwardRange(k, 0, c, out.data, xhat.data, x.data, pl, gamma, beta, eps, momentum, st)
-		return
-	}
-	parallelRows(groups, minGroups, func(lo, hi int) {
-		bnForwardRange(k, lo*bnGroup, min(hi*bnGroup, c), out.data, xhat.data, x.data, pl, gamma, beta, eps, momentum, st)
-	})
+	parallelRows(groups, 1, minGroups, bnForwardRange, rowArgs{ek: elemKernelsFor(currentGemmTier()), dst: out.data, b: xhat.data, a: x.data,
+		pl: pl, p: gamma, q: beta, eps: eps, momentum: momentum, st: st})
 }
 
-func bnForwardRange(k *elemKernels, c0, c1 int, out, xhat, x []float32, pl chanPlanes, gamma, beta []float32, eps, momentum float32, st *BatchNormStats) {
+// bnForwardRange normalizes the channels of groups [lo, hi).
+func bnForwardRange(r rowArgs, lo, hi int) {
+	k, out, xhat, x, pl, gamma, beta, eps, momentum, st := r.ek, r.dst, r.b, r.a, r.pl, r.p, r.q, r.eps, r.momentum, r.st
 	c := len(st.RunMean)
+	c0, c1 := lo*bnGroup, min(hi*bnGroup, c)
 	sa, sq := st.sums[c0:c1], st.sums[c+c0:c+c1]
 	k.bnSums(sa, sq, x[c0*pl.plane:], x[c0*pl.plane:], pl)
 	m := float64(pl.imgs * pl.plane)
@@ -164,18 +161,16 @@ func BatchNormBackward(gx, gy, xhat *Tensor, gamma, gGamma, gBeta []float32, st 
 	if len(st.InvStd) != c {
 		panic("tensor: BatchNormBackward before a training BatchNormForward")
 	}
-	k := elemKernelsFor(currentGemmTier())
-	if rowWorkers(groups, minGroups) <= 1 {
-		bnBackwardRange(k, 0, c, gx.data, gy.data, xhat.data, pl, gamma, gGamma, gBeta, st)
-		return
-	}
-	parallelRows(groups, minGroups, func(lo, hi int) {
-		bnBackwardRange(k, lo*bnGroup, min(hi*bnGroup, c), gx.data, gy.data, xhat.data, pl, gamma, gGamma, gBeta, st)
-	})
+	parallelRows(groups, 1, minGroups, bnBackwardRange, rowArgs{ek: elemKernelsFor(currentGemmTier()), dst: gx.data, a: gy.data, b: xhat.data,
+		pl: pl, p: gamma, q: gGamma, s: gBeta, st: st})
 }
 
-func bnBackwardRange(k *elemKernels, c0, c1 int, gx, gy, xhat []float32, pl chanPlanes, gamma, gGamma, gBeta []float32, st *BatchNormStats) {
+// bnBackwardRange writes the input gradient of the channels of groups
+// [lo, hi).
+func bnBackwardRange(r rowArgs, lo, hi int) {
+	k, gx, gy, xhat, pl, gamma, gGamma, gBeta, st := r.ek, r.dst, r.a, r.b, r.pl, r.p, r.q, r.s, r.st
 	c := len(st.RunMean)
+	c0, c1 := lo*bnGroup, min(hi*bnGroup, c)
 	sg, sgx := st.sums[c0:c1], st.sums[c+c0:c+c1]
 	k.bnSums(sg, sgx, gy[c0*pl.plane:], xhat[c0*pl.plane:], pl)
 	m := float32(pl.imgs * pl.plane)

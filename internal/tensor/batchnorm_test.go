@@ -248,14 +248,16 @@ func TestBatchNormAllocatesNothing(t *testing.T) {
 	for _, tier := range []string{"ref", "avx2"} {
 		t.Run(tier, func(t *testing.T) {
 			forceGemmTier(t, tier)
-			SetParallelism(1)
-			step()
-			allocs := math.Inf(1)
-			for range 3 {
-				allocs = min(allocs, testing.AllocsPerRun(20, step))
-			}
-			if allocs != 0 {
-				t.Errorf("a warmed serial forward + backward allocates %v objects, want 0", allocs)
+			for _, workers := range []int{1, 2, 3} {
+				SetParallelism(workers)
+				step()
+				allocs := math.Inf(1)
+				for range 3 {
+					allocs = min(allocs, testing.AllocsPerRun(20, step))
+				}
+				if allocs != 0 {
+					t.Errorf("a warmed forward + backward at %d workers allocates %v objects, want 0", workers, allocs)
+				}
 			}
 		})
 	}

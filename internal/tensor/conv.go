@@ -326,7 +326,8 @@ func panelRows(dst, a, bp []float32, n, k, m int, ep *epilogue) {
 // transposed-B n×k×m product a·bᵀ into dst off the panel lowerPanelT
 // wrote into bp: the tile nest, kernels and edge columns
 // gemmPackedRowsWide runs for that product, so the same bits.
-func panelRowsT(dst, a, bp []float32, n, k, m, lo, hi int) {
+func panelRowsT(r rowArgs, lo, hi int) {
+	dst, a, bp, n, k, m := r.dst, r.a, r.bp, r.n, r.k, r.m
 	gemmWideTiles(dst, a, bp, n, k, m, k, lo, hi, layTransB, true, kernelSeq8x8, kernelTree8x8, func(i0 int) {
 		gemmEdgeCols(dst, a, bp, n, k, m, i0, i0+microMW, layTransB, true, m&^7)
 	})
@@ -367,32 +368,19 @@ func Conv2DFused(x, w, bias *Tensor, act ActKind, stride, pad int) *Tensor {
 		sp.SetFLOPs(2 * float64(n) * float64(f) * float64(g.ckk()) * float64(g.ohw()))
 		sp.SetBytes(4 * (int64(x.Numel()) + int64(w.Numel()) + int64(n)*int64(f)*int64(g.ohw())))
 	}
-	var epv epilogue
-	var ep *epilogue
+	ep := epilogue{act: act}
 	if bias != nil {
-		epv = epilogue{rowBias: bias.data, act: act}
-		ep = &epv
-	} else if act != ActNone {
-		epv = epilogue{act: act}
-		ep = &epv
+		ep.rowBias = bias.data
 	}
 	out := acquireDirty(n, f, g.oh, g.ow)
-	if rowWorkers(n, 1) <= 1 {
-		convFwdImages(out.data, x.data, w.data, &g, f, 0, n, ep, &sp)
-	} else {
-		// The closure escapes to the pool: it captures heap copies of the
-		// epilogue, the geometry and the span, not ep, g and sp themselves.
-		epc, gc, spc := ep.heapCopy(), g, sp
-		parallelRows(n, 1, func(lo, hi int) {
-			convFwdImages(out.data, x.data, w.data, &gc, f, lo, hi, epc, &spc)
-		})
-	}
+	parallelRows(n, 1, 1, convFwdImages, rowArgs{dst: out.data, a: x.data, b: w.data, g: g, m: f, ep: ep, sp: sp})
 	sp.End()
 	return out
 }
 
 // convFwdImages writes the output blocks of images [blo, bhi) of y.
-func convFwdImages(y, x, w []float32, g *convGeom, f, blo, bhi int, ep *epilogue, parent *prof.Span) {
+func convFwdImages(r rowArgs, blo, bhi int) {
+	y, x, w, g, f, ep, parent := r.dst, r.a, r.b, &r.g, r.m, r.epi(), &r.sp
 	ckk, ohw, chw := g.ckk(), g.ohw(), g.chw()
 	if g.pointwise() {
 		for b := blo; b < bhi; b++ {
@@ -448,16 +436,7 @@ func Conv2DBackward(x, w, gy *Tensor, stride, pad int) (gx, gw *Tensor) {
 	dw := Acquire(f, g.c, g.kh, g.kw)
 	convBwdWeights(dw.data, x.data, gy.data, &g, n, f, &sp)
 	dx := acquireDirty(n, g.c, g.h, g.w)
-	if rowWorkers(n, 1) <= 1 {
-		convBwdDataImages(dx.data, gy.data, w.data, &g, f, 0, n, &sp)
-	} else {
-		// As in Conv2DFused; dx rather than the named gx, which the
-		// closure would move to the heap on the serial path too.
-		gc, spc := g, sp
-		parallelRows(n, 1, func(lo, hi int) {
-			convBwdDataImages(dx.data, gy.data, w.data, &gc, f, lo, hi, &spc)
-		})
-	}
+	parallelRows(n, 1, 1, convBwdDataImages, rowArgs{dst: dx.data, a: gy.data, b: w.data, g: g, m: f, sp: sp})
 	sp.End()
 	return dx, dw
 }
@@ -490,13 +469,7 @@ func convBwdWeights(gw, x, gy []float32, g *convGeom, n, f int, parent *prof.Spa
 		}
 		g.lowerPanelT(cols, src)
 		sp.End()
-		if rowWorkers(f, minRows) <= 1 {
-			panelRowsT(gw, gyb, cols, f, ohw, ckk, 0, f)
-			continue
-		}
-		parallelRowsAligned(f, microMW, minRows, func(lo, hi int) {
-			panelRowsT(gw, gyb, cols, f, ohw, ckk, lo, hi)
-		})
+		parallelRows(f, microMW, minRows, panelRowsT, rowArgs{dst: gw, a: gyb, bp: cols, n: f, k: ohw, m: ckk})
 	}
 	putPackBuf(cols)
 	putPackBuf(xp)
@@ -505,7 +478,8 @@ func convBwdWeights(gw, x, gy []float32, g *convGeom, n, f int, parent *prof.Spa
 // convBwdDataImages writes the input gradient of images [blo, bhi): per
 // image the lowered gradient wᵀ · gy_b, scattered into gx_b while it is
 // still in L2. A pointwise convolution's lowered gradient is gx_b itself.
-func convBwdDataImages(gx, gy, w []float32, g *convGeom, f, blo, bhi int, parent *prof.Span) {
+func convBwdDataImages(r rowArgs, blo, bhi int) {
+	gx, gy, w, g, f, parent := r.dst, r.a, r.b, &r.g, r.m, &r.sp
 	ckk, ohw, chw := g.ckk(), g.ohw(), g.chw()
 	if g.pointwise() {
 		for b := blo; b < bhi; b++ {
@@ -539,20 +513,12 @@ func MaxPool2D(x *Tensor, k, stride int, idx []int) (*Tensor, []int) {
 		idx = make([]int, out.Numel())
 	}
 	idx = idx[:out.Numel()]
-	if rowWorkers(n*c, 1) <= 1 {
-		maxPoolPlanes(out.data, idx, x.data, h, w, oh, ow, k, stride, 0, n*c)
-		return out, idx
-	}
-	// The closure captures argmax, assigned once, rather than the
-	// reassigned idx, which would move to the heap on every call.
-	argmax := idx
-	parallelRows(n*c, 1, func(plo, phi int) {
-		maxPoolPlanes(out.data, argmax, x.data, h, w, oh, ow, k, stride, plo, phi)
-	})
+	parallelRows(n*c, 1, 1, maxPoolPlanes, rowArgs{dst: out.data, idx: idx, a: x.data, g: convGeom{h: h, w: w, oh: oh, ow: ow, kh: k, stride: stride}})
 	return out, idx
 }
 
-func maxPoolPlanes(dst []float32, idx []int, x []float32, h, w, oh, ow, k, stride, plo, phi int) {
+func maxPoolPlanes(r rowArgs, plo, phi int) {
+	dst, idx, x, h, w, oh, ow, k, stride := r.dst, r.idx, r.a, r.g.h, r.g.w, r.g.oh, r.g.ow, r.g.kh, r.g.stride
 	for pl := plo; pl < phi; pl++ {
 		plane := x[pl*h*w : (pl+1)*h*w]
 		pbase := pl * h * w
@@ -596,18 +562,12 @@ func AvgPool2D(x *Tensor, k, stride int) *Tensor {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oh, ow := ConvOut(h, k, stride, 0), ConvOut(w, k, stride, 0)
 	out := acquireDirty(n, c, oh, ow)
-	inv := 1 / float32(k*k)
-	if rowWorkers(n*c, 1) <= 1 {
-		avgPoolPlanes(out.data, x.data, h, w, oh, ow, k, stride, inv, 0, n*c)
-		return out
-	}
-	parallelRows(n*c, 1, func(plo, phi int) {
-		avgPoolPlanes(out.data, x.data, h, w, oh, ow, k, stride, inv, plo, phi)
-	})
+	parallelRows(n*c, 1, 1, avgPoolPlanes, rowArgs{dst: out.data, a: x.data, g: convGeom{h: h, w: w, oh: oh, ow: ow, kh: k, stride: stride}, alpha: 1 / float32(k*k)})
 	return out
 }
 
-func avgPoolPlanes(dst, x []float32, h, w, oh, ow, k, stride int, inv float32, plo, phi int) {
+func avgPoolPlanes(r rowArgs, plo, phi int) {
+	dst, x, h, w, oh, ow, k, stride, inv := r.dst, r.a, r.g.h, r.g.w, r.g.oh, r.g.ow, r.g.kh, r.g.stride, r.alpha
 	for pl := plo; pl < phi; pl++ {
 		plane := x[pl*h*w : (pl+1)*h*w]
 		o := pl * oh * ow

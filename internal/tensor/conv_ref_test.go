@@ -36,18 +36,13 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 // across the worker pool. Each row is written independently, so any split
 // is bit-identical.
 func im2colRows(dst, x *Tensor, kh, kw, stride, pad int) {
-	n, c := x.shape[0], x.shape[1]
-	ckk := c * kh * kw
-	oh := ConvOut(x.shape[2], kh, stride, pad)
-	ow := ConvOut(x.shape[3], kw, stride, pad)
-	minRows := 1 + minElemsPerWorker/(oh*ow+1)
-	if rowWorkers(n*ckk, minRows) <= 1 {
-		im2colRange(dst.data, x.data, c, x.shape[2], x.shape[3], oh, ow, kh, kw, stride, pad, 0, n*ckk)
-		return
-	}
-	parallelRows(n*ckk, minRows, func(rlo, rhi int) {
-		im2colRange(dst.data, x.data, c, x.shape[2], x.shape[3], oh, ow, kh, kw, stride, pad, rlo, rhi)
-	})
+	g := newConvGeom(x.shape[1], x.shape[2], x.shape[3], kh, kw, stride, pad)
+	parallelRows(x.shape[0]*g.ckk(), 1, 1+minElemsPerWorker/(g.ohw()+1), im2colBody, rowArgs{dst: dst.data, a: x.data, g: g})
+}
+
+func im2colBody(r rowArgs, lo, hi int) {
+	g := &r.g
+	im2colRange(r.dst, r.a, g.c, g.h, g.w, g.oh, g.ow, g.kh, g.kw, g.stride, g.pad, lo, hi)
 }
 
 // im2colRange writes lowered rows [rlo, rhi), where row index r encodes
@@ -129,13 +124,12 @@ func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
 }
 
 func col2imInto(out, cols *Tensor, n, c, h, w, kh, kw, stride, pad int) {
-	if rowWorkers(n, 1) <= 1 {
-		col2imRange(out.data, cols.data, c, h, w, kh, kw, stride, pad, 0, n)
-		return
-	}
-	parallelRows(n, 1, func(blo, bhi int) {
-		col2imRange(out.data, cols.data, c, h, w, kh, kw, stride, pad, blo, bhi)
-	})
+	parallelRows(n, 1, 1, col2imBody, rowArgs{dst: out.data, a: cols.data, g: newConvGeom(c, h, w, kh, kw, stride, pad)})
+}
+
+func col2imBody(r rowArgs, lo, hi int) {
+	g := &r.g
+	col2imRange(r.dst, r.a, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, lo, hi)
 }
 
 // col2imRange scatter-adds images [blo, bhi). For stride 1 each lowered

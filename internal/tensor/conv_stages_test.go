@@ -34,7 +34,7 @@ func BenchmarkConvStages(b *testing.B) {
 		{"lower", func(b int) { g.lowerPanel(cols, g.padded(xp, img(x, b, chw))) }},
 		{"fwd-gemm", func(b int) { panelRows(img(y, b, f*ohw), w, cols, f, ckk, ohw, nil) }},
 		{"wpanel", func(b int) { g.lowerPanelT(wcols, g.padded(xp, img(x, b, chw))) }},
-		{"wgrad-gemm", func(b int) { panelRowsT(gw, img(gy, b, f*ohw), wcols, f, ohw, ckk, 0, f) }},
+		{"wgrad-gemm", func(b int) { panelRowsT(rowArgs{dst: gw, a: img(gy, b, f*ohw), bp: wcols, n: f, k: ohw, m: ckk}, 0, f) }},
 		{"dgrad-gemm", func(b int) { gemmSerial(gcols, w, img(gy, b, f*ohw), ckk, f, ohw, layTransA, false, nil) }},
 		{"scatter", func(b int) {
 			gxb := img(gx, b, chw)

@@ -64,17 +64,6 @@ type epilogue struct {
 	act     ActKind
 }
 
-// heapCopy returns a copy of ep (nil for nil) for a closure that escapes
-// to the worker pool. Capturing ep itself would move every caller's
-// epilogue to the heap, on the serial path too.
-func (ep *epilogue) heapCopy() *epilogue {
-	if ep == nil {
-		return nil
-	}
-	c := *ep
-	return &c
-}
-
 // applyEpilogueRows applies ep to dst rows [lo, hi) of an [n, m] matrix.
 // Bias precedes activation, matching the unfused layer composition: the
 // column bias and the row bias are two separately rounded adds, in that
@@ -108,62 +97,71 @@ func packedWorthIt(n, k, m int) bool {
 // overwrite mode never reads dst, so it may be dirty.
 func gemmSerial(dst, a, b []float32, n, k, m int, lay gemmLayout, accum bool, ep *epilogue) {
 	tier := currentGemmTier()
-	if tier == tierAVX2 && wideWorthIt(n, k, m) {
-		gemmSerialWide(dst, a, b, n, k, m, lay, accum, ep)
-		return
-	}
-	if !packedWorthIt(n, k, m) {
+	switch {
+	case tier == tierAVX2 && wideWorthIt(n, k, m):
+		kb := gemmWideKB(k, lay, accum)
+		bp := getPackBuf(k * (m &^ 7))
+		packBRangeWide(bp, b, k, m, kb, lay, 0, m&^7)
+		gemmPackedRowsWide(dst, a, b, bp, n, k, m, kb, 0, n, lay, accum, ep)
+		putPackBuf(bp)
+	case !packedWorthIt(n, k, m):
 		gemmRefRange(dst, a, b, n, k, m, lay, accum, 0, n)
 		applyEpilogueRows(dst, m, 0, n, ep)
-		return
+	default:
+		tree, seq := kernels4x4(tier)
+		bp := getPackBuf(k * (m &^ 3))
+		packBRange(bp, b, k, m, lay, 0, m&^3)
+		gemmPackedRows(dst, a, b, bp, n, k, m, 0, n, lay, accum, ep, tree, seq)
+		putPackBuf(bp)
 	}
-	tree, seq := kernels4x4(tier)
-	bp := getPackBuf(k * (m &^ 3))
-	packBRange(bp, b, k, m, lay, 0, m&^3)
-	gemmPackedRows(dst, a, b, bp, n, k, m, 0, n, lay, accum, ep, tree, seq)
-	putPackBuf(bp)
 }
 
 // gemmParallel is gemmSerial with output rows split across the worker
-// pool. The B panel is packed once (in parallel for large panels) and
-// shared read-only by every worker; each worker packs its own A tiles
-// into per-worker pooled scratch.
+// pool. The B panel is packed once (its column strips split across the
+// pool when the panel is big enough; strips write disjoint bp regions)
+// and shared read-only by every worker; each worker packs its own A tiles
+// into per-worker pooled scratch. Row blocks are aligned to the tile
+// height, so every row's tile/edge assignment is split-independent.
 func gemmParallel(dst, a, b []float32, n, k, m int, lay gemmLayout, accum bool, ep *epilogue) {
-	minRows := gemmMinRows(k, m)
-	if rowWorkers(n, minRows) <= 1 {
-		gemmSerial(dst, a, b, n, k, m, lay, accum, ep)
-		return
+	var e epilogue
+	if ep != nil {
+		e = *ep
 	}
-	tier := currentGemmTier()
-	epc := ep.heapCopy()
-	if tier == tierAVX2 && wideWorthIt(n, k, m) {
-		gemmParallelWide(dst, a, b, n, k, m, lay, accum, epc)
-		return
+	minRows, tier := gemmMinRows(k, m), currentGemmTier()
+	switch {
+	case tier == tierAVX2 && wideWorthIt(n, k, m):
+		kb, m8 := gemmWideKB(k, lay, accum), m&^7
+		bp := getPackBuf(k * m8)
+		parallelRows(m8/8, 1, 1+minElemsPerWorker/(8*k+1), packStripsWide, rowArgs{bp: bp, b: b, k: k, m: m, kb: kb, lay: lay})
+		parallelRows(n, microMW, minRows, gemmRowsWide, rowArgs{dst: dst, a: a, b: b, bp: bp, n: n, k: k, m: m, kb: kb, lay: lay, accum: accum, ep: e})
+		putPackBuf(bp)
+	case !packedWorthIt(n, k, m):
+		parallelRows(n, 1, minRows, gemmRefRows, rowArgs{dst: dst, a: a, b: b, n: n, k: k, m: m, lay: lay, accum: accum, ep: e})
+	default:
+		tree, seq := kernels4x4(tier)
+		m4 := m &^ 3
+		bp := getPackBuf(k * m4)
+		parallelRows(m4/4, 1, 1+minElemsPerWorker/(4*k+1), packStrips, rowArgs{bp: bp, b: b, k: k, m: m, lay: lay})
+		parallelRows(n, microM, minRows, gemmRows, rowArgs{dst: dst, a: a, b: b, bp: bp, n: n, k: k, m: m, lay: lay, accum: accum, ep: e, tree: tree, seq: seq})
+		putPackBuf(bp)
 	}
-	if !packedWorthIt(n, k, m) {
-		parallelRows(n, minRows, func(lo, hi int) {
-			gemmRefRange(dst, a, b, n, k, m, lay, accum, lo, hi)
-			applyEpilogueRows(dst, m, lo, hi, epc)
-		})
-		return
-	}
-	tree, seq := kernels4x4(tier)
-	m4 := m &^ 3
-	bp := getPackBuf(k * m4)
-	// Pack column strips in parallel when the panel is big enough; strips
-	// write disjoint bp regions.
-	packMin := 1 + minElemsPerWorker/(4*k+1)
-	if rowWorkers(m4/4, packMin) <= 1 {
-		packBRange(bp, b, k, m, lay, 0, m4)
-	} else {
-		parallelRows(m4/4, packMin, func(slo, shi int) {
-			packBRange(bp, b, k, m, lay, slo*4, shi*4)
-		})
-	}
-	parallelRowsAligned(n, microM, minRows, func(lo, hi int) {
-		gemmPackedRows(dst, a, b, bp, n, k, m, lo, hi, lay, accum, epc, tree, seq)
-	})
-	putPackBuf(bp)
+}
+
+// The bodies gemmParallel dispatches: column strips [lo, hi) of the B
+// panel, output rows [lo, hi).
+func packStrips(r rowArgs, lo, hi int) { packBRange(r.bp, r.b, r.k, r.m, r.lay, lo*4, hi*4) }
+func packStripsWide(r rowArgs, lo, hi int) {
+	packBRangeWide(r.bp, r.b, r.k, r.m, r.kb, r.lay, lo*8, hi*8)
+}
+func gemmRows(r rowArgs, lo, hi int) {
+	gemmPackedRows(r.dst, r.a, r.b, r.bp, r.n, r.k, r.m, lo, hi, r.lay, r.accum, r.epi(), r.tree, r.seq)
+}
+func gemmRowsWide(r rowArgs, lo, hi int) {
+	gemmPackedRowsWide(r.dst, r.a, r.b, r.bp, r.n, r.k, r.m, r.kb, lo, hi, r.lay, r.accum, r.epi())
+}
+func gemmRefRows(r rowArgs, lo, hi int) {
+	gemmRefRange(r.dst, r.a, r.b, r.n, r.k, r.m, r.lay, r.accum, lo, hi)
+	applyEpilogueRows(r.dst, r.m, lo, hi, r.epi())
 }
 
 // gemmRefRange runs the reference kernel for output rows [lo, hi).

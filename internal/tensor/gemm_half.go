@@ -89,17 +89,12 @@ func MatMulFrozenBiasAct(a *Tensor, w *FrozenMatrix, bias *Tensor, act ActKind) 
 	if k != w.k {
 		panic(fmt.Sprintf("tensor: MatMulFrozenBiasAct inner dimension mismatch %v @ [%d %d]", a.Shape(), w.k, w.m))
 	}
-	var epv epilogue
-	var ep *epilogue
+	ep := epilogue{act: act}
 	if bias != nil {
 		if bias.Rank() != 1 || bias.shape[0] != m {
 			panic(fmt.Sprintf("tensor: MatMulFrozenBiasAct bias %v, want [%d]", bias.Shape(), m))
 		}
-		epv = epilogue{colBias: bias.data, act: act}
-		ep = &epv
-	} else if act != ActNone {
-		epv = epilogue{act: act}
-		ep = &epv
+		ep.colBias = bias.data
 	}
 	name := "gemm.frozen"
 	if w.half != nil {
@@ -110,23 +105,20 @@ func MatMulFrozenBiasAct(a *Tensor, w *FrozenMatrix, bias *Tensor, act ActKind) 
 		sp.SetBytes(4*int64(n)*int64(k) + w.Bytes() + 4*int64(n)*int64(m))
 	}
 	out := acquireDirty(n, m)
-	switch minRows := gemmMinRows(k, m); {
-	case currentGemmTier() != tierAVX2 || w.half != nil && !GemmHalfFast():
+	if currentGemmTier() != tierAVX2 || w.half != nil && !GemmHalfFast() {
 		wb := getPackBuf(k * m)
 		w.unpack(wb)
-		gemmParallel(out.data, a.data, wb, n, k, m, layPlain, false, ep)
+		gemmParallel(out.data, a.data, wb, n, k, m, layPlain, false, &ep)
 		putPackBuf(wb)
-	case rowWorkers(n, minRows) <= 1:
-		w.rows(out.data, a.data, n, 0, n, ep)
-	default:
-		epc := ep.heapCopy()
-		parallelRowsAligned(n, microMW, minRows, func(lo, hi int) {
-			w.rows(out.data, a.data, n, lo, hi, epc)
-		})
+	} else {
+		parallelRows(n, microMW, gemmMinRows(k, m), frozenRows, rowArgs{dst: out.data, a: a.data, n: n, w: w, ep: ep})
 	}
 	sp.End()
 	return out
 }
+
+// frozenRows is MatMulFrozenBiasAct's body: output rows [lo, hi).
+func frozenRows(r rowArgs, lo, hi int) { r.w.rows(r.dst, r.a, r.n, lo, hi, r.epi()) }
 
 // rows computes output rows [lo, hi) of the [n, m] dst off the panel:
 // whole 8-row tiles in place, then the tail as one zero-padded tile in

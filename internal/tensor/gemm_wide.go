@@ -40,8 +40,8 @@ package tensor
 //
 // Determinism contract (within the avx2 tier): the block decomposition
 // depends only on (k, layout, accum), full tiles run the chain above, edge
-// columns run the fixed scalar orders of gemmEdgeCols, and
-// parallelRowsAligned keeps interior split boundaries on 8-row multiples
+// columns run the fixed scalar orders of gemmEdgeCols, and gemmParallel
+// keeps interior split boundaries on 8-row multiples
 // so tile/edge assignment of every row is split-independent. Parallel
 // runs are therefore bit-identical to serial runs on the same tier, even
 // though the tier itself is only ULP-equivalent to ref/sse.
@@ -65,37 +65,6 @@ func gemmWideKB(k int, lay gemmLayout, accum bool) int {
 // assembly (bit-exact with ref), so tiny GEMMs lose no precision.
 func wideWorthIt(n, k, m int) bool {
 	return n >= microMW && m >= microNW && k >= 2 && n*k*m >= packedMinWork
-}
-
-// gemmSerialWide runs one wide-path GEMM on the calling goroutine.
-func gemmSerialWide(dst, a, b []float32, n, k, m int, lay gemmLayout, accum bool, ep *epilogue) {
-	kb := gemmWideKB(k, lay, accum)
-	bp := getPackBuf(k * (m &^ 7))
-	packBRangeWide(bp, b, k, m, kb, lay, 0, m&^7)
-	gemmPackedRowsWide(dst, a, b, bp, n, k, m, kb, 0, n, lay, accum, ep)
-	putPackBuf(bp)
-}
-
-// gemmParallelWide is gemmSerialWide with output rows split across the
-// worker pool; the caller has already established that more than one
-// worker will run. The B panel is packed once (in parallel when large)
-// and shared read-only.
-func gemmParallelWide(dst, a, b []float32, n, k, m int, lay gemmLayout, accum bool, ep *epilogue) {
-	kb := gemmWideKB(k, lay, accum)
-	m8 := m &^ 7
-	bp := getPackBuf(k * m8)
-	packMin := 1 + minElemsPerWorker/(8*k+1)
-	if rowWorkers(m8/8, packMin) <= 1 {
-		packBRangeWide(bp, b, k, m, kb, lay, 0, m8)
-	} else {
-		parallelRows(m8/8, packMin, func(slo, shi int) {
-			packBRangeWide(bp, b, k, m, kb, lay, slo*8, shi*8)
-		})
-	}
-	parallelRowsAligned(n, microMW, gemmMinRows(k, m), func(lo, hi int) {
-		gemmPackedRowsWide(dst, a, b, bp, n, k, m, kb, lo, hi, lay, accum, ep)
-	})
-	putPackBuf(bp)
 }
 
 // gemmPackedRowsWide computes output rows [lo, hi) against a pre-packed

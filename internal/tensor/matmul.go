@@ -74,21 +74,16 @@ func MatMul(a, b *Tensor) *Tensor {
 // activation.
 func MatMulBiasAct(a, b, bias *Tensor, act ActKind) *Tensor {
 	n, k, m := checkMatMul(a, b, "MatMulBiasAct", false, false)
-	var epv epilogue
-	var ep *epilogue
+	ep := epilogue{act: act}
 	if bias != nil {
 		if bias.Rank() != 1 || bias.shape[0] != m {
 			panic(fmt.Sprintf("tensor: MatMulBiasAct bias %v, want [%d]", bias.shape, m))
 		}
-		epv = epilogue{colBias: bias.data, act: act}
-		ep = &epv
-	} else if act != ActNone {
-		epv = epilogue{act: act}
-		ep = &epv
+		ep.colBias = bias.data
 	}
 	sp := beginGemmSpan("gemm.bias_act", n, k, m)
 	out := acquireDirty(n, m)
-	gemmParallel(out.data, a.data, b.data, n, k, m, layPlain, false, ep)
+	gemmParallel(out.data, a.data, b.data, n, k, m, layPlain, false, &ep)
 	sp.End()
 	return out
 }
@@ -165,20 +160,14 @@ func BatchMatMul(a, b *Tensor) *Tensor {
 		sp.SetBytes(4 * int64(bb) * (int64(n)*int64(k) + int64(k)*int64(m) + int64(n)*int64(m)))
 	}
 	out := acquireDirty(bb, n, m)
-	minBatches := 1 + gemmMinRows(k, m)/max(n, 1)
-	if rowWorkers(bb, minBatches) <= 1 {
-		batchMatMulRange(out.data, a.data, b.data, n, k, m, 0, bb)
-		sp.End()
-		return out
-	}
-	parallelRows(bb, minBatches, func(lo, hi int) {
-		batchMatMulRange(out.data, a.data, b.data, n, k, m, lo, hi)
-	})
+	parallelRows(bb, 1, 1+gemmMinRows(k, m)/max(n, 1), batchMatMulRange, rowArgs{dst: out.data, a: a.data, b: b.data, n: n, k: k, m: m})
 	sp.End()
 	return out
 }
 
-func batchMatMulRange(dst, a, b []float32, n, k, m, lo, hi int) {
+// batchMatMulRange multiplies batches [lo, hi), one serial GEMM each.
+func batchMatMulRange(r rowArgs, lo, hi int) {
+	dst, a, b, n, k, m := r.dst, r.a, r.b, r.n, r.k, r.m
 	for i := lo; i < hi; i++ {
 		gemmSerial(dst[i*n*m:(i+1)*n*m], a[i*n*k:(i+1)*n*k], b[i*k*m:(i+1)*k*m], n, k, m, layPlain, false, nil)
 	}

@@ -20,12 +20,10 @@ func checkSame(a, b *Tensor, op string) {
 // helper: the indirect call per element costs more than the arithmetic,
 // and these run on every activation and gradient in training. Outputs are
 // pool-backed; large tensors are chunked across the worker pool (chunking
-// is elementwise-disjoint, so results are bit-identical to serial). Each
-// op branches on rowWorkers before building its dispatch closure so the
-// serial path — the common case for activation-sized tensors — allocates
-// nothing.
+// is elementwise-disjoint, so results are bit-identical to serial).
 
-func addRange(ov, av, bv []float32) {
+func addChunk(r rowArgs, lo, hi int) {
+	ov, av, bv := r.dst[lo:hi], r.a[lo:hi], r.b[lo:hi]
 	for i := range ov {
 		ov[i] = av[i] + bv[i]
 	}
@@ -35,13 +33,7 @@ func addRange(ov, av, bv []float32) {
 func Add(a, b *Tensor) *Tensor {
 	checkSame(a, b, "Add")
 	out := acquireDirty(a.shape...)
-	if rowWorkers(len(a.data), minElemsPerWorker) <= 1 {
-		addRange(out.data, a.data, b.data)
-		return out
-	}
-	parallelRows(len(a.data), minElemsPerWorker, func(lo, hi int) {
-		addRange(out.data[lo:hi], a.data[lo:hi], b.data[lo:hi])
-	})
+	parallelRows(len(a.data), 1, minElemsPerWorker, addChunk, rowArgs{dst: out.data, a: a.data, b: b.data})
 	return out
 }
 
@@ -55,30 +47,22 @@ func accumRange(av, bv []float32) {
 // AddInPlace accumulates b into a.
 func AddInPlace(a, b *Tensor) {
 	checkSame(a, b, "AddInPlace")
-	if rowWorkers(len(a.data), minElemsPerWorker) <= 1 {
-		accumRange(a.data, b.data)
-		return
-	}
-	parallelRows(len(a.data), minElemsPerWorker, func(lo, hi int) {
-		accumRange(a.data[lo:hi], b.data[lo:hi])
-	})
+	parallelRows(len(a.data), 1, minElemsPerWorker, accumChunk, rowArgs{dst: a.data, a: b.data})
 }
 
-func scaleRange(alpha float32, ov, av []float32) {
+func accumChunk(r rowArgs, lo, hi int) { accumRange(r.dst[lo:hi], r.a[lo:hi]) }
+
+// scaleChunk writes alpha·a to dst over [lo, hi); dst may be a.
+func scaleChunk(r rowArgs, lo, hi int) {
+	ov, av := r.dst[lo:hi], r.a[lo:hi]
 	for i := range ov {
-		ov[i] = alpha * av[i]
+		ov[i] = r.alpha * av[i]
 	}
 }
 
 // ScaleInPlace multiplies every element by alpha.
 func (t *Tensor) ScaleInPlace(alpha float32) {
-	if rowWorkers(len(t.data), minElemsPerWorker) <= 1 {
-		scaleRange(alpha, t.data, t.data)
-		return
-	}
-	parallelRows(len(t.data), minElemsPerWorker, func(lo, hi int) {
-		scaleRange(alpha, t.data[lo:hi], t.data[lo:hi])
-	})
+	parallelRows(len(t.data), 1, minElemsPerWorker, scaleChunk, rowArgs{dst: t.data, a: t.data, alpha: alpha})
 }
 
 // AddRowBroadcastInPlace adds row [F] to every row of m [N, F] in place,
@@ -93,7 +77,8 @@ func AddRowBroadcastInPlace(m, row *Tensor) {
 	addRowBroadcastInPlace(m, row, f)
 }
 
-func addRowBroadcastRange(m, row []float32, f, lo, hi int) {
+func addRowBroadcastRange(r rowArgs, lo, hi int) {
+	m, row, f := r.dst, r.a, r.m
 	for i := lo; i < hi; i++ {
 		mrow := m[i*f : (i+1)*f]
 		for j, v := range row {
@@ -103,15 +88,7 @@ func addRowBroadcastRange(m, row []float32, f, lo, hi int) {
 }
 
 func addRowBroadcastInPlace(m, row *Tensor, f int) {
-	n := m.Numel() / f
-	minRows := 1 + minElemsPerWorker/(f+1)
-	if rowWorkers(n, minRows) <= 1 {
-		addRowBroadcastRange(m.data, row.data, f, 0, n)
-		return
-	}
-	parallelRows(n, minRows, func(lo, hi int) {
-		addRowBroadcastRange(m.data, row.data, f, lo, hi)
-	})
+	parallelRows(m.Numel()/f, 1, 1+minElemsPerWorker/(f+1), addRowBroadcastRange, rowArgs{dst: m.data, a: row.data, m: f})
 }
 
 // Sum returns the sum of all elements.

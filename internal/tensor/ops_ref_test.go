@@ -11,7 +11,8 @@ func Conv2D(x, w *Tensor, stride, pad int) *Tensor {
 	return Conv2DFused(x, w, nil, ActNone, stride, pad)
 }
 
-func mulRange(ov, av, bv []float32) {
+func mulChunk(r rowArgs, lo, hi int) {
+	ov, av, bv := r.dst[lo:hi], r.a[lo:hi], r.b[lo:hi]
 	for i := range ov {
 		ov[i] = av[i] * bv[i]
 	}
@@ -21,45 +22,14 @@ func mulRange(ov, av, bv []float32) {
 func Mul(a, b *Tensor) *Tensor {
 	checkSame(a, b, "Mul")
 	out := acquireDirty(a.shape...)
-	if rowWorkers(len(a.data), minElemsPerWorker) <= 1 {
-		mulRange(out.data, a.data, b.data)
-		return out
-	}
-	parallelRows(len(a.data), minElemsPerWorker, func(lo, hi int) {
-		mulRange(out.data[lo:hi], a.data[lo:hi], b.data[lo:hi])
-	})
+	parallelRows(len(a.data), 1, minElemsPerWorker, mulChunk, rowArgs{dst: out.data, a: a.data, b: b.data})
 	return out
 }
 
 // Scale returns alpha * a in a new tensor.
 func Scale(a *Tensor, alpha float32) *Tensor {
 	out := acquireDirty(a.shape...)
-	if rowWorkers(len(a.data), minElemsPerWorker) <= 1 {
-		scaleRange(alpha, out.data, a.data)
-		return out
-	}
-	parallelRows(len(a.data), minElemsPerWorker, func(lo, hi int) {
-		scaleRange(alpha, out.data[lo:hi], a.data[lo:hi])
-	})
-	return out
-}
-
-func applyRange(ov, av []float32, f func(float32) float32) {
-	for i := range ov {
-		ov[i] = f(av[i])
-	}
-}
-
-// Apply returns f mapped over a into a new tensor.
-func Apply(a *Tensor, f func(float32) float32) *Tensor {
-	out := acquireDirty(a.shape...)
-	if rowWorkers(len(a.data), minElemsPerWorker) <= 1 {
-		applyRange(out.data, a.data, f)
-		return out
-	}
-	parallelRows(len(a.data), minElemsPerWorker, func(lo, hi int) {
-		applyRange(out.data[lo:hi], a.data[lo:hi], f)
-	})
+	parallelRows(len(a.data), 1, minElemsPerWorker, scaleChunk, rowArgs{dst: out.data, a: a.data, alpha: alpha})
 	return out
 }
 

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -54,25 +55,46 @@ func TestConv2DParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// markBlock counts each row of [lo, hi) in dst and records lo, its
+// block's first row, in idx.
+func markBlock(r rowArgs, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		r.dst[i]++
+		r.idx[i] = lo
+	}
+}
+
+// TestParallelRowsCoversRange checks that a dispatch runs every row once
+// and splits where the pool always has: blocks of ceil(n/workers) rows,
+// rounded up to a multiple of align, workers capped at n/minRows.
 func TestParallelRowsCoversRange(t *testing.T) {
 	defer SetParallelism(1)
-	SetParallelism(4)
-	hit := make([]int32, 100)
-	parallelRows(100, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hit[i]++
+	for _, c := range []struct {
+		workers, n, align, minRows int
+		starts                     []int
+	}{
+		{4, 100, 1, 1, []int{0, 25, 50, 75}},
+		{4, 100, 8, 1, []int{0, 32, 64, 96}},
+		{3, 61, 8, 1, []int{0, 24, 48}},
+		{7, 61, 8, 1, []int{0, 16, 32, 48}},
+		{7, 61, 4, 20, []int{0, 24, 48}},
+		{4, 3, 1, 8, []int{0}}, // tiny ranges run serially without loss
+	} {
+		SetParallelism(c.workers)
+		r := rowArgs{dst: make([]float32, c.n), idx: make([]int, c.n)}
+		parallelRows(c.n, c.align, c.minRows, markBlock, r)
+		var starts []int
+		for i := range c.n {
+			if r.dst[i] != 1 {
+				t.Fatalf("%+v: row %d covered %v times", c, i, r.dst[i])
+			}
+			if r.idx[i] == i {
+				starts = append(starts, i)
+			}
 		}
-	})
-	for i, h := range hit {
-		if h != 1 {
-			t.Fatalf("row %d covered %d times", i, h)
+		if !slices.Equal(starts, c.starts) {
+			t.Fatalf("%+v: blocks start at %v", c, starts)
 		}
-	}
-	// Tiny ranges run serially without loss.
-	count := 0
-	parallelRows(3, 8, func(lo, hi int) { count += hi - lo })
-	if count != 3 {
-		t.Fatalf("small range covered %d rows", count)
 	}
 }
 
@@ -242,21 +264,46 @@ func TestConvLoweringWideKernel(t *testing.T) {
 // TestElementwiseParallelMatchesSerial pins the chunked elementwise ops.
 func TestElementwiseParallelMatchesSerial(t *testing.T) {
 	rng := NewRNG(23)
-	n := 3 * minElemsPerWorker // forces multi-chunk dispatch
+	n := 7*minElemsPerWorker + 13 // ragged chunks at every worker count
 	a := RandNormal(rng, 0, 1, n)
 	b := RandNormal(rng, 1, 1, n)
+	// Rows for the row-wise ops: 7 workers' minimum (1+minElemsPerWorker/34
+	// rows each) and a ragged tail.
+	rows := RandNormal(rng, 0, 3, 7*(1+minElemsPerWorker/34)+5, 33)
+	bias := RandNormal(rng, 0, 1, 33)
+	planes := RandNormal(rng, 0, 1, 3, 5, 9, 9)
+	type outs struct {
+		add, mul, acc, scaled, biased, soft, logSoft, maxp, avgp *Tensor
+		argmax                                                   []int
+	}
+	run := func() outs {
+		o := outs{add: Add(a, b), mul: Mul(a, b), acc: a.Clone(), scaled: rows.Clone(), biased: rows.Clone(),
+			soft: SoftmaxRows(rows), logSoft: LogSoftmaxRows(rows), avgp: AvgPool2D(planes, 2, 2)}
+		AddInPlace(o.acc, b)
+		o.scaled.ScaleInPlace(-1.7)
+		AddRowBroadcastInPlace(o.biased, bias)
+		o.maxp, o.argmax = MaxPool2D(planes, 3, 2, nil)
+		return o
+	}
 	SetParallelism(1)
-	wantAdd, wantMul := Add(a, b), Mul(a, b)
-	acc := a.Clone()
-	AddInPlace(acc, b)
-	withWorkers(t, []int{2, 5}, func(workers int) {
-		if !Equal(Add(a, b), wantAdd, 0) || !Equal(Mul(a, b), wantMul, 0) {
-			t.Fatalf("elementwise op differs at %d workers", workers)
+	want := run()
+	withWorkers(t, []int{2, 3, 5, 7}, func(workers int) {
+		got := run()
+		for _, c := range []struct {
+			name      string
+			got, want *Tensor
+		}{
+			{"Add", got.add, want.add}, {"Mul", got.mul, want.mul}, {"AddInPlace", got.acc, want.acc},
+			{"ScaleInPlace", got.scaled, want.scaled}, {"AddRowBroadcastInPlace", got.biased, want.biased},
+			{"SoftmaxRows", got.soft, want.soft}, {"LogSoftmaxRows", got.logSoft, want.logSoft},
+			{"MaxPool2D", got.maxp, want.maxp}, {"AvgPool2D", got.avgp, want.avgp},
+		} {
+			if !Equal(c.got, c.want, 0) {
+				t.Fatalf("%s differs at %d workers", c.name, workers)
+			}
 		}
-		acc2 := a.Clone()
-		AddInPlace(acc2, b)
-		if !Equal(acc2, acc, 0) {
-			t.Fatalf("AddInPlace differs at %d workers", workers)
+		if !slices.Equal(got.argmax, want.argmax) {
+			t.Fatalf("MaxPool2D argmax differs at %d workers", workers)
 		}
 	})
 }

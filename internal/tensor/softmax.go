@@ -16,18 +16,12 @@ func SoftmaxRows(t *Tensor) *Tensor {
 	f := t.shape[len(t.shape)-1]
 	n := t.Numel() / f
 	out := acquireDirty(t.shape...)
-	minRows := 1 + minElemsPerWorker/(f+1)
-	if rowWorkers(n, minRows) <= 1 {
-		softmaxRange(out.data, t.data, f, 0, n)
-		return out
-	}
-	parallelRows(n, minRows, func(lo, hi int) {
-		softmaxRange(out.data, t.data, f, lo, hi)
-	})
+	parallelRows(n, 1, 1+minElemsPerWorker/(f+1), softmaxRange, rowArgs{dst: out.data, a: t.data, m: f})
 	return out
 }
 
-func softmaxRange(dst, src []float32, f, lo, hi int) {
+func softmaxRange(r rowArgs, lo, hi int) {
+	dst, src, f := r.dst, r.a, r.m
 	for i := lo; i < hi; i++ {
 		softmaxRow(dst[i*f:(i+1)*f], src[i*f:(i+1)*f])
 	}
@@ -57,18 +51,12 @@ func LogSoftmaxRows(t *Tensor) *Tensor {
 	n := t.shape[0]
 	f := t.Numel() / n
 	out := acquireDirty(t.shape...)
-	minRows := 1 + minElemsPerWorker/(f+1)
-	if rowWorkers(n, minRows) <= 1 {
-		logSoftmaxRange(out.data, t.data, f, 0, n)
-		return out
-	}
-	parallelRows(n, minRows, func(lo, hi int) {
-		logSoftmaxRange(out.data, t.data, f, lo, hi)
-	})
+	parallelRows(n, 1, 1+minElemsPerWorker/(f+1), logSoftmaxRange, rowArgs{dst: out.data, a: t.data, m: f})
 	return out
 }
 
-func logSoftmaxRange(dst, src []float32, f, lo, hi int) {
+func logSoftmaxRange(r rowArgs, lo, hi int) {
+	dst, src, f := r.dst, r.a, r.m
 	for i := lo; i < hi; i++ {
 		s := src[i*f : (i+1)*f]
 		d := dst[i*f : (i+1)*f]
