@@ -40,9 +40,13 @@ import (
 // passed to functions outside the analyzed program — or to summarized
 // sinks (stores, returns, captures) — transfer ownership conservatively,
 // as does storing in a container or capturing in a closure locally. A
-// composite literal handed straight to a function whose doc carries
-// //tbd:sync-callback is let go of when that call returns: the buffers it
-// names stay the obligation of the function that wrote it.
+// struct literal handed straight to a function whose doc carries
+// //tbd:sync-callback is let go of when that call returns, so a buffer it
+// names takes only what the callback bodies passed in the same call do
+// with that field: read, it stays the obligation of the function that
+// wrote the literal; released by a body, the call is its release; stored
+// by one, or handed to a body that is not a declared function, it
+// transfers as above.
 var Poolcheck = &Analyzer{
 	Name: "poolcheck",
 	Doc:  "pooled tensor/pack buffers must be released, returned, or stashed with recycle on every path",
@@ -575,7 +579,15 @@ func (w *poolWalker) scan(expr ast.Expr, st poolState) poolState {
 		return st
 	}
 	v := w.site.v
-	lent := map[*ast.CompositeLit]bool{} // arguments of sync-callback calls
+	lent := map[*ast.CompositeLit]map[string]ParamEffect{} // arguments of sync-callback calls
+	release := func(pos token.Pos) {
+		if st.live && st.resolved == resolvedAlways && st.byRelease && !w.reported {
+			w.reported = true
+			w.pc.pass.Reportf(pos, "double release of pooled buffer %s (already released on this path)", v.Name())
+		}
+		st.resolved = resolvedAlways
+		st.byRelease = true
+	}
 	var visit func(n ast.Node) bool
 	visit = func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -592,15 +604,10 @@ func (w *poolWalker) scan(expr ast.Expr, st poolState) poolState {
 				return true
 			}
 			if prog := w.pc.pass.Prog; prog != nil {
-				prog.lend(lent, n, w.pc.pass.calleeName(n))
+				prog.lend(lent, w.pc.pass.Pkg, n, w.pc.pass.calleeName(n))
 			}
 			if w.isReleaseOfV(n) {
-				if st.live && st.resolved == resolvedAlways && st.byRelease && !w.reported {
-					w.reported = true
-					w.pc.pass.Reportf(n.Pos(), "double release of pooled buffer %s (already released on this path)", v.Name())
-				}
-				st.resolved = resolvedAlways
-				st.byRelease = true
+				release(n.Pos())
 				return false
 			}
 			// v passed as a bare argument: the callee's summary decides.
@@ -625,7 +632,18 @@ func (w *poolWalker) scan(expr ast.Expr, st poolState) poolState {
 			}
 			return true
 		case *ast.CompositeLit:
-			if v != nil && !lent[n] && w.pc.pass.mentions(n, v) {
+			if v == nil || !w.pc.pass.mentions(n, v) {
+				return true
+			}
+			eff := ParamSinks
+			if fields, ok := lent[n]; ok {
+				eff = w.pc.pass.Pkg.lentEffect(n, fields, v)
+			}
+			switch eff {
+			case ParamBorrows:
+			case ParamReleases:
+				release(n.Pos())
+			default:
 				st.resolved = resolvedAlways
 				st.byRelease = false
 			}

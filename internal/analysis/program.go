@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 )
@@ -135,19 +136,229 @@ func (prog *Program) ReturnsAcquired(callee string) bool {
 	return ok && sum.ReturnsAcquired
 }
 
-// lend adds to lent the composite literals written straight into call's
+// lend records in lent the struct literals written straight into call's
 // arguments when the callee's doc carries //tbd:sync-callback: it has run
 // and let go of everything handed to it by the time it returns, so such a
-// literal only lends the callee what it names.
-func (prog *Program) lend(lent map[*ast.CompositeLit]bool, call *ast.CallExpr, callee string) {
+// literal hands on only what the callbacks passed in the same call do with
+// its fields. Each literal maps to those effects by field name ("" for the
+// whole record).
+func (prog *Program) lend(lent map[*ast.CompositeLit]map[string]ParamEffect, pkg *Package, call *ast.CallExpr, callee string) {
 	if fi := prog.Funcs[callee]; fi == nil || !FuncEscape(fi.Decl, "sync-callback") {
 		return
 	}
 	for _, arg := range call.Args {
-		if lit, ok := ast.Unparen(arg).(*ast.CompositeLit); ok {
-			lent[lit] = true
+		lit, ok := ast.Unparen(arg).(*ast.CompositeLit)
+		if !ok {
+			continue
+		}
+		typ := pkg.Info.TypeOf(lit)
+		if _, ok := typ.Underlying().(*types.Struct); !ok {
+			continue
+		}
+		fields := map[string]ParamEffect{}
+		for _, body := range call.Args {
+			prog.bodyEffects(fields, pkg, body, typ)
+		}
+		lent[lit] = fields
+	}
+}
+
+// bodyEffects adds to fields what the callback body does with a record of
+// type typ it is handed. A body that takes no such record sees none; one
+// that is not a function declared in the program (a closure, a func
+// value) is not vouched for, and the whole record sinks.
+func (prog *Program) bodyEffects(fields map[string]ParamEffect, pkg *Package, body ast.Expr, typ types.Type) {
+	sig, ok := pkg.Info.TypeOf(body).Underlying().(*types.Signature)
+	if !ok {
+		return
+	}
+	j := -1
+	for i := 0; i < sig.Params().Len() && j < 0; i++ {
+		if types.Identical(sig.Params().At(i).Type(), typ) {
+			j = i
 		}
 	}
+	if j < 0 {
+		return
+	}
+	var id *ast.Ident
+	switch b := ast.Unparen(body).(type) {
+	case *ast.Ident:
+		id = b
+	case *ast.SelectorExpr:
+		id = b.Sel
+	}
+	var fi *FuncInfo
+	if fn, ok := pkg.Info.Uses[id].(*types.Func); id != nil && ok {
+		fi = prog.Funcs[qualifiedFuncName(fn)]
+	}
+	if fi == nil {
+		fields[""] = ParamSinks
+		return
+	}
+	prog.recordEffects(fields, fi, j, map[*FuncInfo]bool{})
+}
+
+// recordEffects adds to fields what fi does with the fields of its j-th
+// parameter, a record passed by value. A field, or a local unpacked from
+// one, that is released is a release; one stored, returned, sent,
+// captured or put in another literal is a sink; one handed to a
+// summarized callee takes that callee's effect. The record handed whole
+// to a function in the program is followed into it, and anywhere else it
+// sinks. A field handed to a function outside the program (assembly, the
+// standard library, a builtin) is taken as read: kernel bodies do that on
+// every call.
+func (prog *Program) recordEffects(fields map[string]ParamEffect, fi *FuncInfo, j int, seen map[*FuncInfo]bool) {
+	params := paramObjects(fi)
+	if seen[fi] || j >= len(params) || params[j] == nil {
+		return
+	}
+	seen[fi] = true
+	pkg, rec := fi.Pkg, params[j]
+	alias := map[types.Object]string{}
+	raise := func(f string, eff ParamEffect) {
+		if fields[f] < eff {
+			fields[f] = eff
+		}
+	}
+	// field names the record field e reads: r.f, r.f.g, r.f[lo:hi], &r.f
+	// or a local unpacked from one; "" is the record itself.
+	field := func(e ast.Expr) (string, bool) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SliceExpr:
+				e = x.X
+			case *ast.UnaryExpr:
+				if x.Op != token.AND {
+					return "", false
+				}
+				e = x.X
+			case *ast.SelectorExpr:
+				if id, ok := ast.Unparen(x.X).(*ast.Ident); ok && pkg.objectOf(id) == rec {
+					return x.Sel.Name, true
+				}
+				e = x.X
+			case *ast.Ident:
+				obj := pkg.objectOf(x)
+				if obj == rec {
+					return "", true
+				}
+				f, ok := alias[obj]
+				return f, ok
+			default:
+				return "", false
+			}
+		}
+	}
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			for obj, f := range alias {
+				if pkg.mentions(n, obj) {
+					raise(f, ParamSinks)
+				}
+			}
+			if pkg.mentions(n, rec) {
+				raise("", ParamSinks)
+			}
+			return false
+		case *ast.AssignStmt:
+			for i, rhs := range n.Rhs {
+				f, ok := field(rhs)
+				if !ok {
+					continue
+				}
+				if len(n.Lhs) == len(n.Rhs) {
+					if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
+						continue
+					} else if ok && n.Tok == token.DEFINE && pkg.Info.Defs[id] != nil {
+						alias[pkg.Info.Defs[id]] = f
+						continue
+					}
+				}
+				raise(f, ParamSinks)
+			}
+		case *ast.ValueSpec:
+			for i, val := range n.Values {
+				if f, ok := field(val); ok && i < len(n.Names) && pkg.Info.Defs[n.Names[i]] != nil {
+					alias[pkg.Info.Defs[n.Names[i]]] = f
+				}
+			}
+		case *ast.SendStmt:
+			if f, ok := field(n.Value); ok {
+				raise(f, ParamSinks)
+			}
+		case *ast.ReturnStmt:
+			for _, res := range n.Results {
+				if f, ok := field(res); ok {
+					raise(f, ParamSinks)
+				}
+			}
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					elt = kv.Value
+				}
+				if f, ok := field(elt); ok {
+					raise(f, ParamSinks)
+				}
+			}
+		case *ast.CallExpr:
+			name := pkg.calleeName(n)
+			if poolReleaseMethods[name] {
+				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+					if f, ok := field(sel.X); ok {
+						raise(f, ParamReleases)
+					}
+				}
+				return true
+			}
+			if poolReleaseFuncs[name] && len(n.Args) > 0 {
+				if f, ok := field(n.Args[0]); ok {
+					raise(f, ParamReleases)
+				}
+				return true
+			}
+			for ai, arg := range n.Args {
+				f, ok := field(arg)
+				switch {
+				case !ok:
+				case f != "":
+					if eff, known := prog.ParamEffect(name, ai); known {
+						raise(f, eff)
+					}
+				case prog.Funcs[name] != nil:
+					prog.recordEffects(fields, prog.Funcs[name], ai, seen)
+				default:
+					raise("", ParamSinks)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// lentEffect is what a sync-callback call does to obj through lit, a
+// literal lend recorded with fields: the strongest effect among the
+// fields whose values name obj.
+func (pkg *Package) lentEffect(lit *ast.CompositeLit, fields map[string]ParamEffect, obj types.Object) ParamEffect {
+	st, _ := pkg.Info.TypeOf(lit).Underlying().(*types.Struct)
+	eff := ParamBorrows
+	for i, elt := range lit.Elts {
+		name := ""
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			if id, ok := kv.Key.(*ast.Ident); ok {
+				name = id.Name
+			}
+			elt = kv.Value
+		} else if st != nil && i < st.NumFields() {
+			name = st.Field(i).Name()
+		}
+		if pkg.mentions(elt, obj) {
+			eff = max(eff, fields[name], fields[""])
+		}
+	}
+	return eff
 }
 
 // computePoolSummaries iterates the per-function extraction until no
@@ -235,9 +446,9 @@ func (prog *Program) summarizeFunc(fi *FuncInfo, sum *PoolSummary) bool {
 	// acquired tracks locals bound to fresh pool acquisitions, for the
 	// ReturnsAcquired scan.
 	acquired := map[types.Object]bool{}
-	// lent holds composite literals passed straight to a sync-callback
-	// callee: the parameters they name are borrowed, not stored.
-	lent := map[*ast.CompositeLit]bool{}
+	// lent holds struct literals passed straight to a sync-callback
+	// callee: a parameter one names takes what the callbacks do with it.
+	lent := map[*ast.CompositeLit]map[string]ParamEffect{}
 
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -250,11 +461,14 @@ func (prog *Program) summarizeFunc(fi *FuncInfo, sum *PoolSummary) bool {
 			}
 			return false
 		case *ast.CompositeLit:
-			if lent[n] {
-				return true
-			}
+			fields, isLent := lent[n]
 			for i, obj := range params {
-				if obj != nil && fi.Pkg.mentions(n, obj) {
+				if obj == nil || !fi.Pkg.mentions(n, obj) {
+					continue
+				}
+				if isLent {
+					raise(i, fi.Pkg.lentEffect(n, fields, obj))
+				} else {
 					raise(i, ParamSinks)
 				}
 			}
@@ -303,7 +517,7 @@ func (prog *Program) summarizeFunc(fi *FuncInfo, sum *PoolSummary) bool {
 			return true
 		case *ast.CallExpr:
 			name := fi.Pkg.calleeName(n)
-			prog.lend(lent, n, name)
+			prog.lend(lent, fi.Pkg, n, name)
 			// Direct release of a parameter: v.Release() / putPackBuf(v).
 			if poolReleaseMethods[name] {
 				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {

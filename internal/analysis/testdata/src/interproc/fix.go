@@ -193,3 +193,43 @@ func lentToCallback(n int, cond bool) {
 	}
 	t.Release()
 }
+
+// free releases what r names, through a local unpacked from it.
+func free(r rec, i int) {
+	t := r.t
+	t.Release()
+}
+
+// freeVia hands the whole record to free.
+func freeVia(r rec, i int) { free(r, i) }
+
+// held keeps a buffer for a later caller.
+var held *tensor.Tensor
+
+// stash stores what r names.
+func stash(r rec, i int) { held = r.t }
+
+// releasedByCallback: the body frees t, so the call is the release and
+// releasing again is a double release.
+func releasedByCallback(n int) {
+	t := tensor.Acquire(n)
+	each(1, free, rec{t: t})
+	t.Release() // want "double release of pooled buffer t"
+}
+
+// releaseInCallback frees t in the callback: a releaser, so a buffer
+// acquired inline for it is clean.
+func releaseInCallback(t *tensor.Tensor) {
+	each(1, freeVia, rec{t: t})
+}
+
+// storedByCallback: the body stores t, which takes it over, so the early
+// return leaks nothing.
+func storedByCallback(n int, cond bool) {
+	t := tensor.Acquire(n)
+	each(1, stash, rec{t: t})
+	if cond {
+		return
+	}
+	releaseInCallback(tensor.Acquire(n))
+}

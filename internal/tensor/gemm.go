@@ -117,11 +117,12 @@ func gemmSerial(dst, a, b []float32, n, k, m int, lay gemmLayout, accum bool, ep
 }
 
 // gemmParallel is gemmSerial with output rows split across the worker
-// pool. The B panel is packed once (its column strips split across the
-// pool when the panel is big enough; strips write disjoint bp regions)
-// and shared read-only by every worker; each worker packs its own A tiles
-// into per-worker pooled scratch. Row blocks are aligned to the tile
-// height, so every row's tile/edge assignment is split-independent.
+// pool; when the rows do not split it is gemmSerial. The B panel is
+// packed once (its column strips split across the pool when the panel is
+// big enough; strips write disjoint bp regions) and shared read-only by
+// every worker; each worker packs its own A tiles into per-worker pooled
+// scratch. Row blocks are aligned to the tile height, so every row's
+// tile/edge assignment is split-independent.
 func gemmParallel(dst, a, b []float32, n, k, m int, lay gemmLayout, accum bool, ep *epilogue) {
 	var e epilogue
 	if ep != nil {
@@ -129,6 +130,8 @@ func gemmParallel(dst, a, b []float32, n, k, m int, lay gemmLayout, accum bool, 
 	}
 	minRows, tier := gemmMinRows(k, m), currentGemmTier()
 	switch {
+	case Parallelism() < 2 || n < 2*minRows:
+		gemmSerial(dst, a, b, n, k, m, lay, accum, ep)
 	case tier == tierAVX2 && wideWorthIt(n, k, m):
 		kb, m8 := gemmWideKB(k, lay, accum), m&^7
 		bp := getPackBuf(k * m8)
